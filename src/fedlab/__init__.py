@@ -15,7 +15,6 @@ from .core import (
     RandomStream,
     Vector,
     as_vector,
-    axpy_combine,
     finite_difference_gradient,
 )
 from .harness import (

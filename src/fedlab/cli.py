@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 import numpy as np
@@ -133,7 +132,6 @@ _METHOD_SCHEMA = {
                 "averaging": {"enum": ["avg", "rand"]},
                 "control_variate": {"enum": ["grad_diff", "recursive"]},
                 "cv_strength": {"type": "number", "minimum": 0},
-                "q_weighting": {"type": "boolean"},
                 "stochastic": {"type": "boolean"},
                 "local_steps": {"type": "integer", "minimum": 1},
             },
@@ -373,10 +371,8 @@ def cmd_run(args) -> int:
         for (label, mcfg) in zip(labels, (m for _, m in entries))
         for rep in range(repeats)
     ]
-
-    def run_one(job):
-        label, mcfg, seed = job
-        return run_experiment(
+    results = [
+        run_experiment(
             problem,
             mcfg,
             budget,
@@ -384,17 +380,8 @@ def cmd_run(args) -> int:
             reference=reference,
             record_every=record_every,
         )
-
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("FEDLAB_WORKERS", "1"))
-    if workers < 1:
-        raise ConfigError("--workers must be >= 1")
-    if workers == 1:
-        results = [run_one(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
+        for _, mcfg, seed in jobs
+    ]
 
     summary_rows = []
     series_rounds = []
@@ -489,11 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the configured experiment")
     run.add_argument("--config", required=True, help="experiment config (JSON)")
     run.add_argument("--out", help="output directory (overrides config)")
-    run.add_argument(
-        "--workers",
-        type=int,
-        help="parallel runs (default: FEDLAB_WORKERS or 1)",
-    )
     run.add_argument("--seed", type=int, help="base seed (overrides config)")
     run.add_argument(
         "--timings",

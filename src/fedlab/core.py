@@ -9,7 +9,7 @@ for one client's local objective.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,25 +44,6 @@ def require_finite(arr, what: str = "value"):
     return arr
 
 
-def axpy_combine(coeffs: Sequence[float], vectors: Sequence[Vector]) -> Vector:
-    """Return ``sum_j coeffs[j] * vectors[j]`` as a new vector.
-
-    All vectors must share one dimension and there must be one coefficient
-    per vector; mismatches raise :class:`DimensionError`.
-    """
-    if len(coeffs) != len(vectors):
-        raise DimensionError(
-            f"{len(coeffs)} coefficients for {len(vectors)} vectors"
-        )
-    if not vectors:
-        raise DimensionError("empty linear combination")
-    dims = {v.shape for v in vectors}
-    if len(dims) != 1:
-        raise DimensionError(f"mixed vector shapes {sorted(dims)}")
-    stack = np.stack([as_vector(v) for v in vectors])
-    return np.asarray(coeffs, dtype=np.float64) @ stack
-
-
 @dataclass(frozen=True)
 class RandomStream:
     """Deterministic random stream addressed by a seed and an integer path.
@@ -88,13 +69,6 @@ class RandomStream:
         if label < 0:
             raise ConfigurationError("stream path labels must be non-negative")
         return RandomStream(self.master_seed, self.path + (label,))
-
-    def descend(self, labels: Sequence[int]) -> "RandomStream":
-        """Fork repeatedly: ``descend([a, b])`` equals ``fork(a).fork(b)``."""
-        stream = self
-        for label in labels:
-            stream = stream.fork(label)
-        return stream
 
     def generator(self) -> np.random.Generator:
         """Fresh generator seeded from this stream's address."""

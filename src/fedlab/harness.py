@@ -9,15 +9,14 @@ account covers exactly what the method itself consumed.
 
 Client sub-solves within one step run in a fixed order, and all randomness
 is pre-assigned to (step, purpose) streams, so a trace depends only on the
-seed, never on worker count or scheduling.  Parallelism is applied across
-independent runs, not inside one.
+problem, the method config and the seed.
 """
 from __future__ import annotations
 
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,28 +210,6 @@ def reference_optimum(
     )
 
 
-def _resolve_output_mode(cfg: MethodConfig, output_mode: str | None) -> str:
-    if output_mode is not None:
-        return output_mode
-    if cfg.q_weighting:
-        return "q_weighted"
-    if cfg.averaging == "rand":
-        return "best_grad"
-    return "last"
-
-
-def _q_value(cfg: MethodConfig) -> float:
-    if cfg.mu <= 0.0:
-        return 1.0
-    if cfg.method == "fedred_gd":
-        denom = 2.0 * cfg.eta - cfg.mu
-    else:
-        denom = 2.0 * cfg.eta + cfg.mu
-    if denom <= 0.0:
-        raise ConfigurationError("q-weighting needs 2*eta > mu")
-    return 1.0 - cfg.mu / denom
-
-
 def run_experiment(
     problem: DistributedProblem,
     cfg: MethodConfig,
@@ -247,9 +224,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one method until the budget trips.
 
-    The output iterate per metric row is the server reference by default,
-    the q-weighted mean of client iterates when ``cfg.q_weighting``, or the
-    running minimum-gradient-norm candidate under rand averaging.  When no
+    The output iterate per metric row is the server reference (``last``),
+    or under rand averaging the running minimum-gradient-norm reference
+    (``best_grad``); ``output_mode`` overrides the choice.  When no
     reference optimum exists, ``f_gap`` is measured against the best value
     seen so far (an upper bound on the true optimality gap is not implied;
     nonconvex analysis reads ``grad_norm_sq`` instead).
@@ -264,10 +241,9 @@ def run_experiment(
         except UnsupportedStructureError:
             reference = None
     x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
-    mode = _resolve_output_mode(cfg, output_mode)
-    acc = IterateAccumulator(
-        mode=mode, q=_q_value(cfg) if mode == "q_weighted" else 1.0
-    )
+    if output_mode is None:
+        output_mode = "best_grad" if cfg.averaging == "rand" else "last"
+    acc = IterateAccumulator(mode=output_mode)
     stream = RandomStream(seed)
     server, clients, init_evals = init_method_state(problem, cfg, x0)
     cum_evals = init_evals
@@ -277,11 +253,8 @@ def run_experiment(
     records: list[StepRecord] = []
     reached = False
 
-    if mode in ("last", "best_grad"):
-        g0 = metrics.grad_f(x0)
-        acc.update(x0.copy(), float(g0 @ g0))
-    else:
-        acc.update(x0.copy())
+    g0 = metrics.grad_f(x0)
+    acc.update(x0.copy(), float(g0 @ g0))
 
     def snapshot(k: int, rounds: int):
         nonlocal f_best, reached
@@ -323,9 +296,7 @@ def run_experiment(
         server, clients, rec = step_method(problem, server, clients, cfg, stream)
         records.append(rec)
         cum_evals += rec.grad_evals
-        if mode == "q_weighted":
-            acc.update(np.mean(np.stack([c.x for c in clients]), axis=0))
-        elif mode == "best_grad":
+        if acc.mode == "best_grad":
             if rec.communicated:
                 g = metrics.grad_f(server.reference)
                 acc.update(server.reference.copy(), float(g @ g))

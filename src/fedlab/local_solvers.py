@@ -24,17 +24,11 @@ returning an uncertified point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ClientOracle,
-    ConfigurationError,
-    RandomStream,
-    Vector,
-    as_vector,
-)
+from .core import ClientOracle, ConfigurationError, Vector, as_vector
 
 
 class SolverBudgetError(RuntimeError):
@@ -410,7 +404,7 @@ def solve_exact_quadratic(
         start,
         x,
         iters,
-        max(matvecs, 1),
+        matvecs,
         res_norm,
         require_decrease=False,
         exact=True,

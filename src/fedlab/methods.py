@@ -1,23 +1,27 @@
 """Federated optimization methods built around client drift correction.
 
 All methods share one state layout (client iterates ``x_i`` with control
-variates ``h_i``, a server reference) and one grad-diff refresh helper, and
-differ in the local subproblem and the communication pattern:
+variates ``h_i``, a server reference) and one grad-diff refresh helper.
 
-* ``dane_plus``: every round clients minimize
-  ``f_i(x) - <h_i, x> + lam/2 ||x - ref||^2`` from the reference and the
-  solutions are aggregated (mean, or one picked uniformly at random).
-* ``fedred``: the doubly regularized variant; each iteration clients
-  minimize ``f_i(x) - <h_i, x> + eta/2 ||x - x_i||^2 + lam/2 ||x - ref||^2``
-  from their own iterate, and an independent Bernoulli(p) coin decides
-  whether this iteration communicates (aggregate into a new reference).
-  With ``p = 1`` and ``eta = 0`` each step degenerates to a ``dane_plus``
-  round; under the start-independent exact solver the two trajectories
-  agree bitwise.
-* ``fedred_gd``: same geometry with the local objective linearized at the
-  client iterate, giving the closed-form step
-  ``x' = (eta x_i + lam ref - (g_i - h_i)) / (eta + lam)``.
-* baselines ``gd``, ``scaffold``, ``scaffnew``, ``fedprox``.
+``dane_plus``, ``fedred`` and ``fedprox`` share one kernel,
+:func:`anchored_step`: clients minimize
+``f_i(x) - <h_i, x> + eta/2 ||x - x_i||^2 + lam/2 ||x - ref||^2`` and, when
+a Bernoulli(p) coin says so, the solutions are aggregated (mean, or one
+picked uniformly at random) into a new reference.  Per method:
+
+* ``dane_plus`` starts from the reference with grad-diff or recursive
+  variates, ``eta = 0``, ``p = 1``;
+* ``fedred`` starts from the client iterate with grad-diff variates; with
+  ``p = 1`` and ``eta = 0`` it is ``dane_plus`` (bitwise, under the exact
+  solver);
+* ``fedprox`` starts from the reference without variates, ``eta = 0``,
+  ``p = 1``, so its fixed point is not the optimum.
+
+``fedred_gd`` linearizes the local objective at the client iterate, giving
+``x' = (eta x_i + lam ref - (g_i - h_i)) / (eta + lam)``; ``gd``,
+``scaffold`` and ``scaffnew`` are gradient-step baselines.
+:class:`MethodConfig` rejects a ``p``, ``eta`` or ``averaging`` that the
+method would ignore.
 
 Control-variate refreshes are performed lazily: a refresh is required
 whenever the reference moved since the last one, and it executes (costing
@@ -28,7 +32,7 @@ across the round-based and coin-based methods.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +43,6 @@ from .core import (
     RandomStream,
     Vector,
     as_vector,
-    axpy_combine,
 )
 from .local_solvers import (
     LocalSpec,
@@ -85,7 +88,6 @@ class ServerState:
     """
 
     reference: Vector
-    round: int = 0
     iteration: int = 0
     comm_events: int = 0
     h_stale: bool = True
@@ -112,7 +114,6 @@ class MethodConfig:
     control_variate: str = "grad_diff"
     cv_strength: float = 0.0
     local: LocalSpec = LocalSpec()
-    q_weighting: bool = False
     stochastic: bool = False
     local_steps: int = 1
 
@@ -142,8 +143,14 @@ class MethodConfig:
             raise ConfigurationError("fedred_gd requires eta + lam > 0")
         if self.method in ("gd", "scaffold", "scaffnew") and self.eta <= 0.0:
             raise ConfigurationError(f"{self.method} needs a positive step eta")
-        if self.method == "scaffnew" and self.averaging != "avg":
-            raise ConfigurationError("scaffnew only supports mean averaging")
+        # fields these methods have no use for are rejected, not ignored
+        m = self.method
+        if m in ("dane_plus", "fedprox", "scaffold", "gd") and self.p != 1.0:
+            raise ConfigurationError(f"{m} communicates every round; p must be 1")
+        if m in ("fedprox", "scaffold", "scaffnew", "gd") and self.averaging != "avg":
+            raise ConfigurationError(f"{m} only supports mean averaging")
+        if m in ("dane_plus", "fedprox") and self.eta != 0.0:
+            raise ConfigurationError(f"{m} has no second proximal term; eta must be 0")
         if self.local_steps < 1:
             raise ConfigurationError("local_steps must be >= 1")
 
@@ -167,42 +174,28 @@ class StepRecord:
 class IterateAccumulator:
     """Running output-iterate selector.
 
-    Modes: ``last`` (server reference), ``best_f`` / ``best_grad``
-    (argmin of the supplied score), and ``q_weighted`` with weights
-    ``q^{-k}`` accumulated in the numerically stable normalized form
-    ``acc <- q*acc + x``, ``norm <- q*norm + 1``.
+    Modes: ``last`` (the latest update) and ``best_grad`` (the update with
+    the smallest supplied score, a squared gradient norm).
     """
 
     mode: str = "last"
-    q: float = 1.0
-    _acc: Vector | None = None
-    _norm: float = 0.0
     _best: Vector | None = None
     _best_score: float = np.inf
 
     def __post_init__(self):
-        if self.mode not in ("last", "best_f", "best_grad", "q_weighted"):
+        if self.mode not in ("last", "best_grad"):
             raise ConfigurationError(f"unknown accumulator mode {self.mode!r}")
-        if self.mode == "q_weighted" and not 0.0 < self.q <= 1.0:
-            raise ConfigurationError("q must lie in (0, 1]")
 
     def update(self, x: Vector, score: float | None = None):
         if self.mode == "last":
             self._best = x
-        elif self.mode == "q_weighted":
-            self._acc = x.copy() if self._acc is None else self.q * self._acc + x
-            self._norm = self.q * self._norm + 1.0
-        else:
-            if score is None:
-                raise ConfigurationError("best_* accumulators need a score")
-            if score < self._best_score:
-                self._best, self._best_score = x, score
+            return
+        if score is None:
+            raise ConfigurationError("the best_grad accumulator needs a score")
+        if score < self._best_score:
+            self._best, self._best_score = x, score
 
     def output(self) -> Vector:
-        if self.mode == "q_weighted":
-            if self._acc is None:
-                raise ConfigurationError("accumulator never updated")
-            return self._acc / self._norm
         if self._best is None:
             raise ConfigurationError("accumulator never updated")
         return self._best
@@ -335,121 +328,96 @@ def _client_gradient(
     )
 
 
-def dane_plus_round(
-    problem: DistributedProblem,
+# per method: (start the local solve at the client iterate, use control variates)
+_ANCHORED_PRESETS = {
+    "dane_plus": (False, True),
+    "fedred": (True, True),
+    "fedprox": (False, False),
+}
+
+
+def _communicate(
     server: ServerState,
     clients: list[ClientState],
     cfg: MethodConfig,
-    stream: RandomStream,
-) -> tuple[ServerState, list[ClientState], StepRecord]:
-    """One round: refresh variates, solve anchored subproblems, aggregate."""
-    if cfg.method != "dane_plus":
-        raise ConfigurationError("config is not a dane_plus config")
-    step_stream = stream.fork(server.iteration)
-    evals = 0.0
-    if cfg.control_variate == "grad_diff":
-        evals += _ensure_fresh_variates(problem, server, clients)
-    rule, e_r = _resolve_rule(cfg, server.round)
-    ref = server.reference
-    solutions = []
-    premise = []
-    local_steps = 0
-    decreased_all = True
-    for oracle, state in zip(problem.clients, clients):
-        surrogate = SurrogateOracle(
-            oracle, linear_shift=-state.h, prox_terms=((cfg.lam, ref),)
-        )
-        report = _solve_local(cfg, surrogate, ref, rule)
-        solutions.append(report.solution)
-        evals += report.grad_evals
-        local_steps += report.steps_taken
-        decreased_all = decreased_all and report.decreased
-        premise.append(
-            (report.final_grad_norm, float(np.linalg.norm(report.solution - ref)))
-        )
-    pick = _pick_index(cfg, step_stream, problem.n)
-    new_ref = _aggregate(solutions, cfg, pick)
-    for state, solution in zip(clients, solutions):
-        state.x = solution
-    if cfg.control_variate == "recursive":
-        for state, solution in zip(clients, solutions):
-            state.h = control_variate_recursive_update(
-                state, new_ref, solution, cfg.cv_strength
-            )
-    server.reference = new_ref
-    server.h_stale = True
-    server.round += 1
-    server.iteration += 1
-    server.comm_events += 1
-    record = StepRecord(
-        iteration=server.iteration,
-        rounds=server.comm_events,
-        communicated=True,
-        grad_evals=evals,
-        local_steps=local_steps,
-        pick_index=pick,
-        e_r=e_r,
-        premise=premise,
-        decreased_all=decreased_all,
-    )
-    return server, clients, record
+    step_stream: RandomStream,
+    solutions: list[Vector],
+    **record,
+) -> StepRecord:
+    """Draw the pick, then the coin; move the clients; aggregate on communication.
 
-
-def fedred_step(
-    problem: DistributedProblem,
-    server: ServerState,
-    clients: list[ClientState],
-    cfg: MethodConfig,
-    stream: RandomStream,
-) -> tuple[ServerState, list[ClientState], StepRecord]:
-    """One doubly regularized iteration with a Bernoulli(p) communication coin."""
-    if cfg.method != "fedred":
-        raise ConfigurationError("config is not a fedred config")
-    step_stream = stream.fork(server.iteration)
-    evals = _ensure_fresh_variates(problem, server, clients)
-    rule, e_r = _resolve_rule(cfg, server.round)
-    ref = server.reference
-    solutions = []
-    premise = []
-    local_steps = 0
-    decreased_all = True
-    for oracle, state in zip(problem.clients, clients):
-        prox_terms = []
-        if cfg.eta > 0.0:
-            prox_terms.append((cfg.eta, state.x))
-        prox_terms.append((cfg.lam, ref))
-        surrogate = SurrogateOracle(
-            oracle, linear_shift=-state.h, prox_terms=tuple(prox_terms)
-        )
-        report = _solve_local(cfg, surrogate, state.x, rule)
-        solutions.append(report.solution)
-        evals += report.grad_evals
-        local_steps += report.steps_taken
-        decreased_all = decreased_all and report.decreased
-        premise.append(
-            (report.final_grad_norm, float(np.linalg.norm(report.solution - ref)))
-        )
-    pick = _pick_index(cfg, step_stream, problem.n)
+    ``record`` holds the remaining :class:`StepRecord` fields.
+    """
+    pick = _pick_index(cfg, step_stream, len(solutions))
     theta = _draw_theta(cfg, step_stream)
     for state, solution in zip(clients, solutions):
         state.x = solution
     if theta:
         server.reference = _aggregate(solutions, cfg, pick)
         server.h_stale = True
-        server.round += 1
         server.comm_events += 1
     server.iteration += 1
-    record = StepRecord(
+    return StepRecord(
         iteration=server.iteration,
         rounds=server.comm_events,
         communicated=theta,
-        grad_evals=evals,
-        local_steps=local_steps,
         pick_index=pick,
-        e_r=e_r,
-        premise=premise,
+        **record,
+    )
+
+
+def anchored_step(
+    problem: DistributedProblem,
+    server: ServerState,
+    clients: list[ClientState],
+    cfg: MethodConfig,
+    stream: RandomStream,
+) -> tuple[ServerState, list[ClientState], StepRecord]:
+    """One anchored-proximal step of ``dane_plus``, ``fedred`` or ``fedprox``.
+
+    Every client minimizes
+    ``f_i(x) - <h_i, x> + eta/2 ||x - x_i||^2 + lam/2 ||x - ref||^2``; the
+    method's preset picks the start point and whether ``h_i`` is used, and
+    ``eta``, ``p`` and ``averaging`` come from ``cfg``.
+    """
+    from_iterate, corrected = _ANCHORED_PRESETS[cfg.method]
+    step_stream = stream.fork(server.iteration)
+    evals = 0.0
+    if corrected and cfg.control_variate == "grad_diff":
+        evals += _ensure_fresh_variates(problem, server, clients)
+    rule, e_r = _resolve_rule(cfg, server.comm_events)
+    ref = server.reference
+    solutions = []
+    premise = []
+    local_steps = 0
+    decreased_all = True
+    for oracle, state in zip(problem.clients, clients):
+        prox_terms = ((cfg.lam, ref),)
+        if cfg.eta > 0.0:
+            prox_terms = ((cfg.eta, state.x),) + prox_terms
+        surrogate = SurrogateOracle(
+            oracle,
+            linear_shift=-state.h if corrected else None,
+            prox_terms=prox_terms,
+        )
+        report = _solve_local(cfg, surrogate, state.x if from_iterate else ref, rule)
+        solutions.append(report.solution)
+        evals += report.grad_evals
+        local_steps += report.steps_taken
+        decreased_all = decreased_all and report.decreased
+        premise.append(
+            (report.final_grad_norm, float(np.linalg.norm(report.solution - ref)))
+        )
+    record = _communicate(
+        server, clients, cfg, step_stream, solutions, grad_evals=evals,
+        local_steps=local_steps, e_r=e_r, premise=premise,
         decreased_all=decreased_all,
     )
+    if record.communicated and cfg.control_variate == "recursive":
+        for state in clients:
+            state.h = control_variate_recursive_update(
+                state, server.reference, state.x, cfg.cv_strength
+            )
     return server, clients, record
 
 
@@ -461,41 +429,20 @@ def fedred_gd_step(
     stream: RandomStream,
 ) -> tuple[ServerState, list[ClientState], StepRecord]:
     """Closed-form doubly regularized step on the linearized local model."""
-    if cfg.method != "fedred_gd":
-        raise ConfigurationError("config is not a fedred_gd config")
     step_stream = stream.fork(server.iteration)
     evals = _ensure_fresh_variates(problem, server, clients)
     ref = server.reference
     total = cfg.eta + cfg.lam
+    coeffs = np.array([cfg.eta / total, cfg.lam / total, -1.0 / total])
     solutions = []
     for i, (oracle, state) in enumerate(zip(problem.clients, clients)):
         g, cost = _client_gradient(
             oracle, state.x, cfg, step_stream.fork(_LBL_BATCH).fork(i)
         )
         evals += cost
-        solutions.append(
-            axpy_combine(
-                [cfg.eta / total, cfg.lam / total, -1.0 / total],
-                [state.x, ref, g - state.h],
-            )
-        )
-    pick = _pick_index(cfg, step_stream, problem.n)
-    theta = _draw_theta(cfg, step_stream)
-    for state, solution in zip(clients, solutions):
-        state.x = solution
-    if theta:
-        server.reference = _aggregate(solutions, cfg, pick)
-        server.h_stale = True
-        server.round += 1
-        server.comm_events += 1
-    server.iteration += 1
-    record = StepRecord(
-        iteration=server.iteration,
-        rounds=server.comm_events,
-        communicated=theta,
-        grad_evals=evals,
-        local_steps=1,
-        pick_index=pick,
+        solutions.append(coeffs @ np.stack([state.x, ref, g - state.h]))
+    record = _communicate(
+        server, clients, cfg, step_stream, solutions, grad_evals=evals, local_steps=1
     )
     return server, clients, record
 
@@ -508,14 +455,11 @@ def baseline_gd_round(
     stream: RandomStream,
 ) -> tuple[ServerState, list[ClientState], StepRecord]:
     """Centralized gradient descent: one full gradient per round."""
-    if cfg.method != "gd":
-        raise ConfigurationError("config is not a gd config")
     grad = problem.grad_f(server.reference)
     server.reference = server.reference - cfg.eta * grad
     for state in clients:
         state.x = server.reference.copy()
     server.h_stale = True
-    server.round += 1
     server.iteration += 1
     server.comm_events += 1
     record = StepRecord(
@@ -536,8 +480,6 @@ def baseline_scaffold_round(
     stream: RandomStream,
 ) -> tuple[ServerState, list[ClientState], StepRecord]:
     """Variance-reduced local steps: K corrected gradient steps, then average."""
-    if cfg.method != "scaffold":
-        raise ConfigurationError("config is not a scaffold config")
     server.h_stale = True
     evals = _ensure_fresh_variates(problem, server, clients)
     solutions = []
@@ -547,20 +489,9 @@ def baseline_scaffold_round(
             x = x - cfg.eta * (oracle.gradient(x) - state.h)
             evals += 1.0
         solutions.append(x)
-    new_ref = np.mean(np.stack(solutions), axis=0)
-    for state, solution in zip(clients, solutions):
-        state.x = solution
-    server.reference = new_ref
-    server.h_stale = True
-    server.round += 1
-    server.iteration += 1
-    server.comm_events += 1
-    record = StepRecord(
-        iteration=server.iteration,
-        rounds=server.comm_events,
-        communicated=True,
-        grad_evals=evals,
-        local_steps=cfg.local_steps * problem.n,
+    record = _communicate(
+        server, clients, cfg, stream.fork(server.iteration), solutions,
+        grad_evals=evals, local_steps=cfg.local_steps * problem.n,
     )
     return server, clients, record
 
@@ -577,8 +508,6 @@ def baseline_scaffnew_step(
     On communication the variates move by ``(p/gamma)(mean - x_hat_i)``, a
     telescoping update that keeps their mean at zero.
     """
-    if cfg.method != "scaffnew":
-        raise ConfigurationError("config is not a scaffnew config")
     step_stream = stream.fork(server.iteration)
     gamma = cfg.eta
     hats = []
@@ -591,7 +520,6 @@ def baseline_scaffnew_step(
             state.h = state.h + (cfg.p / gamma) * (mean - hat)
             state.x = mean.copy()
         server.reference = mean
-        server.round += 1
         server.comm_events += 1
     else:
         for state, hat in zip(clients, hats):
@@ -607,54 +535,14 @@ def baseline_scaffnew_step(
     return server, clients, record
 
 
-def baseline_fedprox_round(
-    problem: DistributedProblem,
-    server: ServerState,
-    clients: list[ClientState],
-    cfg: MethodConfig,
-    stream: RandomStream,
-) -> tuple[ServerState, list[ClientState], StepRecord]:
-    """Proximal local minimization without drift correction, then average."""
-    if cfg.method != "fedprox":
-        raise ConfigurationError("config is not a fedprox config")
-    rule, e_r = _resolve_rule(cfg, server.round)
-    ref = server.reference
-    solutions = []
-    evals = 0.0
-    local_steps = 0
-    for oracle in problem.clients:
-        surrogate = SurrogateOracle(oracle, prox_terms=((cfg.lam, ref),))
-        report = _solve_local(cfg, surrogate, ref, rule)
-        solutions.append(report.solution)
-        evals += report.grad_evals
-        local_steps += report.steps_taken
-    new_ref = np.mean(np.stack(solutions), axis=0)
-    for state, solution in zip(clients, solutions):
-        state.x = solution
-    server.reference = new_ref
-    server.h_stale = True
-    server.round += 1
-    server.iteration += 1
-    server.comm_events += 1
-    record = StepRecord(
-        iteration=server.iteration,
-        rounds=server.comm_events,
-        communicated=True,
-        grad_evals=evals,
-        local_steps=local_steps,
-        e_r=e_r,
-    )
-    return server, clients, record
-
-
 _STEP_FUNCTIONS = {
-    "dane_plus": dane_plus_round,
-    "fedred": fedred_step,
+    "dane_plus": anchored_step,
+    "fedred": anchored_step,
     "fedred_gd": fedred_gd_step,
     "gd": baseline_gd_round,
     "scaffold": baseline_scaffold_round,
     "scaffnew": baseline_scaffnew_step,
-    "fedprox": baseline_fedprox_round,
+    "fedprox": anchored_step,
 }
 
 

@@ -113,13 +113,6 @@ def test_diverging_run_exits_1(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
-def test_bad_worker_count_exits_2(tmp_path):
-    cfg = json.loads(json.dumps(TINY_QUADRATIC))
-    cfg["output_dir"] = str(tmp_path / "out")
-    code = main(["run", "--config", _write(tmp_path, cfg), "--workers", "0"])
-    assert code == 2
-
-
 # ------------------------------------------------------------ delta report
 
 
@@ -222,25 +215,6 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     assert any(name.endswith("_seed7.csv") for name in names)
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
-
-
-def test_worker_count_does_not_change_outputs(tmp_path, capsys):
-    cfg = json.loads(json.dumps(TINY_QUADRATIC))
-    cfg["repeats"] = 3
-    _, serial = _run_into(tmp_path, "w1", ("--workers", "1"), cfg)
-    _, pooled = _run_into(tmp_path, "w3", ("--workers", "3"), cfg)
-    capsys.readouterr()
-    names = sorted(p.name for p in serial.iterdir())
-    assert len([n for n in names if n.endswith(".csv")]) == 7  # 6 traces + summary
-    for name in names:
-        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
-
-
-def test_workers_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FEDLAB_WORKERS", "2")
-    code, out_dir = _run_into(tmp_path, "env_workers")
-    capsys.readouterr()
-    assert code == 0 and (out_dir / "summary.csv").exists()
 
 
 def test_timings_flag_populates_wall_clock_column(tmp_path, capsys):

@@ -10,7 +10,6 @@ from fedlab import (
     NonFiniteError,
     RandomStream,
     as_vector,
-    axpy_combine,
     finite_difference_gradient,
 )
 from fedlab.core import require_finite
@@ -37,21 +36,6 @@ def test_require_finite_rejects_nan_and_inf():
     require_finite(np.array([0.0, -1.0]))  # no raise
 
 
-def test_axpy_combine_matches_manual_sum():
-    vs = [np.array([1.0, 0.0]), np.array([0.0, 2.0]), np.array([1.0, 1.0])]
-    out = axpy_combine([2.0, -1.0, 0.5], vs)
-    assert np.allclose(out, np.array([2.5, -1.5]))
-
-
-def test_axpy_combine_validates_inputs():
-    with pytest.raises(DimensionError):
-        axpy_combine([1.0], [np.zeros(2), np.zeros(2)])
-    with pytest.raises(DimensionError):
-        axpy_combine([1.0, 1.0], [np.zeros(2), np.zeros(3)])
-    with pytest.raises(DimensionError):
-        axpy_combine([], [])
-
-
 def test_stream_replay_is_bitwise():
     s = RandomStream(7, (1, 4))
     a = s.generator().standard_normal(16)
@@ -66,11 +50,6 @@ def test_stream_forks_are_distinct():
     a = s.fork(0).generator().standard_normal(8)
     b = s.fork(1).generator().standard_normal(8)
     assert not np.array_equal(a, b)
-
-
-def test_descend_equals_chained_forks():
-    s = RandomStream(5)
-    assert s.descend([2, 9]) == s.fork(2).fork(9)
 
 
 def test_stream_rejects_negative_addresses():

@@ -221,33 +221,67 @@ def test_explicit_reference_is_used_verbatim():
 # -------------------------------------------------------------- accounting
 
 
+_ANCHORED_PARAMS = {
+    "dane_plus": dict(lam=1.0),
+    "fedred": dict(lam=0.5, eta=1.0, p=0.5),
+    "fedprox": dict(lam=1.0),
+}
+_LOCAL_SPECS = {
+    "exact": LocalSpec(solver="exact"),
+    "gd": LocalSpec(solver="gd", rule=StoppingRule("fixed_steps", steps=5)),
+    "fgd": LocalSpec(solver="fgd", rule=StoppingRule("abs_grad", tol=1e-8)),
+}
+
+
+def _billed_run(base, cfg, iterations):
+    """Run on a counting copy of ``base``; billed work must equal consumed."""
+    wrapped, counter = counting_problem(base)
+    result = run_experiment(
+        wrapped, cfg, Budget(max_iterations=iterations), seed=5, metric_problem=base
+    )
+    assert counter["units"] == result.total_grad_evals, cfg.method
+    init = float(base.n) if cfg.method == "scaffnew" else 0.0
+    assert result.total_grad_evals == sum(r.grad_evals for r in result.records) + init
+    return result
+
+
 def test_gradient_accounting_matches_oracle_counter():
+    # the methods without a local solver; anchored methods are covered below
     base = hetero_pair(d=4, seed=23)
-    configs = [
-        _exact("dane_plus", lam=1.0),
-        MethodConfig(
-            method="dane_plus",
-            lam=1.0,
-            local=LocalSpec(solver="gd", rule=StoppingRule("fixed_steps", steps=5)),
-        ),
+    for cfg in (
         MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=0.5),
         MethodConfig(method="scaffold", eta=0.05, local_steps=3),
         MethodConfig(method="scaffnew", eta=0.05, p=0.5),
         MethodConfig(method="gd", eta=0.1),
-    ]
-    for cfg in configs:
-        wrapped, counter = counting_problem(base)
-        result = run_experiment(
-            wrapped,
-            cfg,
-            Budget(max_iterations=12),
-            seed=5,
-            metric_problem=base,
+    ):
+        _billed_run(base, cfg, 12)
+
+
+@pytest.mark.parametrize("solver", sorted(_LOCAL_SPECS))
+@pytest.mark.parametrize("method", sorted(_ANCHORED_PARAMS))
+def test_anchored_accounting_matches_oracle_counter(method, solver):
+    cfg = MethodConfig(
+        method=method, local=_LOCAL_SPECS[solver], **_ANCHORED_PARAMS[method]
+    )
+    _billed_run(hetero_pair(d=4, seed=23), cfg, 12)
+
+
+@pytest.mark.parametrize("method", sorted(_ANCHORED_PARAMS))
+def test_exact_solves_at_the_optimum_bill_no_matvecs(method):
+    # zero-centre clients started at their common optimum x = 0: every
+    # subproblem has a zero right-hand side, so CG makes no matvec
+    base = build_quadratic_problem(
+        QuadraticFamily(
+            specs=[
+                QuadraticClientSpec(
+                    centers=np.zeros((1, 3)), spectra=np.full((1, 3), c)
+                )
+                for c in (1.0, 2.0)
+            ]
         )
-        assert counter["units"] == result.total_grad_evals, cfg.method
-        assert result.total_grad_evals == sum(
-            r.grad_evals for r in result.records
-        ) + (2.0 if cfg.method == "scaffnew" else 0.0)
+    )
+    result = _billed_run(base, _exact(method, **_ANCHORED_PARAMS[method]), 3)
+    assert all(r.local_steps == 0 for r in result.records)
 
 
 def test_stochastic_steps_bill_fractional_cost():

@@ -1,6 +1,8 @@
 """Federated methods: variates, rounds/steps, fixed points, parameter rules."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlab import (
     ConfigurationError,
@@ -12,6 +14,7 @@ from fedlab import (
     RandomStream,
     StoppingRule,
     SurrogateOracle,
+    build_quadratic_problem,
     control_variate_grad_diff,
     control_variate_recursive_update,
     gen_quadratic_problem,
@@ -23,7 +26,7 @@ from fedlab import (
 )
 from fedlab.methods import ClientState
 
-from conftest import hetero_pair, quad_1d, two_client_line
+from conftest import hetero_pair, quad_1d, random_family, two_client_line
 
 
 def _exact_cfg(method, **kw):
@@ -68,6 +71,20 @@ def test_config_validation():
         MethodConfig(method="scaffnew", eta=0.1, averaging="rand")
     with pytest.raises(ConfigurationError):
         MethodConfig(method="dane_plus", lam=1.0, local_steps=0)
+    # a p, eta or averaging the method would ignore is rejected
+    for kwargs in (
+        dict(method="dane_plus", lam=1.0, p=0.5),
+        dict(method="fedprox", lam=1.0, p=0.5),
+        dict(method="scaffold", eta=0.1, p=0.5),
+        dict(method="gd", eta=0.1, p=0.5),
+        dict(method="fedprox", lam=1.0, averaging="rand"),
+        dict(method="scaffold", eta=0.1, averaging="rand"),
+        dict(method="gd", eta=0.1, averaging="rand"),
+        dict(method="dane_plus", lam=1.0, eta=1.0),
+        dict(method="fedprox", lam=1.0, eta=1.0),
+    ):
+        with pytest.raises(ConfigurationError):
+            MethodConfig(**kwargs)
 
 
 def test_doubly_regularized_coupling_constraint():
@@ -266,6 +283,46 @@ def test_degeneration_matches_anchored_rounds_bitwise():
         for ca, cb in zip(c_a, c_b):
             assert np.array_equal(ca.x, cb.x)
             assert np.array_equal(ca.h, cb.h)
+
+
+_families = st.builds(
+    lambda seed, n, m, d, dense: build_quadratic_problem(
+        random_family(seed, n=n, m=m, d=d, dense=dense)
+    ),
+    seed=st.integers(0, 2**16),
+    n=st.integers(2, 4),
+    m=st.integers(1, 2),
+    d=st.integers(1, 5),
+    dense=st.booleans(),
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    problem=_families,
+    lam=st.floats(0.1, 10.0),
+    seed=st.integers(0, 100),
+)
+def test_degeneration_is_bitwise_on_random_families(problem, lam, seed):
+    dane = _exact_cfg("dane_plus", lam=lam)
+    degenerate = _exact_cfg("fedred", lam=lam, eta=0.0, p=1.0)
+    s_a, c_a, r_a, _ = _run(problem, dane, seed=seed, steps=4)
+    s_b, c_b, r_b, _ = _run(problem, degenerate, seed=seed, steps=4)
+    assert np.array_equal(s_a.reference, s_b.reference)
+    for ca, cb in zip(c_a, c_b):
+        assert np.array_equal(ca.x, cb.x)
+        assert np.array_equal(ca.h, cb.h)
+    assert [r.grad_evals for r in r_a] == [r.grad_evals for r in r_b]
+
+
+@settings(derandomize=True, deadline=None)
+@given(problem=_families, seed=st.integers(0, 100))
+def test_grad_diff_variates_average_to_zero(problem, seed):
+    x = 3.0 * RandomStream(seed).generator().standard_normal(problem.dim)
+    grads = problem.client_gradients(x)
+    h = control_variate_grad_diff(problem, x)
+    scale = 1.0 + max(float(np.linalg.norm(g)) for g in grads)
+    assert np.linalg.norm(np.mean(np.stack(h), axis=0)) <= 1e-14 * scale
 
 
 def test_skipped_communication_keeps_server_state():
@@ -482,7 +539,6 @@ def test_communication_event_accounting_is_exact():
     server, _, records, _ = _run(problem, cfg, seed=11, steps=200)
     assert server.comm_events == sum(1 for r in records if r.communicated)
     assert server.iteration == 200
-    assert server.round == server.comm_events
 
 
 # ------------------------------------------------------ parameter rules
@@ -595,24 +651,13 @@ def test_accumulator_modes():
     best.update(np.array([3.0]), score=4.0)
     assert best.output()[0] == 2.0
     with pytest.raises(ConfigurationError):
-        best.update(np.array([4.0]))  # best_* modes need a score
-
-
-def test_weighted_accumulator_matches_direct_formula():
-    q = 0.8
-    acc = IterateAccumulator(mode="q_weighted", q=q)
-    xs = [np.array([float(k), -float(k)]) for k in range(6)]
-    for x in xs:
-        acc.update(x)
-    weights = np.array([q ** (-k) for k in range(6)])
-    direct = (weights[:, None] * np.stack(xs)).sum(axis=0) / weights.sum()
-    assert np.allclose(acc.output(), direct, rtol=1e-12)
+        best.update(np.array([4.0]))  # best_grad needs a score
 
 
 def test_accumulator_validation():
     with pytest.raises(ConfigurationError):
         IterateAccumulator(mode="median")
     with pytest.raises(ConfigurationError):
-        IterateAccumulator(mode="q_weighted", q=0.0)
+        IterateAccumulator(mode="best_f")
     with pytest.raises(ConfigurationError):
         IterateAccumulator(mode="last").output()

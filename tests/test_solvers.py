@@ -183,6 +183,15 @@ def test_exact_solver_balanced_pair_fixture():
     assert report.exact
 
 
+def test_exact_solver_bills_the_matvecs_it_uses():
+    # a zero right-hand side is solved by the zero start: no matvec is made
+    oracle = quad_1d(center=0.0).clients[0]
+    surrogate = SurrogateOracle(oracle, prox_terms=((1.0, np.zeros(1)),))
+    report = solve_exact_quadratic(surrogate, np.zeros(1))
+    assert report.steps_taken == 0 and report.grad_evals == 0
+    assert np.array_equal(report.solution, np.zeros(1))
+
+
 def test_exact_solver_unregularized_mean_fixture():
     # shared component matrix: the minimizer is the mean of the centers
     rng = RandomStream(4).generator()
