@@ -39,7 +39,7 @@ def as_vector(x) -> Vector:
 
 def require_finite(arr, what: str = "value"):
     """Raise :class:`NonFiniteError` unless every entry of ``arr`` is finite."""
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite entries in {what}")
     return arr
 

@@ -8,7 +8,7 @@ anything else is rejected.  All malformed input raises
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

@@ -28,7 +28,6 @@ from ..core import (
     DistributedProblem,
     RandomStream,
     Vector,
-    as_vector,
 )
 
 # Eigenvalue floor used when a merely-convex family (min_eig ~ 0) is drawn;
@@ -45,8 +44,6 @@ def _sigmoid_value(x: Vector, beta: float) -> float:
 
 
 def _sigmoid_gradient(x: Vector, beta: float) -> Vector:
-    if beta == 0.0:
-        return np.zeros_like(x)
     denom = 1.0 + x * x
     return beta * 2.0 * x / (denom * denom)
 
@@ -167,6 +164,24 @@ class QuadraticFamily:
 class QuadraticOracle(ClientOracle):
     """First-order oracle for one :class:`QuadraticClientSpec`.
 
+    Value and gradient are closed forms in the eigenbasis frame (original
+    coordinates for dense specs), expanded around the mean center ``cbar``
+    from terms cached at construction: the mean spectrum ``s`` (dense: the
+    mean matrix), ``u = mean_j s_j * d_j`` and ``kappa = 0.5 mean_j
+    d_j' s_j d_j`` for the center offsets ``d_j = c_j - cbar``.  For
+    ``w = Q'x - cbar``,
+
+        gradient = Q (s * w - u) + sigmoid',
+        value    = 0.5 w's w - u'w + kappa + sigmoid,
+
+    which is O(d^2) per call instead of O(m d^2).  Expanding around
+    ``cbar`` rather than the origin keeps the rounding error of order
+    ``|x - c_j|`` even when the centers sit far from the origin.  The
+    gradient shares the private :meth:`_curvature` with
+    :meth:`hessian_matvec` and never calls the public hook, so every
+    ``hessian_matvec`` call is a solver's matvec (the work the exact
+    solver bills).
+
     The stochastic gradient samples one of the m quadratic components
     uniformly (the sigmoid term, being cheap and deterministic, is always
     included exactly), so it is unbiased for the full gradient.
@@ -179,20 +194,46 @@ class QuadraticOracle(ClientOracle):
         self.beta = spec.beta
         if spec.spectra is not None:
             # centers expressed in the eigenbasis; everything else is diagonal
-            self._centers_eig = (
-                spec.centers if basis is None else spec.centers @ basis
-            )
+            self._centers = spec.centers if basis is None else spec.centers @ basis
             self._mean_spectrum = spec.mean_spectrum()
             top = float(np.max(np.abs(self._mean_spectrum)))
             low = float(np.min(self._mean_spectrum))
         else:
+            self._centers = spec.centers
             self._mean_matrix = spec.matrices.mean(axis=0)
             eigs = np.linalg.eigvalsh(self._mean_matrix)
             top = float(np.max(np.abs(eigs)))
             low = float(np.min(eigs))
+        self._center = self._centers.mean(axis=0)
+        offsets = self._centers - self._center
+        pulled = self._component_curvature(offsets)
+        self._u = pulled.mean(axis=0)
+        self._kappa = 0.5 * float(np.mean(np.einsum("jk,jk->j", offsets, pulled)))
+        self._linear = self._to_original(
+            self._component_curvature(self._centers).mean(axis=0)
+        )
+        self._linear.setflags(write=False)
         self.smoothness_hint = top + 2.0 * self.beta
         modulus = low - 0.5 * self.beta
         self.convexity_hint = modulus if modulus >= 0.0 else None
+
+    def _frame(self, x: Vector) -> Vector:
+        return x if self.basis is None else x @ self.basis
+
+    def _to_original(self, v: Vector) -> Vector:
+        return v if self.basis is None else self.basis @ v
+
+    def _curvature(self, y: Vector) -> Vector:
+        """Mean quadratic Hessian applied to ``y``, within the frame."""
+        if self.spec.spectra is None:
+            return self._mean_matrix @ y
+        return self._mean_spectrum * y
+
+    def _component_curvature(self, v: np.ndarray) -> np.ndarray:
+        """Rows ``A_j v_j`` within the frame, one per component."""
+        if self.spec.spectra is None:
+            return np.einsum("jkl,jl->jk", self.spec.matrices, v)
+        return self.spec.spectra * v
 
     # -- quadratic structure hooks used by the exact subproblem solver ----
 
@@ -201,62 +242,41 @@ class QuadraticOracle(ClientOracle):
         return self.beta == 0.0
 
     def hessian_matvec(self, v: Vector) -> Vector:
-        if self.spec.spectra is not None:
-            if self.basis is None:
-                return self._mean_spectrum * v
-            return self.basis @ (self._mean_spectrum * (v @ self.basis))
-        return self._mean_matrix @ v
+        return self._to_original(self._curvature(self._frame(v)))
 
     def linear_term(self) -> Vector:
-        """Vector u with grad of the quadratic part equal to ``H x - u``."""
-        if self.spec.spectra is not None:
-            u_eig = np.mean(self.spec.spectra * self._centers_eig, axis=0)
-            return u_eig if self.basis is None else self.basis @ u_eig
-        return np.mean(
-            np.einsum("jkl,jl->jk", self.spec.matrices, self.spec.centers),
-            axis=0,
-        )
+        """Vector u with grad of the quadratic part equal to ``H x - u``.
+
+        The cached array is read-only.
+        """
+        return self._linear
 
     # -- oracle implementation --------------------------------------------
 
-    def _component_values(self, x: Vector) -> np.ndarray:
-        if self.spec.spectra is not None:
-            x_eig = x if self.basis is None else x @ self.basis
-            diffs = x_eig[None, :] - self._centers_eig
-            return 0.5 * np.sum(self.spec.spectra * diffs * diffs, axis=1)
-        diffs = x[None, :] - self.spec.centers
-        av = np.einsum("jkl,jl->jk", self.spec.matrices, diffs)
-        return 0.5 * np.einsum("jk,jk->j", diffs, av)
-
     def _component_gradients(self, x: Vector) -> np.ndarray:
-        if self.spec.spectra is not None:
-            x_eig = x if self.basis is None else x @ self.basis
-            g_eig = self.spec.spectra * (x_eig[None, :] - self._centers_eig)
-            return g_eig if self.basis is None else g_eig @ self.basis.T
-        diffs = x[None, :] - self.spec.centers
-        return np.einsum("jkl,jl->jk", self.spec.matrices, diffs)
+        g = self._component_curvature(self._frame(x)[None, :] - self._centers)
+        return g if self.basis is None else g @ self.basis.T
 
     def _value(self, x: Vector) -> float:
-        return float(np.mean(self._component_values(x))) + _sigmoid_value(
-            x, self.beta
-        )
+        w = self._frame(x) - self._center
+        quad = 0.5 * float(w @ self._curvature(w)) - float(self._u @ w) + self._kappa
+        return quad + _sigmoid_value(x, self.beta)
 
     def _gradient(self, x: Vector) -> Vector:
-        return np.mean(self._component_gradients(x), axis=0) + _sigmoid_gradient(
-            x, self.beta
-        )
+        w = self._frame(x) - self._center
+        g = self._to_original(self._curvature(w) - self._u)
+        return g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
 
     def stochastic_gradient(self, x, stream: RandomStream) -> Vector:
         x = self._check_input(x)
         j = int(stream.generator().integers(self.spec.m))
         if self.spec.spectra is not None:
-            x_eig = x if self.basis is None else x @ self.basis
-            g = self.spec.spectra[j] * (x_eig - self._centers_eig[j])
-            if self.basis is not None:
-                g = self.basis @ g
+            g = self._to_original(
+                self.spec.spectra[j] * (self._frame(x) - self._centers[j])
+            )
         else:
-            g = self.spec.matrices[j] @ (x - self.spec.centers[j])
-        return g + _sigmoid_gradient(x, self.beta)
+            g = self.spec.matrices[j] @ (x - self._centers[j])
+        return g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
 
     def stochastic_gradient_std(self, x) -> Vector:
         x = self._check_input(x)

@@ -33,7 +33,15 @@ def test_require_finite_rejects_nan_and_inf():
         require_finite(np.array([1.0, np.nan]))
     with pytest.raises(NonFiniteError):
         require_finite(np.array([np.inf]))
+    with pytest.raises(NonFiniteError):
+        require_finite(np.array([2.0, -np.inf]))
+    with pytest.raises(NonFiniteError):
+        require_finite(np.array(np.nan))  # 0-d array
+    with pytest.raises(NonFiniteError):
+        require_finite(float("inf"))
     require_finite(np.array([0.0, -1.0]))  # no raise
+    require_finite(np.array(3.0))
+    assert require_finite(-2.5) == -2.5
 
 
 def test_stream_replay_is_bitwise():

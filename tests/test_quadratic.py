@@ -1,6 +1,8 @@
 """Synthetic quadratic families: oracles, generator pins, invariants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlab import (
     ConfigurationError,
@@ -206,3 +208,56 @@ def test_sigmoid_term_shifts_hints():
     )
     assert bumpy.l_smooth == pytest.approx(plain.l_smooth + 800.0)
     assert bumpy.mu is None  # 1 - 200 < 0: no curvature lower bound
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A one-client oracle, its dense component matrices and a query point."""
+    frame = draw(st.sampled_from(["eigenbasis", "axes", "dense"]))
+    beta = draw(st.sampled_from([0.0, 0.75]))
+    m, d = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    # a common offset far from the origin moves the centers and the query
+    offset = draw(st.sampled_from([0.0, 1e4]))
+    rng = RandomStream(draw(st.integers(0, 2**16))).generator()
+    spectra = rng.uniform(-1.0, 4.0, size=(m, d))
+    centers = offset + 3.0 * rng.standard_normal((m, d))
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0] if frame != "axes" else np.eye(d)
+    mats = np.einsum("kl,jl,nl->jkn", q, spectra, q)  # Q diag(s_j) Q'
+    if frame == "dense":
+        spec = QuadraticClientSpec(centers=centers, matrices=mats, beta=beta)
+    else:
+        spec = QuadraticClientSpec(centers=centers, spectra=spectra, beta=beta)
+    basis = q if frame == "eigenbasis" else None
+    oracle = build_quadratic_problem(
+        QuadraticFamily(specs=[spec], basis=basis)
+    ).clients[0]
+    return oracle, mats, centers, offset + 3.0 * rng.standard_normal(d)
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=_oracle_cases())
+def test_closed_form_matches_the_component_definition(case):
+    oracle, mats, centers, x = case
+    diffs = x - centers
+    comps = np.einsum("jkl,jl->jk", mats, diffs)
+    sq = x * x
+    value = 0.5 * np.mean(np.einsum("jk,jk->j", diffs, comps))
+    value += oracle.beta * np.sum(sq / (1.0 + sq))
+    grad = comps.mean(axis=0) + oracle.beta * 2.0 * x / (1.0 + sq) ** 2
+    norms = np.linalg.norm(mats, axis=(1, 2))
+    dist = np.linalg.norm(diffs, axis=1)
+    value_scale = 1.0 + np.mean(0.5 * norms * dist**2) + oracle.beta * x.size
+    grad_scale = 1.0 + np.mean(norms * dist) + 2.0 * oracle.beta
+    # rotating x into the eigenbasis rounds it by about eps |x|, whatever
+    # the form; errors growing with |c|^2 stay far above this allowance
+    moved = 0.0 if oracle.basis is None else 1e-15 * x.size * np.linalg.norm(x)
+    assert abs(oracle.value(x) - value) <= 1e-12 * value_scale + moved * grad_scale
+    grad_err = np.linalg.norm(oracle.gradient(x) - grad)
+    assert grad_err <= 1e-12 * grad_scale + moved * (1.0 + norms.max())
+    u = oracle.linear_term()
+    u_def = np.einsum("jkl,jl->k", mats, centers) / len(mats)
+    u_scale = 1.0 + np.mean(norms * np.linalg.norm(centers, axis=1))
+    assert np.linalg.norm(u - u_def) <= 1e-12 * u_scale
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0] = 1.0

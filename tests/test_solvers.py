@@ -16,7 +16,13 @@ from fedlab import (
     solve_fgd,
     solve_gd,
 )
-from fedlab.problems import QuadraticClientSpec, QuadraticFamily, build_quadratic_problem
+from fedlab.problems import (
+    QuadraticClientSpec,
+    QuadraticFamily,
+    QuadraticOracle,
+    build_quadratic_problem,
+    gen_quadratic_problem,
+)
 
 from conftest import CubicOracle, quad_1d, random_family
 
@@ -183,13 +189,43 @@ def test_exact_solver_balanced_pair_fixture():
     assert report.exact
 
 
-def test_exact_solver_bills_the_matvecs_it_uses():
-    # a zero right-hand side is solved by the zero start: no matvec is made
-    oracle = quad_1d(center=0.0).clients[0]
-    surrogate = SurrogateOracle(oracle, prox_terms=((1.0, np.zeros(1)),))
-    report = solve_exact_quadratic(surrogate, np.zeros(1))
-    assert report.steps_taken == 0 and report.grad_evals == 0
-    assert np.array_equal(report.solution, np.zeros(1))
+def test_exact_solver_bills_the_matvecs_it_uses(monkeypatch):
+    # every public hessian_matvec call is solver work billed one for one;
+    # values and gradients reach the Hessian without calling the hook
+    calls = []
+    hook = QuadraticOracle.hessian_matvec
+
+    def counted(self, v):
+        calls.append(1)
+        return hook(self, v)
+
+    monkeypatch.setattr(QuadraticOracle, "hessian_matvec", counted)
+    eigenbasis, _ = gen_quadratic_problem(
+        0, 2, 3, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
+    )
+    cases = (
+        # a zero right-hand side is solved by the zero start: no matvec
+        (quad_1d(center=0.0), np.zeros(1)),
+        (eigenbasis, np.ones(6)),
+        (build_quadratic_problem(random_family(3, n=2, dense=True)), np.ones(5)),
+    )
+    for problem, center in cases:
+        x = center + 0.5
+        for oracle in problem.clients:
+            oracle.gradient(x)
+            oracle.value(x)
+        problem.f(x)
+        problem.grad_f(x)
+        assert calls == []
+        surrogate = SurrogateOracle(problem.clients[0], prox_terms=((1.0, center),))
+        report = solve_exact_quadratic(surrogate, np.zeros(problem.dim))
+        assert report.grad_evals == report.steps_taken == len(calls)
+        if center.any():
+            assert calls
+        else:
+            assert calls == [] and report.steps_taken == 0
+            assert np.array_equal(report.solution, center)
+        calls.clear()
 
 
 def test_exact_solver_unregularized_mean_fixture():
