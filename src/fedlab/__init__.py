@@ -49,7 +49,6 @@ from .local_solvers import (
 from .methods import (
     METHODS,
     ClientState,
-    IterateAccumulator,
     MethodConfig,
     ServerState,
     StepRecord,

@@ -102,7 +102,7 @@ _LOCAL_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "solver": {"enum": ["exact", "gd", "fgd"]},
-        "kind": {"enum": ["abs_grad", "rel_grad", "fixed_steps", "exact"]},
+        "kind": {"enum": ["abs_grad", "rel_grad", "fixed_steps"]},
         "tol": {"type": "number", "exclusiveMinimum": 0},
         "steps": {"type": "integer", "minimum": 0},
         "max_steps": {"type": "integer", "minimum": 1},

@@ -13,9 +13,9 @@ and a conjugate-gradient solve for pure quadratic bases.  Stopping is
 controlled by a :class:`StoppingRule`:
 
 * ``abs_grad``:  stop when ``||grad F(x)|| <= e``;
-* ``rel_grad``:  stop when ``||grad F(x)|| <= e * ||x - x_start||`` (at the
-  start both sides are zero, so an already-stationary start is accepted
-  immediately);
+* ``rel_grad``:  stop when ``||grad F(x)|| <= e * ||x - x_start||``; at the
+  start the right side is zero, so only an exactly zero gradient stops there
+  (one at its rounding floor can run to ``max_steps``);
 * ``fixed_steps``: run exactly K steps and return the visited iterate with
   the smallest gradient norm.
 
@@ -47,13 +47,13 @@ EXACT_RESIDUAL_REL = 1e-12
 class StoppingRule:
     """When a local solver may return; see module docstring for semantics."""
 
-    kind: str  # "abs_grad" | "rel_grad" | "fixed_steps" | "exact"
+    kind: str  # "abs_grad" | "rel_grad" | "fixed_steps"
     tol: float = 0.0
     steps: int = 0
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.kind not in ("abs_grad", "rel_grad", "fixed_steps", "exact"):
+        if self.kind not in ("abs_grad", "rel_grad", "fixed_steps"):
             raise ConfigurationError(f"unknown stopping rule {self.kind!r}")
         if self.kind in ("abs_grad", "rel_grad") and self.tol <= 0.0:
             raise ConfigurationError("gradient rules need a positive tolerance")
@@ -61,13 +61,6 @@ class StoppingRule:
             raise ConfigurationError("fixed_steps needs steps >= 0")
         if self.max_steps < 1:
             raise ConfigurationError("max_steps must be >= 1")
-
-    def accepts(self, grad_norm: float, dist_from_start: float) -> bool:
-        if self.kind == "abs_grad":
-            return grad_norm <= self.tol
-        if self.kind == "rel_grad":
-            return grad_norm <= self.tol * dist_from_start
-        return False
 
 
 @dataclass
@@ -79,7 +72,6 @@ class SolveReport:
     grad_evals: int
     final_grad_norm: float
     decreased: bool
-    exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -104,8 +96,9 @@ class LocalSpec:
             raise ConfigurationError(f"unknown local solver {self.solver!r}")
         if self.step is not None and self.step <= 0.0:
             raise ConfigurationError("step override must be positive")
-        if self.schedule and self.solver == "exact":
-            raise ConfigurationError("tolerance schedules need an inexact solver")
+        ignored = self.schedule or self.check_decrease or self.step is not None
+        if self.solver == "exact" and ignored:
+            raise ConfigurationError("schedule, check_decrease and step need gd or fgd")
 
 
 class SurrogateOracle(ClientOracle):
@@ -198,7 +191,6 @@ def _finish(
     evals: int,
     grad_norm: float,
     require_decrease: bool,
-    exact: bool = False,
 ) -> SolveReport:
     f_start = surrogate.value(x_start)
     f_end = surrogate.value(solution)
@@ -213,8 +205,66 @@ def _finish(
         grad_evals=evals,
         final_grad_norm=grad_norm,
         decreased=decreased,
-        exact=exact,
     )
+
+
+def _descend(
+    surrogate: ClientOracle,
+    x_start,
+    rule: StoppingRule,
+    step: float | None,
+    require_decrease: bool,
+    accelerated: bool,
+) -> SolveReport:
+    """The descent loop behind :func:`solve_gd` and :func:`solve_fgd`.
+
+    Each iteration takes one gradient at ``y`` and steps to
+    ``x_new = y - gamma * grad``; plain descent moves to ``y = x_new``, the
+    accelerated loop extrapolates past it.
+    """
+    x_start = as_vector(x_start)
+    gamma = _default_step(surrogate, step)
+    momentum_const = None
+    modulus = surrogate.convexity_hint
+    if accelerated and modulus is not None and modulus > 0.0:
+        root_kappa = np.sqrt((1.0 / gamma) / modulus)
+        momentum_const = (root_kappa - 1.0) / (root_kappa + 1.0)
+    x = y = x_start
+    best_x, best_norm = x_start, np.inf
+    steps = 0
+    while True:
+        g = surrogate.gradient(y)
+        norm = float(np.linalg.norm(g))
+        if norm < best_norm:
+            best_x, best_norm = y, norm
+        # every return has taken steps + 1 gradients
+        if rule.kind == "rel_grad":
+            if norm <= rule.tol * float(np.linalg.norm(y - x_start)):
+                return _finish(
+                    surrogate, x_start, y, steps, steps + 1, norm, require_decrease
+                )
+        elif steps >= rule.steps if rule.kind == "fixed_steps" else norm <= rule.tol:
+            return _finish(
+                surrogate, x_start, best_x, steps, steps + 1, best_norm,
+                require_decrease,
+            )
+        if steps >= rule.max_steps:
+            raise SolverBudgetError(
+                f"{rule.kind} rule unmet after {rule.max_steps} steps "
+                f"(||grad|| = {norm:.3e})"
+            )
+        x_new = y - gamma * g
+        if accelerated:
+            beta = (
+                momentum_const
+                if momentum_const is not None
+                else steps / (steps + 3.0)
+            )
+            y = x_new + beta * (x_new - x)
+        else:
+            y = x_new
+        x = x_new
+        steps += 1
 
 
 def solve_gd(
@@ -232,42 +282,7 @@ def solve_gd(
     ``rel_grad`` the firing iterate itself is returned since the rule is
     relative to that iterate's own distance from the start.
     """
-    if rule.kind == "exact":
-        raise ConfigurationError("the exact rule requires the quadratic solver")
-    x_start = as_vector(x_start)
-    gamma = _default_step(surrogate, step)
-    x = x_start
-    best_x, best_norm = x_start, np.inf
-    evals = 0
-    steps = 0
-    while True:
-        g = surrogate.gradient(x)
-        evals += 1
-        norm = float(np.linalg.norm(g))
-        if norm < best_norm:
-            best_x, best_norm = x, norm
-        if rule.kind == "fixed_steps":
-            if steps >= rule.steps:
-                return _finish(
-                    surrogate, x_start, best_x, steps, evals, best_norm,
-                    require_decrease,
-                )
-        elif rule.accepts(norm, float(np.linalg.norm(x - x_start))):
-            if rule.kind == "abs_grad":
-                return _finish(
-                    surrogate, x_start, best_x, steps, evals, best_norm,
-                    require_decrease,
-                )
-            return _finish(
-                surrogate, x_start, x, steps, evals, norm, require_decrease
-            )
-        if steps >= rule.max_steps:
-            raise SolverBudgetError(
-                f"{rule.kind} rule unmet after {rule.max_steps} steps "
-                f"(||grad|| = {norm:.3e})"
-            )
-        x = x - gamma * g
-        steps += 1
+    return _descend(surrogate, x_start, rule, step, require_decrease, False)
 
 
 def solve_fgd(
@@ -283,57 +298,10 @@ def solve_fgd(
     ``(sqrt(kappa)-1)/(sqrt(kappa)+1)`` is used; otherwise the convex
     schedule ``t/(t+3)``.  Stopping rules are evaluated at the
     extrapolated points, whose gradients are computed anyway, so each
-    iteration costs one gradient.
+    iteration costs one gradient.  The returned point follows
+    :func:`solve_gd`.
     """
-    if rule.kind == "exact":
-        raise ConfigurationError("the exact rule requires the quadratic solver")
-    x_start = as_vector(x_start)
-    gamma = _default_step(surrogate, step)
-    lipschitz = 1.0 / gamma
-    modulus = surrogate.convexity_hint
-    momentum_const = None
-    if modulus is not None and modulus > 0.0:
-        root_kappa = np.sqrt(lipschitz / modulus)
-        momentum_const = (root_kappa - 1.0) / (root_kappa + 1.0)
-    x = y = x_start
-    best_x, best_norm = x_start, np.inf
-    evals = 0
-    steps = 0
-    while True:
-        g = surrogate.gradient(y)
-        evals += 1
-        norm = float(np.linalg.norm(g))
-        if norm < best_norm:
-            best_x, best_norm = y, norm
-        if rule.kind == "fixed_steps":
-            if steps >= rule.steps:
-                return _finish(
-                    surrogate, x_start, best_x, steps, evals, best_norm,
-                    require_decrease,
-                )
-        elif rule.accepts(norm, float(np.linalg.norm(y - x_start))):
-            if rule.kind == "abs_grad":
-                return _finish(
-                    surrogate, x_start, best_x, steps, evals, best_norm,
-                    require_decrease,
-                )
-            return _finish(
-                surrogate, x_start, y, steps, evals, norm, require_decrease
-            )
-        if steps >= rule.max_steps:
-            raise SolverBudgetError(
-                f"{rule.kind} rule unmet after {rule.max_steps} steps "
-                f"(||grad|| = {norm:.3e})"
-            )
-        x_new = y - gamma * g
-        beta = (
-            momentum_const
-            if momentum_const is not None
-            else steps / (steps + 3.0)
-        )
-        y = x_new + beta * (x_new - x)
-        x = x_new
-        steps += 1
+    return _descend(surrogate, x_start, rule, step, require_decrease, True)
 
 
 def solve_exact_quadratic(
@@ -407,5 +375,4 @@ def solve_exact_quadratic(
         matvecs,
         res_norm,
         require_decrease=False,
-        exact=True,
     )

@@ -170,37 +170,6 @@ class StepRecord:
     decreased_all: bool = True
 
 
-@dataclass
-class IterateAccumulator:
-    """Running output-iterate selector.
-
-    Modes: ``last`` (the latest update) and ``best_grad`` (the update with
-    the smallest supplied score, a squared gradient norm).
-    """
-
-    mode: str = "last"
-    _best: Vector | None = None
-    _best_score: float = np.inf
-
-    def __post_init__(self):
-        if self.mode not in ("last", "best_grad"):
-            raise ConfigurationError(f"unknown accumulator mode {self.mode!r}")
-
-    def update(self, x: Vector, score: float | None = None):
-        if self.mode == "last":
-            self._best = x
-            return
-        if score is None:
-            raise ConfigurationError("the best_grad accumulator needs a score")
-        if score < self._best_score:
-            self._best, self._best_score = x, score
-
-    def output(self) -> Vector:
-        if self._best is None:
-            raise ConfigurationError("accumulator never updated")
-        return self._best
-
-
 def control_variate_grad_diff(
     problem: DistributedProblem, point: Vector
 ) -> list[Vector]:
@@ -294,26 +263,14 @@ def _resolve_rule(cfg: MethodConfig, round_index: int) -> tuple[StoppingRule, fl
 def _solve_local(
     cfg: MethodConfig, surrogate: SurrogateOracle, start: Vector, rule: StoppingRule
 ) -> SolveReport:
-    solver = cfg.local.solver
-    if solver == "exact":
+    # looked up at call time, so that wrappers patched onto this module see every solve
+    spec = cfg.local
+    if spec.solver == "exact":
         return solve_exact_quadratic(surrogate, start)
-    if solver == "gd":
-        return solve_gd(
-            surrogate,
-            start,
-            rule,
-            step=cfg.local.step,
-            require_decrease=cfg.local.check_decrease,
-        )
-    if solver == "fgd":
-        return solve_fgd(
-            surrogate,
-            start,
-            rule,
-            step=cfg.local.step,
-            require_decrease=cfg.local.check_decrease,
-        )
-    raise ConfigurationError(f"unknown local solver {solver!r}")
+    solve = solve_gd if spec.solver == "gd" else solve_fgd
+    return solve(
+        surrogate, start, rule, step=spec.step, require_decrease=spec.check_decrease
+    )
 
 
 def _client_gradient(
@@ -508,30 +465,19 @@ def baseline_scaffnew_step(
     On communication the variates move by ``(p/gamma)(mean - x_hat_i)``, a
     telescoping update that keeps their mean at zero.
     """
-    step_stream = stream.fork(server.iteration)
     gamma = cfg.eta
-    hats = []
-    for oracle, state in zip(problem.clients, clients):
-        hats.append(state.x - gamma * (oracle.gradient(state.x) - state.h))
-    theta = _draw_theta(cfg, step_stream)
-    if theta:
-        mean = np.mean(np.stack(hats), axis=0)
-        for state, hat in zip(clients, hats):
-            state.h = state.h + (cfg.p / gamma) * (mean - hat)
-            state.x = mean.copy()
-        server.reference = mean
-        server.comm_events += 1
-    else:
-        for state, hat in zip(clients, hats):
-            state.x = hat
-    server.iteration += 1
-    record = StepRecord(
-        iteration=server.iteration,
-        rounds=server.comm_events,
-        communicated=theta,
-        grad_evals=float(problem.n),
-        local_steps=1,
+    hats = [
+        state.x - gamma * (oracle.gradient(state.x) - state.h)
+        for oracle, state in zip(problem.clients, clients)
+    ]
+    record = _communicate(
+        server, clients, cfg, stream.fork(server.iteration), hats,
+        grad_evals=float(problem.n), local_steps=1,
     )
+    if record.communicated:
+        for state in clients:
+            state.h = state.h + (cfg.p / gamma) * (server.reference - state.x)
+            state.x = server.reference.copy()
     return server, clients, record
 
 

@@ -113,6 +113,26 @@ def test_diverging_run_exits_1(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "local, message",
+    [
+        ({"solver": "exact", "kind": "exact"}, "kind"),
+        ({"solver": "gd", "kind": "exact"}, "kind"),
+        ({"solver": "exact", "check_decrease": True}, "need gd or fgd"),
+        ({"solver": "exact", "step": 0.5}, "need gd or fgd"),
+    ],
+)
+def test_local_options_no_solver_honours_exit_2_before_setup(
+    tmp_path, capsys, local, message
+):
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["methods"] = [{"name": "dane_plus", "params": {"lam": 1.0}, "local": local}]
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------ delta report
 
 

@@ -190,6 +190,30 @@ def test_randomized_output_mode_tracks_best_gradient():
     assert all(a >= b - 1e-18 for a, b in zip(norms, norms[1:]))
 
 
+def test_output_modes_last_and_running_best():
+    # the reference moves only on communication; "last" reports it as it is
+    # and "best_grad" the running minimum of its squared gradient norm
+    problem = hetero_pair(d=4, seed=11)
+    cfg = MethodConfig(
+        method="fedred", lam=1.0, eta=4.0, p=0.5, averaging="rand",
+        local=LocalSpec(solver="exact"),
+    )
+    norms = {}
+    for mode in ("last", "best_grad"):
+        result = run_experiment(
+            problem, cfg, Budget(max_rounds=30), seed=2, record_every=1,
+            output_mode=mode,
+        )
+        norms[mode] = [t.grad_norm_sq for t in result.traces]
+    assert norms["best_grad"] == list(np.minimum.accumulate(norms["last"]))
+    assert norms["best_grad"] != norms["last"]
+    for unknown in ("median", "best_f"):
+        with pytest.raises(ConfigurationError, match=unknown):
+            run_experiment(
+                problem, cfg, Budget(max_rounds=1), seed=0, output_mode=unknown
+            )
+
+
 def test_gap_without_reference_is_nonnegative_best_seen():
     problem = DistributedProblem(
         clients=[CubicOracle(), CubicOracle()], dim=1

@@ -8,7 +8,6 @@ from fedlab import (
     ConfigurationError,
     DissimilarityReport,
     DistributedProblem,
-    IterateAccumulator,
     LocalSpec,
     MethodConfig,
     RandomStream,
@@ -24,7 +23,8 @@ from fedlab import (
     step_method,
     suggest_parameters,
 )
-from fedlab.methods import ClientState
+import fedlab.methods
+from fedlab.methods import _LBL_THETA, ClientState
 
 from conftest import hetero_pair, quad_1d, random_family, two_client_line
 
@@ -457,6 +457,40 @@ def test_skipping_baseline_keeps_variates_zero_mean():
         assert np.linalg.norm(mean_h) <= 1e-10
 
 
+def test_skipping_baseline_matches_hand_written_steps():
+    # x_hat_i = x_i - gamma (grad f_i(x_i) - h_i); on a Bernoulli(p) coin
+    # h_i += (p/gamma)(mean - x_hat_i) and every x_i resets to the mean
+    problem = hetero_pair(d=3, seed=8)
+    gamma, p = 0.1, 0.5
+    cfg = MethodConfig(method="scaffnew", eta=gamma, p=p)
+    stream = RandomStream(3)
+    server, clients, _ = init_method_state(problem, cfg, np.ones(3))
+    xs = [c.x.copy() for c in clients]
+    hs = [c.h.copy() for c in clients]
+    coins = []
+    for k in range(40):
+        hats = [
+            x - gamma * (o.gradient(x) - h)
+            for o, x, h in zip(problem.clients, xs, hs)
+        ]
+        coin = stream.fork(k).fork(_LBL_THETA).generator().random() < p
+        coins.append(coin)
+        if coin:
+            mean = np.mean(np.stack(hats), axis=0)
+            hs = [h + (p / gamma) * (mean - hat) for h, hat in zip(hs, hats)]
+            xs = [mean.copy() for _ in hats]
+        else:
+            xs = hats
+        server, clients, rec = step_method(problem, server, clients, cfg, stream)
+        assert rec.communicated == coin and rec.rounds == sum(coins)
+        assert rec.grad_evals == 2.0 and rec.local_steps == 1
+        for c, x, h in zip(clients, xs, hs):
+            assert np.array_equal(c.x, x) and np.array_equal(c.h, h)
+        if coin:
+            assert np.array_equal(server.reference, xs[0])
+    assert 0 < sum(coins) < 40
+
+
 def test_skipping_baseline_contracts_at_tuned_rate():
     problem, _ = gen_quadratic_problem(
         12, 3, 2, 6, max_norm=10.0, min_eig=1.0, target_delta=1.0
@@ -636,28 +670,33 @@ def test_suggest_rejects_unsupported_requests():
         )
 
 
-# -------------------------------------------------------- output iterates
+# ------------------------------------------------------- solver dispatch
 
 
-def test_accumulator_modes():
-    last = IterateAccumulator(mode="last")
-    last.update(np.array([1.0]))
-    last.update(np.array([2.0]))
-    assert last.output()[0] == 2.0
+@pytest.mark.parametrize(
+    "solver, name",
+    [
+        ("exact", "solve_exact_quadratic"),
+        ("gd", "solve_gd"),
+        ("fgd", "solve_fgd"),
+    ],
+)
+def test_local_solves_dispatch_through_module_globals(monkeypatch, solver, name):
+    # call counters patch the solvers onto fedlab.methods; a dispatch table
+    # bound at import time would bypass the patch and count nothing
+    hits = []
+    for attr in ("solve_exact_quadratic", "solve_gd", "solve_fgd"):
+        original = getattr(fedlab.methods, attr)
 
-    best = IterateAccumulator(mode="best_grad")
-    best.update(np.array([1.0]), score=5.0)
-    best.update(np.array([2.0]), score=1.0)
-    best.update(np.array([3.0]), score=4.0)
-    assert best.output()[0] == 2.0
-    with pytest.raises(ConfigurationError):
-        best.update(np.array([4.0]))  # best_grad needs a score
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            hits.append(_attr)
+            return _original(*args, **kwargs)
 
-
-def test_accumulator_validation():
-    with pytest.raises(ConfigurationError):
-        IterateAccumulator(mode="median")
-    with pytest.raises(ConfigurationError):
-        IterateAccumulator(mode="best_f")
-    with pytest.raises(ConfigurationError):
-        IterateAccumulator(mode="last").output()
+        monkeypatch.setattr(fedlab.methods, attr, counted)
+    problem = hetero_pair(d=3, seed=4)
+    rule = StoppingRule("fixed_steps", steps=3)
+    local = LocalSpec(solver="exact") if solver == "exact" else LocalSpec(solver, rule)
+    cfg = MethodConfig(method="dane_plus", lam=1.0, local=local)
+    server, clients, _ = init_method_state(problem, cfg, np.zeros(3))
+    fedlab.methods.anchored_step(problem, server, clients, cfg, RandomStream(0))
+    assert hits == [name] * problem.n
