@@ -314,15 +314,17 @@ def solve_exact_quadratic(
     so the returned solution is a deterministic function of the subproblem
     alone (warm starts cannot perturb it); ``x_start`` only provides the
     reference point for the decrease flag.
+
+    CG is unchanged by an orthogonal change of coordinates, so when the base
+    shares an eigenbasis ``Q`` (see ``eigen_frame``) it runs in that frame:
+    ``rhs`` is rotated in once, each iteration makes one ``hessian_matvec``
+    of the frame oracle (billed as one unit, O(d) for a diagonal frame) and
+    the solution is rotated out once.
     """
     if not isinstance(surrogate, SurrogateOracle):
         raise UnsupportedStructureError("expected a SurrogateOracle")
     base = surrogate.base
-    if not (
-        hasattr(base, "is_pure_quadratic")
-        and base.is_pure_quadratic
-        and hasattr(base, "hessian_matvec")
-    ):
+    if not getattr(base, "is_pure_quadratic", False):
         raise UnsupportedStructureError(
             "exact solve needs a pure quadratic base oracle"
         )
@@ -332,9 +334,12 @@ def solve_exact_quadratic(
         rhs = rhs - surrogate.linear_shift
     for w, center in surrogate.prox_terms:
         rhs = rhs + w * center
+    basis, frame = base.eigen_frame()
+    if basis is not None:
+        rhs = rhs @ basis
 
     def matvec(v: Vector) -> Vector:
-        return base.hessian_matvec(v) + weight * v
+        return frame.hessian_matvec(v) + weight * v
 
     d = rhs.shape[0]
     x = np.zeros(d)
@@ -366,6 +371,8 @@ def solve_exact_quadratic(
         raise SolverBudgetError(
             f"conjugate gradients stalled at residual {res_norm:.3e}"
         )
+    if basis is not None:
+        x = basis @ x
     start = as_vector(x_start) if x_start is not None else np.zeros(d)
     return _finish(
         surrogate,

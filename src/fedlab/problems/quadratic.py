@@ -182,6 +182,12 @@ class QuadraticOracle(ClientOracle):
     ``hessian_matvec`` call is a solver's matvec (the work the exact
     solver bills).
 
+    :meth:`eigen_frame` hands the exact solver the basis and an oracle
+    over the same spectra in the eigen frame, whose ``hessian_matvec`` is
+    the O(d) product ``s * v``; conjugate gradients run there, so each
+    iteration is still one billed ``hessian_matvec``, and a solve pays two
+    rotations in all instead of two per matvec.
+
     The stochastic gradient samples one of the m quadratic components
     uniformly (the sigmoid term, being cheap and deterministic, is always
     included exactly), so it is unbiased for the full gradient.
@@ -190,6 +196,7 @@ class QuadraticOracle(ClientOracle):
     def __init__(self, spec: QuadraticClientSpec, basis: np.ndarray | None = None):
         self.spec = spec
         self.basis = basis
+        self._eigen = None  # eigen-frame oracle, see eigen_frame
         self.dim = spec.dim
         self.beta = spec.beta
         if spec.spectra is not None:
@@ -250,6 +257,22 @@ class QuadraticOracle(ClientOracle):
         The cached array is read-only.
         """
         return self._linear
+
+    def eigen_frame(self) -> tuple[np.ndarray | None, "QuadraticOracle"]:
+        """``(Q, frame)``: the basis and this quadratic part in its frame.
+
+        ``frame`` is a basis-free oracle over the same spectra and the
+        frame centers (``beta = 0``), so ``Q frame.hessian_matvec(Q'v)`` is
+        ``hessian_matvec(v)``.  It is built on first request.  An oracle
+        without a basis is its own frame: ``(None, self)``.
+        """
+        if self.basis is None:
+            return None, self
+        if self._eigen is None:
+            self._eigen = QuadraticOracle(
+                QuadraticClientSpec(centers=self._centers, spectra=self.spec.spectra)
+            )
+        return self.basis, self._eigen
 
     # -- oracle implementation --------------------------------------------
 

@@ -287,7 +287,13 @@ def test_anchored_accounting_matches_oracle_counter(method, solver):
     cfg = MethodConfig(
         method=method, local=_LOCAL_SPECS[solver], **_ANCHORED_PARAMS[method]
     )
-    _billed_run(hetero_pair(d=4, seed=23), cfg, 12)
+    # the generated family shares an eigenbasis, so the exact solver runs
+    # on the frame the counting wrapper forwards
+    eigen, _ = gen_quadratic_problem(
+        3, 3, 2, 8, max_norm=6.0, min_eig=0.5, target_delta=1.0
+    )
+    for base in (hetero_pair(d=4, seed=23), eigen):
+        _billed_run(base, cfg, 12)
 
 
 @pytest.mark.parametrize("method", sorted(_ANCHORED_PARAMS))
@@ -395,6 +401,56 @@ def test_randomized_stationarity_certificate_holds():
     assert all(
         rec.premise is not None for rec in result.records if rec.communicated
     )
+
+
+def test_linear_certificate_skips_rounds_past_the_float_range():
+    # mu / lam = 50: (1 + 50)^R leaves the float range after R = 180
+    problem, report = gen_quadratic_problem(
+        2, 4, 3, 12, max_norm=8.0, min_eig=0.5, target_delta=1.0
+    )
+    x0 = np.zeros(12)
+    result = run_experiment(
+        problem, _exact("dane_plus", lam=0.01), Budget(max_rounds=400), seed=0, x0=x0
+    )
+    reports = check_rate_certificates(
+        result, _constants_for(problem, result, report, x0)
+    )
+    assert [(r.name, r.checked) for r in reports] == [
+        ("convex_sublinear", 400),
+        ("strongly_convex_linear", 180),
+    ]
+    assert all(r.ok for r in reports)
+
+
+def test_fedred_below_p_one_claims_no_deterministic_bound():
+    # at p < 1 fedred's rate holds in expectation; run seeds 1 and 2 of this
+    # correct run land above the per-round bounds
+    problem, report = gen_quadratic_problem(
+        2, 4, 3, 12, max_norm=8.0, min_eig=0.5, target_delta=1.0
+    )
+    cfg = suggest_parameters(
+        "fedred", report, "sc", l_smooth=problem.l_smooth, mu=problem.mu
+    )
+    assert cfg.p < 1.0
+    x0 = np.zeros(12)
+    for seed in (1, 2):
+        result = run_experiment(
+            problem, cfg, Budget(max_rounds=40), seed=seed, x0=x0, record_every=1
+        )
+        with pytest.raises(ConfigurationError, match="no certificate applies"):
+            check_rate_certificates(
+                result, _constants_for(problem, result, report, x0)
+            )
+    # p = 1 (with the coupling lam = p * eta) is deterministic: both bounds
+    full = dataclasses.replace(cfg, p=1.0, eta=cfg.lam)
+    result = run_experiment(
+        problem, full, Budget(max_rounds=40), seed=1, x0=x0, record_every=1
+    )
+    reports = check_rate_certificates(
+        result, _constants_for(problem, result, report, x0)
+    )
+    assert [r.name for r in reports] == ["convex_sublinear", "strongly_convex_linear"]
+    assert all(r.ok for r in reports)
 
 
 def test_certificate_error_paths():

@@ -1,4 +1,7 @@
 """Synthetic quadratic families: oracles, generator pins, invariants."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,3 +264,42 @@ def test_closed_form_matches_the_component_definition(case):
     assert not u.flags.writeable
     with pytest.raises(ValueError):
         u[0] = 1.0
+
+
+def test_eigen_frame_rotates_the_hessian():
+    problem, _ = gen_quadratic_problem(
+        1, 2, 3, 7, max_norm=6.0, min_eig=0.5, target_delta=1.0, beta=0.5
+    )
+    oracle = problem.clients[0]
+    basis, frame = oracle.eigen_frame()
+    assert basis is oracle.basis
+    assert frame.basis is None and frame.beta == 0.0
+    assert oracle.eigen_frame()[1] is frame  # built once, on first request
+    v = RandomStream(3).generator().standard_normal(7)
+    rotated = basis @ frame.hessian_matvec(v @ basis)
+    assert np.allclose(rotated, oracle.hessian_matvec(v), rtol=0.0, atol=1e-12)
+    for family in (random_family(2), random_family(2, dense=True)):
+        plain = build_quadratic_problem(family).clients[0]
+        assert plain.eigen_frame() == (None, plain)
+
+
+def test_problems_with_requested_frames_are_freed_without_the_collector():
+    # a frame that referenced its parent, or an oracle that stored itself,
+    # would form a cycle only the cyclic collector frees: every built
+    # problem would then stay in memory until a full collection
+    factories = (
+        lambda: gen_quadratic_problem(
+            0, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
+        )[0],
+        lambda: build_quadratic_problem(random_family(4)),
+    )
+    gc.disable()
+    try:
+        for build in factories:
+            problem = build()
+            frames = [oracle.eigen_frame()[1] for oracle in problem.clients]
+            refs = [weakref.ref(o) for o in (problem, *problem.clients, *frames)]
+            del frames, problem
+            assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

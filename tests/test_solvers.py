@@ -1,6 +1,8 @@
 """Local subproblem solvers, stopping rules, and the accuracy schedule."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlab import (
     ConfigurationError,
@@ -304,6 +306,78 @@ def test_exact_solver_bills_the_matvecs_it_uses(monkeypatch):
             assert calls == [] and report.steps_taken == 0
             assert np.array_equal(report.solution, center)
         calls.clear()
+
+
+@st.composite
+def _exact_subproblems(draw):
+    """A surrogate on a one-client quadratic with an eigenbasis, axes or dense."""
+    frame = draw(st.sampled_from(["eigenbasis", "axes", "dense"]))
+    m, d = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    rng = RandomStream(draw(st.integers(0, 2**16))).generator()
+    spectra = rng.uniform(0.5, 10.0, size=(m, d))
+    centers = 3.0 * rng.standard_normal((m, d))
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    if frame == "dense":
+        mats = np.einsum("kl,jl,nl->jkn", q, spectra, q)  # Q diag(s_j) Q'
+        spec = QuadraticClientSpec(centers=centers, matrices=mats)
+    else:
+        spec = QuadraticClientSpec(centers=centers, spectra=spectra)
+    basis = q if frame == "eigenbasis" else None
+    oracle = build_quadratic_problem(
+        QuadraticFamily(specs=[spec], basis=basis)
+    ).clients[0]
+    weight = draw(st.floats(0.0, 5.0))
+    return SurrogateOracle(
+        oracle,
+        linear_shift=rng.standard_normal(d),
+        prox_terms=((weight, rng.standard_normal(d)),),
+    )
+
+
+def _original_coordinate_cg(surrogate):
+    """Textbook CG on ``(H + w I) x = rhs`` with the base's own matvec."""
+    base, weight = surrogate.base, surrogate.total_prox_weight
+    rhs = base.linear_term() - surrogate.linear_shift
+    for w, center in surrogate.prox_terms:
+        rhs = rhs + w * center
+    x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
+    rs = float(r @ r)
+    target = 1e-12 * np.linalg.norm(rhs)
+    matvecs = 0
+    while np.sqrt(rs) > target:
+        ap = base.hessian_matvec(p) + weight * p
+        matvecs += 1
+        alpha = rs / float(p @ ap)
+        x, r = x + alpha * p, r - alpha * ap
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, matvecs
+
+
+@settings(derandomize=True, deadline=None)
+@given(surrogate=_exact_subproblems())
+def test_frame_cg_matches_original_coordinate_cg(surrogate):
+    # CG is invariant under the orthogonal change into the eigen frame: the
+    # same number of public matvecs, the same solution up to rounding
+    frames = []
+    hook = QuadraticOracle.hessian_matvec
+
+    def counted(self, v):
+        frames.append(self.basis is None)
+        return hook(self, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QuadraticOracle, "hessian_matvec", counted)
+        report = solve_exact_quadratic(surrogate)
+        solved = list(frames)
+        frames.clear()
+        x_ref, matvecs = _original_coordinate_cg(surrogate)
+    assert report.grad_evals == report.steps_taken == len(solved) == matvecs
+    # every matvec of the solve is the basis-free frame's O(d) product
+    assert all(solved)
+    err = np.linalg.norm(report.solution - x_ref)
+    assert err <= 1e-10 * np.linalg.norm(x_ref)
 
 
 def test_exact_solver_unregularized_mean_fixture():
