@@ -8,6 +8,7 @@ for one client's local objective.
 """
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -37,8 +38,26 @@ def as_vector(x) -> Vector:
     return v
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def require_finite(arr, what: str = "value"):
-    """Raise :class:`NonFiniteError` unless every entry of ``arr`` is finite."""
+    """Raise :class:`NonFiniteError` unless every entry of ``arr`` is finite.
+
+    A 1-D float64 array is first tested with one BLAS dot, ``arr . arr``: a
+    sum of squares is finite only when every entry is.  It can also overflow
+    on finite entries (above about 1e154), so a non-finite dot, like any
+    other input, falls back to the exact ``np.isfinite`` test.  ``np.vdot``
+    does not read the floating-point status flags, so no input makes the
+    dot warn.
+    """
+    if (
+        type(arr) is np.ndarray
+        and arr.ndim == 1
+        and arr.dtype is _FLOAT64
+        and math.isfinite(np.vdot(arr, arr))
+    ):
+        return arr
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite entries in {what}")
     return arr
@@ -83,7 +102,13 @@ class ClientOracle(ABC):
 
     Subclasses implement ``_value`` and ``_gradient``; the public methods
     validate shapes and reject non-finite inputs and outputs, so a NaN is
-    caught at the oracle boundary instead of propagating silently.
+    caught at the oracle boundary instead of propagating silently.  Every
+    billed primitive passes this boundary once, at the base oracle: wrappers
+    such as :class:`~fedlab.local_solvers.SurrogateOracle` call the base's
+    public methods from their own ``_gradient``, and the local solvers call
+    the wrapper's ``_gradient`` and test the gradient norm they compute
+    anyway (see :mod:`fedlab.local_solvers`).  Outside callers of
+    :meth:`gradient` and :meth:`value` keep every check.
 
     Attributes
     ----------

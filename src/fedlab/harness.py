@@ -24,11 +24,13 @@ from .core import (
     ClientOracle,
     ConfigurationError,
     DistributedProblem,
+    NonFiniteError,
     RandomStream,
     Vector,
     as_vector,
 )
 from .local_solvers import (
+    SolverBudgetError,
     StoppingRule,
     UnsupportedStructureError,
     solve_fgd,
@@ -232,6 +234,10 @@ def run_experiment(
 
     ``metric_problem`` lets callers step a wrapped (e.g. call-counting)
     problem while evaluating metrics on the unwrapped one.
+
+    A :class:`NonFiniteError` or :class:`SolverBudgetError` from a step or a
+    metric snapshot is raised again as the same type, chained, with the
+    method and the number of completed iterations in its message.
     """
     metrics = metric_problem if metric_problem is not None else problem
     if reference == "auto":
@@ -282,31 +288,36 @@ def run_experiment(
         if budget.target_gap is not None and trace.f_gap <= budget.target_gap:
             reached = True
 
-    snapshot(0, 0)
-    while not reached:
-        if budget.max_rounds is not None and server.comm_events >= budget.max_rounds:
-            break
-        if budget.max_grad_evals is not None and cum_evals >= budget.max_grad_evals:
-            break
-        if (
-            budget.max_iterations is not None
-            and server.iteration >= budget.max_iterations
-        ):
-            break
-        server, clients, rec = step_method(problem, server, clients, cfg, stream)
-        records.append(rec)
-        cum_evals += rec.grad_evals
-        if output_mode == "last":
-            x_out = server.reference
-        elif rec.communicated:
-            g = metrics.grad_f(server.reference)
-            score = float(g @ g)
-            if score < best_score:
-                x_out, best_score = server.reference.copy(), score
-        if rec.communicated or rec.iteration % record_every == 0:
-            snapshot(rec.iteration, server.comm_events)
-    if not traces or traces[-1].k != server.iteration:
-        snapshot(server.iteration, server.comm_events)
+    try:
+        snapshot(0, 0)
+        while not reached:
+            if budget.max_rounds is not None and server.comm_events >= budget.max_rounds:
+                break
+            if budget.max_grad_evals is not None and cum_evals >= budget.max_grad_evals:
+                break
+            if (
+                budget.max_iterations is not None
+                and server.iteration >= budget.max_iterations
+            ):
+                break
+            server, clients, rec = step_method(problem, server, clients, cfg, stream)
+            records.append(rec)
+            cum_evals += rec.grad_evals
+            if output_mode == "last":
+                x_out = server.reference
+            elif rec.communicated:
+                g = metrics.grad_f(server.reference)
+                score = float(g @ g)
+                if score < best_score:
+                    x_out, best_score = server.reference.copy(), score
+            if rec.communicated or rec.iteration % record_every == 0:
+                snapshot(rec.iteration, server.comm_events)
+        if not traces or traces[-1].k != server.iteration:
+            snapshot(server.iteration, server.comm_events)
+    except (NonFiniteError, SolverBudgetError) as exc:
+        raise type(exc)(
+            f"{cfg.method} failed at iteration {server.iteration}: {exc}"
+        ) from exc
     return ExperimentResult(
         traces=traces,
         records=records,

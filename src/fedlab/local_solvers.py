@@ -21,14 +21,30 @@ controlled by a :class:`StoppingRule`:
 
 Gradient-based rules exhaust ``max_steps`` with a hard error rather than
 returning an uncertified point.
+
+Finiteness is checked once per billed primitive.  The base oracle's public
+``gradient`` checks its query point and its output; the descent loop takes
+the surrogate's unchecked ``_gradient`` and raises :class:`NonFiniteError`
+when the norm it computes for the stopping rule is not finite (a NaN or inf
+entry, or a norm that overflows); conjugate gradients does the same with its
+residual norm.  The final values in each report come from the surrogate's
+public ``value``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ClientOracle, ConfigurationError, Vector, as_vector
+from .core import (
+    ClientOracle,
+    ConfigurationError,
+    DimensionError,
+    NonFiniteError,
+    Vector,
+    as_vector,
+)
 
 
 class SolverBudgetError(RuntimeError):
@@ -102,7 +118,14 @@ class LocalSpec:
 
 
 class SurrogateOracle(ClientOracle):
-    """Base objective plus a linear shift and quadratic proximal terms."""
+    """Base objective plus a linear shift and quadratic proximal terms.
+
+    ``_gradient`` and ``_value`` call the base oracle's public methods, so
+    the base checks each query point and its own output.  What the shift and
+    the proximal terms add on top is checked by the public ``gradient`` and
+    ``value`` inherited from :class:`ClientOracle`, or, inside the local
+    solvers' loops, by the finiteness test on the gradient norm.
+    """
 
     def __init__(
         self,
@@ -220,9 +243,16 @@ def _descend(
 
     Each iteration takes one gradient at ``y`` and steps to
     ``x_new = y - gamma * grad``; plain descent moves to ``y = x_new``, the
-    accelerated loop extrapolates past it.
+    accelerated loop extrapolates past it.  The gradient is the surrogate's
+    unchecked ``_gradient``; its norm, ``sqrt(g . g)`` as ``np.linalg.norm``
+    computes it, is the finiteness check.
     """
     x_start = as_vector(x_start)
+    if x_start.shape[0] != surrogate.dim:
+        # the unchecked gradient below would not catch a mismatch on a bare oracle
+        raise DimensionError(
+            f"oracle dimension {surrogate.dim}, start dimension {x_start.shape[0]}"
+        )
     gamma = _default_step(surrogate, step)
     momentum_const = None
     modulus = surrogate.convexity_hint
@@ -233,13 +263,16 @@ def _descend(
     best_x, best_norm = x_start, np.inf
     steps = 0
     while True:
-        g = surrogate.gradient(y)
-        norm = float(np.linalg.norm(g))
+        g = surrogate._gradient(y)
+        norm = math.sqrt(g.dot(g))
+        if not math.isfinite(norm):
+            raise NonFiniteError(f"non-finite local gradient at step {steps}")
         if norm < best_norm:
             best_x, best_norm = y, norm
         # every return has taken steps + 1 gradients
         if rule.kind == "rel_grad":
-            if norm <= rule.tol * float(np.linalg.norm(y - x_start)):
+            moved = y - x_start
+            if norm <= rule.tol * math.sqrt(moved.dot(moved)):
                 return _finish(
                     surrogate, x_start, y, steps, steps + 1, norm, require_decrease
                 )
@@ -344,14 +377,20 @@ def solve_exact_quadratic(
     d = rhs.shape[0]
     x = np.zeros(d)
     r = rhs.copy()
-    target = EXACT_RESIDUAL_REL * float(np.linalg.norm(rhs))
-    res_norm = float(np.linalg.norm(r))
     p = r.copy()
     rs_old = float(r @ r)
+    res_norm = math.sqrt(rs_old)
+    target = EXACT_RESIDUAL_REL * res_norm
     iters = 0
     matvecs = 0
     max_iters = max(50, 25 * d)
-    while res_norm > target and iters < max_iters:
+    while True:
+        if not math.isfinite(res_norm):
+            raise NonFiniteError(
+                f"non-finite conjugate-gradient residual at iteration {iters}"
+            )
+        if res_norm <= target or iters >= max_iters:
+            break
         ap = matvec(p)
         matvecs += 1
         curvature = float(p @ ap)
@@ -363,7 +402,7 @@ def solve_exact_quadratic(
         x = x + alpha * p
         r = r - alpha * ap
         rs_new = float(r @ r)
-        res_norm = float(np.sqrt(rs_new))
+        res_norm = math.sqrt(rs_new)
         p = r + (rs_new / rs_old) * p
         rs_old = rs_new
         iters += 1

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ClientOracle,
     ConfigurationError,
     DistributedProblem,
     RandomStream,
@@ -273,18 +272,6 @@ def _solve_local(
     )
 
 
-def _client_gradient(
-    oracle: ClientOracle, x: Vector, cfg: MethodConfig, client_stream: RandomStream
-) -> tuple[Vector, float]:
-    """Gradient (or stochastic gradient) plus its accounting cost."""
-    if not cfg.stochastic:
-        return oracle.gradient(x), 1.0
-    return (
-        oracle.stochastic_gradient(x, client_stream),
-        oracle.stochastic_cost,
-    )
-
-
 # per method: (start the local solve at the client iterate, use control variates)
 _ANCHORED_PRESETS = {
     "dane_plus": (False, True),
@@ -393,10 +380,13 @@ def fedred_gd_step(
     coeffs = np.array([cfg.eta / total, cfg.lam / total, -1.0 / total])
     solutions = []
     for i, (oracle, state) in enumerate(zip(problem.clients, clients)):
-        g, cost = _client_gradient(
-            oracle, state.x, cfg, step_stream.fork(_LBL_BATCH).fork(i)
-        )
-        evals += cost
+        if cfg.stochastic:
+            batch_stream = step_stream.fork(_LBL_BATCH).fork(i)
+            g = oracle.stochastic_gradient(state.x, batch_stream)
+            evals += oracle.stochastic_cost
+        else:
+            g = oracle.gradient(state.x)
+            evals += 1.0
         solutions.append(coeffs @ np.stack([state.x, ref, g - state.h]))
     record = _communicate(
         server, clients, cfg, step_stream, solutions, grad_evals=evals, local_steps=1

@@ -1,6 +1,7 @@
 """Command line front end: config validation, runs, reports, reproducibility."""
 import json
 import os
+import re
 
 import pytest
 
@@ -111,6 +112,16 @@ def test_diverging_run_exits_1(tmp_path, capsys):
     cfg["output_dir"] = str(tmp_path / "out")
     assert main(["run", "--config", _write(tmp_path, cfg)]) == 1
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_diverging_run_names_method_and_iteration(tmp_path, capsys):
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["methods"] = [{"name": "gd", "params": {"eta": 50.0}}]
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"NonFiniteError: gd failed at iteration [1-9]\d*: ", err), err
 
 
 @pytest.mark.parametrize(

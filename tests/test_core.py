@@ -1,6 +1,10 @@
 """Vector helpers, random streams, and oracle boundary checks."""
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedlab import (
     ClientOracle,
@@ -42,6 +46,27 @@ def test_require_finite_rejects_nan_and_inf():
     require_finite(np.array([0.0, -1.0]))  # no raise
     require_finite(np.array(3.0))
     assert require_finite(-2.5) == -2.5
+
+
+_ENTRIES = st.one_of(
+    st.floats(min_value=-1.7e308, max_value=1.7e308),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+@given(st.lists(_ENTRIES, max_size=24), st.integers(1, 3))
+def test_require_finite_verdict_matches_isfinite(entries, stride):
+    # dense and strided 1-D float64 vectors take the one-dot fast path
+    for arr in (np.array(entries, dtype=np.float64), np.repeat(entries, 3)[::stride]):
+        expected = bool(np.isfinite(arr).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert require_finite(arr) is arr
+                verdict = True
+            except NonFiniteError:
+                verdict = False
+        assert verdict == expected
 
 
 def test_stream_replay_is_bitwise():

@@ -14,6 +14,7 @@ from fedlab import (
     QuadraticFamily,
     RandomStream,
     RateConstants,
+    SolverBudgetError,
     StoppingRule,
     UnsupportedStructureError,
     build_quadratic_problem,
@@ -553,3 +554,18 @@ def test_trace_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigurationError):
         read_trace_csv(path)
+
+
+def test_solver_budget_error_names_method_and_iteration():
+    problem = hetero_pair()
+    cfg = MethodConfig(
+        method="dane_plus",
+        lam=1.0,
+        local=LocalSpec(
+            solver="gd", rule=StoppingRule("abs_grad", tol=1e-300, max_steps=1)
+        ),
+    )
+    message = "dane_plus failed at iteration 0: "
+    with pytest.raises(SolverBudgetError, match=message) as info:
+        run_experiment(problem, cfg, Budget(max_rounds=3), seed=0)
+    assert isinstance(info.value.__cause__, SolverBudgetError)

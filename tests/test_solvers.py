@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from fedlab import (
     ConfigurationError,
+    DimensionError,
     LocalSpec,
+    NonFiniteError,
     RandomStream,
     SolverBudgetError,
     StoppingRule,
@@ -18,6 +20,7 @@ from fedlab import (
     solve_fgd,
     solve_gd,
 )
+from fedlab import core
 from fedlab.problems import (
     QuadraticClientSpec,
     QuadraticFamily,
@@ -26,7 +29,7 @@ from fedlab.problems import (
     gen_quadratic_problem,
 )
 
-from conftest import CubicOracle, quad_1d, random_family
+from conftest import CubicOracle, FixedGradientOracle, quad_1d, random_family
 
 
 def _oracle(seed=0, m=2, d=5):
@@ -234,6 +237,39 @@ def test_descent_bills_one_gradient_per_step_plus_one(solver, rule):
     assert report.grad_evals == report.steps_taken + 1 == len(calls)
 
 
+def test_descent_step_costs_two_finite_checks(monkeypatch):
+    # one per primitive at the base boundary (query and gradient); the
+    # surrogate's own gradient is checked through the loop's norm
+    calls = []
+    inner = core.require_finite
+    monkeypatch.setattr(
+        core, "require_finite", lambda *a: calls.append(1) or inner(*a)
+    )
+    surrogate = _parity_surrogate(hinted=True)
+    start = RandomStream(11).generator().standard_normal(surrogate.dim)
+    counts = []
+    for k in (7, 8):
+        calls.clear()
+        solve_gd(surrogate, start, StoppingRule("fixed_steps", steps=k))
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("solver", [solve_gd, solve_fgd])
+def test_descent_rejects_a_shift_that_overflows_the_gradient(solver):
+    base = FixedGradientOracle(np.array([1.0, 1e308]))
+    surrogate = SurrogateOracle(base, linear_shift=np.array([0.0, 1e308]))
+    assert np.isfinite(base.gradient(np.zeros(2))).all()
+    with pytest.raises(NonFiniteError, match="step 0"):
+        solver(surrogate, np.zeros(2), StoppingRule("fixed_steps", steps=3))
+
+
+def test_descent_rejects_a_start_of_the_wrong_dimension():
+    with pytest.raises(DimensionError):
+        solve_gd(CubicOracle(), np.zeros(2), StoppingRule("fixed_steps", steps=1))
+
+
 def test_fgd_zero_steps_at_optimum():
     oracle = quad_1d(center=2.0).clients[0]
     surrogate = SurrogateOracle(oracle)
@@ -407,6 +443,18 @@ def test_exact_solver_residual_postcondition():
         grad = surrogate.gradient(report.solution)
         rhs_scale = 1.0 + np.linalg.norm(base.linear_term())
         assert np.linalg.norm(grad) <= 1e-10 * rhs_scale
+
+
+def test_exact_solver_rejects_a_nan_subproblem():
+    problem, _ = gen_quadratic_problem(
+        0, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
+    )
+    base = problem.clients[0]
+    ref = np.zeros(base.dim)
+    ref[2] = np.nan
+    surrogate = SurrogateOracle(base, prox_terms=((1.0, ref),))
+    with pytest.raises(NonFiniteError, match="conjugate-gradient .* iteration 0"):
+        solve_exact_quadratic(surrogate, np.zeros(base.dim))
 
 
 def test_exact_solver_requires_quadratic_structure():
