@@ -289,31 +289,42 @@ def run_experiment(
             reached = True
 
     try:
-        snapshot(0, 0)
-        while not reached:
-            if budget.max_rounds is not None and server.comm_events >= budget.max_rounds:
-                break
-            if budget.max_grad_evals is not None and cum_evals >= budget.max_grad_evals:
-                break
-            if (
-                budget.max_iterations is not None
-                and server.iteration >= budget.max_iterations
-            ):
-                break
-            server, clients, rec = step_method(problem, server, clients, cfg, stream)
-            records.append(rec)
-            cum_evals += rec.grad_evals
-            if output_mode == "last":
-                x_out = server.reference
-            elif rec.communicated:
-                g = metrics.grad_f(server.reference)
-                score = float(g @ g)
-                if score < best_score:
-                    x_out, best_score = server.reference.copy(), score
-            if rec.communicated or rec.iteration % record_every == 0:
-                snapshot(rec.iteration, server.comm_events)
-        if not traces or traces[-1].k != server.iteration:
-            snapshot(server.iteration, server.comm_events)
+        # every value and gradient in the loop is checked for finiteness, so
+        # an overflow surfaces as the typed error below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            snapshot(0, 0)
+            while not reached:
+                if (
+                    budget.max_rounds is not None
+                    and server.comm_events >= budget.max_rounds
+                ):
+                    break
+                if (
+                    budget.max_grad_evals is not None
+                    and cum_evals >= budget.max_grad_evals
+                ):
+                    break
+                if (
+                    budget.max_iterations is not None
+                    and server.iteration >= budget.max_iterations
+                ):
+                    break
+                server, clients, rec = step_method(
+                    problem, server, clients, cfg, stream
+                )
+                records.append(rec)
+                cum_evals += rec.grad_evals
+                if output_mode == "last":
+                    x_out = server.reference
+                elif rec.communicated:
+                    g = metrics.grad_f(server.reference)
+                    score = float(g @ g)
+                    if score < best_score:
+                        x_out, best_score = server.reference.copy(), score
+                if rec.communicated or rec.iteration % record_every == 0:
+                    snapshot(rec.iteration, server.comm_events)
+            if not traces or traces[-1].k != server.iteration:
+                snapshot(server.iteration, server.comm_events)
     except (NonFiniteError, SolverBudgetError) as exc:
         raise type(exc)(
             f"{cfg.method} failed at iteration {server.iteration}: {exc}"
@@ -416,8 +427,8 @@ def check_rate_certificates(
 ) -> list[CertificateReport]:
     """Evaluate every theorem bound applicable to the run's config.
 
-    Convex anchored-prox runs (``dane_plus``, and ``fedred`` at ``p = 1``)
-    are checked against the sublinear bound ``lam * R0^2 / (2R)`` and, when
+    Convex anchored-prox runs (``dane_plus``, and ``fedred`` at ``p = 1``
+    with ``eta = 0`` or the rule's coupling ``lam = p * eta``) are checked against the sublinear bound ``lam * R0^2 / (2R)`` and, when
     mu > 0, the linear-rate bound ``mu R0^2 / (2[(1+mu/lam)^R - 1])``; rows
     where ``(1+mu/lam)^R`` leaves the float range are skipped.  Nonconvex
     rand-averaged runs are checked against
@@ -429,8 +440,13 @@ def check_rate_certificates(
     rows = _round_traces(result)
 
     # the per-round bounds are deterministic; with p < 1 fedred's rate holds
-    # only in expectation
-    if cfg.method in ("dane_plus", "fedred") and cfg.averaging == "avg" and cfg.p == 1.0:
+    # only in expectation, and away from the coupling (large eta) it fails
+    anchored = cfg.method == "dane_plus" or (
+        cfg.method == "fedred"
+        and cfg.p == 1.0
+        and (cfg.eta == 0.0 or cfg.lam == cfg.p * cfg.eta)
+    )
+    if anchored and cfg.averaging == "avg":
         if constants.r0_sq <= 0.0:
             raise ConfigurationError("convex certificates need r0_sq")
         pairs = [
@@ -588,6 +604,11 @@ class CountingOracle(ClientOracle):
     def _gradient(self, x: Vector) -> Vector:
         self.counter["units"] += 1.0
         return self.base.gradient(x)
+
+    # the base's public methods check the query and the output once; the
+    # inherited ones would check both again before reaching them
+    value = _value
+    gradient = _gradient
 
     def stochastic_gradient(self, x, stream: RandomStream) -> Vector:
         self.counter["units"] += self.base.stochastic_cost

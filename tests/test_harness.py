@@ -454,6 +454,37 @@ def test_fedred_below_p_one_claims_no_deterministic_bound():
     assert all(r.ok for r in reports)
 
 
+def test_fedred_at_p_one_claims_bounds_only_under_the_coupling():
+    # the sc rule's eta is far above lam; forced to p = 1 without the
+    # coupling lam = p * eta, correct runs break both deterministic bounds
+    for seed in range(4):
+        problem, report = gen_quadratic_problem(
+            seed, 4, 3, 12, max_norm=8.0, min_eig=0.5, target_delta=1.0
+        )
+        suggested = suggest_parameters(
+            "fedred", report, "sc", l_smooth=problem.l_smooth, mu=problem.mu
+        )
+        assert suggested.eta > suggested.lam
+        x0 = np.zeros(12)
+        for eta in (suggested.eta, suggested.lam, 0.0):
+            cfg = dataclasses.replace(suggested, p=1.0, eta=eta)
+            result = run_experiment(
+                problem, cfg, Budget(max_rounds=40), seed=seed, x0=x0,
+                record_every=1,
+            )
+            constants = _constants_for(problem, result, report, x0)
+            if eta == suggested.eta:
+                with pytest.raises(ConfigurationError, match="no certificate"):
+                    check_rate_certificates(result, constants)
+                continue
+            reports = check_rate_certificates(result, constants)
+            assert [r.name for r in reports] == [
+                "convex_sublinear",
+                "strongly_convex_linear",
+            ]
+            assert all(r.ok for r in reports), (seed, eta, reports)
+
+
 def test_certificate_error_paths():
     problem = hetero_pair(d=4, seed=2)
     gd_run = run_experiment(

@@ -1,6 +1,9 @@
 """Regularized logistic loss over partitioned sparse data."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from fedlab import (
     ConfigurationError,
@@ -10,6 +13,8 @@ from fedlab import (
     logistic_problem,
     parse_libsvm,
 )
+from fedlab.problems import LogisticOracle, SparseDataset
+from fedlab.problems.logistic import _spectral_norm_sq
 
 
 def _toy_dataset(rows: int = 24, dim: int = 6, seed: int = 15):
@@ -158,3 +163,78 @@ def test_problem_metadata():
     other = parse_libsvm("+1 1:1 9:1\n")
     with pytest.raises(ConfigurationError):
         logistic_problem([ds, other])
+
+
+@st.composite
+def _sparse_clients(draw):
+    """A client oracle on a random sparse matrix, and a query point.
+
+    Shapes reach a single row and a single column, and the density reaches
+    empty rows, empty columns and an all-empty matrix; entries span six
+    orders of magnitude, so a changed summation order changes the bits.
+    """
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = RandomStream(draw(st.integers(0, 2**16))).generator()
+    dense = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, (rows, cols))
+    dense[rng.random((rows, cols)) >= density] = 0.0
+    part = SparseDataset(
+        labels=rng.choice([-1.0, 1.0], size=rows),
+        rows=[{j + 1: float(v) for j, v in enumerate(r) if v != 0.0} for r in dense],
+        dim=cols,
+    )
+    oracle = LogisticOracle(part, n_clients=3, total_rows=rows + 5)
+    return oracle, rng.standard_normal(rows), 3.0 * rng.standard_normal(cols)
+
+
+_TRANSPOSE_SETTINGS = settings(max_examples=80, derandomize=True, deadline=None)
+
+
+@_TRANSPOSE_SETTINGS
+@given(_sparse_clients())
+def test_cached_transpose_product_is_bitwise_the_transposed_view(case):
+    oracle, w, _ = case
+    assert np.array_equal(oracle.transpose @ w, oracle.matrix.T @ w)
+
+
+@_TRANSPOSE_SETTINGS
+@given(_sparse_clients())
+def test_gradient_is_bitwise_the_transposed_view_formula(case):
+    oracle, _, x = case
+    a, y = oracle.matrix, oracle.labels
+    expected = oracle.loss_scale * (a.T @ (-y * expit(-y * (a @ x)))) + oracle.reg * x
+    assert np.array_equal(oracle._gradient(x), expected)
+
+
+def _power_iteration_on_the_view(a):
+    """``_spectral_norm_sq`` with ``a.T`` built on every product."""
+    frob_sq = float(a.multiply(a).sum())
+    if frob_sq == 0.0:
+        return 0.0
+    v = np.full(a.shape[1], 1.0 / np.sqrt(a.shape[1]))
+    for _ in range(300):
+        w = a.T @ (a @ v)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+    return min(float(v @ (a.T @ (a @ v))) * 1.05, frob_sq)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_sparse_clients())
+def test_spectral_estimate_is_bitwise_the_transposed_view_loop(case):
+    oracle = case[0]
+    expected = _power_iteration_on_the_view(oracle.matrix)
+    assert _spectral_norm_sq(oracle.matrix, oracle.transpose) == expected
+    assert oracle.smoothness_hint == 0.25 * oracle.loss_scale * expected + oracle.reg
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(_sparse_clients())
+def test_cached_operators_are_read_only(case):
+    oracle = case[0]
+    for operator in (oracle.matrix, oracle.transpose):
+        for arr in (operator.data, operator.indices, operator.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0

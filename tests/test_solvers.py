@@ -14,6 +14,7 @@ from fedlab import (
     StoppingRule,
     SurrogateOracle,
     UnsupportedStructureError,
+    counting_problem,
     finite_difference_gradient,
     schedule_e_r,
     solve_exact_quadratic,
@@ -29,7 +30,13 @@ from fedlab.problems import (
     gen_quadratic_problem,
 )
 
-from conftest import CubicOracle, FixedGradientOracle, quad_1d, random_family
+from conftest import (
+    CubicOracle,
+    FixedGradientOracle,
+    hetero_pair,
+    quad_1d,
+    random_family,
+)
 
 
 def _oracle(seed=0, m=2, d=5):
@@ -239,20 +246,27 @@ def test_descent_bills_one_gradient_per_step_plus_one(solver, rule):
 
 def test_descent_step_costs_two_finite_checks(monkeypatch):
     # one per primitive at the base boundary (query and gradient); the
-    # surrogate's own gradient is checked through the loop's norm
+    # surrogate's own gradient is checked through the loop's norm, and a
+    # counting wrapper bills without checking again
     calls = []
     inner = core.require_finite
     monkeypatch.setattr(
         core, "require_finite", lambda *a: calls.append(1) or inner(*a)
     )
-    surrogate = _parity_surrogate(hinted=True)
-    start = RandomStream(11).generator().standard_normal(surrogate.dim)
-    counts = []
-    for k in (7, 8):
-        calls.clear()
-        solve_gd(surrogate, start, StoppingRule("fixed_steps", steps=k))
-        counts.append(len(calls))
-    assert counts[1] - counts[0] == 2
+    counted, counter = counting_problem(hetero_pair())
+    for surrogate in (
+        _parity_surrogate(hinted=True),
+        SurrogateOracle(counted.clients[0], prox_terms=((0.7, np.ones(4)),)),
+    ):
+        start = RandomStream(11).generator().standard_normal(surrogate.dim)
+        counts = []
+        for k in (7, 8):
+            calls.clear()
+            counter["units"] = 0.0
+            solve_gd(surrogate, start, StoppingRule("fixed_steps", steps=k))
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 2
+    assert counter["units"] == 9.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
