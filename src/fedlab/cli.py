@@ -18,6 +18,7 @@ import sys
 import jsonschema
 import numpy as np
 
+from . import local_solvers, methods
 from .core import ConfigurationError, RandomStream
 from .harness import (
     Budget,
@@ -28,7 +29,7 @@ from .harness import (
     write_trace_csv,
 )
 from .local_solvers import LocalSpec, StoppingRule, UnsupportedStructureError
-from .methods import METHODS, MethodConfig, suggest_parameters
+from .methods import MethodConfig, suggest_parameters
 from .problems import (
     ParseError,
     QuadraticClientSpec,
@@ -101,8 +102,8 @@ _LOCAL_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "solver": {"enum": ["exact", "gd", "fgd"]},
-        "kind": {"enum": ["abs_grad", "rel_grad", "fixed_steps"]},
+        "solver": {"enum": list(local_solvers.SOLVERS)},
+        "kind": {"enum": list(local_solvers.RULE_KINDS)},
         "tol": {"type": "number", "exclusiveMinimum": 0},
         "steps": {"type": "integer", "minimum": 0},
         "max_steps": {"type": "integer", "minimum": 1},
@@ -117,7 +118,7 @@ _METHOD_SCHEMA = {
     "additionalProperties": False,
     "required": ["name"],
     "properties": {
-        "name": {"enum": list(METHODS)},
+        "name": {"enum": list(methods.METHODS)},
         "label": {"type": "string", "minLength": 1},
         "auto": {"enum": ["sc", "cvx", "ncvx"]},
         "params": {
@@ -129,8 +130,8 @@ _METHOD_SCHEMA = {
                 "p": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "mu": {"type": "number", "minimum": 0},
                 "a": {"type": "number", "exclusiveMinimum": 1},
-                "averaging": {"enum": ["avg", "rand"]},
-                "control_variate": {"enum": ["grad_diff", "recursive"]},
+                "averaging": {"enum": list(methods.AVERAGING)},
+                "control_variate": {"enum": list(methods.CONTROL_VARIATES)},
                 "cv_strength": {"type": "number", "minimum": 0},
                 "stochastic": {"type": "boolean"},
                 "local_steps": {"type": "integer", "minimum": 1},

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -178,8 +178,9 @@ class DistributedProblem:
 
     Parameters below the client list are optional annotations: smoothness
     of the worst client (`l_smooth`), smoothness of the global average
-    (`l_smooth_global`, never larger), a strong-convexity modulus, exact
-    quadratic structure when available, and a known minimizer.
+    (`l_smooth_global`, never larger), a strong-convexity modulus, and
+    exact quadratic structure when available.  Per-client data is an
+    (n, d) block with row ``i`` for client ``i``.
     """
 
     clients: list[ClientOracle]
@@ -188,8 +189,6 @@ class DistributedProblem:
     l_smooth_global: float | None = None
     mu: float | None = None
     quadratic: object | None = None
-    x_star: Vector | None = None
-    f_star: float | None = None
 
     def __post_init__(self):
         if not self.clients:
@@ -208,13 +207,14 @@ class DistributedProblem:
     def grad_f(self, x) -> Vector:
         return self.mean_gradient(self.client_gradients(x))
 
-    def client_gradients(self, x) -> list[Vector]:
-        return [c.gradient(x) for c in self.clients]
+    def client_gradients(self, x) -> np.ndarray:
+        """Every client's gradient at ``x``, as an (n, d) block."""
+        return np.stack([c.gradient(x) for c in self.clients])
 
     @staticmethod
-    def mean_gradient(grads: Sequence[Vector]) -> Vector:
+    def mean_gradient(grads: np.ndarray) -> Vector:
         # single canonical reduction so every caller gets bitwise-equal means
-        return np.mean(np.stack(grads), axis=0)
+        return np.mean(grads, axis=0)
 
 
 def finite_difference_gradient(

@@ -341,30 +341,26 @@ def run_experiment(
     )
 
 
+def _first_to_target(traces, eps: float, metric: str, column: str):
+    """Smallest ``column`` value over the rows whose metric is at or below eps."""
+    if eps <= 0.0:
+        raise ConfigurationError("target must be positive")
+    reached = [getattr(t, column) for t in traces if getattr(t, metric) <= eps]
+    return min(reached) if reached else None
+
+
 def rounds_to_target(
     traces, eps: float, metric: str = "f_gap"
 ) -> int | None:
     """Smallest recorded round count whose metric is at or below eps."""
-    if eps <= 0.0:
-        raise ConfigurationError("target must be positive")
-    best = None
-    for t in traces:
-        if getattr(t, metric) <= eps:
-            best = t.rounds if best is None else min(best, t.rounds)
-    return best
+    return _first_to_target(traces, eps, metric, "rounds")
 
 
 def grad_evals_to_target(
     traces, eps: float, metric: str = "f_gap"
 ) -> float | None:
     """Smallest recorded cumulative gradient cost reaching the target."""
-    if eps <= 0.0:
-        raise ConfigurationError("target must be positive")
-    best = None
-    for t in traces:
-        if getattr(t, metric) <= eps:
-            best = t.grad_evals if best is None else min(best, t.grad_evals)
-    return best
+    return _first_to_target(traces, eps, metric, "grad_evals")
 
 
 @dataclass(frozen=True)
@@ -527,7 +523,7 @@ def mean_grad_norm_certificate(
         acc = 0.0
         for _ in range(steps):
             server, clients, rec = step_method(problem, server, clients, cfg, stream)
-            g = problem.grad_f(clients[rec.pick_index].x)
+            g = problem.grad_f(clients.x[rec.pick_index])
             acc += float(g @ g)
         totals.append(acc / steps)
     mean_sq = float(np.mean(totals))

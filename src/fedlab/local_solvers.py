@@ -55,6 +55,8 @@ class UnsupportedStructureError(TypeError):
     """The requested solver needs structure the oracle does not expose."""
 
 
+SOLVERS = ("exact", "gd", "fgd")
+RULE_KINDS = ("abs_grad", "rel_grad", "fixed_steps")
 _DECREASE_SLACK = 1e-12
 EXACT_RESIDUAL_REL = 1e-12
 
@@ -63,13 +65,13 @@ EXACT_RESIDUAL_REL = 1e-12
 class StoppingRule:
     """When a local solver may return; see module docstring for semantics."""
 
-    kind: str  # "abs_grad" | "rel_grad" | "fixed_steps"
+    kind: str  # one of RULE_KINDS
     tol: float = 0.0
     steps: int = 0
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.kind not in ("abs_grad", "rel_grad", "fixed_steps"):
+        if self.kind not in RULE_KINDS:
             raise ConfigurationError(f"unknown stopping rule {self.kind!r}")
         if self.kind in ("abs_grad", "rel_grad") and self.tol <= 0.0:
             raise ConfigurationError("gradient rules need a positive tolerance")
@@ -108,7 +110,7 @@ class LocalSpec:
     step: float | None = None
 
     def __post_init__(self):
-        if self.solver not in ("exact", "gd", "fgd"):
+        if self.solver not in SOLVERS:
             raise ConfigurationError(f"unknown local solver {self.solver!r}")
         if self.step is not None and self.step <= 0.0:
             raise ConfigurationError("step override must be positive")

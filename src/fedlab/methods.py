@@ -1,7 +1,9 @@
 """Federated optimization methods built around client drift correction.
 
-All methods share one state layout (client iterates ``x_i`` with control
-variates ``h_i``, a server reference) and one grad-diff refresh helper.
+All methods share one state layout, client iterates ``x_i`` and control
+variates ``h_i`` as two (n, d) blocks (row ``i`` for client ``i``) plus a
+server reference, and one grad-diff refresh helper.  Steps rebind the
+blocks, never write into them, and no row shares memory with the reference.
 
 ``dane_plus``, ``fedred`` and ``fedprox`` share one kernel,
 :func:`anchored_step`: clients minimize
@@ -20,13 +22,13 @@ picked uniformly at random) into a new reference.  Per method:
 ``fedred_gd`` linearizes the local objective at the client iterate, giving
 ``x' = (eta x_i + lam ref - (g_i - h_i)) / (eta + lam)``; ``gd``,
 ``scaffold`` and ``scaffnew`` are gradient-step baselines.
-:class:`MethodConfig` rejects a ``p``, ``eta`` or ``averaging`` that the
-method would ignore.
+:class:`MethodConfig` rejects any field that the method would ignore.
 
 Control-variate refreshes are performed lazily: a refresh is required
-whenever the reference moved since the last one, and it executes (costing
-n full gradient evaluations) at the start of the next step that consumes
-the variates.  The values consumed are identical to refreshing at
+whenever a communication moved the reference since the last one (the
+server stamps each refresh with its communication count), and it executes
+(costing n full gradient evaluations) at the start of the next step that
+consumes the variates.  The values consumed are identical to refreshing at
 communication time; the lazy placement keeps per-step accounting aligned
 across the round-based and coin-based methods.
 """
@@ -63,6 +65,8 @@ METHODS = (
     "scaffnew",
     "fedprox",
 )
+AVERAGING = ("avg", "rand")
+CONTROL_VARIATES = ("grad_diff", "recursive")
 
 # stream sub-labels within one step
 _LBL_THETA = 0
@@ -72,24 +76,24 @@ _LBL_BATCH = 2
 
 @dataclass
 class ClientState:
-    """One client's iterate and control variate."""
+    """Every client's iterate ``x`` and control variate ``h``, as (n, d) blocks."""
 
-    x: Vector
-    h: Vector
+    x: np.ndarray
+    h: np.ndarray
 
 
 @dataclass
 class ServerState:
     """Reference point plus progress counters.
 
-    ``h_stale`` records whether the reference moved since the grad-diff
-    control variates were last refreshed.
+    ``variates_at`` is ``comm_events`` at the last grad-diff refresh (-1
+    before the first); the variates are stale whenever the two differ.
     """
 
     reference: Vector
     iteration: int = 0
     comm_events: int = 0
-    h_stale: bool = True
+    variates_at: int = -1
 
 
 @dataclass(frozen=True)
@@ -125,9 +129,9 @@ class MethodConfig:
             raise ConfigurationError("p must lie in (0, 1]")
         if self.a <= 1.0:
             raise ConfigurationError("a must exceed 1")
-        if self.averaging not in ("avg", "rand"):
+        if self.averaging not in AVERAGING:
             raise ConfigurationError(f"unknown averaging {self.averaging!r}")
-        if self.control_variate not in ("grad_diff", "recursive"):
+        if self.control_variate not in CONTROL_VARIATES:
             raise ConfigurationError(
                 f"unknown control variate {self.control_variate!r}"
             )
@@ -142,16 +146,22 @@ class MethodConfig:
             raise ConfigurationError("fedred_gd requires eta + lam > 0")
         if self.method in ("gd", "scaffold", "scaffnew") and self.eta <= 0.0:
             raise ConfigurationError(f"{self.method} needs a positive step eta")
-        # fields these methods have no use for are rejected, not ignored
-        m = self.method
-        if m in ("dane_plus", "fedprox", "scaffold", "gd") and self.p != 1.0:
-            raise ConfigurationError(f"{m} communicates every round; p must be 1")
-        if m in ("fedprox", "scaffold", "scaffnew", "gd") and self.averaging != "avg":
-            raise ConfigurationError(f"{m} only supports mean averaging")
-        if m in ("dane_plus", "fedprox") and self.eta != 0.0:
-            raise ConfigurationError(f"{m} has no second proximal term; eta must be 0")
         if self.local_steps < 1:
             raise ConfigurationError("local_steps must be >= 1")
+        # fields these methods have no use for are rejected, not ignored
+        m = self.method
+        ignored = (
+            ("p", self.p != 1.0 and m in ("dane_plus", "fedprox", "scaffold", "gd")),
+            ("averaging", self.averaging != "avg" and m in ("fedprox", "scaffold", "scaffnew", "gd")),
+            ("eta", self.eta != 0.0 and m in ("dane_plus", "fedprox")),
+            ("local", self.local != LocalSpec() and m not in _ANCHORED_PRESETS),
+            ("local_steps", self.local_steps != 1 and m != "scaffold"),
+            ("stochastic", self.stochastic and m != "fedred_gd"),
+            ("cv_strength", self.cv_strength != 0.0 and self.control_variate != "recursive"),
+        )
+        for name, unused in ignored:
+            if unused:
+                raise ConfigurationError(f"{m} would ignore {name}={getattr(self, name)!r}")
 
 
 @dataclass
@@ -171,31 +181,30 @@ class StepRecord:
 
 def control_variate_grad_diff(
     problem: DistributedProblem, point: Vector
-) -> list[Vector]:
-    """Grad-diff variates ``h_i = grad f_i(point) - grad f(point)``.
+) -> np.ndarray:
+    """Grad-diff variates ``h_i = grad f_i(point) - grad f(point)``, one row each.
 
     Costs n gradient evaluations; the variates average to zero exactly up
     to floating-point cancellation.
     """
     grads = problem.client_gradients(point)
-    mean = DistributedProblem.mean_gradient(grads)
-    return [g - mean for g in grads]
+    return grads - DistributedProblem.mean_gradient(grads)
 
 
 def control_variate_recursive_update(
-    state: ClientState, x_new_global: Vector, x_i_new: Vector, m: float
-) -> Vector:
-    """Recursive variate update ``h' = m (x_global - x_i) + h``.
+    h: np.ndarray, x_global: Vector, x: np.ndarray, m: float
+) -> np.ndarray:
+    """Recursive variate update ``h_i' = m (x_global - x_i) + h_i`` for every row.
 
     With mean aggregation the zero-mean property is preserved because the
     new reference is the mean of the client solutions.
     """
-    return m * (x_new_global - x_i_new) + state.h
+    return m * (x_global - x) + h
 
 
 def init_method_state(
     problem: DistributedProblem, cfg: MethodConfig, x0
-) -> tuple[ServerState, list[ClientState], float]:
+) -> tuple[ServerState, ClientState, float]:
     """Initial server/client states and the gradient cost of setup.
 
     Control variates start at zero (mean zero trivially) except for
@@ -207,32 +216,24 @@ def init_method_state(
         raise ConfigurationError("start point dimension mismatch")
     init_evals = 0.0
     if cfg.method == "scaffnew":
-        hs = control_variate_grad_diff(problem, x0)
+        h = control_variate_grad_diff(problem, x0)
         init_evals = float(problem.n)
     else:
-        hs = [np.zeros(problem.dim) for _ in problem.clients]
-    clients = [ClientState(x=x0.copy(), h=h.copy()) for h in hs]
+        h = np.zeros((problem.n, problem.dim))
+    clients = ClientState(x=np.tile(x0, (problem.n, 1)), h=h)
     server = ServerState(reference=x0.copy())
     return server, clients, init_evals
 
 
 def _ensure_fresh_variates(
-    problem: DistributedProblem, server: ServerState, clients: list[ClientState]
+    problem: DistributedProblem, server: ServerState, clients: ClientState
 ) -> float:
     """Refresh grad-diff variates at the current reference if stale."""
-    if not server.h_stale:
+    if server.variates_at == server.comm_events:
         return 0.0
-    hs = control_variate_grad_diff(problem, server.reference)
-    for state, h in zip(clients, hs):
-        state.h = h
-    server.h_stale = False
+    clients.h = control_variate_grad_diff(problem, server.reference)
+    server.variates_at = server.comm_events
     return float(problem.n)
-
-
-def _aggregate(xs: list[Vector], cfg: MethodConfig, pick_index: int | None) -> Vector:
-    if cfg.averaging == "rand":
-        return xs[pick_index].copy()
-    return np.mean(np.stack(xs), axis=0)
 
 
 def _pick_index(cfg: MethodConfig, step_stream: RandomStream, n: int) -> int | None:
@@ -282,23 +283,24 @@ _ANCHORED_PRESETS = {
 
 def _communicate(
     server: ServerState,
-    clients: list[ClientState],
+    clients: ClientState,
     cfg: MethodConfig,
     step_stream: RandomStream,
-    solutions: list[Vector],
+    solutions: np.ndarray | list[Vector],
     **record,
 ) -> StepRecord:
     """Draw the pick, then the coin; move the clients; aggregate on communication.
 
-    ``record`` holds the remaining :class:`StepRecord` fields.
+    ``solutions`` is a fresh (n, d) block or a list of its rows; ``record``
+    holds the remaining :class:`StepRecord` fields.
     """
     pick = _pick_index(cfg, step_stream, len(solutions))
     theta = _draw_theta(cfg, step_stream)
-    for state, solution in zip(clients, solutions):
-        state.x = solution
+    clients.x = np.asarray(solutions)
     if theta:
-        server.reference = _aggregate(solutions, cfg, pick)
-        server.h_stale = True
+        server.reference = (
+            np.mean(clients.x, axis=0) if pick is None else clients.x[pick].copy()
+        )
         server.comm_events += 1
     server.iteration += 1
     return StepRecord(
@@ -313,10 +315,10 @@ def _communicate(
 def anchored_step(
     problem: DistributedProblem,
     server: ServerState,
-    clients: list[ClientState],
+    clients: ClientState,
     cfg: MethodConfig,
     stream: RandomStream,
-) -> tuple[ServerState, list[ClientState], StepRecord]:
+) -> tuple[ServerState, ClientState, StepRecord]:
     """One anchored-proximal step of ``dane_plus``, ``fedred`` or ``fedprox``.
 
     Every client minimizes
@@ -335,16 +337,14 @@ def anchored_step(
     premise = []
     local_steps = 0
     decreased_all = True
-    for oracle, state in zip(problem.clients, clients):
+    for oracle, x, h in zip(problem.clients, clients.x, clients.h):
         prox_terms = ((cfg.lam, ref),)
         if cfg.eta > 0.0:
-            prox_terms = ((cfg.eta, state.x),) + prox_terms
+            prox_terms = ((cfg.eta, x),) + prox_terms
         surrogate = SurrogateOracle(
-            oracle,
-            linear_shift=-state.h if corrected else None,
-            prox_terms=prox_terms,
+            oracle, linear_shift=-h if corrected else None, prox_terms=prox_terms
         )
-        report = _solve_local(cfg, surrogate, state.x if from_iterate else ref, rule)
+        report = _solve_local(cfg, surrogate, x if from_iterate else ref, rule)
         solutions.append(report.solution)
         evals += report.grad_evals
         local_steps += report.steps_taken
@@ -358,20 +358,19 @@ def anchored_step(
         decreased_all=decreased_all,
     )
     if record.communicated and cfg.control_variate == "recursive":
-        for state in clients:
-            state.h = control_variate_recursive_update(
-                state, server.reference, state.x, cfg.cv_strength
-            )
+        clients.h = control_variate_recursive_update(
+            clients.h, server.reference, clients.x, cfg.cv_strength
+        )
     return server, clients, record
 
 
 def fedred_gd_step(
     problem: DistributedProblem,
     server: ServerState,
-    clients: list[ClientState],
+    clients: ClientState,
     cfg: MethodConfig,
     stream: RandomStream,
-) -> tuple[ServerState, list[ClientState], StepRecord]:
+) -> tuple[ServerState, ClientState, StepRecord]:
     """Closed-form doubly regularized step on the linearized local model."""
     step_stream = stream.fork(server.iteration)
     evals = _ensure_fresh_variates(problem, server, clients)
@@ -379,15 +378,16 @@ def fedred_gd_step(
     total = cfg.eta + cfg.lam
     coeffs = np.array([cfg.eta / total, cfg.lam / total, -1.0 / total])
     solutions = []
-    for i, (oracle, state) in enumerate(zip(problem.clients, clients)):
+    for i, (oracle, x, h) in enumerate(zip(problem.clients, clients.x, clients.h)):
         if cfg.stochastic:
             batch_stream = step_stream.fork(_LBL_BATCH).fork(i)
-            g = oracle.stochastic_gradient(state.x, batch_stream)
+            g = oracle.stochastic_gradient(x, batch_stream)
             evals += oracle.stochastic_cost
         else:
-            g = oracle.gradient(state.x)
+            g = oracle.gradient(x)
             evals += 1.0
-        solutions.append(coeffs @ np.stack([state.x, ref, g - state.h]))
+        # one row at a time: a batched product could sum in another order
+        solutions.append(coeffs @ np.stack([x, ref, g - h]))
     record = _communicate(
         server, clients, cfg, step_stream, solutions, grad_evals=evals, local_steps=1
     )
@@ -397,16 +397,14 @@ def fedred_gd_step(
 def baseline_gd_round(
     problem: DistributedProblem,
     server: ServerState,
-    clients: list[ClientState],
+    clients: ClientState,
     cfg: MethodConfig,
     stream: RandomStream,
-) -> tuple[ServerState, list[ClientState], StepRecord]:
+) -> tuple[ServerState, ClientState, StepRecord]:
     """Centralized gradient descent: one full gradient per round."""
     grad = problem.grad_f(server.reference)
     server.reference = server.reference - cfg.eta * grad
-    for state in clients:
-        state.x = server.reference.copy()
-    server.h_stale = True
+    clients.x = np.tile(server.reference, (problem.n, 1))
     server.iteration += 1
     server.comm_events += 1
     record = StepRecord(
@@ -422,18 +420,21 @@ def baseline_gd_round(
 def baseline_scaffold_round(
     problem: DistributedProblem,
     server: ServerState,
-    clients: list[ClientState],
+    clients: ClientState,
     cfg: MethodConfig,
     stream: RandomStream,
-) -> tuple[ServerState, list[ClientState], StepRecord]:
-    """Variance-reduced local steps: K corrected gradient steps, then average."""
-    server.h_stale = True
+) -> tuple[ServerState, ClientState, StepRecord]:
+    """Variance-reduced local steps: K corrected gradient steps, then average.
+
+    Every round communicates, so the variates are refreshed at each round's
+    reference.
+    """
     evals = _ensure_fresh_variates(problem, server, clients)
     solutions = []
-    for oracle, state in zip(problem.clients, clients):
+    for oracle, h in zip(problem.clients, clients.h):
         x = server.reference
         for _ in range(cfg.local_steps):
-            x = x - cfg.eta * (oracle.gradient(x) - state.h)
+            x = x - cfg.eta * (oracle.gradient(x) - h)
             evals += 1.0
         solutions.append(x)
     record = _communicate(
@@ -446,28 +447,25 @@ def baseline_scaffold_round(
 def baseline_scaffnew_step(
     problem: DistributedProblem,
     server: ServerState,
-    clients: list[ClientState],
+    clients: ClientState,
     cfg: MethodConfig,
     stream: RandomStream,
-) -> tuple[ServerState, list[ClientState], StepRecord]:
+) -> tuple[ServerState, ClientState, StepRecord]:
     """Proximal-skip step: corrected gradient step, occasional average.
 
     On communication the variates move by ``(p/gamma)(mean - x_hat_i)``, a
     telescoping update that keeps their mean at zero.
     """
     gamma = cfg.eta
-    hats = [
-        state.x - gamma * (oracle.gradient(state.x) - state.h)
-        for oracle, state in zip(problem.clients, clients)
-    ]
+    grads = np.stack([o.gradient(x) for o, x in zip(problem.clients, clients.x)])
+    hats = clients.x - gamma * (grads - clients.h)
     record = _communicate(
         server, clients, cfg, stream.fork(server.iteration), hats,
         grad_evals=float(problem.n), local_steps=1,
     )
     if record.communicated:
-        for state in clients:
-            state.h = state.h + (cfg.p / gamma) * (server.reference - state.x)
-            state.x = server.reference.copy()
+        clients.h = clients.h + (cfg.p / gamma) * (server.reference - clients.x)
+        clients.x = np.tile(server.reference, (problem.n, 1))
     return server, clients, record
 
 

@@ -112,7 +112,6 @@ def delta_sampled(
     if n_pairs < 1:
         raise ConfigurationError("need at least one sampled pair")
     d = problem.dim
-    n = problem.n
     delta_a_sq = 0.0
     delta_b = 0.0
     for t in range(n_pairs):
@@ -124,13 +123,14 @@ def delta_sampled(
             continue
         gx = problem.client_gradients(x)
         gy = problem.client_gradients(y)
-        mean_x = DistributedProblem.mean_gradient(gx)
-        mean_y = DistributedProblem.mean_gradient(gy)
+        devs = (gx - DistributedProblem.mean_gradient(gx)) - (
+            gy - DistributedProblem.mean_gradient(gy)
+        )
         sq_sum = 0.0
-        for i in range(n):
-            dev = (gx[i] - mean_x) - (gy[i] - mean_y)
+        # a norm per row: an axis-wise norm would sum in another order
+        for dev in devs:
             norm = float(np.linalg.norm(dev))
             sq_sum += norm * norm
             delta_b = max(delta_b, norm / gap)
-        delta_a_sq = max(delta_a_sq, sq_sum / n / (gap * gap))
+        delta_a_sq = max(delta_a_sq, sq_sum / problem.n / (gap * gap))
     return DissimilarityReport(float(np.sqrt(delta_a_sq)), delta_b, SAMPLED)

@@ -224,9 +224,9 @@ def test_criterion_06_closed_form_matches_numeric_argmin():
         grads = [c.gradient(ref) for c in problem.clients]
         mean_grad = np.mean(np.stack(grads), axis=0)
         hs = [g - mean_grad for g in grads]
-        xs = [state.x.copy() for state in clients]
+        xs = clients.x.copy()
         server, clients, _ = step_method(problem, server, clients, cfg, stream)
-        for oracle, x_prev, h, state in zip(problem.clients, xs, hs, clients):
+        for oracle, x_prev, h, x in zip(problem.clients, xs, hs, clients.x):
             shift = oracle.gradient(x_prev) - h
             surrogate = SurrogateOracle(
                 zero_base,
@@ -234,7 +234,7 @@ def test_criterion_06_closed_form_matches_numeric_argmin():
                 prox_terms=((eta, x_prev), (lam, ref)),
             )
             argmin = solve_exact_quadratic(surrogate).solution
-            worst = max(worst, float(np.linalg.norm(state.x - argmin)))
+            worst = max(worst, float(np.linalg.norm(x - argmin)))
     assert worst <= 1e-10, worst
 
 

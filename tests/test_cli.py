@@ -147,6 +147,17 @@ def test_local_options_no_solver_honours_exit_2_before_setup(
     assert not (tmp_path / "out").exists()
 
 
+def test_local_block_on_a_method_without_local_solves_exits_2(tmp_path, capsys):
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["methods"] = [
+        {"name": "gd", "params": {"eta": 0.1}, "local": {"solver": "gd"}}
+    ]
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+    assert "gd would ignore local" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------ delta report
 
 

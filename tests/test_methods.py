@@ -24,7 +24,7 @@ from fedlab import (
     suggest_parameters,
 )
 import fedlab.methods
-from fedlab.methods import _LBL_THETA, ClientState
+from fedlab.methods import _LBL_THETA
 
 from conftest import hetero_pair, quad_1d, random_family, two_client_line
 
@@ -71,7 +71,8 @@ def test_config_validation():
         MethodConfig(method="scaffnew", eta=0.1, averaging="rand")
     with pytest.raises(ConfigurationError):
         MethodConfig(method="dane_plus", lam=1.0, local_steps=0)
-    # a p, eta or averaging the method would ignore is rejected
+    # any field the method would ignore is rejected
+    gd_local = LocalSpec(solver="gd", rule=StoppingRule("fixed_steps", steps=3))
     for kwargs in (
         dict(method="dane_plus", lam=1.0, p=0.5),
         dict(method="fedprox", lam=1.0, p=0.5),
@@ -82,9 +83,29 @@ def test_config_validation():
         dict(method="gd", eta=0.1, averaging="rand"),
         dict(method="dane_plus", lam=1.0, eta=1.0),
         dict(method="fedprox", lam=1.0, eta=1.0),
+        dict(method="fedred_gd", lam=1.0, eta=1.0, local=gd_local),
+        dict(method="gd", eta=0.1, local=gd_local),
+        dict(method="scaffold", eta=0.1, local=LocalSpec(solver="fgd")),
+        dict(method="scaffnew", eta=0.1, local=gd_local),
+        dict(method="gd", eta=0.1, local_steps=2),
+        dict(method="scaffnew", eta=0.1, local_steps=3),
+        dict(method="fedred", lam=1.0, eta=1.0, local_steps=2),
+        dict(method="dane_plus", lam=1.0, local_steps=2),
+        dict(method="dane_plus", lam=1.0, stochastic=True),
+        dict(method="scaffnew", eta=0.1, stochastic=True),
+        dict(method="gd", eta=0.1, stochastic=True),
+        dict(method="dane_plus", lam=1.0, cv_strength=0.5),
+        dict(method="fedred", lam=1.0, eta=1.0, cv_strength=0.5),
     ):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="would ignore"):
             MethodConfig(**kwargs)
+    # the default local spec, spelled out, is not an ignored field
+    MethodConfig(method="gd", eta=0.1, local=LocalSpec(solver="exact"))
+    MethodConfig(method="scaffold", eta=0.1, local_steps=4)
+    MethodConfig(method="fedred_gd", lam=1.0, eta=1.0, stochastic=True)
+    MethodConfig(
+        method="dane_plus", lam=1.0, control_variate="recursive", cv_strength=0.5
+    )
 
 
 def test_doubly_regularized_coupling_constraint():
@@ -131,15 +152,13 @@ def test_grad_diff_vanishes_for_identical_clients():
 
 
 def test_recursive_update_formula():
-    state = ClientState(x=np.zeros(2), h=np.array([1.0, -1.0]))
-    unchanged = control_variate_recursive_update(
-        state, np.ones(2), np.zeros(2), m=0.0
-    )
-    assert np.array_equal(unchanged, state.h)
-    moved = control_variate_recursive_update(
-        state, np.array([2.0, 0.0]), np.array([1.0, 1.0]), m=3.0
-    )
-    assert np.allclose(moved, 3.0 * np.array([1.0, -1.0]) + state.h)
+    h = np.array([[1.0, -1.0], [0.5, 2.0]])
+    unchanged = control_variate_recursive_update(h, np.ones(2), np.zeros((2, 2)), m=0.0)
+    assert np.array_equal(unchanged, h)
+    x = np.array([[1.0, 1.0], [0.0, 3.0]])
+    moved = control_variate_recursive_update(h, np.array([2.0, 0.0]), x, m=3.0)
+    expected = [3.0 * (np.array([2.0, 0.0]) - x[i]) + h[i] for i in range(2)]
+    assert np.array_equal(moved, np.stack(expected))
 
 
 def test_recursive_round_preserves_zero_mean():
@@ -148,8 +167,7 @@ def test_recursive_round_preserves_zero_mean():
         "dane_plus", lam=2.0, control_variate="recursive", cv_strength=2.0
     )
     _, clients, _, _ = _run(problem, cfg, seed=0, steps=3)
-    mean_h = np.mean(np.stack([c.h for c in clients]), axis=0)
-    assert np.linalg.norm(mean_h) <= 1e-12
+    assert np.linalg.norm(np.mean(clients.h, axis=0)) <= 1e-12
 
 
 def test_recursive_variate_lyapunov_contracts():
@@ -181,7 +199,7 @@ def test_recursive_variate_lyapunov_contracts():
 
     def lyapunov():
         h_term = np.mean(
-            [np.sum((c.h - g) ** 2) for c, g in zip(clients, grads_star)]
+            [np.sum((h - g) ** 2) for h, g in zip(clients.h, grads_star)]
         )
         return float(np.sum((server.reference - ref.x_star) ** 2)) + weight * h_term
 
@@ -280,9 +298,8 @@ def test_degeneration_matches_anchored_rounds_bitwise():
         s_a, c_a, _, _ = _run(problem, dane, seed=seed, steps=20)
         s_b, c_b, _, _ = _run(problem, degenerate, seed=seed, steps=20)
         assert np.array_equal(s_a.reference, s_b.reference)
-        for ca, cb in zip(c_a, c_b):
-            assert np.array_equal(ca.x, cb.x)
-            assert np.array_equal(ca.h, cb.h)
+        assert np.array_equal(c_a.x, c_b.x)
+        assert np.array_equal(c_a.h, c_b.h)
 
 
 _families = st.builds(
@@ -309,9 +326,8 @@ def test_degeneration_is_bitwise_on_random_families(problem, lam, seed):
     s_a, c_a, r_a, _ = _run(problem, dane, seed=seed, steps=4)
     s_b, c_b, r_b, _ = _run(problem, degenerate, seed=seed, steps=4)
     assert np.array_equal(s_a.reference, s_b.reference)
-    for ca, cb in zip(c_a, c_b):
-        assert np.array_equal(ca.x, cb.x)
-        assert np.array_equal(ca.h, cb.h)
+    assert np.array_equal(c_a.x, c_b.x)
+    assert np.array_equal(c_a.h, c_b.h)
     assert [r.grad_evals for r in r_a] == [r.grad_evals for r in r_b]
 
 
@@ -358,13 +374,13 @@ def test_linearized_step_closed_form_cases():
     server, clients, rec = step_method(
         problem, server, clients, cfg, RandomStream(0)
     )
-    assert clients[0].x[0] == pytest.approx(0.5, abs=1e-12)
+    assert clients.x[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     zero = DistributedProblem(clients=[FixedGradientOracle(np.zeros(1))], dim=1)
     server, clients, _ = init_method_state(zero, cfg, np.array([2.0]))
     server.reference = np.array([0.0])
     server, clients, _ = step_method(zero, server, clients, cfg, RandomStream(0))
-    assert clients[0].x[0] == pytest.approx(1.0, abs=1e-12)
+    assert clients.x[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_linearized_step_equals_surrogate_argmin():
@@ -383,7 +399,6 @@ def test_linearized_step_equals_surrogate_argmin():
         server, clients, _ = init_method_state(problem, cfg, x0)
         ref = rng.standard_normal(4)
         server.reference = ref.copy()
-        server.h_stale = True
         g = problem.clients[0].gradient(x0)  # single client: variate is zero
         server, clients, _ = step_method(
             problem, server, clients, cfg, RandomStream(case)
@@ -401,7 +416,7 @@ def test_linearized_step_equals_surrogate_argmin():
             zero_base, linear_shift=g, prox_terms=((eta, x0), (lam, ref))
         )
         argmin = solve_exact_quadratic(surrogate).solution
-        assert np.linalg.norm(clients[0].x - argmin) <= 1e-10
+        assert np.linalg.norm(clients.x[0] - argmin) <= 1e-10
 
 
 def test_linearized_fixed_point_at_optimum():
@@ -453,8 +468,7 @@ def test_skipping_baseline_keeps_variates_zero_mean():
     server, clients, _ = init_method_state(problem, cfg, np.zeros(4))
     for _ in range(30):
         server, clients, _ = step_method(problem, server, clients, cfg, stream)
-        mean_h = np.mean(np.stack([c.h for c in clients]), axis=0)
-        assert np.linalg.norm(mean_h) <= 1e-10
+        assert np.linalg.norm(np.mean(clients.h, axis=0)) <= 1e-10
 
 
 def test_skipping_baseline_matches_hand_written_steps():
@@ -465,8 +479,7 @@ def test_skipping_baseline_matches_hand_written_steps():
     cfg = MethodConfig(method="scaffnew", eta=gamma, p=p)
     stream = RandomStream(3)
     server, clients, _ = init_method_state(problem, cfg, np.ones(3))
-    xs = [c.x.copy() for c in clients]
-    hs = [c.h.copy() for c in clients]
+    xs, hs = list(clients.x.copy()), list(clients.h.copy())
     coins = []
     for k in range(40):
         hats = [
@@ -484,8 +497,8 @@ def test_skipping_baseline_matches_hand_written_steps():
         server, clients, rec = step_method(problem, server, clients, cfg, stream)
         assert rec.communicated == coin and rec.rounds == sum(coins)
         assert rec.grad_evals == 2.0 and rec.local_steps == 1
-        for c, x, h in zip(clients, xs, hs):
-            assert np.array_equal(c.x, x) and np.array_equal(c.h, h)
+        assert np.array_equal(clients.x, np.stack(xs))
+        assert np.array_equal(clients.h, np.stack(hs))
         if coin:
             assert np.array_equal(server.reference, xs[0])
     assert 0 < sum(coins) < 40
@@ -508,7 +521,7 @@ def test_skipping_baseline_contracts_at_tuned_rate():
     x0_gap = float(np.sum((server.reference - ref.x_star) ** 2))
     for _ in range(horizon):
         server, clients, _ = step_method(problem, server, clients, cfg, stream)
-        mean_x = np.mean(np.stack([c.x for c in clients]), axis=0)
+        mean_x = np.mean(clients.x, axis=0)
         if float(np.sum((mean_x - ref.x_star) ** 2)) <= eps * x0_gap:
             reached = True
             break
@@ -548,6 +561,49 @@ def test_huge_proximal_weight_freezes_the_baseline():
     assert np.linalg.norm(server.reference - x0) <= 1e-3
 
 
+_EVERY_METHOD = {
+    "dane_plus": _exact_cfg("dane_plus", lam=1.0),
+    "fedred": _exact_cfg("fedred", lam=0.5, eta=2.0, p=0.5),
+    "fedred_gd": MethodConfig(
+        method="fedred_gd", lam=0.3, eta=1.0, p=0.5, averaging="rand"
+    ),
+    "gd": MethodConfig(method="gd", eta=0.05),
+    "scaffold": MethodConfig(method="scaffold", eta=0.05, local_steps=3),
+    "scaffnew": MethodConfig(method="scaffnew", eta=0.08, p=0.4),
+    "fedprox": _exact_cfg("fedprox", lam=1.0),
+}
+
+
+def test_every_method_is_covered():
+    assert sorted(_EVERY_METHOD) == sorted(fedlab.methods.METHODS)
+
+
+@pytest.mark.parametrize("method", sorted(_EVERY_METHOD))
+def test_client_state_is_one_block_per_field(method):
+    problem = hetero_pair(d=5, seed=12)
+    cfg = _EVERY_METHOD[method]
+    x0 = np.linspace(-1.0, 1.0, problem.dim)
+    server, clients, _ = init_method_state(problem, cfg, x0)
+    stream = RandomStream(4)
+    for k in range(6):
+        if k:
+            server, clients, _ = step_method(problem, server, clients, cfg, stream)
+        for block in (clients.x, clients.h):
+            assert type(block) is np.ndarray and block.dtype == np.float64
+            assert block.shape == (problem.n, problem.dim)
+            assert not np.shares_memory(block, server.reference)
+        grads = problem.client_gradients(server.reference)
+        scale = 1.0 + float(np.max(np.abs(grads)))
+        assert np.max(np.abs(np.mean(clients.h, axis=0))) <= 1e-14 * scale
+    # grad-diff variates refreshed now are exactly those at the reference
+    fresh = fedlab.methods.control_variate_grad_diff(problem, server.reference)
+    assert np.max(np.abs(np.mean(fresh, axis=0))) <= 1e-14 * scale
+    if method in ("dane_plus", "fedred", "fedred_gd", "scaffold"):
+        fedlab.methods._ensure_fresh_variates(problem, server, clients)
+        assert np.array_equal(clients.h, fresh)
+        assert server.variates_at == server.comm_events
+
+
 # ----------------------------------------------------------- accounting
 
 
@@ -557,12 +613,12 @@ def test_initial_state_costs():
         problem, _exact_cfg("dane_plus", lam=1.0), np.zeros(problem.dim)
     )
     assert evals == 0.0
-    assert all(np.all(c.h == 0.0) for c in clients)
+    assert np.all(clients.h == 0.0)
     _, clients, evals = init_method_state(
         problem, MethodConfig(method="scaffnew", eta=0.1), np.zeros(problem.dim)
     )
     assert evals == float(problem.n)
-    assert any(np.linalg.norm(c.h) > 0 for c in clients)
+    assert any(np.linalg.norm(h) > 0 for h in clients.h)
     with pytest.raises(ConfigurationError):
         init_method_state(problem, _exact_cfg("dane_plus", lam=1.0), np.zeros(9))
 
