@@ -107,7 +107,6 @@ _LOCAL_SCHEMA = {
         "tol": {"type": "number", "exclusiveMinimum": 0},
         "steps": {"type": "integer", "minimum": 0},
         "max_steps": {"type": "integer", "minimum": 1},
-        "schedule": {"type": "boolean"},
         "check_decrease": {"type": "boolean"},
         "step": {"type": "number", "exclusiveMinimum": 0},
     },
@@ -178,10 +177,6 @@ _PROBLEM_SCHEMAS = {
 }
 
 
-class ConfigError(Exception):
-    """Anything wrong with the config file; maps to exit code 2."""
-
-
 def _schema_errors(instance, schema, where: str) -> list[str]:
     validator = jsonschema.Draft202012Validator(schema)
     msgs = []
@@ -196,11 +191,11 @@ def load_config(path: str) -> dict:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ConfigurationError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise ConfigurationError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}"
         ) from exc
@@ -209,24 +204,25 @@ def load_config(path: str) -> dict:
         kind = cfg["problem"]["kind"]
         errors = _schema_errors(cfg["problem"], _PROBLEM_SCHEMAS[kind], "problem")
     for entry in cfg.get("methods", []) if not errors else []:
-        if "auto" in entry and "params" in entry:
-            errors.append(
-                f"method {entry.get('name')}: give either auto or params, not both"
-            )
+        for block in ("params", "local"):
+            if "auto" in entry and block in entry:
+                errors.append(
+                    f"method {entry['name']}: give either auto or {block}, not both"
+                )
     if errors:
-        raise ConfigError("\n".join(errors))
+        raise ConfigurationError("\n".join(errors))
     return cfg
 
 
 def build_problem(pcfg: dict, base_dir: str = "."):
-    """Instantiate the configured problem; returns (problem, delta_source).
+    """Instantiate the configured problem.
 
     Dataset paths are resolved relative to ``base_dir`` (the config file's
     directory) unless absolute.
     """
     kind = pcfg["kind"]
     if kind == "quadratic":
-        problem, report = gen_quadratic_problem(
+        problem, _ = gen_quadratic_problem(
             pcfg.get("seed", 0),
             pcfg["n_clients"],
             pcfg["m_components"],
@@ -236,11 +232,11 @@ def build_problem(pcfg: dict, base_dir: str = "."):
             target_delta=pcfg.get("target_delta", 0.0),
             beta=pcfg.get("beta", 0.0),
         )
-        return problem, report
+        return problem
     if kind == "quadratic_explicit":
         matrices = np.asarray(pcfg["matrices"], dtype=np.float64)
         if matrices.ndim != 4:
-            raise ConfigError(
+            raise ConfigurationError(
                 "matrices must be nested as clients x components x d x d"
             )
         centers = (
@@ -257,7 +253,7 @@ def build_problem(pcfg: dict, base_dir: str = "."):
             for i in range(matrices.shape[0])
         ]
         family = QuadraticFamily(specs=specs)
-        return build_quadratic_problem(family), None
+        return build_quadratic_problem(family)
     path = pcfg["path"]
     if not os.path.isabs(path):
         path = os.path.join(base_dir, path)
@@ -268,8 +264,20 @@ def build_problem(pcfg: dict, base_dir: str = "."):
         pcfg["alpha"],
         RandomStream(pcfg.get("seed", 0)).fork(1),
     )
-    problem = logistic_problem(parts, pcfg.get("batch_size"))
-    return problem, None
+    return logistic_problem(parts, pcfg.get("batch_size"))
+
+
+def dissimilarity(problem, pcfg: dict, pairs: int) -> list:
+    """The problem's dissimilarity reports; ``auto`` parameters read the first.
+
+    Quadratics get the ``[exact, paper_formula]`` pair; any other problem one
+    lower estimate sampled over ``pairs`` direction pairs, drawn from fork 2
+    of the problem seed.
+    """
+    if problem.quadratic is not None:
+        return list(delta_exact_quadratic(problem))
+    stream = RandomStream(pcfg.get("seed", 0)).fork(2)
+    return [delta_sampled(problem, pairs, stream)]
 
 
 def _build_local(spec: dict | None) -> LocalSpec:
@@ -285,7 +293,6 @@ def _build_local(spec: dict | None) -> LocalSpec:
     return LocalSpec(
         solver=spec.get("solver", "exact"),
         rule=rule,
-        schedule=spec.get("schedule", False),
         check_decrease=spec.get("check_decrease", False),
         step=spec.get("step"),
     )
@@ -295,11 +302,6 @@ def build_method(entry: dict, problem, delta_report) -> tuple[str, MethodConfig]
     name = entry["name"]
     label = entry.get("label", name)
     if "auto" in entry:
-        if delta_report is None:
-            raise ConfigError(
-                f"method {label}: auto parameters need dissimilarity constants; "
-                "provide explicit params for this problem kind"
-            )
         smooth = problem.l_smooth
         if name == "gd" and problem.l_smooth_global is not None:
             smooth = problem.l_smooth_global
@@ -311,9 +313,8 @@ def build_method(entry: dict, problem, delta_report) -> tuple[str, MethodConfig]
             mu=problem.mu or 0.0,
         )
         return label, cfg
-    params = dict(entry.get("params", {}))
     local = _build_local(entry.get("local"))
-    return label, MethodConfig(method=name, local=local, **params)
+    return label, MethodConfig(method=name, local=local, **entry.get("params", {}))
 
 
 def _unique_labels(labels: list[str]) -> list[str]:
@@ -329,32 +330,21 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     for block in ("methods", "budget"):
         if block not in cfg:
-            raise ConfigError(f"{block}: required for the run command")
-    problem, delta_source = build_problem(
+            raise ConfigurationError(f"{block}: required for the run command")
+    problem = build_problem(
         cfg["problem"], os.path.dirname(os.path.abspath(args.config))
     )
-    delta_report = delta_source
-    if delta_report is None and any("auto" in m for m in cfg["methods"]):
-        if problem.quadratic is not None:
-            # auto parameter rules consume the mean-squared-norm variant
-            _, delta_report = delta_exact_quadratic(problem)
-        else:
-            delta_report = delta_sampled(
-                problem, 32, RandomStream(cfg["problem"].get("seed", 0)).fork(2)
-            )
+    delta_report = None
+    if any("auto" in m for m in cfg["methods"]):
+        delta_report = dissimilarity(problem, cfg["problem"], 32)[0]
     budget_cfg = cfg["budget"]
-    try:
-        budget = Budget(
-            max_rounds=budget_cfg.get("max_rounds"),
-            max_grad_evals=budget_cfg.get("max_grad_evals"),
-            target_gap=budget_cfg.get("target_gap"),
-            max_iterations=budget_cfg.get("max_iterations"),
-        )
-        entries = [
-            build_method(entry, problem, delta_report) for entry in cfg["methods"]
-        ]
-    except ConfigurationError as exc:
-        raise ConfigError(str(exc)) from exc
+    budget = Budget(
+        max_rounds=budget_cfg.get("max_rounds"),
+        max_grad_evals=budget_cfg.get("max_grad_evals"),
+        target_gap=budget_cfg.get("target_gap"),
+        max_iterations=budget_cfg.get("max_iterations"),
+    )
+    entries = [build_method(entry, problem, delta_report) for entry in cfg["methods"]]
     labels = _unique_labels([label for label, _ in entries])
     out_dir = args.out or cfg.get("output_dir", "out")
     os.makedirs(out_dir, exist_ok=True)
@@ -450,16 +440,11 @@ def cmd_run(args) -> int:
 
 def cmd_delta(args) -> int:
     cfg = load_config(args.config)
-    problem, _ = build_problem(
+    problem = build_problem(
         cfg["problem"], os.path.dirname(os.path.abspath(args.config))
     )
-    reports = []
-    if problem.quadratic is not None:
-        exact, paper = delta_exact_quadratic(problem)
-        reports = [exact, paper]
-    else:
-        stream = RandomStream(cfg["problem"].get("seed", 0)).fork(2)
-        reports = [delta_sampled(problem, args.pairs, stream)]
+    reports = dissimilarity(problem, cfg["problem"], args.pairs)
+    if problem.quadratic is None:
         print(f"sampled over {args.pairs} direction pairs")
     print(f"{'method':<16}{'delta_a':>16}{'delta_b':>16}")
     for rep in reports:
@@ -499,7 +484,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParseError, ConfigurationError) as exc:
+    except (ParseError, ConfigurationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

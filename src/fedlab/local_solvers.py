@@ -17,7 +17,13 @@ controlled by a :class:`StoppingRule`:
   start the right side is zero, so only an exactly zero gradient stops there
   (one at its rounding floor can run to ``max_steps``);
 * ``fixed_steps``: run exactly K steps and return the visited iterate with
-  the smallest gradient norm.
+  the smallest gradient norm;
+* ``scheduled``: ``rel_grad`` with the round's tolerance ``e_r`` from
+  :func:`schedule_e_r`; the method resolves it once per round, so the
+  solvers themselves only ever see the other three kinds.
+
+A rule rejects the options its kind would ignore: ``tol`` is read only by
+the two gradient kinds, ``steps`` only by ``fixed_steps``.
 
 Gradient-based rules exhaust ``max_steps`` with a hard error rather than
 returning an uncertified point.
@@ -56,7 +62,7 @@ class UnsupportedStructureError(TypeError):
 
 
 SOLVERS = ("exact", "gd", "fgd")
-RULE_KINDS = ("abs_grad", "rel_grad", "fixed_steps")
+RULE_KINDS = ("abs_grad", "rel_grad", "fixed_steps", "scheduled")
 _DECREASE_SLACK = 1e-12
 EXACT_RESIDUAL_REL = 1e-12
 
@@ -79,6 +85,10 @@ class StoppingRule:
             raise ConfigurationError("fixed_steps needs steps >= 0")
         if self.max_steps < 1:
             raise ConfigurationError("max_steps must be >= 1")
+        if self.tol != 0.0 and self.kind in ("fixed_steps", "scheduled"):
+            raise ConfigurationError(f"{self.kind} would ignore tol={self.tol!r}")
+        if self.steps != 0 and self.kind != "fixed_steps":
+            raise ConfigurationError(f"{self.kind} would ignore steps={self.steps!r}")
 
 
 @dataclass
@@ -92,20 +102,23 @@ class SolveReport:
     decreased: bool
 
 
+_DEFAULT_RULE = StoppingRule("abs_grad", tol=1e-9)
+
+
 @dataclass(frozen=True)
 class LocalSpec:
     """How a method solves its local subproblems.
 
     ``solver`` is one of ``exact`` (conjugate gradients on quadratic
-    structure), ``gd``, or ``fgd``.  With ``schedule`` set, the stopping
-    rule becomes ``rel_grad`` with the decaying per-round tolerance from
-    :func:`schedule_e_r` (the supplied rule then only caps ``max_steps``).
-    ``step`` overrides the default ``1/smoothness_hint`` step size.
+    structure, which stop at their own residual target), ``gd``, or ``fgd``.
+    ``rule`` says when ``gd`` and ``fgd`` return; a ``scheduled`` rule
+    reads the method's ``lam`` and ``mu`` each round.  ``step`` overrides
+    the default ``1/smoothness_hint`` step size.  ``exact`` rejects a rule,
+    ``check_decrease`` or ``step``, which it would ignore.
     """
 
     solver: str = "exact"
-    rule: StoppingRule = StoppingRule("abs_grad", tol=1e-9)
-    schedule: bool = False
+    rule: StoppingRule = _DEFAULT_RULE
     check_decrease: bool = False
     step: float | None = None
 
@@ -114,9 +127,12 @@ class LocalSpec:
             raise ConfigurationError(f"unknown local solver {self.solver!r}")
         if self.step is not None and self.step <= 0.0:
             raise ConfigurationError("step override must be positive")
-        ignored = self.schedule or self.check_decrease or self.step is not None
-        if self.solver == "exact" and ignored:
-            raise ConfigurationError("schedule, check_decrease and step need gd or fgd")
+        if self.solver != "exact":
+            return
+        if self.check_decrease or self.step is not None:
+            raise ConfigurationError("check_decrease and step need gd or fgd")
+        if self.rule != _DEFAULT_RULE:
+            raise ConfigurationError(f"exact would ignore rule={self.rule!r}")
 
 
 class SurrogateOracle(ClientOracle):
@@ -249,6 +265,8 @@ def _descend(
     unchecked ``_gradient``; its norm, ``sqrt(g . g)`` as ``np.linalg.norm``
     computes it, is the finiteness check.
     """
+    if rule.kind == "scheduled":
+        raise ConfigurationError("the method resolves scheduled rules per round")
     x_start = as_vector(x_start)
     if x_start.shape[0] != surrogate.dim:
         # the unchecked gradient below would not catch a mismatch on a bare oracle

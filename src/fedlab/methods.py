@@ -103,7 +103,8 @@ class MethodConfig:
     ``lam`` couples clients to the server reference, ``eta`` is the second
     proximal weight for the doubly regularized methods and doubles as the
     step size for gd/scaffold/scaffnew, ``p`` is the communication
-    probability, ``a`` the nonconvex reference-coupling multiplier, and
+    probability, ``mu`` the strong-convexity modulus that a ``scheduled``
+    local rule reads, ``a`` the nonconvex reference-coupling multiplier, and
     ``cv_strength`` the recursive control-variate gain.
     """
 
@@ -144,6 +145,8 @@ class MethodConfig:
             raise ConfigurationError("fedred requires eta >= lam (or eta = 0)")
         if self.method == "fedred_gd" and self.eta + self.lam <= 0.0:
             raise ConfigurationError("fedred_gd requires eta + lam > 0")
+        if self.local.rule.kind == "scheduled" and self.lam <= 0.0:
+            raise ConfigurationError("a scheduled local rule needs lam > 0")
         if self.method in ("gd", "scaffold", "scaffnew") and self.eta <= 0.0:
             raise ConfigurationError(f"{self.method} needs a positive step eta")
         if self.local_steps < 1:
@@ -155,6 +158,7 @@ class MethodConfig:
             ("averaging", self.averaging != "avg" and m in ("fedprox", "scaffold", "scaffnew", "gd")),
             ("eta", self.eta != 0.0 and m in ("dane_plus", "fedprox")),
             ("local", self.local != LocalSpec() and m not in _ANCHORED_PRESETS),
+            ("mu", self.mu != 0.0 and self.local.rule.kind != "scheduled"),
             ("local_steps", self.local_steps != 1 and m != "scaffold"),
             ("stochastic", self.stochastic and m != "fedred_gd"),
             ("cv_strength", self.cv_strength != 0.0 and self.control_variate != "recursive"),
@@ -249,15 +253,11 @@ def _draw_theta(cfg: MethodConfig, step_stream: RandomStream) -> bool:
 
 
 def _resolve_rule(cfg: MethodConfig, round_index: int) -> tuple[StoppingRule, float | None]:
-    spec = cfg.local
-    if spec.schedule:
+    rule = cfg.local.rule
+    if rule.kind == "scheduled":
         e_r = schedule_e_r(round_index, cfg.lam, cfg.mu)
-        return (
-            StoppingRule("rel_grad", tol=e_r, max_steps=spec.rule.max_steps),
-            e_r,
-        )
-    tol = spec.rule.tol if spec.rule.kind in ("abs_grad", "rel_grad") else None
-    return spec.rule, tol
+        return StoppingRule("rel_grad", tol=e_r, max_steps=rule.max_steps), e_r
+    return rule, None if rule.kind == "fixed_steps" else rule.tol
 
 
 def _solve_local(
@@ -504,7 +504,9 @@ def suggest_parameters(
     probability has the order ``delta / L``); the nonconvex rules are
     emitted verbatim.  The nonconvex linearized rule
     (``lam = delta_B, p = delta_B/L``) intentionally breaks the practical
-    coupling because its guarantee is stated for that exact triple.
+    coupling because its guarantee is stated for that exact triple.  ``mu``
+    enters the sc formulas; only the convex ``dane_plus`` rule, whose
+    ``scheduled`` local rule reads it, stores it in the config.
     """
     if regime not in ("sc", "cvx", "ncvx"):
         raise ConfigurationError(f"unknown regime {regime!r}")
@@ -513,15 +515,23 @@ def suggest_parameters(
     if regime == "sc" and mu <= 0.0:
         raise ConfigurationError("the sc regime needs mu > 0")
     mu = mu if regime == "sc" else 0.0
-    delta_a, delta_b = report.delta_a, report.delta_b
 
     if method == "gd":
-        return MethodConfig(method="gd", eta=1.0 / l_smooth, mu=mu)
+        return MethodConfig(method="gd", eta=1.0 / l_smooth)
+    if method == "scaffnew":
+        if regime != "sc":
+            raise ConfigurationError("scaffnew rule is stated for the sc regime")
+        return MethodConfig(
+            method="scaffnew", eta=1.0 / l_smooth, p=float(np.sqrt(mu / l_smooth))
+        )
+    if method not in ("dane_plus", "fedred", "fedred_gd"):
+        raise ConfigurationError(f"no parameter rule for method {method!r}")
 
-    if method == "dane_plus":
-        if regime == "ncvx":
-            if delta_b <= 0.0:
-                raise ConfigurationError("nonconvex rule needs delta_b > 0")
+    if regime == "ncvx":
+        delta_b = report.delta_b
+        if delta_b <= 0.0:
+            raise ConfigurationError("nonconvex rule needs delta_b > 0")
+        if method == "dane_plus":
             return MethodConfig(
                 method="dane_plus",
                 lam=a * delta_b,
@@ -533,19 +543,7 @@ def suggest_parameters(
                     check_decrease=True,
                 ),
             )
-        if delta_a <= 0.0:
-            raise ConfigurationError("convex rule needs delta_a > 0")
-        return MethodConfig(
-            method="dane_plus",
-            lam=2.0 * delta_a,
-            mu=mu,
-            local=LocalSpec(solver="gd", rule=StoppingRule("rel_grad", tol=1.0), schedule=True),
-        )
-
-    if method == "fedred":
-        if regime == "ncvx":
-            if delta_b <= 0.0:
-                raise ConfigurationError("nonconvex rule needs delta_b > 0")
+        if method == "fedred":
             return MethodConfig(
                 method="fedred",
                 lam=delta_b,
@@ -558,66 +556,43 @@ def suggest_parameters(
                     check_decrease=True,
                 ),
             )
-        if delta_a <= 0.0:
-            raise ConfigurationError("convex rule needs delta_a > 0")
+        if sigma > 0.0:
+            raise ConfigurationError(
+                "stochastic nonconvex rule not supported here; "
+                "set sigma=0 or pass an explicit config"
+            )
+        return MethodConfig(
+            method="fedred_gd",
+            lam=delta_b,
+            eta=6.0 * l_smooth,
+            p=min(1.0, delta_b / l_smooth),
+            averaging="rand",
+        )
+
+    delta_a = report.delta_a
+    if delta_a <= 0.0:
+        raise ConfigurationError("convex rule needs delta_a > 0")
+    if method == "dane_plus":
+        return MethodConfig(
+            method="dane_plus",
+            lam=2.0 * delta_a,
+            mu=mu,
+            local=LocalSpec(solver="gd", rule=StoppingRule("scheduled")),
+        )
+    if method == "fedred":
         eta = max(l_smooth, delta_a)
         p = (delta_a + 0.5 * mu) / (eta + 0.5 * mu)
         return MethodConfig(
-            method="fedred",
-            lam=p * eta,
-            eta=eta,
-            p=p,
-            mu=mu,
-            local=LocalSpec(solver="exact"),
+            method="fedred", lam=p * eta, eta=eta, p=p, local=LocalSpec(solver="exact")
         )
-
-    if method == "fedred_gd":
-        if regime == "ncvx":
-            if delta_b <= 0.0:
-                raise ConfigurationError("nonconvex rule needs delta_b > 0")
-            if sigma > 0.0:
-                if eps is None or eps <= 0.0:
-                    raise ConfigurationError(
-                        "stochastic nonconvex rule needs a target accuracy"
-                    )
-                raise ConfigurationError(
-                    "stochastic horizon-dependent eta not supported here; "
-                    "set sigma=0 or pass an explicit config"
-                )
-            return MethodConfig(
-                method="fedred_gd",
-                lam=delta_b,
-                eta=6.0 * l_smooth,
-                p=min(1.0, delta_b / l_smooth),
-                averaging="rand",
-            )
-        if delta_a <= 0.0:
-            raise ConfigurationError("convex rule needs delta_a > 0")
-        eta = l_smooth
-        if sigma > 0.0:
-            if eps is None or eps <= 0.0:
-                raise ConfigurationError("stochastic rule needs a target accuracy")
-            eta = sigma * sigma / eps + l_smooth
-        if eta <= 0.5 * mu:
-            raise ConfigurationError("eta must exceed mu/2")
-        p = min(1.0, (delta_a + 0.5 * mu) / (eta - 0.5 * mu))
-        return MethodConfig(
-            method="fedred_gd",
-            lam=p * eta,
-            eta=eta,
-            p=p,
-            mu=mu,
-            stochastic=sigma > 0.0,
-        )
-
-    if method == "scaffnew":
-        if regime != "sc":
-            raise ConfigurationError("scaffnew rule is stated for the sc regime")
-        return MethodConfig(
-            method="scaffnew",
-            eta=1.0 / l_smooth,
-            p=float(np.sqrt(mu / l_smooth)),
-            mu=mu,
-        )
-
-    raise ConfigurationError(f"no parameter rule for method {method!r}")
+    eta = l_smooth
+    if sigma > 0.0:
+        if eps is None or eps <= 0.0:
+            raise ConfigurationError("stochastic rule needs a target accuracy")
+        eta = sigma * sigma / eps + l_smooth
+    if eta <= 0.5 * mu:
+        raise ConfigurationError("eta must exceed mu/2")
+    p = min(1.0, (delta_a + 0.5 * mu) / (eta - 0.5 * mu))
+    return MethodConfig(
+        method="fedred_gd", lam=p * eta, eta=eta, p=p, stochastic=sigma > 0.0
+    )

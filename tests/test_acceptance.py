@@ -342,9 +342,7 @@ def test_criterion_10_inexactness_schedule_premise():
         method="dane_plus",
         lam=lam,
         mu=0.0,
-        local=LocalSpec(
-            solver="gd", rule=StoppingRule("rel_grad", tol=1.0), schedule=True
-        ),
+        local=LocalSpec(solver="gd", rule=StoppingRule("scheduled")),
     )
     x0 = np.zeros(30)
     result = run_experiment(

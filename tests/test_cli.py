@@ -1,4 +1,5 @@
 """Command line front end: config validation, runs, reports, reproducibility."""
+import dataclasses
 import json
 import os
 import re
@@ -6,8 +7,19 @@ import warnings
 
 import pytest
 
-from fedlab import grad_evals_to_target, read_trace_csv, rounds_to_target
-from fedlab.cli import ConfigError, load_config, main
+from fedlab import (
+    ConfigurationError,
+    LocalSpec,
+    MethodConfig,
+    StoppingRule,
+    delta_exact_quadratic,
+    grad_evals_to_target,
+    read_trace_csv,
+    rounds_to_target,
+    suggest_parameters,
+)
+from fedlab import cli
+from fedlab.cli import load_config, main
 
 TINY_QUADRATIC = {
     "problem": {
@@ -52,14 +64,14 @@ def _write(tmp_path, cfg, name="exp.json"):
 def test_unknown_top_level_key_is_rejected(tmp_path):
     cfg = dict(TINY_QUADRATIC)
     cfg["replays"] = 3
-    with pytest.raises(ConfigError, match="replays"):
+    with pytest.raises(ConfigurationError, match="replays"):
         load_config(_write(tmp_path, cfg))
 
 
 def test_json_errors_carry_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "problem": }\n')
-    with pytest.raises(ConfigError, match="line 2"):
+    with pytest.raises(ConfigurationError, match="line 2"):
         load_config(str(path))
 
 
@@ -67,28 +79,28 @@ def test_missing_problem_field_is_named(tmp_path):
     cfg = {
         "problem": {"kind": "logistic", "n_clients": 4, "alpha": 0.5}
     }
-    with pytest.raises(ConfigError, match="path"):
+    with pytest.raises(ConfigurationError, match="path"):
         load_config(_write(tmp_path, cfg))
 
 
 def test_auto_and_params_conflict(tmp_path):
     cfg = json.loads(json.dumps(TINY_QUADRATIC))
     cfg["methods"][0] = {"name": "gd", "auto": "sc", "params": {"eta": 0.1}}
-    with pytest.raises(ConfigError, match="either auto or params"):
+    with pytest.raises(ConfigurationError, match="either auto or params"):
         load_config(_write(tmp_path, cfg))
 
 
 def test_unknown_method_name_is_rejected(tmp_path):
     cfg = json.loads(json.dumps(TINY_QUADRATIC))
     cfg["methods"][0] = {"name": "adam", "auto": "sc"}
-    with pytest.raises(ConfigError, match="adam"):
+    with pytest.raises(ConfigurationError, match="adam"):
         load_config(_write(tmp_path, cfg))
 
 
 def test_negative_dimension_is_rejected(tmp_path):
     cfg = json.loads(json.dumps(TINY_QUADRATIC))
     cfg["problem"]["dim"] = 2
-    with pytest.raises(ConfigError, match="dim"):
+    with pytest.raises(ConfigurationError, match="dim"):
         load_config(_write(tmp_path, cfg))
 
 
@@ -134,6 +146,13 @@ def test_diverging_run_names_method_and_iteration(tmp_path, capsys):
         ({"solver": "gd", "kind": "exact"}, "kind"),
         ({"solver": "exact", "check_decrease": True}, "need gd or fgd"),
         ({"solver": "exact", "step": 0.5}, "need gd or fgd"),
+        ({"solver": "exact", "kind": "rel_grad", "tol": 0.1},
+         "exact would ignore rule"),
+        ({"solver": "gd", "kind": "fixed_steps", "steps": 3, "tol": 0.1},
+         "fixed_steps would ignore tol"),
+        # the schedule is a rule kind, no longer a flag
+        ({"solver": "gd", "kind": "rel_grad", "tol": 1.0, "schedule": True},
+         "'schedule' was unexpected"),
     ],
 )
 def test_local_options_no_solver_honours_exit_2_before_setup(
@@ -147,6 +166,31 @@ def test_local_options_no_solver_honours_exit_2_before_setup(
     assert not (tmp_path / "out").exists()
 
 
+def test_auto_with_a_local_block_exits_2_before_setup(tmp_path, capsys):
+    # auto picks its own local solver, so a local block would be ignored
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["methods"][1] = {
+        "name": "dane_plus",
+        "auto": "sc",
+        "local": {"solver": "fgd", "kind": "fixed_steps", "steps": 3},
+    }
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+    assert "either auto or local" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_schemas_name_every_config_field():
+    # the CLI keys are the dataclass fields, so neither can fall behind
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    local_keys = set(cli._LOCAL_SCHEMA["properties"])
+    assert local_keys == (fields(LocalSpec) | fields(StoppingRule)) - {"rule"}
+    params = cli._METHOD_SCHEMA["properties"]["params"]["properties"]
+    assert set(params) == fields(MethodConfig) - {"method", "local"}
+
+
 def test_local_block_on_a_method_without_local_solves_exits_2(tmp_path, capsys):
     cfg = json.loads(json.dumps(TINY_QUADRATIC))
     cfg["methods"] = [
@@ -156,6 +200,77 @@ def test_local_block_on_a_method_without_local_solves_exits_2(tmp_path, capsys):
     assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
     assert "gd would ignore local" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------------------ auto params
+
+
+def _smoothness(problem, name):
+    if name == "gd" and problem.l_smooth_global is not None:
+        return problem.l_smooth_global
+    return problem.l_smooth
+
+
+def test_auto_resolves_from_the_exact_report_on_generated_quadratics():
+    pcfg = TINY_QUADRATIC["problem"]
+    problem = cli.build_problem(pcfg)
+    report = cli.dissimilarity(problem, pcfg, 32)[0]
+    exact = delta_exact_quadratic(problem)[0]
+    assert report == exact
+    for name in ("gd", "dane_plus", "fedred", "fedred_gd", "scaffnew"):
+        label, cfg = cli.build_method({"name": name, "auto": "sc"}, problem, report)
+        assert label == name
+        assert cfg == suggest_parameters(
+            name, exact, "sc", l_smooth=_smoothness(problem, name), mu=problem.mu
+        )
+
+
+def test_scheduled_local_block_spells_out_the_auto_rule():
+    pcfg = TINY_QUADRATIC["problem"]
+    problem = cli.build_problem(pcfg)
+    report = cli.dissimilarity(problem, pcfg, 32)[0]
+    _, auto = cli.build_method({"name": "dane_plus", "auto": "sc"}, problem, report)
+    entry = {
+        "name": "dane_plus",
+        "params": {"lam": auto.lam, "mu": auto.mu},
+        "local": {"solver": "gd", "kind": "scheduled"},
+    }
+    _, spelled = cli.build_method(entry, problem, None)
+    assert spelled == auto
+
+
+def test_explicit_matrix_auto_uses_the_exact_dissimilarity(
+    tmp_path, capsys, monkeypatch
+):
+    # deviations diag(1, 0), diag(-1, 1), diag(0, -1): the exact delta_a is
+    # sqrt(2/3), the norm-averaged paper formula gives 1
+    cfg = {
+        "problem": {
+            "kind": "quadratic_explicit",
+            "matrices": [
+                [[[4.0, 0.0], [0.0, 3.0]]],
+                [[[2.0, 0.0], [0.0, 4.0]]],
+                [[[3.0, 0.0], [0.0, 2.0]]],
+            ],
+            "centers": [[[1.0, 0.0]], [[0.0, -1.0]], [[-1.0, 1.0]]],
+        },
+        "methods": [{"name": "dane_plus", "auto": "sc"}],
+        "budget": {"max_rounds": 5},
+    }
+    ran = []
+    run_experiment = cli.run_experiment
+
+    def recording_run(problem, mcfg, *args, **kwargs):
+        ran.append(mcfg)
+        return run_experiment(problem, mcfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", recording_run)
+    code, _ = _run_into(tmp_path, "explicit_auto", cfg=cfg)
+    capsys.readouterr()
+    assert code == 0
+    assert [c.method for c in ran] == ["dane_plus"]
+    assert ran[0].lam == pytest.approx(2.0 * (2.0 / 3.0) ** 0.5, rel=1e-12)
+    assert ran[0].mu == pytest.approx(3.0, rel=1e-12)
 
 
 # ------------------------------------------------------------ delta report

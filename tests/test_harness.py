@@ -363,7 +363,7 @@ def test_strongly_convex_certificates_hold():
     problem, report = gen_quadratic_problem(
         4, 4, 2, 12, max_norm=10.0, min_eig=1.0, target_delta=1.0
     )
-    cfg = _exact("dane_plus", lam=2.0 * report.delta_a, mu=problem.mu)
+    cfg = _exact("dane_plus", lam=2.0 * report.delta_a)
     x0 = np.ones(12)
     result = run_experiment(
         problem, cfg, Budget(max_rounds=25), seed=0, x0=x0, record_every=1

@@ -71,6 +71,10 @@ def test_config_validation():
         MethodConfig(method="scaffnew", eta=0.1, averaging="rand")
     with pytest.raises(ConfigurationError):
         MethodConfig(method="dane_plus", lam=1.0, local_steps=0)
+    # the schedule's tolerances scale with lam
+    scheduled = LocalSpec(solver="gd", rule=StoppingRule("scheduled"))
+    with pytest.raises(ConfigurationError, match="scheduled local rule needs lam"):
+        MethodConfig(method="dane_plus", local=scheduled)
     # any field the method would ignore is rejected
     gd_local = LocalSpec(solver="gd", rule=StoppingRule("fixed_steps", steps=3))
     for kwargs in (
@@ -96,6 +100,13 @@ def test_config_validation():
         dict(method="gd", eta=0.1, stochastic=True),
         dict(method="dane_plus", lam=1.0, cv_strength=0.5),
         dict(method="fedred", lam=1.0, eta=1.0, cv_strength=0.5),
+        # only a scheduled local rule reads mu
+        dict(method="gd", eta=0.1, mu=1.0),
+        dict(method="scaffnew", eta=0.1, p=0.5, mu=1.0),
+        dict(method="fedred", lam=1.0, eta=1.0, mu=0.5),
+        dict(method="fedred_gd", lam=1.0, eta=1.0, mu=0.5),
+        dict(method="dane_plus", lam=1.0, mu=1.0),
+        dict(method="dane_plus", lam=1.0, mu=1.0, local=gd_local),
     ):
         with pytest.raises(ConfigurationError, match="would ignore"):
             MethodConfig(**kwargs)
@@ -103,6 +114,8 @@ def test_config_validation():
     MethodConfig(method="gd", eta=0.1, local=LocalSpec(solver="exact"))
     MethodConfig(method="scaffold", eta=0.1, local_steps=4)
     MethodConfig(method="fedred_gd", lam=1.0, eta=1.0, stochastic=True)
+    MethodConfig(method="dane_plus", lam=1.0, mu=1.0, local=scheduled)
+    MethodConfig(method="fedred", lam=1.0, eta=1.0, mu=1.0, local=scheduled)
     MethodConfig(
         method="dane_plus", lam=1.0, control_variate="recursive", cv_strength=0.5
     )
@@ -657,7 +670,7 @@ def test_suggest_anchored_convex_uses_schedule():
         "dane_plus", _report(3.0, 5.0), "sc", l_smooth=50.0, mu=1.0
     )
     assert cfg.lam == pytest.approx(6.0)
-    assert cfg.local.schedule and cfg.local.solver == "gd"
+    assert cfg.local.rule.kind == "scheduled" and cfg.local.solver == "gd"
     ncvx = suggest_parameters("dane_plus", _report(3.0, 5.0), "ncvx", l_smooth=50.0)
     assert ncvx.lam == pytest.approx(10.0)
     assert ncvx.averaging == "rand"

@@ -57,13 +57,39 @@ def test_stopping_rule_validation():
         StoppingRule("abs_grad", tol=1.0, max_steps=0)
     with pytest.raises(ConfigurationError):
         StoppingRule("exact")  # exactness is a solver, not a stopping rule
+    # tol is read only by the gradient kinds, steps only by fixed_steps
+    for kind, kwargs in (
+        ("fixed_steps", dict(steps=3, tol=1e-6)),
+        ("scheduled", dict(tol=1.0)),
+        ("abs_grad", dict(tol=1e-6, steps=3)),
+        ("rel_grad", dict(tol=1.0, steps=3)),
+        ("scheduled", dict(steps=3)),
+    ):
+        with pytest.raises(ConfigurationError, match=f"{kind} would ignore"):
+            StoppingRule(kind, **kwargs)
+    StoppingRule("scheduled", max_steps=50)
+    StoppingRule("fixed_steps", steps=0)
+
+
+def test_scheduled_rule_is_resolved_before_the_solvers():
+    surrogate = SurrogateOracle(_oracle())
+    for solve in (solve_gd, solve_fgd):
+        with pytest.raises(ConfigurationError, match="resolves scheduled rules per round"):
+            solve(surrogate, np.zeros(surrogate.dim), StoppingRule("scheduled"))
 
 
 def test_local_spec_validation():
     with pytest.raises(ConfigurationError):
         LocalSpec(solver="newton")
-    with pytest.raises(ConfigurationError):
-        LocalSpec(solver="exact", schedule=True)
+    # conjugate gradients stop at their own residual target
+    for rule in (
+        StoppingRule("scheduled"),
+        StoppingRule("rel_grad", tol=0.1),
+        StoppingRule("abs_grad", tol=1e-9, max_steps=10),
+    ):
+        with pytest.raises(ConfigurationError, match="exact would ignore rule"):
+            LocalSpec(solver="exact", rule=rule)
+    LocalSpec(solver="exact", rule=StoppingRule("abs_grad", tol=1e-9))
     # conjugate gradients take no gradient step and never check the decrease
     with pytest.raises(ConfigurationError):
         LocalSpec(solver="exact", check_decrease=True)
@@ -71,7 +97,8 @@ def test_local_spec_validation():
         LocalSpec(solver="exact", step=0.5)
     with pytest.raises(ConfigurationError):
         LocalSpec(solver="gd", step=0.0)
-    LocalSpec(solver="fgd", schedule=True)  # inexact solver may use a schedule
+    # an inexact solver may use a schedule
+    LocalSpec(solver="fgd", rule=StoppingRule("scheduled"))
     LocalSpec(solver="gd", check_decrease=True, step=0.5)
 
 
