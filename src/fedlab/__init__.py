@@ -13,6 +13,7 @@ from .core import (
     DistributedProblem,
     NonFiniteError,
     RandomStream,
+    UnsupportedStructureError,
     Vector,
     as_vector,
     finite_difference_gradient,
@@ -40,7 +41,6 @@ from .local_solvers import (
     SolverBudgetError,
     StoppingRule,
     SurrogateOracle,
-    UnsupportedStructureError,
     schedule_e_r,
     solve_exact_quadratic,
     solve_fgd,

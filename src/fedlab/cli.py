@@ -19,7 +19,7 @@ import jsonschema
 import numpy as np
 
 from . import local_solvers, methods
-from .core import ConfigurationError, RandomStream
+from .core import ConfigurationError, RandomStream, UnsupportedStructureError
 from .harness import (
     Budget,
     grad_evals_to_target,
@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
     write_trace_csv,
 )
-from .local_solvers import LocalSpec, StoppingRule, UnsupportedStructureError
+from .local_solvers import LocalSpec, StoppingRule
 from .methods import MethodConfig, suggest_parameters
 from .problems import (
     ParseError,
@@ -222,7 +222,7 @@ def build_problem(pcfg: dict, base_dir: str = "."):
     """
     kind = pcfg["kind"]
     if kind == "quadratic":
-        problem, _ = gen_quadratic_problem(
+        return gen_quadratic_problem(
             pcfg.get("seed", 0),
             pcfg["n_clients"],
             pcfg["m_components"],
@@ -232,7 +232,6 @@ def build_problem(pcfg: dict, base_dir: str = "."):
             target_delta=pcfg.get("target_delta", 0.0),
             beta=pcfg.get("beta", 0.0),
         )
-        return problem
     if kind == "quadratic_explicit":
         matrices = np.asarray(pcfg["matrices"], dtype=np.float64)
         if matrices.ndim != 4:

@@ -30,6 +30,10 @@ class ConfigurationError(ValueError):
     """A configuration value is outside its documented domain."""
 
 
+class UnsupportedStructureError(TypeError):
+    """The requested solver needs structure the oracle does not expose."""
+
+
 def as_vector(x) -> Vector:
     """Coerce ``x`` to a 1-D float64 array (copying only when needed)."""
     v = np.asarray(x, dtype=np.float64)

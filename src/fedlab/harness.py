@@ -26,15 +26,11 @@ from .core import (
     DistributedProblem,
     NonFiniteError,
     RandomStream,
+    UnsupportedStructureError,
     Vector,
     as_vector,
 )
-from .local_solvers import (
-    SolverBudgetError,
-    StoppingRule,
-    UnsupportedStructureError,
-    solve_fgd,
-)
+from .local_solvers import SolverBudgetError, StoppingRule, solve_fgd
 from .methods import (
     MethodConfig,
     StepRecord,
@@ -135,40 +131,6 @@ class _GlobalOracle(ClientOracle):
         return self.problem.grad_f(x)
 
 
-def _direct_quadratic_optimum(problem: DistributedProblem) -> Vector:
-    family = problem.quadratic
-    if family.spectral:
-        spectra = np.stack([spec.spectra for spec in family.specs])  # (n,m,d)
-        global_spectrum = spectra.mean(axis=(0, 1))
-        if np.min(global_spectrum) <= 0.0:
-            raise UnsupportedStructureError(
-                "direct solve needs a strictly convex mean quadratic"
-            )
-        basis = family.basis
-        rhs = np.zeros(problem.dim)
-        for spec in family.specs:
-            centers_eig = (
-                spec.centers if basis is None else spec.centers @ basis
-            )
-            rhs += np.mean(spec.spectra * centers_eig, axis=0)
-        rhs /= len(family.specs)
-        x_eig = rhs / global_spectrum
-        return x_eig if basis is None else basis @ x_eig
-    mean_h = np.mean(family.mean_hessians(), axis=0)
-    eigs = np.linalg.eigvalsh(mean_h)
-    if eigs[0] <= 0.0:
-        raise UnsupportedStructureError(
-            "direct solve needs a strictly convex mean quadratic"
-        )
-    rhs = np.zeros(problem.dim)
-    for spec in family.specs:
-        rhs += np.mean(
-            np.einsum("jkl,jl->jk", spec.matrices, spec.centers), axis=0
-        )
-    rhs /= len(family.specs)
-    return np.linalg.solve(mean_h, rhs)
-
-
 def reference_optimum(
     problem: DistributedProblem, x0=None
 ) -> ReferenceSolution:
@@ -183,7 +145,7 @@ def reference_optimum(
     x_star = None
     how = None
     if problem.quadratic is not None and problem.quadratic.beta == 0.0:
-        x_star = _direct_quadratic_optimum(problem)
+        x_star = problem.quadratic.minimizer()
         how = "direct_linear"
     else:
         if any(o.convexity_hint is None for o in problem.clients):
@@ -336,7 +298,7 @@ def run_experiment(
         total_grad_evals=cum_evals,
         cfg=cfg,
         seed=seed,
-        reference=reference if reference is not None else None,
+        reference=reference,
         f_best_seen=f_best,
     )
 

@@ -48,6 +48,7 @@ from .core import (
     ConfigurationError,
     DimensionError,
     NonFiniteError,
+    UnsupportedStructureError,
     Vector,
     as_vector,
 )
@@ -55,10 +56,6 @@ from .core import (
 
 class SolverBudgetError(RuntimeError):
     """A gradient-based stopping rule was not met within ``max_steps``."""
-
-
-class UnsupportedStructureError(TypeError):
-    """The requested solver needs structure the oracle does not expose."""
 
 
 SOLVERS = ("exact", "gd", "fgd")

@@ -180,7 +180,6 @@ class StepRecord:
     pick_index: int | None = None
     e_r: float | None = None
     premise: list[tuple[float, float]] | None = None
-    decreased_all: bool = True
 
 
 def control_variate_grad_diff(
@@ -336,7 +335,6 @@ def anchored_step(
     solutions = []
     premise = []
     local_steps = 0
-    decreased_all = True
     for oracle, x, h in zip(problem.clients, clients.x, clients.h):
         prox_terms = ((cfg.lam, ref),)
         if cfg.eta > 0.0:
@@ -348,14 +346,12 @@ def anchored_step(
         solutions.append(report.solution)
         evals += report.grad_evals
         local_steps += report.steps_taken
-        decreased_all = decreased_all and report.decreased
         premise.append(
             (report.final_grad_norm, float(np.linalg.norm(report.solution - ref)))
         )
     record = _communicate(
         server, clients, cfg, step_stream, solutions, grad_evals=evals,
         local_steps=local_steps, e_r=e_r, premise=premise,
-        decreased_all=decreased_all,
     )
     if record.communicated and cfg.control_variate == "recursive":
         clients.h = control_variate_recursive_update(

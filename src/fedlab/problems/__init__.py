@@ -19,22 +19,3 @@ from .quadratic import (
     build_quadratic_problem,
     gen_quadratic_problem,
 )
-
-__all__ = [
-    "DissimilarityReport",
-    "delta_exact_quadratic",
-    "delta_sampled",
-    "ParseError",
-    "SparseDataset",
-    "load_libsvm",
-    "parse_libsvm",
-    "serialize_libsvm",
-    "LogisticOracle",
-    "dirichlet_partition",
-    "logistic_problem",
-    "QuadraticClientSpec",
-    "QuadraticFamily",
-    "QuadraticOracle",
-    "build_quadratic_problem",
-    "gen_quadratic_problem",
-]

@@ -5,6 +5,10 @@ strictly increasing indices.  ``#`` starts a comment.  Labels are folded
 to two classes: ``+1``/``1`` map to +1 and ``-1``/``0``/``2`` map to -1;
 anything else is rejected.  All malformed input raises
 :class:`ParseError` carrying the 1-based line number.
+
+Parsed data is held as one CSR matrix (0-based columns, one row per
+example) beside the label vector; the parser appends straight into its
+``data``/``indices``/``indptr`` arrays.
 """
 from __future__ import annotations
 
@@ -28,41 +32,38 @@ _NEGATIVE = {-1.0, 0.0, 2.0}
 
 @dataclass
 class SparseDataset:
-    """Rows of (label, sparse features); ``dim`` is the max feature index."""
+    """Labels and a CSR feature matrix with 0-based columns, one row each.
+
+    The matrix is the one storage format of LIBSVM data: the parser builds
+    it, ``subset`` slices it and each logistic oracle copies its client's
+    rows.  ``dim`` is its column count (the largest feature index read).
+    Any sparse or dense matrix is accepted; one with unsorted or repeated
+    columns in a row is sorted and summed on a copy, as LIBSVM rows are.
+    """
 
     labels: np.ndarray                 # (M,) values in {-1.0, +1.0}
-    rows: list[dict[int, float]]       # 1-based index -> value, per row
-    dim: int
+    matrix: sp.csr_matrix              # (M, dim)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.float64)
-        if self.labels.ndim != 1 or len(self.rows) != self.labels.shape[0]:
-            raise ConfigurationError("labels and rows disagree in length")
+        self.matrix = sp.csr_matrix(self.matrix, dtype=np.float64)
+        if not self.matrix.has_canonical_format:
+            self.matrix = self.matrix.copy()
+            self.matrix.sum_duplicates()
+        if self.labels.ndim != 1 or self.matrix.shape[0] != self.labels.shape[0]:
+            raise ConfigurationError("labels and matrix rows disagree in length")
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.matrix.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def subset(self, indices) -> "SparseDataset":
         indices = np.asarray(indices, dtype=np.int64)
-        return SparseDataset(
-            labels=self.labels[indices],
-            rows=[self.rows[i] for i in indices],
-            dim=self.dim,
-        )
-
-    def to_csr(self) -> sp.csr_matrix:
-        """Feature matrix with 0-based columns, shape (n_rows, dim)."""
-        data, indices, indptr = [], [], [0]
-        for row in self.rows:
-            for idx in sorted(row):
-                indices.append(idx - 1)
-                data.append(row[idx])
-            indptr.append(len(indices))
-        return sp.csr_matrix(
-            (np.asarray(data, dtype=np.float64), indices, indptr),
-            shape=(self.n_rows, self.dim),
-        )
+        return SparseDataset(labels=self.labels[indices], matrix=self.matrix[indices])
 
 
 def _map_label(token: str, line_no: int) -> float:
@@ -80,7 +81,9 @@ def _map_label(token: str, line_no: int) -> float:
 def parse_libsvm(text: str) -> SparseDataset:
     """Parse LIBSVM-formatted text into a :class:`SparseDataset`."""
     labels: list[float] = []
-    rows: list[dict[int, float]] = []
+    data: list[float] = []
+    indices: list[int] = []
+    indptr = [0]
     dim = 0
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -88,7 +91,6 @@ def parse_libsvm(text: str) -> SparseDataset:
             continue
         tokens = line.split()
         labels.append(_map_label(tokens[0], line_no))
-        row: dict[int, float] = {}
         last_idx = 0
         for token in tokens[1:]:
             idx_str, sep, val_str = token.partition(":")
@@ -108,21 +110,30 @@ def parse_libsvm(text: str) -> SparseDataset:
                 val = float(val_str)
             except ValueError:
                 raise ParseError(line_no, f"bad feature value {val_str!r}") from None
-            row[idx] = val
+            indices.append(idx - 1)
+            data.append(val)
             last_idx = idx
-        rows.append(row)
+        indptr.append(len(indices))
         dim = max(dim, last_idx)
-    if not rows:
+    if not labels:
         raise ParseError(0, "no data rows found")
-    return SparseDataset(labels=np.asarray(labels), rows=rows, dim=dim)
+    matrix = sp.csr_matrix(
+        (np.asarray(data, dtype=np.float64), indices, indptr),
+        shape=(len(labels), dim),
+    )
+    return SparseDataset(labels=np.asarray(labels), matrix=matrix)
 
 
 def serialize_libsvm(dataset: SparseDataset) -> str:
     """Inverse of :func:`parse_libsvm` on parsed form (labels become +-1)."""
+    m = dataset.matrix
     lines = []
-    for label, row in zip(dataset.labels, dataset.rows):
+    for label, start, end in zip(dataset.labels, m.indptr[:-1], m.indptr[1:]):
         parts = ["+1" if label > 0 else "-1"]
-        parts.extend(f"{idx}:{row[idx]!r}" for idx in sorted(row))
+        parts.extend(
+            f"{j + 1}:{v!r}"
+            for j, v in zip(m.indices[start:end].tolist(), m.data[start:end].tolist())
+        )
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

@@ -120,12 +120,10 @@ class LogisticOracle(ClientOracle):
             raise ConfigurationError("client received no rows")
         if batch_size is not None and batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        self.matrix = _read_only(part.to_csr())
+        self.matrix = _read_only(part.matrix.copy())
         self.transpose = _read_only(self.matrix.T.tocsr())
         self.labels = part.labels.copy()
         self.dim = part.dim
-        self.n_clients = n_clients
-        self.total_rows = total_rows
         self.batch_size = batch_size
         self.loss_scale = n_clients / total_rows
         self.reg = 1.0 / total_rows

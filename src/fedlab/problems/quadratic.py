@@ -27,6 +27,7 @@ from ..core import (
     DimensionError,
     DistributedProblem,
     RandomStream,
+    UnsupportedStructureError,
     Vector,
 )
 
@@ -100,10 +101,8 @@ class QuadraticClientSpec:
         return None if self.spectra is None else self.spectra.mean(axis=0)
 
     def mean_hessian(self) -> np.ndarray:
-        """Dense client-mean quadratic Hessian (sigmoid term excluded)."""
-        if self.matrices is not None:
-            return self.matrices.mean(axis=0)
-        return np.diag(self.mean_spectrum())
+        """Client-mean quadratic Hessian (sigmoid term excluded); dense specs."""
+        return self.matrices.mean(axis=0)
 
 
 @dataclass
@@ -152,13 +151,48 @@ class QuadraticFamily:
         return mean - mean.mean(axis=0)
 
     def mean_hessians(self) -> np.ndarray:
-        """Dense per-client mean Hessians, shape (n, d, d)."""
-        if self.spectral and self.basis is not None:
-            q = self.basis
-            return np.stack(
-                [(q * spec.mean_spectrum()) @ q.T for spec in self.specs]
-            )
+        """Per-client mean Hessians, shape (n, d, d); dense families only."""
         return np.stack([spec.mean_hessian() for spec in self.specs])
+
+    def minimizer(self) -> np.ndarray:
+        """The minimizer of the mean quadratic part ``f - beta * sigmoid``.
+
+        Solves ``H x = r`` for the mean Hessian ``H`` and the mean pulled
+        center ``r = mean_ij A_ij b_ij``: elementwise in the shared eigenbasis
+        for spectral families, by ``np.linalg.solve`` for dense ones.  It is
+        the minimizer of ``f`` itself only when ``beta == 0``.  Raises
+        :class:`UnsupportedStructureError` unless ``H`` is positive definite.
+        """
+        if self.spectral:
+            spectra = np.stack([spec.spectra for spec in self.specs])  # (n,m,d)
+            global_spectrum = spectra.mean(axis=(0, 1))
+            if np.min(global_spectrum) <= 0.0:
+                raise UnsupportedStructureError(
+                    "direct solve needs a strictly convex mean quadratic"
+                )
+            basis = self.basis
+            rhs = np.zeros(self.dim)
+            for spec in self.specs:
+                centers_eig = (
+                    spec.centers if basis is None else spec.centers @ basis
+                )
+                rhs += np.mean(spec.spectra * centers_eig, axis=0)
+            rhs /= len(self.specs)
+            x_eig = rhs / global_spectrum
+            return x_eig if basis is None else basis @ x_eig
+        mean_h = np.mean(self.mean_hessians(), axis=0)
+        eigs = np.linalg.eigvalsh(mean_h)
+        if eigs[0] <= 0.0:
+            raise UnsupportedStructureError(
+                "direct solve needs a strictly convex mean quadratic"
+            )
+        rhs = np.zeros(self.dim)
+        for spec in self.specs:
+            rhs += np.mean(
+                np.einsum("jkl,jl->jk", spec.matrices, spec.centers), axis=0
+            )
+        rhs /= len(self.specs)
+        return np.linalg.solve(mean_h, rhs)
 
 
 class QuadraticOracle(ClientOracle):
@@ -359,7 +393,7 @@ def gen_quadratic_problem(
     min_eig: float,
     target_delta: float,
     beta: float = 0.0,
-):
+) -> DistributedProblem:
     """Draw a synthetic quadratic instance with a targeted Hessian spread.
 
     All component matrices share one random orthogonal eigenbasis.  Three
@@ -372,11 +406,9 @@ def gen_quadratic_problem(
     are floored at ``1e-6`` to produce a merely-convex instance with a
     finite minimizer.
 
-    Returns ``(problem, report)`` where the report carries the achieved
-    dissimilarity constants (exact operator-norm computation).
+    Returns the problem alone; ``delta_exact_quadratic(problem)[0]`` gives
+    the achieved dissimilarity constants (exact operator-norm computation).
     """
-    from .dissimilarity import delta_exact_quadratic
-
     if n < 1 or m < 1:
         raise ConfigurationError("need n >= 1 clients and m >= 1 components")
     if d < 3:
@@ -425,7 +457,4 @@ def gen_quadratic_problem(
                 centers=centers_eig @ q.T, beta=beta, spectra=spectra
             )
         )
-    family = QuadraticFamily(specs=specs, basis=q)
-    problem = build_quadratic_problem(family)
-    exact_report, _ = delta_exact_quadratic(family)
-    return problem, exact_report
+    return build_quadratic_problem(QuadraticFamily(specs=specs, basis=q))

@@ -49,9 +49,10 @@ from fedlab.harness import trace_csv_text
 def headline_runs():
     """The strongly convex headline comparison shared by criteria 1/2."""
     started = time.perf_counter()
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         0, 5, 10, 200, max_norm=100.0, min_eig=1.0, target_delta=5.0
     )
+    report = delta_exact_quadratic(problem)[0]
     x0 = np.zeros(200)
     ref = reference_optimum(problem, x0)
     f0_gap = problem.f(x0) - ref.f_star
@@ -103,9 +104,10 @@ def test_criterion_02_computation_parity(headline_runs):
 
 def test_criterion_03_convex_exact_rate_certificate():
     for seed in range(5):
-        problem, report = gen_quadratic_problem(
+        problem = gen_quadratic_problem(
             seed, 5, 3, 50, max_norm=10.0, min_eig=0.0, target_delta=2.0
         )
+        report = delta_exact_quadratic(problem)[0]
         cfg = MethodConfig(
             method="dane_plus",
             lam=2.0 * report.delta_a,
@@ -129,10 +131,11 @@ def test_criterion_03_convex_exact_rate_certificate():
 
 def test_criterion_04_nonconvex_descent_and_rate():
     for seed in range(3):
-        problem, report = gen_quadratic_problem(
+        problem = gen_quadratic_problem(
             seed, 4, 2, 100,
             max_norm=10.0, min_eig=-2.0, target_delta=2.0, beta=400.0,
         )
+        report = delta_exact_quadratic(problem)[0]
         cfg = MethodConfig(
             method="dane_plus",
             lam=2.0 * report.delta_b,
@@ -168,7 +171,7 @@ def test_criterion_04_nonconvex_descent_and_rate():
 
 def test_criterion_05_degeneration_is_bitwise():
     for seed in range(3):
-        problem, _ = gen_quadratic_problem(
+        problem = gen_quadratic_problem(
             seed, 4, 2, 20, max_norm=10.0, min_eig=0.5, target_delta=1.0
         )
         budget = Budget(max_iterations=50)
@@ -334,9 +337,10 @@ def test_criterion_09_communication_probability_calibration():
 
 
 def test_criterion_10_inexactness_schedule_premise():
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         7, 4, 3, 30, max_norm=10.0, min_eig=0.0, target_delta=1.5
     )
+    report = delta_exact_quadratic(problem)[0]
     lam = 2.0 * report.delta_a
     cfg = MethodConfig(
         method="dane_plus",

@@ -20,6 +20,7 @@ from fedlab import (
     build_quadratic_problem,
     check_rate_certificates,
     counting_problem,
+    delta_exact_quadratic,
     gen_quadratic_problem,
     grad_evals_to_target,
     mean_grad_norm_certificate,
@@ -99,7 +100,7 @@ def test_reference_rejects_nonconvex_instances():
 
 
 def test_descent_baseline_contracts_per_round():
-    problem, _ = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         4, 3, 2, 12, max_norm=10.0, min_eig=1.0, target_delta=1.0
     )
     cfg = MethodConfig(method="gd", eta=1.0 / problem.l_smooth_global)
@@ -175,7 +176,7 @@ def test_targets_on_synthetic_traces():
 
 
 def test_randomized_output_mode_tracks_best_gradient():
-    problem, _ = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         5, 3, 2, 8, max_norm=10.0, min_eig=0.5, target_delta=1.5
     )
     cfg = MethodConfig(
@@ -290,7 +291,7 @@ def test_anchored_accounting_matches_oracle_counter(method, solver):
     )
     # the generated family shares an eigenbasis, so the exact solver runs
     # on the frame the counting wrapper forwards
-    eigen, _ = gen_quadratic_problem(
+    eigen = gen_quadratic_problem(
         3, 3, 2, 8, max_norm=6.0, min_eig=0.5, target_delta=1.0
     )
     for base in (hetero_pair(d=4, seed=23), eigen):
@@ -342,9 +343,10 @@ def _constants_for(problem, result, report, x0):
 
 
 def test_convex_sublinear_certificate_holds():
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         6, 4, 2, 15, max_norm=10.0, min_eig=0.0, target_delta=1.0
     )
+    report = delta_exact_quadratic(problem)[0]
     cfg = _exact("dane_plus", lam=2.0 * report.delta_a)
     x0 = np.zeros(15)
     result = run_experiment(
@@ -360,9 +362,10 @@ def test_convex_sublinear_certificate_holds():
 
 
 def test_strongly_convex_certificates_hold():
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         4, 4, 2, 12, max_norm=10.0, min_eig=1.0, target_delta=1.0
     )
+    report = delta_exact_quadratic(problem)[0]
     cfg = _exact("dane_plus", lam=2.0 * report.delta_a)
     x0 = np.ones(12)
     result = run_experiment(
@@ -377,9 +380,10 @@ def test_strongly_convex_certificates_hold():
 
 
 def test_randomized_stationarity_certificate_holds():
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         5, 3, 2, 10, max_norm=10.0, min_eig=0.5, target_delta=2.0
     )
+    report = delta_exact_quadratic(problem)[0]
     cfg = MethodConfig(
         method="dane_plus",
         lam=2.0 * report.delta_b,
@@ -406,9 +410,10 @@ def test_randomized_stationarity_certificate_holds():
 
 def test_linear_certificate_skips_rounds_past_the_float_range():
     # mu / lam = 50: (1 + 50)^R leaves the float range after R = 180
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         2, 4, 3, 12, max_norm=8.0, min_eig=0.5, target_delta=1.0
     )
+    report = delta_exact_quadratic(problem)[0]
     x0 = np.zeros(12)
     result = run_experiment(
         problem, _exact("dane_plus", lam=0.01), Budget(max_rounds=400), seed=0, x0=x0
@@ -426,9 +431,10 @@ def test_linear_certificate_skips_rounds_past_the_float_range():
 def test_fedred_below_p_one_claims_no_deterministic_bound():
     # at p < 1 fedred's rate holds in expectation; run seeds 1 and 2 of this
     # correct run land above the per-round bounds
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         2, 4, 3, 12, max_norm=8.0, min_eig=0.5, target_delta=1.0
     )
+    report = delta_exact_quadratic(problem)[0]
     cfg = suggest_parameters(
         "fedred", report, "sc", l_smooth=problem.l_smooth, mu=problem.mu
     )
@@ -458,9 +464,10 @@ def test_fedred_at_p_one_claims_bounds_only_under_the_coupling():
     # the sc rule's eta is far above lam; forced to p = 1 without the
     # coupling lam = p * eta, correct runs break both deterministic bounds
     for seed in range(4):
-        problem, report = gen_quadratic_problem(
+        problem = gen_quadratic_problem(
             seed, 4, 3, 12, max_norm=8.0, min_eig=0.5, target_delta=1.0
         )
+        report = delta_exact_quadratic(problem)[0]
         suggested = suggest_parameters(
             "fedred", report, "sc", l_smooth=problem.l_smooth, mu=problem.mu
         )
@@ -509,9 +516,10 @@ def test_certificate_error_paths():
 
 
 def test_mean_gradient_norm_certificate():
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         4, 3, 2, 8, max_norm=8.0, min_eig=0.5, target_delta=1.0
     )
+    report = delta_exact_quadratic(problem)[0]
     cfg = MethodConfig(
         method="fedred_gd",
         lam=report.delta_b,

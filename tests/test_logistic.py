@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.special import expit
 
 from fedlab import (
@@ -71,18 +72,38 @@ def test_partition_covers_every_row_once():
     parts = dirichlet_partition(ds, 4, 0.5, RandomStream(2))
     assert sum(p.n_rows for p in parts) == ds.n_rows
     seen = sorted(
-        (float(lbl), tuple(sorted(row.items())))
+        (float(lbl), tuple(row))
         for p in parts
-        for lbl, row in zip(p.labels, p.rows)
+        for lbl, row in zip(p.labels, p.matrix.toarray())
     )
     original = sorted(
-        (float(lbl), tuple(sorted(row.items())))
-        for lbl, row in zip(ds.labels, ds.rows)
+        (float(lbl), tuple(row)) for lbl, row in zip(ds.labels, ds.matrix.toarray())
     )
     assert seen == original
     for p in parts:
         assert p.n_rows >= 1
         assert p.dim == ds.dim
+
+
+def test_partition_matrices_hold_the_parent_rows_in_order():
+    ds = _toy_dataset(rows=40)
+    # a leading column holding 1 + the row's index names each parent row
+    tags = sp.csr_matrix(np.arange(1.0, ds.n_rows + 1)[:, None])
+    tagged = SparseDataset(ds.labels, sp.hstack([tags, ds.matrix], format="csr"))
+    parent = tagged.matrix
+    taken = []
+    for p in dirichlet_partition(tagged, 4, 0.5, RandomStream(2)):
+        ids = p.matrix[:, 0].toarray().ravel().astype(np.int64) - 1
+        assert np.all(np.diff(ids) > 0)
+        spans = [slice(parent.indptr[r], parent.indptr[r + 1]) for r in ids]
+        assert np.array_equal(p.matrix.data, np.concatenate([parent.data[s] for s in spans]))
+        assert np.array_equal(
+            p.matrix.indices, np.concatenate([parent.indices[s] for s in spans])
+        )
+        assert np.array_equal(np.diff(p.matrix.indptr), [s.stop - s.start for s in spans])
+        assert np.array_equal(p.labels, tagged.labels[ids])
+        taken.extend(ids)
+    assert sorted(taken) == list(range(ds.n_rows))
 
 
 def test_partition_is_deterministic_and_seed_sensitive():
@@ -179,9 +200,7 @@ def _sparse_clients(draw):
     dense = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, (rows, cols))
     dense[rng.random((rows, cols)) >= density] = 0.0
     part = SparseDataset(
-        labels=rng.choice([-1.0, 1.0], size=rows),
-        rows=[{j + 1: float(v) for j, v in enumerate(r) if v != 0.0} for r in dense],
-        dim=cols,
+        labels=rng.choice([-1.0, 1.0], size=rows), matrix=sp.csr_matrix(dense)
     )
     oracle = LogisticOracle(part, n_clients=3, total_rows=rows + 5)
     return oracle, rng.standard_normal(rows), 3.0 * rng.standard_normal(cols)

@@ -13,7 +13,9 @@ from fedlab import (
     QuadraticClientSpec,
     QuadraticFamily,
     RandomStream,
+    UnsupportedStructureError,
     build_quadratic_problem,
+    delta_exact_quadratic,
     finite_difference_gradient,
     gen_quadratic_problem,
 )
@@ -141,9 +143,10 @@ def test_generator_validates_arguments():
 
 
 def test_generator_pins_extreme_eigenvalues():
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         3, 4, 5, 12, max_norm=50.0, min_eig=2.0, target_delta=4.0
     )
+    report = delta_exact_quadratic(problem)[0]
     family = problem.quadratic
     for spec in family.specs:
         assert np.min(spec.spectra) >= 2.0 - 1e-12
@@ -157,17 +160,19 @@ def test_generator_pins_extreme_eigenvalues():
 
 def test_generator_achieves_requested_dissimilarity():
     n, t = 5, 4.0
-    _, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         0, n, 3, 10, max_norm=40.0, min_eig=1.0, target_delta=t
     )
+    report = delta_exact_quadratic(problem)[0]
     assert report.delta_b == pytest.approx(t, rel=1e-12)
     assert report.delta_a == pytest.approx(t * np.sqrt(2.0 / n), rel=1e-12)
 
 
 def test_generator_target_zero_means_identical_clients():
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         1, 3, 2, 6, max_norm=10.0, min_eig=1.0, target_delta=0.0
     )
+    report = delta_exact_quadratic(problem)[0]
     assert report.delta_a == 0.0 and report.delta_b == 0.0
     base = problem.quadratic.specs[0].spectra
     for spec in problem.quadratic.specs[1:]:
@@ -175,9 +180,9 @@ def test_generator_target_zero_means_identical_clients():
 
 
 def test_generator_is_deterministic_in_seed():
-    a, _ = gen_quadratic_problem(8, 2, 2, 5, max_norm=9.0, min_eig=1.0, target_delta=1.0)
-    b, _ = gen_quadratic_problem(8, 2, 2, 5, max_norm=9.0, min_eig=1.0, target_delta=1.0)
-    c, _ = gen_quadratic_problem(9, 2, 2, 5, max_norm=9.0, min_eig=1.0, target_delta=1.0)
+    a = gen_quadratic_problem(8, 2, 2, 5, max_norm=9.0, min_eig=1.0, target_delta=1.0)
+    b = gen_quadratic_problem(8, 2, 2, 5, max_norm=9.0, min_eig=1.0, target_delta=1.0)
+    c = gen_quadratic_problem(9, 2, 2, 5, max_norm=9.0, min_eig=1.0, target_delta=1.0)
     assert np.array_equal(a.quadratic.specs[0].spectra, b.quadratic.specs[0].spectra)
     assert np.array_equal(a.quadratic.specs[0].centers, b.quadratic.specs[0].centers)
     assert not np.array_equal(
@@ -187,14 +192,15 @@ def test_generator_is_deterministic_in_seed():
 
 def test_generator_smoothness_dominates_dissimilarity():
     # the headline separation regime: L / delta_B >= 20 at bench scale
-    problem, report = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         0, 5, 10, 20, max_norm=100.0, min_eig=1.0, target_delta=5.0
     )
+    report = delta_exact_quadratic(problem)[0]
     assert problem.l_smooth / report.delta_b >= 20.0 - 1e-9
 
 
 def test_generator_convex_mode_floors_eigenvalues():
-    problem, _ = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         4, 3, 2, 9, max_norm=5.0, min_eig=0.0, target_delta=0.5
     )
     lows = [np.min(spec.spectra) for spec in problem.quadratic.specs]
@@ -202,11 +208,51 @@ def test_generator_convex_mode_floors_eigenvalues():
     assert problem.mu == pytest.approx(GENERAL_CONVEX_FLOOR)
 
 
+def test_minimizer_zeroes_the_gradient_on_every_representation():
+    dense = random_family(4, dense=True)
+    generated = gen_quadratic_problem(
+        3, 3, 2, 8, max_norm=6.0, min_eig=0.5, target_delta=1.0
+    ).quadratic
+    assert generated.basis is not None
+    for family in (dense, random_family(4), generated):
+        problem = build_quadratic_problem(family)
+        x_star = family.minimizer()
+        scale = 1e-10 * (1.0 + np.linalg.norm(problem.grad_f(np.zeros(family.dim))))
+        assert np.linalg.norm(problem.grad_f(x_star)) <= scale
+    mean_h = np.mean([spec.matrices.mean(axis=0) for spec in dense.specs], axis=0)
+    rhs = np.mean(
+        [
+            np.mean([a @ b for a, b in zip(spec.matrices, spec.centers)], axis=0)
+            for spec in dense.specs
+        ],
+        axis=0,
+    )
+    assert np.allclose(
+        dense.minimizer(), np.linalg.solve(mean_h, rhs), rtol=1e-12, atol=1e-12
+    )
+
+
+def test_minimizer_rejects_an_indefinite_mean():
+    centers = np.zeros((1, 2))
+    spectral = QuadraticFamily(
+        specs=[
+            QuadraticClientSpec(centers=centers, spectra=[[1.0, 1.0]]),
+            QuadraticClientSpec(centers=centers, spectra=[[1.0, -3.0]]),
+        ]
+    )
+    dense = QuadraticFamily(
+        specs=[QuadraticClientSpec(centers=centers, matrices=[[[1.0, 2.0], [2.0, 1.0]]])]
+    )
+    for family in (spectral, dense):
+        with pytest.raises(UnsupportedStructureError):
+            family.minimizer()
+
+
 def test_sigmoid_term_shifts_hints():
-    plain, _ = gen_quadratic_problem(
+    plain = gen_quadratic_problem(
         2, 2, 2, 6, max_norm=8.0, min_eig=1.0, target_delta=1.0
     )
-    bumpy, _ = gen_quadratic_problem(
+    bumpy = gen_quadratic_problem(
         2, 2, 2, 6, max_norm=8.0, min_eig=1.0, target_delta=1.0, beta=400.0
     )
     assert bumpy.l_smooth == pytest.approx(plain.l_smooth + 800.0)
@@ -267,7 +313,7 @@ def test_closed_form_matches_the_component_definition(case):
 
 
 def test_eigen_frame_rotates_the_hessian():
-    problem, _ = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         1, 2, 3, 7, max_norm=6.0, min_eig=0.5, target_delta=1.0, beta=0.5
     )
     oracle = problem.clients[0]
@@ -290,7 +336,7 @@ def test_problems_with_requested_frames_are_freed_without_the_collector():
     factories = (
         lambda: gen_quadratic_problem(
             0, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
-        )[0],
+        ),
         lambda: build_quadratic_problem(random_family(4)),
     )
     gc.disable()

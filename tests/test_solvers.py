@@ -357,7 +357,7 @@ def test_exact_solver_bills_the_matvecs_it_uses(monkeypatch):
         return hook(self, v)
 
     monkeypatch.setattr(QuadraticOracle, "hessian_matvec", counted)
-    eigenbasis, _ = gen_quadratic_problem(
+    eigenbasis = gen_quadratic_problem(
         0, 2, 3, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
     )
     cases = (
@@ -487,7 +487,7 @@ def test_exact_solver_residual_postcondition():
 
 
 def test_exact_solver_rejects_a_nan_subproblem():
-    problem, _ = gen_quadratic_problem(
+    problem = gen_quadratic_problem(
         0, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
     )
     base = problem.clients[0]
