@@ -16,7 +16,6 @@ from .core import (
     UnsupportedStructureError,
     Vector,
     as_vector,
-    finite_difference_gradient,
 )
 from .harness import (
     Budget,

@@ -5,13 +5,23 @@ methods, the experiment harness) is written against the primitives in this
 module: dense float64 vectors, counter-based random streams addressed by
 ``(master_seed, path)``, and client oracles exposing value/gradient pairs
 for one client's local objective.
+
+Products on the per-call path (every oracle value and gradient, the local
+solvers' loops, method steps and the harness's metric snapshots) call the
+routine they end in directly: dense ones ``ndarray.dot``, whose BLAS call
+the ``@`` gufunc makes too after a costlier dispatch, with vector norms as
+``math.sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes for a
+1-D float vector; sparse ones ``problems.logistic._csr_matvec``, scipy's
+CSR kernel without the ``@`` dispatch.  Both are bitwise equal to the forms
+they replace.  :func:`require_finite` alone keeps ``np.vdot``: ``.dot`` and
+``@`` set the overflow flag, and so warn, on finite entries above about
+1e154, and ``np.vdot`` does not.
 """
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -163,13 +173,6 @@ class ClientOracle(ABC):
         """
         return self.gradient(x)
 
-    def stochastic_gradient_std(self, x) -> Vector | None:
-        """Per-coordinate standard deviation of :meth:`stochastic_gradient`.
-
-        None when the estimator is deterministic.
-        """
-        return None
-
     @property
     def stochastic_cost(self) -> float:
         """Cost of one stochastic gradient in full-gradient units."""
@@ -219,17 +222,3 @@ class DistributedProblem:
     def mean_gradient(grads: np.ndarray) -> Vector:
         # single canonical reduction so every caller gets bitwise-equal means
         return np.mean(grads, axis=0)
-
-
-def finite_difference_gradient(
-    fn: Callable[[Vector], float], x: Vector, rel_step: float = 1e-6
-) -> Vector:
-    """Central finite-difference gradient with step ``rel_step*(1+||x||)``."""
-    x = as_vector(x)
-    h = rel_step * (1.0 + float(np.linalg.norm(x)))
-    g = np.empty_like(x)
-    for k in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[k] = h
-        g[k] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return g

@@ -223,7 +223,7 @@ def run_experiment(
 
     g0 = metrics.grad_f(x0)
     # the output iterate, and under best_grad its squared gradient norm
-    x_out, best_score = x0.copy(), float(g0 @ g0)
+    x_out, best_score = x0.copy(), float(g0.dot(g0))
 
     def snapshot(k: int, rounds: int):
         nonlocal f_best, reached
@@ -241,7 +241,7 @@ def run_experiment(
             rounds=rounds,
             grad_evals=cum_evals,
             f_gap=f_out - f_star,
-            grad_norm_sq=float(g @ g),
+            grad_norm_sq=float(g.dot(g)),
             dist_sq=dist,
             wall_ms=(time.perf_counter() - started) * 1e3,
             f_value=f_out,
@@ -280,7 +280,7 @@ def run_experiment(
                     x_out = server.reference
                 elif rec.communicated:
                     g = metrics.grad_f(server.reference)
-                    score = float(g @ g)
+                    score = float(g.dot(g))
                     if score < best_score:
                         x_out, best_score = server.reference.copy(), score
                 if rec.communicated or rec.iteration % record_every == 0:

@@ -177,10 +177,10 @@ class SurrogateOracle(ClientOracle):
     def _value(self, x: Vector) -> float:
         v = self.base.value(x)
         if self.linear_shift is not None:
-            v += float(self.linear_shift @ x)
+            v += float(self.linear_shift.dot(x))
         for weight, center in self.prox_terms:
             diff = x - center
-            v += 0.5 * weight * float(diff @ diff)
+            v += 0.5 * weight * float(diff.dot(diff))
         return v
 
     def _gradient(self, x: Vector) -> Vector:
@@ -386,7 +386,7 @@ def solve_exact_quadratic(
         rhs = rhs + w * center
     basis, frame = base.eigen_frame()
     if basis is not None:
-        rhs = rhs @ basis
+        rhs = rhs.dot(basis)
 
     def matvec(v: Vector) -> Vector:
         return frame.hessian_matvec(v) + weight * v
@@ -395,7 +395,7 @@ def solve_exact_quadratic(
     x = np.zeros(d)
     r = rhs.copy()
     p = r.copy()
-    rs_old = float(r @ r)
+    rs_old = float(r.dot(r))
     res_norm = math.sqrt(rs_old)
     target = EXACT_RESIDUAL_REL * res_norm
     iters = 0
@@ -410,7 +410,7 @@ def solve_exact_quadratic(
             break
         ap = matvec(p)
         matvecs += 1
-        curvature = float(p @ ap)
+        curvature = float(p.dot(ap))
         if curvature <= 0.0:
             raise UnsupportedStructureError(
                 "subproblem matrix is not positive definite"
@@ -418,7 +418,7 @@ def solve_exact_quadratic(
         alpha = rs_old / curvature
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = float(r @ r)
+        rs_new = float(r.dot(r))
         res_norm = math.sqrt(rs_new)
         p = r + (rs_new / rs_old) * p
         rs_old = rs_new
@@ -428,7 +428,7 @@ def solve_exact_quadratic(
             f"conjugate gradients stalled at residual {res_norm:.3e}"
         )
     if basis is not None:
-        x = basis @ x
+        x = basis.dot(x)
     start = as_vector(x_start) if x_start is not None else np.zeros(d)
     return _finish(
         surrogate,

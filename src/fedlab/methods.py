@@ -34,6 +34,7 @@ across the round-based and coin-based methods.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,9 +347,8 @@ def anchored_step(
         solutions.append(report.solution)
         evals += report.grad_evals
         local_steps += report.steps_taken
-        premise.append(
-            (report.final_grad_norm, float(np.linalg.norm(report.solution - ref)))
-        )
+        moved = report.solution - ref
+        premise.append((report.final_grad_norm, math.sqrt(moved.dot(moved))))
     record = _communicate(
         server, clients, cfg, step_stream, solutions, grad_evals=evals,
         local_steps=local_steps, e_r=e_r, premise=premise,
@@ -383,7 +383,7 @@ def fedred_gd_step(
             g = oracle.gradient(x)
             evals += 1.0
         # one row at a time: a batched product could sum in another order
-        solutions.append(coeffs @ np.stack([x, ref, g - h]))
+        solutions.append(coeffs.dot(np.stack([x, ref, g - h])))
     record = _communicate(
         server, clients, cfg, step_stream, solutions, grad_evals=evals, local_steps=1
     )

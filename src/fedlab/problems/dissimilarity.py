@@ -16,6 +16,7 @@ rules are stated in terms of it; it always lies between the other two.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +119,8 @@ def delta_sampled(
         rng = stream.fork(t).generator()
         x = rng.standard_normal(d)
         y = rng.standard_normal(d)
-        gap = float(np.linalg.norm(x - y))
+        diff = x - y
+        gap = math.sqrt(diff.dot(diff))
         if gap == 0.0:
             continue
         gx = problem.client_gradients(x)
@@ -129,7 +131,7 @@ def delta_sampled(
         sq_sum = 0.0
         # a norm per row: an axis-wise norm would sum in another order
         for dev in devs:
-            norm = float(np.linalg.norm(dev))
+            norm = math.sqrt(dev.dot(dev))
             sq_sum += norm * norm
             delta_b = max(delta_b, norm / gap)
         delta_a_sq = max(delta_a_sq, sq_sum / problem.n / (gap * gap))

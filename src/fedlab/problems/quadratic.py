@@ -259,15 +259,15 @@ class QuadraticOracle(ClientOracle):
         self.convexity_hint = modulus if modulus >= 0.0 else None
 
     def _frame(self, x: Vector) -> Vector:
-        return x if self.basis is None else x @ self.basis
+        return x if self.basis is None else x.dot(self.basis)
 
     def _to_original(self, v: Vector) -> Vector:
-        return v if self.basis is None else self.basis @ v
+        return v if self.basis is None else self.basis.dot(v)
 
     def _curvature(self, y: Vector) -> Vector:
         """Mean quadratic Hessian applied to ``y``, within the frame."""
         if self.spec.spectra is None:
-            return self._mean_matrix @ y
+            return self._mean_matrix.dot(y)
         return self._mean_spectrum * y
 
     def _component_curvature(self, v: np.ndarray) -> np.ndarray:
@@ -310,14 +310,10 @@ class QuadraticOracle(ClientOracle):
 
     # -- oracle implementation --------------------------------------------
 
-    def _component_gradients(self, x: Vector) -> np.ndarray:
-        g = self._component_curvature(self._frame(x)[None, :] - self._centers)
-        return g if self.basis is None else g @ self.basis.T
-
     def _value(self, x: Vector) -> float:
         w = self._frame(x) - self._center
-        quad = 0.5 * float(w @ self._curvature(w)) - float(self._u @ w) + self._kappa
-        return quad + _sigmoid_value(x, self.beta)
+        quad = 0.5 * float(w.dot(self._curvature(w))) - float(self._u.dot(w))
+        return quad + self._kappa + _sigmoid_value(x, self.beta)
 
     def _gradient(self, x: Vector) -> Vector:
         w = self._frame(x) - self._center
@@ -332,13 +328,8 @@ class QuadraticOracle(ClientOracle):
                 self.spec.spectra[j] * (self._frame(x) - self._centers[j])
             )
         else:
-            g = self.spec.matrices[j] @ (x - self._centers[j])
+            g = self.spec.matrices[j].dot(x - self._centers[j])
         return g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
-
-    def stochastic_gradient_std(self, x) -> Vector:
-        x = self._check_input(x)
-        comps = self._component_gradients(x)
-        return np.std(comps, axis=0)
 
     @property
     def stochastic_cost(self) -> float:

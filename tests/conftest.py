@@ -11,8 +11,21 @@ from fedlab import (
     QuadraticClientSpec,
     QuadraticFamily,
     RandomStream,
+    as_vector,
     build_quadratic_problem,
 )
+
+
+def finite_difference_gradient(fn, x, rel_step: float = 1e-6) -> np.ndarray:
+    """Central finite-difference gradient with step ``rel_step*(1+||x||)``."""
+    x = as_vector(x)
+    h = rel_step * (1.0 + float(np.linalg.norm(x)))
+    g = np.empty_like(x)
+    for k in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[k] = h
+        g[k] = (fn(x + e) - fn(x - e)) / (2.0 * h)
+    return g
 
 
 def quad_1d(center: float = 3.0, curvature: float = 1.0) -> DistributedProblem:

@@ -14,11 +14,10 @@ from fedlab import (
     NonFiniteError,
     RandomStream,
     as_vector,
-    finite_difference_gradient,
 )
 from fedlab.core import require_finite
 
-from conftest import quad_1d, two_client_line
+from conftest import finite_difference_gradient, quad_1d, two_client_line
 
 
 def test_as_vector_coerces_lists_to_float64():

@@ -15,7 +15,6 @@ from fedlab import (
     SurrogateOracle,
     UnsupportedStructureError,
     counting_problem,
-    finite_difference_gradient,
     schedule_e_r,
     solve_exact_quadratic,
     solve_fgd,
@@ -33,6 +32,7 @@ from fedlab.problems import (
 from conftest import (
     CubicOracle,
     FixedGradientOracle,
+    finite_difference_gradient,
     hetero_pair,
     quad_1d,
     random_family,
