@@ -236,16 +236,13 @@ def test_csr_matvec_is_bitwise_the_operator_product():
     rng = RandomStream(23).generator()
     dense = rng.standard_normal((40, 200)) * 10.0 ** rng.uniform(-3, 3, (40, 200))
     dense[rng.random((40, 200)) >= 0.1] = 0.0
-    dense[17] = 0.0
+    dense[17] = 0.0  # an empty row
     matrix = sp.csr_matrix(dense)
     for operator in (matrix, matrix.T.tocsr()):
         for arr in (operator.data, operator.indices, operator.indptr):
             arr.flags.writeable = False
         x = rng.standard_normal(operator.shape[1])
-        product = _csr_matvec(operator, x)
-        assert product.shape == (operator.shape[0],) and product.flags.writeable
-        assert np.array_equal(product, operator @ x)
-    assert _csr_matvec(matrix, np.ones(200))[17] == 0.0
+        assert np.array_equal(_csr_matvec(operator, x), operator @ x)
 
 
 @_TRANSPOSE_SETTINGS
