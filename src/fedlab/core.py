@@ -20,8 +20,9 @@ they replace.  :func:`require_finite` alone keeps ``np.vdot``: ``.dot`` and
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,6 +78,33 @@ def require_finite(arr, what: str = "value"):
     return arr
 
 
+# SeedSequence's default pool size: a seed with a spawn key is padded to it
+_POOL_SIZE = 4
+
+
+def _uint32_words(value, what: str) -> tuple[int, ...]:
+    """Little-endian 32-bit words of a non-negative integer, as numpy splits it.
+
+    Zero is one word; anything that is not an integer (``operator.index``
+    refuses it) or is negative raises :class:`ConfigurationError`.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{what} must be an integer, got {value!r}"
+        ) from None
+    if n < 0:
+        raise ConfigurationError(f"{what} must be non-negative")
+    if n <= 0xFFFFFFFF:
+        return (n,)
+    words = []
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return tuple(words)
+
+
 @dataclass(frozen=True)
 class RandomStream:
     """Deterministic random stream addressed by a seed and an integer path.
@@ -86,29 +114,48 @@ class RandomStream:
     a path reproduces bit-identical draws no matter how many other streams
     were consumed in between.  Child streams obtained through :meth:`fork`
     are statistically independent of the parent and of each other.
+
+    The address is kept as the uint32 entropy words that
+    ``np.random.SeedSequence(entropy=master_seed, spawn_key=path)``
+    assembles: the seed's words, zero-padded to the pool size of 4 when the
+    path is non-empty, then each label's words.  A stream validates its
+    seed and path once; :meth:`fork` validates and appends only the new
+    label, and :meth:`generator` seeds numpy from the words, which fills the
+    same entropy pool, so every drawn bit is numpy's for that address.
     """
 
     master_seed: int
     path: tuple[int, ...] = ()
+    _words: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.master_seed < 0:
-            raise ConfigurationError("master_seed must be non-negative")
-        if any(label < 0 for label in self.path):
-            raise ConfigurationError("stream path labels must be non-negative")
+        words = _uint32_words(self.master_seed, "master_seed")
+        if self.path:
+            words = self._padded(words)
+        for label in self.path:
+            words += _uint32_words(label, "stream path label")
+        object.__setattr__(self, "_words", words)
+
+    @staticmethod
+    def _padded(seed_words: tuple[int, ...]) -> tuple[int, ...]:
+        return seed_words + (0,) * (_POOL_SIZE - len(seed_words))
 
     def fork(self, label: int) -> "RandomStream":
         """Child stream for integer ``label`` (deterministic, collision-free)."""
-        if label < 0:
-            raise ConfigurationError("stream path labels must be non-negative")
-        return RandomStream(self.master_seed, self.path + (label,))
+        words = self._words if self.path else self._padded(self._words)
+        words += _uint32_words(label, "stream path label")
+        # the parent's address is already valid: build the child without
+        # __post_init__, which would re-validate the whole path
+        child = object.__new__(RandomStream)
+        object.__setattr__(child, "master_seed", self.master_seed)
+        object.__setattr__(child, "path", self.path + (label,))
+        object.__setattr__(child, "_words", words)
+        return child
 
     def generator(self) -> np.random.Generator:
         """Fresh generator seeded from this stream's address."""
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=self.path
-        )
-        return np.random.default_rng(seq)
+        words = np.array(self._words, dtype=np.uint32)
+        return np.random.default_rng(np.random.SeedSequence(words))
 
 
 class ClientOracle(ABC):
@@ -216,7 +263,7 @@ class DistributedProblem:
 
     def client_gradients(self, x) -> np.ndarray:
         """Every client's gradient at ``x``, as an (n, d) block."""
-        return np.stack([c.gradient(x) for c in self.clients])
+        return np.array([c.gradient(x) for c in self.clients])
 
     @staticmethod
     def mean_gradient(grads: np.ndarray) -> Vector:

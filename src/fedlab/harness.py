@@ -34,6 +34,7 @@ from .local_solvers import SolverBudgetError, StoppingRule, solve_fgd
 from .methods import (
     MethodConfig,
     StepRecord,
+    draw_pick,
     init_method_state,
     step_method,
 )
@@ -470,9 +471,10 @@ def mean_grad_norm_certificate(
     """In-expectation stationarity check for the linearized method.
 
     Runs the configured method for a fixed number of steps for each seed,
-    measures ``||grad f||^2`` at the per-step randomized candidate (the
-    picked client's new iterate), and returns the seed-and-step average
-    together with the bound ``96 L F0 / K``.
+    measures ``||grad f||^2`` at the per-step randomized candidate (the new
+    iterate of the client that :func:`~fedlab.methods.draw_pick` draws from
+    the step's address, communicating or not), and returns the
+    seed-and-step average together with the bound ``96 L F0 / K``.
     """
     if cfg.method != "fedred_gd" or cfg.averaging != "rand":
         raise ConfigurationError("this certificate is for rand-averaged fedred_gd")
@@ -483,9 +485,10 @@ def mean_grad_norm_certificate(
         stream = RandomStream(int(seed))
         server, clients, _ = init_method_state(problem, cfg, x0)
         acc = 0.0
-        for _ in range(steps):
-            server, clients, rec = step_method(problem, server, clients, cfg, stream)
-            g = problem.grad_f(clients.x[rec.pick_index])
+        for k in range(steps):
+            server, clients, _ = step_method(problem, server, clients, cfg, stream)
+            # silent steps draw no pick, so it is drawn here from the step's address
+            g = problem.grad_f(clients.x[draw_pick(stream.fork(k), problem.n)])
             acc += float(g @ g)
         totals.append(acc / steps)
     mean_sq = float(np.mean(totals))

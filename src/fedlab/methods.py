@@ -171,7 +171,11 @@ class MethodConfig:
 
 @dataclass
 class StepRecord:
-    """What one step/round did, for accounting and certificates."""
+    """What one step/round did, for accounting and certificates.
+
+    ``pick_index`` is the client adopted by a rand-averaged communication;
+    it is ``None`` on silent steps and under mean averaging.
+    """
 
     iteration: int
     rounds: int
@@ -240,9 +244,8 @@ def _ensure_fresh_variates(
     return float(problem.n)
 
 
-def _pick_index(cfg: MethodConfig, step_stream: RandomStream, n: int) -> int | None:
-    if cfg.averaging != "rand":
-        return None
+def draw_pick(step_stream: RandomStream, n: int) -> int:
+    """The client that rand averaging adopts at the step of ``step_stream``."""
     return int(step_stream.fork(_LBL_PICK).generator().integers(n))
 
 
@@ -289,18 +292,22 @@ def _communicate(
     solutions: np.ndarray | list[Vector],
     **record,
 ) -> StepRecord:
-    """Draw the pick, then the coin; move the clients; aggregate on communication.
+    """Draw the coin; move the clients; aggregate on communication.
 
-    ``solutions`` is a fresh (n, d) block or a list of its rows; ``record``
-    holds the remaining :class:`StepRecord` fields.
+    A communicating step adopts the mean of the solutions, or under rand
+    averaging one client's solution drawn by :func:`draw_pick`; a silent
+    step draws no pick.  ``solutions`` is a fresh (n, d) block or a list of
+    its rows; ``record`` holds the remaining :class:`StepRecord` fields.
     """
-    pick = _pick_index(cfg, step_stream, len(solutions))
     theta = _draw_theta(cfg, step_stream)
     clients.x = np.asarray(solutions)
+    pick = None
     if theta:
-        server.reference = (
-            np.mean(clients.x, axis=0) if pick is None else clients.x[pick].copy()
-        )
+        if cfg.averaging == "rand":
+            pick = draw_pick(step_stream, len(clients.x))
+            server.reference = clients.x[pick].copy()
+        else:
+            server.reference = np.mean(clients.x, axis=0)
         server.comm_events += 1
     server.iteration += 1
     return StepRecord(
@@ -383,7 +390,7 @@ def fedred_gd_step(
             g = oracle.gradient(x)
             evals += 1.0
         # one row at a time: a batched product could sum in another order
-        solutions.append(coeffs.dot(np.stack([x, ref, g - h])))
+        solutions.append(coeffs.dot(np.array([x, ref, g - h])))
     record = _communicate(
         server, clients, cfg, step_stream, solutions, grad_evals=evals, local_steps=1
     )
@@ -453,7 +460,7 @@ def baseline_scaffnew_step(
     telescoping update that keeps their mean at zero.
     """
     gamma = cfg.eta
-    grads = np.stack([o.gradient(x) for o, x in zip(problem.clients, clients.x)])
+    grads = np.array([o.gradient(x) for o, x in zip(problem.clients, clients.x)])
     hats = clients.x - gamma * (grads - clients.h)
     record = _communicate(
         server, clients, cfg, stream.fork(server.iteration), hats,

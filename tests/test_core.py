@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedlab import (
@@ -91,6 +91,40 @@ def test_stream_rejects_negative_addresses():
         RandomStream(0).fork(-2)
     with pytest.raises(ConfigurationError):
         RandomStream(0, (-1,))
+
+
+def test_stream_rejects_non_integer_addresses():
+    with pytest.raises(ConfigurationError):
+        RandomStream(2.0)
+    with pytest.raises(ConfigurationError):
+        RandomStream(0).fork(1.5)
+    with pytest.raises(ConfigurationError):
+        RandomStream(0).fork("7")
+
+
+# the boundaries of SeedSequence's 32-bit word split, and multi-word values
+_ADDRESS_INTS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1]),
+    st.integers(min_value=0, max_value=2**80),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=_ADDRESS_INTS, path=st.lists(_ADDRESS_INTS, max_size=4).map(tuple))
+def test_stream_draws_are_numpys_seed_sequence_draws(seed, path):
+    direct = RandomStream(seed, path)
+    expected = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=path)
+    ).integers(0, 2**63, size=8)
+    assert np.array_equal(direct.generator().integers(0, 2**63, size=8), expected)
+    forked = RandomStream(seed)
+    for label in path:
+        forked = forked.fork(label)
+    assert np.array_equal(forked.generator().integers(0, 2**63, size=8), expected)
+    assert forked == direct and hash(forked) == hash(direct)
+    assert repr(forked) == repr(direct) == (
+        f"RandomStream(master_seed={seed!r}, path={path!r})"
+    )
 
 
 def test_oracle_rejects_dimension_mismatch():

@@ -23,11 +23,13 @@ from fedlab import (
     delta_exact_quadratic,
     gen_quadratic_problem,
     grad_evals_to_target,
+    init_method_state,
     mean_grad_norm_certificate,
     read_trace_csv,
     reference_optimum,
     rounds_to_target,
     run_experiment,
+    step_method,
     suggest_parameters,
     trace_csv_text,
     write_trace_csv,
@@ -536,6 +538,19 @@ def test_mean_gradient_norm_certificate():
         problem, cfg, constants, steps=200, seeds=range(8), x0=x0
     )
     assert measured <= bound
+    # the candidate is drawn from each step's pick address, silent or not
+    totals = []
+    for seed in range(8):
+        stream = RandomStream(seed)
+        server, clients, _ = init_method_state(problem, cfg, x0)
+        acc = 0.0
+        for k in range(200):
+            server, clients, _ = step_method(problem, server, clients, cfg, stream)
+            pick = int(stream.fork(k).fork(1).generator().integers(problem.n))
+            g = problem.grad_f(clients.x[pick])
+            acc += float(g @ g)
+        totals.append(acc / 200)
+    assert measured == float(np.mean(totals))
     with pytest.raises(ConfigurationError):
         mean_grad_norm_certificate(
             problem,

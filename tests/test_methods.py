@@ -376,6 +376,21 @@ def test_skipped_communication_keeps_server_state():
     assert server.comm_events == communicated
 
 
+def test_rand_pick_is_drawn_only_on_communicating_steps():
+    problem = build_quadratic_problem(random_family(4, n=5))
+    cfg = MethodConfig(method="fedred_gd", lam=1.0, eta=4.0, p=0.3, averaging="rand")
+    stream = RandomStream(9)
+    _, _, records, _ = _run(problem, cfg, 9, 60)
+    silent = [rec for rec in records if not rec.communicated]
+    spoken = [rec for rec in records if rec.communicated]
+    assert silent and spoken
+    assert all(rec.pick_index is None for rec in silent)
+    for rec in spoken:
+        step_stream = stream.fork(rec.iteration - 1)
+        expected = int(step_stream.fork(1).generator().integers(problem.n))
+        assert rec.pick_index == expected
+
+
 def test_linearized_step_closed_form_cases():
     # one client, constant unit gradient: x+ = (eta x + lam ref - g)/(eta+lam)
     from conftest import FixedGradientOracle

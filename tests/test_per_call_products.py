@@ -5,7 +5,10 @@ step or metric snapshot.  Their products call ``ndarray.dot`` or
 ``problems.logistic._csr_matvec`` (bitwise equal to ``@``, at a fraction of
 the per-call cost) and their norms are ``math.sqrt(v.dot(v))``, so none may
 contain ``@`` or ``np.linalg.norm``.  ``require_finite`` keeps ``np.vdot``,
-the one dot that does not warn on overflow.
+the one dot that does not warn on overflow.  The per-step row blocks are
+built with ``np.array(list)``, bitwise the block ``np.stack`` builds at
+a fraction of its cost, so the functions that build them contain no
+``np.stack``.
 """
 import ast
 import inspect
@@ -34,6 +37,13 @@ PER_CALL = [
     methods.fedred_gd_step,
     harness.run_experiment,
     dissimilarity.delta_sampled,
+]
+
+ROW_BLOCKS = [
+    core.DistributedProblem.client_gradients,
+    methods._communicate,
+    methods.fedred_gd_step,
+    methods.baseline_scaffnew_step,
 ]
 
 
@@ -82,3 +92,12 @@ def test_per_call_functions_use_dot_and_the_csr_kernel():
 def test_require_finite_keeps_the_warning_free_vdot():
     tree = _tree(core.require_finite)
     assert any(_is_call_to(node, "np.vdot") for node in ast.walk(tree))
+
+
+def test_row_blocks_are_built_without_np_stack():
+    found = [
+        fn.__qualname__
+        for fn in ROW_BLOCKS
+        if any(_is_call_to(node, "np.stack") for node in ast.walk(_tree(fn)))
+    ]
+    assert found == []
