@@ -269,3 +269,28 @@ class DistributedProblem:
     def mean_gradient(grads: np.ndarray) -> Vector:
         # single canonical reduction so every caller gets bitwise-equal means
         return np.mean(grads, axis=0)
+
+    def eigen_frame(self) -> tuple[np.ndarray | None, "DistributedProblem"]:
+        """``(Q, frame)``: a shared eigenbasis and this problem in its frame.
+
+        When every client is a pure quadratic and each client's
+        ``eigen_frame`` returns the same basis object ``Q``, ``frame`` is a
+        problem over those clients' frame oracles with the same hints, so
+        ``frame.f(Q'x) = f(x)`` and ``Q frame.grad_f(Q'x) = grad_f(x)`` up
+        to rounding.  ``frame.quadratic`` is None: a family describes its
+        problem in original coordinates.  Otherwise ``(None, self)``; no
+        client is asked for a frame unless every one is a pure quadratic.
+        """
+        if not all(getattr(c, "is_pure_quadratic", False) for c in self.clients):
+            return None, self
+        frames = [c.eigen_frame() for c in self.clients]
+        basis = frames[0][0]
+        if basis is None or any(q is not basis for q, _ in frames):
+            return None, self
+        return basis, DistributedProblem(
+            clients=[frame for _, frame in frames],
+            dim=self.dim,
+            l_smooth=self.l_smooth,
+            l_smooth_global=self.l_smooth_global,
+            mu=self.mu,
+        )

@@ -366,10 +366,13 @@ def solve_exact_quadratic(
     reference point for the decrease flag.
 
     CG is unchanged by an orthogonal change of coordinates, so when the base
-    shares an eigenbasis ``Q`` (see ``eigen_frame``) it runs in that frame:
+    has an eigenbasis ``Q`` (see ``eigen_frame``) it runs in that frame:
     ``rhs`` is rotated in once, each iteration makes one ``hessian_matvec``
     of the frame oracle (billed as one unit, O(d) for a diagonal frame) and
-    the solution is rotated out once.
+    the solution is rotated out once.  Runs of
+    :func:`~fedlab.harness.run_experiment` on a shared eigenbasis already
+    hand it frame oracles, which are their own frame, so those solves
+    rotate nothing; this per-solve frame serves every other caller.
     """
     if not isinstance(surrogate, SurrogateOracle):
         raise UnsupportedStructureError("expected a SurrogateOracle")

@@ -216,11 +216,13 @@ class QuadraticOracle(ClientOracle):
     ``hessian_matvec`` call is a solver's matvec (the work the exact
     solver bills).
 
-    :meth:`eigen_frame` hands the exact solver the basis and an oracle
-    over the same spectra in the eigen frame, whose ``hessian_matvec`` is
-    the O(d) product ``s * v``; conjugate gradients run there, so each
-    iteration is still one billed ``hessian_matvec``, and a solve pays two
-    rotations in all instead of two per matvec.
+    :meth:`eigen_frame` hands out the basis and an oracle over the same
+    spectra in the eigen frame, whose gradient is ``s * w - u`` and whose
+    ``hessian_matvec`` is ``s * v``, both O(d).  A run of a problem whose
+    clients share the basis steps the frame oracles throughout (see
+    :meth:`~fedlab.core.DistributedProblem.eigen_frame`), so no gradient or
+    matvec pays a rotation; a local solve on an oracle with a basis runs
+    its conjugate gradients there, paying two rotations per solve.
 
     The stochastic gradient samples one of the m quadratic components
     uniformly (the sigmoid term, being cheap and deterministic, is always
@@ -297,8 +299,13 @@ class QuadraticOracle(ClientOracle):
 
         ``frame`` is a basis-free oracle over the same spectra and the
         frame centers (``beta = 0``), so ``Q frame.hessian_matvec(Q'v)`` is
-        ``hessian_matvec(v)``.  It is built on first request.  An oracle
-        without a basis is its own frame: ``(None, self)``.
+        ``hessian_matvec(v)``, and for a pure quadratic
+        ``Q frame.gradient(Q'x)`` is ``gradient(x)`` and
+        ``frame.value(Q'x)`` is ``value(x)``, up to rounding.  It is built
+        on first request and kept, so every caller, the exact solver and
+        :meth:`~fedlab.core.DistributedProblem.eigen_frame` alike, gets the
+        same object.  An oracle without a basis is its own frame:
+        ``(None, self)``.
         """
         if self.basis is None:
             return None, self

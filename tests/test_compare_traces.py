@@ -43,10 +43,14 @@ def test_last_bit_f_gap_drift_is_reported_and_passes(tmp_path, capsys):
     rows[3].f_gap += ulp
     assert compare_traces.main(_pair(tmp_path, rows)) == 0
     out = capsys.readouterr().out
-    assert "differs    gd_seed0.csv" in out
+    rel = ulp / rows[3].f_gap
+    # the file's own drift sits beside its name
+    assert (
+        f"differs    gd_seed0.csv  f_gap {ulp:.3g} (rel {rel:.3g}), "
+        "grad_norm_sq 0 (rel 0), dist_sq 0 (rel 0)\n"
+    ) in out
     drift = out.split("f_gap         largest drift: ")[1].splitlines()[0]
-    expected = f"absolute {ulp:.3g}, relative {ulp / rows[3].f_gap:.3g}"
-    assert drift == expected
+    assert drift == f"absolute {ulp:.3g}, relative {rel:.3g}"
     assert "grad_norm_sq  largest drift: absolute 0, relative 0" in out
     assert out.endswith("match\n")
 
@@ -65,3 +69,24 @@ def test_a_file_on_one_side_only_exits_1(tmp_path, capsys):
     write_trace_csv(Path(b) / "fedred_seed0.csv", _rows())
     assert compare_traces.main([a, b]) == 1
     assert "only in B  fedred_seed0.csv" in capsys.readouterr().out
+
+
+def test_each_differing_trace_names_its_own_drift(tmp_path, capsys):
+    rows = _rows()
+    rows[1].grad_norm_sq *= 2.0
+    a, b = _pair(tmp_path, rows)
+    write_trace_csv(Path(a) / "fedred_seed0.csv", _rows())
+    moved = _rows()
+    moved[4].dist_sq *= 1.5
+    write_trace_csv(Path(b) / "fedred_seed0.csv", moved)
+    assert compare_traces.main([a, b]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert (
+        "differs    fedred_seed0.csv  f_gap 0 (rel 0), grad_norm_sq 0 (rel 0), "
+        "dist_sq 0.5 (rel 0.333)"
+    ) in lines
+    assert (
+        "differs    gd_seed0.csv  f_gap 0 (rel 0), grad_norm_sq 1 (rel 0.5), "
+        "dist_sq 0 (rel 0)"
+    ) in lines
+    assert "identical  summary.csv" in lines

@@ -8,6 +8,7 @@ from fedlab import (
     Budget,
     ConfigurationError,
     DistributedProblem,
+    METHODS,
     LocalSpec,
     MethodConfig,
     QuadraticClientSpec,
@@ -326,6 +327,100 @@ def test_stochastic_steps_bill_fractional_cost():
         wrapped, cfg, Budget(max_iterations=6), seed=0, metric_problem=problem
     )
     assert counter["units"] == result.total_grad_evals
+
+
+# ----------------------------------------------------------- eigen frame
+
+
+def _spectral_and_dense_twin():
+    """A shared-eigenbasis family, and the same matrices ``Q diag(s) Q'`` stored
+    dense without a basis, which therefore runs in original coordinates."""
+    problem = gen_quadratic_problem(
+        4, 3, 2, 8, max_norm=6.0, min_eig=0.5, target_delta=1.0
+    )
+    family = problem.quadratic
+    q = family.basis
+    dense = QuadraticFamily(
+        specs=[
+            QuadraticClientSpec(
+                centers=spec.centers,
+                matrices=np.einsum("kl,jl,ml->jkm", q, spec.spectra, q),
+            )
+            for spec in family.specs
+        ]
+    )
+    return problem, build_quadratic_problem(dense)
+
+
+_FRAME_CONFIGS = {
+    "dane_plus": MethodConfig(method="dane_plus", lam=2.0),
+    "fedred": MethodConfig(method="fedred", lam=1.0, eta=4.0, p=0.5),
+    "fedred_gd": MethodConfig(
+        method="fedred_gd", lam=1.0, eta=6.0, p=0.5, averaging="rand",
+        stochastic=True,
+    ),
+    "gd": MethodConfig(method="gd", eta=0.15),
+    "scaffold": MethodConfig(method="scaffold", eta=0.05, local_steps=3),
+    "scaffnew": MethodConfig(method="scaffnew", eta=0.15, p=0.5),
+    "fedprox": MethodConfig(
+        method="fedprox", lam=2.0,
+        local=LocalSpec(solver="fgd", rule=StoppingRule("fixed_steps", steps=6)),
+    ),
+}
+
+
+def test_every_method_is_configured_for_the_frame_equivalence():
+    assert sorted(_FRAME_CONFIGS) == sorted(METHODS)
+
+
+@pytest.mark.parametrize("method", sorted(_FRAME_CONFIGS))
+def test_runs_in_the_eigen_frame_match_original_coordinates(method):
+    cfg = _FRAME_CONFIGS[method]
+    problem, twin = _spectral_and_dense_twin()
+    assert problem.eigen_frame()[0] is not None and twin.eigen_frame()[0] is None
+    budget = Budget(max_iterations=25)
+    x0 = np.linspace(-1.0, 1.0, problem.dim)
+    short = run_experiment(problem, cfg, Budget(max_iterations=1), seed=3, x0=x0)
+    # the reference stays in original coordinates
+    assert np.array_equal(short.reference.x_star, reference_optimum(problem).x_star)
+    for oracle in problem.clients:  # a framed run steps only the frame oracles
+        oracle.value = oracle.gradient = oracle.hessian_matvec = None
+    ref = reference_optimum(twin)
+    framed = run_experiment(
+        problem, cfg, budget, seed=3, x0=x0, reference=ref, record_every=1
+    )
+    plain = run_experiment(twin, cfg, budget, seed=3, x0=x0, record_every=1)
+    assert len(framed.traces) == len(plain.traces) > 1
+    for a, b in zip(framed.traces, plain.traces):
+        assert (a.k, a.rounds, a.grad_evals) == (b.k, b.rounds, b.grad_evals)
+        for col in ("f_gap", "grad_norm_sq", "dist_sq"):
+            va, vb = getattr(a, col), getattr(b, col)
+            assert abs(va - vb) <= max(1e-12, 1e-9 * max(abs(va), abs(vb))), col
+    assert framed.reference is ref
+    wrapped, counter = counting_problem(problem)
+    billed = run_experiment(
+        wrapped, cfg, budget, seed=3, x0=x0, reference=ref, record_every=1,
+        metric_problem=problem,
+    )
+    assert counter["units"] == billed.total_grad_evals == framed.total_grad_evals
+    assert [t.f_gap for t in billed.traces] == [t.f_gap for t in framed.traces]
+
+
+def test_best_grad_snapshots_reuse_the_scored_gradient():
+    # beta > 0 runs in original coordinates, so the counting metric problem
+    # is the one evaluated; its client gradients are n units per grad_f
+    problem = gen_quadratic_problem(
+        6, 3, 2, 8, max_norm=6.0, min_eig=-1.0, target_delta=1.0, beta=4.0
+    )
+    metrics, counter = counting_problem(problem)
+    cfg = MethodConfig(method="fedred_gd", lam=1.0, eta=30.0, p=0.3, averaging="rand")
+    result = run_experiment(
+        problem, cfg, Budget(max_iterations=40), seed=1, reference=None,
+        record_every=1, metric_problem=metrics,
+    )
+    comms = sum(r.communicated for r in result.records)
+    assert 0 < comms < len(result.records)
+    assert counter["units"] == problem.n * (1 + comms)
 
 
 # ------------------------------------------------------------ certificates

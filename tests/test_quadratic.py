@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 from fedlab import (
     ConfigurationError,
     DimensionError,
+    DistributedProblem,
     QuadraticClientSpec,
     QuadraticFamily,
+    QuadraticOracle,
     RandomStream,
     UnsupportedStructureError,
     build_quadratic_problem,
+    counting_problem,
     delta_exact_quadratic,
     gen_quadratic_problem,
+    logistic_problem,
+    parse_libsvm,
 )
 from fedlab.problems.quadratic import GENERAL_CONVEX_FLOOR
 
@@ -354,6 +359,80 @@ def test_problems_with_requested_frames_are_freed_without_the_collector():
             frames = [oracle.eigen_frame()[1] for oracle in problem.clients]
             refs = [weakref.ref(o) for o in (problem, *problem.clients, *frames)]
             del frames, problem
+            assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def _shared_basis_problem(beta: float = 0.0):
+    return gen_quadratic_problem(
+        2, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0, beta=beta
+    )
+
+
+def test_problem_eigen_frame_runs_every_client_in_the_shared_basis():
+    problem = _shared_basis_problem()
+    basis, frame = problem.eigen_frame()
+    assert basis is problem.clients[0].basis
+    assert frame.clients == [o.eigen_frame()[1] for o in problem.clients]
+    hints = ("dim", "l_smooth", "l_smooth_global", "mu")
+    assert [getattr(frame, h) for h in hints] == [getattr(problem, h) for h in hints]
+    assert frame.quadratic is None  # the family's storage is in original coordinates
+    x = RandomStream(4).generator().standard_normal(problem.dim)
+    assert frame.f(x @ basis) == pytest.approx(problem.f(x), rel=1e-13)
+    assert np.allclose(basis @ frame.grad_f(x @ basis), problem.grad_f(x), atol=1e-13)
+
+
+def test_problem_eigen_frame_builds_nothing_unless_every_client_is_pure():
+    problem = _shared_basis_problem(beta=0.5)
+    assert problem.eigen_frame() == (None, problem)
+    assert [o._eigen for o in problem.clients] == [None] * problem.n
+
+
+def test_problem_eigen_frame_needs_one_shared_basis():
+    spectral = build_quadratic_problem(random_family(5))
+    dense = build_quadratic_problem(random_family(5, dense=True))
+    logistic = logistic_problem([parse_libsvm("+1 1:1\n-1 2:0.5\n")])
+    spec = random_family(5).specs[0]
+    q, _ = np.linalg.qr(RandomStream(9).generator().standard_normal((5, 5)))
+    mixed = [
+        [QuadraticOracle(spec, q), QuadraticOracle(spec, q.copy())],
+        [QuadraticOracle(spec), QuadraticOracle(spec, q)],
+        [QuadraticOracle(spec, q), QuadraticOracle(spec)],
+    ]
+    problems = [spectral, dense, logistic] + [
+        DistributedProblem(clients=clients, dim=5) for clients in mixed
+    ]
+    for problem in problems:
+        assert problem.eigen_frame() == (None, problem)
+    assert DistributedProblem(clients=mixed[0][:1], dim=5).eigen_frame()[0] is q
+
+
+def test_counting_problem_frames_bill_the_shared_counter():
+    problem = _shared_basis_problem()
+    wrapped, counter = counting_problem(problem)
+    basis, frame = wrapped.eigen_frame()
+    assert basis is problem.clients[0].basis
+    assert [o.base for o in frame.clients] == [o.eigen_frame()[1] for o in problem.clients]
+    x = np.ones(problem.dim)
+    frame.grad_f(x)
+    frame.clients[1].hessian_matvec(x)
+    assert counter["units"] == problem.n + 1.0
+
+
+def test_problem_frames_are_freed_without_the_collector():
+    # a frame problem that referenced its parent would form a cycle that
+    # only the cyclic collector frees
+    gc.disable()
+    try:
+        for wrap in (lambda p: p, lambda p: counting_problem(p)[0]):
+            problem = wrap(_shared_basis_problem())
+            frame = problem.eigen_frame()[1]
+            refs = [
+                weakref.ref(o)
+                for o in (problem, *problem.clients, frame, *frame.clients)
+            ]
+            del frame, problem
             assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
