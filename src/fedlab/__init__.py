@@ -5,6 +5,10 @@ over LIBSVM data), drift-corrected methods (anchored proximal rounds,
 doubly regularized steps with probabilistic communication, their
 linearized one-step variant, and reference baselines), local solvers, a
 deterministic experiment harness, and a config-driven CLI.
+
+``dirichlet_partition`` and ``logistic_problem`` are resolved on first
+access through :mod:`fedlab.problems`, which loads scipy's sparse stack
+only then.
 """
 from .core import (
     ClientOracle,
@@ -57,6 +61,7 @@ from .methods import (
     step_method,
     suggest_parameters,
 )
+from . import problems
 from .problems import (
     DissimilarityReport,
     ParseError,
@@ -67,12 +72,16 @@ from .problems import (
     build_quadratic_problem,
     delta_exact_quadratic,
     delta_sampled,
-    dirichlet_partition,
     gen_quadratic_problem,
     load_libsvm,
-    logistic_problem,
     parse_libsvm,
     serialize_libsvm,
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("dirichlet_partition", "logistic_problem"):
+        return getattr(problems, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,10 +37,8 @@ from .problems import (
     build_quadratic_problem,
     delta_exact_quadratic,
     delta_sampled,
-    dirichlet_partition,
     gen_quadratic_problem,
     load_libsvm,
-    logistic_problem,
 )
 from .svgplot import render_line_plot, write_svg
 
@@ -253,6 +251,9 @@ def build_problem(pcfg: dict, base_dir: str = "."):
         ]
         family = QuadraticFamily(specs=specs)
         return build_quadratic_problem(family)
+    # the logistic module loads scipy's sparse stack, so only this branch imports it
+    from .problems.logistic import dirichlet_partition, logistic_problem
+
     path = pcfg["path"]
     if not os.path.isabs(path):
         path = os.path.join(base_dir, path)

@@ -203,7 +203,7 @@ class ClientOracle(ABC):
 
     def value(self, x) -> float:
         v = float(self._value(self._check_input(x)))
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise NonFiniteError("non-finite objective value")
         return v
 

@@ -1,4 +1,8 @@
-"""Problem construction: synthetic quadratics, LIBSVM data, logistic loss."""
+"""Problem construction: synthetic quadratics, LIBSVM data, logistic loss.
+
+The logistic module, and with it scipy's sparse stack, is imported on the
+first access to one of its names, so quadratic runs never load it.
+"""
 from .dissimilarity import (
     DissimilarityReport,
     delta_exact_quadratic,
@@ -11,7 +15,6 @@ from .libsvm import (
     parse_libsvm,
     serialize_libsvm,
 )
-from .logistic import LogisticOracle, dirichlet_partition, logistic_problem
 from .quadratic import (
     QuadraticClientSpec,
     QuadraticFamily,
@@ -19,3 +22,13 @@ from .quadratic import (
     build_quadratic_problem,
     gen_quadratic_problem,
 )
+
+_LOGISTIC_NAMES = ("LogisticOracle", "dirichlet_partition", "logistic_problem")
+
+
+def __getattr__(name):
+    if name in _LOGISTIC_NAMES:
+        from . import logistic
+
+        return getattr(logistic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,14 +8,15 @@ anything else is rejected.  All malformed input raises
 
 Parsed data is held as one CSR matrix (0-based columns, one row per
 example) beside the label vector; the parser appends straight into its
-``data``/``indices``/``indptr`` arrays.
+``data``/``indices``/``indptr`` arrays.  ``scipy.sparse`` is imported
+only where a CSR matrix is built, so a run that reads no LIBSVM data never
+loads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core import ConfigurationError
 
@@ -42,9 +43,11 @@ class SparseDataset:
     """
 
     labels: np.ndarray                 # (M,) values in {-1.0, +1.0}
-    matrix: sp.csr_matrix              # (M, dim)
+    matrix: object                     # (M, dim) scipy.sparse.csr_matrix
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         self.labels = np.asarray(self.labels, dtype=np.float64)
         self.matrix = sp.csr_matrix(self.matrix, dtype=np.float64)
         if not self.matrix.has_canonical_format:
@@ -80,6 +83,8 @@ def _map_label(token: str, line_no: int) -> float:
 
 def parse_libsvm(text: str) -> SparseDataset:
     """Parse LIBSVM-formatted text into a :class:`SparseDataset`."""
+    import scipy.sparse as sp
+
     labels: list[float] = []
     data: list[float] = []
     indices: list[int] = []

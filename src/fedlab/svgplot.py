@@ -1,13 +1,14 @@
 """Minimal native SVG line plots with a logarithmic y axis.
 
 Enough plotting for convergence curves without a plotting dependency:
-linear x, log10 y, axis ticks, and a legend.  Points with non-positive y
-are dropped (they have no place on a log axis).
+linear x, log10 y, axis ticks, and a legend.  Points whose y is not a
+positive finite number are dropped (they have no place on a log axis).
+Text is escaped with the standard library's ``html`` module.
 """
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 _PALETTE = (
     "#1f77b4",
@@ -22,6 +23,11 @@ _PALETTE = (
 
 _WIDTH, _HEIGHT = 760, 480
 _ML, _MR, _MT, _MB = 70, 160, 40, 55
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG text content."""
+    return html.escape(text, quote=False)
 
 
 def _fmt(v: float) -> str:
@@ -63,7 +69,7 @@ def render_line_plot(
     """Render labeled (x, y) series to an SVG document string."""
     cleaned = []
     for label, xs, ys in series:
-        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if y > 0.0]
+        pts = [(float(x), float(y)) for x, y in zip(xs, ys) if 0.0 < y < math.inf]
         if pts:
             cleaned.append((label, pts))
     parts = [
@@ -123,18 +129,18 @@ def render_line_plot(
     if title:
         parts.append(
             f'<text x="{(x0 + x1) / 2}" y="{_MT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
         )
     if x_label:
         parts.append(
             f'<text x="{(x0 + x1) / 2}" y="{_HEIGHT - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{escape(x_label)}</text>'
+            f'font-family="sans-serif" font-size="13">{_escape(x_label)}</text>'
         )
     if y_label:
         parts.append(
             f'<text x="18" y="{(y0 + y1) / 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {(y0 + y1) / 2})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 18 {(y0 + y1) / 2})">{_escape(y_label)}</text>'
         )
     for idx, (label, pts) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -150,7 +156,7 @@ def render_line_plot(
         )
         parts.append(
             f'<text x="{x1 + 40}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

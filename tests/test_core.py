@@ -140,22 +140,23 @@ def test_oracle_rejects_nonfinite_query():
 
 
 class _BrokenOracle(ClientOracle):
-    def __init__(self):
+    def __init__(self, value=float("nan")):
         self.dim = 1
+        self.bad_value = value
 
     def _value(self, x):
-        return float("nan")
+        return self.bad_value
 
     def _gradient(self, x):
         return np.array([np.inf])
 
 
 def test_oracle_rejects_nonfinite_outputs():
-    bad = _BrokenOracle()
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(NonFiniteError):
+            _BrokenOracle(value).value(np.zeros(1))
     with pytest.raises(NonFiniteError):
-        bad.value(np.zeros(1))
-    with pytest.raises(NonFiniteError):
-        bad.gradient(np.zeros(1))
+        _BrokenOracle().gradient(np.zeros(1))
 
 
 def test_problem_rejects_empty_or_mismatched_clients():

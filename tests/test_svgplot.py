@@ -1,4 +1,6 @@
 """SVG convergence plots: structure, log-axis filtering, file output."""
+import math
+
 from fedlab.svgplot import render_line_plot, write_svg
 
 
@@ -31,6 +33,17 @@ def test_log_axis_drops_nonpositive_points():
     empty = render_line_plot([("gone", xs, [0.0, -1.0, 0.0, 0.0])])
     assert "no positive data" in empty
     assert "<polyline" not in empty
+
+
+def test_log_axis_drops_nonfinite_points():
+    # a diverging run can record an infinite gradient norm
+    xs = [0, 1, 2, 3, 4]
+    ys = [1.0, math.inf, 0.5, math.nan, 0.25]
+    kept = [(x, y) for x, y in zip(xs, ys) if math.isfinite(y)]
+    labels = {"title": "t", "x_label": "rounds", "y_label": "grad_norm_sq"}
+    assert render_line_plot([("div", xs, ys)], **labels) == render_line_plot(
+        [("div", [x for x, _ in kept], [y for _, y in kept])], **labels
+    )
 
 
 def test_labels_are_escaped():
