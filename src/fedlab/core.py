@@ -168,8 +168,10 @@ class ClientOracle(ABC):
     such as :class:`~fedlab.local_solvers.SurrogateOracle` call the base's
     public methods from their own ``_gradient``, and the local solvers call
     the wrapper's ``_gradient`` and test the gradient norm they compute
-    anyway (see :mod:`fedlab.local_solvers`).  Outside callers of
-    :meth:`gradient` and :meth:`value` keep every check.
+    anyway (see :mod:`fedlab.local_solvers`); a surrogate value reads the
+    base's unchecked ``_value``.  Outside callers of :meth:`gradient` and
+    :meth:`value` keep every check; only inputs and outputs that are not
+    already 1-D float64 arrays pass through :func:`as_vector`.
 
     Attributes
     ----------
@@ -193,13 +195,14 @@ class ClientOracle(ABC):
     def _gradient(self, x: Vector) -> Vector: ...
 
     def _check_input(self, x) -> Vector:
-        v = as_vector(x)
-        if v.shape[0] != self.dim:
+        if not (type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64):
+            x = as_vector(x)
+        if x.shape[0] != self.dim:
             raise DimensionError(
-                f"oracle dimension {self.dim}, query dimension {v.shape[0]}"
+                f"oracle dimension {self.dim}, query dimension {x.shape[0]}"
             )
-        require_finite(v, "oracle query point")
-        return v
+        require_finite(x, "oracle query point")
+        return x
 
     def value(self, x) -> float:
         v = float(self._value(self._check_input(x)))
@@ -208,7 +211,9 @@ class ClientOracle(ABC):
         return v
 
     def gradient(self, x) -> Vector:
-        g = as_vector(self._gradient(self._check_input(x)))
+        g = self._gradient(self._check_input(x))
+        if not (type(g) is np.ndarray and g.ndim == 1 and g.dtype is _FLOAT64):
+            g = as_vector(g)
         require_finite(g, "gradient")
         return g
 

@@ -62,6 +62,7 @@ SOLVERS = ("exact", "gd", "fgd")
 RULE_KINDS = ("abs_grad", "rel_grad", "fixed_steps", "scheduled")
 _DECREASE_SLACK = 1e-12
 EXACT_RESIDUAL_REL = 1e-12
+_PENDING_STEPS = 32  # conjugate-gradient steps held before adding them to x
 
 
 @dataclass(frozen=True)
@@ -135,11 +136,13 @@ class LocalSpec:
 class SurrogateOracle(ClientOracle):
     """Base objective plus a linear shift and quadratic proximal terms.
 
-    ``_gradient`` and ``_value`` call the base oracle's public methods, so
-    the base checks each query point and its own output.  What the shift and
-    the proximal terms add on top is checked by the public ``gradient`` and
-    ``value`` inherited from :class:`ClientOracle`, or, inside the local
-    solvers' loops, by the finiteness test on the gradient norm.
+    ``_gradient`` calls the base oracle's public ``gradient``, so the base
+    checks each query point and its own output; what the shift and the
+    proximal terms add on top is checked by the public ``gradient``
+    inherited from :class:`ClientOracle`, or, inside the local solvers'
+    loops, by the finiteness test on the gradient norm.  ``_value`` calls
+    the base's unchecked ``_value``: the public ``value`` checks the same
+    point, and the total, which a non-finite base value makes non-finite.
     """
 
     def __init__(
@@ -175,7 +178,7 @@ class SurrogateOracle(ClientOracle):
             self.convexity_hint = None
 
     def _value(self, x: Vector) -> float:
-        v = self.base.value(x)
+        v = self.base._value(x)
         if self.linear_shift is not None:
             v += float(self.linear_shift.dot(x))
         for weight, center in self.prox_terms:
@@ -373,6 +376,11 @@ def solve_exact_quadratic(
     :func:`~fedlab.harness.run_experiment` on a shared eigenbasis already
     hand it frame oracles, which are their own frame, so those solves
     rotate nothing; this per-solve frame serves every other caller.
+
+    The loop updates its own ``ap``, ``r`` and ``p`` in place and adds its
+    steps ``alpha * p`` to ``x`` in iteration order, up to
+    ``_PENDING_STEPS`` at a time: bitwise ``x = x + alpha * p`` each
+    iteration, in O(d) extra memory.
     """
     if not isinstance(surrogate, SurrogateOracle):
         raise UnsupportedStructureError("expected a SurrogateOracle")
@@ -390,19 +398,18 @@ def solve_exact_quadratic(
     basis, frame = base.eigen_frame()
     if basis is not None:
         rhs = rhs.dot(basis)
-
-    def matvec(v: Vector) -> Vector:
-        return frame.hessian_matvec(v) + weight * v
+    hessian_matvec = frame.hessian_matvec
 
     d = rhs.shape[0]
     x = np.zeros(d)
+    steps = np.empty((_PENDING_STEPS, d))
     r = rhs.copy()
     p = r.copy()
+    ap = np.empty(d)
     rs_old = float(r.dot(r))
     res_norm = math.sqrt(rs_old)
     target = EXACT_RESIDUAL_REL * res_norm
     iters = 0
-    matvecs = 0
     max_iters = max(50, 25 * d)
     while True:
         if not math.isfinite(res_norm):
@@ -411,21 +418,28 @@ def solve_exact_quadratic(
             )
         if res_norm <= target or iters >= max_iters:
             break
-        ap = matvec(p)
-        matvecs += 1
+        np.multiply(p, weight, ap)
+        ap += hessian_matvec(p)
         curvature = float(p.dot(ap))
         if curvature <= 0.0:
             raise UnsupportedStructureError(
                 "subproblem matrix is not positive definite"
             )
         alpha = rs_old / curvature
-        x = x + alpha * p
-        r = r - alpha * ap
+        np.multiply(p, alpha, steps[iters % _PENDING_STEPS])
+        ap *= alpha
+        r -= ap
         rs_new = float(r.dot(r))
         res_norm = math.sqrt(rs_new)
-        p = r + (rs_new / rs_old) * p
+        p *= rs_new / rs_old
+        p += r
         rs_old = rs_new
         iters += 1
+        if iters % _PENDING_STEPS == 0:
+            for step in steps:
+                x += step
+    for step in steps[: iters % _PENDING_STEPS]:
+        x += step
     if res_norm > target:
         raise SolverBudgetError(
             f"conjugate gradients stalled at residual {res_norm:.3e}"
@@ -438,7 +452,7 @@ def solve_exact_quadratic(
         start,
         x,
         iters,
-        matvecs,
+        iters,  # one billed matvec per iteration
         res_norm,
         require_decrease=False,
     )

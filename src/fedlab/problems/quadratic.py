@@ -45,8 +45,10 @@ def _sigmoid_value(x: Vector, beta: float) -> float:
 
 
 def _sigmoid_gradient(x: Vector, beta: float) -> Vector:
-    denom = 1.0 + x * x
-    return beta * 2.0 * x / (denom * denom)
+    denom = x * x
+    denom += 1.0
+    denom *= denom
+    return np.divide(beta * 2.0 * x, denom, denom)
 
 
 @dataclass
@@ -210,11 +212,13 @@ class QuadraticOracle(ClientOracle):
 
     which is O(d^2) per call instead of O(m d^2).  Expanding around
     ``cbar`` rather than the origin keeps the rounding error of order
-    ``|x - c_j|`` even when the centers sit far from the origin.  The
-    gradient shares the private :meth:`_curvature` with
-    :meth:`hessian_matvec` and never calls the public hook, so every
-    ``hessian_matvec`` call is a solver's matvec (the work the exact
-    solver bills).
+    ``|x - c_j|`` even when the centers sit far from the origin.  Value and
+    gradient never call the public :meth:`hessian_matvec`, so every call of
+    it is a solver's matvec (the work the exact solver bills).  On the
+    basis-free spectral form (axes, and every frame oracle) the Hessian is
+    ``diag(s)``, and value, gradient and :meth:`hessian_matvec` compute
+    these closed forms directly, bitwise what the other forms' composition
+    of :meth:`_frame`, :meth:`_curvature` and :meth:`_to_original` gives.
 
     :meth:`eigen_frame` hands out the basis and an oracle over the same
     spectra in the eigen frame, whose gradient is ``s * w - u`` and whose
@@ -248,6 +252,8 @@ class QuadraticOracle(ClientOracle):
             top = float(np.max(np.abs(eigs)))
             low = float(np.min(eigs))
         self._center = self._centers.mean(axis=0)
+        # Hessian diag(s) in the oracle's own coordinates: no frame helpers
+        self._diagonal = basis is None and spec.spectra is not None
         offsets = self._centers - self._center
         pulled = self._component_curvature(offsets)
         self._u = pulled.mean(axis=0)
@@ -285,6 +291,8 @@ class QuadraticOracle(ClientOracle):
         return self.beta == 0.0
 
     def hessian_matvec(self, v: Vector) -> Vector:
+        if self._diagonal:
+            return self._mean_spectrum * v
         return self._to_original(self._curvature(self._frame(v)))
 
     def linear_term(self) -> Vector:
@@ -318,14 +326,23 @@ class QuadraticOracle(ClientOracle):
     # -- oracle implementation --------------------------------------------
 
     def _value(self, x: Vector) -> float:
-        w = self._frame(x) - self._center
-        quad = 0.5 * float(w.dot(self._curvature(w))) - float(self._u.dot(w))
+        w = (x if self._diagonal else self._frame(x)) - self._center
+        curved = self._mean_spectrum * w if self._diagonal else self._curvature(w)
+        quad = 0.5 * float(w.dot(curved)) - float(self._u.dot(w))
         return quad + self._kappa + _sigmoid_value(x, self.beta)
 
     def _gradient(self, x: Vector) -> Vector:
-        w = self._frame(x) - self._center
-        g = self._to_original(self._curvature(w) - self._u)
-        return g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
+        if self._diagonal:
+            g = x - self._center
+            g *= self._mean_spectrum
+            g -= self._u
+        else:
+            g = self._curvature(self._frame(x) - self._center)
+            g -= self._u
+            g = self._to_original(g)
+        if self.beta != 0.0:
+            g += _sigmoid_gradient(x, self.beta)
+        return g
 
     def stochastic_gradient(self, x, stream: RandomStream) -> Vector:
         x = self._check_input(x)

@@ -8,7 +8,10 @@ contain ``@`` or ``np.linalg.norm``.  ``require_finite`` keeps ``np.vdot``,
 the one dot that does not warn on overflow.  The per-step row blocks are
 built with ``np.array(list)``, bitwise the block ``np.stack`` builds at
 a fraction of its cost, so the functions that build them contain no
-``np.stack``.
+``np.stack``.  The per-call functions update in place only arrays they
+allocated themselves, so none augmented-assigns (``+=``, ``-=``, ``*=``,
+``/=``) to one of its parameters or to an attribute of ``self``: those may
+be a caller's array or a cached term.
 """
 import ast
 import inspect
@@ -18,9 +21,13 @@ from fedlab import core, harness, local_solvers, methods
 from fedlab.problems import dissimilarity, logistic, quadratic
 
 PER_CALL = [
+    core.ClientOracle._check_input,
+    core.ClientOracle.value,
+    core.ClientOracle.gradient,
     quadratic.QuadraticOracle._frame,
     quadratic.QuadraticOracle._to_original,
     quadratic.QuadraticOracle._curvature,
+    quadratic.QuadraticOracle.hessian_matvec,
     quadratic.QuadraticOracle._value,
     quadratic.QuadraticOracle._gradient,
     quadratic.QuadraticOracle.stochastic_gradient,
@@ -48,7 +55,9 @@ ROW_BLOCKS = [
 
 
 def _tree(fn) -> ast.AST:
-    return ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    """``fn``'s syntax tree, numbered by the lines of its source file."""
+    lines, first = inspect.getsourcelines(fn)
+    return ast.increment_lineno(ast.parse(textwrap.dedent("".join(lines))), first - 1)
 
 
 def _is_call_to(node: ast.AST, dotted: str) -> bool:
@@ -78,6 +87,55 @@ def test_product_scan_flags_matmul_and_norm_only():
     assert _dispatched_products(ast.parse(source)) == [
         "@ (line 2)", "@ (line 3)", "np.linalg.norm (line 4)"
     ]
+
+
+def _borrowed_updates(tree: ast.AST) -> list[str]:
+    """``name (line n)`` for each augmented assignment in ``tree`` whose
+    target is, or is reached through, a parameter of the function."""
+    fn = tree.body[0]
+    args = fn.args
+    params = {
+        a.arg
+        for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+        + (args.vararg, args.kwarg)
+        if a is not None
+    }
+    found = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.AugAssign) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)
+        ):
+            root = node.target
+            while isinstance(root, (ast.Attribute, ast.Subscript)):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in params:
+                found.append(f"{ast.unparse(node.target)} (line {node.lineno})")
+    return found
+
+
+def test_update_scan_flags_parameters_and_self_attributes_only():
+    source = (
+        "def f(self, x, *rest, out=None):\n"
+        "    g = x - 1.0\n"
+        "    g += x\n"
+        "    x += g\n"
+        "    self.total -= 1.0\n"
+        "    out[0] *= 2.0\n"
+        "    rest[0] /= 2.0\n"
+        "    self.count //= 2\n"
+    )
+    assert _borrowed_updates(ast.parse(source)) == [
+        "x (line 4)", "self.total (line 5)", "out[0] (line 6)", "rest[0] (line 7)"
+    ]
+
+
+def test_per_call_functions_update_only_their_own_arrays():
+    found = {
+        fn.__qualname__: updates
+        for fn in PER_CALL
+        if (updates := _borrowed_updates(_tree(fn)))
+    }
+    assert found == {}
 
 
 def test_per_call_functions_use_dot_and_the_csr_kernel():

@@ -325,6 +325,49 @@ def test_closed_form_matches_the_component_definition(case):
         u[0] = 1.0
 
 
+def _helper_composition(oracle, x):
+    """Value, gradient and ``hessian_matvec`` at ``x`` as the frame helpers
+    compose them: ``Q (s * (Q'x - c) - u) + sigmoid'`` and its value."""
+    basis, beta = oracle.basis, oracle.beta
+
+    def frame(v):
+        return v if basis is None else v.dot(basis)
+
+    def original(v):
+        return v if basis is None else basis.dot(v)
+
+    def curvature(y):
+        if oracle.spec.spectra is None:
+            return oracle._mean_matrix.dot(y)
+        return oracle._mean_spectrum * y
+
+    w = frame(x) - oracle._center
+    sq = x * x
+    sigmoid = 0.0 if beta == 0.0 else beta * float(np.sum(sq / (1.0 + sq)))
+    quad = 0.5 * float(w.dot(curvature(w))) - float(oracle._u.dot(w))
+    grad = original(curvature(w) - oracle._u)
+    if beta != 0.0:
+        denom = 1.0 + sq
+        grad = grad + beta * 2.0 * x / (denom * denom)
+    return quad + oracle._kappa + sigmoid, grad, original(curvature(frame(x)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=_oracle_cases())
+def test_kernels_equal_the_helper_composition_bitwise(case):
+    oracle, _, _, x = case
+    value, grad, curved = _helper_composition(oracle, x)
+    assert oracle.value(x) == value
+    assert np.array_equal(oracle.gradient(x), grad)
+    assert np.array_equal(oracle.hessian_matvec(x), curved)
+    if oracle.basis is not None and oracle.beta == 0.0:
+        frame, y = oracle.eigen_frame()[1], x.dot(oracle.basis)
+        value, grad, curved = _helper_composition(frame, y)
+        assert frame.value(y) == value
+        assert np.array_equal(frame.gradient(y), grad)
+        assert np.array_equal(frame.hessian_matvec(y), curved)
+
+
 def test_eigen_frame_rotates_the_hessian():
     problem = gen_quadratic_problem(
         1, 2, 3, 7, max_norm=6.0, min_eig=0.5, target_delta=1.0, beta=0.5

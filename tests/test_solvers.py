@@ -1,4 +1,6 @@
 """Local subproblem solvers, stopping rules, and the accuracy schedule."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from fedlab import (
     solve_fgd,
     solve_gd,
 )
-from fedlab import core
+from fedlab import core, local_solvers
 from fedlab.problems import (
     QuadraticClientSpec,
     QuadraticFamily,
@@ -385,29 +387,48 @@ def test_exact_solver_bills_the_matvecs_it_uses(monkeypatch):
         calls.clear()
 
 
-@st.composite
-def _exact_subproblems(draw):
-    """A surrogate on a one-client quadratic with an eigenbasis, axes or dense."""
-    frame = draw(st.sampled_from(["eigenbasis", "axes", "dense"]))
-    m, d = draw(st.integers(1, 3)), draw(st.integers(1, 8))
-    rng = RandomStream(draw(st.integers(0, 2**16))).generator()
-    spectra = rng.uniform(0.5, 10.0, size=(m, d))
+def _quadratic_oracle(frame, m, d, rng, stiff=False, beta=0.0):
+    """A one-client quadratic oracle with an eigenbasis, axes or dense.
+
+    A stiff spectrum spreads over seven decades, so conjugate gradients
+    need many more iterations than ``d`` allows in exact arithmetic.
+    """
+    if stiff:
+        spectra = 10.0 ** rng.uniform(-3.0, 4.0, size=(m, d))
+    else:
+        spectra = rng.uniform(0.5, 10.0, size=(m, d))
     centers = 3.0 * rng.standard_normal((m, d))
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     if frame == "dense":
         mats = np.einsum("kl,jl,nl->jkn", q, spectra, q)  # Q diag(s_j) Q'
-        spec = QuadraticClientSpec(centers=centers, matrices=mats)
+        spec = QuadraticClientSpec(centers=centers, matrices=mats, beta=beta)
     else:
-        spec = QuadraticClientSpec(centers=centers, spectra=spectra)
+        spec = QuadraticClientSpec(centers=centers, spectra=spectra, beta=beta)
     basis = q if frame == "eigenbasis" else None
-    oracle = build_quadratic_problem(
+    return build_quadratic_problem(
         QuadraticFamily(specs=[spec], basis=basis)
     ).clients[0]
-    weight = draw(st.floats(0.0, 5.0))
+
+
+def _quadratic_surrogate(frame, m, d, seed, weight, stiff=False):
+    """A surrogate on a one-client quadratic with an eigenbasis, axes or dense."""
+    rng = RandomStream(seed).generator()
     return SurrogateOracle(
-        oracle,
+        _quadratic_oracle(frame, m, d, rng, stiff),
         linear_shift=rng.standard_normal(d),
         prox_terms=((weight, rng.standard_normal(d)),),
+    )
+
+
+@st.composite
+def _exact_subproblems(draw):
+    """A surrogate on a one-client quadratic with an eigenbasis, axes or dense."""
+    return _quadratic_surrogate(
+        draw(st.sampled_from(["eigenbasis", "axes", "dense"])),
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 8)),
+        draw(st.integers(0, 2**16)),
+        draw(st.floats(0.0, 5.0)),
     )
 
 
@@ -430,6 +451,41 @@ def _original_coordinate_cg(surrogate):
         p = r + (rs_new / rs) * p
         rs = rs_new
     return x, matvecs
+
+
+def _in_frame_cg(surrogate):
+    """Textbook CG in the base's eigen frame, in the solver's operation order.
+
+    Every iteration moves ``x = x + alpha * p``; the solution is rotated
+    out of the frame once at the end.
+    """
+    base, weight = surrogate.base, surrogate.total_prox_weight
+    rhs = base.linear_term() - surrogate.linear_shift
+    for w, center in surrogate.prox_terms:
+        rhs = rhs + w * center
+    basis, frame = base.eigen_frame()
+    if basis is not None:
+        rhs = rhs.dot(basis)
+    x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
+    rs = float(r.dot(r))
+    target = 1e-12 * math.sqrt(rs)
+    matvecs = 0
+    while math.sqrt(rs) > target:
+        ap = frame.hessian_matvec(p) + weight * p
+        matvecs += 1
+        alpha = rs / float(p.dot(ap))
+        x = x + alpha * p
+        r = r - alpha * ap
+        rs_new = float(r.dot(r))
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return (x if basis is None else basis.dot(x)), matvecs
+
+
+def _assert_textbook_cg_bitwise(surrogate, report):
+    x_ref, matvecs = _in_frame_cg(surrogate)
+    assert report.grad_evals == report.steps_taken == matvecs
+    assert np.array_equal(report.solution, x_ref)
 
 
 @settings(derandomize=True, deadline=None)
@@ -455,6 +511,84 @@ def test_frame_cg_matches_original_coordinate_cg(surrogate):
     assert all(solved)
     err = np.linalg.norm(report.solution - x_ref)
     assert err <= 1e-10 * np.linalg.norm(x_ref)
+    # and in the frame it is the textbook loop to the last bit
+    _assert_textbook_cg_bitwise(surrogate, report)
+
+
+@pytest.mark.parametrize("frame", ["eigenbasis", "axes", "dense"])
+@pytest.mark.parametrize("d, stiff", [(1, False), (48, True)])
+def test_cg_is_the_textbook_loop_bitwise(frame, d, stiff):
+    # d = 1, and a stiff spectrum whose solve holds more steps than the
+    # solver keeps pending before adding them to the solution
+    surrogate = _quadratic_surrogate(frame, 2, d, seed=5, weight=0.5, stiff=stiff)
+    report = solve_exact_quadratic(surrogate)
+    if stiff:
+        assert report.steps_taken > 2 * local_solvers._PENDING_STEPS
+    _assert_textbook_cg_bitwise(surrogate, report)
+
+
+def _read_only(arr) -> np.ndarray:
+    out = np.array(arr, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+def _freeze_cached_terms(oracle: QuadraticOracle) -> QuadraticOracle:
+    for name in ("basis", "_centers", "_center", "_u", "_mean_spectrum", "_mean_matrix"):
+        arr = getattr(oracle, name, None)
+        if arr is not None:
+            arr.setflags(write=False)
+    return oracle
+
+
+class _ReadOnlyOutputs(core.ClientOracle):
+    """A quadratic oracle whose gradients and matvecs come back read-only."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.smoothness_hint = base.smoothness_hint
+        self.convexity_hint = base.convexity_hint
+        self.is_pure_quadratic = base.is_pure_quadratic
+
+    def _value(self, x):
+        return self.base.value(x)
+
+    def _gradient(self, x):
+        return _read_only(self.base.gradient(x))
+
+    def hessian_matvec(self, v):
+        return _read_only(self.base.hessian_matvec(v))
+
+    def linear_term(self):
+        return self.base.linear_term()
+
+    def eigen_frame(self):
+        basis, frame = self.base.eigen_frame()
+        if frame is self.base:
+            return None, self
+        return basis, _ReadOnlyOutputs(_freeze_cached_terms(frame))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.75])
+@pytest.mark.parametrize("frame", ["eigenbasis", "axes", "dense"])
+def test_no_in_place_write_reaches_a_borrowed_array(frame, beta):
+    # every array handed in is read-only, so an in-place write into a query
+    # point, start, shift, center, cached term or returned array raises
+    rng = RandomStream(9).generator()
+    oracle = _freeze_cached_terms(_quadratic_oracle(frame, 2, 6, rng, beta=beta))
+    x, start, shift, c1, c2 = (_read_only(rng.standard_normal(6)) for _ in range(5))
+    oracle.gradient(x), oracle.value(x), oracle.hessian_matvec(x)
+    oracle.stochastic_gradient(x, RandomStream(1))
+    surrogate = SurrogateOracle(
+        _ReadOnlyOutputs(oracle), linear_shift=shift, prox_terms=((1.5, c1), (0.5, c2))
+    )
+    surrogate.gradient(x), surrogate.value(x)
+    rule = StoppingRule("fixed_steps", steps=5)
+    solve_gd(surrogate, start, rule, require_decrease=True)
+    solve_fgd(surrogate, start, rule)
+    if beta == 0.0:
+        assert solve_exact_quadratic(surrogate, start).steps_taken > 0
 
 
 def test_exact_solver_unregularized_mean_fixture():
