@@ -45,15 +45,25 @@ class UnsupportedStructureError(TypeError):
     """The requested solver needs structure the oracle does not expose."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _is_vector(x) -> bool:
+    return type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64
+
+
 def as_vector(x) -> Vector:
-    """Coerce ``x`` to a 1-D float64 array (copying only when needed)."""
+    """Coerce ``x`` to a 1-D float64 array (copying only when needed).
+
+    An exact ``np.ndarray`` that is already 1-D float64 comes back as the
+    same object, as ``np.asarray`` would return it.
+    """
+    if _is_vector(x):
+        return x
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {v.shape}")
     return v
-
-
-_FLOAT64 = np.dtype(np.float64)
 
 
 def require_finite(arr, what: str = "value"):
@@ -66,12 +76,7 @@ def require_finite(arr, what: str = "value"):
     does not read the floating-point status flags, so no input makes the
     dot warn.
     """
-    if (
-        type(arr) is np.ndarray
-        and arr.ndim == 1
-        and arr.dtype is _FLOAT64
-        and math.isfinite(np.vdot(arr, arr))
-    ):
+    if _is_vector(arr) and math.isfinite(np.vdot(arr, arr)):
         return arr
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite entries in {what}")
@@ -170,8 +175,8 @@ class ClientOracle(ABC):
     the wrapper's ``_gradient`` and test the gradient norm they compute
     anyway (see :mod:`fedlab.local_solvers`); a surrogate value reads the
     base's unchecked ``_value``.  Outside callers of :meth:`gradient` and
-    :meth:`value` keep every check; only inputs and outputs that are not
-    already 1-D float64 arrays pass through :func:`as_vector`.
+    :meth:`value` keep every check, and query points and gradients pass
+    through :func:`as_vector`.
 
     Attributes
     ----------
@@ -195,8 +200,7 @@ class ClientOracle(ABC):
     def _gradient(self, x: Vector) -> Vector: ...
 
     def _check_input(self, x) -> Vector:
-        if not (type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64):
-            x = as_vector(x)
+        x = as_vector(x)
         if x.shape[0] != self.dim:
             raise DimensionError(
                 f"oracle dimension {self.dim}, query dimension {x.shape[0]}"
@@ -211,9 +215,7 @@ class ClientOracle(ABC):
         return v
 
     def gradient(self, x) -> Vector:
-        g = self._gradient(self._check_input(x))
-        if not (type(g) is np.ndarray and g.ndim == 1 and g.dtype is _FLOAT64):
-            g = as_vector(g)
+        g = as_vector(self._gradient(self._check_input(x)))
         require_finite(g, "gradient")
         return g
 

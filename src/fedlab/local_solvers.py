@@ -62,7 +62,6 @@ SOLVERS = ("exact", "gd", "fgd")
 RULE_KINDS = ("abs_grad", "rel_grad", "fixed_steps", "scheduled")
 _DECREASE_SLACK = 1e-12
 EXACT_RESIDUAL_REL = 1e-12
-_PENDING_STEPS = 32  # conjugate-gradient steps held before adding them to x
 
 
 @dataclass(frozen=True)
@@ -377,10 +376,8 @@ def solve_exact_quadratic(
     hand it frame oracles, which are their own frame, so those solves
     rotate nothing; this per-solve frame serves every other caller.
 
-    The loop updates its own ``ap``, ``r`` and ``p`` in place and adds its
-    steps ``alpha * p`` to ``x`` in iteration order, up to
-    ``_PENDING_STEPS`` at a time: bitwise ``x = x + alpha * p`` each
-    iteration, in O(d) extra memory.
+    The loop updates its own ``x``, ``ap``, ``r`` and ``p`` in place,
+    bitwise the textbook loop's fresh arrays.
     """
     if not isinstance(surrogate, SurrogateOracle):
         raise UnsupportedStructureError("expected a SurrogateOracle")
@@ -402,7 +399,6 @@ def solve_exact_quadratic(
 
     d = rhs.shape[0]
     x = np.zeros(d)
-    steps = np.empty((_PENDING_STEPS, d))
     r = rhs.copy()
     p = r.copy()
     ap = np.empty(d)
@@ -426,7 +422,7 @@ def solve_exact_quadratic(
                 "subproblem matrix is not positive definite"
             )
         alpha = rs_old / curvature
-        np.multiply(p, alpha, steps[iters % _PENDING_STEPS])
+        x += alpha * p
         ap *= alpha
         r -= ap
         rs_new = float(r.dot(r))
@@ -435,11 +431,6 @@ def solve_exact_quadratic(
         p += r
         rs_old = rs_new
         iters += 1
-        if iters % _PENDING_STEPS == 0:
-            for step in steps:
-                x += step
-    for step in steps[: iters % _PENDING_STEPS]:
-        x += step
     if res_norm > target:
         raise SolverBudgetError(
             f"conjugate gradients stalled at residual {res_norm:.3e}"

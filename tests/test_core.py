@@ -29,6 +29,45 @@ def test_as_vector_coerces_lists_to_float64():
 def test_as_vector_rejects_matrices():
     with pytest.raises(DimensionError):
         as_vector(np.zeros((2, 2)))
+    for scalar in (np.array(1.0), 1.0):  # 0-D input is no vector either
+        with pytest.raises(DimensionError):
+            as_vector(scalar)
+
+
+def _read_only_vector():
+    v = np.arange(3.0)
+    v.setflags(write=False)
+    return v
+
+
+class _TaggedArray(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: np.arange(3.0), _read_only_vector, lambda: np.arange(6.0)[::2]],
+    ids=["dense", "read_only", "strided"],
+)
+def test_as_vector_returns_float64_vectors_as_the_same_object(make):
+    v = make()
+    assert as_vector(v) is v
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        [1, 2, 3],
+        np.array([1, 2, 3]),
+        np.array([1, 2, 3], dtype=np.float32),
+        np.array([1.0, 2.0, 3.0]).view(_TaggedArray),
+    ],
+    ids=["list", "int", "float32", "subclass"],
+)
+def test_as_vector_converts_everything_else_to_a_plain_float64_vector(x):
+    v = as_vector(x)
+    assert type(v) is np.ndarray and v.dtype == np.float64
+    assert v is not x and np.array_equal(v, [1.0, 2.0, 3.0])
 
 
 def test_require_finite_rejects_nan_and_inf():

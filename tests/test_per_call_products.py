@@ -21,6 +21,7 @@ from fedlab import core, harness, local_solvers, methods
 from fedlab.problems import dissimilarity, logistic, quadratic
 
 PER_CALL = [
+    core.as_vector,
     core.ClientOracle._check_input,
     core.ClientOracle.value,
     core.ClientOracle.gradient,
