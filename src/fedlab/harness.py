@@ -10,16 +10,6 @@ account covers exactly what the method itself consumed.
 Client sub-solves within one step run in a fixed order, and all randomness
 is pre-assigned to (step, purpose) streams, so a trace depends only on the
 problem, the method config and the seed.
-
-A pure quadratic problem whose clients share one eigenbasis ``Q`` (see
-:meth:`~fedlab.core.DistributedProblem.eigen_frame`) is run in that frame:
-gradient steps, Euclidean proximal terms and averaging all commute with an
-orthogonal change of variables, so the method and its metric snapshots
-step ``Q'x`` on the frame problem, where each gradient costs O(d) instead of
-two rotations.  The reference optimum is resolved in original coordinates
-and rotated in once; every billed primitive is still one oracle call, so
-the ledger columns are unchanged, and the metric columns equal the
-original-coordinate ones up to rounding.
 """
 from __future__ import annotations
 
@@ -206,9 +196,10 @@ def run_experiment(
     nonconvex analysis reads ``grad_norm_sq`` instead).
 
     ``metric_problem`` lets callers step a wrapped (e.g. call-counting)
-    problem while evaluating metrics on the unwrapped one.  The two run in
-    their shared eigen frame together, or both in original coordinates;
-    ``reference`` stays in original coordinates.
+    problem while evaluating metrics on the unwrapped one.  A run has no
+    frame of its own: every method and metric column is unchanged by an
+    orthogonal change of coordinates, so generated ``beta = 0`` quadratics
+    are drawn in their eigen frame instead (see :mod:`fedlab.problems.quadratic`).
 
     A :class:`NonFiniteError` or :class:`SolverBudgetError` from a step or a
     metric snapshot is raised again as the same type, chained, with the
@@ -222,16 +213,6 @@ def run_experiment(
             reference = None
     x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
     x_star = None if reference is None else reference.x_star
-    basis, frame = problem.eigen_frame()
-    if basis is not None:
-        metric_basis, metric_frame = (
-            (basis, frame) if metric_problem is None else metric_problem.eigen_frame()
-        )
-        if metric_basis is basis:
-            problem, metrics = frame, metric_frame
-            x0 = x0.dot(basis)
-            if x_star is not None:
-                x_star = x_star.dot(basis)
     if output_mode is None:
         output_mode = "best_grad" if cfg.averaging == "rand" else "last"
     if output_mode not in ("last", "best_grad"):
@@ -612,11 +593,6 @@ class CountingOracle(ClientOracle):
 
     def linear_term(self) -> Vector:
         return self.base.linear_term()
-
-    def eigen_frame(self):
-        """The base's frame, its matvecs billed to the same counter."""
-        basis, frame = self.base.eigen_frame()
-        return basis, CountingOracle(frame, self.counter)
 
 
 def counting_problem(problem: DistributedProblem):

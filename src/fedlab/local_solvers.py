@@ -367,17 +367,10 @@ def solve_exact_quadratic(
     alone (warm starts cannot perturb it); ``x_start`` only provides the
     reference point for the decrease flag.
 
-    CG is unchanged by an orthogonal change of coordinates, so when the base
-    has an eigenbasis ``Q`` (see ``eigen_frame``) it runs in that frame:
-    ``rhs`` is rotated in once, each iteration makes one ``hessian_matvec``
-    of the frame oracle (billed as one unit, O(d) for a diagonal frame) and
-    the solution is rotated out once.  Runs of
-    :func:`~fedlab.harness.run_experiment` on a shared eigenbasis already
-    hand it frame oracles, which are their own frame, so those solves
-    rotate nothing; this per-solve frame serves every other caller.
-
-    The loop updates its own ``x``, ``ap``, ``r`` and ``p`` in place,
-    bitwise the textbook loop's fresh arrays.
+    Each iteration makes one ``hessian_matvec`` of the base (billed as one
+    unit; O(d) on a quadratic drawn in its eigen frame).  The loop updates
+    its own ``x``, ``ap``, ``r`` and ``p`` in place, bitwise the textbook
+    loop's fresh arrays.
     """
     if not isinstance(surrogate, SurrogateOracle):
         raise UnsupportedStructureError("expected a SurrogateOracle")
@@ -392,10 +385,7 @@ def solve_exact_quadratic(
         rhs = rhs - surrogate.linear_shift
     for w, center in surrogate.prox_terms:
         rhs = rhs + w * center
-    basis, frame = base.eigen_frame()
-    if basis is not None:
-        rhs = rhs.dot(basis)
-    hessian_matvec = frame.hessian_matvec
+    hessian_matvec = base.hessian_matvec
 
     d = rhs.shape[0]
     x = np.zeros(d)
@@ -435,8 +425,6 @@ def solve_exact_quadratic(
         raise SolverBudgetError(
             f"conjugate gradients stalled at residual {res_norm:.3e}"
         )
-    if basis is not None:
-        x = basis.dot(x)
     start = as_vector(x_start) if x_start is not None else np.zeros(d)
     return _finish(
         surrogate,

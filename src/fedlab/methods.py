@@ -163,6 +163,8 @@ class MethodConfig:
             ("local_steps", self.local_steps != 1 and m != "scaffold"),
             ("stochastic", self.stochastic and m != "fedred_gd"),
             ("cv_strength", self.cv_strength != 0.0 and self.control_variate != "recursive"),
+            # only the rand-averaged certificate of dane_plus/fedred reads a
+            ("a", self.a != 2.0 and (self.averaging != "rand" or m not in ("dane_plus", "fedred"))),
         )
         for name, unused in ignored:
             if unused:

@@ -10,10 +10,15 @@ penalty (identical across clients, so it never contributes to inter-client
 Hessian dissimilarity; it adds at most ``2*beta`` to smoothness and can
 subtract ``beta/2`` from the curvature lower bound).
 
-Generated families share one orthogonal eigenbasis for every ``A_ij``, so
-operator norms of client-mean deviations, and hence the dissimilarity
-constants, are available in closed form.  Explicit dense symmetric
-matrices are also supported for hand-built fixtures.
+Every ``A_ij`` of a spectral family is ``Q diag(s_ij) Q'`` for one shared
+orthogonal basis ``Q``, so operator norms of client-mean deviations, and
+hence the dissimilarity constants, are available in closed form.  Only this
+module knows about ``Q``: generated ``beta = 0`` families are drawn in
+their eigen frame (``Q = I``), since every method and every metric is
+unchanged by an orthogonal change of coordinates, while ``beta > 0``
+families carry a random ``Q``, because the sigmoid term is separable only
+in original coordinates.  Explicit dense symmetric matrices are also
+supported for hand-built fixtures.
 """
 from __future__ import annotations
 
@@ -214,15 +219,9 @@ class QuadraticOracle(ClientOracle):
     ``cbar`` rather than the origin keeps the rounding error of order
     ``|x - c_j|`` even when the centers sit far from the origin.  Value and
     gradient never call the public :meth:`hessian_matvec`, so every call of
-    it is a solver's matvec (the work the exact solver bills).
-
-    :meth:`eigen_frame` hands out the basis and an oracle over the same
-    spectra in the eigen frame, whose gradient is ``s * w - u`` and whose
-    ``hessian_matvec`` is ``s * v``, both O(d).  A run of a problem whose
-    clients share the basis steps the frame oracles throughout (see
-    :meth:`~fedlab.core.DistributedProblem.eigen_frame`), so no gradient or
-    matvec pays a rotation; a local solve on an oracle with a basis runs
-    its conjugate gradients there, paying two rotations per solve.
+    it is a solver's matvec (the work the exact solver bills).  Without a
+    basis, as on every generated ``beta = 0`` family, the gradient is
+    ``s * w - u`` and ``hessian_matvec`` is ``s * v``, both O(d).
 
     The stochastic gradient samples one of the m quadratic components
     uniformly (the sigmoid term, being cheap and deterministic, is always
@@ -232,7 +231,6 @@ class QuadraticOracle(ClientOracle):
     def __init__(self, spec: QuadraticClientSpec, basis: np.ndarray | None = None):
         self.spec = spec
         self.basis = basis
-        self._eigen = None  # eigen-frame oracle, see eigen_frame
         self.dim = spec.dim
         self.beta = spec.beta
         if spec.spectra is not None:
@@ -293,27 +291,6 @@ class QuadraticOracle(ClientOracle):
         The cached array is read-only.
         """
         return self._linear
-
-    def eigen_frame(self) -> tuple[np.ndarray | None, "QuadraticOracle"]:
-        """``(Q, frame)``: the basis and this quadratic part in its frame.
-
-        ``frame`` is a basis-free oracle over the same spectra and the
-        frame centers (``beta = 0``), so ``Q frame.hessian_matvec(Q'v)`` is
-        ``hessian_matvec(v)``, and for a pure quadratic
-        ``Q frame.gradient(Q'x)`` is ``gradient(x)`` and
-        ``frame.value(Q'x)`` is ``value(x)``, up to rounding.  It is built
-        on first request and kept, so every caller, the exact solver and
-        :meth:`~fedlab.core.DistributedProblem.eigen_frame` alike, gets the
-        same object.  An oracle without a basis is its own frame:
-        ``(None, self)``.
-        """
-        if self.basis is None:
-            return None, self
-        if self._eigen is None:
-            self._eigen = QuadraticOracle(
-                QuadraticClientSpec(centers=self._centers, spectra=self.spec.spectra)
-            )
-        return self.basis, self._eigen
 
     # -- oracle implementation --------------------------------------------
 
@@ -397,7 +374,10 @@ def gen_quadratic_problem(
 ) -> DistributedProblem:
     """Draw a synthetic quadratic instance with a targeted Hessian spread.
 
-    All component matrices share one random orthogonal eigenbasis.  Three
+    All component matrices share one eigenbasis: the axes when ``beta ==
+    0`` (the family is drawn in its eigen frame), a random orthogonal one
+    otherwise.  The ``(d, d)`` Gaussian behind that basis is drawn in both
+    cases, so every later draw is the same for every ``beta``.  Three
     coordinates are pinned across every component: the first at
     ``max_norm`` (so the declared operator-norm cap is attained), the
     second at ``min_eig``, and a third mid-spectrum coordinate that carries
@@ -434,8 +414,10 @@ def gen_quadratic_problem(
     rng = stream.generator()
 
     gauss = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(gauss)
-    q = q * np.sign(np.diag(r))  # fixed sign convention
+    q = None
+    if beta > 0.0:
+        q, r = np.linalg.qr(gauss)
+        q = q * np.sign(np.diag(r))  # fixed sign convention
 
     general_convex = 0.0 <= min_eig < GENERAL_CONVEX_FLOOR
     draw_lo = GENERAL_CONVEX_FLOOR if general_convex else min_eig
@@ -452,10 +434,8 @@ def gen_quadratic_problem(
     for i in range(n):
         spectra = base.copy()
         spectra[:, 2] += pert[i]
-        centers_eig = rng.standard_normal((m, d)) / np.sqrt(d)
-        specs.append(
-            QuadraticClientSpec(
-                centers=centers_eig @ q.T, beta=beta, spectra=spectra
-            )
-        )
+        centers = rng.standard_normal((m, d)) / np.sqrt(d)  # in the eigen frame
+        if q is not None:
+            centers = centers @ q.T
+        specs.append(QuadraticClientSpec(centers=centers, beta=beta, spectra=spectra))
     return build_quadratic_problem(QuadraticFamily(specs=specs, basis=q))

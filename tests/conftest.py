@@ -78,6 +78,24 @@ def random_family(
     return QuadraticFamily(specs=specs)
 
 
+def rotated_family(family: QuadraticFamily, seed: int) -> QuadraticFamily:
+    """A basis-free spectral ``family`` under a random orthogonal basis Q.
+
+    The spectra stay and every center ``c`` becomes ``Q c``, so each
+    component ``0.5 (x - Q c)' Q diag(s) Q' (x - Q c)`` is the original one
+    at ``Q'x``.
+    """
+    d = family.dim
+    q = np.linalg.qr(RandomStream(seed).generator().standard_normal((d, d)))[0]
+    specs = [
+        QuadraticClientSpec(
+            centers=spec.centers @ q.T, spectra=spec.spectra, beta=spec.beta
+        )
+        for spec in family.specs
+    ]
+    return QuadraticFamily(specs=specs, basis=q)
+
+
 class CubicOracle(ClientOracle):
     """Nonconvex 1-d test oracle f(x) = x^4/4 - x^2/2 (minima at +-1)."""
 

@@ -90,3 +90,63 @@ def test_each_differing_trace_names_its_own_drift(tmp_path, capsys):
         "dist_sq 0 (rel 0)"
     ) in lines
     assert "identical  summary.csv" in lines
+
+
+_SUMMARY_HEAD = (
+    "method,seed,rounds_to_target,grad_evals_to_target,reached,"
+    "final_f_gap,final_grad_norm_sq\n"
+)
+
+
+def _summaries(tmp_path, row_a: str, row_b: str):
+    a, b = _pair(tmp_path, _rows())
+    (Path(a) / "summary.csv").write_text(_SUMMARY_HEAD + "gd,0,,,false,0.25,0.5\n" + row_a)
+    (Path(b) / "summary.csv").write_text(_SUMMARY_HEAD + "gd,0,,,false,0.25,0.5\n" + row_b)
+    return [a, b]
+
+
+def test_a_summary_ledger_mismatch_exits_1(tmp_path, capsys):
+    dirs = _summaries(
+        tmp_path,
+        "fedred,0,12,300.0,true,1e-08,2e-06\n",
+        "fedred,0,12,300.0,false,1e-08,2e-06\n",
+    )
+    assert compare_traces.main(dirs) == 1
+    out = capsys.readouterr().out
+    assert (
+        "  summary.csv row 2: method, seed, rounds_to_target, "
+        "grad_evals_to_target, reached ('fedred', '0', '12', '300.0', 'true') "
+        "vs ('fedred', '0', '12', '300.0', 'false')\n"
+    ) in out
+    assert out.endswith("DIFFER\n")
+
+
+def test_last_bit_summary_drift_is_reported_and_passes(tmp_path, capsys):
+    gap = 1e-08
+    ulp = float(np.spacing(gap))
+    dirs = _summaries(
+        tmp_path,
+        f"fedred,0,12,300.0,true,{gap!r},2e-06\n",
+        f"fedred,0,12,300.0,true,{gap + ulp!r},2e-06\n",
+    )
+    assert compare_traces.main(dirs) == 0
+    out = capsys.readouterr().out
+    rel = ulp / (gap + ulp)
+    assert (
+        f"differs    summary.csv  f_gap {ulp:.3g} (rel {rel:.3g}), "
+        "grad_norm_sq 0 (rel 0), dist_sq 0 (rel 0)\n"
+    ) in out
+    drift = out.split("f_gap         largest drift: ")[1].splitlines()[0]
+    assert drift == f"absolute {ulp:.3g}, relative {rel:.3g}"
+    assert out.endswith("match\n")
+
+
+def test_a_summary_row_count_or_non_finite_metric_exits_1(tmp_path, capsys):
+    row = "fedred,0,12,300.0,true,1e-08,2e-06\n"
+    (tmp_path / "rows").mkdir()
+    (tmp_path / "nan").mkdir()
+    assert compare_traces.main(_summaries(tmp_path / "rows", row, "")) == 1
+    assert "summary.csv: 2 rows vs 1" in capsys.readouterr().out
+    moved = row.replace("1e-08", "nan")
+    assert compare_traces.main(_summaries(tmp_path / "nan", row, moved)) == 1
+    assert "summary.csv row 2: final_f_gap '1e-08' vs 'nan'" in capsys.readouterr().out

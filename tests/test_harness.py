@@ -37,7 +37,13 @@ from fedlab import (
 )
 from fedlab.harness import CSV_HEADER, RoundTrace
 
-from conftest import CubicOracle, hetero_pair, quad_1d, two_client_line
+from conftest import (
+    CubicOracle,
+    hetero_pair,
+    quad_1d,
+    rotated_family,
+    two_client_line,
+)
 
 
 def _exact(method, **kw):
@@ -292,12 +298,10 @@ def test_anchored_accounting_matches_oracle_counter(method, solver):
     cfg = MethodConfig(
         method=method, local=_LOCAL_SPECS[solver], **_ANCHORED_PARAMS[method]
     )
-    # the generated family shares an eigenbasis, so the exact solver runs
-    # on the frame the counting wrapper forwards
-    eigen = gen_quadratic_problem(
+    generated = gen_quadratic_problem(
         3, 3, 2, 8, max_norm=6.0, min_eig=0.5, target_delta=1.0
     )
-    for base in (hetero_pair(d=4, seed=23), eigen):
+    for base in (hetero_pair(d=4, seed=23), generated):
         _billed_run(base, cfg, 12)
 
 
@@ -329,16 +333,17 @@ def test_stochastic_steps_bill_fractional_cost():
     assert counter["units"] == result.total_grad_evals
 
 
-# ----------------------------------------------------------- eigen frame
+# ------------------------------------------------- rotation equivariance
 
 
-def _spectral_and_dense_twin():
-    """A shared-eigenbasis family, and the same matrices ``Q diag(s) Q'`` stored
-    dense without a basis, which therefore runs in original coordinates."""
-    problem = gen_quadratic_problem(
+def _axes_rotated_and_dense():
+    """``((axes, rotated, dense), Q)``: a generated ``beta = 0`` problem
+    (drawn in its eigen frame), the same spectra and centers under a random
+    orthogonal basis ``Q``, and that family's dense twin ``Q diag(s) Q'``."""
+    axes = gen_quadratic_problem(
         4, 3, 2, 8, max_norm=6.0, min_eig=0.5, target_delta=1.0
     )
-    family = problem.quadratic
+    family = rotated_family(axes.quadratic, seed=6)
     q = family.basis
     dense = QuadraticFamily(
         specs=[
@@ -349,7 +354,7 @@ def _spectral_and_dense_twin():
             for spec in family.specs
         ]
     )
-    return problem, build_quadratic_problem(dense)
+    return (axes, build_quadratic_problem(family), build_quadratic_problem(dense)), q
 
 
 _FRAME_CONFIGS = {
@@ -375,40 +380,41 @@ def test_every_method_is_configured_for_the_frame_equivalence():
 
 @pytest.mark.parametrize("method", sorted(_FRAME_CONFIGS))
 def test_runs_in_the_eigen_frame_match_original_coordinates(method):
+    # every method moves by gradients, Euclidean proximal terms and averages,
+    # and every metric column is rotation-invariant, so a run on the problem
+    # drawn in its eigen frame from y0 is the run on the same problem under a
+    # basis Q, spectral or dense, from Q y0: the ledger exactly, the metrics
+    # up to rounding, and the billed work is what a counting wrapper counts
     cfg = _FRAME_CONFIGS[method]
-    problem, twin = _spectral_and_dense_twin()
-    assert problem.eigen_frame()[0] is not None and twin.eigen_frame()[0] is None
+    problems, q = _axes_rotated_and_dense()
+    assert problems[0].quadratic.basis is None
     budget = Budget(max_iterations=25)
-    x0 = np.linspace(-1.0, 1.0, problem.dim)
-    short = run_experiment(problem, cfg, Budget(max_iterations=1), seed=3, x0=x0)
-    # the reference stays in original coordinates
-    assert np.array_equal(short.reference.x_star, reference_optimum(problem).x_star)
-    for oracle in problem.clients:  # a framed run steps only the frame oracles
-        oracle.value = oracle.gradient = oracle.hessian_matvec = None
-    ref = reference_optimum(twin)
-    framed = run_experiment(
-        problem, cfg, budget, seed=3, x0=x0, reference=ref, record_every=1
-    )
-    plain = run_experiment(twin, cfg, budget, seed=3, x0=x0, record_every=1)
-    assert len(framed.traces) == len(plain.traces) > 1
-    for a, b in zip(framed.traces, plain.traces):
-        assert (a.k, a.rounds, a.grad_evals) == (b.k, b.rounds, b.grad_evals)
-        for col in ("f_gap", "grad_norm_sq", "dist_sq"):
-            va, vb = getattr(a, col), getattr(b, col)
-            assert abs(va - vb) <= max(1e-12, 1e-9 * max(abs(va), abs(vb))), col
-    assert framed.reference is ref
-    wrapped, counter = counting_problem(problem)
-    billed = run_experiment(
-        wrapped, cfg, budget, seed=3, x0=x0, reference=ref, record_every=1,
-        metric_problem=problem,
-    )
-    assert counter["units"] == billed.total_grad_evals == framed.total_grad_evals
-    assert [t.f_gap for t in billed.traces] == [t.f_gap for t in framed.traces]
+    y0 = np.linspace(-1.0, 1.0, q.shape[0])
+    runs = []
+    for problem, x0 in zip(problems, (y0, q @ y0, q @ y0)):
+        run = run_experiment(problem, cfg, budget, seed=3, x0=x0, record_every=1)
+        wrapped, counter = counting_problem(problem)
+        billed = run_experiment(
+            wrapped, cfg, budget, seed=3, x0=x0, record_every=1,
+            metric_problem=problem,
+        )
+        assert counter["units"] == billed.total_grad_evals == run.total_grad_evals
+        assert [t.f_gap for t in billed.traces] == [t.f_gap for t in run.traces]
+        runs.append(run)
+    axes = runs[0]
+    assert len(axes.traces) > 1
+    for other in runs[1:]:
+        assert len(other.traces) == len(axes.traces)
+        for a, b in zip(axes.traces, other.traces):
+            assert (a.k, a.rounds, a.grad_evals) == (b.k, b.rounds, b.grad_evals)
+            for col in ("f_gap", "grad_norm_sq", "dist_sq"):
+                va, vb = getattr(a, col), getattr(b, col)
+                assert abs(va - vb) <= max(1e-12, 1e-9 * max(abs(va), abs(vb))), col
 
 
 def test_best_grad_snapshots_reuse_the_scored_gradient():
-    # beta > 0 runs in original coordinates, so the counting metric problem
-    # is the one evaluated; its client gradients are n units per grad_f
+    # the counting metric problem is the one evaluated; its client gradients
+    # are n units per grad_f
     problem = gen_quadratic_problem(
         6, 3, 2, 8, max_norm=6.0, min_eig=-1.0, target_delta=1.0, beta=4.0
     )

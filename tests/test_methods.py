@@ -111,12 +111,24 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigurationError, match="would ignore"):
             MethodConfig(**kwargs)
+    # only the rand-averaged dane_plus/fedred certificate reads a
+    for kwargs in (
+        dict(method="dane_plus", lam=1.0),
+        dict(method="fedred", lam=1.0, eta=1.0),
+        dict(method="fedred_gd", lam=1.0, eta=1.0, averaging="rand"),
+        dict(method="scaffnew", eta=0.1),
+        dict(method="gd", eta=0.1),
+    ):
+        with pytest.raises(ConfigurationError, match="would ignore a=3.0"):
+            MethodConfig(a=3.0, **kwargs)
     # the default local spec, spelled out, is not an ignored field
     MethodConfig(method="gd", eta=0.1, local=LocalSpec(solver="exact"))
     MethodConfig(method="scaffold", eta=0.1, local_steps=4)
     MethodConfig(method="fedred_gd", lam=1.0, eta=1.0, stochastic=True)
     MethodConfig(method="dane_plus", lam=1.0, mu=1.0, local=scheduled)
     MethodConfig(method="fedred", lam=1.0, eta=1.0, mu=1.0, local=scheduled)
+    MethodConfig(method="dane_plus", lam=1.0, averaging="rand", a=3.0)
+    MethodConfig(method="fedred", lam=1.0, eta=1.0, averaging="rand", a=3.0)
     MethodConfig(
         method="dane_plus", lam=1.0, control_variate="recursive", cv_strength=0.5
     )

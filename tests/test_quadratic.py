@@ -10,22 +10,18 @@ from hypothesis import strategies as st
 from fedlab import (
     ConfigurationError,
     DimensionError,
-    DistributedProblem,
     QuadraticClientSpec,
     QuadraticFamily,
-    QuadraticOracle,
     RandomStream,
     UnsupportedStructureError,
     build_quadratic_problem,
     counting_problem,
     delta_exact_quadratic,
     gen_quadratic_problem,
-    logistic_problem,
-    parse_libsvm,
 )
 from fedlab.problems.quadratic import GENERAL_CONVEX_FLOOR
 
-from conftest import finite_difference_gradient, random_family
+from conftest import finite_difference_gradient, random_family, rotated_family
 
 
 def test_spec_requires_exactly_one_representation():
@@ -226,8 +222,8 @@ def test_minimizer_zeroes_the_gradient_on_every_representation():
     generated = gen_quadratic_problem(
         3, 3, 2, 8, max_norm=6.0, min_eig=0.5, target_delta=1.0
     ).quadratic
-    assert generated.basis is not None
-    for family in (dense, random_family(4), generated):
+    rotated = rotated_family(generated, seed=5)
+    for family in (dense, random_family(4), generated, rotated):
         problem = build_quadratic_problem(family)
         x_star = family.minimizer()
         scale = 1e-10 * (1.0 + np.linalg.norm(problem.grad_f(np.zeros(family.dim))))
@@ -360,122 +356,26 @@ def test_kernels_equal_the_helper_composition_bitwise(case):
     assert oracle.value(x) == value
     assert np.array_equal(oracle.gradient(x), grad)
     assert np.array_equal(oracle.hessian_matvec(x), curved)
-    if oracle.basis is not None and oracle.beta == 0.0:
-        frame, y = oracle.eigen_frame()[1], x.dot(oracle.basis)
-        value, grad, curved = _helper_composition(frame, y)
-        assert frame.value(y) == value
-        assert np.array_equal(frame.gradient(y), grad)
-        assert np.array_equal(frame.hessian_matvec(y), curved)
 
 
-def test_eigen_frame_rotates_the_hessian():
-    problem = gen_quadratic_problem(
-        1, 2, 3, 7, max_norm=6.0, min_eig=0.5, target_delta=1.0, beta=0.5
-    )
-    oracle = problem.clients[0]
-    basis, frame = oracle.eigen_frame()
-    assert basis is oracle.basis
-    assert frame.basis is None and frame.beta == 0.0
-    assert oracle.eigen_frame()[1] is frame  # built once, on first request
-    v = RandomStream(3).generator().standard_normal(7)
-    rotated = basis @ frame.hessian_matvec(v @ basis)
-    assert np.allclose(rotated, oracle.hessian_matvec(v), rtol=0.0, atol=1e-12)
-    for family in (random_family(2), random_family(2, dense=True)):
-        plain = build_quadratic_problem(family).clients[0]
-        assert plain.eigen_frame() == (None, plain)
-
-
-def test_problems_with_requested_frames_are_freed_without_the_collector():
-    # a frame that referenced its parent, or an oracle that stored itself,
-    # would form a cycle only the cyclic collector frees: every built
-    # problem would then stay in memory until a full collection
+def test_problems_are_freed_without_the_collector():
+    # an oracle that stored itself, or a counting wrapper its problem, would
+    # form a cycle only the cyclic collector frees: every built problem
+    # would then stay in memory until a full collection
     factories = (
         lambda: gen_quadratic_problem(
             0, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
         ),
         lambda: build_quadratic_problem(random_family(4)),
+        lambda: build_quadratic_problem(rotated_family(random_family(4), seed=2)),
+        lambda: counting_problem(build_quadratic_problem(random_family(4)))[0],
     )
     gc.disable()
     try:
         for build in factories:
             problem = build()
-            frames = [oracle.eigen_frame()[1] for oracle in problem.clients]
-            refs = [weakref.ref(o) for o in (problem, *problem.clients, *frames)]
-            del frames, problem
-            assert [r() for r in refs] == [None] * len(refs)
-    finally:
-        gc.enable()
-
-
-def _shared_basis_problem(beta: float = 0.0):
-    return gen_quadratic_problem(
-        2, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0, beta=beta
-    )
-
-
-def test_problem_eigen_frame_runs_every_client_in_the_shared_basis():
-    problem = _shared_basis_problem()
-    basis, frame = problem.eigen_frame()
-    assert basis is problem.clients[0].basis
-    assert frame.clients == [o.eigen_frame()[1] for o in problem.clients]
-    hints = ("dim", "l_smooth", "l_smooth_global", "mu")
-    assert [getattr(frame, h) for h in hints] == [getattr(problem, h) for h in hints]
-    assert frame.quadratic is None  # the family's storage is in original coordinates
-    x = RandomStream(4).generator().standard_normal(problem.dim)
-    assert frame.f(x @ basis) == pytest.approx(problem.f(x), rel=1e-13)
-    assert np.allclose(basis @ frame.grad_f(x @ basis), problem.grad_f(x), atol=1e-13)
-
-
-def test_problem_eigen_frame_builds_nothing_unless_every_client_is_pure():
-    problem = _shared_basis_problem(beta=0.5)
-    assert problem.eigen_frame() == (None, problem)
-    assert [o._eigen for o in problem.clients] == [None] * problem.n
-
-
-def test_problem_eigen_frame_needs_one_shared_basis():
-    spectral = build_quadratic_problem(random_family(5))
-    dense = build_quadratic_problem(random_family(5, dense=True))
-    logistic = logistic_problem([parse_libsvm("+1 1:1\n-1 2:0.5\n")])
-    spec = random_family(5).specs[0]
-    q, _ = np.linalg.qr(RandomStream(9).generator().standard_normal((5, 5)))
-    mixed = [
-        [QuadraticOracle(spec, q), QuadraticOracle(spec, q.copy())],
-        [QuadraticOracle(spec), QuadraticOracle(spec, q)],
-        [QuadraticOracle(spec, q), QuadraticOracle(spec)],
-    ]
-    problems = [spectral, dense, logistic] + [
-        DistributedProblem(clients=clients, dim=5) for clients in mixed
-    ]
-    for problem in problems:
-        assert problem.eigen_frame() == (None, problem)
-    assert DistributedProblem(clients=mixed[0][:1], dim=5).eigen_frame()[0] is q
-
-
-def test_counting_problem_frames_bill_the_shared_counter():
-    problem = _shared_basis_problem()
-    wrapped, counter = counting_problem(problem)
-    basis, frame = wrapped.eigen_frame()
-    assert basis is problem.clients[0].basis
-    assert [o.base for o in frame.clients] == [o.eigen_frame()[1] for o in problem.clients]
-    x = np.ones(problem.dim)
-    frame.grad_f(x)
-    frame.clients[1].hessian_matvec(x)
-    assert counter["units"] == problem.n + 1.0
-
-
-def test_problem_frames_are_freed_without_the_collector():
-    # a frame problem that referenced its parent would form a cycle that
-    # only the cyclic collector frees
-    gc.disable()
-    try:
-        for wrap in (lambda p: p, lambda p: counting_problem(p)[0]):
-            problem = wrap(_shared_basis_problem())
-            frame = problem.eigen_frame()[1]
-            refs = [
-                weakref.ref(o)
-                for o in (problem, *problem.clients, frame, *frame.clients)
-            ]
-            del frame, problem
+            refs = [weakref.ref(o) for o in (problem, *problem.clients)]
+            del problem
             assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
