@@ -358,17 +358,16 @@ def test_kernels_equal_the_helper_composition_bitwise(case):
     assert np.array_equal(oracle.hessian_matvec(x), curved)
 
 
-def test_problems_are_freed_without_the_collector():
-    # an oracle that stored itself, or a counting wrapper its problem, would
-    # form a cycle only the cyclic collector frees: every built problem
-    # would then stay in memory until a full collection
+def test_problems_with_requested_frames_are_freed_without_the_collector():
+    # an oracle that stored itself would form a cycle only the cyclic
+    # collector frees: every built problem would then stay in memory until
+    # a full collection
     factories = (
         lambda: gen_quadratic_problem(
             0, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
         ),
         lambda: build_quadratic_problem(random_family(4)),
         lambda: build_quadratic_problem(rotated_family(random_family(4), seed=2)),
-        lambda: counting_problem(build_quadratic_problem(random_family(4)))[0],
     )
     gc.disable()
     try:
@@ -376,6 +375,26 @@ def test_problems_are_freed_without_the_collector():
             problem = build()
             refs = [weakref.ref(o) for o in (problem, *problem.clients)]
             del problem
+            assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_problem_frames_are_freed_without_the_collector():
+    # a problem drawn in its eigen frame, bare or behind counting wrappers:
+    # a wrapper that referenced its problem would form a cycle that only
+    # the cyclic collector frees
+    gc.disable()
+    try:
+        for wrap in (lambda p: p, lambda p: counting_problem(p)[0]):
+            problem = wrap(
+                gen_quadratic_problem(
+                    2, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
+                )
+            )
+            bases = [getattr(o, "base", o) for o in problem.clients]
+            refs = [weakref.ref(o) for o in (problem, *problem.clients, *bases)]
+            del bases, problem
             assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
