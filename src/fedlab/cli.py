@@ -362,24 +362,21 @@ def cmd_run(args) -> int:
         for (label, mcfg) in zip(labels, (m for _, m in entries))
         for rep in range(repeats)
     ]
-    results = [
-        run_experiment(
-            problem,
-            mcfg,
-            budget,
-            seed,
-            reference=reference,
-            record_every=record_every,
+    # each trace is written as its run returns, so a later run that fails
+    # leaves the earlier ones on disk
+    results = []
+    for label, mcfg, seed in jobs:
+        result = run_experiment(
+            problem, mcfg, budget, seed, reference=reference, record_every=record_every
         )
-        for _, mcfg, seed in jobs
-    ]
+        path = os.path.join(out_dir, f"{label}_seed{seed}.csv")
+        write_trace_csv(path, result.traces, timings=args.timings)
+        results.append(result)
 
     summary_rows = []
     series_rounds = []
     series_evals = []
     for (label, _, seed), result in zip(jobs, results):
-        path = os.path.join(out_dir, f"{label}_seed{seed}.csv")
-        write_trace_csv(path, result.traces, timings=args.timings)
         target = budget.target_gap
         r_t = rounds_to_target(result.traces, target, metric) if target else None
         g_t = grad_evals_to_target(result.traces, target, metric) if target else None

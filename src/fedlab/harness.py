@@ -141,18 +141,17 @@ def reference_optimum(
     accelerated gradient run.  Nonconvex instances are rejected; the
     harness falls back to gradient-norm metrics for those.
     """
-    x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
-    scale = 1e-10 * (1.0 + float(np.linalg.norm(problem.grad_f(x0))))
     x_star = None
     how = None
     if problem.quadratic is not None and problem.quadratic.beta == 0.0:
         x_star = problem.quadratic.minimizer()
         how = "direct_linear"
-    else:
-        if any(o.convexity_hint is None for o in problem.clients):
-            raise UnsupportedStructureError(
-                "reference optimum is only defined for convex instances"
-            )
+    elif any(o.convexity_hint is None for o in problem.clients):
+        raise UnsupportedStructureError(
+            "reference optimum is only defined for convex instances"
+        )
+    x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
+    scale = 1e-10 * (1.0 + float(np.linalg.norm(problem.grad_f(x0))))
     residual = (
         float(np.linalg.norm(problem.grad_f(x_star))) if x_star is not None else np.inf
     )

@@ -14,8 +14,7 @@ controlled by a :class:`StoppingRule`:
 
 * ``abs_grad``:  stop when ``||grad F(x)|| <= e``;
 * ``rel_grad``:  stop when ``||grad F(x)|| <= e * ||x - x_start||``; at the
-  start the right side is zero, so only an exactly zero gradient stops there
-  (one at its rounding floor can run to ``max_steps``);
+  start the right side is zero, so only an exactly zero gradient stops there;
 * ``fixed_steps``: run exactly K steps and return the visited iterate with
   the smallest gradient norm;
 * ``scheduled``: ``rel_grad`` with the round's tolerance ``e_r`` from
@@ -26,7 +25,9 @@ A rule rejects the options its kind would ignore: ``tol`` is read only by
 the two gradient kinds, ``steps`` only by ``fixed_steps``.
 
 Gradient-based rules exhaust ``max_steps`` with a hard error rather than
-returning an uncertified point.
+returning an uncertified point, and fail at once on a step that improves
+on no earlier gradient norm while its norm sits at the rounding floor,
+``4 eps L max(1, ||y||)`` for the surrogate's smoothness hint ``L``.
 
 Finiteness is checked once per billed primitive.  The base oracle's public
 ``gradient`` checks its query point and its output; the descent loop takes
@@ -62,6 +63,7 @@ SOLVERS = ("exact", "gd", "fgd")
 RULE_KINDS = ("abs_grad", "rel_grad", "fixed_steps", "scheduled")
 _DECREASE_SLACK = 1e-12
 EXACT_RESIDUAL_REL = 1e-12
+_STALL_EPS = 4.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -278,6 +280,8 @@ def _descend(
     if accelerated and modulus is not None and modulus > 0.0:
         root_kappa = np.sqrt((1.0 / gamma) / modulus)
         momentum_const = (root_kappa - 1.0) / (root_kappa + 1.0)
+    hint = surrogate.smoothness_hint
+    floor = 0.0 if hint is None else _STALL_EPS * hint
     x = y = x_start
     best_x, best_norm = x_start, np.inf
     steps = 0
@@ -289,16 +293,27 @@ def _descend(
         if norm < best_norm:
             best_x, best_norm = y, norm
         # every return has taken steps + 1 gradients
-        if rule.kind == "rel_grad":
-            moved = y - x_start
-            if norm <= rule.tol * math.sqrt(moved.dot(moved)):
+        if rule.kind == "fixed_steps":
+            if steps >= rule.steps:
                 return _finish(
-                    surrogate, x_start, y, steps, steps + 1, norm, require_decrease
+                    surrogate, x_start, best_x, steps, steps + 1, best_norm,
+                    require_decrease,
                 )
-        elif steps >= rule.steps if rule.kind == "fixed_steps" else norm <= rule.tol:
+        elif rule.kind == "abs_grad" and norm <= rule.tol:
             return _finish(
                 surrogate, x_start, best_x, steps, steps + 1, best_norm,
                 require_decrease,
+            )
+        elif rule.kind == "rel_grad" and norm <= rule.tol * math.sqrt(
+            (moved := y - x_start).dot(moved)
+        ):
+            return _finish(
+                surrogate, x_start, y, steps, steps + 1, norm, require_decrease
+            )
+        elif best_x is not y and norm <= floor * max(1.0, math.sqrt(y.dot(y))):
+            raise SolverBudgetError(
+                f"{rule.kind} rule unmet at step {steps}: ||grad|| = {norm:.3e} "
+                "sits at its rounding floor without improving"
             )
         if steps >= rule.max_steps:
             raise SolverBudgetError(

@@ -17,8 +17,9 @@ module knows about ``Q``: generated ``beta = 0`` families are drawn in
 their eigen frame (``Q = I``), since every method and every metric is
 unchanged by an orthogonal change of coordinates, while ``beta > 0``
 families carry a random ``Q``, because the sigmoid term is separable only
-in original coordinates.  Explicit dense symmetric matrices are also
-supported for hand-built fixtures.
+in original coordinates; their oracles form the mean Hessian ``Q diag(s)
+Q'`` once, so each evaluation is one ``d x d`` product.  Explicit dense
+symmetric matrices are also supported for hand-built fixtures.
 """
 from __future__ import annotations
 
@@ -205,50 +206,61 @@ class QuadraticFamily:
 class QuadraticOracle(ClientOracle):
     """First-order oracle for one :class:`QuadraticClientSpec`.
 
-    Value and gradient are closed forms in the eigenbasis frame (original
-    coordinates for dense specs), expanded around the mean center ``cbar``
-    from terms cached at construction: the mean spectrum ``s`` (dense: the
-    mean matrix), ``u = mean_j s_j * d_j`` and ``kappa = 0.5 mean_j
-    d_j' s_j d_j`` for the center offsets ``d_j = c_j - cbar``.  For
-    ``w = Q'x - cbar``,
+    Value, gradient and ``hessian_matvec`` read one curvature operator in
+    original coordinates, expanded around the mean center ``cbar``: the
+    mean Hessian ``C``, held as the mean spectrum when the family has no
+    basis (every generated ``beta = 0`` family), as the mean matrix for
+    dense specs, and as ``Q diag(s) Q'`` formed once at construction
+    otherwise.  With ``u = mean_j A_j d_j`` and ``kappa = 0.5 mean_j d_j'
+    A_j d_j`` for the center offsets ``d_j = c_j - cbar``, both cached at
+    construction, and ``w = x - cbar``,
 
-        gradient = Q (s * w - u) + sigmoid',
-        value    = 0.5 w's w - u'w + kappa + sigmoid,
+        gradient = C w - u + sigmoid',
+        value    = 0.5 w'C w - u'w + kappa + sigmoid,
 
-    which is O(d^2) per call instead of O(m d^2).  Expanding around
-    ``cbar`` rather than the origin keeps the rounding error of order
-    ``|x - c_j|`` even when the centers sit far from the origin.  Value and
-    gradient never call the public :meth:`hessian_matvec`, so every call of
-    it is a solver's matvec (the work the exact solver bills).  Without a
-    basis, as on every generated ``beta = 0`` family, the gradient is
-    ``s * w - u`` and ``hessian_matvec`` is ``s * v``, both O(d).
+    one product with ``C`` per call instead of one per component.
+    Expanding around ``cbar`` rather than the origin keeps the rounding
+    error of order ``|x - c_j|`` even when the centers sit far from the
+    origin.  Value and gradient never call the public
+    :meth:`hessian_matvec`, so every call of it is a solver's matvec (the
+    work the exact solver bills).  The basis is read only at construction
+    and by :meth:`stochastic_gradient`.  With a ``sibling`` on the same basis,
+    ``C`` is its ``C`` corrected where the two mean spectra differ.
 
     The stochastic gradient samples one of the m quadratic components
     uniformly (the sigmoid term, being cheap and deterministic, is always
     included exactly), so it is unbiased for the full gradient.
     """
 
-    def __init__(self, spec: QuadraticClientSpec, basis: np.ndarray | None = None):
+    def __init__(
+        self, spec: QuadraticClientSpec, basis: np.ndarray | None = None, sibling=None
+    ):
         self.spec = spec
         self.basis = basis
         self.dim = spec.dim
         self.beta = spec.beta
         if spec.spectra is not None:
-            # centers expressed in the eigenbasis; everything else is diagonal
+            # component terms are formed in the eigenbasis, where they are diagonal
             self._centers = spec.centers if basis is None else spec.centers @ basis
-            self._mean_spectrum = spec.mean_spectrum()
-            top = float(np.max(np.abs(self._mean_spectrum)))
-            low = float(np.min(self._mean_spectrum))
+            eigs = spec.mean_spectrum()
+            if basis is None:
+                self._hessian = eigs
+            elif sibling is None:
+                self._hessian = (basis * eigs).dot(basis.T)
+            else:
+                k = np.flatnonzero(diff := eigs - sibling.spec.mean_spectrum())
+                part = basis[:, k]
+                self._hessian = sibling._hessian + (part * diff[k]).dot(part.T)
         else:
             self._centers = spec.centers
-            self._mean_matrix = spec.matrices.mean(axis=0)
-            eigs = np.linalg.eigvalsh(self._mean_matrix)
-            top = float(np.max(np.abs(eigs)))
-            low = float(np.min(eigs))
-        self._center = self._centers.mean(axis=0)
-        offsets = self._centers - self._center
+            self._hessian = spec.matrices.mean(axis=0)
+            eigs = np.linalg.eigvalsh(self._hessian)
+        top = float(np.max(np.abs(eigs)))
+        low = float(np.min(eigs))
+        offsets = self._centers - self._centers.mean(axis=0)
         pulled = self._component_curvature(offsets)
-        self._u = pulled.mean(axis=0)
+        self._center = spec.centers.mean(axis=0)
+        self._u = self._to_original(pulled.mean(axis=0))
         self._kappa = 0.5 * float(np.mean(np.einsum("jk,jk->j", offsets, pulled)))
         self._linear = self._to_original(
             self._component_curvature(self._centers).mean(axis=0)
@@ -258,20 +270,17 @@ class QuadraticOracle(ClientOracle):
         modulus = low - 0.5 * self.beta
         self.convexity_hint = modulus if modulus >= 0.0 else None
 
-    def _frame(self, x: Vector) -> Vector:
-        return x if self.basis is None else x.dot(self.basis)
-
     def _to_original(self, v: Vector) -> Vector:
         return v if self.basis is None else self.basis.dot(v)
 
     def _curvature(self, y: Vector) -> Vector:
-        """Mean quadratic Hessian applied to ``y``, within the frame."""
-        if self.spec.spectra is None:
-            return self._mean_matrix.dot(y)
-        return self._mean_spectrum * y
+        """Mean quadratic Hessian applied to ``y``, in original coordinates."""
+        if self._hessian.ndim == 1:
+            return self._hessian * y
+        return self._hessian.dot(y)
 
     def _component_curvature(self, v: np.ndarray) -> np.ndarray:
-        """Rows ``A_j v_j`` within the frame, one per component."""
+        """Rows ``A_j v_j`` in the eigenbasis, one per component."""
         if self.spec.spectra is None:
             return np.einsum("jkl,jl->jk", self.spec.matrices, v)
         return self.spec.spectra * v
@@ -283,7 +292,7 @@ class QuadraticOracle(ClientOracle):
         return self.beta == 0.0
 
     def hessian_matvec(self, v: Vector) -> Vector:
-        return self._to_original(self._curvature(self._frame(v)))
+        return self._curvature(v)
 
     def linear_term(self) -> Vector:
         """Vector u with grad of the quadratic part equal to ``H x - u``.
@@ -295,14 +304,13 @@ class QuadraticOracle(ClientOracle):
     # -- oracle implementation --------------------------------------------
 
     def _value(self, x: Vector) -> float:
-        w = self._frame(x) - self._center
+        w = x - self._center
         quad = 0.5 * float(w.dot(self._curvature(w))) - float(self._u.dot(w))
         return quad + self._kappa + _sigmoid_value(x, self.beta)
 
     def _gradient(self, x: Vector) -> Vector:
-        g = self._curvature(self._frame(x) - self._center)
+        g = self._curvature(x - self._center)
         g -= self._u
-        g = self._to_original(g)
         if self.beta != 0.0:
             g += _sigmoid_gradient(x, self.beta)
         return g
@@ -311,9 +319,8 @@ class QuadraticOracle(ClientOracle):
         x = self._check_input(x)
         j = int(stream.generator().integers(self.spec.m))
         if self.spec.spectra is not None:
-            g = self._to_original(
-                self.spec.spectra[j] * (self._frame(x) - self._centers[j])
-            )
+            y = x if self.basis is None else x.dot(self.basis)
+            g = self._to_original(self.spec.spectra[j] * (y - self._centers[j]))
         else:
             g = self.spec.matrices[j].dot(x - self._centers[j])
         return g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
@@ -325,17 +332,16 @@ class QuadraticOracle(ClientOracle):
 
 def build_quadratic_problem(family: QuadraticFamily) -> DistributedProblem:
     """Wrap a family in oracles and fill the smoothness/convexity hints."""
-    oracles = [QuadraticOracle(spec, family.basis) for spec in family.specs]
+    first = QuadraticOracle(family.specs[0], family.basis)
+    oracles = [first] + [QuadraticOracle(s, family.basis, first) for s in family.specs[1:]]
     l_clients = max(o.smoothness_hint for o in oracles)
     beta = family.beta
     if family.spectral:
-        global_spectrum = family.mean_spectra().mean(axis=0)
-        top = float(np.max(np.abs(global_spectrum)))
-        low = float(np.min(global_spectrum))
+        eigs = family.mean_spectra().mean(axis=0)
     else:
         eigs = np.linalg.eigvalsh(family.mean_hessians().mean(axis=0))
-        top = float(np.max(np.abs(eigs)))
-        low = float(np.min(eigs))
+    top = float(np.max(np.abs(eigs)))
+    low = float(np.min(eigs))
     modulus = low - 0.5 * beta
     return DistributedProblem(
         clients=oracles,

@@ -139,6 +139,23 @@ def test_diverging_run_names_method_and_iteration(tmp_path, capsys):
     assert "RuntimeWarning" not in err
 
 
+def test_a_diverging_method_keeps_the_earlier_traces(tmp_path, capsys):
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["methods"] = [
+        {"name": "gd", "auto": "sc"},
+        {"name": "gd", "params": {"eta": 50.0}},
+    ]
+    code, out_dir = _run_into(tmp_path, "diverging", cfg=cfg)
+    assert code == 1
+    cfg["methods"] = cfg["methods"][:1]
+    solo_code, solo_dir = _run_into(tmp_path, "solo", cfg=cfg)
+    assert solo_code == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["gd_seed0.csv"]
+    first = (out_dir / "gd_seed0.csv").read_bytes()
+    assert first == (solo_dir / "gd_seed0.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "local, message",
     [

@@ -100,9 +100,12 @@ def test_reference_iterative_path_meets_residual_contract():
 
 
 def test_reference_rejects_nonconvex_instances():
-    problem = DistributedProblem(clients=[CubicOracle()], dim=1)
+    problem, counter = counting_problem(
+        DistributedProblem(clients=[CubicOracle()], dim=1)
+    )
     with pytest.raises(UnsupportedStructureError):
         reference_optimum(problem)
+    assert counter["units"] == 0.0
 
 
 # ---------------------------------------------------------------- runs

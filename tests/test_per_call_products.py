@@ -11,7 +11,9 @@ a fraction of its cost, so the functions that build them contain no
 ``np.stack``.  The per-call functions update in place only arrays they
 allocated themselves, so none augmented-assigns (``+=``, ``-=``, ``*=``,
 ``/=``) to one of its parameters or to an attribute of ``self``: those may
-be a caller's array or a cached term.
+be a caller's array or a cached term.  A quadratic oracle's per-call forms
+read one curvature operator in original coordinates, so none of them names
+its basis or the helpers that rotate into and out of it.
 """
 import ast
 import inspect
@@ -25,7 +27,6 @@ PER_CALL = [
     core.ClientOracle._check_input,
     core.ClientOracle.value,
     core.ClientOracle.gradient,
-    quadratic.QuadraticOracle._frame,
     quadratic.QuadraticOracle._to_original,
     quadratic.QuadraticOracle._curvature,
     quadratic.QuadraticOracle.hessian_matvec,
@@ -53,6 +54,15 @@ ROW_BLOCKS = [
     methods.fedred_gd_step,
     methods.baseline_scaffnew_step,
 ]
+
+
+QUADRATIC_FORMS = [
+    quadratic.QuadraticOracle._curvature,
+    quadratic.QuadraticOracle.hessian_matvec,
+    quadratic.QuadraticOracle._value,
+    quadratic.QuadraticOracle._gradient,
+]
+ROTATIONS = {"basis", "_frame", "_to_original"}
 
 
 def _tree(fn) -> ast.AST:
@@ -160,3 +170,39 @@ def test_row_blocks_are_built_without_np_stack():
         if any(_is_call_to(node, "np.stack") for node in ast.walk(_tree(fn)))
     ]
     assert found == []
+
+
+def _rotations(tree: ast.AST) -> list[str]:
+    """``name (line n)`` for each name or attribute in ``tree`` that
+    reaches the basis or a rotation helper."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in ROTATIONS:
+            found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_rotation_scan_flags_names_and_attributes():
+    source = (
+        "def f(self, x, basis):\n"
+        "    y = self._frame(x) + basis.dot(x)\n"
+        "    return self._to_original(y), 'basis'\n"
+    )
+    assert _rotations(ast.parse(source)) == [
+        "_frame (line 2)", "basis (line 2)", "_to_original (line 3)"
+    ]
+
+
+def test_quadratic_forms_do_not_rotate():
+    found = {
+        fn.__qualname__: uses
+        for fn in QUADRATIC_FORMS
+        if (uses := _rotations(_tree(fn)))
+    }
+    assert found == {}

@@ -321,41 +321,121 @@ def test_closed_form_matches_the_component_definition(case):
         u[0] = 1.0
 
 
-def _helper_composition(oracle, x):
-    """Value, gradient and ``hessian_matvec`` at ``x`` as the frame helpers
-    compose them: ``Q (s * (Q'x - c) - u) + sigmoid'`` and its value."""
-    basis, beta = oracle.basis, oracle.beta
-
-    def frame(v):
-        return v if basis is None else v.dot(basis)
-
-    def original(v):
-        return v if basis is None else basis.dot(v)
+def _mean_hessian_form(oracle, x):
+    """Value, gradient and ``hessian_matvec`` at ``x`` in the form
+    ``C (x - c) - u + sigmoid'`` and its value, with ``c`` the mean center
+    and ``C`` the mean Hessian in original coordinates: the mean spectrum
+    without a basis, the mean matrix for dense specs, ``(Q * s).dot(Q')``
+    with a basis ``Q``."""
+    spec, basis, beta = oracle.spec, oracle.basis, oracle.beta
+    if spec.spectra is None:
+        hess = spec.matrices.mean(axis=0)
+    elif basis is None:
+        hess = spec.spectra.mean(axis=0)
+    else:
+        hess = (basis * spec.spectra.mean(axis=0)).dot(basis.T)
 
     def curvature(y):
-        if oracle.spec.spectra is None:
-            return oracle._mean_matrix.dot(y)
-        return oracle._mean_spectrum * y
+        return hess * y if hess.ndim == 1 else hess.dot(y)
 
-    w = frame(x) - oracle._center
+    w = x - spec.centers.mean(axis=0)
     sq = x * x
     sigmoid = 0.0 if beta == 0.0 else beta * float(np.sum(sq / (1.0 + sq)))
     quad = 0.5 * float(w.dot(curvature(w))) - float(oracle._u.dot(w))
-    grad = original(curvature(w) - oracle._u)
+    grad = curvature(w) - oracle._u
     if beta != 0.0:
         denom = 1.0 + sq
         grad = grad + beta * 2.0 * x / (denom * denom)
-    return quad + oracle._kappa + sigmoid, grad, original(curvature(frame(x)))
+    return quad + oracle._kappa + sigmoid, grad, curvature(x)
 
 
 @settings(derandomize=True, deadline=None)
 @given(case=_oracle_cases())
-def test_kernels_equal_the_helper_composition_bitwise(case):
+def test_kernels_equal_the_mean_hessian_form_bitwise(case):
     oracle, _, _, x = case
-    value, grad, curved = _helper_composition(oracle, x)
+    value, grad, curved = _mean_hessian_form(oracle, x)
     assert oracle.value(x) == value
     assert np.array_equal(oracle.gradient(x), grad)
     assert np.array_equal(oracle.hessian_matvec(x), curved)
+
+
+@st.composite
+def _rotation_cases(draw):
+    """A basis-free one-client oracle, the same client under a random
+    orthogonal basis Q, Q, and a query point and a direction in the frame."""
+    beta = draw(st.sampled_from([0.0, 0.75, 20.0]))
+    m, d = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    offset = draw(st.sampled_from([0.0, 1e4]))
+    seed = draw(st.integers(0, 2**16))
+    rng = RandomStream(seed).generator()
+    spectra = rng.uniform(-1.0, 4.0, size=(m, d))
+    centers = offset + 3.0 * rng.standard_normal((m, d))
+    family = QuadraticFamily(
+        specs=[QuadraticClientSpec(centers=centers, spectra=spectra, beta=beta)]
+    )
+    rotated = rotated_family(family, seed=seed + 1)
+    free = build_quadratic_problem(family).clients[0]
+    oracle = build_quadratic_problem(rotated).clients[0]
+    y = offset + 3.0 * rng.standard_normal(d)
+    return free, oracle, rotated.basis, y, rng.standard_normal(d)
+
+
+def _sigmoid_terms(x, beta):
+    sq = x * x
+    return beta * np.sum(sq / (1.0 + sq)), beta * 2.0 * x / (1.0 + sq) ** 2
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=_rotation_cases())
+def test_rotated_oracle_is_the_basis_free_one_in_the_frame(case):
+    # the quadratic part at x is the basis-free one at Q'x; the sigmoid
+    # term is the only part read in original coordinates
+    free, oracle, q, y, v = case
+    x = q.dot(y)
+    y_back = x.dot(q)
+    sig_x, dsig_x = _sigmoid_terms(x, oracle.beta)
+    sig_y, dsig_y = _sigmoid_terms(y_back, oracle.beta)
+    value = free.value(y_back) - sig_y + sig_x
+    grad = q.dot(free.gradient(y_back) - dsig_y) + dsig_x
+    curved = q.dot(free.hessian_matvec(v))
+    # the allowance of the closed-form test above, for the same components
+    spectra, centers = free.spec.spectra, free.spec.centers
+    norms = np.linalg.norm(spectra, axis=1)
+    dist = np.linalg.norm(y - centers, axis=1)
+    value_scale = 1.0 + np.mean(0.5 * norms * dist**2) + oracle.beta * x.size
+    grad_scale = 1.0 + np.mean(norms * dist) + 2.0 * oracle.beta
+    moved = 1e-15 * x.size * np.linalg.norm(x)
+    assert abs(oracle.value(x) - value) <= 1e-12 * value_scale + moved * grad_scale
+    grad_err = np.linalg.norm(oracle.gradient(x) - grad)
+    assert grad_err <= 1e-12 * grad_scale + moved * (1.0 + norms.max())
+    turned = 1e-15 * x.size * np.linalg.norm(v)
+    curved_err = np.linalg.norm(oracle.hessian_matvec(q.dot(v)) - curved)
+    assert curved_err <= (1e-12 + turned) * (1.0 + norms.max())
+    assert oracle.smoothness_hint == free.smoothness_hint
+    assert oracle.convexity_hint == free.convexity_hint
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        # clients differ from the first in one coordinate of their spectra
+        gen_quadratic_problem(
+            3, 4, 2, 8, max_norm=10.0, min_eig=-2.0, target_delta=2.0, beta=5.0
+        ).quadratic,
+        # clients differ in every coordinate
+        rotated_family(random_family(4, n=3, m=2, d=6), seed=5),
+    ],
+    ids=["generated", "random"],
+)
+def test_corrected_mean_hessians_match_their_direct_product(family):
+    # every client after the first corrects the first one's mean Hessian
+    problem = build_quadratic_problem(family)
+    q, eye = family.basis, np.eye(family.dim)
+    for spec, oracle in zip(family.specs, problem.clients):
+        mean = spec.mean_spectrum()
+        applied = np.array([oracle.hessian_matvec(e) for e in eye]).T
+        bound = family.dim * np.finfo(np.float64).eps * np.abs(mean).max()
+        assert np.abs(applied - (q * mean).dot(q.T)).max() <= bound
 
 
 def test_problems_with_requested_frames_are_freed_without_the_collector():

@@ -1,13 +1,16 @@
 """Local subproblem solvers, stopping rules, and the accuracy schedule."""
 import math
+import time
 
 import numpy as np
 import pytest
 
 from fedlab import (
+    Budget,
     ConfigurationError,
     DimensionError,
     LocalSpec,
+    MethodConfig,
     NonFiniteError,
     RandomStream,
     SolverBudgetError,
@@ -15,6 +18,7 @@ from fedlab import (
     SurrogateOracle,
     UnsupportedStructureError,
     counting_problem,
+    run_experiment,
     schedule_e_r,
     solve_exact_quadratic,
     solve_fgd,
@@ -190,6 +194,22 @@ def test_rel_grad_with_infinite_tolerance_takes_one_step():
         surrogate, np.array([1.0]), StoppingRule("rel_grad", tol=np.inf)
     )
     assert report.steps_taken == 1
+
+
+def test_gradient_rule_stalled_at_its_rounding_floor_fails_fast():
+    # once the server reference has converged, a scheduled dane_plus solve
+    # starts almost on its solution: its gradient sits at about 2e-16 while
+    # the rule asks for less, which no further step can give
+    problem = gen_quadratic_problem(
+        4, 4, 2, 5, max_norm=10.0, min_eig=-1.0, target_delta=1.0, beta=20.0
+    )
+    local = LocalSpec(solver="gd", rule=StoppingRule("scheduled"))
+    cfg = MethodConfig("dane_plus", lam=2.0, local=local)
+    start = time.perf_counter()
+    message = r"rel_grad rule unmet at step \d+: \|\|grad\|\| = \d"
+    with pytest.raises(SolverBudgetError, match=message):
+        run_experiment(problem, cfg, Budget(max_rounds=30), 3, reference=None)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_fgd_reaches_tight_tolerance_quickly():
@@ -470,7 +490,7 @@ def _read_only(arr) -> np.ndarray:
 
 
 def _freeze_cached_terms(oracle: QuadraticOracle) -> QuadraticOracle:
-    for name in ("basis", "_centers", "_center", "_u", "_mean_spectrum", "_mean_matrix"):
+    for name in ("basis", "_centers", "_center", "_u", "_hessian"):
         arr = getattr(oracle, name, None)
         if arr is not None:
             arr.setflags(write=False)
