@@ -25,9 +25,11 @@ A rule rejects the options its kind would ignore: ``tol`` is read only by
 the two gradient kinds, ``steps`` only by ``fixed_steps``.
 
 Gradient-based rules exhaust ``max_steps`` with a hard error rather than
-returning an uncertified point, and fail at once on a step that improves
-on no earlier gradient norm while its norm sits at the rounding floor,
-``4 eps L max(1, ||y||)`` for the surrogate's smoothness hint ``L``.
+returning an uncertified point.  They also fail once 1,000 steps in a row
+have set no new best gradient norm while the norm sits at or below
+``4 eps L max(1, ||y||)`` for the surrogate's smoothness hint ``L``, the
+rounding floor of a solution of unit scale; an accelerated norm that is not
+monotone keeps running as long as it still improves within that stretch.
 
 Finiteness is checked once per billed primitive.  The base oracle's public
 ``gradient`` checks its query point and its output; the descent loop takes
@@ -64,6 +66,7 @@ RULE_KINDS = ("abs_grad", "rel_grad", "fixed_steps", "scheduled")
 _DECREASE_SLACK = 1e-12
 EXACT_RESIDUAL_REL = 1e-12
 _STALL_EPS = 4.0 * np.finfo(np.float64).eps
+_STALL_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -284,7 +287,7 @@ def _descend(
     floor = 0.0 if hint is None else _STALL_EPS * hint
     x = y = x_start
     best_x, best_norm = x_start, np.inf
-    steps = 0
+    steps = stalled = 0
     while True:
         g = surrogate._gradient(y)
         norm = math.sqrt(g.dot(g))
@@ -310,11 +313,16 @@ def _descend(
             return _finish(
                 surrogate, x_start, y, steps, steps + 1, norm, require_decrease
             )
-        elif best_x is not y and norm <= floor * max(1.0, math.sqrt(y.dot(y))):
-            raise SolverBudgetError(
-                f"{rule.kind} rule unmet at step {steps}: ||grad|| = {norm:.3e} "
-                "sits at its rounding floor without improving"
-            )
+        elif norm <= floor * max(1.0, math.sqrt(y.dot(y))):
+            stalled = 0 if best_x is y else stalled + 1
+            if stalled >= _STALL_STEPS:
+                raise SolverBudgetError(
+                    f"{rule.kind} rule unmet at step {steps}: ||grad|| = {norm:.3e} "
+                    f"has sat at its rounding floor for {stalled} steps "
+                    "without improving"
+                )
+        else:
+            stalled = 0
         if steps >= rule.max_steps:
             raise SolverBudgetError(
                 f"{rule.kind} rule unmet after {rule.max_steps} steps "

@@ -224,17 +224,14 @@ class QuadraticOracle(ClientOracle):
     origin.  Value and gradient never call the public
     :meth:`hessian_matvec`, so every call of it is a solver's matvec (the
     work the exact solver bills).  The basis is read only at construction
-    and by :meth:`stochastic_gradient`.  With a ``sibling`` on the same basis,
-    ``C`` is its ``C`` corrected where the two mean spectra differ.
+    and by :meth:`stochastic_gradient`.
 
     The stochastic gradient samples one of the m quadratic components
     uniformly (the sigmoid term, being cheap and deterministic, is always
     included exactly), so it is unbiased for the full gradient.
     """
 
-    def __init__(
-        self, spec: QuadraticClientSpec, basis: np.ndarray | None = None, sibling=None
-    ):
+    def __init__(self, spec: QuadraticClientSpec, basis: np.ndarray | None = None):
         self.spec = spec
         self.basis = basis
         self.dim = spec.dim
@@ -243,14 +240,7 @@ class QuadraticOracle(ClientOracle):
             # component terms are formed in the eigenbasis, where they are diagonal
             self._centers = spec.centers if basis is None else spec.centers @ basis
             eigs = spec.mean_spectrum()
-            if basis is None:
-                self._hessian = eigs
-            elif sibling is None:
-                self._hessian = (basis * eigs).dot(basis.T)
-            else:
-                k = np.flatnonzero(diff := eigs - sibling.spec.mean_spectrum())
-                part = basis[:, k]
-                self._hessian = sibling._hessian + (part * diff[k]).dot(part.T)
+            self._hessian = eigs if basis is None else (basis * eigs).dot(basis.T)
         else:
             self._centers = spec.centers
             self._hessian = spec.matrices.mean(axis=0)
@@ -332,8 +322,7 @@ class QuadraticOracle(ClientOracle):
 
 def build_quadratic_problem(family: QuadraticFamily) -> DistributedProblem:
     """Wrap a family in oracles and fill the smoothness/convexity hints."""
-    first = QuadraticOracle(family.specs[0], family.basis)
-    oracles = [first] + [QuadraticOracle(s, family.basis, first) for s in family.specs[1:]]
+    oracles = [QuadraticOracle(spec, family.basis) for spec in family.specs]
     l_clients = max(o.smoothness_hint for o in oracles)
     beta = family.beta
     if family.spectral:

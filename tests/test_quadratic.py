@@ -415,29 +415,6 @@ def test_rotated_oracle_is_the_basis_free_one_in_the_frame(case):
     assert oracle.convexity_hint == free.convexity_hint
 
 
-@pytest.mark.parametrize(
-    "family",
-    [
-        # clients differ from the first in one coordinate of their spectra
-        gen_quadratic_problem(
-            3, 4, 2, 8, max_norm=10.0, min_eig=-2.0, target_delta=2.0, beta=5.0
-        ).quadratic,
-        # clients differ in every coordinate
-        rotated_family(random_family(4, n=3, m=2, d=6), seed=5),
-    ],
-    ids=["generated", "random"],
-)
-def test_corrected_mean_hessians_match_their_direct_product(family):
-    # every client after the first corrects the first one's mean Hessian
-    problem = build_quadratic_problem(family)
-    q, eye = family.basis, np.eye(family.dim)
-    for spec, oracle in zip(family.specs, problem.clients):
-        mean = spec.mean_spectrum()
-        applied = np.array([oracle.hessian_matvec(e) for e in eye]).T
-        bound = family.dim * np.finfo(np.float64).eps * np.abs(mean).max()
-        assert np.abs(applied - (q * mean).dot(q.T)).max() <= bound
-
-
 def test_problems_with_requested_frames_are_freed_without_the_collector():
     # an oracle that stored itself would form a cycle only the cyclic
     # collector frees: every built problem would then stay in memory until

@@ -212,6 +212,25 @@ def test_gradient_rule_stalled_at_its_rounding_floor_fails_fast():
     assert time.perf_counter() - start < 2.0
 
 
+def test_accelerated_descent_passes_below_the_floor_on_a_small_solution():
+    # with centers of norm about 0.03 the gradient's rounding sits far
+    # below 4 eps L; the accelerated norm is not monotone there, so a
+    # step that improves on no earlier norm is no stall
+    rng = np.random.default_rng(0)
+    spec = QuadraticClientSpec(
+        centers=1e-2 * rng.standard_normal((2, 20)),
+        spectra=np.geomspace(1e-2, 1.0, 20)[None].repeat(2, axis=0),
+    )
+    surrogate = SurrogateOracle(
+        build_quadratic_problem(QuadraticFamily(specs=[spec])).clients[0]
+    )
+    floor = 4.0 * np.finfo(np.float64).eps * surrogate.smoothness_hint
+    tol = 1e-2 * floor
+    report = solve_fgd(surrogate, np.zeros(20), StoppingRule("abs_grad", tol=tol))
+    assert report.final_grad_norm <= tol
+    assert np.linalg.norm(report.solution) < 0.1
+
+
 def test_fgd_reaches_tight_tolerance_quickly():
     oracle = quad_1d(center=0.0).clients[0]
     surrogate = SurrogateOracle(oracle)
