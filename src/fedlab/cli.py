@@ -212,6 +212,15 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _number_array(pcfg: dict, field: str) -> np.ndarray:
+    try:
+        return np.asarray(pcfg[field], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"problem.{field}: must be a rectangular nesting of numbers"
+        ) from None
+
+
 def build_problem(pcfg: dict, base_dir: str = "."):
     """Instantiate the configured problem.
 
@@ -231,25 +240,26 @@ def build_problem(pcfg: dict, base_dir: str = "."):
             beta=pcfg.get("beta", 0.0),
         )
     if kind == "quadratic_explicit":
-        matrices = np.asarray(pcfg["matrices"], dtype=np.float64)
-        if matrices.ndim != 4:
+        matrices = _number_array(pcfg, "matrices")
+        if matrices.ndim != 4 or matrices.shape[2] != matrices.shape[3]:
             raise ConfigurationError(
-                "matrices must be nested as clients x components x d x d"
+                "problem.matrices: must be nested as clients x components x d x d"
             )
         centers = (
-            np.asarray(pcfg["centers"], dtype=np.float64)
+            _number_array(pcfg, "centers")
             if "centers" in pcfg
             else np.zeros(matrices.shape[:3])
         )
-        specs = [
-            QuadraticClientSpec(
-                centers=centers[i],
-                matrices=matrices[i],
-                beta=pcfg.get("beta", 0.0),
+        if centers.shape != matrices.shape[:3]:
+            raise ConfigurationError(
+                f"problem.centers: shape {centers.shape} is not clients x "
+                f"components x d = {matrices.shape[:3]}"
             )
-            for i in range(matrices.shape[0])
+        specs = [
+            QuadraticClientSpec(centers=c, matrices=a)
+            for c, a in zip(centers, matrices)
         ]
-        family = QuadraticFamily(specs=specs)
+        family = QuadraticFamily(specs=specs, beta=pcfg.get("beta", 0.0))
         return build_quadratic_problem(family)
     # the logistic module loads scipy's sparse stack, so only this branch imports it
     from .problems.logistic import dirichlet_partition, logistic_problem
@@ -318,11 +328,17 @@ def build_method(entry: dict, problem, delta_report) -> tuple[str, MethodConfig]
 
 
 def _unique_labels(labels: list[str]) -> list[str]:
-    seen: dict[str, int] = {}
+    """Keep each first label; suffix repeats past every label in the config."""
+    taken = set(labels)
     out = []
     for label in labels:
-        seen[label] = seen.get(label, 0) + 1
-        out.append(label if seen[label] == 1 else f"{label}_{seen[label]}")
+        if label in out:
+            k = 2
+            while f"{label}_{k}" in taken:
+                k += 1
+            label = f"{label}_{k}"
+            taken.add(label)
+        out.append(label)
     return out
 
 

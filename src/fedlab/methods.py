@@ -125,8 +125,8 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.lam < 0.0 or self.eta < 0.0 or self.mu < 0.0:
-            raise ConfigurationError("lam, eta, mu must be non-negative")
+        if min(self.lam, self.eta, self.mu, self.cv_strength) < 0.0:
+            raise ConfigurationError("lam, eta, mu, cv_strength must be non-negative")
         if not 0.0 < self.p <= 1.0:
             raise ConfigurationError("p must lie in (0, 1]")
         if self.a <= 1.0:

@@ -10,10 +10,12 @@ penalty (identical across clients, so it never contributes to inter-client
 Hessian dissimilarity; it adds at most ``2*beta`` to smoothness and can
 subtract ``beta/2`` from the curvature lower bound).
 
-Every ``A_ij`` of a spectral family is ``Q diag(s_ij) Q'`` for one shared
-orthogonal basis ``Q``, so operator norms of client-mean deviations, and
-hence the dissimilarity constants, are available in closed form.  Only this
-module knows about ``Q``: generated ``beta = 0`` families are drawn in
+``beta`` is a property of the family, not of a client.  Every ``A_ij`` of
+a spectral family is ``Q diag(s_ij) Q'`` for one shared orthogonal basis
+``Q``, so operator norms of client-mean deviations, and hence the
+dissimilarity constants, are available in closed form.  A spectral spec
+states its spectra and its centers ``Q' b_ij`` in that eigen frame.  Only
+this module knows about ``Q``: generated ``beta = 0`` families are drawn in
 their eigen frame (``Q = I``), since every method and every metric is
 unchanged by an orthogonal change of coordinates, while ``beta > 0``
 families carry a random ``Q``, because the sigmoid term is separable only
@@ -50,6 +52,13 @@ def _sigmoid_value(x: Vector, beta: float) -> float:
     return beta * float(np.sum(sq / (1.0 + sq)))
 
 
+def _hints(eigs: np.ndarray, beta: float) -> tuple[float, float | None]:
+    """Smoothness and convexity hints: Hessian eigenvalues ``eigs`` + sigmoid."""
+    top = float(np.max(np.abs(eigs))) + 2.0 * beta
+    modulus = float(np.min(eigs)) - 0.5 * beta
+    return top, (modulus if modulus >= 0.0 else None)
+
+
 def _sigmoid_gradient(x: Vector, beta: float) -> Vector:
     denom = x * x
     denom += 1.0
@@ -63,11 +72,12 @@ class QuadraticClientSpec:
 
     Exactly one of ``spectra`` (eigenvalues in the family basis, shape
     ``(m, d)``) and ``matrices`` (dense symmetric, shape ``(m, d, d)``) is
-    set.  ``centers`` holds the ``b_ij`` in original coordinates.
+    set.  ``centers`` holds the ``b_ij`` in the frame the curvature is stated
+    in: the family's eigen frame for spectra, original coordinates for
+    matrices.
     """
 
     centers: np.ndarray
-    beta: float = 0.0
     spectra: np.ndarray | None = None
     matrices: np.ndarray | None = None
 
@@ -94,8 +104,6 @@ class QuadraticClientSpec:
             )
             if skew > _SYMMETRY_TOL * scale:
                 raise ConfigurationError("component matrices must be symmetric")
-        if self.beta < 0.0:
-            raise ConfigurationError("beta must be non-negative")
 
     @property
     def m(self) -> int:
@@ -105,29 +113,32 @@ class QuadraticClientSpec:
     def dim(self) -> int:
         return self.centers.shape[1]
 
-    def mean_spectrum(self) -> np.ndarray | None:
-        return None if self.spectra is None else self.spectra.mean(axis=0)
-
-    def mean_hessian(self) -> np.ndarray:
-        """Client-mean quadratic Hessian (sigmoid term excluded); dense specs."""
-        return self.matrices.mean(axis=0)
+    def pulled(self, v: np.ndarray) -> np.ndarray:
+        """Rows ``A_j v_j``, one per component, in the frame of ``centers``."""
+        if self.spectra is None:
+            return np.einsum("jkl,jl->jk", self.matrices, v)
+        return self.spectra * v
 
 
 @dataclass
 class QuadraticFamily:
-    """All clients of one quadratic instance plus the shared basis.
+    """All clients of one quadratic instance plus the shared basis and beta.
 
     ``basis`` is the orthogonal matrix Q such that every component matrix
     is ``Q diag(s) Q'`` (None means the standard axes, which also covers
-    dense specs).  All specs must use the same representation.
+    dense specs).  All specs must use the same representation.  ``beta``
+    weighs the sigmoid term every client shares.
     """
 
     specs: list[QuadraticClientSpec]
     basis: np.ndarray | None = None
+    beta: float = 0.0
 
     def __post_init__(self):
         if not self.specs:
             raise ConfigurationError("family needs at least one client")
+        if self.beta < 0.0:
+            raise ConfigurationError("beta must be non-negative")
         kinds = {spec.spectra is not None for spec in self.specs}
         if len(kinds) != 1:
             raise ConfigurationError("mixed spectral/dense client specs")
@@ -143,15 +154,11 @@ class QuadraticFamily:
     def n(self) -> int:
         return len(self.specs)
 
-    @property
-    def beta(self) -> float:
-        return self.specs[0].beta
-
     def mean_spectra(self) -> np.ndarray:
         """Client-mean eigenvalues, shape (n, d); spectral families only."""
         if not self.spectral:
             raise ConfigurationError("family has no shared eigenbasis")
-        return np.stack([spec.mean_spectrum() for spec in self.specs])
+        return np.stack([spec.spectra.mean(axis=0) for spec in self.specs])
 
     def deviation_spectra(self) -> np.ndarray:
         """Eigenvalues of the deviations ``mean_i Hessian - global mean``."""
@@ -160,7 +167,7 @@ class QuadraticFamily:
 
     def mean_hessians(self) -> np.ndarray:
         """Per-client mean Hessians, shape (n, d, d); dense families only."""
-        return np.stack([spec.mean_hessian() for spec in self.specs])
+        return np.stack([spec.matrices.mean(axis=0) for spec in self.specs])
 
     def minimizer(self) -> np.ndarray:
         """The minimizer of the mean quadratic part ``f - beta * sigmoid``.
@@ -172,35 +179,21 @@ class QuadraticFamily:
         :class:`UnsupportedStructureError` unless ``H`` is positive definite.
         """
         if self.spectral:
-            spectra = np.stack([spec.spectra for spec in self.specs])  # (n,m,d)
-            global_spectrum = spectra.mean(axis=(0, 1))
-            if np.min(global_spectrum) <= 0.0:
-                raise UnsupportedStructureError(
-                    "direct solve needs a strictly convex mean quadratic"
-                )
-            basis = self.basis
-            rhs = np.zeros(self.dim)
-            for spec in self.specs:
-                centers_eig = (
-                    spec.centers if basis is None else spec.centers @ basis
-                )
-                rhs += np.mean(spec.spectra * centers_eig, axis=0)
-            rhs /= len(self.specs)
-            x_eig = rhs / global_spectrum
-            return x_eig if basis is None else basis @ x_eig
-        mean_h = np.mean(self.mean_hessians(), axis=0)
-        eigs = np.linalg.eigvalsh(mean_h)
-        if eigs[0] <= 0.0:
+            hessian = np.stack([spec.spectra for spec in self.specs]).mean(axis=(0, 1))
+            low = np.min(hessian)
+        else:
+            hessian = np.mean(self.mean_hessians(), axis=0)
+            low = np.linalg.eigvalsh(hessian)[0]
+        if low <= 0.0:
             raise UnsupportedStructureError(
                 "direct solve needs a strictly convex mean quadratic"
             )
-        rhs = np.zeros(self.dim)
-        for spec in self.specs:
-            rhs += np.mean(
-                np.einsum("jkl,jl->jk", spec.matrices, spec.centers), axis=0
-            )
-        rhs /= len(self.specs)
-        return np.linalg.solve(mean_h, rhs)
+        rhs = sum(np.mean(spec.pulled(spec.centers), axis=0) for spec in self.specs)
+        rhs /= self.n
+        if not self.spectral:
+            return np.linalg.solve(hessian, rhs)
+        x_eig = rhs / hessian
+        return x_eig if self.basis is None else self.basis @ x_eig
 
 
 class QuadraticOracle(ClientOracle):
@@ -231,34 +224,27 @@ class QuadraticOracle(ClientOracle):
     included exactly), so it is unbiased for the full gradient.
     """
 
-    def __init__(self, spec: QuadraticClientSpec, basis: np.ndarray | None = None):
+    def __init__(self, spec: QuadraticClientSpec, family: QuadraticFamily):
         self.spec = spec
-        self.basis = basis
+        self.basis = basis = family.basis
         self.dim = spec.dim
-        self.beta = spec.beta
+        self.beta = family.beta
         if spec.spectra is not None:
-            # component terms are formed in the eigenbasis, where they are diagonal
-            self._centers = spec.centers if basis is None else spec.centers @ basis
-            eigs = spec.mean_spectrum()
+            eigs = spec.spectra.mean(axis=0)
             self._hessian = eigs if basis is None else (basis * eigs).dot(basis.T)
         else:
-            self._centers = spec.centers
             self._hessian = spec.matrices.mean(axis=0)
             eigs = np.linalg.eigvalsh(self._hessian)
-        top = float(np.max(np.abs(eigs)))
-        low = float(np.min(eigs))
-        offsets = self._centers - self._centers.mean(axis=0)
-        pulled = self._component_curvature(offsets)
-        self._center = spec.centers.mean(axis=0)
+        # component terms are formed in the spec's frame, then rotated once
+        center = spec.centers.mean(axis=0)
+        offsets = spec.centers - center
+        pulled = spec.pulled(offsets)
+        self._center = self._to_original(center)
         self._u = self._to_original(pulled.mean(axis=0))
         self._kappa = 0.5 * float(np.mean(np.einsum("jk,jk->j", offsets, pulled)))
-        self._linear = self._to_original(
-            self._component_curvature(self._centers).mean(axis=0)
-        )
+        self._linear = self._to_original(spec.pulled(spec.centers).mean(axis=0))
         self._linear.setflags(write=False)
-        self.smoothness_hint = top + 2.0 * self.beta
-        modulus = low - 0.5 * self.beta
-        self.convexity_hint = modulus if modulus >= 0.0 else None
+        self.smoothness_hint, self.convexity_hint = _hints(eigs, self.beta)
 
     def _to_original(self, v: Vector) -> Vector:
         return v if self.basis is None else self.basis.dot(v)
@@ -268,12 +254,6 @@ class QuadraticOracle(ClientOracle):
         if self._hessian.ndim == 1:
             return self._hessian * y
         return self._hessian.dot(y)
-
-    def _component_curvature(self, v: np.ndarray) -> np.ndarray:
-        """Rows ``A_j v_j`` in the eigenbasis, one per component."""
-        if self.spec.spectra is None:
-            return np.einsum("jkl,jl->jk", self.spec.matrices, v)
-        return self.spec.spectra * v
 
     # -- quadratic structure hooks used by the exact subproblem solver ----
 
@@ -310,9 +290,9 @@ class QuadraticOracle(ClientOracle):
         j = int(stream.generator().integers(self.spec.m))
         if self.spec.spectra is not None:
             y = x if self.basis is None else x.dot(self.basis)
-            g = self._to_original(self.spec.spectra[j] * (y - self._centers[j]))
+            g = self._to_original(self.spec.spectra[j] * (y - self.spec.centers[j]))
         else:
-            g = self.spec.matrices[j].dot(x - self._centers[j])
+            g = self.spec.matrices[j].dot(x - self.spec.centers[j])
         return g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
 
     @property
@@ -322,22 +302,18 @@ class QuadraticOracle(ClientOracle):
 
 def build_quadratic_problem(family: QuadraticFamily) -> DistributedProblem:
     """Wrap a family in oracles and fill the smoothness/convexity hints."""
-    oracles = [QuadraticOracle(spec, family.basis) for spec in family.specs]
-    l_clients = max(o.smoothness_hint for o in oracles)
-    beta = family.beta
+    oracles = [QuadraticOracle(spec, family) for spec in family.specs]
     if family.spectral:
         eigs = family.mean_spectra().mean(axis=0)
     else:
         eigs = np.linalg.eigvalsh(family.mean_hessians().mean(axis=0))
-    top = float(np.max(np.abs(eigs)))
-    low = float(np.min(eigs))
-    modulus = low - 0.5 * beta
+    l_smooth_global, mu = _hints(eigs, family.beta)
     return DistributedProblem(
         clients=oracles,
         dim=family.dim,
-        l_smooth=l_clients,
-        l_smooth_global=top + 2.0 * beta,
-        mu=modulus if modulus >= 0.0 else None,
+        l_smooth=max(o.smoothness_hint for o in oracles),
+        l_smooth_global=l_smooth_global,
+        mu=mu,
         quadratic=family,
     )
 
@@ -430,7 +406,5 @@ def gen_quadratic_problem(
         spectra = base.copy()
         spectra[:, 2] += pert[i]
         centers = rng.standard_normal((m, d)) / np.sqrt(d)  # in the eigen frame
-        if q is not None:
-            centers = centers @ q.T
-        specs.append(QuadraticClientSpec(centers=centers, beta=beta, spectra=spectra))
-    return build_quadratic_problem(QuadraticFamily(specs=specs, basis=q))
+        specs.append(QuadraticClientSpec(centers=centers, spectra=spectra))
+    return build_quadratic_problem(QuadraticFamily(specs=specs, basis=q, beta=beta))

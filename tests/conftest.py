@@ -81,19 +81,13 @@ def random_family(
 def rotated_family(family: QuadraticFamily, seed: int) -> QuadraticFamily:
     """A basis-free spectral ``family`` under a random orthogonal basis Q.
 
-    The spectra stay and every center ``c`` becomes ``Q c``, so each
-    component ``0.5 (x - Q c)' Q diag(s) Q' (x - Q c)`` is the original one
-    at ``Q'x``.
+    The specs stay as they are, since a spectral spec states its spectra and
+    centers ``c`` in the eigen frame: each component ``0.5 (x - Q c)' Q
+    diag(s) Q' (x - Q c)`` is the original one at ``Q'x``.
     """
     d = family.dim
     q = np.linalg.qr(RandomStream(seed).generator().standard_normal((d, d)))[0]
-    specs = [
-        QuadraticClientSpec(
-            centers=spec.centers @ q.T, spectra=spec.spectra, beta=spec.beta
-        )
-        for spec in family.specs
-    ]
-    return QuadraticFamily(specs=specs, basis=q)
+    return QuadraticFamily(specs=family.specs, basis=q, beta=family.beta)
 
 
 class CubicOracle(ClientOracle):

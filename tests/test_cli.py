@@ -366,6 +366,25 @@ def test_run_writes_traces_summary_and_plots(tmp_path, capsys):
     assert dane_row.split(",")[4] == "true"
 
 
+def test_repeated_labels_write_distinct_traces(tmp_path, capsys):
+    # a generated suffix skips every label the config names
+    assert cli._unique_labels(["gd", "gd", "gd_2"]) == ["gd", "gd_3", "gd_2"]
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["methods"] = [
+        {"name": "gd", "params": {"eta": 0.1}},
+        {"name": "gd", "params": {"eta": 0.05}},
+        {"name": "gd", "label": "gd_2", "params": {"eta": 0.02}},
+    ]
+    cfg["budget"] = {"max_rounds": 5}
+    code, out_dir = _run_into(tmp_path, "labels", cfg=cfg)
+    assert code == 0
+    assert "wrote 3 trace files" in capsys.readouterr().out
+    traces = sorted(path.name for path in out_dir.glob("*.csv"))
+    assert traces == ["gd_2_seed0.csv", "gd_3_seed0.csv", "gd_seed0.csv", "summary.csv"]
+    summary = (out_dir / "summary.csv").read_text().splitlines()[1:]
+    assert sorted(row.split(",")[0] for row in summary) == ["gd", "gd_2", "gd_3"]
+
+
 def test_summary_is_recomputable_from_traces(tmp_path, capsys):
     code, out_dir = _run_into(tmp_path, "recompute")
     assert code == 0
@@ -400,6 +419,35 @@ def test_timings_flag_populates_wall_clock_column(tmp_path, capsys):
     assert code == 0
     lines = (out_dir / "gd_seed0.csv").read_text().strip().splitlines()
     assert not lines[-1].endswith(",")
+
+
+_TWO_CLIENT_MATRICES = [[[[2.0, 0.0], [0.0, 1.0]]], [[[1.0, 0.5], [0.5, 3.0]]]]
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"centers": [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]]}, "centers"),
+        ({"centers": [[[1.0, 0.0]]]}, "centers"),
+        ({"centers": [[[1.0, 0.0]], [[0.0]]]}, "centers"),
+        ({"matrices": [[[[2.0, 0.0], [0.0]]]]}, "matrices"),
+    ],
+    ids=[
+        "centers_too_wide", "centers_for_one_client", "ragged_centers",
+        "ragged_matrices",
+    ],
+)
+def test_malformed_explicit_problem_exits_2(tmp_path, capsys, fields, named):
+    problem = {"kind": "quadratic_explicit", "matrices": _TWO_CLIENT_MATRICES}
+    cfg = {
+        "problem": {**problem, **fields},
+        "methods": [{"name": "dane_plus", "params": {"lam": 1.0}}],
+        "budget": {"max_rounds": 5},
+    }
+    code, _ = _run_into(tmp_path, "malformed", cfg=cfg)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"problem.{named}" in err
 
 
 def test_explicit_matrix_problem_runs(tmp_path, capsys):

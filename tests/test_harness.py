@@ -86,11 +86,10 @@ def test_reference_iterative_path_meets_residual_contract():
         QuadraticClientSpec(
             centers=rng.standard_normal((1, 4)),
             spectra=rng.uniform(2.0, 6.0, size=(1, 4)),
-            beta=1.0,
         )
         for _ in range(2)
     ]
-    problem = build_quadratic_problem(QuadraticFamily(specs=specs))
+    problem = build_quadratic_problem(QuadraticFamily(specs=specs, beta=1.0))
     x0 = np.zeros(4)
     ref = reference_optimum(problem, x0)
     assert ref.method == "long_fgd"
@@ -342,7 +341,8 @@ def test_stochastic_steps_bill_fractional_cost():
 def _axes_rotated_and_dense():
     """``((axes, rotated, dense), Q)``: a generated ``beta = 0`` problem
     (drawn in its eigen frame), the same spectra and centers under a random
-    orthogonal basis ``Q``, and that family's dense twin ``Q diag(s) Q'``."""
+    orthogonal basis ``Q``, and that family's dense twin ``Q diag(s) Q'``
+    with centers ``Q c``."""
     axes = gen_quadratic_problem(
         4, 3, 2, 8, max_norm=6.0, min_eig=0.5, target_delta=1.0
     )
@@ -351,7 +351,7 @@ def _axes_rotated_and_dense():
     dense = QuadraticFamily(
         specs=[
             QuadraticClientSpec(
-                centers=spec.centers,
+                centers=spec.centers @ q.T,
                 matrices=np.einsum("kl,jl,ml->jkm", q, spec.spectra, q),
             )
             for spec in family.specs

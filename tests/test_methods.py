@@ -54,6 +54,10 @@ def test_config_validation():
         MethodConfig(method="magic")
     with pytest.raises(ConfigurationError):
         MethodConfig(method="fedred", lam=-1.0)
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        MethodConfig(
+            method="dane_plus", lam=1.0, control_variate="recursive", cv_strength=-3.0
+        )
     with pytest.raises(ConfigurationError):
         MethodConfig(method="fedred", lam=1.0, eta=1.0, p=0.0)
     with pytest.raises(ConfigurationError):

@@ -44,9 +44,13 @@ def test_spec_validates_shapes_and_symmetry():
     skew = np.array([[[0.0, 1.0], [0.0, 0.0]]])
     with pytest.raises(ConfigurationError):
         QuadraticClientSpec(centers=np.zeros((1, 2)), matrices=skew)
+    spec = QuadraticClientSpec(centers=np.zeros((1, 2)), spectra=np.ones((1, 2)))
     with pytest.raises(ConfigurationError):
+        QuadraticFamily(specs=[spec], beta=-1.0)
+    # the sigmoid term is shared by every client, so no client carries its own
+    with pytest.raises(TypeError):
         QuadraticClientSpec(
-            centers=np.zeros((1, 2)), spectra=np.ones((1, 2)), beta=-1.0
+            centers=np.zeros((1, 2)), spectra=np.ones((1, 2)), beta=1.0
         )
 
 
@@ -76,10 +80,9 @@ def test_oracle_gradient_matches_finite_differences():
 
 def test_sigmoid_penalty_value_and_gradient():
     beta = 2.0
-    spec = QuadraticClientSpec(
-        centers=np.zeros((1, 2)), spectra=np.zeros((1, 2)), beta=beta
-    )
-    oracle = build_quadratic_problem(QuadraticFamily(specs=[spec])).clients[0]
+    spec = QuadraticClientSpec(centers=np.zeros((1, 2)), spectra=np.zeros((1, 2)))
+    family = QuadraticFamily(specs=[spec], beta=beta)
+    oracle = build_quadratic_problem(family).clients[0]
     x = np.array([1.0, -2.0])
     expected = beta * (1.0 / 2.0 + 4.0 / 5.0)
     assert oracle.value(x) == pytest.approx(expected, rel=1e-14)
@@ -281,13 +284,15 @@ def _oracle_cases(draw):
     centers = offset + 3.0 * rng.standard_normal((m, d))
     q = np.linalg.qr(rng.standard_normal((d, d)))[0] if frame != "axes" else np.eye(d)
     mats = np.einsum("kl,jl,nl->jkn", q, spectra, q)  # Q diag(s_j) Q'
-    if frame == "dense":
-        spec = QuadraticClientSpec(centers=centers, matrices=mats, beta=beta)
-    else:
-        spec = QuadraticClientSpec(centers=centers, spectra=spectra, beta=beta)
     basis = q if frame == "eigenbasis" else None
+    if frame == "dense":
+        spec = QuadraticClientSpec(centers=centers, matrices=mats)
+    else:
+        # a spectral spec states its centers in the eigen frame
+        frame_centers = centers if basis is None else centers @ q
+        spec = QuadraticClientSpec(centers=frame_centers, spectra=spectra)
     oracle = build_quadratic_problem(
-        QuadraticFamily(specs=[spec], basis=basis)
+        QuadraticFamily(specs=[spec], basis=basis, beta=beta)
     ).clients[0]
     return oracle, mats, centers, offset + 3.0 * rng.standard_normal(d)
 
@@ -326,7 +331,7 @@ def _mean_hessian_form(oracle, x):
     ``C (x - c) - u + sigmoid'`` and its value, with ``c`` the mean center
     and ``C`` the mean Hessian in original coordinates: the mean spectrum
     without a basis, the mean matrix for dense specs, ``(Q * s).dot(Q')``
-    with a basis ``Q``."""
+    with a basis ``Q``, which also rotates the eigen-frame mean center."""
     spec, basis, beta = oracle.spec, oracle.basis, oracle.beta
     if spec.spectra is None:
         hess = spec.matrices.mean(axis=0)
@@ -338,7 +343,8 @@ def _mean_hessian_form(oracle, x):
     def curvature(y):
         return hess * y if hess.ndim == 1 else hess.dot(y)
 
-    w = x - spec.centers.mean(axis=0)
+    center = spec.centers.mean(axis=0)
+    w = x - (center if basis is None else basis.dot(center))
     sq = x * x
     sigmoid = 0.0 if beta == 0.0 else beta * float(np.sum(sq / (1.0 + sq)))
     quad = 0.5 * float(w.dot(curvature(w))) - float(oracle._u.dot(w))
@@ -371,7 +377,7 @@ def _rotation_cases(draw):
     spectra = rng.uniform(-1.0, 4.0, size=(m, d))
     centers = offset + 3.0 * rng.standard_normal((m, d))
     family = QuadraticFamily(
-        specs=[QuadraticClientSpec(centers=centers, spectra=spectra, beta=beta)]
+        specs=[QuadraticClientSpec(centers=centers, spectra=spectra)], beta=beta
     )
     rotated = rotated_family(family, seed=seed + 1)
     free = build_quadratic_problem(family).clients[0]

@@ -441,12 +441,12 @@ def _quadratic_oracle(frame, m, d, rng, stiff=False, beta=0.0):
     q = np.linalg.qr(rng.standard_normal((d, d)))[0]
     if frame == "dense":
         mats = np.einsum("kl,jl,nl->jkn", q, spectra, q)  # Q diag(s_j) Q'
-        spec = QuadraticClientSpec(centers=centers, matrices=mats, beta=beta)
+        spec = QuadraticClientSpec(centers=centers, matrices=mats)
     else:
-        spec = QuadraticClientSpec(centers=centers, spectra=spectra, beta=beta)
+        spec = QuadraticClientSpec(centers=centers, spectra=spectra)
     basis = q if frame == "eigenbasis" else None
     return build_quadratic_problem(
-        QuadraticFamily(specs=[spec], basis=basis)
+        QuadraticFamily(specs=[spec], basis=basis, beta=beta)
     ).clients[0]
 
 
@@ -509,8 +509,8 @@ def _read_only(arr) -> np.ndarray:
 
 
 def _freeze_cached_terms(oracle: QuadraticOracle) -> QuadraticOracle:
-    for name in ("basis", "_centers", "_center", "_u", "_hessian"):
-        arr = getattr(oracle, name, None)
+    spec = oracle.spec
+    for arr in (oracle.basis, spec.centers, oracle._center, oracle._u, oracle._hessian):
         if arr is not None:
             arr.setflags(write=False)
     return oracle
@@ -605,10 +605,9 @@ def test_exact_solver_requires_quadratic_structure():
     surrogate = SurrogateOracle(CubicOracle())
     with pytest.raises(UnsupportedStructureError):
         solve_exact_quadratic(surrogate)
-    bumpy = QuadraticClientSpec(
-        centers=np.zeros((1, 2)), spectra=np.ones((1, 2)), beta=1.0
-    )
-    oracle = build_quadratic_problem(QuadraticFamily(specs=[bumpy])).clients[0]
+    spec = QuadraticClientSpec(centers=np.zeros((1, 2)), spectra=np.ones((1, 2)))
+    bumpy = QuadraticFamily(specs=[spec], beta=1.0)
+    oracle = build_quadratic_problem(bumpy).clients[0]
     with pytest.raises(UnsupportedStructureError):
         solve_exact_quadratic(SurrogateOracle(oracle))
     with pytest.raises(UnsupportedStructureError):
