@@ -92,7 +92,6 @@ _LOGISTIC_SCHEMA = {
         "n_clients": {"type": "integer", "minimum": 1},
         "alpha": {"type": "number", "exclusiveMinimum": 0},
         "seed": {"type": "integer", "minimum": 0},
-        "batch_size": {"type": ["integer", "null"], "minimum": 1},
     },
 }
 
@@ -130,7 +129,7 @@ _METHOD_SCHEMA = {
                 "averaging": {"enum": list(methods.AVERAGING)},
                 "control_variate": {"enum": list(methods.CONTROL_VARIATES)},
                 "cv_strength": {"type": "number", "minimum": 0},
-                "stochastic": {"type": "boolean"},
+                "batch_size": {"type": "integer", "minimum": 1},
                 "local_steps": {"type": "integer", "minimum": 1},
             },
         },
@@ -274,7 +273,7 @@ def build_problem(pcfg: dict, base_dir: str = "."):
         pcfg["alpha"],
         RandomStream(pcfg.get("seed", 0)).fork(1),
     )
-    return logistic_problem(parts, pcfg.get("batch_size"))
+    return logistic_problem(parts)
 
 
 def dissimilarity(problem, pcfg: dict, pairs: int) -> list:
@@ -363,7 +362,6 @@ def cmd_run(args) -> int:
     entries = [build_method(entry, problem, delta_report) for entry in cfg["methods"]]
     labels = _unique_labels([label for label, _ in entries])
     out_dir = args.out or cfg.get("output_dir", "out")
-    os.makedirs(out_dir, exist_ok=True)
     repeats = cfg.get("repeats", 1)
     base_seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     record_every = cfg.get("record_every", 100)
@@ -385,6 +383,7 @@ def cmd_run(args) -> int:
         result = run_experiment(
             problem, mcfg, budget, seed, reference=reference, record_every=record_every
         )
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"{label}_seed{seed}.csv")
         write_trace_csv(path, result.traces, timings=args.timings)
         results.append(result)

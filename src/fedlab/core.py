@@ -176,7 +176,9 @@ class ClientOracle(ABC):
     anyway (see :mod:`fedlab.local_solvers`); a surrogate value reads the
     base's unchecked ``_value``.  Outside callers of :meth:`gradient` and
     :meth:`value` keep every check, and query points and gradients pass
-    through :func:`as_vector`.
+    through :func:`as_vector`.  An oracle that can sample overrides
+    :meth:`stochastic_gradient`, which returns the sample together with
+    its cost, so the caller bills what the sample actually consumed.
 
     Attributes
     ----------
@@ -219,18 +221,15 @@ class ClientOracle(ABC):
         require_finite(g, "gradient")
         return g
 
-    def stochastic_gradient(self, x, stream: RandomStream) -> Vector:
-        """Unbiased gradient estimate.
+    def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
+        """An unbiased gradient estimate from ``batch_size`` samples drawn
+        from ``stream``, and its cost in full-gradient units.
 
-        The base implementation is the deterministic gradient (zero
-        variance); subclasses with sampling schemes override it.
+        Oracles with a sampling scheme override this; the base has none.
         """
-        return self.gradient(x)
-
-    @property
-    def stochastic_cost(self) -> float:
-        """Cost of one stochastic gradient in full-gradient units."""
-        return 1.0
+        raise UnsupportedStructureError(
+            f"{type(self).__name__} has no stochastic gradient"
+        )
 
 
 @dataclass

@@ -192,7 +192,8 @@ def run_experiment(
     (``best_grad``); ``output_mode`` overrides the choice.  When no
     reference optimum exists, ``f_gap`` is measured against the best value
     seen so far (an upper bound on the true optimality gap is not implied;
-    nonconvex analysis reads ``grad_norm_sq`` instead).
+    nonconvex analysis reads ``grad_norm_sq`` instead), so a
+    ``budget.target_gap`` is then a :class:`ConfigurationError`.
 
     ``metric_problem`` lets callers step a wrapped (e.g. call-counting)
     problem while evaluating metrics on the unwrapped one.  A run has no
@@ -204,12 +205,16 @@ def run_experiment(
     metric snapshot is raised again as the same type, chained, with the
     method and the number of completed iterations in its message.
     """
+    if record_every < 1:
+        raise ConfigurationError("record_every must be >= 1")
     metrics = metric_problem if metric_problem is not None else problem
     if reference == "auto":
         try:
             reference = reference_optimum(metrics, x0)
         except UnsupportedStructureError:
             reference = None
+    if budget.target_gap is not None and reference is None:
+        raise ConfigurationError("target_gap needs a reference optimum")
     x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
     x_star = None if reference is None else reference.x_star
     if output_mode is None:
@@ -574,13 +579,10 @@ class CountingOracle(ClientOracle):
     value = _value
     gradient = _gradient
 
-    def stochastic_gradient(self, x, stream: RandomStream) -> Vector:
-        self.counter["units"] += self.base.stochastic_cost
-        return self.base.stochastic_gradient(x, stream)
-
-    @property
-    def stochastic_cost(self) -> float:
-        return self.base.stochastic_cost
+    def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
+        g, cost = self.base.stochastic_gradient(x, stream, batch_size)
+        self.counter["units"] += cost
+        return g, cost
 
     @property
     def is_pure_quadratic(self) -> bool:

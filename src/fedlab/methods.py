@@ -105,8 +105,9 @@ class MethodConfig:
     proximal weight for the doubly regularized methods and doubles as the
     step size for gd/scaffold/scaffnew, ``p`` is the communication
     probability, ``mu`` the strong-convexity modulus that a ``scheduled``
-    local rule reads, ``a`` the nonconvex reference-coupling multiplier, and
-    ``cv_strength`` the recursive control-variate gain.
+    local rule reads, ``a`` the nonconvex reference-coupling multiplier,
+    ``cv_strength`` the recursive control-variate gain, and ``batch_size``,
+    when set, the samples behind each of fedred_gd's stochastic gradients.
     """
 
     method: str
@@ -119,7 +120,7 @@ class MethodConfig:
     control_variate: str = "grad_diff"
     cv_strength: float = 0.0
     local: LocalSpec = LocalSpec()
-    stochastic: bool = False
+    batch_size: int | None = None
     local_steps: int = 1
 
     def __post_init__(self):
@@ -141,6 +142,8 @@ class MethodConfig:
             raise ConfigurationError(
                 "the recursive control variate is only defined for dane_plus"
             )
+        if self.control_variate == "recursive" and self.cv_strength == 0.0:
+            raise ConfigurationError("a recursive variate at cv_strength=0 is fedprox")
         if self.method == "fedred" and self.eta != 0.0 and self.eta < self.lam:
             # eta = 0 is the exact degeneration to dane_plus and stays legal
             raise ConfigurationError("fedred requires eta >= lam (or eta = 0)")
@@ -152,6 +155,8 @@ class MethodConfig:
             raise ConfigurationError(f"{self.method} needs a positive step eta")
         if self.local_steps < 1:
             raise ConfigurationError("local_steps must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
         # fields these methods have no use for are rejected, not ignored
         m = self.method
         ignored = (
@@ -161,7 +166,7 @@ class MethodConfig:
             ("local", self.local != LocalSpec() and m not in _ANCHORED_PRESETS),
             ("mu", self.mu != 0.0 and self.local.rule.kind != "scheduled"),
             ("local_steps", self.local_steps != 1 and m != "scaffold"),
-            ("stochastic", self.stochastic and m != "fedred_gd"),
+            ("batch_size", self.batch_size is not None and m != "fedred_gd"),
             ("cv_strength", self.cv_strength != 0.0 and self.control_variate != "recursive"),
             # only the rand-averaged certificate of dane_plus/fedred reads a
             ("a", self.a != 2.0 and (self.averaging != "rand" or m not in ("dane_plus", "fedred"))),
@@ -384,10 +389,10 @@ def fedred_gd_step(
     coeffs = np.array([cfg.eta / total, cfg.lam / total, -1.0 / total])
     solutions = []
     for i, (oracle, x, h) in enumerate(zip(problem.clients, clients.x, clients.h)):
-        if cfg.stochastic:
+        if cfg.batch_size is not None:
             batch_stream = step_stream.fork(_LBL_BATCH).fork(i)
-            g = oracle.stochastic_gradient(x, batch_stream)
-            evals += oracle.stochastic_cost
+            g, cost = oracle.stochastic_gradient(x, batch_stream, cfg.batch_size)
+            evals += cost
         else:
             g = oracle.gradient(x)
             evals += 1.0
@@ -511,7 +516,9 @@ def suggest_parameters(
     (``lam = delta_B, p = delta_B/L``) intentionally breaks the practical
     coupling because its guarantee is stated for that exact triple.  ``mu``
     enters the sc formulas; only the convex ``dane_plus`` rule, whose
-    ``scheduled`` local rule reads it, stores it in the config.
+    ``scheduled`` local rule reads it, stores it in the config.  With
+    ``sigma > 0`` the convex ``fedred_gd`` rule samples one component per
+    gradient (``batch_size=1``): ``sigma^2`` is that sample's variance.
     """
     if regime not in ("sc", "cvx", "ncvx"):
         raise ConfigurationError(f"unknown regime {regime!r}")
@@ -599,5 +606,6 @@ def suggest_parameters(
         raise ConfigurationError("eta must exceed mu/2")
     p = min(1.0, (delta_a + 0.5 * mu) / (eta - 0.5 * mu))
     return MethodConfig(
-        method="fedred_gd", lam=p * eta, eta=eta, p=p, stochastic=sigma > 0.0
+        method="fedred_gd", lam=p * eta, eta=eta, p=p,
+        batch_size=1 if sigma > 0.0 else None,
     )

@@ -115,7 +115,9 @@ class LogisticOracle(ClientOracle):
 
     The stochastic gradient draws ``batch_size`` rows uniformly with
     replacement and rescales, which is unbiased for the full gradient; the
-    ridge term is always included exactly.
+    ridge term is always included exactly.  It reads the sampled rows as
+    a sparse block and costs ``batch_size / rows`` full gradients, more
+    than one when the batch has more rows than the client.
 
     ``transpose`` is ``A'``, the client's rows transposed, built once at
     construction as its own CSR matrix and reused by every gradient
@@ -128,22 +130,13 @@ class LogisticOracle(ClientOracle):
     do, so the products are bitwise equal.
     """
 
-    def __init__(
-        self,
-        part: SparseDataset,
-        n_clients: int,
-        total_rows: int,
-        batch_size: int | None = None,
-    ):
+    def __init__(self, part: SparseDataset, n_clients: int, total_rows: int):
         if part.n_rows == 0:
             raise ConfigurationError("client received no rows")
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
         self.matrix = _read_only(part.matrix.copy())
         self.transpose = _read_only(self.matrix.T.tocsr())
         self.labels = part.labels.copy()
         self.dim = part.dim
-        self.batch_size = batch_size
         self.loss_scale = n_clients / total_rows
         self.reg = 1.0 / total_rows
         spectral_sq = _spectral_norm_sq(self.matrix, self.transpose)
@@ -163,32 +156,18 @@ class LogisticOracle(ClientOracle):
         weights = -self.labels * expit(-self._margins(x))
         return self.loss_scale * _csr_matvec(self.transpose, weights) + self.reg * x
 
-    def _row_gradients(self, x: Vector, rows: np.ndarray) -> np.ndarray:
-        sub = self.matrix[rows]
-        margins = self.labels[rows] * _csr_matvec(sub, x)
-        weights = -self.labels[rows] * expit(-margins)
-        return sub.multiply(weights[:, None]).toarray()
-
-    def stochastic_gradient(self, x, stream: RandomStream) -> Vector:
-        if self.batch_size is None:
-            return self.gradient(x)
+    def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
         x = self._check_input(x)
-        rng = stream.generator()
-        rows = rng.integers(self.matrix.shape[0], size=self.batch_size)
-        row_sum = self._row_gradients(x, rows).sum(axis=0)
-        scale = self.loss_scale * self.matrix.shape[0] / self.batch_size
-        return scale * row_sum + self.reg * x
-
-    @property
-    def stochastic_cost(self) -> float:
-        if self.batch_size is None:
-            return 1.0
-        return min(1.0, self.batch_size / self.matrix.shape[0])
+        rows = self.matrix.shape[0]
+        drawn = stream.generator().integers(rows, size=batch_size)
+        sub, labels = self.matrix[drawn], self.labels[drawn]
+        weights = -labels * expit(-labels * _csr_matvec(sub, x))
+        scale = self.loss_scale * rows / batch_size
+        g = scale * _csr_matvec(sub.T.tocsr(), weights) + self.reg * x
+        return g, batch_size / rows
 
 
-def logistic_problem(
-    parts: list[SparseDataset], batch_size: int | None = None
-) -> DistributedProblem:
+def logistic_problem(parts: list[SparseDataset]) -> DistributedProblem:
     """Assemble the distributed problem from per-client datasets."""
     if not parts:
         raise ConfigurationError("need at least one client dataset")
@@ -197,7 +176,7 @@ def logistic_problem(
         raise ConfigurationError("client datasets disagree on dimension")
     total_rows = sum(p.n_rows for p in parts)
     n = len(parts)
-    oracles = [LogisticOracle(p, n, total_rows, batch_size) for p in parts]
+    oracles = [LogisticOracle(p, n, total_rows) for p in parts]
     stacked = sp.vstack([o.matrix for o in oracles], format="csr")
     stacked_sq = _spectral_norm_sq(stacked, stacked.T.tocsr())
     l_global = 0.25 * stacked_sq / total_rows + 1.0 / total_rows

@@ -219,9 +219,10 @@ class QuadraticOracle(ClientOracle):
     work the exact solver bills).  The basis is read only at construction
     and by :meth:`stochastic_gradient`.
 
-    The stochastic gradient samples one of the m quadratic components
-    uniformly (the sigmoid term, being cheap and deterministic, is always
-    included exactly), so it is unbiased for the full gradient.
+    The stochastic gradient averages ``batch_size`` of the m quadratic
+    components drawn uniformly with replacement (the sigmoid term, being
+    cheap and deterministic, is always included exactly), so it is unbiased
+    for the full gradient; it costs ``batch_size / m`` full gradients.
     """
 
     def __init__(self, spec: QuadraticClientSpec, family: QuadraticFamily):
@@ -285,19 +286,18 @@ class QuadraticOracle(ClientOracle):
             g += _sigmoid_gradient(x, self.beta)
         return g
 
-    def stochastic_gradient(self, x, stream: RandomStream) -> Vector:
+    def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
         x = self._check_input(x)
-        j = int(stream.generator().integers(self.spec.m))
-        if self.spec.spectra is not None:
+        spec = self.spec
+        js = stream.generator().integers(spec.m, size=batch_size)
+        if spec.spectra is not None:
             y = x if self.basis is None else x.dot(self.basis)
-            g = self._to_original(self.spec.spectra[j] * (y - self.spec.centers[j]))
+            rows = spec.spectra[js] * (y - spec.centers[js])
         else:
-            g = self.spec.matrices[j].dot(x - self.spec.centers[j])
-        return g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
-
-    @property
-    def stochastic_cost(self) -> float:
-        return 1.0 / self.spec.m
+            rows = np.einsum("jkl,jl->jk", spec.matrices[js], x - spec.centers[js])
+        g = self._to_original(rows.mean(axis=0))
+        g = g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
+        return g, batch_size / spec.m
 
 
 def build_quadratic_problem(family: QuadraticFamily) -> DistributedProblem:

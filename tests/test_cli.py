@@ -219,6 +219,75 @@ def test_local_block_on_a_method_without_local_solves_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_batch_size_in_a_logistic_problem_block_exits_2(tmp_path, capsys):
+    # the sampling knob is fedred_gd's batch_size; the problem takes none
+    (tmp_path / "tiny.libsvm").write_text(TINY_LIBSVM)
+    cfg = {
+        "problem": {
+            "kind": "logistic", "path": "tiny.libsvm", "n_clients": 2,
+            "alpha": 1.0, "batch_size": 2,
+        },
+        "methods": [{"name": "fedred_gd", "params": {"lam": 1.0, "eta": 1.0}}],
+        "budget": {"max_rounds": 5},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+    assert "'batch_size' was unexpected" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"name": "dane_plus", "params": {"lam": 1.0, "batch_size": 2}},
+         "dane_plus would ignore batch_size=2"),
+        ({"name": "gd", "params": {"eta": 0.1, "batch_size": 1}},
+         "gd would ignore batch_size=1"),
+        ({"name": "fedred_gd", "params": {"lam": 1.0, "eta": 1.0, "batch_size": 0}},
+         "batch_size: 0 is less than the minimum of 1"),
+        ({"name": "fedred_gd", "params": {"lam": 1.0, "eta": 1.0, "stochastic": True}},
+         "'stochastic' was unexpected"),
+        # a recursive variate at the default cv_strength of 0 is fedprox
+        ({"name": "dane_plus", "params": {"lam": 3.0, "control_variate": "recursive"}},
+         "is fedprox"),
+    ],
+)
+def test_rejected_method_params_exit_2_before_setup(tmp_path, capsys, entry, message):
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["methods"] = [entry]
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sampled_fedred_gd_runs_and_bills_fractional_work(tmp_path, capsys):
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["methods"] = [
+        {"name": "fedred_gd", "params": {"lam": 1.0, "eta": 8.0, "batch_size": 1}}
+    ]
+    cfg["budget"] = {"max_rounds": 4}
+    code, out_dir = _run_into(tmp_path, "sampled", cfg=cfg)
+    assert code == 0
+    capsys.readouterr()
+    traces = read_trace_csv(str(out_dir / "fedred_gd_seed0.csv"))
+    # per round: 3 variate gradients (none before the first) and 3 samples
+    # of one of the 2 components at 1/2 each
+    assert [t.grad_evals for t in traces] == [0.0, 4.5, 9.0, 13.5, 18.0]
+
+
+def test_target_gap_without_a_reference_optimum_exits_2(tmp_path, capsys):
+    # without a reference f_gap is the gap to the best value seen, which is
+    # 0 at the first row: every run would stop there and report it reached
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["problem"]["min_eig"] = -1.0
+    cfg["methods"] = [{"name": "gd", "params": {"eta": 0.05}}]
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+    assert "target_gap needs a reference optimum" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------ auto params
 
 
@@ -328,6 +397,25 @@ def test_delta_samples_non_quadratic_problems(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sampled over 8 direction pairs" in out
     assert "sampled" in out
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+@pytest.mark.parametrize(
+    "name", sorted(f for f in os.listdir(CONFIG_DIR) if f.endswith(".json"))
+)
+def test_every_bundled_config_loads(name, capsys):
+    # a schema change that orphans a key a shipped config still carries fails here
+    path = os.path.join(CONFIG_DIR, name)
+    cfg = load_config(path)
+    problem = cli.build_problem(cfg["problem"], CONFIG_DIR)
+    if "methods" in cfg:
+        report = cli.dissimilarity(problem, cfg["problem"], 4)[0]
+        for entry in cfg["methods"]:
+            cli.build_method(entry, problem, report)
+    assert main(["delta", "--config", path]) == 0
+    capsys.readouterr()
 
 
 # -------------------------------------------------------------- run smoke

@@ -13,11 +13,13 @@ from fedlab import (
     DistributedProblem,
     NonFiniteError,
     RandomStream,
+    UnsupportedStructureError,
     as_vector,
+    counting_problem,
 )
 from fedlab.core import require_finite
 
-from conftest import finite_difference_gradient, quad_1d, two_client_line
+from conftest import CubicOracle, finite_difference_gradient, quad_1d, two_client_line
 
 
 def test_as_vector_coerces_lists_to_float64():
@@ -196,6 +198,16 @@ def test_oracle_rejects_nonfinite_outputs():
             _BrokenOracle(value).value(np.zeros(1))
     with pytest.raises(NonFiniteError):
         _BrokenOracle().gradient(np.zeros(1))
+
+
+def test_an_oracle_without_a_sampler_has_no_stochastic_gradient():
+    # the base returns no exact gradient billed as a sample
+    oracle = CubicOracle()
+    wrapped, counter = counting_problem(DistributedProblem(clients=[oracle], dim=1))
+    for o in (oracle, wrapped.clients[0]):
+        with pytest.raises(UnsupportedStructureError, match="no stochastic gradient"):
+            o.stochastic_gradient(np.ones(1), RandomStream(0), 1)
+    assert counter["units"] == 0.0
 
 
 def test_problem_rejects_empty_or_mismatched_clients():

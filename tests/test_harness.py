@@ -242,6 +242,28 @@ def test_gap_without_reference_is_nonnegative_best_seen():
     assert result.f_best_seen == pytest.approx(-0.25, abs=1e-6)
 
 
+def test_target_gap_needs_a_reference_optimum():
+    # against the best value seen, the gap is 0 at the first row
+    problem = DistributedProblem(clients=[CubicOracle(), CubicOracle()], dim=1)
+    cfg = MethodConfig(method="gd", eta=0.05)
+    budget = Budget(max_rounds=150, target_gap=1e-6)
+    with pytest.raises(ConfigurationError, match="target_gap needs a reference"):
+        run_experiment(problem, cfg, budget, seed=0, x0=np.array([2.0]))
+    with pytest.raises(ConfigurationError, match="target_gap needs a reference"):
+        run_experiment(two_client_line(), cfg, budget, seed=0, reference=None)
+
+
+@pytest.mark.parametrize("record_every", [0, -2])
+def test_record_every_must_be_positive(record_every):
+    # p = 0.3 makes silent steps, where the record_every test is reached
+    cfg = MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=0.3)
+    with pytest.raises(ConfigurationError, match="record_every"):
+        run_experiment(
+            hetero_pair(d=4, seed=3), cfg, Budget(max_iterations=20), seed=0,
+            record_every=record_every,
+        )
+
+
 def test_explicit_reference_is_used_verbatim():
     problem = two_client_line()
     ref = reference_optimum(problem)
@@ -326,13 +348,17 @@ def test_exact_solves_at_the_optimum_bill_no_matvecs(method):
 
 
 def test_stochastic_steps_bill_fractional_cost():
-    problem = hetero_pair(d=4, seed=29)  # m = 1 component per client
+    problem = gen_quadratic_problem(
+        29, 2, 4, 4, max_norm=4.0, min_eig=1.0, target_delta=1.0
+    )  # m = 4 components per client
     wrapped, counter = counting_problem(problem)
-    cfg = MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=1.0, stochastic=True)
+    cfg = MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=1.0, batch_size=3)
     result = run_experiment(
         wrapped, cfg, Budget(max_iterations=6), seed=0, metric_problem=problem
     )
     assert counter["units"] == result.total_grad_evals
+    # each step: two fresh variate gradients, then two samples of 3/4 each
+    assert [r.grad_evals for r in result.records] == [3.5] * 6
 
 
 # ------------------------------------------------- rotation equivariance
@@ -365,7 +391,7 @@ _FRAME_CONFIGS = {
     "fedred": MethodConfig(method="fedred", lam=1.0, eta=4.0, p=0.5),
     "fedred_gd": MethodConfig(
         method="fedred_gd", lam=1.0, eta=6.0, p=0.5, averaging="rand",
-        stochastic=True,
+        batch_size=1,
     ),
     "gd": MethodConfig(method="gd", eta=0.15),
     "scaffold": MethodConfig(method="scaffold", eta=0.05, local_steps=3),

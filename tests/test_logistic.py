@@ -9,6 +9,7 @@ from scipy.special import expit
 from fedlab import (
     ConfigurationError,
     RandomStream,
+    counting_problem,
     dirichlet_partition,
     logistic_problem,
     parse_libsvm,
@@ -137,7 +138,7 @@ def test_low_alpha_is_more_skewed_than_high_alpha():
     assert spread(skewed) > spread(flat)
 
 
-def _minibatch_gradient_std(oracle: LogisticOracle, x) -> np.ndarray:
+def _minibatch_gradient_std(oracle: LogisticOracle, x, batch_size: int) -> np.ndarray:
     """Per-coordinate std of the rescaled minibatch gradient.
 
     A batch of ``b`` rows drawn with replacement, each row gradient
@@ -147,32 +148,56 @@ def _minibatch_gradient_std(oracle: LogisticOracle, x) -> np.ndarray:
     y = oracle.labels
     row_grads = (-y * expit(-y * (a @ x)))[:, None] * a
     scale = oracle.loss_scale * a.shape[0]
-    return scale * np.std(row_grads, axis=0) / np.sqrt(oracle.batch_size)
+    return scale * np.std(row_grads, axis=0) / np.sqrt(batch_size)
 
 
 def test_stochastic_gradient_is_unbiased():
     ds = _toy_dataset(rows=16)
-    problem = logistic_problem([ds], batch_size=4)
+    problem = logistic_problem([ds])
     oracle = problem.clients[0]
     x = RandomStream(6).generator().standard_normal(problem.dim)
     full = oracle.gradient(x)
-    std = _minibatch_gradient_std(oracle, x)
+    std = _minibatch_gradient_std(oracle, x, 4)
     draws = 4000
     acc = np.zeros(problem.dim)
     stream = RandomStream(31)
     for k in range(draws):
-        acc += oracle.stochastic_gradient(x, stream.fork(k))
+        acc += oracle.stochastic_gradient(x, stream.fork(k), 4)[0]
     mean = acc / draws
     band = 4.0 * std / np.sqrt(draws) + 1e-12
     assert np.all(np.abs(mean - full) <= band)
 
 
 def test_stochastic_cost_scales_with_batch():
+    # 16 rows: a batch of 40 draws more rows than the client holds and is
+    # billed 2.5 full gradients, what its 40 row gradients cost
+    problem = logistic_problem([_toy_dataset(rows=16)])
+    wrapped, counter = counting_problem(problem)
+    x = np.ones(problem.dim)
+    billed = 0.0
+    for batch_size in (1, 4, 16, 40):
+        stream = RandomStream(batch_size)
+        g, cost = wrapped.clients[0].stochastic_gradient(x, stream, batch_size)
+        billed += batch_size / 16
+        assert cost == batch_size / 16
+        assert counter["units"] == billed
+        assert np.array_equal(
+            g, problem.clients[0].stochastic_gradient(x, stream, batch_size)[0]
+        )
+
+
+@pytest.mark.parametrize("batch_size", [1, 4, 40])
+def test_stochastic_gradient_is_the_drawn_rows_mean(batch_size):
     ds = _toy_dataset(rows=16)
-    cheap = logistic_problem([ds], batch_size=4).clients[0]
-    exact = logistic_problem([ds]).clients[0]
-    assert cheap.stochastic_cost == pytest.approx(0.25)
-    assert exact.stochastic_cost == 1.0
+    oracle = logistic_problem([ds]).clients[0]
+    x = RandomStream(8).generator().standard_normal(ds.dim)
+    stream = RandomStream(3).fork(batch_size)
+    rows = stream.generator().integers(16, size=batch_size)
+    a, y = oracle.matrix.toarray()[rows], oracle.labels[rows]
+    row_grads = (-y * expit(-y * (a @ x)))[:, None] * a
+    expected = oracle.loss_scale * 16 * row_grads.mean(axis=0) + oracle.reg * x
+    g, _ = oracle.stochastic_gradient(x, stream, batch_size)
+    assert np.allclose(g, expected, rtol=1e-13, atol=1e-15)
 
 
 def test_smoothness_hint_bounds_gradient_lipschitz():

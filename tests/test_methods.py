@@ -70,6 +70,12 @@ def test_config_validation():
         MethodConfig(method="dane_plus", lam=1.0, control_variate="fancy")
     with pytest.raises(ConfigurationError):
         MethodConfig(method="fedred", lam=1.0, control_variate="recursive")
+    # a recursive variate at zero gain never moves h off 0: that is fedprox
+    with pytest.raises(ConfigurationError, match="is fedprox"):
+        MethodConfig(method="dane_plus", lam=3.0, control_variate="recursive")
+    for size in (0, -2):
+        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
+            MethodConfig(method="fedred_gd", lam=1.0, eta=1.0, batch_size=size)
     with pytest.raises(ConfigurationError):
         MethodConfig(method="gd")  # needs a positive step
     with pytest.raises(ConfigurationError):
@@ -100,9 +106,9 @@ def test_config_validation():
         dict(method="scaffnew", eta=0.1, local_steps=3),
         dict(method="fedred", lam=1.0, eta=1.0, local_steps=2),
         dict(method="dane_plus", lam=1.0, local_steps=2),
-        dict(method="dane_plus", lam=1.0, stochastic=True),
-        dict(method="scaffnew", eta=0.1, stochastic=True),
-        dict(method="gd", eta=0.1, stochastic=True),
+        dict(method="dane_plus", lam=1.0, batch_size=1),
+        dict(method="scaffnew", eta=0.1, batch_size=4),
+        dict(method="gd", eta=0.1, batch_size=1),
         dict(method="dane_plus", lam=1.0, cv_strength=0.5),
         dict(method="fedred", lam=1.0, eta=1.0, cv_strength=0.5),
         # only a scheduled local rule reads mu
@@ -128,7 +134,7 @@ def test_config_validation():
     # the default local spec, spelled out, is not an ignored field
     MethodConfig(method="gd", eta=0.1, local=LocalSpec(solver="exact"))
     MethodConfig(method="scaffold", eta=0.1, local_steps=4)
-    MethodConfig(method="fedred_gd", lam=1.0, eta=1.0, stochastic=True)
+    MethodConfig(method="fedred_gd", lam=1.0, eta=1.0, batch_size=1)
     MethodConfig(method="dane_plus", lam=1.0, mu=1.0, local=scheduled)
     MethodConfig(method="fedred", lam=1.0, eta=1.0, mu=1.0, local=scheduled)
     MethodConfig(method="dane_plus", lam=1.0, averaging="rand", a=3.0)
@@ -741,7 +747,8 @@ def test_suggest_linearized_rules():
         "fedred_gd", _report(2.0, 4.0), "cvx", l_smooth=30.0, sigma=3.0, eps=0.1
     )
     assert noisy.eta == pytest.approx(90.0 + 30.0)
-    assert noisy.stochastic
+    assert noisy.batch_size == 1
+    assert suggest_parameters("fedred_gd", _report(2.0, 4.0), "cvx", l_smooth=30.0).batch_size is None
 
 
 def test_suggest_skipping_baseline_rule():

@@ -37,7 +37,7 @@ PER_CALL = [
     logistic.LogisticOracle._margins,
     logistic.LogisticOracle._value,
     logistic.LogisticOracle._gradient,
-    logistic.LogisticOracle._row_gradients,
+    logistic.LogisticOracle.stochastic_gradient,
     local_solvers.SurrogateOracle._value,
     local_solvers.SurrogateOracle._gradient,
     local_solvers._descend,

@@ -19,7 +19,7 @@ from fedlab import (
     delta_exact_quadratic,
     gen_quadratic_problem,
 )
-from fedlab.problems.quadratic import GENERAL_CONVEX_FLOOR
+from fedlab.problems.quadratic import GENERAL_CONVEX_FLOOR, _sigmoid_gradient
 
 from conftest import finite_difference_gradient, random_family, rotated_family
 
@@ -109,7 +109,7 @@ def test_spectral_and_dense_forms_agree():
 def _component_gradient_std(spec: QuadraticClientSpec, x) -> np.ndarray:
     """Per-coordinate std of the component gradients ``s_j * (x - c_j)``.
 
-    The stochastic gradient draws one component uniformly and adds the same
+    A one-component sample draws one component uniformly and adds the same
     sigmoid term to each, so this is its standard deviation (no basis).
     """
     return np.std(spec.spectra * (x - spec.centers), axis=0)
@@ -126,7 +126,7 @@ def test_stochastic_gradient_is_unbiased():
     stream = RandomStream(404)
     acc = np.zeros(problem.dim)
     for k in range(draws):
-        acc += oracle.stochastic_gradient(x, stream.fork(k))
+        acc += oracle.stochastic_gradient(x, stream.fork(k), 1)[0]
     mean = acc / draws
     # per-coordinate CLT band at 4 sigma
     band = 4.0 * std / np.sqrt(draws) + 1e-12
@@ -134,9 +134,60 @@ def test_stochastic_gradient_is_unbiased():
 
 
 def test_stochastic_cost_is_one_component_share():
-    family = random_family(seed=2, m=8)
-    problem = build_quadratic_problem(family)
-    assert problem.clients[0].stochastic_cost == pytest.approx(1.0 / 8.0)
+    # a batch of b components with replacement costs b / m, past m too
+    problem = build_quadratic_problem(random_family(seed=2, m=8))
+    wrapped, counter = counting_problem(problem)
+    x = np.ones(problem.dim)
+    billed = 0.0
+    for batch_size in (1, 3, 8, 20):
+        stream = RandomStream(batch_size)
+        g, cost = wrapped.clients[0].stochastic_gradient(x, stream, batch_size)
+        billed += batch_size / 8
+        assert cost == batch_size / 8
+        assert counter["units"] == billed
+        assert np.array_equal(
+            g, problem.clients[0].stochastic_gradient(x, stream, batch_size)[0]
+        )
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_one_component_sample_is_the_drawn_component(rotated, beta):
+    # bitwise s_j * (Q'x - c_j), rotated back, for the j that integers(m)
+    # draws from the same stream, plus the exact sigmoid term
+    family = random_family(seed=4, m=6)
+    family = QuadraticFamily(specs=family.specs, beta=beta)
+    if rotated:
+        family = rotated_family(family, seed=8)
+    oracle = build_quadratic_problem(family).clients[1]
+    spec, q = family.specs[1], family.basis
+    x = RandomStream(10).generator().standard_normal(family.dim)
+    for k in range(12):
+        stream = RandomStream(77).fork(k)
+        j = int(stream.generator().integers(spec.m))
+        y = x if q is None else x.dot(q)
+        expected = spec.spectra[j] * (y - spec.centers[j])
+        expected = expected if q is None else q.dot(expected)
+        if beta:
+            expected = expected + _sigmoid_gradient(x, beta)
+        g, cost = oracle.stochastic_gradient(x, stream, 1)
+        assert np.array_equal(g, expected)
+        assert cost == 1 / 6
+
+
+def test_dense_batch_averages_the_drawn_components():
+    family = random_family(seed=6, m=4, dense=True)
+    oracle = build_quadratic_problem(family).clients[0]
+    spec = family.specs[0]
+    x = RandomStream(2).generator().standard_normal(family.dim)
+    stream = RandomStream(9)
+    js = stream.generator().integers(4, size=5)
+    expected = np.mean(
+        [spec.matrices[j] @ (x - spec.centers[j]) for j in js], axis=0
+    )
+    g, cost = oracle.stochastic_gradient(x, stream, 5)
+    assert np.allclose(g, expected, rtol=1e-13, atol=1e-14)
+    assert cost == 5 / 4
 
 
 def test_generator_validates_arguments():
