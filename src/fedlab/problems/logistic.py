@@ -13,8 +13,6 @@ per-class client proportions from a Dirichlet(alpha) distribution: small
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
@@ -88,26 +86,55 @@ def _csr_matvec(matrix: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spectral_norm_sq(matrix: sp.csr_matrix, transpose: sp.csr_matrix) -> float:
-    """Upper estimate of ``lambda_max(A' A)`` (power iteration + margin).
+def _block_diagonal(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
+    """The block-diagonal CSR operator of ``blocks``, with int32 indices.
 
-    ``transpose`` is ``A'`` as a CSR matrix, built once by the caller for
-    all 301 products ``A'(Av)``; each is two :func:`_csr_matvec` calls, and
-    the iterate's norm is ``sqrt(w . w)``, as ``np.linalg.norm`` computes it.
+    Its arrays are the blocks' own, concatenated: column indices shifted
+    past the earlier blocks' columns, row pointers past their entries.  So
+    each row holds the stored entries of its block's row in the same order,
+    and a product sums them as a product with that block alone does.
     """
-    frob_sq = float(matrix.multiply(matrix).sum())
-    if frob_sq == 0.0:
-        return 0.0
-    d = matrix.shape[1]
-    v = np.full(d, 1.0 / np.sqrt(d))
+    cols = np.cumsum([0] + [b.shape[1] for b in blocks])
+    nnz = np.cumsum([0] + [b.nnz for b in blocks])
+    index = np.int32 if max(cols[-1], nnz[-1]) <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(nnz[-1], dtype=index)
+    indptr = np.empty(sum(b.shape[0] for b in blocks) + 1, dtype=index)
+    row = 0
+    for b, c, n in zip(blocks, cols, nnz):
+        np.add(b.indices, c, out=indices[n : n + b.nnz], dtype=index)
+        np.add(b.indptr[:-1], n, out=indptr[row : row + b.shape[0]], dtype=index)
+        row += b.shape[0]
+    indptr[-1] = nnz[-1]
+    data = np.concatenate([b.data for b in blocks])
+    return sp.csr_matrix((data, indices, indptr), shape=(row, cols[-1]))
+
+
+def _spectral_norms_sq(matrices: list[sp.csr_matrix]) -> list[float]:
+    """Upper estimates of ``lambda_max(A' A)`` for CSR matrices ``A`` of one width.
+
+    One 300-step power iteration, plus a 5% margin capped by ``||A||_F^2``,
+    runs over the block-diagonal operator of the ``A``s and its transpose.
+    Each block's products sum the same stored entries in the same order as
+    :func:`_csr_matvec` with ``A`` and ``A'`` (as ``A.T.tocsr()``), and its
+    iterate is normalised by its own ``sqrt(w . w)``, so every estimate is
+    bitwise the one a loop over that ``A`` alone gives.  An iterate that
+    vanishes (always, for an all-zero ``A``) stays zero, so its estimate
+    is 0.0.
+    """
+    frob_sq = [float(a.multiply(a).sum()) for a in matrices]
+    if not any(frob_sq):
+        return frob_sq
+    op = _block_diagonal(matrices)
+    op_t = op.T.tocsr()
+    d = matrices[0].shape[1]
+    v = np.full((len(matrices), d), 1.0 / np.sqrt(d))
     for _ in range(300):
-        w = _csr_matvec(transpose, _csr_matvec(matrix, v))
-        norm = math.sqrt(w.dot(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    rayleigh = float(v.dot(_csr_matvec(transpose, _csr_matvec(matrix, v))))
-    return min(rayleigh * 1.05, frob_sq)
+        w = _csr_matvec(op_t, _csr_matvec(op, v.ravel())).reshape(v.shape)
+        norms = np.sqrt(np.vecdot(w, w))
+        norms[norms == 0.0] = 1.0
+        v = w / norms[:, None]
+    w = _csr_matvec(op_t, _csr_matvec(op, v.ravel())).reshape(v.shape)
+    return [min(r * 1.05, f) for r, f in zip(np.vecdot(v, w).tolist(), frob_sq)]
 
 
 class LogisticOracle(ClientOracle):
@@ -121,13 +148,16 @@ class LogisticOracle(ClientOracle):
 
     ``transpose`` is ``A'``, the client's rows transposed, built once at
     construction as its own CSR matrix and reused by every gradient
-    ``A'w`` and by the smoothness estimate.  Building it per product (what
+    ``A'w``.  Building it per product (what
     ``matrix.T`` does) cost most of a gradient.  Both operators' arrays are
     read-only, so the two cannot drift apart.  Every product ``Ax`` and
     ``A'w`` is a :func:`_csr_matvec` call straight into scipy's CSR kernel,
     which sums each output entry over the stored entries of its row in the
     same order, starting from zero, as ``matrix @ x`` and ``matrix.T @ w``
-    do, so the products are bitwise equal.
+    do, so the products are bitwise equal.  ``neg_labels`` holds ``-y``
+    once: the loss and gradient read only ``-y_r <a_r, x>``, and negation
+    is exact.  :func:`logistic_problem` sets ``smoothness_hint``, because it
+    bounds every client's spectrum and the stacked one in one pass.
     """
 
     def __init__(self, part: SparseDataset, n_clients: int, total_rows: int):
@@ -135,33 +165,31 @@ class LogisticOracle(ClientOracle):
             raise ConfigurationError("client received no rows")
         self.matrix = _read_only(part.matrix.copy())
         self.transpose = _read_only(self.matrix.T.tocsr())
-        self.labels = part.labels.copy()
+        self.neg_labels = -part.labels
         self.dim = part.dim
         self.loss_scale = n_clients / total_rows
         self.reg = 1.0 / total_rows
-        spectral_sq = _spectral_norm_sq(self.matrix, self.transpose)
-        self.smoothness_hint = 0.25 * self.loss_scale * spectral_sq + self.reg
         self.convexity_hint = self.reg
 
-    def _margins(self, x: Vector) -> np.ndarray:
-        return self.labels * _csr_matvec(self.matrix, x)
+    def _neg_margins(self, x: Vector) -> np.ndarray:
+        return self.neg_labels * _csr_matvec(self.matrix, x)
 
     def _value(self, x: Vector) -> float:
-        losses = np.logaddexp(0.0, -self._margins(x))
+        losses = np.logaddexp(0.0, self._neg_margins(x))
         return self.loss_scale * float(losses.sum()) + 0.5 * self.reg * float(
             x.dot(x)
         )
 
     def _gradient(self, x: Vector) -> Vector:
-        weights = -self.labels * expit(-self._margins(x))
+        weights = self.neg_labels * expit(self._neg_margins(x))
         return self.loss_scale * _csr_matvec(self.transpose, weights) + self.reg * x
 
     def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
         x = self._check_input(x)
         rows = self.matrix.shape[0]
         drawn = stream.generator().integers(rows, size=batch_size)
-        sub, labels = self.matrix[drawn], self.labels[drawn]
-        weights = -labels * expit(-labels * _csr_matvec(sub, x))
+        sub, neg_labels = self.matrix[drawn], self.neg_labels[drawn]
+        weights = neg_labels * expit(neg_labels * _csr_matvec(sub, x))
         scale = self.loss_scale * rows / batch_size
         g = scale * _csr_matvec(sub.T.tocsr(), weights) + self.reg * x
         return g, batch_size / rows
@@ -178,7 +206,9 @@ def logistic_problem(parts: list[SparseDataset]) -> DistributedProblem:
     n = len(parts)
     oracles = [LogisticOracle(p, n, total_rows) for p in parts]
     stacked = sp.vstack([o.matrix for o in oracles], format="csr")
-    stacked_sq = _spectral_norm_sq(stacked, stacked.T.tocsr())
+    *client_sq, stacked_sq = _spectral_norms_sq([o.matrix for o in oracles] + [stacked])
+    for o, spectral_sq in zip(oracles, client_sq):
+        o.smoothness_hint = 0.25 * o.loss_scale * spectral_sq + o.reg
     l_global = 0.25 * stacked_sq / total_rows + 1.0 / total_rows
     return DistributedProblem(
         clients=oracles,

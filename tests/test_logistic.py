@@ -15,7 +15,7 @@ from fedlab import (
     parse_libsvm,
 )
 from fedlab.problems import LogisticOracle, SparseDataset
-from fedlab.problems.logistic import _csr_matvec, _spectral_norm_sq
+from fedlab.problems.logistic import _csr_matvec, _spectral_norms_sq
 
 from conftest import finite_difference_gradient
 
@@ -145,7 +145,7 @@ def _minibatch_gradient_std(oracle: LogisticOracle, x, batch_size: int) -> np.nd
     ``-y_r expit(-y_r <a_r, x>) a_r`` scaled by ``loss_scale * rows / b``.
     """
     a = oracle.matrix.toarray()
-    y = oracle.labels
+    y = -oracle.neg_labels
     row_grads = (-y * expit(-y * (a @ x)))[:, None] * a
     scale = oracle.loss_scale * a.shape[0]
     return scale * np.std(row_grads, axis=0) / np.sqrt(batch_size)
@@ -193,7 +193,7 @@ def test_stochastic_gradient_is_the_drawn_rows_mean(batch_size):
     x = RandomStream(8).generator().standard_normal(ds.dim)
     stream = RandomStream(3).fork(batch_size)
     rows = stream.generator().integers(16, size=batch_size)
-    a, y = oracle.matrix.toarray()[rows], oracle.labels[rows]
+    a, y = oracle.matrix.toarray()[rows], -oracle.neg_labels[rows]
     row_grads = (-y * expit(-y * (a @ x)))[:, None] * a
     expected = oracle.loss_scale * 16 * row_grads.mean(axis=0) + oracle.reg * x
     g, _ = oracle.stochastic_gradient(x, stream, batch_size)
@@ -274,13 +274,14 @@ def test_csr_matvec_is_bitwise_the_operator_product():
 @given(_sparse_clients())
 def test_gradient_is_bitwise_the_transposed_view_formula(case):
     oracle, _, x = case
-    a, y = oracle.matrix, oracle.labels
+    a, y = oracle.matrix, -oracle.neg_labels
     expected = oracle.loss_scale * (a.T @ (-y * expit(-y * (a @ x)))) + oracle.reg * x
     assert np.array_equal(oracle._gradient(x), expected)
 
 
 def _power_iteration_on_the_view(a):
-    """``_spectral_norm_sq`` with ``a.T`` built on every product."""
+    """One matrix's bound, by the loop of :func:`_spectral_norms_sq` with
+    ``a.T`` built on every product and an early return of 0.0."""
     frob_sq = float(a.multiply(a).sum())
     if frob_sq == 0.0:
         return 0.0
@@ -294,13 +295,62 @@ def _power_iteration_on_the_view(a):
     return min(float(v @ (a.T @ (a @ v))) * 1.05, frob_sq)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(_sparse_clients())
-def test_spectral_estimate_is_bitwise_the_transposed_view_loop(case):
-    oracle = case[0]
-    expected = _power_iteration_on_the_view(oracle.matrix)
-    assert _spectral_norm_sq(oracle.matrix, oracle.transpose) == expected
-    assert oracle.smoothness_hint == 0.25 * oracle.loss_scale * expected + oracle.reg
+@st.composite
+def _client_parts(draw):
+    """Two to four client datasets on one column count.
+
+    Besides random sparse blocks (as :func:`_sparse_clients` draws them),
+    a block may be all zero, or hold rows ``(c, -c, 0, ...)`` whose first
+    product with the constant start vector is exactly zero, so its iterate
+    vanishes although its Frobenius norm does not.
+    """
+    cols = draw(st.integers(1, 7))
+    rng = RandomStream(draw(st.integers(0, 2**16))).generator()
+    kinds = draw(
+        st.lists(st.sampled_from(["random", "zero", "cancelling"]), min_size=2, max_size=4)
+    )
+    parts = []
+    for kind in kinds:
+        rows = draw(st.integers(1, 7))
+        scale = 10.0 ** rng.uniform(-3, 3, (rows, cols))
+        dense = rng.standard_normal((rows, cols)) * scale
+        if kind == "random":
+            density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+            dense[rng.random((rows, cols)) >= density] = 0.0
+        elif kind == "zero" or cols == 1:
+            dense[:] = 0.0
+        else:
+            dense[:, 1] = -dense[:, 0]
+            dense[:, 2:] = 0.0
+        parts.append(
+            SparseDataset(labels=rng.choice([-1.0, 1.0], size=rows), matrix=sp.csr_matrix(dense))
+        )
+    return parts
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_client_parts())
+def test_spectral_estimate_is_bitwise_the_transposed_view_loop(parts):
+    problem = logistic_problem(parts)
+    stacked = sp.vstack([p.matrix for p in parts], format="csr")
+    expected = [_power_iteration_on_the_view(a) for a in [p.matrix for p in parts] + [stacked]]
+    assert _spectral_norms_sq([o.matrix for o in problem.clients] + [stacked]) == expected
+    for oracle, bound in zip(problem.clients, expected):
+        assert oracle.smoothness_hint == 0.25 * oracle.loss_scale * bound + oracle.reg
+    total = stacked.shape[0]
+    assert problem.l_smooth_global == 0.25 * expected[-1] / total + 1.0 / total
+
+
+def test_vanished_iterates_bound_at_zero():
+    # an all-zero block and one whose iterate vanishes at the first product
+    # beside a live block: both bound at 0.0, the live one as on its own
+    live = sp.csr_matrix([[1.0, 2.0], [0.0, 3.0]])
+    zero = sp.csr_matrix((2, 2))
+    cancelling = sp.csr_matrix([[1.5, -1.5], [0.25, -0.25]])
+    assert _power_iteration_on_the_view(cancelling) == 0.0
+    expected = [0.0, _power_iteration_on_the_view(live), 0.0]
+    assert _spectral_norms_sq([zero, live, cancelling]) == expected
+    assert _spectral_norms_sq([zero, cancelling]) == [0.0, 0.0]
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)

@@ -33,8 +33,8 @@ PER_CALL = [
     quadratic.QuadraticOracle._value,
     quadratic.QuadraticOracle._gradient,
     quadratic.QuadraticOracle.stochastic_gradient,
-    logistic._spectral_norm_sq,
-    logistic.LogisticOracle._margins,
+    logistic._spectral_norms_sq,
+    logistic.LogisticOracle._neg_margins,
     logistic.LogisticOracle._value,
     logistic.LogisticOracle._gradient,
     logistic.LogisticOracle.stochastic_gradient,
