@@ -4,22 +4,18 @@ One example per line: ``<label> <index>:<value> ...`` with 1-based,
 strictly increasing indices and finite values.  ``#`` starts a comment.
 Labels are folded to two classes: ``+1``/``1`` map to +1 and
 ``-1``/``0``/``2`` map to -1; anything else is rejected.  All malformed
-input raises :class:`ParseError` carrying the 1-based line number of the
-first bad line.
+input raises :class:`ParseError` carrying the 1-based line number.
 
 Parsed data is held as one CSR matrix (0-based columns, one row per
-example) beside the label vector.  The parser walks the lines once and
-converts the feature tokens of each chunk of rows in bulk into that
-chunk's ``data``/``indices`` arrays and row lengths; a chunk that breaks a
-rule is walked again token by token to find the error.  ``scipy.sparse``
-is imported only where a CSR matrix is built, so a run that reads no
-LIBSVM data never loads it.
+example) beside the label vector; the parser appends straight into its
+``data``/``indices``/``indptr`` arrays.  ``scipy.sparse`` is imported
+only where a CSR matrix is built, so a run that reads no LIBSVM data never
+loads it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -32,10 +28,8 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-_FOLDED = {1.0: 1.0, -1.0: -1.0, 0.0: -1.0, 2.0: -1.0}
-# rows converted together: bounds the token lists a parse holds at once
-_CHUNK_ROWS = 128
-_NON_SEPARATORS = bytes(b for b in range(256) if b not in b": ")
+_POSITIVE = {1.0}
+_NEGATIVE = {-1.0, 0.0, 2.0}
 
 
 @dataclass
@@ -84,24 +78,27 @@ def _map_label(token: str, line_no: int) -> float:
         raw = float(token)
     except ValueError:
         raise ParseError(line_no, f"unreadable label {token!r}") from None
-    folded = _FOLDED.get(raw)
-    if folded is None:
-        raise ParseError(line_no, f"unsupported label {token!r}")
-    return folded
+    if raw in _POSITIVE:
+        return 1.0
+    if raw in _NEGATIVE:
+        return -1.0
+    raise ParseError(line_no, f"unsupported label {token!r}")
 
 
-def _walk_rows(rows: list[tuple[int, list[str]]]):
-    """Label, value, 0-based column and row-length arrays of ``rows``.
+def parse_libsvm(text: str) -> SparseDataset:
+    """Parse LIBSVM-formatted text into a :class:`SparseDataset`."""
+    import scipy.sparse as sp
 
-    Each row is ``(line_no, tokens)``, read token by token: the first token
-    that breaks a rule raises its :class:`ParseError`, so an error names
-    the earliest bad line.
-    """
     labels: list[float] = []
-    values: list[float] = []
-    columns: list[int] = []
-    lengths: list[int] = []
-    for line_no, tokens in rows:
+    data: list[float] = []
+    indices: list[int] = []
+    indptr = [0]
+    dim = 0
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
         labels.append(_map_label(tokens[0], line_no))
         last_idx = 0
         for token in tokens[1:]:
@@ -124,71 +121,18 @@ def _walk_rows(rows: list[tuple[int, list[str]]]):
                 raise ParseError(line_no, f"bad feature value {val_str!r}") from None
             if not math.isfinite(val):
                 raise ParseError(line_no, f"non-finite feature value {val_str!r}")
-            columns.append(idx - 1)
-            values.append(val)
+            indices.append(idx - 1)
+            data.append(val)
             last_idx = idx
-        lengths.append(len(tokens) - 1)
-    return (
-        np.array(labels),
-        np.array(values, dtype=np.float64),
-        np.array(columns, dtype=np.int64),
-        np.array(lengths),
-    )
-
-
-def _convert_rows(rows: list[tuple[int, list[str]]]):
-    """:func:`_walk_rows` of ``rows``, with the features converted in bulk.
-
-    The feature tokens are joined, split at their colons and converted by
-    ``int`` and ``float`` in one pass each, and the rules are checked on
-    the arrays.  When any token breaks a rule, the rows are walked again by
-    :func:`_walk_rows`, which raises the error it meets first.
-    """
-    lengths = np.array([len(tokens) - 1 for _, tokens in rows])
-    n = int(lengths.sum())
-    joined = " ".join(chain.from_iterable(tokens[1:] for _, tokens in rows))
-    pieces = joined.replace(":", " ").split()
-    # each token is one colon between two non-empty parts exactly when the
-    # colons and spaces alternate and the split drops no empty piece
-    separators = joined.encode("utf-8", "surrogatepass").translate(None, _NON_SEPARATORS)
-    if len(pieces) == 2 * n and separators == b" ".join([b":"] * n):
-        try:
-            labels = np.array([_FOLDED[float(tokens[0])] for _, tokens in rows])
-            idx = np.fromiter(map(int, pieces[0::2]), np.int64, n)
-            values = np.fromiter(map(float, pieces[1::2]), np.float64, n)
-        except (KeyError, ValueError, OverflowError):
-            pass
-        else:
-            # a row's first index follows 0, every later one its predecessor
-            previous = np.roll(idx, 1)
-            previous[(np.cumsum(lengths) - lengths)[lengths > 0]] = 0
-            if np.all(idx > previous) and np.all(np.isfinite(values)):
-                return labels, values, idx - 1, lengths
-    return _walk_rows(rows)
-
-
-def parse_libsvm(text: str) -> SparseDataset:
-    """Parse LIBSVM-formatted text into a :class:`SparseDataset`."""
-    import scipy.sparse as sp
-
-    chunks = []
-    rows: list[tuple[int, list[str]]] = []
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        tokens = raw_line.split("#", 1)[0].split()
-        if tokens:
-            rows.append((line_no, tokens))
-            if len(rows) == _CHUNK_ROWS:
-                chunks.append(_convert_rows(rows))
-                rows = []
-    if rows:
-        chunks.append(_convert_rows(rows))
-    if not chunks:
+        indptr.append(len(indices))
+        dim = max(dim, last_idx)
+    if not labels:
         raise ParseError(0, "no data rows found")
-    labels, values, columns, lengths = (np.concatenate(parts) for parts in zip(*chunks))
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    dim = int(columns.max()) + 1 if columns.size else 0
-    matrix = sp.csr_matrix((values, columns, indptr), shape=(labels.size, dim))
-    return SparseDataset(labels=labels, matrix=matrix)
+    matrix = sp.csr_matrix(
+        (np.asarray(data, dtype=np.float64), indices, indptr),
+        shape=(len(labels), dim),
+    )
+    return SparseDataset(labels=np.asarray(labels), matrix=matrix)
 
 
 def serialize_libsvm(dataset: SparseDataset) -> str:

@@ -116,10 +116,11 @@ def _spectral_norms_sq(matrices: list[sp.csr_matrix]) -> list[float]:
     runs over the block-diagonal operator of the ``A``s and its transpose.
     Each block's products sum the same stored entries in the same order as
     :func:`_csr_matvec` with ``A`` and ``A'`` (as ``A.T.tocsr()``), and its
-    iterate is normalised by its own ``sqrt(w . w)``, so every estimate is
-    bitwise the one a loop over that ``A`` alone gives.  An iterate that
-    vanishes (always, for an all-zero ``A``) stays zero, so its estimate
-    is 0.0.
+    iterate is normalised by its own ``sqrt(w . w)`` (``np.vecdot``, new in
+    NumPy 2.0, runs the ``ddot`` of ``w.dot(w)`` on each row), so every
+    estimate is bitwise the one a loop over that ``A`` alone gives.  An
+    iterate that vanishes (always, for an all-zero ``A``) stays zero, so
+    its estimate is 0.0.
     """
     frob_sq = [float(a.multiply(a).sum()) for a in matrices]
     if not any(frob_sq):
@@ -156,11 +157,19 @@ class LogisticOracle(ClientOracle):
     same order, starting from zero, as ``matrix @ x`` and ``matrix.T @ w``
     do, so the products are bitwise equal.  ``neg_labels`` holds ``-y``
     once: the loss and gradient read only ``-y_r <a_r, x>``, and negation
-    is exact.  :func:`logistic_problem` sets ``smoothness_hint``, because it
-    bounds every client's spectrum and the stacked one in one pass.
+    is exact.  ``spectral_sq`` is the client's bound on ``lambda_max(A' A)``
+    from :func:`_spectral_norms_sq`; :func:`logistic_problem` passes the
+    one it computes for all clients in one pass, and an oracle built
+    without it computes its own.
     """
 
-    def __init__(self, part: SparseDataset, n_clients: int, total_rows: int):
+    def __init__(
+        self,
+        part: SparseDataset,
+        n_clients: int,
+        total_rows: int,
+        spectral_sq: float | None = None,
+    ):
         if part.n_rows == 0:
             raise ConfigurationError("client received no rows")
         self.matrix = _read_only(part.matrix.copy())
@@ -169,7 +178,14 @@ class LogisticOracle(ClientOracle):
         self.dim = part.dim
         self.loss_scale = n_clients / total_rows
         self.reg = 1.0 / total_rows
+        if spectral_sq is None:
+            (spectral_sq,) = _spectral_norms_sq([self.matrix])
+        self.smoothness_hint = 0.25 * self.loss_scale * spectral_sq + self.reg
         self.convexity_hint = self.reg
+
+    @property
+    def labels(self) -> np.ndarray:
+        return -self.neg_labels
 
     def _neg_margins(self, x: Vector) -> np.ndarray:
         return self.neg_labels * _csr_matvec(self.matrix, x)
@@ -204,11 +220,10 @@ def logistic_problem(parts: list[SparseDataset]) -> DistributedProblem:
         raise ConfigurationError("client datasets disagree on dimension")
     total_rows = sum(p.n_rows for p in parts)
     n = len(parts)
-    oracles = [LogisticOracle(p, n, total_rows) for p in parts]
-    stacked = sp.vstack([o.matrix for o in oracles], format="csr")
-    *client_sq, stacked_sq = _spectral_norms_sq([o.matrix for o in oracles] + [stacked])
-    for o, spectral_sq in zip(oracles, client_sq):
-        o.smoothness_hint = 0.25 * o.loss_scale * spectral_sq + o.reg
+    matrices = [p.matrix for p in parts]
+    stacked = sp.vstack(matrices, format="csr")
+    *client_sq, stacked_sq = _spectral_norms_sq(matrices + [stacked])
+    oracles = [LogisticOracle(p, n, total_rows, sq) for p, sq in zip(parts, client_sq)]
     l_global = 0.25 * stacked_sq / total_rows + 1.0 / total_rows
     return DistributedProblem(
         clients=oracles,

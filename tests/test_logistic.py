@@ -145,7 +145,7 @@ def _minibatch_gradient_std(oracle: LogisticOracle, x, batch_size: int) -> np.nd
     ``-y_r expit(-y_r <a_r, x>) a_r`` scaled by ``loss_scale * rows / b``.
     """
     a = oracle.matrix.toarray()
-    y = -oracle.neg_labels
+    y = oracle.labels
     row_grads = (-y * expit(-y * (a @ x)))[:, None] * a
     scale = oracle.loss_scale * a.shape[0]
     return scale * np.std(row_grads, axis=0) / np.sqrt(batch_size)
@@ -193,7 +193,7 @@ def test_stochastic_gradient_is_the_drawn_rows_mean(batch_size):
     x = RandomStream(8).generator().standard_normal(ds.dim)
     stream = RandomStream(3).fork(batch_size)
     rows = stream.generator().integers(16, size=batch_size)
-    a, y = oracle.matrix.toarray()[rows], -oracle.neg_labels[rows]
+    a, y = oracle.matrix.toarray()[rows], oracle.labels[rows]
     row_grads = (-y * expit(-y * (a @ x)))[:, None] * a
     expected = oracle.loss_scale * 16 * row_grads.mean(axis=0) + oracle.reg * x
     g, _ = oracle.stochastic_gradient(x, stream, batch_size)
@@ -274,7 +274,7 @@ def test_csr_matvec_is_bitwise_the_operator_product():
 @given(_sparse_clients())
 def test_gradient_is_bitwise_the_transposed_view_formula(case):
     oracle, _, x = case
-    a, y = oracle.matrix, -oracle.neg_labels
+    a, y = oracle.matrix, oracle.labels
     expected = oracle.loss_scale * (a.T @ (-y * expit(-y * (a @ x)))) + oracle.reg * x
     assert np.array_equal(oracle._gradient(x), expected)
 
@@ -339,6 +339,11 @@ def test_spectral_estimate_is_bitwise_the_transposed_view_loop(parts):
         assert oracle.smoothness_hint == 0.25 * oracle.loss_scale * bound + oracle.reg
     total = stacked.shape[0]
     assert problem.l_smooth_global == 0.25 * expected[-1] / total + 1.0 / total
+    # an oracle built on its own bounds its spectrum by itself, to the bit
+    for part, oracle in zip(parts, problem.clients):
+        alone = LogisticOracle(part, len(parts), total)
+        assert alone.smoothness_hint == oracle.smoothness_hint
+        assert np.array_equal(alone.labels, part.labels)
 
 
 def test_vanished_iterates_bound_at_zero():
