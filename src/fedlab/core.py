@@ -11,8 +11,9 @@ solvers' loops, method steps and the harness's metric snapshots) call the
 routine they end in directly: dense ones ``ndarray.dot``, whose BLAS call
 the ``@`` gufunc makes too after a costlier dispatch, with vector norms as
 ``math.sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes for a
-1-D float vector; sparse ones ``problems.logistic._csr_matvec``, scipy's
-CSR kernel without the ``@`` dispatch.  Both are bitwise equal to the forms
+1-D float vector, and the row dots of a block as ``np.vecdot``, the same
+``ddot`` per row; sparse ones ``problems.logistic._csr_matvec``, scipy's
+CSR kernel without the ``@`` dispatch.  All are bitwise equal to the forms
 they replace.  :func:`require_finite` alone keeps ``np.vdot``: ``.dot`` and
 ``@`` set the overflow flag, and so warn, on finite entries above about
 1e154, and ``np.vdot`` does not.
@@ -241,6 +242,13 @@ class DistributedProblem:
     (`l_smooth_global`, never larger), a strong-convexity modulus, and
     exact quadratic structure when available.  Per-client data is an
     (n, d) block with row ``i`` for client ``i``.
+
+    A constructor may add a ``block`` whose ``values(x)`` and
+    ``gradients(x)`` give every client's raw value and gradient at ``x`` in
+    one pass, bitwise its ``_value``/``_gradient``.  :meth:`values_at` and
+    :meth:`gradients_at` check it once (else they make public calls);
+    :meth:`f` and :meth:`grad_f` read it, while billed work calls
+    :meth:`client_gradients`, one public ``gradient`` per client.
     """
 
     clients: list[ClientOracle]
@@ -249,6 +257,7 @@ class DistributedProblem:
     l_smooth_global: float | None = None
     mu: float | None = None
     quadratic: object | None = None
+    block: object | None = None
 
     def __post_init__(self):
         if not self.clients:
@@ -262,14 +271,30 @@ class DistributedProblem:
         return len(self.clients)
 
     def f(self, x) -> float:
-        return sum(c.value(x) for c in self.clients) / self.n
+        return sum(self.values_at(x)) / self.n
 
     def grad_f(self, x) -> Vector:
-        return self.mean_gradient(self.client_gradients(x))
+        return self.mean_gradient(self.gradients_at(x))
 
     def client_gradients(self, x) -> np.ndarray:
         """Every client's gradient at ``x``, as an (n, d) block."""
         return np.array([c.gradient(x) for c in self.clients])
+
+    def values_at(self, x) -> list[float]:
+        """Every client's value at ``x``, from the block if there is one."""
+        if self.block is None:
+            return [c.value(x) for c in self.clients]
+        values = self.block.values(self.clients[0]._check_input(x))
+        if not np.isfinite(values).all():
+            raise NonFiniteError("non-finite objective value")
+        return values.tolist()
+
+    def gradients_at(self, x) -> np.ndarray:
+        """Every client's gradient at ``x``, from the block if there is one."""
+        if self.block is None:
+            return self.client_gradients(x)
+        grads = self.block.gradients(self.clients[0]._check_input(x))
+        return require_finite(grads, "gradient")
 
     @staticmethod
     def mean_gradient(grads: np.ndarray) -> Vector:

@@ -229,12 +229,6 @@ def run_experiment(
     records: list[StepRecord] = []
     reached = False
 
-    # the output iterate, its value and gradient (None once it moves, until
-    # a snapshot needs them), and under best_grad its squared gradient norm
-    f_out = f_best = metrics.f(x0)
-    g_out = metrics.grad_f(x0)
-    x_out, best_score = x0.copy(), float(g_out.dot(g_out))
-
     def snapshot(k: int, rounds: int):
         nonlocal f_best, reached, f_out, g_out
         if f_out is None:
@@ -262,6 +256,12 @@ def run_experiment(
         # every value and gradient in the loop is checked for finiteness, so
         # an overflow surfaces as the typed error below, not as a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # the output iterate, its value and gradient (None once it moves,
+            # until a snapshot needs them), and under best_grad its squared
+            # gradient norm
+            f_out = f_best = metrics.f(x0)
+            g_out = metrics.grad_f(x0)
+            x_out, best_score = x0.copy(), float(g_out.dot(g_out))
             snapshot(0, 0)
             while not reached:
                 if (

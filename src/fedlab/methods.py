@@ -412,7 +412,7 @@ def baseline_gd_round(
     stream: RandomStream,
 ) -> tuple[ServerState, ClientState, StepRecord]:
     """Centralized gradient descent: one full gradient per round."""
-    grad = problem.grad_f(server.reference)
+    grad = problem.mean_gradient(problem.client_gradients(server.reference))
     server.reference = server.reference - cfg.eta * grad
     clients.x = np.tile(server.reference, (problem.n, 1))
     server.iteration += 1

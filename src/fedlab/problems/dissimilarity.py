@@ -123,15 +123,14 @@ def delta_sampled(
         gap = math.sqrt(diff.dot(diff))
         if gap == 0.0:
             continue
-        gx = problem.client_gradients(x)
-        gy = problem.client_gradients(y)
+        gx = problem.gradients_at(x)
+        gy = problem.gradients_at(y)
         devs = (gx - DistributedProblem.mean_gradient(gx)) - (
             gy - DistributedProblem.mean_gradient(gy)
         )
         sq_sum = 0.0
-        # a norm per row: an axis-wise norm would sum in another order
-        for dev in devs:
-            norm = math.sqrt(dev.dot(dev))
+        # one ddot per row: an axis-wise norm would sum in another order
+        for norm in np.sqrt(np.vecdot(devs, devs)).tolist():
             sq_sum += norm * norm
             delta_b = max(delta_b, norm / gap)
         delta_a_sq = max(delta_a_sq, sq_sum / problem.n / (gap * gap))

@@ -211,6 +211,36 @@ class LogisticOracle(ClientOracle):
         return g, batch_size / rows
 
 
+class _LogisticBlock:
+    """Every client of :func:`logistic_problem` at one point in one pass:
+    one CSR product with the stacked client matrices and one with the
+    :func:`_block_diagonal` of their cached transposes, each summing a row
+    as its client's product does.  Losses are summed per client slice, so
+    each client's value and gradient are bitwise its oracle's."""
+
+    def __init__(self, oracles: list[LogisticOracle], stacked: sp.csr_matrix):
+        self.stacked = stacked
+        self.op_t = _block_diagonal([o.transpose for o in oracles])
+        self.neg_labels = np.concatenate([o.neg_labels for o in oracles])
+        ends = np.cumsum([o.matrix.shape[0] for o in oracles]).tolist()
+        self.rows = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self.n = len(oracles)
+        self.loss_scale, self.reg = oracles[0].loss_scale, oracles[0].reg
+
+    def _neg_margins(self, x: Vector) -> np.ndarray:
+        return self.neg_labels * _csr_matvec(self.stacked, x)
+
+    def values(self, x: Vector) -> np.ndarray:
+        losses = np.logaddexp(0.0, self._neg_margins(x))
+        sums = np.array([losses[rows].sum() for rows in self.rows])
+        return self.loss_scale * sums + 0.5 * self.reg * float(x.dot(x))
+
+    def gradients(self, x: Vector) -> np.ndarray:
+        weights = self.neg_labels * expit(self._neg_margins(x))
+        products = _csr_matvec(self.op_t, weights).reshape(self.n, -1)
+        return self.loss_scale * products + self.reg * x
+
+
 def logistic_problem(parts: list[SparseDataset]) -> DistributedProblem:
     """Assemble the distributed problem from per-client datasets."""
     if not parts:
@@ -231,4 +261,5 @@ def logistic_problem(parts: list[SparseDataset]) -> DistributedProblem:
         l_smooth=max(o.smoothness_hint for o in oracles),
         l_smooth_global=l_global,
         mu=1.0 / total_rows,
+        block=_LogisticBlock(oracles, stacked),
     )

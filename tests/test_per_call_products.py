@@ -1,7 +1,8 @@
 """Static hygiene: per-call products skip numpy's and scipy's dispatch.
 
-The functions below run on every oracle call, local-solver iteration, method
-step or metric snapshot.  Their products call ``ndarray.dot`` or
+The functions below run on every oracle call, block evaluation, local-solver
+iteration, method step or metric snapshot.  Their products call
+``ndarray.dot``, ``np.vecdot`` (a block's row dots) or
 ``problems.logistic._csr_matvec`` (bitwise equal to ``@``, at a fraction of
 the per-call cost) and their norms are ``math.sqrt(v.dot(v))``, so none may
 contain ``@`` or ``np.linalg.norm``.  ``require_finite`` keeps ``np.vdot``,
@@ -27,6 +28,10 @@ PER_CALL = [
     core.ClientOracle._check_input,
     core.ClientOracle.value,
     core.ClientOracle.gradient,
+    core.DistributedProblem.f,
+    core.DistributedProblem.grad_f,
+    core.DistributedProblem.values_at,
+    core.DistributedProblem.gradients_at,
     quadratic.QuadraticOracle._to_original,
     quadratic.QuadraticOracle._curvature,
     quadratic.QuadraticOracle.hessian_matvec,
@@ -38,6 +43,9 @@ PER_CALL = [
     logistic.LogisticOracle._value,
     logistic.LogisticOracle._gradient,
     logistic.LogisticOracle.stochastic_gradient,
+    logistic._LogisticBlock._neg_margins,
+    logistic._LogisticBlock.values,
+    logistic._LogisticBlock.gradients,
     local_solvers.SurrogateOracle._value,
     local_solvers.SurrogateOracle._gradient,
     local_solvers._descend,
