@@ -28,7 +28,6 @@ from .harness import (
     ReferenceSolution,
     RoundTrace,
     check_rate_certificates,
-    counting_problem,
     grad_evals_to_target,
     mean_grad_norm_certificate,
     read_trace_csv,

@@ -20,6 +20,7 @@ they replace.  :func:`require_finite` alone keeps ``np.vdot``: ``.dot`` and
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from abc import ABC, abstractmethod
@@ -164,6 +165,27 @@ class RandomStream:
         return np.random.default_rng(np.random.SeedSequence(words))
 
 
+# gradient-equivalent work billed since the last take_billed()
+_billed = 0.0
+
+
+def bill(units: float) -> None:
+    """Add ``units`` full gradients of work to the running bill."""
+    global _billed
+    _billed += units
+
+
+def take_billed() -> float:
+    """The work billed since the last call; the count restarts at zero.
+
+    A step or initialisation calls it to open its window and to read its
+    bill, so work between windows (metrics, the reference) is never billed.
+    """
+    global _billed
+    units, _billed = _billed, 0.0
+    return units
+
+
 class ClientOracle(ABC):
     """First-order oracle for one client's local objective.
 
@@ -177,9 +199,10 @@ class ClientOracle(ABC):
     anyway (see :mod:`fedlab.local_solvers`); a surrogate value reads the
     base's unchecked ``_value``.  Outside callers of :meth:`gradient` and
     :meth:`value` keep every check, and query points and gradients pass
-    through :func:`as_vector`.  An oracle that can sample overrides
-    :meth:`stochastic_gradient`, which returns the sample together with
-    its cost, so the caller bills what the sample actually consumed.
+    through :func:`as_vector`.  The public :meth:`gradient` bills one unit
+    (see :func:`bill`); values bill nothing.  An oracle that can sample
+    overrides :meth:`stochastic_gradient`, which bills the share of a full
+    gradient that the sample consumed.
 
     Attributes
     ----------
@@ -218,13 +241,15 @@ class ClientOracle(ABC):
         return v
 
     def gradient(self, x) -> Vector:
+        global _billed
+        _billed += 1.0
         g = as_vector(self._gradient(self._check_input(x)))
         require_finite(g, "gradient")
         return g
 
     def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
         """An unbiased gradient estimate from ``batch_size`` samples drawn
-        from ``stream``, and its cost in full-gradient units.
+        from ``stream``; it bills its cost in full-gradient units.
 
         Oracles with a sampling scheme override this; the base has none.
         """
@@ -247,7 +272,7 @@ class DistributedProblem:
     ``gradients(x)`` give every client's raw value and gradient at ``x`` in
     one pass, bitwise its ``_value``/``_gradient``.  :meth:`values_at` and
     :meth:`gradients_at` check it once (else they make public calls);
-    :meth:`f` and :meth:`grad_f` read it, while billed work calls
+    :meth:`f` and :meth:`grad_f` read it (unbilled), while billed work calls
     :meth:`client_gradients`, one public ``gradient`` per client.
     """
 
@@ -271,7 +296,8 @@ class DistributedProblem:
         return len(self.clients)
 
     def f(self, x) -> float:
-        return sum(self.values_at(x)) / self.n
+        # left to right: the built-in sum compensates from Python 3.12 on
+        return functools.reduce(operator.add, self.values_at(x), 0.0) / self.n
 
     def grad_f(self, x) -> Vector:
         return self.mean_gradient(self.gradients_at(x))

@@ -4,8 +4,9 @@ A run steps one configured method on one problem until a budget trips,
 recording metric rows at every communication event (plus a cadence row
 every ``record_every`` local iterations).  Metric evaluations (objective
 value, full gradient at the output iterate) are performed directly on the
-problem and are not charged to the run's gradient-evaluation account; the
-account covers exactly what the method itself consumed.
+problem outside any step's billing window, so they are not charged to the
+run's gradient-evaluation account; the account covers exactly what the
+method itself consumed.
 
 Client sub-solves within one step run in a fixed order, and all randomness
 is pre-assigned to (step, purpose) streams, so a trace depends only on the
@@ -195,11 +196,12 @@ def run_experiment(
     nonconvex analysis reads ``grad_norm_sq`` instead), so a
     ``budget.target_gap`` is then a :class:`ConfigurationError`.
 
-    ``metric_problem`` lets callers step a wrapped (e.g. call-counting)
-    problem while evaluating metrics on the unwrapped one.  A run has no
-    frame of its own: every method and metric column is unchanged by an
-    orthogonal change of coordinates, so generated ``beta = 0`` quadratics
-    are drawn in their eigen frame instead (see :mod:`fedlab.problems.quadratic`).
+    ``metric_problem`` lets callers step one problem while evaluating
+    metrics on another (e.g. one whose values overflow where the stepped
+    problem's do not).  A run has no frame of its own: every method and
+    metric column is unchanged by an orthogonal change of coordinates, so
+    generated ``beta = 0`` quadratics are drawn in their eigen frame instead
+    (see :mod:`fedlab.problems.quadratic`).
 
     A :class:`NonFiniteError` or :class:`SolverBudgetError` from a step or a
     metric snapshot is raised again as the same type, chained, with the
@@ -222,8 +224,7 @@ def run_experiment(
     if output_mode not in ("last", "best_grad"):
         raise ConfigurationError(f"unknown output mode {output_mode!r}")
     stream = RandomStream(seed)
-    server, clients, init_evals = init_method_state(problem, cfg, x0)
-    cum_evals = init_evals
+    server, clients, cum_evals = init_method_state(problem, cfg, x0)
     started = time.perf_counter()
     traces: list[RoundTrace] = []
     records: list[StepRecord] = []
@@ -556,55 +557,3 @@ def read_trace_csv(path) -> list[RoundTrace]:
             )
         return out
 
-
-class CountingOracle(ClientOracle):
-    """Wrapper that bills gradient-equivalent work on the wrapped oracle."""
-
-    def __init__(self, base: ClientOracle, counter: dict):
-        self.base = base
-        self.counter = counter
-        self.dim = base.dim
-        self.smoothness_hint = base.smoothness_hint
-        self.convexity_hint = base.convexity_hint
-
-    def _value(self, x: Vector) -> float:
-        return self.base.value(x)
-
-    def _gradient(self, x: Vector) -> Vector:
-        self.counter["units"] += 1.0
-        return self.base.gradient(x)
-
-    # the base's public methods check the query and the output once; the
-    # inherited ones would check both again before reaching them
-    value = _value
-    gradient = _gradient
-
-    def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
-        g, cost = self.base.stochastic_gradient(x, stream, batch_size)
-        self.counter["units"] += cost
-        return g, cost
-
-    @property
-    def is_pure_quadratic(self) -> bool:
-        return getattr(self.base, "is_pure_quadratic", False)
-
-    def hessian_matvec(self, v: Vector) -> Vector:
-        self.counter["units"] += 1.0
-        return self.base.hessian_matvec(v)
-
-    def linear_term(self) -> Vector:
-        return self.base.linear_term()
-
-
-def counting_problem(problem: DistributedProblem):
-    """A problem whose oracles bill work to a shared counter, plus the counter."""
-    counter = {"units": 0.0}
-    wrapped = DistributedProblem(
-        clients=[CountingOracle(o, counter) for o in problem.clients],
-        dim=problem.dim,
-        l_smooth=problem.l_smooth,
-        l_smooth_global=problem.l_smooth_global,
-        mu=problem.mu,
-        quadratic=None,
-    )
-    return wrapped, counter

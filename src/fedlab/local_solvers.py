@@ -54,6 +54,7 @@ from .core import (
     UnsupportedStructureError,
     Vector,
     as_vector,
+    require_finite,
 )
 
 
@@ -99,7 +100,6 @@ class SolveReport:
 
     solution: Vector
     steps_taken: int
-    grad_evals: int
     final_grad_norm: float
     decreased: bool
 
@@ -141,12 +141,13 @@ class SurrogateOracle(ClientOracle):
     """Base objective plus a linear shift and quadratic proximal terms.
 
     ``_gradient`` calls the base oracle's public ``gradient``, so the base
-    checks each query point and its own output; what the shift and the
-    proximal terms add on top is checked by the public ``gradient``
-    inherited from :class:`ClientOracle`, or, inside the local solvers'
-    loops, by the finiteness test on the gradient norm.  ``_value`` calls
-    the base's unchecked ``_value``: the public ``value`` checks the same
-    point, and the total, which a non-finite base value makes non-finite.
+    checks each query point and its own output and bills the one unit; what
+    the shift and the proximal terms add on top is checked by the public
+    :meth:`gradient`, which bills nothing of its own, or, inside the local
+    solvers' loops, by the finiteness test on the gradient norm.  ``_value``
+    calls the base's unchecked ``_value``: the public ``value`` checks the
+    same point, and the total, which a non-finite base value makes
+    non-finite.
     """
 
     def __init__(
@@ -198,6 +199,10 @@ class SurrogateOracle(ClientOracle):
             g = g + weight * (x - center)
         return g
 
+    def gradient(self, x) -> Vector:
+        # the inherited public gradient would bill a unit on top of the base's
+        return require_finite(self._gradient(self._check_input(x)), "gradient")
+
 
 def schedule_e_r(round_index: int, lam: float, mu: float = 0.0) -> float:
     """Per-round relative-accuracy sequence ``sqrt(lam*(mu+lam)/(8(r+1)(r+2)))``.
@@ -233,7 +238,6 @@ def _finish(
     x_start: Vector,
     solution: Vector,
     steps: int,
-    evals: int,
     grad_norm: float,
     require_decrease: bool,
 ) -> SolveReport:
@@ -247,7 +251,6 @@ def _finish(
     return SolveReport(
         solution=solution,
         steps_taken=steps,
-        grad_evals=evals,
         final_grad_norm=grad_norm,
         decreased=decreased,
     )
@@ -295,24 +298,19 @@ def _descend(
             raise NonFiniteError(f"non-finite local gradient at step {steps}")
         if norm < best_norm:
             best_x, best_norm = y, norm
-        # every return has taken steps + 1 gradients
         if rule.kind == "fixed_steps":
             if steps >= rule.steps:
                 return _finish(
-                    surrogate, x_start, best_x, steps, steps + 1, best_norm,
-                    require_decrease,
+                    surrogate, x_start, best_x, steps, best_norm, require_decrease
                 )
         elif rule.kind == "abs_grad" and norm <= rule.tol:
             return _finish(
-                surrogate, x_start, best_x, steps, steps + 1, best_norm,
-                require_decrease,
+                surrogate, x_start, best_x, steps, best_norm, require_decrease
             )
         elif rule.kind == "rel_grad" and norm <= rule.tol * math.sqrt(
             (moved := y - x_start).dot(moved)
         ):
-            return _finish(
-                surrogate, x_start, y, steps, steps + 1, norm, require_decrease
-            )
+            return _finish(surrogate, x_start, y, steps, norm, require_decrease)
         elif norm <= floor * max(1.0, math.sqrt(y.dot(y))):
             stalled = 0 if best_x is y else stalled + 1
             if stalled >= _STALL_STEPS:
@@ -390,7 +388,7 @@ def solve_exact_quadratic(
     alone (warm starts cannot perturb it); ``x_start`` only provides the
     reference point for the decrease flag.
 
-    Each iteration makes one ``hessian_matvec`` of the base (billed as one
+    Each iteration makes one ``hessian_matvec`` of the base (it bills one
     unit; O(d) on a quadratic drawn in its eigen frame).  The loop updates
     its own ``x``, ``ap``, ``r`` and ``p`` in place, bitwise the textbook
     loop's fresh arrays.
@@ -449,12 +447,4 @@ def solve_exact_quadratic(
             f"conjugate gradients stalled at residual {res_norm:.3e}"
         )
     start = as_vector(x_start) if x_start is not None else np.zeros(d)
-    return _finish(
-        surrogate,
-        start,
-        x,
-        iters,
-        iters,  # one billed matvec per iteration
-        res_norm,
-        require_decrease=False,
-    )
+    return _finish(surrogate, start, x, iters, res_norm, require_decrease=False)

@@ -27,10 +27,14 @@ picked uniformly at random) into a new reference.  Per method:
 Control-variate refreshes are performed lazily: a refresh is required
 whenever a communication moved the reference since the last one (the
 server stamps each refresh with its communication count), and it executes
-(costing n full gradient evaluations) at the start of the next step that
-consumes the variates.  The values consumed are identical to refreshing at
+(n full gradients) at the start of the next step that consumes the
+variates.  The values consumed are identical to refreshing at
 communication time; the lazy placement keeps per-step accounting aligned
 across the round-based and coin-based methods.
+
+No step counts its own work: each billed primitive bills itself, and
+:func:`step_method` and :func:`init_method_state` read the bill of their
+window (see :func:`fedlab.core.take_billed`).
 """
 from __future__ import annotations
 
@@ -45,6 +49,7 @@ from .core import (
     RandomStream,
     Vector,
     as_vector,
+    take_billed,
 )
 from .local_solvers import (
     LocalSpec,
@@ -180,6 +185,7 @@ class MethodConfig:
 class StepRecord:
     """What one step/round did, for accounting and certificates.
 
+    ``grad_evals`` is what :func:`step_method` billed for the step.
     ``pick_index`` is the client adopted by a rand-averaged communication;
     it is ``None`` on silent steps and under mean averaging.
     """
@@ -187,8 +193,8 @@ class StepRecord:
     iteration: int
     rounds: int
     communicated: bool
-    grad_evals: float
     local_steps: int
+    grad_evals: float = 0.0
     pick_index: int | None = None
     e_r: float | None = None
     premise: list[tuple[float, float]] | None = None
@@ -220,7 +226,7 @@ def control_variate_recursive_update(
 def init_method_state(
     problem: DistributedProblem, cfg: MethodConfig, x0
 ) -> tuple[ServerState, ClientState, float]:
-    """Initial server/client states and the gradient cost of setup.
+    """Initial server/client states and the gradient work billed by setup.
 
     Control variates start at zero (mean zero trivially) except for
     scaffnew, whose variates are seeded with grad-diff at the start point
@@ -229,26 +235,23 @@ def init_method_state(
     x0 = as_vector(x0)
     if x0.shape[0] != problem.dim:
         raise ConfigurationError("start point dimension mismatch")
-    init_evals = 0.0
+    take_billed()
     if cfg.method == "scaffnew":
         h = control_variate_grad_diff(problem, x0)
-        init_evals = float(problem.n)
     else:
         h = np.zeros((problem.n, problem.dim))
     clients = ClientState(x=np.tile(x0, (problem.n, 1)), h=h)
     server = ServerState(reference=x0.copy())
-    return server, clients, init_evals
+    return server, clients, take_billed()
 
 
 def _ensure_fresh_variates(
     problem: DistributedProblem, server: ServerState, clients: ClientState
-) -> float:
+) -> None:
     """Refresh grad-diff variates at the current reference if stale."""
-    if server.variates_at == server.comm_events:
-        return 0.0
-    clients.h = control_variate_grad_diff(problem, server.reference)
-    server.variates_at = server.comm_events
-    return float(problem.n)
+    if server.variates_at != server.comm_events:
+        clients.h = control_variate_grad_diff(problem, server.reference)
+        server.variates_at = server.comm_events
 
 
 def draw_pick(step_stream: RandomStream, n: int) -> int:
@@ -342,9 +345,8 @@ def anchored_step(
     """
     from_iterate, corrected = _ANCHORED_PRESETS[cfg.method]
     step_stream = stream.fork(server.iteration)
-    evals = 0.0
     if corrected and cfg.control_variate == "grad_diff":
-        evals += _ensure_fresh_variates(problem, server, clients)
+        _ensure_fresh_variates(problem, server, clients)
     rule, e_r = _resolve_rule(cfg, server.comm_events)
     ref = server.reference
     solutions = []
@@ -359,13 +361,12 @@ def anchored_step(
         )
         report = _solve_local(cfg, surrogate, x if from_iterate else ref, rule)
         solutions.append(report.solution)
-        evals += report.grad_evals
         local_steps += report.steps_taken
         moved = report.solution - ref
         premise.append((report.final_grad_norm, math.sqrt(moved.dot(moved))))
     record = _communicate(
-        server, clients, cfg, step_stream, solutions, grad_evals=evals,
-        local_steps=local_steps, e_r=e_r, premise=premise,
+        server, clients, cfg, step_stream, solutions, local_steps=local_steps,
+        e_r=e_r, premise=premise,
     )
     if record.communicated and cfg.control_variate == "recursive":
         clients.h = control_variate_recursive_update(
@@ -383,7 +384,7 @@ def fedred_gd_step(
 ) -> tuple[ServerState, ClientState, StepRecord]:
     """Closed-form doubly regularized step on the linearized local model."""
     step_stream = stream.fork(server.iteration)
-    evals = _ensure_fresh_variates(problem, server, clients)
+    _ensure_fresh_variates(problem, server, clients)
     ref = server.reference
     total = cfg.eta + cfg.lam
     coeffs = np.array([cfg.eta / total, cfg.lam / total, -1.0 / total])
@@ -391,16 +392,12 @@ def fedred_gd_step(
     for i, (oracle, x, h) in enumerate(zip(problem.clients, clients.x, clients.h)):
         if cfg.batch_size is not None:
             batch_stream = step_stream.fork(_LBL_BATCH).fork(i)
-            g, cost = oracle.stochastic_gradient(x, batch_stream, cfg.batch_size)
-            evals += cost
+            g = oracle.stochastic_gradient(x, batch_stream, cfg.batch_size)
         else:
             g = oracle.gradient(x)
-            evals += 1.0
         # one row at a time: a batched product could sum in another order
         solutions.append(coeffs.dot(np.array([x, ref, g - h])))
-    record = _communicate(
-        server, clients, cfg, step_stream, solutions, grad_evals=evals, local_steps=1
-    )
+    record = _communicate(server, clients, cfg, step_stream, solutions, local_steps=1)
     return server, clients, record
 
 
@@ -421,7 +418,6 @@ def baseline_gd_round(
         iteration=server.iteration,
         rounds=server.comm_events,
         communicated=True,
-        grad_evals=float(problem.n),
         local_steps=1,
     )
     return server, clients, record
@@ -439,17 +435,16 @@ def baseline_scaffold_round(
     Every round communicates, so the variates are refreshed at each round's
     reference.
     """
-    evals = _ensure_fresh_variates(problem, server, clients)
+    _ensure_fresh_variates(problem, server, clients)
     solutions = []
     for oracle, h in zip(problem.clients, clients.h):
         x = server.reference
         for _ in range(cfg.local_steps):
             x = x - cfg.eta * (oracle.gradient(x) - h)
-            evals += 1.0
         solutions.append(x)
     record = _communicate(
         server, clients, cfg, stream.fork(server.iteration), solutions,
-        grad_evals=evals, local_steps=cfg.local_steps * problem.n,
+        local_steps=cfg.local_steps * problem.n,
     )
     return server, clients, record
 
@@ -470,8 +465,7 @@ def baseline_scaffnew_step(
     grads = np.array([o.gradient(x) for o, x in zip(problem.clients, clients.x)])
     hats = clients.x - gamma * (grads - clients.h)
     record = _communicate(
-        server, clients, cfg, stream.fork(server.iteration), hats,
-        grad_evals=float(problem.n), local_steps=1,
+        server, clients, cfg, stream.fork(server.iteration), hats, local_steps=1
     )
     if record.communicated:
         clients.h = clients.h + (cfg.p / gamma) * (server.reference - clients.x)
@@ -491,8 +485,13 @@ _STEP_FUNCTIONS = {
 
 
 def step_method(problem, server, clients, cfg, stream):
-    """Advance the configured method by one step/round."""
-    return _STEP_FUNCTIONS[cfg.method](problem, server, clients, cfg, stream)
+    """Advance the configured method by one step/round, billing its work."""
+    take_billed()
+    server, clients, record = _STEP_FUNCTIONS[cfg.method](
+        problem, server, clients, cfg, stream
+    )
+    record.grad_evals = take_billed()
+    return server, clients, record
 
 
 def suggest_parameters(

@@ -22,8 +22,10 @@ from ..core import (
     ClientOracle,
     ConfigurationError,
     DistributedProblem,
+    NonFiniteError,
     RandomStream,
     Vector,
+    bill,
 )
 from .libsvm import SparseDataset
 
@@ -120,9 +122,13 @@ def _spectral_norms_sq(matrices: list[sp.csr_matrix]) -> list[float]:
     NumPy 2.0, runs the ``ddot`` of ``w.dot(w)`` on each row), so every
     estimate is bitwise the one a loop over that ``A`` alone gives.  An
     iterate that vanishes (always, for an all-zero ``A``) stays zero, so
-    its estimate is 0.0.
+    its estimate is 0.0.  A ``||A||_F^2`` that overflows raises
+    :class:`NonFiniteError`: the iteration would divide inf by inf.
     """
-    frob_sq = [float(a.multiply(a).sum()) for a in matrices]
+    with np.errstate(over="ignore"):  # an overflow is the error raised below
+        frob_sq = [float(a.multiply(a).sum()) for a in matrices]
+    if not np.isfinite(frob_sq).all():
+        raise NonFiniteError(f"non-finite smoothness bound: ||A||_F^2 = {frob_sq}")
     if not any(frob_sq):
         return frob_sq
     op = _block_diagonal(matrices)
@@ -144,7 +150,7 @@ class LogisticOracle(ClientOracle):
     The stochastic gradient draws ``batch_size`` rows uniformly with
     replacement and rescales, which is unbiased for the full gradient; the
     ridge term is always included exactly.  It reads the sampled rows as
-    a sparse block and costs ``batch_size / rows`` full gradients, more
+    a sparse block and bills ``batch_size / rows`` full gradients, more
     than one when the batch has more rows than the client.
 
     ``transpose`` is ``A'``, the client's rows transposed, built once at
@@ -207,8 +213,8 @@ class LogisticOracle(ClientOracle):
         sub, neg_labels = self.matrix[drawn], self.neg_labels[drawn]
         weights = neg_labels * expit(neg_labels * _csr_matvec(sub, x))
         scale = self.loss_scale * rows / batch_size
-        g = scale * _csr_matvec(sub.T.tocsr(), weights) + self.reg * x
-        return g, batch_size / rows
+        bill(batch_size / rows)
+        return scale * _csr_matvec(sub.T.tocsr(), weights) + self.reg * x
 
 
 class _LogisticBlock:
@@ -242,7 +248,11 @@ class _LogisticBlock:
 
 
 def logistic_problem(parts: list[SparseDataset]) -> DistributedProblem:
-    """Assemble the distributed problem from per-client datasets."""
+    """Assemble the distributed problem from per-client datasets.
+
+    An overflowing bound raises :class:`NonFiniteError` listing ``||A||_F^2``
+    per client (``l_smooth``), then for the stacked rows (``l_smooth_global``).
+    """
     if not parts:
         raise ConfigurationError("need at least one client dataset")
     dims = {p.dim for p in parts}

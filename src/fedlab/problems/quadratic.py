@@ -37,6 +37,7 @@ from ..core import (
     RandomStream,
     UnsupportedStructureError,
     Vector,
+    bill,
 )
 
 # Eigenvalue floor used when a merely-convex family (min_eig ~ 0) is drawn;
@@ -215,14 +216,14 @@ class QuadraticOracle(ClientOracle):
     Expanding around ``cbar`` rather than the origin keeps the rounding
     error of order ``|x - c_j|`` even when the centers sit far from the
     origin.  Value and gradient never call the public
-    :meth:`hessian_matvec`, so every call of it is a solver's matvec (the
-    work the exact solver bills).  The basis is read only at construction
+    :meth:`hessian_matvec`, so every call of it is a solver's matvec, and
+    it bills one unit.  The basis is read only at construction
     and by :meth:`stochastic_gradient`.
 
     The stochastic gradient averages ``batch_size`` of the m quadratic
     components drawn uniformly with replacement (the sigmoid term, being
     cheap and deterministic, is always included exactly), so it is unbiased
-    for the full gradient; it costs ``batch_size / m`` full gradients.
+    for the full gradient; it bills ``batch_size / m`` full gradients.
     """
 
     def __init__(self, spec: QuadraticClientSpec, family: QuadraticFamily):
@@ -263,6 +264,7 @@ class QuadraticOracle(ClientOracle):
         return self.beta == 0.0
 
     def hessian_matvec(self, v: Vector) -> Vector:
+        bill(1.0)
         return self._curvature(v)
 
     def linear_term(self) -> Vector:
@@ -296,8 +298,8 @@ class QuadraticOracle(ClientOracle):
         else:
             rows = np.einsum("jkl,jl->jk", spec.matrices[js], x - spec.centers[js])
         g = self._to_original(rows.mean(axis=0))
-        g = g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
-        return g, batch_size / spec.m
+        bill(batch_size / spec.m)
+        return g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
 
 
 def build_quadratic_problem(family: QuadraticFamily) -> DistributedProblem:

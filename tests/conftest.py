@@ -3,17 +3,25 @@
 Everything here is a plain function (not a pytest fixture) so tests can
 parameterize freely; all randomness flows through RandomStream.
 """
+import functools
+import os
+
 import numpy as np
+import pytest
 
 from fedlab import (
     ClientOracle,
     DistributedProblem,
     QuadraticClientSpec,
     QuadraticFamily,
+    QuadraticOracle,
     RandomStream,
     as_vector,
     build_quadratic_problem,
+    cli,
+    harness,
 )
+from fedlab.problems.logistic import LogisticOracle
 
 
 def finite_difference_gradient(fn, x, rel_step: float = 1e-6) -> np.ndarray:
@@ -26,6 +34,14 @@ def finite_difference_gradient(fn, x, rel_step: float = 1e-6) -> np.ndarray:
         e[k] = h
         g[k] = (fn(x + e) - fn(x - e)) / (2.0 * h)
     return g
+
+
+@functools.cache
+def logistic_small() -> DistributedProblem:
+    """The problem of the bundled ``configs/logistic_small.json`` (built once)."""
+    configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+    cfg = cli.load_config(os.path.join(configs, "logistic_small.json"))
+    return cli.build_problem(cfg["problem"], configs)
 
 
 def quad_1d(center: float = 3.0, curvature: float = 1.0) -> DistributedProblem:
@@ -119,3 +135,83 @@ class FixedGradientOracle(ClientOracle):
 
     def _gradient(self, x):
         return self.g.copy()
+
+
+def count_raw_work(monkeypatch) -> list[float]:
+    """A one-entry list that counts the work the leaf primitives do.
+
+    Patches every concrete ``_gradient`` (one unit per call),
+    ``QuadraticOracle.hessian_matvec`` (one unit) and both samplers (the
+    sample's share: ``batch_size / m`` components, ``batch_size / rows``
+    rows), without reading the bill they keep themselves.  Set the entry to
+    0.0 to start a new count.
+    """
+    count = [0.0]
+
+    def counted(fn, share):
+        def wrapper(self, *args):
+            count[0] += share(self, *args)
+            return fn(self, *args)
+
+        return wrapper
+
+    def one(self, *args):
+        return 1.0
+
+    for cls in (QuadraticOracle, LogisticOracle, CubicOracle, FixedGradientOracle):
+        monkeypatch.setattr(cls, "_gradient", counted(cls._gradient, one))
+    monkeypatch.setattr(
+        QuadraticOracle, "hessian_matvec", counted(QuadraticOracle.hessian_matvec, one)
+    )
+    monkeypatch.setattr(
+        QuadraticOracle,
+        "stochastic_gradient",
+        counted(QuadraticOracle.stochastic_gradient, lambda o, x, s, b: b / o.spec.m),
+    )
+    monkeypatch.setattr(
+        LogisticOracle,
+        "stochastic_gradient",
+        counted(
+            LogisticOracle.stochastic_gradient,
+            lambda o, x, s, b: b / o.matrix.shape[0],
+        ),
+    )
+    return count
+
+
+def billed_run(problem, cfg, iterations: int, seed: int = 5, **kwargs):
+    """Run ``cfg`` on ``problem`` for ``iterations`` steps (``kwargs`` go to
+    ``run_experiment``).  The setup and every step must bill what
+    :func:`count_raw_work` counts over the same ``init_method_state`` or
+    ``step_method`` call, and the run's total must be their sum.  Metric
+    snapshots and the reference optimum run between those calls."""
+    windows = []
+
+    def window(fn, billed):
+        def wrapper(*args):
+            count[0] = 0.0
+            out = fn(*args)
+            windows.append((billed(out), count[0]))
+            return out
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        count = count_raw_work(monkeypatch)
+        for name, billed in (
+            ("init_method_state", lambda out: out[2]),
+            ("step_method", lambda out: out[2].grad_evals),
+        ):
+            monkeypatch.setattr(harness, name, window(getattr(harness, name), billed))
+        result = harness.run_experiment(
+            problem, cfg, harness.Budget(max_iterations=iterations), seed, **kwargs
+        )
+    assert len(windows) == 1 + len(result.records) == 1 + iterations
+    billed, counted = zip(*windows)
+    assert billed == counted, cfg.method
+    assert list(billed[1:]) == [r.grad_evals for r in result.records]
+    total = 0.0
+    for units in billed:
+        total += units
+    assert result.total_grad_evals == total
+    return result

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fedlab import (
     Budget,
     ClientOracle,
+    DistributedProblem,
     MethodConfig,
     NonFiniteError,
     QuadraticClientSpec,
@@ -32,6 +33,7 @@ from fedlab import (
     reference_optimum,
     run_experiment,
 )
+from fedlab.problems.logistic import LogisticOracle, _LogisticBlock
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -197,12 +199,19 @@ def test_sampled_dissimilarity_is_bitwise_the_per_row_loop(build):
 
 
 def _logistic(entry: float, labels):
-    """One client whose rows are the single feature ``entry``."""
+    """One client whose rows are the single feature ``entry``, with its block.
+
+    Built by hand: the smoothness bound of entries near 1e308 overflows, so
+    :func:`logistic_problem` rejects them, and these tests read no bound.
+    """
     labels = np.asarray(labels, dtype=np.float64)
     matrix = sp.csr_matrix(np.full((labels.size, 1), entry))
-    # the smoothness bounds of entries near 1e308 overflow; they are unused
-    with np.errstate(over="ignore", invalid="ignore"):
-        return logistic_problem([SparseDataset(labels=labels, matrix=matrix)])
+    oracle = LogisticOracle(
+        SparseDataset(labels=labels, matrix=matrix), 1, labels.size, spectral_sq=1.0
+    )
+    return DistributedProblem(
+        clients=[oracle], dim=1, block=_LogisticBlock([oracle], oracle.matrix)
+    )
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

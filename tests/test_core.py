@@ -15,9 +15,8 @@ from fedlab import (
     RandomStream,
     UnsupportedStructureError,
     as_vector,
-    counting_problem,
 )
-from fedlab.core import require_finite
+from fedlab.core import require_finite, take_billed
 
 from conftest import CubicOracle, finite_difference_gradient, quad_1d, two_client_line
 
@@ -192,6 +191,10 @@ class _BrokenOracle(ClientOracle):
         return np.array([np.inf])
 
 
+class _ConstantOracle(_BrokenOracle):
+    """A finite constant value; the gradient is never taken."""
+
+
 def test_oracle_rejects_nonfinite_outputs():
     for value in (float("nan"), float("inf")):
         with pytest.raises(NonFiniteError):
@@ -202,12 +205,10 @@ def test_oracle_rejects_nonfinite_outputs():
 
 def test_an_oracle_without_a_sampler_has_no_stochastic_gradient():
     # the base returns no exact gradient billed as a sample
-    oracle = CubicOracle()
-    wrapped, counter = counting_problem(DistributedProblem(clients=[oracle], dim=1))
-    for o in (oracle, wrapped.clients[0]):
-        with pytest.raises(UnsupportedStructureError, match="no stochastic gradient"):
-            o.stochastic_gradient(np.ones(1), RandomStream(0), 1)
-    assert counter["units"] == 0.0
+    take_billed()
+    with pytest.raises(UnsupportedStructureError, match="no stochastic gradient"):
+        CubicOracle().stochastic_gradient(np.ones(1), RandomStream(0), 1)
+    assert take_billed() == 0.0
 
 
 def test_problem_rejects_empty_or_mismatched_clients():
@@ -227,6 +228,16 @@ def test_problem_averages_values_and_gradients():
     x_star = np.array([1.0])
     assert problem.f(x_star) == pytest.approx(0.5, abs=1e-15)
     assert np.linalg.norm(problem.grad_f(x_star)) <= 1e-15
+
+
+def test_problem_value_sums_the_clients_left_to_right():
+    # the built-in sum compensates from Python 3.12 on and gives 0.6 here;
+    # plain addition in client order gives 0.6000000000000001 on every version
+    problem = DistributedProblem(
+        clients=[_ConstantOracle(v) for v in (0.1, 0.2, 0.3)], dim=1
+    )
+    assert (0.1 + 0.2) + 0.3 == 0.6000000000000001
+    assert problem.f(np.zeros(1)) == 0.6000000000000001 / 3
 
 
 def test_mean_gradient_is_canonical_numpy_mean():

@@ -20,7 +20,6 @@ from fedlab import (
     UnsupportedStructureError,
     build_quadratic_problem,
     check_rate_certificates,
-    counting_problem,
     delta_exact_quadratic,
     gen_quadratic_problem,
     grad_evals_to_target,
@@ -35,11 +34,15 @@ from fedlab import (
     trace_csv_text,
     write_trace_csv,
 )
+from fedlab.core import take_billed
 from fedlab.harness import CSV_HEADER, RoundTrace
 
 from conftest import (
     CubicOracle,
+    billed_run,
+    count_raw_work,
     hetero_pair,
+    logistic_small,
     quad_1d,
     rotated_family,
     two_client_line,
@@ -98,13 +101,12 @@ def test_reference_iterative_path_meets_residual_contract():
     assert np.linalg.norm(problem.grad_f(ref.x_star)) <= scale
 
 
-def test_reference_rejects_nonconvex_instances():
-    problem, counter = counting_problem(
-        DistributedProblem(clients=[CubicOracle()], dim=1)
-    )
+def test_reference_rejects_nonconvex_instances(monkeypatch):
+    count = count_raw_work(monkeypatch)
+    problem = DistributedProblem(clients=[CubicOracle()], dim=1)
     with pytest.raises(UnsupportedStructureError):
         reference_optimum(problem)
-    assert counter["units"] == 0.0
+    assert count[0] == 0.0
 
 
 # ---------------------------------------------------------------- runs
@@ -292,28 +294,25 @@ _LOCAL_SPECS = {
 }
 
 
-def _billed_run(base, cfg, iterations):
-    """Run on a counting copy of ``base``; billed work must equal consumed."""
-    wrapped, counter = counting_problem(base)
-    result = run_experiment(
-        wrapped, cfg, Budget(max_iterations=iterations), seed=5, metric_problem=base
+def _accounting_problems():
+    """Two quadratics, hand-drawn and generated, and the bundled logistic problem."""
+    generated = gen_quadratic_problem(
+        3, 3, 2, 8, max_norm=6.0, min_eig=0.5, target_delta=1.0
     )
-    assert counter["units"] == result.total_grad_evals, cfg.method
-    init = float(base.n) if cfg.method == "scaffnew" else 0.0
-    assert result.total_grad_evals == sum(r.grad_evals for r in result.records) + init
-    return result
+    return hetero_pair(d=4, seed=23), generated, logistic_small()
 
 
 def test_gradient_accounting_matches_oracle_counter():
     # the methods without a local solver; anchored methods are covered below
-    base = hetero_pair(d=4, seed=23)
-    for cfg in (
-        MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=0.5),
-        MethodConfig(method="scaffold", eta=0.05, local_steps=3),
-        MethodConfig(method="scaffnew", eta=0.05, p=0.5),
-        MethodConfig(method="gd", eta=0.1),
-    ):
-        _billed_run(base, cfg, 12)
+    for base in _accounting_problems():
+        for cfg in (
+            MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=0.5),
+            MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=0.5, batch_size=3),
+            MethodConfig(method="scaffold", eta=0.05, local_steps=3),
+            MethodConfig(method="scaffnew", eta=0.05, p=0.5),
+            MethodConfig(method="gd", eta=0.1),
+        ):
+            billed_run(base, cfg, 12)
 
 
 @pytest.mark.parametrize("solver", sorted(_LOCAL_SPECS))
@@ -322,11 +321,9 @@ def test_anchored_accounting_matches_oracle_counter(method, solver):
     cfg = MethodConfig(
         method=method, local=_LOCAL_SPECS[solver], **_ANCHORED_PARAMS[method]
     )
-    generated = gen_quadratic_problem(
-        3, 3, 2, 8, max_norm=6.0, min_eig=0.5, target_delta=1.0
-    )
-    for base in (hetero_pair(d=4, seed=23), generated):
-        _billed_run(base, cfg, 12)
+    for base in _accounting_problems():
+        if base.quadratic is not None or solver != "exact":  # CG needs a quadratic
+            billed_run(base, cfg, 12)
 
 
 @pytest.mark.parametrize("method", sorted(_ANCHORED_PARAMS))
@@ -343,7 +340,8 @@ def test_exact_solves_at_the_optimum_bill_no_matvecs(method):
             ]
         )
     )
-    result = _billed_run(base, _exact(method, **_ANCHORED_PARAMS[method]), 3)
+    cfg = _exact(method, **_ANCHORED_PARAMS[method])
+    result = billed_run(base, cfg, 3)
     assert all(r.local_steps == 0 for r in result.records)
 
 
@@ -351,12 +349,8 @@ def test_stochastic_steps_bill_fractional_cost():
     problem = gen_quadratic_problem(
         29, 2, 4, 4, max_norm=4.0, min_eig=1.0, target_delta=1.0
     )  # m = 4 components per client
-    wrapped, counter = counting_problem(problem)
     cfg = MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=1.0, batch_size=3)
-    result = run_experiment(
-        wrapped, cfg, Budget(max_iterations=6), seed=0, metric_problem=problem
-    )
-    assert counter["units"] == result.total_grad_evals
+    result = billed_run(problem, cfg, 6)
     # each step: two fresh variate gradients, then two samples of 3/4 each
     assert [r.grad_evals for r in result.records] == [3.5] * 6
 
@@ -413,23 +407,15 @@ def test_runs_in_the_eigen_frame_match_original_coordinates(method):
     # and every metric column is rotation-invariant, so a run on the problem
     # drawn in its eigen frame from y0 is the run on the same problem under a
     # basis Q, spectral or dense, from Q y0: the ledger exactly, the metrics
-    # up to rounding, and the billed work is what a counting wrapper counts
+    # up to rounding, and each step bills what the leaf primitives count
     cfg = _FRAME_CONFIGS[method]
     problems, q = _axes_rotated_and_dense()
     assert problems[0].quadratic.basis is None
-    budget = Budget(max_iterations=25)
     y0 = np.linspace(-1.0, 1.0, q.shape[0])
-    runs = []
-    for problem, x0 in zip(problems, (y0, q @ y0, q @ y0)):
-        run = run_experiment(problem, cfg, budget, seed=3, x0=x0, record_every=1)
-        wrapped, counter = counting_problem(problem)
-        billed = run_experiment(
-            wrapped, cfg, budget, seed=3, x0=x0, record_every=1,
-            metric_problem=problem,
-        )
-        assert counter["units"] == billed.total_grad_evals == run.total_grad_evals
-        assert [t.f_gap for t in billed.traces] == [t.f_gap for t in run.traces]
-        runs.append(run)
+    runs = [
+        billed_run(problem, cfg, 25, seed=3, x0=x0, record_every=1)
+        for problem, x0 in zip(problems, (y0, q @ y0, q @ y0))
+    ]
     axes = runs[0]
     assert len(axes.traces) > 1
     for other in runs[1:]:
@@ -441,21 +427,48 @@ def test_runs_in_the_eigen_frame_match_original_coordinates(method):
                 assert abs(va - vb) <= max(1e-12, 1e-9 * max(abs(va), abs(vb))), col
 
 
-def test_best_grad_snapshots_reuse_the_scored_gradient():
-    # the counting metric problem is the one evaluated; its client gradients
-    # are n units per grad_f
+def test_best_grad_snapshots_reuse_the_scored_gradient(monkeypatch):
+    # the problem has no block, so each grad_f takes n client gradients;
+    # what the leaf primitives count beyond the billed work is the metrics'
     problem = gen_quadratic_problem(
         6, 3, 2, 8, max_norm=6.0, min_eig=-1.0, target_delta=1.0, beta=4.0
     )
-    metrics, counter = counting_problem(problem)
+    count = count_raw_work(monkeypatch)
     cfg = MethodConfig(method="fedred_gd", lam=1.0, eta=30.0, p=0.3, averaging="rand")
     result = run_experiment(
         problem, cfg, Budget(max_iterations=40), seed=1, reference=None,
-        record_every=1, metric_problem=metrics,
+        record_every=1,
     )
     comms = sum(r.communicated for r in result.records)
     assert 0 < comms < len(result.records)
-    assert counter["units"] == problem.n * (1 + comms)
+    assert count[0] - result.total_grad_evals == problem.n * (1 + comms)
+
+
+@pytest.mark.parametrize(
+    "problem", _accounting_problems(), ids=["hetero_pair", "generated", "logistic"]
+)
+def test_metric_snapshots_add_nothing_to_a_step(problem):
+    # a snapshot every step, and the reference optimum before the first;
+    # without a block they take public gradients, between the billing windows
+    cfg = MethodConfig(method="dane_plus", lam=1.0, local=_LOCAL_SPECS["gd"])
+    result = run_experiment(
+        problem, cfg, Budget(max_iterations=6), seed=5, record_every=1
+    )
+    assert len(result.traces) == 7 and result.reference is not None
+    server, clients, _ = init_method_state(problem, cfg, np.zeros(problem.dim))
+    stream = RandomStream(5)
+    for rec in result.records:
+        server, clients, alone = step_method(problem, server, clients, cfg, stream)
+        assert rec.grad_evals == alone.grad_evals
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_setup_bills_n_for_scaffnew_only(method):
+    problem = hetero_pair()
+    take_billed()
+    problem.grad_f(np.ones(problem.dim))  # outside the window: not setup work
+    _, _, billed = init_method_state(problem, _FRAME_CONFIGS[method], np.zeros(4))
+    assert billed == (float(problem.n) if method == "scaffnew" else 0.0)
 
 
 # ------------------------------------------------------------ certificates

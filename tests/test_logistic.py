@@ -1,4 +1,6 @@
 """Regularized logistic loss over partitioned sparse data."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,13 @@ from scipy.special import expit
 
 from fedlab import (
     ConfigurationError,
+    NonFiniteError,
     RandomStream,
-    counting_problem,
     dirichlet_partition,
     logistic_problem,
     parse_libsvm,
 )
+from fedlab.core import take_billed
 from fedlab.problems import LogisticOracle, SparseDataset
 from fedlab.problems.logistic import _csr_matvec, _spectral_norms_sq
 
@@ -162,7 +165,7 @@ def test_stochastic_gradient_is_unbiased():
     acc = np.zeros(problem.dim)
     stream = RandomStream(31)
     for k in range(draws):
-        acc += oracle.stochastic_gradient(x, stream.fork(k), 4)[0]
+        acc += oracle.stochastic_gradient(x, stream.fork(k), 4)
     mean = acc / draws
     band = 4.0 * std / np.sqrt(draws) + 1e-12
     assert np.all(np.abs(mean - full) <= band)
@@ -171,19 +174,15 @@ def test_stochastic_gradient_is_unbiased():
 def test_stochastic_cost_scales_with_batch():
     # 16 rows: a batch of 40 draws more rows than the client holds and is
     # billed 2.5 full gradients, what its 40 row gradients cost
-    problem = logistic_problem([_toy_dataset(rows=16)])
-    wrapped, counter = counting_problem(problem)
-    x = np.ones(problem.dim)
-    billed = 0.0
+    oracle = logistic_problem([_toy_dataset(rows=16)]).clients[0]
+    x = np.ones(oracle.dim)
+    take_billed()
     for batch_size in (1, 4, 16, 40):
         stream = RandomStream(batch_size)
-        g, cost = wrapped.clients[0].stochastic_gradient(x, stream, batch_size)
-        billed += batch_size / 16
-        assert cost == batch_size / 16
-        assert counter["units"] == billed
-        assert np.array_equal(
-            g, problem.clients[0].stochastic_gradient(x, stream, batch_size)[0]
-        )
+        g = oracle.stochastic_gradient(x, stream, batch_size)
+        assert take_billed() == batch_size / 16
+        assert np.array_equal(g, oracle.stochastic_gradient(x, stream, batch_size))
+        assert take_billed() == batch_size / 16
 
 
 @pytest.mark.parametrize("batch_size", [1, 4, 40])
@@ -196,7 +195,7 @@ def test_stochastic_gradient_is_the_drawn_rows_mean(batch_size):
     a, y = oracle.matrix.toarray()[rows], oracle.labels[rows]
     row_grads = (-y * expit(-y * (a @ x)))[:, None] * a
     expected = oracle.loss_scale * 16 * row_grads.mean(axis=0) + oracle.reg * x
-    g, _ = oracle.stochastic_gradient(x, stream, batch_size)
+    g = oracle.stochastic_gradient(x, stream, batch_size)
     assert np.allclose(g, expected, rtol=1e-13, atol=1e-15)
 
 
@@ -356,6 +355,27 @@ def test_vanished_iterates_bound_at_zero():
     expected = [0.0, _power_iteration_on_the_view(live), 0.0]
     assert _spectral_norms_sq([zero, live, cancelling]) == expected
     assert _spectral_norms_sq([zero, cancelling]) == [0.0, 0.0]
+
+
+def test_overflowing_smoothness_bounds_raise_a_typed_error():
+    # squared norms that overflow would make the power iteration divide inf
+    # by inf and return NaN bounds; no warning is raised on the way
+    def dataset(entry, rows):
+        return SparseDataset(
+            labels=np.ones(rows), matrix=sp.csr_matrix(np.full((rows, 1), entry))
+        )
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # client 0's own bound (l_smooth) overflows, here and stand-alone
+        with pytest.raises(NonFiniteError, match=r"smoothness bound.* = \[inf, inf\]"):
+            logistic_problem([dataset(1e308, 4)])
+        with pytest.raises(NonFiniteError, match=r"smoothness bound.* = \[inf\]"):
+            LogisticOracle(dataset(1e308, 4), 1, 4)
+        # each client's ||A||_F^2 is 1e308; only the stacked rows'
+        # (l_smooth_global) overflow
+        with pytest.raises(NonFiniteError, match=r"= \[1e\+308, 1e\+308, inf\]"):
+            logistic_problem([dataset(1e154, 1), dataset(1e154, 1)])
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)

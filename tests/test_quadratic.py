@@ -15,10 +15,10 @@ from fedlab import (
     RandomStream,
     UnsupportedStructureError,
     build_quadratic_problem,
-    counting_problem,
     delta_exact_quadratic,
     gen_quadratic_problem,
 )
+from fedlab.core import take_billed
 from fedlab.problems.quadratic import GENERAL_CONVEX_FLOOR, _sigmoid_gradient
 
 from conftest import finite_difference_gradient, random_family, rotated_family
@@ -126,7 +126,7 @@ def test_stochastic_gradient_is_unbiased():
     stream = RandomStream(404)
     acc = np.zeros(problem.dim)
     for k in range(draws):
-        acc += oracle.stochastic_gradient(x, stream.fork(k), 1)[0]
+        acc += oracle.stochastic_gradient(x, stream.fork(k), 1)
     mean = acc / draws
     # per-coordinate CLT band at 4 sigma
     band = 4.0 * std / np.sqrt(draws) + 1e-12
@@ -134,20 +134,16 @@ def test_stochastic_gradient_is_unbiased():
 
 
 def test_stochastic_cost_is_one_component_share():
-    # a batch of b components with replacement costs b / m, past m too
-    problem = build_quadratic_problem(random_family(seed=2, m=8))
-    wrapped, counter = counting_problem(problem)
-    x = np.ones(problem.dim)
-    billed = 0.0
+    # a batch of b components with replacement bills b / m, past m too
+    oracle = build_quadratic_problem(random_family(seed=2, m=8)).clients[0]
+    x = np.ones(oracle.dim)
+    take_billed()
     for batch_size in (1, 3, 8, 20):
         stream = RandomStream(batch_size)
-        g, cost = wrapped.clients[0].stochastic_gradient(x, stream, batch_size)
-        billed += batch_size / 8
-        assert cost == batch_size / 8
-        assert counter["units"] == billed
-        assert np.array_equal(
-            g, problem.clients[0].stochastic_gradient(x, stream, batch_size)[0]
-        )
+        g = oracle.stochastic_gradient(x, stream, batch_size)
+        assert take_billed() == batch_size / 8
+        assert np.array_equal(g, oracle.stochastic_gradient(x, stream, batch_size))
+        assert take_billed() == batch_size / 8
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])
@@ -170,9 +166,10 @@ def test_one_component_sample_is_the_drawn_component(rotated, beta):
         expected = expected if q is None else q.dot(expected)
         if beta:
             expected = expected + _sigmoid_gradient(x, beta)
-        g, cost = oracle.stochastic_gradient(x, stream, 1)
+        take_billed()
+        g = oracle.stochastic_gradient(x, stream, 1)
         assert np.array_equal(g, expected)
-        assert cost == 1 / 6
+        assert take_billed() == 1 / 6
 
 
 def test_dense_batch_averages_the_drawn_components():
@@ -185,9 +182,10 @@ def test_dense_batch_averages_the_drawn_components():
     expected = np.mean(
         [spec.matrices[j] @ (x - spec.centers[j]) for j in js], axis=0
     )
-    g, cost = oracle.stochastic_gradient(x, stream, 5)
+    take_billed()
+    g = oracle.stochastic_gradient(x, stream, 5)
     assert np.allclose(g, expected, rtol=1e-13, atol=1e-14)
-    assert cost == 5 / 4
+    assert take_billed() == 5 / 4
 
 
 def test_generator_validates_arguments():
@@ -495,20 +493,15 @@ def test_problems_with_requested_frames_are_freed_without_the_collector():
 
 
 def test_problem_frames_are_freed_without_the_collector():
-    # a problem drawn in its eigen frame, bare or behind counting wrappers:
-    # a wrapper that referenced its problem would form a cycle that only
-    # the cyclic collector frees
+    # a problem drawn in its eigen frame: an oracle that referenced its
+    # problem would form a cycle that only the cyclic collector frees
     gc.disable()
     try:
-        for wrap in (lambda p: p, lambda p: counting_problem(p)[0]):
-            problem = wrap(
-                gen_quadratic_problem(
-                    2, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
-                )
-            )
-            bases = [getattr(o, "base", o) for o in problem.clients]
-            refs = [weakref.ref(o) for o in (problem, *problem.clients, *bases)]
-            del bases, problem
-            assert [r() for r in refs] == [None] * len(refs)
+        problem = gen_quadratic_problem(
+            2, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
+        )
+        refs = [weakref.ref(o) for o in (problem, *problem.clients)]
+        del problem
+        assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()

@@ -17,7 +17,6 @@ from fedlab import (
     StoppingRule,
     SurrogateOracle,
     UnsupportedStructureError,
-    counting_problem,
     run_experiment,
     schedule_e_r,
     solve_exact_quadratic,
@@ -281,13 +280,15 @@ def _reference_descent(surrogate, x_start, steps, accelerated):
 def test_descent_matches_reference_loops_bitwise(solver, hinted):
     surrogate = _parity_surrogate(hinted)
     start = RandomStream(9).generator().standard_normal(surrogate.dim)
+    core.take_billed()
     report = solver(surrogate, start, StoppingRule("fixed_steps", steps=25))
+    billed = core.take_billed()
     x_ref, norm_ref = _reference_descent(
         surrogate, start, 25, accelerated=solver is solve_fgd
     )
     assert np.array_equal(report.solution, x_ref)
     assert report.final_grad_norm == norm_ref
-    assert report.steps_taken == 25 and report.grad_evals == 26
+    assert report.steps_taken == 25 and billed == 26
 
 
 @pytest.mark.parametrize(
@@ -307,33 +308,33 @@ def test_descent_bills_one_gradient_per_step_plus_one(solver, rule):
     inner = surrogate._gradient
     surrogate._gradient = lambda x: calls.append(1) or inner(x)
     start = RandomStream(10).generator().standard_normal(surrogate.dim)
+    core.take_billed()
     report = solver(surrogate, start, rule)
-    assert report.grad_evals == report.steps_taken + 1 == len(calls)
+    assert core.take_billed() == report.steps_taken + 1 == len(calls)
 
 
 def test_descent_step_costs_two_finite_checks(monkeypatch):
     # one per primitive at the base boundary (query and gradient); the
-    # surrogate's own gradient is checked through the loop's norm, and a
-    # counting wrapper bills without checking again
+    # surrogate's own gradient is checked through the loop's norm, and the
+    # base bills without checking again
     calls = []
     inner = core.require_finite
     monkeypatch.setattr(
         core, "require_finite", lambda *a: calls.append(1) or inner(*a)
     )
-    counted, counter = counting_problem(hetero_pair())
     for surrogate in (
         _parity_surrogate(hinted=True),
-        SurrogateOracle(counted.clients[0], prox_terms=((0.7, np.ones(4)),)),
+        SurrogateOracle(hetero_pair().clients[0], prox_terms=((0.7, np.ones(4)),)),
     ):
         start = RandomStream(11).generator().standard_normal(surrogate.dim)
         counts = []
         for k in (7, 8):
             calls.clear()
-            counter["units"] = 0.0
+            core.take_billed()
             solve_gd(surrogate, start, StoppingRule("fixed_steps", steps=k))
             counts.append(len(calls))
         assert counts[1] - counts[0] == 2
-    assert counter["units"] == 9.0
+        assert core.take_billed() == 9.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -417,8 +418,9 @@ def test_exact_solver_bills_the_matvecs_it_uses(monkeypatch):
         problem.grad_f(x)
         assert calls == []
         surrogate = SurrogateOracle(problem.clients[0], prox_terms=((1.0, center),))
+        core.take_billed()
         report = solve_exact_quadratic(surrogate, np.zeros(problem.dim))
-        assert report.grad_evals == report.steps_taken == len(calls)
+        assert core.take_billed() == report.steps_taken == len(calls)
         if center.any():
             assert calls
         else:
@@ -484,9 +486,9 @@ def _textbook_cg(surrogate):
     return x, matvecs
 
 
-def _assert_textbook_cg_bitwise(surrogate, report):
+def _assert_textbook_cg_bitwise(surrogate, report, billed):
     x_ref, matvecs = _textbook_cg(surrogate)
-    assert report.grad_evals == report.steps_taken == matvecs
+    assert billed == report.steps_taken == matvecs
     assert np.array_equal(report.solution, x_ref)
 
 
@@ -496,10 +498,12 @@ def test_cg_is_the_textbook_loop_bitwise(frame, d, stiff):
     # d = 1, and a stiff spectrum whose solve runs long enough for in-place
     # rounding differences to have built up, were there any
     surrogate = _quadratic_surrogate(frame, 2, d, seed=5, weight=0.5, stiff=stiff)
+    core.take_billed()
     report = solve_exact_quadratic(surrogate)
+    billed = core.take_billed()
     if stiff:
         assert report.steps_taken > 64
-    _assert_textbook_cg_bitwise(surrogate, report)
+    _assert_textbook_cg_bitwise(surrogate, report, billed)
 
 
 def _read_only(arr) -> np.ndarray:
