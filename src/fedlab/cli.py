@@ -183,6 +183,12 @@ def _schema_errors(instance, schema, where: str) -> list[str]:
     return msgs
 
 
+def _reject_constant(name: str):
+    """``json.loads`` hook for ``NaN``, ``Infinity`` and ``-Infinity``, which
+    Python's parser accepts and the JSON grammar does not."""
+    raise ConfigurationError(f"config is not valid JSON: {name} is not a number")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -190,7 +196,7 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "

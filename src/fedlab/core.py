@@ -17,6 +17,11 @@ CSR kernel without the ``@`` dispatch.  All are bitwise equal to the forms
 they replace.  :func:`require_finite` alone keeps ``np.vdot``: ``.dot`` and
 ``@`` set the overflow flag, and so warn, on finite entries above about
 1e154, and ``np.vdot`` does not.
+
+Finiteness is checked at the oracle boundary: a query point and what comes
+back from it.  A billed gradient of an oracle that declares
+``gradient_propagates_non_finite`` checks only its output, which is
+non-finite whenever its query is (see :class:`ClientOracle`).
 """
 from __future__ import annotations
 
@@ -191,13 +196,22 @@ class ClientOracle(ABC):
 
     Subclasses implement ``_value`` and ``_gradient``; the public methods
     validate shapes and reject non-finite inputs and outputs, so a NaN is
-    caught at the oracle boundary instead of propagating silently.  Every
-    billed primitive passes this boundary once, at the base oracle: wrappers
-    such as :class:`~fedlab.local_solvers.SurrogateOracle` call the base's
-    public methods from their own ``_gradient``, and the local solvers call
-    the wrapper's ``_gradient`` and test the gradient norm they compute
-    anyway (see :mod:`fedlab.local_solvers`); a surrogate value reads the
-    base's unchecked ``_value``.  Outside callers of :meth:`gradient` and
+    caught at the oracle boundary instead of propagating silently.  An
+    oracle whose gradient has a non-finite entry whenever its query point
+    has one declares ``gradient_propagates_non_finite``; its public
+    :meth:`gradient` then checks only the shape of the query and the
+    gradient it returns, which rejects the same points, and names the query
+    point when that is the cause (the computation may warn first, as
+    ``0 * inf`` does).  So a declared oracle's gradient costs one finiteness
+    check and an undeclared one two; :meth:`value`, samples and block
+    evaluations always check both.
+
+    Every billed primitive passes this boundary once, at the base oracle:
+    wrappers such as :class:`~fedlab.local_solvers.SurrogateOracle` call the
+    base's public methods from their own ``_gradient``, and the local
+    solvers call the wrapper's ``_gradient`` and test the gradient norm they
+    compute anyway (see :mod:`fedlab.local_solvers`); a surrogate value
+    reads the base's unchecked ``_value``.  Outside callers of :meth:`gradient` and
     :meth:`value` keep every check, and query points and gradients pass
     through :func:`as_vector`.  The public :meth:`gradient` bills one unit
     (see :func:`bill`); values bill nothing.  An oracle that can sample
@@ -213,11 +227,15 @@ class ClientOracle(ABC):
     convexity_hint : float or None
         Strong-convexity modulus (0 for merely convex), or None when the
         objective is not known to be convex.
+    gradient_propagates_non_finite : bool
+        True when every non-finite query point gives a non-finite gradient
+        (off by default).
     """
 
     dim: int
     smoothness_hint: float | None = None
     convexity_hint: float | None = None
+    gradient_propagates_non_finite: bool = False
 
     @abstractmethod
     def _value(self, x: Vector) -> float: ...
@@ -225,14 +243,16 @@ class ClientOracle(ABC):
     @abstractmethod
     def _gradient(self, x: Vector) -> Vector: ...
 
-    def _check_input(self, x) -> Vector:
+    def _check_shape(self, x) -> Vector:
         x = as_vector(x)
         if x.shape[0] != self.dim:
             raise DimensionError(
                 f"oracle dimension {self.dim}, query dimension {x.shape[0]}"
             )
-        require_finite(x, "oracle query point")
         return x
+
+    def _check_input(self, x) -> Vector:
+        return require_finite(self._check_shape(x), "oracle query point")
 
     def value(self, x) -> float:
         v = float(self._value(self._check_input(x)))
@@ -243,9 +263,16 @@ class ClientOracle(ABC):
     def gradient(self, x) -> Vector:
         global _billed
         _billed += 1.0
-        g = as_vector(self._gradient(self._check_input(x)))
-        require_finite(g, "gradient")
-        return g
+        x = self._check_shape(x)
+        if not self.gradient_propagates_non_finite:
+            require_finite(x, "oracle query point")
+        g = as_vector(self._gradient(x))
+        try:
+            return require_finite(g, "gradient")
+        except NonFiniteError:
+            # a declared oracle's non-finite query is caught here: name it
+            require_finite(x, "oracle query point")
+            raise
 
     def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
         """An unbiased gradient estimate from ``batch_size`` samples drawn

@@ -79,8 +79,8 @@ class Budget:
             raise ConfigurationError("budget needs at least one hard limit")
         for name in ("max_rounds", "max_grad_evals", "target_gap", "max_iterations"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if v is not None and not v > 0:  # NaN is not positive either
+                raise ConfigurationError(f"{name} must be positive, got {v!r}")
 
 
 @dataclass

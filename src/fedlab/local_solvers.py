@@ -32,12 +32,19 @@ rounding floor of a solution of unit scale; an accelerated norm that is not
 monotone keeps running as long as it still improves within that stretch.
 
 Finiteness is checked once per billed primitive.  The base oracle's public
-``gradient`` checks its query point and its output; the descent loop takes
-the surrogate's unchecked ``_gradient`` and raises :class:`NonFiniteError`
-when the norm it computes for the stopping rule is not finite (a NaN or inf
-entry, or a norm that overflows); conjugate gradients does the same with its
-residual norm.  The final values in each report come from the surrogate's
-public ``value``.
+``gradient`` checks its output, which on the quadratic and logistic oracles
+(they declare ``gradient_propagates_non_finite``) also rejects a non-finite
+query point; an undeclared base checks the query point too.  The descent
+loop takes the surrogate's unchecked ``_gradient`` and raises
+:class:`NonFiniteError` when the norm it computes for the stopping rule is
+not finite (a NaN or inf entry, or a norm that overflows); conjugate
+gradients does the same with its residual norm.  The final values in each
+report come from the surrogate's public ``value``.
+
+Constant scalars on the descent path are vectors formed once: the step size
+per solve and a surrogate's proximal weights on its first gradient.  ``w *
+v`` with an all-``w`` vector is the same IEEE product as with the scalar,
+without numpy converting the Python float on every call.
 """
 from __future__ import annotations
 
@@ -82,11 +89,12 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ConfigurationError(f"unknown stopping rule {self.kind!r}")
-        if self.kind in ("abs_grad", "rel_grad") and self.tol <= 0.0:
+        # NaN fails each comparison, so it fails each range test below
+        if self.kind in ("abs_grad", "rel_grad") and not self.tol > 0.0:
             raise ConfigurationError("gradient rules need a positive tolerance")
-        if self.kind == "fixed_steps" and self.steps < 0:
+        if self.kind == "fixed_steps" and not self.steps >= 0:
             raise ConfigurationError("fixed_steps needs steps >= 0")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ConfigurationError("max_steps must be >= 1")
         if self.tol != 0.0 and self.kind in ("fixed_steps", "scheduled"):
             raise ConfigurationError(f"{self.kind} would ignore tol={self.tol!r}")
@@ -127,7 +135,7 @@ class LocalSpec:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ConfigurationError(f"unknown local solver {self.solver!r}")
-        if self.step is not None and self.step <= 0.0:
+        if self.step is not None and not self.step > 0.0:
             raise ConfigurationError("step override must be positive")
         if self.solver != "exact":
             return
@@ -141,7 +149,7 @@ class SurrogateOracle(ClientOracle):
     """Base objective plus a linear shift and quadratic proximal terms.
 
     ``_gradient`` calls the base oracle's public ``gradient``, so the base
-    checks each query point and its own output and bills the one unit; what
+    rejects a non-finite query point or output and bills the one unit; what
     the shift and the proximal terms add on top is checked by the public
     :meth:`gradient`, which bills nothing of its own, or, inside the local
     solvers' loops, by the finiteness test on the gradient norm.  ``_value``
@@ -172,6 +180,8 @@ class SurrogateOracle(ClientOracle):
                 raise ConfigurationError("proximal center dimension mismatch")
             terms.append((float(weight), center))
         self.prox_terms = tuple(terms)
+        # prox_terms with vector weights, formed on the first _gradient
+        self._vector_terms = None
         self.total_prox_weight = float(sum(w for w, _ in self.prox_terms))
         if base.smoothness_hint is not None:
             self.smoothness_hint = base.smoothness_hint + self.total_prox_weight
@@ -195,7 +205,12 @@ class SurrogateOracle(ClientOracle):
         g = self.base.gradient(x)
         if self.linear_shift is not None:
             g = g + self.linear_shift
-        for weight, center in self.prox_terms:
+        terms = self._vector_terms
+        if terms is None:
+            terms = self._vector_terms = [
+                (np.full(self.dim, w), c) for w, c in self.prox_terms
+            ]
+        for weight, center in terms:
             g = g + weight * (x - center)
         return g
 
@@ -223,7 +238,7 @@ def schedule_e_r(round_index: int, lam: float, mu: float = 0.0) -> float:
 
 def _default_step(surrogate: ClientOracle, step: float | None) -> float:
     if step is not None:
-        if step <= 0.0:
+        if not step > 0.0:
             raise ConfigurationError("step size must be positive")
         return step
     if surrogate.smoothness_hint is None or surrogate.smoothness_hint <= 0.0:
@@ -286,6 +301,7 @@ def _descend(
     if accelerated and modulus is not None and modulus > 0.0:
         root_kappa = np.sqrt((1.0 / gamma) / modulus)
         momentum_const = (root_kappa - 1.0) / (root_kappa + 1.0)
+    gamma_vector = np.full(surrogate.dim, gamma)
     hint = surrogate.smoothness_hint
     floor = 0.0 if hint is None else _STALL_EPS * hint
     x = y = x_start
@@ -326,7 +342,7 @@ def _descend(
                 f"{rule.kind} rule unmet after {rule.max_steps} steps "
                 f"(||grad|| = {norm:.3e})"
             )
-        x_new = y - gamma * g
+        x_new = y - gamma_vector * g
         if accelerated:
             beta = (
                 momentum_const

@@ -131,11 +131,15 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if min(self.lam, self.eta, self.mu, self.cv_strength) < 0.0:
-            raise ConfigurationError("lam, eta, mu, cv_strength must be non-negative")
+        # every range test is written so that NaN, which fails each
+        # comparison, fails it too
+        for name in ("lam", "eta", "mu", "cv_strength"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
         if not 0.0 < self.p <= 1.0:
             raise ConfigurationError("p must lie in (0, 1]")
-        if self.a <= 1.0:
+        if not self.a > 1.0:
             raise ConfigurationError("a must exceed 1")
         if self.averaging not in AVERAGING:
             raise ConfigurationError(f"unknown averaging {self.averaging!r}")
@@ -158,9 +162,9 @@ class MethodConfig:
             raise ConfigurationError("a scheduled local rule needs lam > 0")
         if self.method in ("gd", "scaffold", "scaffnew") and self.eta <= 0.0:
             raise ConfigurationError(f"{self.method} needs a positive step eta")
-        if self.local_steps < 1:
+        if not self.local_steps >= 1:
             raise ConfigurationError("local_steps must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size is not None and not self.batch_size >= 1:
             raise ConfigurationError("batch_size must be >= 1")
         # fields these methods have no use for are rejected, not ignored
         m = self.method

@@ -26,6 +26,7 @@ from ..core import (
     RandomStream,
     Vector,
     bill,
+    require_finite,
 )
 from .libsvm import SparseDataset
 
@@ -167,7 +168,13 @@ class LogisticOracle(ClientOracle):
     from :func:`_spectral_norms_sq`; :func:`logistic_problem` passes the
     one it computes for all clients in one pass, and an oracle built
     without it computes its own.
+
+    The ridge weight ``reg = 1/M`` is positive, so a non-finite query
+    coordinate makes its entry of ``reg * x``, and of the gradient,
+    non-finite: the oracle declares ``gradient_propagates_non_finite``.
     """
+
+    gradient_propagates_non_finite = True
 
     def __init__(
         self,
@@ -214,7 +221,8 @@ class LogisticOracle(ClientOracle):
         weights = neg_labels * expit(neg_labels * _csr_matvec(sub, x))
         scale = self.loss_scale * rows / batch_size
         bill(batch_size / rows)
-        return scale * _csr_matvec(sub.T.tocsr(), weights) + self.reg * x
+        g = scale * _csr_matvec(sub.T.tocsr(), weights) + self.reg * x
+        return require_finite(g, "gradient")
 
 
 class _LogisticBlock:

@@ -38,6 +38,7 @@ from ..core import (
     UnsupportedStructureError,
     Vector,
     bill,
+    require_finite,
 )
 
 # Eigenvalue floor used when a merely-convex family (min_eig ~ 0) is drawn;
@@ -60,11 +61,14 @@ def _hints(eigs: np.ndarray, beta: float) -> tuple[float, float | None]:
     return top, (modulus if modulus >= 0.0 else None)
 
 
-def _sigmoid_gradient(x: Vector, beta: float) -> Vector:
+def _sigmoid_gradient(x: Vector, ones: Vector, two_beta: Vector) -> Vector:
+    """``2 beta x / (1 + x^2)^2`` from the oracle's all-ones and all-``2 beta``
+    vectors: the same IEEE operations as with the scalars, without numpy
+    converting a Python float on every call."""
     denom = x * x
-    denom += 1.0
+    denom += ones
     denom *= denom
-    return np.divide(beta * 2.0 * x, denom, denom)
+    return np.divide(two_beta * x, denom, denom)
 
 
 @dataclass
@@ -224,7 +228,15 @@ class QuadraticOracle(ClientOracle):
     components drawn uniformly with replacement (the sigmoid term, being
     cheap and deterministic, is always included exactly), so it is unbiased
     for the full gradient; it bills ``batch_size / m`` full gradients.
+
+    A non-finite query coordinate ``x_k`` makes gradient entry ``k``
+    non-finite: that entry of ``C w`` adds ``C_kk w_k``, which is NaN or
+    infinite (``0 * inf`` is NaN), and the sigmoid derivative of ``±inf`` is
+    ``inf / inf``.  So the oracle declares
+    ``gradient_propagates_non_finite``.
     """
+
+    gradient_propagates_non_finite = True
 
     def __init__(self, spec: QuadraticClientSpec, family: QuadraticFamily):
         self.spec = spec
@@ -247,6 +259,9 @@ class QuadraticOracle(ClientOracle):
         self._linear = self._to_original(spec.pulled(spec.centers).mean(axis=0))
         self._linear.setflags(write=False)
         self.smoothness_hint, self.convexity_hint = _hints(eigs, self.beta)
+        if self.beta != 0.0:
+            self._ones = np.ones(self.dim)
+            self._two_beta = np.full(self.dim, self.beta * 2.0)
 
     def _to_original(self, v: Vector) -> Vector:
         return v if self.basis is None else self.basis.dot(v)
@@ -285,7 +300,7 @@ class QuadraticOracle(ClientOracle):
         g = self._curvature(x - self._center)
         g -= self._u
         if self.beta != 0.0:
-            g += _sigmoid_gradient(x, self.beta)
+            g += _sigmoid_gradient(x, self._ones, self._two_beta)
         return g
 
     def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
@@ -298,8 +313,10 @@ class QuadraticOracle(ClientOracle):
         else:
             rows = np.einsum("jkl,jl->jk", spec.matrices[js], x - spec.centers[js])
         g = self._to_original(rows.mean(axis=0))
+        if self.beta != 0.0:
+            g = g + _sigmoid_gradient(x, self._ones, self._two_beta)
         bill(batch_size / spec.m)
-        return g if self.beta == 0.0 else g + _sigmoid_gradient(x, self.beta)
+        return require_finite(g, "gradient")
 
 
 def build_quadratic_problem(family: QuadraticFamily) -> DistributedProblem:

@@ -75,6 +75,36 @@ def test_json_errors_carry_line_and_column(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_constants_are_named(tmp_path, constant):
+    # Python's parser reads them as floats; the JSON grammar has no such numbers
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(TINY_QUADRATIC).replace("1e-08", constant))
+    assert constant in path.read_text()
+    message = f"{re.escape(constant)} is not a number"
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda cfg: cfg["budget"].update(target_gap=float("nan")),
+        lambda cfg: cfg["methods"].append(
+            {"name": "dane_plus", "params": {"lam": float("inf")}}
+        ),
+    ],
+    ids=["target_gap_nan", "lam_inf"],
+)
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, edit):
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    edit(cfg)
+    cfg["output_dir"] = str(tmp_path / "out")
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+    assert "is not a number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_problem_field_is_named(tmp_path):
     cfg = {
         "problem": {"kind": "logistic", "n_clients": 4, "alpha": 0.5}

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,13 +13,26 @@ from fedlab import (
     DimensionError,
     DistributedProblem,
     NonFiniteError,
+    QuadraticClientSpec,
+    QuadraticFamily,
     RandomStream,
     UnsupportedStructureError,
     as_vector,
+    build_quadratic_problem,
+    core,
 )
 from fedlab.core import require_finite, take_billed
+from fedlab.problems import LogisticOracle, SparseDataset
 
-from conftest import CubicOracle, finite_difference_gradient, quad_1d, two_client_line
+from conftest import (
+    CubicOracle,
+    FixedGradientOracle,
+    finite_difference_gradient,
+    quad_1d,
+    random_family,
+    rotated_family,
+    two_client_line,
+)
 
 
 def test_as_vector_coerces_lists_to_float64():
@@ -177,6 +191,96 @@ def test_oracle_rejects_nonfinite_query():
     problem = quad_1d()
     with pytest.raises(NonFiniteError):
         problem.clients[0].gradient(np.array([np.nan]))
+
+
+def _zero_eigenvalue_spectral():
+    # coordinate 0 has eigenvalue 0 in every component: 0 * inf is NaN
+    family = random_family(seed=3, n=1, m=2, d=5)
+    family.specs[0].spectra[:, 0] = 0.0
+    return build_quadratic_problem(family).clients[0]
+
+
+def _sigmoid_with_basis():
+    family = random_family(seed=5, n=1, m=2, d=5)
+    family = rotated_family(QuadraticFamily(specs=family.specs, beta=0.5), seed=6)
+    assert family.basis is not None
+    return build_quadratic_problem(family).clients[0]
+
+
+def _dense_with_a_zero_row_and_column():
+    family = random_family(seed=7, n=1, m=2, d=5, dense=True)
+    matrices = family.specs[0].matrices.copy()
+    matrices[:, 2, :] = matrices[:, :, 2] = 0.0
+    spec = QuadraticClientSpec(centers=family.specs[0].centers, matrices=matrices)
+    return build_quadratic_problem(QuadraticFamily(specs=[spec])).clients[0]
+
+
+def _logistic_with_a_zero_column():
+    # column 1 stores no entry: only the ridge term reads x[1]
+    matrix = sp.csr_matrix(np.array([[0.5, 0.0, -1.0], [2.0, 0.0, 0.25]]))
+    labels = np.array([1.0, -1.0])
+    return LogisticOracle(SparseDataset(labels=labels, matrix=matrix), 1, 2)
+
+
+_DECLARED = {
+    "spectral_zero_eigenvalue": _zero_eigenvalue_spectral,
+    "sigmoid_with_basis": _sigmoid_with_basis,
+    "dense_zero_row_column": _dense_with_a_zero_row_and_column,
+    "logistic_zero_column": _logistic_with_a_zero_column,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_DECLARED)),
+    st.data(),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+def test_a_declared_oracle_propagates_a_non_finite_query(name, data, bad):
+    # the premise that lets its gradient skip the query check
+    oracle = _DECLARED[name]()
+    assert oracle.gradient_propagates_non_finite
+    x = np.array(
+        data.draw(
+            st.lists(
+                st.floats(-1e3, 1e3), min_size=oracle.dim, max_size=oracle.dim
+            )
+        )
+    )
+    k = data.draw(st.integers(0, oracle.dim - 1))
+    x[k] = bad
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(oracle._gradient(x)[k])
+        with pytest.raises(NonFiniteError, match="oracle query point"):
+            oracle.gradient(x)
+
+
+def test_an_undeclared_oracle_checks_its_query_point():
+    oracle = FixedGradientOracle(np.array([1.0, -2.0]))
+    assert not oracle.gradient_propagates_non_finite
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteError, match="oracle query point"):
+            oracle.gradient(np.array([0.0, bad]))
+
+
+@pytest.mark.parametrize(
+    "make, checks",
+    [
+        (_sigmoid_with_basis, ["gradient"]),
+        (_logistic_with_a_zero_column, ["gradient"]),
+        (CubicOracle, ["oracle query point", "gradient"]),
+    ],
+    ids=["quadratic", "logistic", "cubic"],
+)
+def test_a_gradient_costs_one_check_when_declared(monkeypatch, make, checks):
+    calls = []
+    inner = core.require_finite
+    monkeypatch.setattr(
+        core, "require_finite", lambda *a: calls.append(a[1]) or inner(*a)
+    )
+    oracle = make()
+    oracle.gradient(np.full(oracle.dim, 0.5))
+    assert calls == checks
 
 
 class _BrokenOracle(ClientOracle):

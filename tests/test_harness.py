@@ -68,6 +68,15 @@ def test_budget_validation():
     Budget(max_grad_evals=5.0)
 
 
+@pytest.mark.parametrize(
+    "field", ["max_rounds", "max_grad_evals", "target_gap", "max_iterations"]
+)
+def test_budget_rejects_nan(field):
+    limits = {"max_rounds": 10, field: float("nan")}
+    with pytest.raises(ConfigurationError, match=f"{field} must be positive, got nan"):
+        Budget(**limits)
+
+
 # ---------------------------------------------------------- references
 
 

@@ -185,6 +185,19 @@ def test_stochastic_cost_scales_with_batch():
         assert take_billed() == batch_size / 16
 
 
+def test_an_overflowing_sample_is_rejected():
+    # at x = -1 each of the four drawn rows adds -1e308 to the one entry of A'w
+    labels = np.ones(4)
+    matrix = sp.csr_matrix(np.full((4, 1), 1e308))
+    oracle = LogisticOracle(
+        SparseDataset(labels=labels, matrix=matrix), 1, 4, spectral_sq=1.0
+    )
+    take_billed()
+    with pytest.raises(NonFiniteError, match="non-finite entries in gradient"):
+        oracle.stochastic_gradient(np.array([-1.0]), RandomStream(0), 4)
+    assert take_billed() == 1.0
+
+
 @pytest.mark.parametrize("batch_size", [1, 4, 40])
 def test_stochastic_gradient_is_the_drawn_rows_mean(batch_size):
     ds = _toy_dataset(rows=16)

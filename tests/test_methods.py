@@ -144,6 +144,29 @@ def test_config_validation():
     )
 
 
+_SCHEDULED_GD = LocalSpec(solver="gd", rule=StoppingRule("scheduled"))
+
+
+@pytest.mark.parametrize(
+    "field, valid",
+    [
+        ("lam", dict(method="dane_plus")),
+        ("eta", dict(method="fedred", lam=1.0)),
+        ("mu", dict(method="dane_plus", lam=1.0, local=_SCHEDULED_GD)),
+        ("cv_strength", dict(method="dane_plus", lam=1.0, control_variate="recursive")),
+        ("p", dict(method="fedred", lam=1.0, eta=1.0)),
+        ("a", dict(method="dane_plus", lam=1.0, averaging="rand")),
+        ("local_steps", dict(method="scaffold", eta=0.1)),
+        ("batch_size", dict(method="fedred_gd", lam=1.0, eta=1.0)),
+    ],
+)
+def test_nan_in_a_range_checked_field_is_rejected(field, valid):
+    # NaN fails every comparison, so each range test must be one that NaN fails
+    MethodConfig(**valid, **{field: 1.0 if field in ("p", "local_steps") else 2.0})
+    with pytest.raises(ConfigurationError, match=field):
+        MethodConfig(**valid, **{field: float("nan")})
+
+
 def test_doubly_regularized_coupling_constraint():
     with pytest.raises(ConfigurationError):
         MethodConfig(method="fedred", lam=2.0, eta=1.0)

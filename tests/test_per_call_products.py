@@ -38,6 +38,7 @@ PER_CALL = [
     quadratic.QuadraticOracle._value,
     quadratic.QuadraticOracle._gradient,
     quadratic.QuadraticOracle.stochastic_gradient,
+    quadratic._sigmoid_gradient,
     logistic._spectral_norms_sq,
     logistic.LogisticOracle._neg_margins,
     logistic.LogisticOracle._value,

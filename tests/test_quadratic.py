@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fedlab import (
     ConfigurationError,
     DimensionError,
+    NonFiniteError,
     QuadraticClientSpec,
     QuadraticFamily,
     RandomStream,
@@ -19,7 +20,7 @@ from fedlab import (
     gen_quadratic_problem,
 )
 from fedlab.core import take_billed
-from fedlab.problems.quadratic import GENERAL_CONVEX_FLOOR, _sigmoid_gradient
+from fedlab.problems.quadratic import GENERAL_CONVEX_FLOOR
 
 from conftest import finite_difference_gradient, random_family, rotated_family
 
@@ -165,11 +166,49 @@ def test_one_component_sample_is_the_drawn_component(rotated, beta):
         expected = spec.spectra[j] * (y - spec.centers[j])
         expected = expected if q is None else q.dot(expected)
         if beta:
-            expected = expected + _sigmoid_gradient(x, beta)
+            expected = expected + beta * 2.0 * x / (1.0 + x * x) ** 2
         take_billed()
         g = oracle.stochastic_gradient(x, stream, 1)
         assert np.array_equal(g, expected)
         assert take_billed() == 1 / 6
+
+
+def _scalar_sigmoid_gradient(x, beta):
+    """The sigmoid derivative as formed with Python-float operands."""
+    denom = x * x
+    denom += 1.0
+    denom *= denom
+    return np.divide(beta * 2.0 * x, denom, denom)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(1e-3, 1e3),
+    st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=5),
+    st.booleans(),
+)
+def test_sigmoid_vectors_are_bitwise_the_scalar_form(beta, xs, rotated):
+    # the beta = 0 twin's gradient is the quadratic part C w - u, bitwise
+    specs = random_family(seed=4, n=1, m=2, d=5).specs
+    oracles = []
+    for b in (beta, 0.0):
+        family = QuadraticFamily(specs=specs, beta=b)
+        if rotated:
+            family = rotated_family(family, seed=9)
+        oracles.append(build_quadratic_problem(family).clients[0])
+    x = np.array(xs)
+    expected = oracles[1]._gradient(x) + _scalar_sigmoid_gradient(x, beta)
+    assert np.array_equal(oracles[0]._gradient(x), expected)
+
+
+def test_an_overflowing_sample_is_rejected():
+    spec = QuadraticClientSpec(centers=np.zeros((2, 1)), spectra=np.full((2, 1), 1e300))
+    oracle = build_quadratic_problem(QuadraticFamily(specs=[spec])).clients[0]
+    take_billed()
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError, match="non-finite entries in gradient"):
+            oracle.stochastic_gradient(np.array([1e10]), RandomStream(0), 1)
+    assert take_billed() == 0.5
 
 
 def test_dense_batch_averages_the_drawn_components():

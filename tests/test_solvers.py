@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlab import (
     Budget,
@@ -73,6 +75,21 @@ def test_stopping_rule_validation():
             StoppingRule(kind, **kwargs)
     StoppingRule("scheduled", max_steps=50)
     StoppingRule("fixed_steps", steps=0)
+
+
+def test_nan_tolerances_and_steps_are_rejected():
+    nan = float("nan")
+    for kwargs in (dict(kind="abs_grad", tol=nan), dict(kind="rel_grad", tol=nan)):
+        with pytest.raises(ConfigurationError, match="positive tolerance"):
+            StoppingRule(**kwargs)
+    with pytest.raises(ConfigurationError, match="max_steps"):
+        StoppingRule("abs_grad", tol=1.0, max_steps=nan)
+    with pytest.raises(ConfigurationError, match="step override"):
+        LocalSpec(solver="gd", step=nan)
+    with pytest.raises(ConfigurationError, match="step size"):
+        solve_gd(
+            CubicOracle(), np.ones(1), StoppingRule("fixed_steps", steps=1), step=nan
+        )
 
 
 def test_scheduled_rule_is_resolved_before_the_solvers():
@@ -291,6 +308,72 @@ def test_descent_matches_reference_loops_bitwise(solver, hinted):
     assert report.steps_taken == 25 and billed == 26
 
 
+def _scalar_surrogate_gradient(surrogate, x):
+    """The surrogate gradient with Python-float proximal weights."""
+    g = surrogate.base.gradient(x)
+    if surrogate.linear_shift is not None:
+        g = g + surrogate.linear_shift
+    for weight, center in surrogate.prox_terms:
+        g = g + weight * (x - center)
+    return g
+
+
+def _scalar_gd(surrogate, x_start, steps):
+    """Fixed-step descent with a Python-float step: the visited point with
+    the smallest gradient norm, and that norm."""
+    gamma = 1.0 / surrogate.smoothness_hint
+    y, best = x_start, (x_start, math.inf)
+    for _ in range(steps + 1):
+        g = _scalar_surrogate_gradient(surrogate, y)
+        norm = math.sqrt(g.dot(g))
+        if norm < best[1]:
+            best = (y, norm)
+        y = y - gamma * g
+    return best
+
+
+_SIGMOID_BASE = build_quadratic_problem(
+    rotated_family(
+        QuadraticFamily(specs=random_family(seed=12, n=1, m=2, d=6).specs, beta=3.0),
+        seed=13,
+    )
+).clients[0]
+_COORDINATES = st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6)
+_PROX_TERMS = st.lists(
+    st.tuples(st.floats(0.0, 1e3), _COORDINATES), min_size=1, max_size=2
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PROX_TERMS, st.one_of(st.none(), _COORDINATES), _COORDINATES)
+def test_vector_prox_weights_are_bitwise_the_scalar_form(terms, shift, xs):
+    surrogate = SurrogateOracle(
+        _SIGMOID_BASE,
+        linear_shift=shift,
+        prox_terms=tuple((w, np.array(c)) for w, c in terms),
+    )
+    x = np.array(xs)
+    for _ in range(2):  # the weight vectors are formed on the first call
+        assert np.array_equal(
+            surrogate._gradient(x), _scalar_surrogate_gradient(surrogate, x)
+        )
+
+
+@settings(max_examples=20, deadline=None)
+@given(_PROX_TERMS, _COORDINATES, _COORDINATES)
+def test_vector_step_is_bitwise_the_scalar_form(terms, shift, xs):
+    surrogate = SurrogateOracle(
+        _SIGMOID_BASE,
+        linear_shift=shift,
+        prox_terms=tuple((w, np.array(c)) for w, c in terms),
+    )
+    start = np.array(xs)
+    report = solve_gd(surrogate, start, StoppingRule("fixed_steps", steps=20))
+    x_ref, norm_ref = _scalar_gd(surrogate, start, 20)
+    assert np.array_equal(report.solution, x_ref)
+    assert report.final_grad_norm == norm_ref
+
+
 @pytest.mark.parametrize(
     "rule",
     [
@@ -313,18 +396,20 @@ def test_descent_bills_one_gradient_per_step_plus_one(solver, rule):
     assert core.take_billed() == report.steps_taken + 1 == len(calls)
 
 
-def test_descent_step_costs_two_finite_checks(monkeypatch):
-    # one per primitive at the base boundary (query and gradient); the
-    # surrogate's own gradient is checked through the loop's norm, and the
-    # base bills without checking again
+def test_descent_step_costs_one_finite_check_on_a_declared_base(monkeypatch):
+    # checks happen at the base boundary: the gradient only, on a base whose
+    # gradient propagates a non-finite query (quadratic), and the query point
+    # too on an undeclared one (cubic); the surrogate's own gradient is
+    # checked through the loop's norm, and the base bills without checking
     calls = []
     inner = core.require_finite
     monkeypatch.setattr(
         core, "require_finite", lambda *a: calls.append(1) or inner(*a)
     )
-    for surrogate in (
-        _parity_surrogate(hinted=True),
-        SurrogateOracle(hetero_pair().clients[0], prox_terms=((0.7, np.ones(4)),)),
+    for surrogate, per_step in (
+        (_parity_surrogate(hinted=True), 1),
+        (SurrogateOracle(hetero_pair().clients[0], prox_terms=((0.7, np.ones(4)),)), 1),
+        (SurrogateOracle(CubicOracle(), prox_terms=((0.7, np.ones(1)),)), 2),
     ):
         start = RandomStream(11).generator().standard_normal(surrogate.dim)
         counts = []
@@ -333,7 +418,7 @@ def test_descent_step_costs_two_finite_checks(monkeypatch):
             core.take_billed()
             solve_gd(surrogate, start, StoppingRule("fixed_steps", steps=k))
             counts.append(len(calls))
-        assert counts[1] - counts[0] == 2
+        assert counts[1] - counts[0] == per_step
         assert core.take_billed() == 9.0
 
 
