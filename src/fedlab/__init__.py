@@ -55,7 +55,6 @@ from .methods import (
     ServerState,
     StepRecord,
     control_variate_grad_diff,
-    control_variate_recursive_update,
     init_method_state,
     step_method,
     suggest_parameters,

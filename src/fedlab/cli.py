@@ -127,8 +127,6 @@ _METHOD_SCHEMA = {
                 "mu": {"type": "number", "minimum": 0},
                 "a": {"type": "number", "exclusiveMinimum": 1},
                 "averaging": {"enum": list(methods.AVERAGING)},
-                "control_variate": {"enum": list(methods.CONTROL_VARIATES)},
-                "cv_strength": {"type": "number", "minimum": 0},
                 "batch_size": {"type": "integer", "minimum": 1},
                 "local_steps": {"type": "integer", "minimum": 1},
             },

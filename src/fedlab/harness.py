@@ -106,9 +106,6 @@ class ExperimentResult:
     reference: ReferenceSolution | None
     f_best_seen: float
 
-    def __iter__(self):
-        return iter(self.traces)
-
 
 class _GlobalOracle(ClientOracle):
     """The full objective ``f`` viewed as a single oracle."""

@@ -173,8 +173,8 @@ class SurrogateOracle(ClientOracle):
             raise ConfigurationError("linear shift dimension mismatch")
         terms = []
         for weight, center in prox_terms:
-            if weight < 0.0:
-                raise ConfigurationError("proximal weights must be >= 0")
+            if not weight >= 0.0:
+                raise ConfigurationError(f"proximal weights must be >= 0: {weight!r}")
             center = as_vector(center)
             if center.shape[0] != self.dim:
                 raise ConfigurationError("proximal center dimension mismatch")
@@ -226,12 +226,12 @@ def schedule_e_r(round_index: int, lam: float, mu: float = 0.0) -> float:
     ``lam*(mu+lam)/8``, the budget under which inexact single-anchor
     solves retain the exact-solve convergence guarantee.
     """
-    if lam <= 0.0:
-        raise ConfigurationError("the proximal weight must be positive")
-    if mu < 0.0:
-        raise ConfigurationError("mu must be non-negative")
-    if round_index < 0:
-        raise ConfigurationError("round_index must be non-negative")
+    if not lam > 0.0:
+        raise ConfigurationError(f"lam must be positive, got {lam!r}")
+    if not mu >= 0.0:
+        raise ConfigurationError(f"mu must be non-negative, got {mu!r}")
+    if not round_index >= 0:
+        raise ConfigurationError(f"round_index must be >= 0, got {round_index!r}")
     r = float(round_index)
     return float(np.sqrt(lam * (mu + lam) / (8.0 * (r + 1.0) * (r + 2.0))))
 

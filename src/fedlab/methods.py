@@ -11,8 +11,8 @@ blocks, never write into them, and no row shares memory with the reference.
 a Bernoulli(p) coin says so, the solutions are aggregated (mean, or one
 picked uniformly at random) into a new reference.  Per method:
 
-* ``dane_plus`` starts from the reference with grad-diff or recursive
-  variates, ``eta = 0``, ``p = 1``;
+* ``dane_plus`` starts from the reference with grad-diff variates,
+  ``eta = 0``, ``p = 1``;
 * ``fedred`` starts from the client iterate with grad-diff variates; with
   ``p = 1`` and ``eta = 0`` it is ``dane_plus`` (bitwise, under the exact
   solver);
@@ -72,7 +72,6 @@ METHODS = (
     "fedprox",
 )
 AVERAGING = ("avg", "rand")
-CONTROL_VARIATES = ("grad_diff", "recursive")
 
 # stream sub-labels within one step
 _LBL_THETA = 0
@@ -111,8 +110,8 @@ class MethodConfig:
     step size for gd/scaffold/scaffnew, ``p`` is the communication
     probability, ``mu`` the strong-convexity modulus that a ``scheduled``
     local rule reads, ``a`` the nonconvex reference-coupling multiplier,
-    ``cv_strength`` the recursive control-variate gain, and ``batch_size``,
-    when set, the samples behind each of fedred_gd's stochastic gradients.
+    and ``batch_size``, when set, the samples behind each of fedred_gd's
+    stochastic gradients.
     """
 
     method: str
@@ -122,8 +121,6 @@ class MethodConfig:
     mu: float = 0.0
     a: float = 2.0
     averaging: str = "avg"
-    control_variate: str = "grad_diff"
-    cv_strength: float = 0.0
     local: LocalSpec = LocalSpec()
     batch_size: int | None = None
     local_steps: int = 1
@@ -133,7 +130,7 @@ class MethodConfig:
             raise ConfigurationError(f"unknown method {self.method!r}")
         # every range test is written so that NaN, which fails each
         # comparison, fails it too
-        for name in ("lam", "eta", "mu", "cv_strength"):
+        for name in ("lam", "eta", "mu"):
             value = getattr(self, name)
             if not value >= 0.0:
                 raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
@@ -143,16 +140,6 @@ class MethodConfig:
             raise ConfigurationError("a must exceed 1")
         if self.averaging not in AVERAGING:
             raise ConfigurationError(f"unknown averaging {self.averaging!r}")
-        if self.control_variate not in CONTROL_VARIATES:
-            raise ConfigurationError(
-                f"unknown control variate {self.control_variate!r}"
-            )
-        if self.control_variate == "recursive" and self.method != "dane_plus":
-            raise ConfigurationError(
-                "the recursive control variate is only defined for dane_plus"
-            )
-        if self.control_variate == "recursive" and self.cv_strength == 0.0:
-            raise ConfigurationError("a recursive variate at cv_strength=0 is fedprox")
         if self.method == "fedred" and self.eta != 0.0 and self.eta < self.lam:
             # eta = 0 is the exact degeneration to dane_plus and stays legal
             raise ConfigurationError("fedred requires eta >= lam (or eta = 0)")
@@ -176,7 +163,6 @@ class MethodConfig:
             ("mu", self.mu != 0.0 and self.local.rule.kind != "scheduled"),
             ("local_steps", self.local_steps != 1 and m != "scaffold"),
             ("batch_size", self.batch_size is not None and m != "fedred_gd"),
-            ("cv_strength", self.cv_strength != 0.0 and self.control_variate != "recursive"),
             # only the rand-averaged certificate of dane_plus/fedred reads a
             ("a", self.a != 2.0 and (self.averaging != "rand" or m not in ("dane_plus", "fedred"))),
         )
@@ -214,17 +200,6 @@ def control_variate_grad_diff(
     """
     grads = problem.client_gradients(point)
     return grads - DistributedProblem.mean_gradient(grads)
-
-
-def control_variate_recursive_update(
-    h: np.ndarray, x_global: Vector, x: np.ndarray, m: float
-) -> np.ndarray:
-    """Recursive variate update ``h_i' = m (x_global - x_i) + h_i`` for every row.
-
-    With mean aggregation the zero-mean property is preserved because the
-    new reference is the mean of the client solutions.
-    """
-    return m * (x_global - x) + h
 
 
 def init_method_state(
@@ -349,7 +324,7 @@ def anchored_step(
     """
     from_iterate, corrected = _ANCHORED_PRESETS[cfg.method]
     step_stream = stream.fork(server.iteration)
-    if corrected and cfg.control_variate == "grad_diff":
+    if corrected:
         _ensure_fresh_variates(problem, server, clients)
     rule, e_r = _resolve_rule(cfg, server.comm_events)
     ref = server.reference
@@ -372,10 +347,6 @@ def anchored_step(
         server, clients, cfg, step_stream, solutions, local_steps=local_steps,
         e_r=e_r, premise=premise,
     )
-    if record.communicated and cfg.control_variate == "recursive":
-        clients.h = control_variate_recursive_update(
-            clients.h, server.reference, clients.x, cfg.cv_strength
-        )
     return server, clients, record
 
 
@@ -505,9 +476,6 @@ def suggest_parameters(
     *,
     l_smooth: float,
     mu: float = 0.0,
-    sigma: float = 0.0,
-    eps: float | None = None,
-    a: float = 2.0,
 ) -> MethodConfig:
     """Fill lam/eta/p from the dissimilarity report per the known rules.
 
@@ -519,14 +487,15 @@ def suggest_parameters(
     (``lam = delta_B, p = delta_B/L``) intentionally breaks the practical
     coupling because its guarantee is stated for that exact triple.  ``mu``
     enters the sc formulas; only the convex ``dane_plus`` rule, whose
-    ``scheduled`` local rule reads it, stores it in the config.  With
-    ``sigma > 0`` the convex ``fedred_gd`` rule samples one component per
-    gradient (``batch_size=1``): ``sigma^2`` is that sample's variance.
+    ``scheduled`` local rule reads it, stores it in the config.
     """
     if regime not in ("sc", "cvx", "ncvx"):
         raise ConfigurationError(f"unknown regime {regime!r}")
-    if l_smooth is None or l_smooth <= 0.0:
-        raise ConfigurationError("a positive smoothness constant is required")
+    # written so that NaN, which fails each comparison, fails them too
+    if l_smooth is None or not l_smooth > 0.0:
+        raise ConfigurationError(f"l_smooth must be positive, got {l_smooth!r}")
+    if not mu >= 0.0:
+        raise ConfigurationError(f"mu must be non-negative, got {mu!r}")
     if regime == "sc" and mu <= 0.0:
         raise ConfigurationError("the sc regime needs mu > 0")
     mu = mu if regime == "sc" else 0.0
@@ -546,17 +515,13 @@ def suggest_parameters(
         delta_b = report.delta_b
         if delta_b <= 0.0:
             raise ConfigurationError("nonconvex rule needs delta_b > 0")
+        checked_gd = dict(solver="gd", check_decrease=True)
         if method == "dane_plus":
             return MethodConfig(
                 method="dane_plus",
-                lam=a * delta_b,
-                a=a,
+                lam=2.0 * delta_b,
                 averaging="rand",
-                local=LocalSpec(
-                    solver="gd",
-                    rule=StoppingRule("fixed_steps", steps=200),
-                    check_decrease=True,
-                ),
+                local=LocalSpec(rule=StoppingRule("fixed_steps", steps=200), **checked_gd),
             )
         if method == "fedred":
             return MethodConfig(
@@ -565,16 +530,7 @@ def suggest_parameters(
                 eta=4.0 * delta_b,
                 p=0.25,
                 averaging="rand",
-                local=LocalSpec(
-                    solver="gd",
-                    rule=StoppingRule("abs_grad", tol=1e-9),
-                    check_decrease=True,
-                ),
-            )
-        if sigma > 0.0:
-            raise ConfigurationError(
-                "stochastic nonconvex rule not supported here; "
-                "set sigma=0 or pass an explicit config"
+                local=LocalSpec(rule=StoppingRule("abs_grad", tol=1e-9), **checked_gd),
             )
         return MethodConfig(
             method="fedred_gd",
@@ -600,15 +556,7 @@ def suggest_parameters(
         return MethodConfig(
             method="fedred", lam=p * eta, eta=eta, p=p, local=LocalSpec(solver="exact")
         )
-    eta = l_smooth
-    if sigma > 0.0:
-        if eps is None or eps <= 0.0:
-            raise ConfigurationError("stochastic rule needs a target accuracy")
-        eta = sigma * sigma / eps + l_smooth
-    if eta <= 0.5 * mu:
-        raise ConfigurationError("eta must exceed mu/2")
-    p = min(1.0, (delta_a + 0.5 * mu) / (eta - 0.5 * mu))
-    return MethodConfig(
-        method="fedred_gd", lam=p * eta, eta=eta, p=p,
-        batch_size=1 if sigma > 0.0 else None,
-    )
+    if l_smooth <= 0.5 * mu:
+        raise ConfigurationError("eta = l_smooth must exceed mu/2")
+    p = min(1.0, (delta_a + 0.5 * mu) / (l_smooth - 0.5 * mu))
+    return MethodConfig(method="fedred_gd", lam=p * l_smooth, eta=l_smooth, p=p)

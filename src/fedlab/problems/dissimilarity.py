@@ -40,8 +40,9 @@ class DissimilarityReport:
     def __post_init__(self):
         if self.method not in (EXACT, PAPER_FORMULA, SAMPLED):
             raise ConfigurationError(f"unknown dissimilarity method {self.method!r}")
-        if self.delta_a < 0.0 or self.delta_b < 0.0:
-            raise ConfigurationError("dissimilarity constants must be >= 0")
+        for name, value in (("delta_a", self.delta_a), ("delta_b", self.delta_b)):
+            if not value >= 0.0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
         if self.delta_a > self.delta_b * (1.0 + 1e-12) + 1e-15:
             raise ConfigurationError(
                 "averaged constant cannot exceed the per-client constant"

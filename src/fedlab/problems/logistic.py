@@ -44,8 +44,8 @@ def dirichlet_partition(
     """
     if n_clients < 1:
         raise ConfigurationError("need at least one client")
-    if alpha <= 0.0:
-        raise ConfigurationError("alpha must be positive")
+    if not alpha > 0.0:
+        raise ConfigurationError(f"alpha must be positive, got {alpha!r}")
     if n_clients > dataset.n_rows:
         raise ConfigurationError(
             f"cannot split {dataset.n_rows} rows across {n_clients} clients"

@@ -142,8 +142,8 @@ class QuadraticFamily:
     def __post_init__(self):
         if not self.specs:
             raise ConfigurationError("family needs at least one client")
-        if self.beta < 0.0:
-            raise ConfigurationError("beta must be non-negative")
+        if not self.beta >= 0.0:
+            raise ConfigurationError(f"beta must be non-negative, got {self.beta!r}")
         kinds = {spec.spectra is not None for spec in self.specs}
         if len(kinds) != 1:
             raise ConfigurationError("mixed spectral/dense client specs")
@@ -384,10 +384,13 @@ def gen_quadratic_problem(
         raise ConfigurationError("need n >= 1 clients and m >= 1 components")
     if d < 3:
         raise ConfigurationError("need d >= 3 for the pinned coordinates")
-    if max_norm <= 0.0 or max_norm <= min_eig:
-        raise ConfigurationError("require max_norm > max(min_eig, 0)")
-    if target_delta < 0.0:
-        raise ConfigurationError("target_delta must be non-negative")
+    # written so that NaN, which fails each comparison, fails them too
+    if not 0.0 < max_norm < np.inf:
+        raise ConfigurationError(f"need 0 < max_norm < inf, got {max_norm!r}")
+    if not -np.inf < min_eig < max_norm:
+        raise ConfigurationError(f"need -inf < min_eig < max_norm, got {min_eig!r}")
+    if not target_delta >= 0.0:
+        raise ConfigurationError(f"target_delta must be >= 0, got {target_delta!r}")
     if target_delta > max_norm:
         raise ConfigurationError(
             "target_delta exceeds the declared operator-norm cap"

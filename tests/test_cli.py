@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from fedlab import (
+    Budget,
     ConfigurationError,
     LocalSpec,
     MethodConfig,
@@ -236,6 +237,8 @@ def test_schemas_name_every_config_field():
     assert local_keys == (fields(LocalSpec) | fields(StoppingRule)) - {"rule"}
     params = cli._METHOD_SCHEMA["properties"]["params"]["properties"]
     assert set(params) == fields(MethodConfig) - {"method", "local"}
+    budget_keys = set(cli._CONFIG_SCHEMA["properties"]["budget"]["properties"])
+    assert budget_keys == fields(Budget)
 
 
 def test_local_block_on_a_method_without_local_solves_exits_2(tmp_path, capsys):
@@ -277,9 +280,11 @@ def test_batch_size_in_a_logistic_problem_block_exits_2(tmp_path, capsys):
          "batch_size: 0 is less than the minimum of 1"),
         ({"name": "fedred_gd", "params": {"lam": 1.0, "eta": 1.0, "stochastic": True}},
          "'stochastic' was unexpected"),
-        # a recursive variate at the default cv_strength of 0 is fedprox
+        # the recursive control variate and its gain are gone
         ({"name": "dane_plus", "params": {"lam": 3.0, "control_variate": "recursive"}},
-         "is fedprox"),
+         "'control_variate' was unexpected"),
+        ({"name": "dane_plus", "params": {"lam": 3.0, "cv_strength": 0.5}},
+         "'cv_strength' was unexpected"),
     ],
 )
 def test_rejected_method_params_exit_2_before_setup(tmp_path, capsys, entry, message):
