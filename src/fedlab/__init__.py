@@ -24,7 +24,6 @@ from .core import (
 from .harness import (
     Budget,
     CertificateReport,
-    RateConstants,
     ReferenceSolution,
     RoundTrace,
     check_rate_certificates,

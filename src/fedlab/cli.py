@@ -125,7 +125,6 @@ _METHOD_SCHEMA = {
                 "eta": {"type": "number", "minimum": 0},
                 "p": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "mu": {"type": "number", "minimum": 0},
-                "a": {"type": "number", "exclusiveMinimum": 1},
                 "averaging": {"enum": list(methods.AVERAGING)},
                 "batch_size": {"type": "integer", "minimum": 1},
                 "local_steps": {"type": "integer", "minimum": 1},

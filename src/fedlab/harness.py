@@ -332,19 +332,6 @@ def grad_evals_to_target(
     return _first_to_target(traces, eps, metric, "grad_evals")
 
 
-@dataclass(frozen=True)
-class RateConstants:
-    """Problem constants the certificate checks consume."""
-
-    delta_a: float = 0.0
-    delta_b: float = 0.0
-    l_smooth: float = 0.0
-    mu: float = 0.0
-    f0: float = 0.0
-    f_star: float = 0.0
-    r0_sq: float = 0.0
-
-
 @dataclass
 class CertificateReport:
     name: str
@@ -376,31 +363,49 @@ def _achieved_e_terms(result: ExperimentResult) -> list[float]:
 
 
 def _bound_report(name: str, pairs) -> CertificateReport:
-    """Check ``(achieved, bound)`` pairs, allowing an absolute slack of 1e-9."""
+    """Check ``(achieved, bound)`` pairs, allowing an absolute slack of 1e-9.
+
+    A non-finite bound certifies nothing, so it counts as a violation.
+    """
     checked = violations = 0
     worst = 0.0
     for achieved, bound in pairs:
         checked += 1
         worst = max(worst, achieved / bound) if bound > 0 else worst
-        if achieved > bound + 1e-9:
+        if not (np.isfinite(bound) and achieved <= bound + 1e-9):
             violations += 1
     return CertificateReport(name, checked, violations, worst)
 
 
 def check_rate_certificates(
-    result: ExperimentResult, constants: RateConstants
+    result: ExperimentResult, *, delta_b: float | None = None, mu: float = 0.0
 ) -> list[CertificateReport]:
     """Evaluate every theorem bound applicable to the run's config.
 
+    The run supplies its own constants: ``R0^2`` is its first row's
+    ``dist_sq``, and ``F0`` is its first row's objective value less ``f*``,
+    the reference optimum's value or, without a reference, the best value
+    the run saw.  The caller supplies the problem's ``delta_b`` and ``mu``.
+
     Convex anchored-prox runs (``dane_plus``, and ``fedred`` at ``p = 1``
-    with ``eta = 0`` or the rule's coupling ``lam = p * eta``) are checked against the sublinear bound ``lam * R0^2 / (2R)`` and, when
-    mu > 0, the linear-rate bound ``mu R0^2 / (2[(1+mu/lam)^R - 1])``; rows
-    where ``(1+mu/lam)^R`` leaves the float range are skipped.  Nonconvex
-    rand-averaged runs are checked against
-    ``4(a+1)^2/(a-1) * delta_B * F0 / R`` plus the inexactness term
+    with ``eta = 0`` or the rule's coupling ``lam = p * eta``) need a
+    reference optimum.  They are checked against the sublinear bound
+    ``lam * R0^2 / (2R)`` and, when mu > 0, the linear-rate bound
+    ``mu R0^2 / (2[(1+mu/lam)^R - 1])``; rows where ``(1+mu/lam)^R`` rounds
+    to 1 or leaves the float range are skipped.  Rand-averaged runs whose coupling
+    multiplier ``a = lam / delta_b`` exceeds 1 are checked against
+    ``4(a+1)^2/(a-1) * delta_b * F0 / R`` plus the inexactness term
     ``(2/R) sum e_r^2`` with the achieved local residuals.
     """
+    # written so that NaN, which fails each comparison, fails them too
+    if delta_b is not None and not 0.0 < delta_b < np.inf:
+        raise ConfigurationError(
+            f"delta_b must be positive and finite, got {delta_b!r}"
+        )
+    if not 0.0 <= mu < np.inf:
+        raise ConfigurationError(f"mu must be non-negative and finite, got {mu!r}")
     cfg = result.cfg
+    first = result.traces[0]
     reports: list[CertificateReport] = []
     rows = _round_traces(result)
 
@@ -412,50 +417,45 @@ def check_rate_certificates(
         and (cfg.eta == 0.0 or cfg.lam == cfg.p * cfg.eta)
     )
     if anchored and cfg.averaging == "avg":
-        if constants.r0_sq <= 0.0:
-            raise ConfigurationError("convex certificates need r0_sq")
-        pairs = [
-            (t.f_gap, cfg.lam * constants.r0_sq / (2.0 * t.rounds)) for t in rows
-        ]
+        if result.reference is None:
+            raise ConfigurationError("convex certificates need a reference optimum")
+        r0_sq = first.dist_sq
+        pairs = [(t.f_gap, cfg.lam * r0_sq / (2.0 * t.rounds)) for t in rows]
         reports.append(_bound_report("convex_sublinear", pairs))
-        if constants.mu > 0.0 and cfg.lam > 0.0:
-            ratio = constants.mu / cfg.lam
+        if mu > 0.0 and cfg.lam > 0.0:
+            ratio = mu / cfg.lam
             pairs = []
             for t in rows:
                 try:
                     growth = (1.0 + ratio) ** t.rounds - 1.0
                 except OverflowError:  # a Python float power raises, never gives inf
                     growth = np.inf
-                if np.isfinite(growth):
-                    bound = constants.mu * constants.r0_sq / (2.0 * growth)
-                    pairs.append((t.f_gap, bound))
+                if 0.0 < growth < np.inf:
+                    pairs.append((t.f_gap, mu * r0_sq / (2.0 * growth)))
             reports.append(_bound_report("strongly_convex_linear", pairs))
 
     if cfg.averaging == "rand" and cfg.method in ("dane_plus", "fedred"):
-        if constants.delta_b <= 0.0:
+        if delta_b is None:
             raise ConfigurationError("nonconvex certificate needs delta_b")
-        f0_gap = constants.f0 - constants.f_star
-        a = cfg.a
-        lead = 4.0 * (a + 1.0) ** 2 / (a - 1.0)
-        e_terms = _achieved_e_terms(result)
-        pairs = []
-        best_gnorm = np.inf
-        cumulative_e_sq = 0.0
-        seen_rounds = 0
-        row_iter = iter(rows)
-        row = next(row_iter, None)
-        for e in e_terms:
-            seen_rounds += 1
-            cumulative_e_sq += e * e
-            while row is not None and row.rounds == seen_rounds:
+        a = cfg.lam / delta_b
+        if a > 1.0:  # the bound is stated for lam > delta_b only
+            ref = result.reference
+            f_star = ref.f_star if ref is not None else result.f_best_seen
+            f0_gap = first.f_value - f_star
+            lead = 4.0 * (a + 1.0) ** 2 / (a - 1.0)
+            pairs = []
+            best_gnorm = np.inf
+            cumulative_e_sq = 0.0
+            # every communicated step records exactly one round row
+            for row, e in zip(rows, _achieved_e_terms(result), strict=True):
                 best_gnorm = min(best_gnorm, row.grad_norm_sq)
+                cumulative_e_sq += e * e
                 bound = (
-                    lead * constants.delta_b * f0_gap / seen_rounds
-                    + 2.0 * cumulative_e_sq / seen_rounds
+                    lead * delta_b * f0_gap / row.rounds
+                    + 2.0 * cumulative_e_sq / row.rounds
                 )
                 pairs.append((best_gnorm, bound))
-                row = next(row_iter, None)
-        reports.append(_bound_report("nonconvex_stationarity", pairs))
+            reports.append(_bound_report("nonconvex_stationarity", pairs))
 
     if not reports:
         raise ConfigurationError(
@@ -468,7 +468,7 @@ def check_rate_certificates(
 def mean_grad_norm_certificate(
     problem: DistributedProblem,
     cfg: MethodConfig,
-    constants: RateConstants,
+    f_star: float,
     *,
     steps: int,
     seeds,
@@ -480,12 +480,17 @@ def mean_grad_norm_certificate(
     measures ``||grad f||^2`` at the per-step randomized candidate (the new
     iterate of the client that :func:`~fedlab.methods.draw_pick` draws from
     the step's address, communicating or not), and returns the
-    seed-and-step average together with the bound ``96 L F0 / K``.
+    seed-and-step average together with the bound ``96 L F0 / K``, where
+    ``L`` is the problem's ``l_smooth`` and ``F0 = f(x0) - f_star``.
     """
     if cfg.method != "fedred_gd" or cfg.averaging != "rand":
         raise ConfigurationError("this certificate is for rand-averaged fedred_gd")
-    f0_gap = constants.f0 - constants.f_star
+    if problem.l_smooth is None:
+        raise ConfigurationError("this certificate needs the problem's l_smooth")
+    if not np.isfinite(f_star):
+        raise ConfigurationError(f"f_star must be finite, got {f_star!r}")
     x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
+    f0_gap = problem.f(x0) - f_star
     totals = []
     for seed in seeds:
         stream = RandomStream(int(seed))
@@ -498,7 +503,7 @@ def mean_grad_norm_certificate(
             acc += float(g @ g)
         totals.append(acc / steps)
     mean_sq = float(np.mean(totals))
-    bound = 96.0 * constants.l_smooth * f0_gap / steps
+    bound = 96.0 * problem.l_smooth * f0_gap / steps
     return mean_sq, bound
 
 

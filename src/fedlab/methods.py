@@ -109,9 +109,8 @@ class MethodConfig:
     proximal weight for the doubly regularized methods and doubles as the
     step size for gd/scaffold/scaffnew, ``p`` is the communication
     probability, ``mu`` the strong-convexity modulus that a ``scheduled``
-    local rule reads, ``a`` the nonconvex reference-coupling multiplier,
-    and ``batch_size``, when set, the samples behind each of fedred_gd's
-    stochastic gradients.
+    local rule reads, and ``batch_size``, when set, the samples behind each
+    of fedred_gd's stochastic gradients.
     """
 
     method: str
@@ -119,7 +118,6 @@ class MethodConfig:
     eta: float = 0.0
     p: float = 1.0
     mu: float = 0.0
-    a: float = 2.0
     averaging: str = "avg"
     local: LocalSpec = LocalSpec()
     batch_size: int | None = None
@@ -136,8 +134,6 @@ class MethodConfig:
                 raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
         if not 0.0 < self.p <= 1.0:
             raise ConfigurationError("p must lie in (0, 1]")
-        if not self.a > 1.0:
-            raise ConfigurationError("a must exceed 1")
         if self.averaging not in AVERAGING:
             raise ConfigurationError(f"unknown averaging {self.averaging!r}")
         if self.method == "fedred" and self.eta != 0.0 and self.eta < self.lam:
@@ -163,8 +159,6 @@ class MethodConfig:
             ("mu", self.mu != 0.0 and self.local.rule.kind != "scheduled"),
             ("local_steps", self.local_steps != 1 and m != "scaffold"),
             ("batch_size", self.batch_size is not None and m != "fedred_gd"),
-            # only the rand-averaged certificate of dane_plus/fedred reads a
-            ("a", self.a != 2.0 and (self.averaging != "rand" or m not in ("dane_plus", "fedred"))),
         )
         for name, unused in ignored:
             if unused:

@@ -196,10 +196,6 @@ class LogisticOracle(ClientOracle):
         self.smoothness_hint = 0.25 * self.loss_scale * spectral_sq + self.reg
         self.convexity_hint = self.reg
 
-    @property
-    def labels(self) -> np.ndarray:
-        return -self.neg_labels
-
     def _neg_margins(self, x: Vector) -> np.ndarray:
         return self.neg_labels * _csr_matvec(self.matrix, x)
 

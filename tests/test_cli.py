@@ -285,6 +285,9 @@ def test_batch_size_in_a_logistic_problem_block_exits_2(tmp_path, capsys):
          "'control_variate' was unexpected"),
         ({"name": "dane_plus", "params": {"lam": 3.0, "cv_strength": 0.5}},
          "'cv_strength' was unexpected"),
+        # the certificate derives a = lam / delta_B from the run
+        ({"name": "dane_plus", "params": {"lam": 3.0, "averaging": "rand", "a": 3.0}},
+         "'a' was unexpected"),
     ],
 )
 def test_rejected_method_params_exit_2_before_setup(tmp_path, capsys, entry, message):

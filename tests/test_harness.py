@@ -14,7 +14,6 @@ from fedlab import (
     QuadraticClientSpec,
     QuadraticFamily,
     RandomStream,
-    RateConstants,
     SolverBudgetError,
     StoppingRule,
     UnsupportedStructureError,
@@ -35,7 +34,7 @@ from fedlab import (
     write_trace_csv,
 )
 from fedlab.core import take_billed
-from fedlab.harness import CSV_HEADER, RoundTrace
+from fedlab.harness import CSV_HEADER, RoundTrace, _bound_report, _GlobalOracle
 
 from conftest import (
     CubicOracle,
@@ -108,6 +107,20 @@ def test_reference_iterative_path_meets_residual_contract():
     scale = 1e-10 * (1.0 + np.linalg.norm(problem.grad_f(x0)))
     assert ref.residual <= scale
     assert np.linalg.norm(problem.grad_f(ref.x_star)) <= scale
+
+
+def test_reference_reads_client_hints_without_problem_annotations():
+    # a hand-built problem with no l_smooth, mu or quadratic structure: the
+    # long run takes its step and momentum from the clients' own hints
+    annotated = hetero_pair()
+    bare = DistributedProblem(clients=annotated.clients, dim=annotated.dim)
+    whole = _GlobalOracle(bare)
+    assert whole.smoothness_hint == max(o.smoothness_hint for o in bare.clients)
+    assert whole.convexity_hint == min(o.convexity_hint for o in bare.clients)
+    ref = reference_optimum(bare)
+    assert ref.method == "long_fgd"
+    direct = reference_optimum(annotated)
+    assert np.allclose(ref.x_star, direct.x_star, rtol=0, atol=1e-8)
 
 
 def test_reference_rejects_nonconvex_instances(monkeypatch):
@@ -483,19 +496,6 @@ def test_setup_bills_n_for_scaffnew_only(method):
 # ------------------------------------------------------------ certificates
 
 
-def _constants_for(problem, result, report, x0):
-    ref = result.reference
-    return RateConstants(
-        delta_a=report.delta_a,
-        delta_b=report.delta_b,
-        l_smooth=problem.l_smooth,
-        mu=problem.mu or 0.0,
-        f0=problem.f(x0),
-        f_star=ref.f_star,
-        r0_sq=float(np.sum((x0 - ref.x_star) ** 2)),
-    )
-
-
 def test_convex_sublinear_certificate_holds():
     problem = gen_quadratic_problem(
         6, 4, 2, 15, max_norm=10.0, min_eig=0.0, target_delta=1.0
@@ -506,10 +506,7 @@ def test_convex_sublinear_certificate_holds():
     result = run_experiment(
         problem, cfg, Budget(max_rounds=20), seed=0, x0=x0, record_every=1
     )
-    constants = dataclasses.replace(
-        _constants_for(problem, result, report, x0), mu=0.0
-    )
-    reports = check_rate_certificates(result, constants)
+    reports = check_rate_certificates(result)
     assert [r.name for r in reports] == ["convex_sublinear"]
     assert reports[0].ok and reports[0].checked == 20
     assert reports[0].worst_ratio <= 1.0 + 1e-9
@@ -525,9 +522,7 @@ def test_strongly_convex_certificates_hold():
     result = run_experiment(
         problem, cfg, Budget(max_rounds=25), seed=0, x0=x0, record_every=1
     )
-    reports = check_rate_certificates(
-        result, _constants_for(problem, result, report, x0)
-    )
+    reports = check_rate_certificates(result, mu=problem.mu)
     names = [r.name for r in reports]
     assert names == ["convex_sublinear", "strongly_convex_linear"]
     assert all(r.ok for r in reports)
@@ -552,8 +547,7 @@ def test_randomized_stationarity_certificate_holds():
     result = run_experiment(
         problem, cfg, Budget(max_rounds=30), seed=4, x0=x0, record_every=1
     )
-    constants = _constants_for(problem, result, report, x0)
-    reports = check_rate_certificates(result, constants)
+    reports = check_rate_certificates(result, delta_b=report.delta_b)
     assert [r.name for r in reports] == ["nonconvex_stationarity"]
     assert reports[0].ok and reports[0].checked > 0
     # the premise tuples feeding the e_r terms exist for every round
@@ -567,19 +561,23 @@ def test_linear_certificate_skips_rounds_past_the_float_range():
     problem = gen_quadratic_problem(
         2, 4, 3, 12, max_norm=8.0, min_eig=0.5, target_delta=1.0
     )
-    report = delta_exact_quadratic(problem)[0]
     x0 = np.zeros(12)
     result = run_experiment(
         problem, _exact("dane_plus", lam=0.01), Budget(max_rounds=400), seed=0, x0=x0
     )
-    reports = check_rate_certificates(
-        result, _constants_for(problem, result, report, x0)
-    )
+    reports = check_rate_certificates(result, mu=problem.mu)
     assert [(r.name, r.checked) for r in reports] == [
         ("convex_sublinear", 400),
         ("strongly_convex_linear", 180),
     ]
     assert all(r.ok for r in reports)
+    # at mu / lam = 1e-18, 1 + mu / lam rounds to 1 and the growth to 0, so
+    # every row is skipped rather than divided by zero
+    reports = check_rate_certificates(result, mu=1e-20)
+    assert [(r.name, r.checked) for r in reports] == [
+        ("convex_sublinear", 400),
+        ("strongly_convex_linear", 0),
+    ]
 
 
 def test_fedred_below_p_one_claims_no_deterministic_bound():
@@ -599,17 +597,13 @@ def test_fedred_below_p_one_claims_no_deterministic_bound():
             problem, cfg, Budget(max_rounds=40), seed=seed, x0=x0, record_every=1
         )
         with pytest.raises(ConfigurationError, match="no certificate applies"):
-            check_rate_certificates(
-                result, _constants_for(problem, result, report, x0)
-            )
+            check_rate_certificates(result, mu=problem.mu)
     # p = 1 (with the coupling lam = p * eta) is deterministic: both bounds
     full = dataclasses.replace(cfg, p=1.0, eta=cfg.lam)
     result = run_experiment(
         problem, full, Budget(max_rounds=40), seed=1, x0=x0, record_every=1
     )
-    reports = check_rate_certificates(
-        result, _constants_for(problem, result, report, x0)
-    )
+    reports = check_rate_certificates(result, mu=problem.mu)
     assert [r.name for r in reports] == ["convex_sublinear", "strongly_convex_linear"]
     assert all(r.ok for r in reports)
 
@@ -633,12 +627,11 @@ def test_fedred_at_p_one_claims_bounds_only_under_the_coupling():
                 problem, cfg, Budget(max_rounds=40), seed=seed, x0=x0,
                 record_every=1,
             )
-            constants = _constants_for(problem, result, report, x0)
             if eta == suggested.eta:
                 with pytest.raises(ConfigurationError, match="no certificate"):
-                    check_rate_certificates(result, constants)
+                    check_rate_certificates(result, mu=problem.mu)
                 continue
-            reports = check_rate_certificates(result, constants)
+            reports = check_rate_certificates(result, mu=problem.mu)
             assert [r.name for r in reports] == [
                 "convex_sublinear",
                 "strongly_convex_linear",
@@ -651,22 +644,67 @@ def test_certificate_error_paths():
     gd_run = run_experiment(
         problem, MethodConfig(method="gd", eta=0.1), Budget(max_rounds=3), seed=0
     )
-    with pytest.raises(ConfigurationError):
-        check_rate_certificates(gd_run, RateConstants())
+    with pytest.raises(ConfigurationError, match="no certificate applies"):
+        check_rate_certificates(gd_run)
     dane_run = run_experiment(
-        problem, _exact("dane_plus", lam=1.0), Budget(max_rounds=3), seed=0
+        problem, _exact("dane_plus", lam=1.0), Budget(max_rounds=3), seed=0,
+        reference=None,
     )
-    with pytest.raises(ConfigurationError):
-        check_rate_certificates(dane_run, RateConstants())  # r0_sq missing
+    with pytest.raises(ConfigurationError, match="need a reference optimum"):
+        check_rate_certificates(dane_run)
     rand_run = run_experiment(
-        problem,
-        MethodConfig(method="dane_plus", lam=1.0, averaging="rand",
-                     local=LocalSpec(solver="exact")),
-        Budget(max_rounds=3),
-        seed=0,
+        problem, _RAND_DANE, Budget(max_rounds=3), seed=0
     )
-    with pytest.raises(ConfigurationError):
-        check_rate_certificates(rand_run, RateConstants())  # delta_b missing
+    with pytest.raises(ConfigurationError, match="needs delta_b"):
+        check_rate_certificates(rand_run)
+    # the nonconvex bound is stated for a = lam / delta_b > 1 only
+    with pytest.raises(ConfigurationError, match="no certificate applies"):
+        check_rate_certificates(rand_run, delta_b=1.0)
+
+
+_RAND_DANE = MethodConfig(
+    method="dane_plus", lam=1.0, averaging="rand", local=LocalSpec(solver="exact")
+)
+
+
+@pytest.mark.parametrize(
+    "name, value, averaging",
+    [
+        ("delta_b", float("nan"), "rand"),
+        ("delta_b", float("inf"), "rand"),
+        ("delta_b", -0.5, "rand"),
+        ("delta_b", 0.0, "rand"),
+        ("mu", float("nan"), "avg"),
+        ("mu", float("inf"), "avg"),
+        ("mu", -0.5, "avg"),
+    ],
+)
+def test_certificate_constants_out_of_range_are_rejected(name, value, averaging):
+    # a NaN constant would make every bound NaN, which no comparison flags
+    cfg = dataclasses.replace(_RAND_DANE, averaging=averaging)
+    result = run_experiment(hetero_pair(d=4, seed=2), cfg, Budget(max_rounds=3), seed=0)
+    with pytest.raises(ConfigurationError, match=name):
+        check_rate_certificates(result, **{name: value})
+
+
+def test_a_bound_below_the_achieved_value_is_a_violation():
+    # lam is far below this problem's delta_B (0.897), so the claimed
+    # delta_b = 1e-4 is false: the clients barely move toward the reference,
+    # and the bound, about 4 lam F0 / R, falls below the achieved gradient norm
+    problem = hetero_pair(d=4, seed=2)
+    cfg = dataclasses.replace(_RAND_DANE, lam=1e-3)
+    result = run_experiment(problem, cfg, Budget(max_rounds=30), seed=0)
+    (report,) = check_rate_certificates(result, delta_b=1e-4)
+    assert report.name == "nonconvex_stationarity" and report.checked == 30
+    assert report.violations > 0 and report.ok is False
+    assert report.worst_ratio > 1.0
+
+
+def test_a_non_finite_bound_is_a_violation():
+    nan, inf = float("nan"), float("inf")
+    report = _bound_report("bound", [(0.0, nan), (0.0, inf), (0.5, 1.0), (2.0, 1.0)])
+    assert (report.checked, report.violations, report.worst_ratio) == (4, 3, 2.0)
+    assert not report.ok
 
 
 def test_mean_gradient_norm_certificate():
@@ -683,13 +721,11 @@ def test_mean_gradient_norm_certificate():
     )
     ref = reference_optimum(problem)
     x0 = np.ones(8)
-    constants = RateConstants(
-        l_smooth=problem.l_smooth, f0=problem.f(x0), f_star=ref.f_star
-    )
     measured, bound = mean_grad_norm_certificate(
-        problem, cfg, constants, steps=200, seeds=range(8), x0=x0
+        problem, cfg, ref.f_star, steps=200, seeds=range(8), x0=x0
     )
     assert measured <= bound
+    assert bound == 96.0 * problem.l_smooth * (problem.f(x0) - ref.f_star) / 200
     # the candidate is drawn from each step's pick address, silent or not
     totals = []
     for seed in range(8):
@@ -707,10 +743,15 @@ def test_mean_gradient_norm_certificate():
         mean_grad_norm_certificate(
             problem,
             MethodConfig(method="gd", eta=0.1),
-            constants,
+            ref.f_star,
             steps=10,
             seeds=[0],
         )
+    with pytest.raises(ConfigurationError, match="f_star"):
+        mean_grad_norm_certificate(problem, cfg, float("nan"), steps=10, seeds=[0])
+    bare = DistributedProblem(clients=problem.clients, dim=problem.dim)
+    with pytest.raises(ConfigurationError, match="l_smooth"):
+        mean_grad_norm_certificate(bare, cfg, ref.f_star, steps=10, seeds=[0])
 
 
 # ----------------------------------------------------------------- traces

@@ -62,8 +62,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         MethodConfig(method="fedred", lam=1.0, eta=1.0, p=1.5)
     with pytest.raises(ConfigurationError):
-        MethodConfig(method="dane_plus", lam=1.0, a=1.0)
-    with pytest.raises(ConfigurationError):
         MethodConfig(method="dane_plus", lam=1.0, averaging="median")
     for size in (0, -2):
         with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
@@ -111,24 +109,12 @@ def test_config_validation():
     ):
         with pytest.raises(ConfigurationError, match="would ignore"):
             MethodConfig(**kwargs)
-    # only the rand-averaged dane_plus/fedred certificate reads a
-    for kwargs in (
-        dict(method="dane_plus", lam=1.0),
-        dict(method="fedred", lam=1.0, eta=1.0),
-        dict(method="fedred_gd", lam=1.0, eta=1.0, averaging="rand"),
-        dict(method="scaffnew", eta=0.1),
-        dict(method="gd", eta=0.1),
-    ):
-        with pytest.raises(ConfigurationError, match="would ignore a=3.0"):
-            MethodConfig(a=3.0, **kwargs)
     # the default local spec, spelled out, is not an ignored field
     MethodConfig(method="gd", eta=0.1, local=LocalSpec(solver="exact"))
     MethodConfig(method="scaffold", eta=0.1, local_steps=4)
     MethodConfig(method="fedred_gd", lam=1.0, eta=1.0, batch_size=1)
     MethodConfig(method="dane_plus", lam=1.0, mu=1.0, local=scheduled)
     MethodConfig(method="fedred", lam=1.0, eta=1.0, mu=1.0, local=scheduled)
-    MethodConfig(method="dane_plus", lam=1.0, averaging="rand", a=3.0)
-    MethodConfig(method="fedred", lam=1.0, eta=1.0, averaging="rand", a=3.0)
 
 
 _SCHEDULED_GD = LocalSpec(solver="gd", rule=StoppingRule("scheduled"))
@@ -142,7 +128,7 @@ _SCHEDULED_GD = LocalSpec(solver="gd", rule=StoppingRule("scheduled"))
         ("mu", dict(method="dane_plus", lam=1.0, local=_SCHEDULED_GD)),
         ("mu", dict(method="fedred", lam=1.0, eta=1.0, local=_SCHEDULED_GD)),
         ("p", dict(method="fedred", lam=1.0, eta=1.0)),
-        ("a", dict(method="dane_plus", lam=1.0, averaging="rand")),
+        ("p", dict(method="fedred_gd", lam=1.0, eta=1.0)),
         ("local_steps", dict(method="scaffold", eta=0.1)),
         ("batch_size", dict(method="fedred_gd", lam=1.0, eta=1.0)),
     ],

@@ -92,6 +92,18 @@ def test_nan_tolerances_and_steps_are_rejected():
         )
 
 
+def test_descent_over_a_base_without_a_smoothness_hint_needs_a_step():
+    base = CubicOracle()
+    base.smoothness_hint = None
+    surrogate = SurrogateOracle(base, prox_terms=((1.0, np.zeros(1)),))
+    assert surrogate.smoothness_hint is None
+    rule = StoppingRule("fixed_steps", steps=1)
+    for solve in (solve_gd, solve_fgd):
+        with pytest.raises(ConfigurationError, match="no smoothness hint"):
+            solve(surrogate, np.ones(1), rule)
+        assert solve(surrogate, np.ones(1), rule, step=0.1).steps_taken == 1
+
+
 def test_scheduled_rule_is_resolved_before_the_solvers():
     surrogate = SurrogateOracle(_oracle())
     for solve in (solve_gd, solve_fgd):
