@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from . import local_solvers, methods
@@ -171,13 +171,95 @@ _PROBLEM_SCHEMAS = {
 }
 
 
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "boolean": bool,
+    "number": (int, float),
+    "integer": int,
+}
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum"),
+    "maximum": (operator.gt, "greater than the maximum"),
+}
+
+
+def _is_type(instance, name: str) -> bool:
+    """JSON Schema's type test on ``json.loads`` output, except that an
+    integer must be an ``int``: the code that reads those keys cannot take
+    2.0.  ``True`` and ``False`` are neither numbers nor integers."""
+    if isinstance(instance, bool):
+        return name == "boolean"
+    return isinstance(instance, _TYPES[name])
+
+
+def _check(instance, schema: dict, path: tuple = ()):
+    """Yield ``(path, message)`` for each keyword of ``schema`` that
+    ``instance`` fails.
+
+    Keywords are checked in the schema's order and worded as jsonschema
+    4.26's Draft 2020-12 validator words them.  A keyword other than the
+    few these schemas use raises rather than pass unchecked.
+    """
+    number = _is_type(instance, "number")
+    for keyword, value in schema.items():
+        if keyword == "type":
+            if not _is_type(instance, value):
+                yield path, f"{instance!r} is not of type {value!r}"
+        elif keyword == "const":
+            # every const and enum value here is a string, and Python's == on a
+            # string is JSON's: no other type equals it
+            if instance != value:
+                yield path, f"{value!r} was expected"
+        elif keyword == "enum":
+            if instance not in value:
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif keyword in _BOUNDS:
+            fails, words = _BOUNDS[keyword]
+            if number and fails(instance, value):
+                yield path, f"{instance!r} is {words} of {value!r}"
+        elif keyword in ("minItems", "minLength"):
+            sized = _is_type(instance, "array" if keyword == "minItems" else "string")
+            if sized and len(instance) < value:
+                short = "should be non-empty" if value == 1 else "is too short"
+                yield path, f"{instance!r} {short}"
+        elif keyword == "items":
+            if isinstance(instance, list):
+                for index, item in enumerate(instance):
+                    yield from _check(item, value, path + (index,))
+        elif keyword == "required":
+            if isinstance(instance, dict):
+                for key in value:
+                    if key not in instance:
+                        yield path, f"{key!r} is a required property"
+        elif keyword == "properties":
+            if isinstance(instance, dict):
+                for key, subschema in value.items():
+                    if key in instance:
+                        yield from _check(instance[key], subschema, path + (key,))
+        elif keyword == "additionalProperties" and value is False:
+            if isinstance(instance, dict):
+                extra = sorted(set(instance) - set(schema.get("properties", {})))
+                if extra:
+                    names = ", ".join(map(repr, extra))
+                    verb = "was" if len(extra) == 1 else "were"
+                    yield path, (
+                        f"Additional properties are not allowed ({names} {verb} "
+                        "unexpected)"
+                    )
+        else:
+            raise ValueError(f"unsupported schema keyword {keyword}: {value!r}")
+
+
 def _schema_errors(instance, schema, where: str) -> list[str]:
-    validator = jsonschema.Draft202012Validator(schema)
-    msgs = []
-    for err in sorted(validator.iter_errors(instance), key=lambda e: list(e.path)):
-        path = "/".join(str(p) for p in err.path) or "(top level)"
-        msgs.append(f"{where}: {path}: {err.message}")
-    return msgs
+    """One ``where: path: message`` line per failed keyword, sorted by path."""
+    errors = sorted(_check(instance, schema), key=lambda error: error[0])
+    return [
+        f"{where}: {'/'.join(map(str, path)) or '(top level)'}: {message}"
+        for path, message in errors
+    ]
 
 
 def _reject_constant(name: str):
@@ -468,6 +550,21 @@ def cmd_delta(args) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"{value} is less than the minimum of {minimum}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedlab",
@@ -477,7 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the configured experiment")
     run.add_argument("--config", required=True, help="experiment config (JSON)")
     run.add_argument("--out", help="output directory (overrides config)")
-    run.add_argument("--seed", type=int, help="base seed (overrides config)")
+    run.add_argument(
+        "--seed", type=_int_at_least(0), help="base seed (overrides config)"
+    )
     run.add_argument(
         "--timings",
         action="store_true",
@@ -488,7 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     delta = sub.add_parser("delta", help="report dissimilarity constants")
     delta.add_argument("--config", required=True, help="experiment config (JSON)")
     delta.add_argument(
-        "--pairs", type=int, default=32, help="direction pairs for sampling"
+        "--pairs",
+        type=_int_at_least(1),
+        default=32,
+        help="direction pairs for sampling",
     )
     delta.set_defaults(fn=cmd_delta)
     return parser

@@ -204,8 +204,8 @@ def run_experiment(
     metric snapshot is raised again as the same type, chained, with the
     method and the number of completed iterations in its message.
     """
-    if record_every < 1:
-        raise ConfigurationError("record_every must be >= 1")
+    if not record_every >= 1:
+        raise ConfigurationError(f"record_every must be >= 1, got {record_every!r}")
     metrics = metric_problem if metric_problem is not None else problem
     if reference == "auto":
         try:
@@ -312,8 +312,8 @@ def run_experiment(
 
 def _first_to_target(traces, eps: float, metric: str, column: str):
     """Smallest ``column`` value over the rows whose metric is at or below eps."""
-    if eps <= 0.0:
-        raise ConfigurationError("target must be positive")
+    if not eps > 0.0:
+        raise ConfigurationError(f"target must be positive, got {eps!r}")
     reached = [getattr(t, column) for t in traces if getattr(t, metric) <= eps]
     return min(reached) if reached else None
 
@@ -489,6 +489,11 @@ def mean_grad_norm_certificate(
         raise ConfigurationError("this certificate needs the problem's l_smooth")
     if not np.isfinite(f_star):
         raise ConfigurationError(f"f_star must be finite, got {f_star!r}")
+    if not steps >= 1:
+        raise ConfigurationError(f"steps must be >= 1, got {steps!r}")
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigurationError("seeds must name at least one seed")
     x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
     f0_gap = problem.f(x0) - f_star
     totals = []

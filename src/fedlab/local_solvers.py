@@ -241,7 +241,7 @@ def _default_step(surrogate: ClientOracle, step: float | None) -> float:
         if not step > 0.0:
             raise ConfigurationError("step size must be positive")
         return step
-    if surrogate.smoothness_hint is None or surrogate.smoothness_hint <= 0.0:
+    if surrogate.smoothness_hint is None or not surrogate.smoothness_hint > 0.0:
         raise ConfigurationError(
             "no smoothness hint available; pass an explicit step size"
         )

@@ -1,11 +1,16 @@
 """Command line front end: config validation, runs, reports, reproducibility."""
+import copy
 import dataclasses
+import functools
 import json
 import os
 import re
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedlab import (
     Budget,
@@ -51,6 +56,9 @@ TINY_LIBSVM = """+1 1:0.5 3:1.0
 +1 1:-0.7 2:0.2
 -1 3:-0.9
 """
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def _write(tmp_path, cfg, name="exp.json"):
@@ -226,6 +234,255 @@ def test_auto_with_a_local_block_exits_2_before_setup(tmp_path, capsys):
     assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
     assert "either auto or local" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _integer_keys(schema, path=()):
+    """The path of every value that ``schema`` types ``integer``."""
+    if schema.get("type") == "integer":
+        yield path
+    for key, subschema in schema.get("properties", {}).items():
+        yield from _integer_keys(subschema, path + (key,))
+    if "items" in schema:
+        yield from _integer_keys(schema["items"], path + (0,))
+
+
+_INTEGER_KEYS = [("config", path) for path in _integer_keys(cli._CONFIG_SCHEMA)] + [
+    (kind, path)
+    for kind, schema in cli._PROBLEM_SCHEMAS.items()
+    for path in _integer_keys(schema)
+]
+
+
+@pytest.mark.parametrize(
+    "where, path",
+    _INTEGER_KEYS,
+    ids=[f"{where}:{'/'.join(map(str, path))}" for where, path in _INTEGER_KEYS],
+)
+def test_an_integral_float_on_an_integer_key_exits_2_before_setup(
+    tmp_path, capsys, where, path
+):
+    # JSON Schema counts 20.0 as an integer; range() and the generators do not
+    (tmp_path / "tiny.libsvm").write_text(TINY_LIBSVM)
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["methods"] = [{"name": "fedred_gd", "params": {"lam": 1.0, "eta": 1.0}}]
+    if where == "logistic":
+        cfg["problem"] = {"kind": "logistic", "path": "tiny.libsvm", "n_clients": 2,
+                          "alpha": 1.0}
+    block = cfg if where == "config" else cfg["problem"]
+    for key in path[:-1]:
+        block = block[key] if isinstance(block, list) else block.setdefault(key, {})
+    cfg["output_dir"] = str(tmp_path / "out")
+    block[path[-1]] = 20
+    load_config(_write(tmp_path, cfg))
+    block[path[-1]] = 20.0
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
+    block_name = "config" if where == "config" else "problem"
+    line = f"{block_name}: {'/'.join(map(str, path))}: 20.0 is not of type 'integer'"
+    assert line in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--seed", "-1"], ["delta", "--pairs", "-3"], ["delta", "--pairs", "0"]],
+    ids=["seed_negative", "pairs_negative", "pairs_zero"],
+)
+def test_out_of_range_arguments_exit_2_before_the_config_is_read(
+    tmp_path, capsys, monkeypatch, argv
+):
+    cfg = dict(TINY_QUADRATIC, output_dir=str(tmp_path / "out"))
+    monkeypatch.setattr(cli, "load_config", lambda path: pytest.fail("config read"))
+    with pytest.raises(SystemExit) as stop:
+        main([argv[0], "--config", _write(tmp_path, cfg), *argv[1:]])
+    assert stop.value.code == 2
+    assert f"{argv[2]} is less than the minimum of" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------- config checks against jsonschema
+
+
+@functools.cache
+def _jsonschema_validator(strict_integers: bool):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator
+    if strict_integers:
+        checker = validator.TYPE_CHECKER.redefine(
+            "integer", lambda _, value: type(value) is int
+        )
+        validator = jsonschema.validators.extend(validator, type_checker=checker)
+    return validator
+
+
+def _jsonschema_errors(instance, schema, where, strict_integers):
+    """The config checks as jsonschema 4.26 made them: the reference."""
+    validator = _jsonschema_validator(strict_integers)(schema)
+    msgs = []
+    for err in sorted(validator.iter_errors(instance), key=lambda e: list(e.path)):
+        path = "/".join(str(p) for p in err.path) or "(top level)"
+        msgs.append(f"{where}: {path}: {err.message}")
+    return msgs
+
+
+def _subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for subschema in schema.get("properties", {}).values():
+        yield from _subschemas(subschema)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+_ALL_SCHEMAS = [
+    s
+    for top in [cli._CONFIG_SCHEMA, *cli._PROBLEM_SCHEMAS.values()]
+    for s in _subschemas(top)
+]
+_BOUNDS = sorted(
+    {s[k] for s in _ALL_SCHEMAS for k in ("minimum", "exclusiveMinimum", "maximum")
+     if k in s}
+)
+# every string the schemas name: const and enum values and property keys
+_NAMES = sorted(
+    {s["const"] for s in _ALL_SCHEMAS if "const" in s}
+    .union(*(s.get("enum", []) for s in _ALL_SCHEMAS))
+    .union(*(s.get("properties", {}) for s in _ALL_SCHEMAS))
+)
+# numbers at and beyond each bound
+_NUMBERS = st.one_of(
+    st.sampled_from(_BOUNDS).flatmap(
+        lambda b: st.sampled_from([b, b - 1, b + 1, float(b), b - 0.5, b + 0.5])
+    ),
+    st.integers(-3, 300),
+    st.floats(-1e3, 1e3),
+)
+# those, None, booleans, empty and named strings, empty containers; each draw
+# is a fresh copy, since later mutations edit it in place
+_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "x", [], {}, [1.0], {"x": 1}]),
+    _NUMBERS,
+    st.sampled_from(_NAMES),
+).map(copy.deepcopy)
+_SEED_CONFIGS = [
+    TINY_QUADRATIC,
+    # every key of the config, method, params, local and budget schemas
+    {
+        "problem": TINY_QUADRATIC["problem"],
+        "methods": [
+            {"name": "fedred_gd", "label": "sampled", "params": {
+                "lam": 1.0, "eta": 2.0, "p": 0.5, "mu": 0.1, "averaging": "rand",
+                "batch_size": 1, "local_steps": 2}},
+            {"name": "dane_plus", "params": {"lam": 1.0}, "local": {
+                "solver": "gd", "kind": "fixed_steps", "tol": 0.1, "steps": 3,
+                "max_steps": 10, "check_decrease": True, "step": 0.5}},
+            {"name": "gd", "auto": "sc"},
+        ],
+        "budget": {"max_rounds": 5, "max_grad_evals": 100.0, "target_gap": 1e-6,
+                   "max_iterations": 50},
+        "output_dir": "out", "repeats": 2, "record_every": 1, "seed": 3,
+    },
+    {"problem": {"kind": "quadratic_explicit", "matrices": [[[[2.0, 0.0], [0.0, 1.0]]]],
+                 "centers": [[[1.0, 0.0]]], "beta": 0.5}},
+    {"problem": {"kind": "logistic", "path": "tiny.libsvm", "n_clients": 2,
+                 "alpha": 1.0, "seed": 1}},
+] + [
+    json.loads(Path(CONFIG_DIR, name).read_text())
+    for name in sorted(os.listdir(CONFIG_DIR))
+    if name.endswith(".json")
+]
+
+
+def _slots(value):
+    """``(container, key)`` for every value nested in ``value``."""
+    keys = value if isinstance(value, dict) else range(len(value))
+    for key in keys:
+        yield value, key
+        if isinstance(value[key], (dict, list)):
+            yield from _slots(value[key])
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A seed config after one to three drops, additions or swaps."""
+    cfg = copy.deepcopy(draw(st.sampled_from(_SEED_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(cfg))
+        action = draw(st.sampled_from(["drop", "add", "swap", "swap"]))
+        if action == "add" or not slots:
+            target = draw(st.sampled_from([cfg, *(c[k] for c, k in slots)]))
+            if isinstance(target, dict):
+                target[draw(st.sampled_from(["unknown", *_NAMES]))] = draw(_VALUES)
+            elif isinstance(target, list):
+                target.append(draw(_VALUES))
+        elif action == "drop":
+            target, key = draw(st.sampled_from(slots))
+            del target[key]
+        else:
+            # a number is swapped for another number as often as for anything
+            target, key = draw(st.sampled_from(slots))
+            number = isinstance(target[key], (int, float))
+            target[key] = draw(st.one_of(_NUMBERS, _VALUES) if number else _VALUES)
+    return cfg
+
+
+def _has_integral_float(value) -> bool:
+    if isinstance(value, float):
+        return value.is_integer()
+    if isinstance(value, (dict, list)):
+        children = value.values() if isinstance(value, dict) else value
+        return any(_has_integral_float(child) for child in children)
+    return False
+
+
+def _assert_checks_match_jsonschema(cfg):
+    # each problem schema sees the problem block, whatever its kind says
+    checks = [(cfg, cli._CONFIG_SCHEMA, "config")]
+    if "problem" in cfg:
+        checks += [(cfg["problem"], s, "problem") for s in cli._PROBLEM_SCHEMAS.values()]
+    for instance, schema, where in checks:
+        ours = cli._schema_errors(instance, schema, where)
+        assert ours == _jsonschema_errors(instance, schema, where, True)
+        # the one intended difference: 2.0 is not an integer
+        if ours != _jsonschema_errors(instance, schema, where, False):
+            assert _has_integral_float(instance)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_configs())
+def test_config_checks_match_jsonschema(cfg):
+    _assert_checks_match_jsonschema(cfg)
+
+
+def test_config_checks_match_jsonschema_on_every_single_swap():
+    # a list, since a set would keep only one of 1 and 1.0
+    numbers = [v for b in _BOUNDS for v in (b, b - 1, b + 1, float(b), b - 0.5, b + 0.5)]
+    others = [None, True, False, "", [], {}]
+    # the configs that carry every key of every schema
+    for seed_cfg in _SEED_CONFIGS[1:4]:
+        for index, (target, key) in enumerate(_slots(seed_cfg)):
+            number = isinstance(target[key], (int, float))
+            for value in numbers + others if number else others:
+                cfg = copy.deepcopy(seed_cfg)
+                target, key = list(_slots(cfg))[index]
+                target[key] = value
+                _assert_checks_match_jsonschema(cfg)
+
+
+@pytest.mark.parametrize("instance", [None, [], "x", 2.0, True, {}])
+def test_config_checks_match_jsonschema_on_a_non_object_config(instance):
+    ours = cli._schema_errors(instance, cli._CONFIG_SCHEMA, "config")
+    assert ours == _jsonschema_errors(instance, cli._CONFIG_SCHEMA, "config", True)
+    assert ours[0].startswith("config: (top level): ")
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [{"pattern": "^a"}, {"maxItems": 2}, {"additionalProperties": True},
+     {"additionalProperties": {"type": "string"}}, {"$ref": "#"}],
+)
+def test_an_unsupported_schema_keyword_raises(schema):
+    with pytest.raises(ValueError, match="unsupported schema keyword"):
+        cli._schema_errors({"a": 1}, schema, "config")
 
 
 def test_schemas_name_every_config_field():
@@ -435,9 +692,6 @@ def test_delta_samples_non_quadratic_problems(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sampled over 8 direction pairs" in out
     assert "sampled" in out
-
-
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 @pytest.mark.parametrize(

@@ -210,6 +210,15 @@ def test_targets_on_synthetic_traces():
         grad_evals_to_target(rows, -1.0)
 
 
+@pytest.mark.parametrize("to_target", [rounds_to_target, grad_evals_to_target])
+def test_a_nan_target_is_rejected(to_target):
+    # no gap is at or below NaN, so it would read as never reached
+    rows = [RoundTrace(k=0, rounds=0, grad_evals=0.0, f_gap=1.0, grad_norm_sq=1.0,
+                       dist_sq=None, wall_ms=None)]
+    with pytest.raises(ConfigurationError, match="target must be positive"):
+        to_target(rows, float("nan"))
+
+
 def test_randomized_output_mode_tracks_best_gradient():
     problem = gen_quadratic_problem(
         5, 3, 2, 8, max_norm=10.0, min_eig=0.5, target_delta=1.5
@@ -277,7 +286,7 @@ def test_target_gap_needs_a_reference_optimum():
         run_experiment(two_client_line(), cfg, budget, seed=0, reference=None)
 
 
-@pytest.mark.parametrize("record_every", [0, -2])
+@pytest.mark.parametrize("record_every", [0, -2, float("nan")])
 def test_record_every_must_be_positive(record_every):
     # p = 0.3 makes silent steps, where the record_every test is reached
     cfg = MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=0.3)
@@ -752,6 +761,28 @@ def test_mean_gradient_norm_certificate():
     bare = DistributedProblem(clients=problem.clients, dim=problem.dim)
     with pytest.raises(ConfigurationError, match="l_smooth"):
         mean_grad_norm_certificate(bare, cfg, ref.f_star, steps=10, seeds=[0])
+
+
+@pytest.mark.parametrize(
+    "steps, seeds, named",
+    [
+        (0, [0], "steps"),
+        (-3, [0], "steps"),
+        (float("nan"), [0], "steps"),
+        (10, [], "seeds"),
+        (10, iter(()), "seeds"),
+    ],
+    ids=["steps_zero", "steps_negative", "steps_nan", "seeds_empty",
+         "seeds_exhausted"],
+)
+def test_mean_gradient_norm_certificate_rejects_empty_averages(steps, seeds, named):
+    # each would average over nothing: a ZeroDivisionError or a NaN mean
+    problem = gen_quadratic_problem(4, 3, 2, 8, max_norm=8.0, min_eig=0.5,
+                                    target_delta=1.0)
+    cfg = MethodConfig(method="fedred_gd", lam=1.0, eta=10.0, p=0.5,
+                       averaging="rand")
+    with pytest.raises(ConfigurationError, match=named):
+        mean_grad_norm_certificate(problem, cfg, 0.0, steps=steps, seeds=seeds)
 
 
 # ----------------------------------------------------------------- traces

@@ -108,6 +108,8 @@ _WATCHED = (
     "http.client",
     "email",
     "urllib.request",
+    # load_config checks configs itself; jsonschema is the tests' reference
+    "jsonschema",
 )
 
 _RUN_AND_REPORT = """
@@ -150,6 +152,10 @@ def _tiny_run(directory, problem: dict) -> list[list[str]]:
     path = directory / "exp.json"
     path.write_text(json.dumps(cfg))
     return [["run", "--config", str(path), "--out", str(directory / "out")]]
+
+
+def test_importing_the_cli_loads_no_watched_module():
+    assert _loaded_by([]) == []
 
 
 def test_only_a_logistic_run_loads_the_sparse_stack(tmp_path):

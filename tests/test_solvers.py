@@ -104,6 +104,17 @@ def test_descent_over_a_base_without_a_smoothness_hint_needs_a_step():
         assert solve(surrogate, np.ones(1), rule, step=0.1).steps_taken == 1
 
 
+def test_descent_over_a_nan_smoothness_hint_needs_a_step():
+    # a NaN hint would give a NaN step, reported only at the next query point
+    base = CubicOracle()
+    base.smoothness_hint = float("nan")
+    surrogate = SurrogateOracle(base, prox_terms=((1.0, np.zeros(1)),))
+    rule = StoppingRule("fixed_steps", steps=1)
+    for solve in (solve_gd, solve_fgd):
+        with pytest.raises(ConfigurationError, match="no smoothness hint"):
+            solve(surrogate, np.ones(1), rule)
+
+
 def test_scheduled_rule_is_resolved_before_the_solvers():
     surrogate = SurrogateOracle(_oracle())
     for solve in (solve_gd, solve_fgd):
