@@ -255,7 +255,13 @@ class ClientOracle(ABC):
         return require_finite(self._check_shape(x), "oracle query point")
 
     def value(self, x) -> float:
-        v = float(self._value(self._check_input(x)))
+        v = self._value(self._check_input(x))
+        if getattr(v, "ndim", 0):
+            # a block of subproblems (a SurrogateOracle) gives one value per row
+            if not np.isfinite(v).all():
+                raise NonFiniteError("non-finite objective value")
+            return v
+        v = float(v)
         if not math.isfinite(v):
             raise NonFiniteError("non-finite objective value")
         return v

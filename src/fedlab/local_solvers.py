@@ -6,11 +6,23 @@ A local subproblem is a :class:`SurrogateOracle`
 
 covering both the single-anchor form (one proximal term at the server
 reference, shift = minus a control variate) and the doubly regularized
-form (anchors at the client iterate and the server reference).
+form (anchors at the client iterate and the server reference).  A
+surrogate over n base oracles holds the n clients' subproblems of one
+method step as the rows of (n, d) blocks, and every solver advances the
+rows in lockstep, in one loop.  Vector work runs on the whole working
+block, and the per-row scalars that scale rows (step sizes, momenta, the
+conjugate-gradient ``alpha``) are columns or blocks of the iterates' shape.
+Row norms and dots are ``np.vecdot``, which runs the same ``ddot`` per row
+as ``v.dot(v)`` on one vector.  The norms and counters that steer the loop
+are Python floats, one per row, tested as a one-row loop tests them, and a
+row leaves the working block once its own rule fires.  So each row's
+iterates, step count and final norm are bitwise those of its subproblem
+solved alone.  A surrogate over one base oracle is the one-row case on
+vectors, and a bare oracle handed to a solver is solved as one.
 
 Solvers: plain gradient descent, Nesterov-accelerated gradient descent,
 and a conjugate-gradient solve for pure quadratic bases.  Stopping is
-controlled by a :class:`StoppingRule`:
+controlled by a :class:`StoppingRule`, which every row applies to itself:
 
 * ``abs_grad``:  stop when ``||grad F(x)|| <= e``;
 * ``rel_grad``:  stop when ``||grad F(x)|| <= e * ||x - x_start||``; at the
@@ -27,27 +39,34 @@ the two gradient kinds, ``steps`` only by ``fixed_steps``.
 Gradient-based rules exhaust ``max_steps`` with a hard error rather than
 returning an uncertified point.  They also fail once 1,000 steps in a row
 have set no new best gradient norm while the norm sits at or below
-``4 eps L max(1, ||y||)`` for the surrogate's smoothness hint ``L``, the
+``4 eps L max(1, ||y||)`` for the row's smoothness hint ``L``, the
 rounding floor of a solution of unit scale; an accelerated norm that is not
 monotone keeps running as long as it still improves within that stretch.
 
-Finiteness is checked once per billed primitive.  The base oracle's public
+A failing row stops the whole solve, with the error type its own solve
+would raise and a message that ends by naming the row.  The solve raises at
+the first step (or conjugate-gradient iteration) at which any row fails:
+a base oracle that rejects a row's query point or gradient raises while
+the step's gradients are taken, in row order; otherwise the lowest row
+whose norm is not finite, that has stalled or whose budget ran out is
+named (:class:`NonFiniteError` for the first, :class:`SolverBudgetError`
+for the others).  The decrease check of ``require_decrease`` runs once
+every row has finished and names the lowest row whose objective increased.
+
+Finiteness is checked once per billed primitive.  Each row's base oracle
 ``gradient`` checks its output, which on the quadratic and logistic oracles
 (they declare ``gradient_propagates_non_finite``) also rejects a non-finite
 query point; an undeclared base checks the query point too.  The descent
-loop takes the surrogate's unchecked ``_gradient`` and raises
-:class:`NonFiniteError` when the norm it computes for the stopping rule is
+loop takes the surrogate's unchecked ``_gradients`` and raises
+:class:`NonFiniteError` when a norm it computes for the stopping rule is
 not finite (a NaN or inf entry, or a norm that overflows); conjugate
-gradients does the same with its residual norm.  The final values in each
-report come from the surrogate's public ``value``.
-
-Constant scalars on the descent path are vectors formed once: the step size
-per solve and a surrogate's proximal weights on its first gradient.  ``w *
-v`` with an all-``w`` vector is the same IEEE product as with the scalar,
-without numpy converting the Python float on every call.
+gradients does the same with its residual norms.  The final values in each
+report come from two calls of the surrogate's public ``value``, each with
+one value per row.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -60,7 +79,6 @@ from .core import (
     NonFiniteError,
     UnsupportedStructureError,
     Vector,
-    as_vector,
     require_finite,
 )
 
@@ -104,12 +122,19 @@ class StoppingRule:
 
 @dataclass
 class SolveReport:
-    """Outcome of one local solve."""
+    """Outcome of one local solve.
+
+    For a surrogate over one base oracle, ``solution`` is a vector and the
+    other fields are scalars.  For a block of n rows, ``solution`` is (n, d)
+    and ``final_grad_norm``, ``decreased`` and ``row_steps`` hold one entry
+    per row.  ``steps_taken`` is always the steps summed over the rows.
+    """
 
     solution: Vector
     steps_taken: int
-    final_grad_norm: float
-    decreased: bool
+    final_grad_norm: float | np.ndarray
+    decreased: bool | np.ndarray
+    row_steps: int | np.ndarray
 
 
 _DEFAULT_RULE = StoppingRule("abs_grad", tol=1e-9)
@@ -135,8 +160,10 @@ class LocalSpec:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ConfigurationError(f"unknown local solver {self.solver!r}")
-        if self.step is not None and not self.step > 0.0:
-            raise ConfigurationError("step override must be positive")
+        if self.step is not None and not 0.0 < self.step < math.inf:
+            raise ConfigurationError(
+                f"step override must be positive and finite, got {self.step!r}"
+            )
         if self.solver != "exact":
             return
         if self.check_decrease or self.step is not None:
@@ -146,76 +173,154 @@ class LocalSpec:
 
 
 class SurrogateOracle(ClientOracle):
-    """Base objective plus a linear shift and quadratic proximal terms.
+    """Base objectives plus linear shifts and quadratic proximal terms.
 
-    ``_gradient`` calls the base oracle's public ``gradient``, so the base
-    rejects a non-finite query point or output and bills the one unit; what
-    the shift and the proximal terms add on top is checked by the public
+    Over one base oracle a surrogate is one subproblem on vectors.  Over a
+    sequence of n base oracles it holds n subproblems as the rows of (n, d)
+    blocks: ``linear_shift`` and each proximal center are (n, d) blocks (a
+    vector given for one is repeated on every row), the proximal weights are
+    shared, and queries, gradients and values take and give one row (one
+    value) per base.  Each row's hints, its base's plus the total proximal
+    weight, are in ``smoothness_hints`` and ``convexity_hints``; a
+    one-subproblem surrogate also has them as ``smoothness_hint`` and
+    ``convexity_hint``, and its one base as ``base``.
+
+    ``_gradients`` calls each row's base ``gradient``, so the base rejects
+    a non-finite query point or output and bills the row's unit; what the
+    shift and the proximal terms add on top is checked by the public
     :meth:`gradient`, which bills nothing of its own, or, inside the local
-    solvers' loops, by the finiteness test on the gradient norm.  ``_value``
-    calls the base's unchecked ``_value``: the public ``value`` checks the
-    same point, and the total, which a non-finite base value makes
-    non-finite.
+    solvers' loops, by the finiteness test on the gradient norms.
+    ``_values`` calls the bases' unchecked ``_value``: the public ``value``
+    checks the same points, and the totals, which a non-finite base value
+    makes non-finite.
     """
 
     def __init__(
         self,
-        base: ClientOracle,
-        linear_shift: Vector | None = None,
-        prox_terms: tuple[tuple[float, Vector], ...] = (),
+        base: ClientOracle | list[ClientOracle],
+        linear_shift: np.ndarray | None = None,
+        prox_terms: tuple[tuple[float, np.ndarray], ...] = (),
     ):
-        self.base = base
-        self.dim = base.dim
-        self.linear_shift = (
-            None if linear_shift is None else as_vector(linear_shift)
-        )
-        if self.linear_shift is not None and self.linear_shift.shape[0] != self.dim:
-            raise ConfigurationError("linear shift dimension mismatch")
+        self.is_block = not isinstance(base, ClientOracle)
+        self.bases = list(base) if self.is_block else [base]
+        if not self.bases:
+            raise ConfigurationError("a surrogate needs at least one base oracle")
+        self.base = None if self.is_block else base
+        self.n = len(self.bases)
+        # the block's row numbers; a solver's working part keeps a subset
+        self.row_ids = list(range(self.n))
+        self.dim = self.bases[0].dim
+        if any(b.dim != self.dim for b in self.bases):
+            raise DimensionError("base oracle dimension mismatch")
+        self._shift = None
+        if linear_shift is not None:
+            self._shift = self._rows_of(
+                linear_shift, "linear shift", ConfigurationError
+            )
         terms = []
         for weight, center in prox_terms:
-            if not weight >= 0.0:
-                raise ConfigurationError(f"proximal weights must be >= 0: {weight!r}")
-            center = as_vector(center)
-            if center.shape[0] != self.dim:
-                raise ConfigurationError("proximal center dimension mismatch")
+            # NaN fails the comparison too
+            if not 0.0 <= weight < math.inf:
+                raise ConfigurationError(
+                    f"proximal weights must be finite and >= 0: {weight!r}"
+                )
+            center = self._rows_of(center, "proximal center", ConfigurationError)
             terms.append((float(weight), center))
-        self.prox_terms = tuple(terms)
-        # prox_terms with vector weights, formed on the first _gradient
-        self._vector_terms = None
-        self.total_prox_weight = float(sum(w for w, _ in self.prox_terms))
-        if base.smoothness_hint is not None:
-            self.smoothness_hint = base.smoothness_hint + self.total_prox_weight
-        else:
-            self.smoothness_hint = None
-        if base.convexity_hint is not None:
-            self.convexity_hint = base.convexity_hint + self.total_prox_weight
-        else:
-            self.convexity_hint = None
+        self._terms = tuple(terms)
+        # a one-subproblem surrogate's operands are the vectors of its one row
+        self.linear_shift, self.prox_terms = self._shift, self._terms
+        if not self.is_block:
+            if self._shift is not None:
+                self.linear_shift = self._shift[0]
+            self.prox_terms = tuple((w, c[0]) for w, c in self._terms)
+        self.total_prox_weight = total = float(sum(w for w, _ in self.prox_terms))
+        self.smoothness_hints = tuple(
+            None if b.smoothness_hint is None else b.smoothness_hint + total
+            for b in self.bases
+        )
+        self.convexity_hints = tuple(
+            None if b.convexity_hint is None else b.convexity_hint + total
+            for b in self.bases
+        )
+        if not self.is_block:
+            self.smoothness_hint = self.smoothness_hints[0]
+            self.convexity_hint = self.convexity_hints[0]
 
-    def _value(self, x: Vector) -> float:
-        v = self.base._value(x)
-        if self.linear_shift is not None:
-            v += float(self.linear_shift.dot(x))
-        for weight, center in self.prox_terms:
-            diff = x - center
-            v += 0.5 * weight * float(diff.dot(diff))
+    def _rows_of(self, v, what="start", error=DimensionError) -> np.ndarray:
+        """``v`` as (n, d) rows: a one-subproblem surrogate's vector is its
+        row, and a block surrogate takes an (n, d) block or a vector that it
+        repeats on every row (a product of equal shapes costs numpy less
+        than a broadcast one)."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape == (self.dim,):
+            return np.repeat(v[None], self.n, axis=0) if self.is_block else v[None]
+        if self.is_block and v.shape == (self.n, self.dim):
+            return v
+        raise error(
+            f"{what} of shape {v.shape} does not fit {self.n} rows "
+            f"of dimension {self.dim}"
+        )
+
+    def _check_shape(self, x) -> np.ndarray:
+        if not self.is_block:
+            return super()._check_shape(x)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n, self.dim):
+            raise DimensionError(
+                f"query of shape {x.shape} does not fit {self.n} rows "
+                f"of dimension {self.dim}"
+            )
+        return x
+
+    def _rows(self, keep: list[int]) -> "SurrogateOracle":
+        """The rows at the positions ``keep``, for a solver's working block:
+        its ``row_ids``, ``bases`` and the row terms :meth:`_gradients`
+        reads."""
+        part = copy.copy(self)
+        part.row_ids = [self.row_ids[j] for j in keep]
+        part.n = len(keep)
+        part.bases = [self.bases[j] for j in keep]
+        index = np.array(keep)
+        part._shift = None if self._shift is None else self._shift[index]
+        part._terms = tuple((w, c[index]) for w, c in self._terms)
+        return part
+
+    def _values(self, y: np.ndarray) -> np.ndarray:
+        """Every row's value at its row of ``y``: the base's unchecked
+        ``_value``, then the shift and the proximal terms."""
+        v = np.array([b._value(row) for b, row in zip(self.bases, y)])
+        if self._shift is not None:
+            v += np.vecdot(self._shift, y)
+        for weight, center in self._terms:
+            diff = y - center
+            v += 0.5 * weight * np.vecdot(diff, diff)
         return v
 
-    def _gradient(self, x: Vector) -> Vector:
-        g = self.base.gradient(x)
-        if self.linear_shift is not None:
-            g = g + self.linear_shift
-        terms = self._vector_terms
-        if terms is None:
-            terms = self._vector_terms = [
-                (np.full(self.dim, w), c) for w, c in self.prox_terms
-            ]
-        for weight, center in terms:
-            g = g + weight * (x - center)
+    def _gradients(self, y: np.ndarray) -> np.ndarray:
+        """Every row's gradient at its row of ``y``: one public base
+        ``gradient`` per row, in row order, then the shift and the proximal
+        terms.  A base's :class:`NonFiniteError` comes out naming the row."""
+        grads = []
+        try:
+            for base, point in zip(self.bases, y):
+                grads.append(base.gradient(point))
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{exc} in row {self.row_ids[len(grads)]}") from exc
+        g = np.array(grads)
+        if self._shift is not None:
+            g += self._shift
+        for weight, center in self._terms:
+            g += weight * (y - center)
         return g
 
-    def gradient(self, x) -> Vector:
-        # the inherited public gradient would bill a unit on top of the base's
+    def _value(self, x):
+        return self._values(x) if self.is_block else float(self._values(x[None])[0])
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._gradients(x) if self.is_block else self._gradients(x[None])[0]
+
+    def gradient(self, x) -> np.ndarray:
+        # the inherited public gradient would bill a unit on top of the bases'
         return require_finite(self._gradient(self._check_input(x)), "gradient")
 
 
@@ -236,39 +341,48 @@ def schedule_e_r(round_index: int, lam: float, mu: float = 0.0) -> float:
     return float(np.sqrt(lam * (mu + lam) / (8.0 * (r + 1.0) * (r + 2.0))))
 
 
-def _default_step(surrogate: ClientOracle, step: float | None) -> float:
+def _default_step(hint: float | None, step: float | None) -> float:
     if step is not None:
-        if not step > 0.0:
-            raise ConfigurationError("step size must be positive")
+        if not 0.0 < step < math.inf:
+            raise ConfigurationError(
+                f"step size must be positive and finite, got {step!r}"
+            )
         return step
-    if surrogate.smoothness_hint is None or not surrogate.smoothness_hint > 0.0:
+    if hint is None or not hint > 0.0:
         raise ConfigurationError(
             "no smoothness hint available; pass an explicit step size"
         )
-    return 1.0 / surrogate.smoothness_hint
+    return 1.0 / hint
 
 
 def _finish(
-    surrogate: ClientOracle,
-    x_start: Vector,
-    solution: Vector,
-    steps: int,
-    grad_norm: float,
+    surrogate: SurrogateOracle,
+    start: np.ndarray,
+    solution: np.ndarray,
+    steps: np.ndarray,
+    norms: np.ndarray,
     require_decrease: bool,
 ) -> SolveReport:
-    f_start = surrogate.value(x_start)
+    """The report of a solve from its (n, d) rows and per-row results.
+
+    The decrease flags take two calls of the surrogate's public ``value``,
+    one value per row each.
+    """
+    if not surrogate.is_block:
+        start, solution = start[0], solution[0]
+    f_start = surrogate.value(start)
     f_end = surrogate.value(solution)
     decreased = f_end <= f_start + _DECREASE_SLACK * (1.0 + abs(f_start))
-    if require_decrease and not decreased:
+    if require_decrease and not np.all(decreased):
+        row = int(np.argmin(decreased))
         raise SolverBudgetError(
-            f"local solve increased the objective: {f_start} -> {f_end}"
+            f"local solve increased the objective in row {row}: "
+            f"{np.atleast_1d(f_start)[row]} -> {np.atleast_1d(f_end)[row]}"
         )
-    return SolveReport(
-        solution=solution,
-        steps_taken=steps,
-        final_grad_norm=grad_norm,
-        decreased=decreased,
-    )
+    if surrogate.is_block:
+        return SolveReport(solution, int(steps.sum()), norms, decreased, steps)
+    steps = int(steps[0])
+    return SolveReport(solution, steps, float(norms[0]), decreased, steps)
 
 
 def _descend(
@@ -281,79 +395,122 @@ def _descend(
 ) -> SolveReport:
     """The descent loop behind :func:`solve_gd` and :func:`solve_fgd`.
 
-    Each iteration takes one gradient at ``y`` and steps to
-    ``x_new = y - gamma * grad``; plain descent moves to ``y = x_new``, the
-    accelerated loop extrapolates past it.  The gradient is the surrogate's
-    unchecked ``_gradient``; its norm, ``sqrt(g . g)`` as ``np.linalg.norm``
-    computes it, is the finiteness check.
+    Each iteration takes one gradient per working row at its ``y`` and
+    steps to ``x_new = y - gamma * grad``; plain descent moves to
+    ``y = x_new``, the accelerated loop extrapolates past it.  The gradients
+    are the surrogate's unchecked ``_gradients``; their norms, ``sqrt(g .
+    g)`` per row as ``np.linalg.norm`` computes it, are the finiteness
+    check.  The rows' step sizes and momenta fill blocks the shape of the
+    iterates, which round like the scalars and spare numpy a broadcast per
+    product; the norms, best norms and stall counters that steer the loop
+    are Python floats, one per row, tested as a one-row loop tests them.
     """
     if rule.kind == "scheduled":
         raise ConfigurationError("the method resolves scheduled rules per round")
-    x_start = as_vector(x_start)
-    if x_start.shape[0] != surrogate.dim:
-        # the unchecked gradient below would not catch a mismatch on a bare oracle
-        raise DimensionError(
-            f"oracle dimension {surrogate.dim}, start dimension {x_start.shape[0]}"
-        )
-    gamma = _default_step(surrogate, step)
-    momentum_const = None
-    modulus = surrogate.convexity_hint
-    if accelerated and modulus is not None and modulus > 0.0:
-        root_kappa = np.sqrt((1.0 / gamma) / modulus)
-        momentum_const = (root_kappa - 1.0) / (root_kappa + 1.0)
-    gamma_vector = np.full(surrogate.dim, gamma)
-    hint = surrogate.smoothness_hint
-    floor = 0.0 if hint is None else _STALL_EPS * hint
-    x = y = x_start
-    best_x, best_norm = x_start, np.inf
-    steps = stalled = 0
+    if not isinstance(surrogate, SurrogateOracle):
+        surrogate = SurrogateOracle(surrogate)
+    origin = start = y = x = surrogate._rows_of(x_start)
+    n, d = y.shape
+    hints = surrogate.smoothness_hints
+    step_sizes = [_default_step(hint, step) for hint in hints]
+    gamma = np.repeat(np.array(step_sizes)[:, None], d, axis=1)
+    floors = [0.0 if hint is None else _STALL_EPS * hint for hint in hints]
+    if accelerated:
+        # rows without a strong-convexity modulus follow the schedule t/(t+3)
+        momentum = np.full((n, d), np.nan)
+        moduli = surrogate.convexity_hints
+        for i, (gamma_i, modulus) in enumerate(zip(step_sizes, moduli)):
+            if modulus is not None and modulus > 0.0:
+                root_kappa = np.sqrt((1.0 / gamma_i) / modulus)
+                momentum[i] = (root_kappa - 1.0) / (root_kappa + 1.0)
+        scheduled = np.isnan(momentum)
+        all_constant = not scheduled.any()
+    part = surrogate
+    solution, taken, final = np.empty((n, d)), np.zeros(n, dtype=np.int64), np.empty(n)
+    best_x, best_norms = y, [math.inf] * n
+    stalled = [0] * n
+    kind, tol, max_steps = rule.kind, rule.tol, rule.max_steps
+    steps = 0
     while True:
-        g = surrogate._gradient(y)
-        norm = math.sqrt(g.dot(g))
-        if not math.isfinite(norm):
-            raise NonFiniteError(f"non-finite local gradient at step {steps}")
-        if norm < best_norm:
-            best_x, best_norm = y, norm
-        if rule.kind == "fixed_steps":
-            if steps >= rule.steps:
-                return _finish(
-                    surrogate, x_start, best_x, steps, best_norm, require_decrease
+        g = part._gradients(y)
+        norms = [math.sqrt(sq) for sq in np.vecdot(g, g).tolist()]
+        if kind != "fixed_steps":
+            sizes = np.vecdot(y, y).tolist()
+        if kind == "rel_grad":
+            moved = y - start
+            reaches = np.vecdot(moved, moved).tolist()
+        improved, done = [], []
+        for j, (row, norm) in enumerate(zip(part.row_ids, norms)):
+            if not math.isfinite(norm):
+                raise NonFiniteError(
+                    f"non-finite local gradient at step {steps} in row {row}"
                 )
-        elif rule.kind == "abs_grad" and norm <= rule.tol:
-            return _finish(
-                surrogate, x_start, best_x, steps, best_norm, require_decrease
-            )
-        elif rule.kind == "rel_grad" and norm <= rule.tol * math.sqrt(
-            (moved := y - x_start).dot(moved)
-        ):
-            return _finish(surrogate, x_start, y, steps, norm, require_decrease)
-        elif norm <= floor * max(1.0, math.sqrt(y.dot(y))):
-            stalled = 0 if best_x is y else stalled + 1
-            if stalled >= _STALL_STEPS:
+            better = norm < best_norms[j]
+            if better:
+                best_norms[j] = norm
+            if kind == "fixed_steps":
+                fired = steps >= rule.steps
+            else:
+                if kind == "abs_grad":
+                    fired = norm <= tol
+                else:
+                    fired = norm <= tol * math.sqrt(reaches[j])
+                if not fired and norm <= floors[j] * max(1.0, math.sqrt(sizes[j])):
+                    stalled[j] = 0 if better else stalled[j] + 1
+                    if stalled[j] >= _STALL_STEPS:
+                        raise SolverBudgetError(
+                            f"{kind} rule unmet at step {steps}: ||grad|| = "
+                            f"{norm:.3e} has sat at its rounding floor for "
+                            f"{stalled[j]} steps without improving, in row {row}"
+                        )
+                else:
+                    stalled[j] = 0
+            if not fired and steps >= max_steps:
                 raise SolverBudgetError(
-                    f"{rule.kind} rule unmet at step {steps}: ||grad|| = {norm:.3e} "
-                    f"has sat at its rounding floor for {stalled} steps "
-                    "without improving"
+                    f"{kind} rule unmet after {max_steps} steps "
+                    f"(||grad|| = {norm:.3e}) in row {row}"
                 )
-        else:
-            stalled = 0
-        if steps >= rule.max_steps:
-            raise SolverBudgetError(
-                f"{rule.kind} rule unmet after {rule.max_steps} steps "
-                f"(||grad|| = {norm:.3e})"
+            improved.append(better)
+            done.append(fired)
+        if all(improved):
+            best_x = y
+        elif any(improved):
+            best_x = np.where(np.array(improved)[:, None], y, best_x)
+        if any(done):
+            # rel_grad returns the iterate that fired, the others the best one
+            if kind == "rel_grad":
+                chosen, chosen_norms = y, norms
+            else:
+                chosen, chosen_norms = best_x, best_norms
+            for j, row in enumerate(part.row_ids):
+                if done[j]:
+                    solution[row] = chosen[j]
+                    final[row] = chosen_norms[j]
+                    taken[row] = steps
+            if all(done):
+                break
+            keep = [j for j, fired in enumerate(done) if not fired]
+            part = part._rows(keep)
+            best_norms, stalled = ([a[j] for j in keep] for a in (best_norms, stalled))
+            index = np.array(keep)
+            start, y, x, g, best_x, gamma = (
+                a[index] for a in (start, y, x, g, best_x, gamma)
             )
-        x_new = y - gamma_vector * g
+            if accelerated:
+                momentum, scheduled = momentum[index], scheduled[index]
+                all_constant = not scheduled.any()
+        x_new = y - gamma * g
         if accelerated:
-            beta = (
-                momentum_const
-                if momentum_const is not None
-                else steps / (steps + 3.0)
-            )
+            if all_constant:
+                beta = momentum
+            else:
+                beta = np.where(scheduled, steps / (steps + 3.0), momentum)
             y = x_new + beta * (x_new - x)
         else:
             y = x_new
         x = x_new
         steps += 1
+    return _finish(surrogate, origin, solution, taken, final, require_decrease)
 
 
 def solve_gd(
@@ -363,7 +520,7 @@ def solve_gd(
     step: float | None = None,
     require_decrease: bool = False,
 ) -> SolveReport:
-    """Gradient descent with step ``1/(L_base + total prox weight)``.
+    """Gradient descent with step ``1/(L_base + total prox weight)`` per row.
 
     Under ``fixed_steps`` (and after an ``abs_grad`` rule fires) the
     returned point is the visited iterate with the smallest gradient norm,
@@ -387,7 +544,7 @@ def solve_fgd(
     ``(sqrt(kappa)-1)/(sqrt(kappa)+1)`` is used; otherwise the convex
     schedule ``t/(t+3)``.  Stopping rules are evaluated at the
     extrapolated points, whose gradients are computed anyway, so each
-    iteration costs one gradient.  The returned point follows
+    iteration costs one gradient per row.  The returned point follows
     :func:`solve_gd`.
     """
     return _descend(surrogate, x_start, rule, step, require_decrease, True)
@@ -396,71 +553,90 @@ def solve_fgd(
 def solve_exact_quadratic(
     surrogate: SurrogateOracle, x_start=None
 ) -> SolveReport:
-    """Solve the surrogate exactly when the base objective is quadratic.
+    """Solve the surrogate's rows exactly when their bases are quadratic.
 
-    Runs conjugate gradients on ``(H + w I) x = rhs`` down to a residual of
-    ``1e-12 * ||rhs||``.  The iteration always starts from the zero vector,
-    so the returned solution is a deterministic function of the subproblem
-    alone (warm starts cannot perturb it); ``x_start`` only provides the
-    reference point for the decrease flag.
+    Runs conjugate gradients on ``(H_i + w I) x = rhs_i`` for every row
+    ``i`` down to a residual of ``1e-12 * ||rhs_i||``.  The iteration always
+    starts from zero, so the returned solution is a deterministic function
+    of the subproblem alone (warm starts cannot perturb it); ``x_start``
+    only provides the reference point for the decrease flags.
 
-    Each iteration makes one ``hessian_matvec`` of the base (it bills one
-    unit; O(d) on a quadratic drawn in its eigen frame).  The loop updates
-    its own ``x``, ``ap``, ``r`` and ``p`` in place, bitwise the textbook
-    loop's fresh arrays.
+    Each iteration makes one ``hessian_matvec`` of each working row's base
+    (it bills one unit; O(d) on a quadratic drawn in its eigen frame).  The
+    loop updates its own ``x``, ``ap``, ``r`` and ``p`` blocks in place,
+    bitwise the textbook loop's fresh arrays, and a row leaves them when its
+    residual reaches its target.  When the budget of ``max(50, 25 d)``
+    iterations runs out, the lowest working row is the one named.
     """
     if not isinstance(surrogate, SurrogateOracle):
         raise UnsupportedStructureError("expected a SurrogateOracle")
-    base = surrogate.base
-    if not getattr(base, "is_pure_quadratic", False):
+    if not all(getattr(b, "is_pure_quadratic", False) for b in surrogate.bases):
         raise UnsupportedStructureError(
             "exact solve needs a pure quadratic base oracle"
         )
     weight = surrogate.total_prox_weight
-    rhs = base.linear_term()
-    if surrogate.linear_shift is not None:
-        rhs = rhs - surrogate.linear_shift
-    for w, center in surrogate.prox_terms:
-        rhs = rhs + w * center
-    hessian_matvec = base.hessian_matvec
+    r = np.array([b.linear_term() for b in surrogate.bases])
+    if surrogate._shift is not None:
+        r -= surrogate._shift
+    for w, center in surrogate._terms:
+        r += w * center
 
-    d = rhs.shape[0]
-    x = np.zeros(d)
-    r = rhs.copy()
+    n, d = r.shape
+    x = np.zeros((n, d))
     p = r.copy()
-    ap = np.empty(d)
-    rs_old = float(r.dot(r))
-    res_norm = math.sqrt(rs_old)
-    target = EXACT_RESIDUAL_REL * res_norm
+    rs_old = np.vecdot(r, r)
+    res_norms = np.sqrt(rs_old).tolist()
+    targets = [EXACT_RESIDUAL_REL * res for res in res_norms]
+    part = surrogate
+    solution, taken, final = np.empty((n, d)), np.zeros(n, dtype=np.int64), np.empty(n)
     iters = 0
     max_iters = max(50, 25 * d)
     while True:
-        if not math.isfinite(res_norm):
-            raise NonFiniteError(
-                f"non-finite conjugate-gradient residual at iteration {iters}"
+        done = []
+        for row, res, target in zip(part.row_ids, res_norms, targets):
+            if not math.isfinite(res):
+                raise NonFiniteError(
+                    "non-finite conjugate-gradient residual at iteration "
+                    f"{iters} in row {row}"
+                )
+            done.append(res <= target)
+        if any(done):
+            for j, row in enumerate(part.row_ids):
+                if done[j]:
+                    solution[row] = x[j]
+                    final[row] = res_norms[j]
+                    taken[row] = iters
+            if all(done):
+                break
+            keep = [j for j, converged in enumerate(done) if not converged]
+            part = part._rows(keep)
+            res_norms, targets = ([a[j] for j in keep] for a in (res_norms, targets))
+            index = np.array(keep)
+            x, r, p, rs_old = (a[index] for a in (x, r, p, rs_old))
+        if iters >= max_iters:
+            raise SolverBudgetError(
+                f"conjugate gradients stalled at residual {res_norms[0]:.3e} "
+                f"in row {part.row_ids[0]}"
             )
-        if res_norm <= target or iters >= max_iters:
-            break
-        np.multiply(p, weight, ap)
-        ap += hessian_matvec(p)
-        curvature = float(p.dot(ap))
-        if curvature <= 0.0:
-            raise UnsupportedStructureError(
-                "subproblem matrix is not positive definite"
-            )
-        alpha = rs_old / curvature
+        # p * w + H p, added in the other order: the same IEEE sum
+        ap = np.array([b.hessian_matvec(row) for b, row in zip(part.bases, p)])
+        ap += weight * p
+        curvature = np.vecdot(p, ap)
+        # a NaN curvature passes here and fails as a residual next iteration
+        for row, curv in zip(part.row_ids, curvature.tolist()):
+            if curv <= 0.0:
+                raise UnsupportedStructureError(
+                    f"subproblem matrix is not positive definite in row {row}"
+                )
+        alpha = (rs_old / curvature)[:, None]
         x += alpha * p
         ap *= alpha
         r -= ap
-        rs_new = float(r.dot(r))
-        res_norm = math.sqrt(rs_new)
-        p *= rs_new / rs_old
+        rs_new = np.vecdot(r, r)
+        res_norms = np.sqrt(rs_new).tolist()
+        p *= (rs_new / rs_old)[:, None]
         p += r
         rs_old = rs_new
         iters += 1
-    if res_norm > target:
-        raise SolverBudgetError(
-            f"conjugate gradients stalled at residual {res_norm:.3e}"
-        )
-    start = as_vector(x_start) if x_start is not None else np.zeros(d)
-    return _finish(surrogate, start, x, iters, res_norm, require_decrease=False)
+    start = np.zeros((n, d)) if x_start is None else surrogate._rows_of(x_start)
+    return _finish(surrogate, start, solution, taken, final, require_decrease=False)

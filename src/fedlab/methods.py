@@ -130,8 +130,10 @@ class MethodConfig:
         # comparison, fails it too
         for name in ("lam", "eta", "mu"):
             value = getattr(self, name)
-            if not value >= 0.0:
-                raise ConfigurationError(f"{name} must be non-negative, got {value!r}")
+            if not 0.0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         if not 0.0 < self.p <= 1.0:
             raise ConfigurationError("p must lie in (0, 1]")
         if self.averaging not in AVERAGING:
@@ -247,7 +249,7 @@ def _resolve_rule(cfg: MethodConfig, round_index: int) -> tuple[StoppingRule, fl
 
 
 def _solve_local(
-    cfg: MethodConfig, surrogate: SurrogateOracle, start: Vector, rule: StoppingRule
+    cfg: MethodConfig, surrogate: SurrogateOracle, start: np.ndarray, rule: StoppingRule
 ) -> SolveReport:
     # looked up at call time, so that wrappers patched onto this module see every solve
     spec = cfg.local
@@ -314,7 +316,8 @@ def anchored_step(
     Every client minimizes
     ``f_i(x) - <h_i, x> + eta/2 ||x - x_i||^2 + lam/2 ||x - ref||^2``; the
     method's preset picks the start point and whether ``h_i`` is used, and
-    ``eta``, ``p`` and ``averaging`` come from ``cfg``.
+    ``eta``, ``p`` and ``averaging`` come from ``cfg``.  The n subproblems
+    are the rows of one :class:`SurrogateOracle`, solved in one call.
     """
     from_iterate, corrected = _ANCHORED_PRESETS[cfg.method]
     step_stream = stream.fork(server.iteration)
@@ -322,24 +325,22 @@ def anchored_step(
         _ensure_fresh_variates(problem, server, clients)
     rule, e_r = _resolve_rule(cfg, server.comm_events)
     ref = server.reference
-    solutions = []
-    premise = []
-    local_steps = 0
-    for oracle, x, h in zip(problem.clients, clients.x, clients.h):
-        prox_terms = ((cfg.lam, ref),)
-        if cfg.eta > 0.0:
-            prox_terms = ((cfg.eta, x),) + prox_terms
-        surrogate = SurrogateOracle(
-            oracle, linear_shift=-h if corrected else None, prox_terms=prox_terms
-        )
-        report = _solve_local(cfg, surrogate, x if from_iterate else ref, rule)
-        solutions.append(report.solution)
-        local_steps += report.steps_taken
-        moved = report.solution - ref
-        premise.append((report.final_grad_norm, math.sqrt(moved.dot(moved))))
+    prox_terms = ((cfg.lam, ref),)
+    if cfg.eta > 0.0:
+        prox_terms = ((cfg.eta, clients.x),) + prox_terms
+    surrogate = SurrogateOracle(
+        problem.clients,
+        linear_shift=-clients.h if corrected else None,
+        prox_terms=prox_terms,
+    )
+    report = _solve_local(cfg, surrogate, clients.x if from_iterate else ref, rule)
+    moved = report.solution - ref
+    premise = list(
+        zip(report.final_grad_norm.tolist(), np.sqrt(np.vecdot(moved, moved)).tolist())
+    )
     record = _communicate(
-        server, clients, cfg, step_stream, solutions, local_steps=local_steps,
-        e_r=e_r, premise=premise,
+        server, clients, cfg, step_stream, report.solution,
+        local_steps=report.steps_taken, e_r=e_r, premise=premise,
     )
     return server, clients, record
 
@@ -357,15 +358,20 @@ def fedred_gd_step(
     ref = server.reference
     total = cfg.eta + cfg.lam
     coeffs = np.array([cfg.eta / total, cfg.lam / total, -1.0 / total])
-    solutions = []
-    for i, (oracle, x, h) in enumerate(zip(problem.clients, clients.x, clients.h)):
+    grads = []
+    for i, (oracle, x) in enumerate(zip(problem.clients, clients.x)):
         if cfg.batch_size is not None:
             batch_stream = step_stream.fork(_LBL_BATCH).fork(i)
-            g = oracle.stochastic_gradient(x, batch_stream, cfg.batch_size)
+            grads.append(oracle.stochastic_gradient(x, batch_stream, cfg.batch_size))
         else:
-            g = oracle.gradient(x)
-        # one row at a time: a batched product could sum in another order
-        solutions.append(coeffs.dot(np.array([x, ref, g - h])))
+            grads.append(oracle.gradient(x))
+    # rows [x_i, ref, g_i - h_i]: numpy runs one gemv per row, the product
+    # coeffs.dot(row) makes alone, so each solution is bitwise the per-row one
+    terms = np.empty((problem.n, 3, problem.dim))
+    terms[:, 0] = clients.x
+    terms[:, 1] = ref
+    np.subtract(np.array(grads), clients.h, out=terms[:, 2])
+    solutions = np.matmul(coeffs, terms)
     record = _communicate(server, clients, cfg, step_stream, solutions, local_steps=1)
     return server, clients, record
 

@@ -1,4 +1,6 @@
 """Federated methods: variates, rounds/steps, fixed points, parameter rules."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,28 @@ def test_nan_in_a_range_checked_field_is_rejected(field, valid):
     MethodConfig(**valid, **{field: 1.0 if field in ("p", "local_steps") else 2.0})
     with pytest.raises(ConfigurationError, match=field):
         MethodConfig(**valid, **{field: float("nan")})
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("lam", lambda v: MethodConfig(method="dane_plus", lam=v)),
+        ("eta", lambda v: MethodConfig(method="gd", eta=v)),
+        ("mu", lambda v: MethodConfig(
+            method="dane_plus", lam=1.0, mu=v, local=_SCHEDULED_GD
+        )),
+        ("step", lambda v: LocalSpec(solver="gd", step=v)),
+        ("proximal weights", lambda v: SurrogateOracle(
+            quad_1d().clients[0], prox_terms=((v, np.zeros(1)),)
+        )),
+    ],
+)
+def test_an_infinite_parameter_is_rejected_by_name(field, build):
+    # an infinite lam, eta, mu, step or weight would only fail later, as a
+    # non-finite residual or query point; each check is 0 <= v < inf
+    build(2.0)
+    with pytest.raises(ConfigurationError, match=field):
+        build(math.inf)
 
 
 def _generated(**overrides):
@@ -764,4 +788,5 @@ def test_local_solves_dispatch_through_module_globals(monkeypatch, solver, name)
     cfg = MethodConfig(method="dane_plus", lam=1.0, local=local)
     server, clients, _ = init_method_state(problem, cfg, np.zeros(3))
     fedlab.methods.anchored_step(problem, server, clients, cfg, RandomStream(0))
-    assert hits == [name] * problem.n
+    # one block solve per step, over every client's subproblem
+    assert hits == [name]

@@ -49,6 +49,8 @@ PER_CALL = [
     logistic._LogisticBlock.gradients,
     local_solvers.SurrogateOracle._value,
     local_solvers.SurrogateOracle._gradient,
+    local_solvers.SurrogateOracle._values,
+    local_solvers.SurrogateOracle._gradients,
     local_solvers._descend,
     local_solvers.solve_exact_quadratic,
     methods.anchored_step,

@@ -411,8 +411,8 @@ def test_vector_step_is_bitwise_the_scalar_form(terms, shift, xs):
 def test_descent_bills_one_gradient_per_step_plus_one(solver, rule):
     surrogate = _parity_surrogate(hinted=True)
     calls = []
-    inner = surrogate._gradient
-    surrogate._gradient = lambda x: calls.append(1) or inner(x)
+    inner = surrogate._gradients
+    surrogate._gradients = lambda y: calls.append(1) or inner(y)
     start = RandomStream(10).generator().standard_normal(surrogate.dim)
     core.take_billed()
     report = solver(surrogate, start, rule)
