@@ -21,7 +21,8 @@ they replace.  :func:`require_finite` alone keeps ``np.vdot``: ``.dot`` and
 Finiteness is checked at the oracle boundary: a query point and what comes
 back from it.  A billed gradient of an oracle that declares
 ``gradient_propagates_non_finite`` checks only its output, which is
-non-finite whenever its query is (see :class:`ClientOracle`).
+non-finite whenever its query is (see :class:`ClientOracle`), and a block
+of clients' billed gradients from :func:`gradients_of` is checked once.
 """
 from __future__ import annotations
 
@@ -76,14 +77,19 @@ def as_vector(x) -> Vector:
 def require_finite(arr, what: str = "value"):
     """Raise :class:`NonFiniteError` unless every entry of ``arr`` is finite.
 
-    A 1-D float64 array is first tested with one BLAS dot, ``arr . arr``: a
-    sum of squares is finite only when every entry is.  It can also overflow
+    A float64 array (a vector, or a block of rows read as one flat vector)
+    is first tested with one BLAS dot, ``arr . arr``: a sum of squares is
+    finite only when every entry is.  It can also overflow
     on finite entries (above about 1e154), so a non-finite dot, like any
     other input, falls back to the exact ``np.isfinite`` test.  ``np.vdot``
     does not read the floating-point status flags, so no input makes the
     dot warn.
     """
-    if _is_vector(arr) and math.isfinite(np.vdot(arr, arr)):
+    if (
+        type(arr) is np.ndarray
+        and arr.dtype is _FLOAT64
+        and math.isfinite(np.vdot(arr, arr))
+    ):
         return arr
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite entries in {what}")
@@ -206,15 +212,20 @@ class ClientOracle(ABC):
     check and an undeclared one two; :meth:`value`, samples and block
     evaluations always check both.
 
-    Every billed primitive passes this boundary once, at the base oracle:
-    wrappers such as :class:`~fedlab.local_solvers.SurrogateOracle` call the
-    base's public methods from their own ``_gradient``, and the local
-    solvers call the wrapper's ``_gradient`` and test the gradient norm they
-    compute anyway (see :mod:`fedlab.local_solvers`); a surrogate value
-    reads the base's unchecked ``_value``.  Outside callers of :meth:`gradient` and
-    :meth:`value` keep every check, and query points and gradients pass
-    through :func:`as_vector`.  The public :meth:`gradient` bills one unit
-    (see :func:`bill`); values bill nothing.  An oracle that can sample
+    Every billed primitive is checked once, at the base oracle's boundary.
+    Several clients' gradients at their own points come from
+    :func:`gradients_of`: oracles that share a ``stack`` (the quadratic
+    ones) answer in one billed product, checked once over the whole
+    block, and any other list makes one public :meth:`gradient` per row.
+    Wrappers such as :class:`~fedlab.local_solvers.SurrogateOracle` take
+    their bases' gradients that way from their own ``_gradients``, and the
+    local solvers call the wrapper's ``_gradients`` and test the gradient
+    norms they compute anyway (see :mod:`fedlab.local_solvers`); a
+    surrogate value reads the base's unchecked ``_value``.  Outside callers
+    of :meth:`gradient` and :meth:`value` keep every check, and query
+    points and gradients pass through :func:`as_vector`.  The public
+    :meth:`gradient` bills one unit and a stack's block one per row (see
+    :func:`bill`); values bill nothing.  An oracle that can sample
     overrides :meth:`stochastic_gradient`, which bills the share of a full
     gradient that the sample consumed.
 
@@ -230,12 +241,20 @@ class ClientOracle(ABC):
     gradient_propagates_non_finite : bool
         True when every non-finite query point gives a non-finite gradient
         (off by default).
+    stack, row : object or None, int
+        The stack of clients this oracle is row ``row`` of, whose
+        ``gradients(rows, points)`` gives those rows' billed, unchecked
+        gradients in one pass, bitwise their ``_gradient``; None for an
+        oracle that answers alone.  A stack's oracles declare
+        ``gradient_propagates_non_finite``.
     """
 
     dim: int
     smoothness_hint: float | None = None
     convexity_hint: float | None = None
     gradient_propagates_non_finite: bool = False
+    stack: object | None = None
+    row: int
 
     @abstractmethod
     def _value(self, x: Vector) -> float: ...
@@ -291,6 +310,49 @@ class ClientOracle(ABC):
         )
 
 
+def gradients_of(oracles, points, labels=None) -> np.ndarray:
+    """Each oracle's billed gradient at its row of ``points``, as a (k, d) block.
+
+    ``points`` is (k, d), one row per oracle, or one point of dimension d
+    for all of them.  Oracles that all share one ``stack`` answer in one
+    call of its ``gradients``, which bills the k rows, and the block is
+    checked once; any other list makes one public :meth:`ClientOracle.gradient`
+    per row, in order.  Either way a :class:`NonFiniteError` names the
+    lowest failing row, by its entry of ``labels`` (default: its position),
+    after the message its own public gradient raises: the query point's
+    when that is not finite, else the gradient's.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    k = len(oracles)
+    stack = oracles[0].stack
+    if stack is None or any(o.stack is not stack for o in oracles):
+        grads = []
+        rows = points if points.ndim == 2 else [points] * k
+        try:
+            for oracle, point in zip(oracles, rows):
+                grads.append(oracle.gradient(point))
+        except NonFiniteError as exc:
+            row = len(grads) if labels is None else labels[len(grads)]
+            raise NonFiniteError(f"{exc} in row {row}") from exc
+        return np.array(grads)
+    if points.ndim == 1:
+        points = np.broadcast_to(points, (k, points.shape[0]))
+    if points.shape != (k, oracles[0].dim):
+        raise DimensionError(
+            f"query of shape {points.shape} does not fit {k} rows "
+            f"of dimension {oracles[0].dim}"
+        )
+    grads = stack.gradients([o.row for o in oracles], points)
+    try:
+        return require_finite(grads, "gradient")
+    except NonFiniteError:
+        # rows before the first failing one passed: name that row
+        j = int(np.argmin(np.isfinite(grads).all(axis=1)))
+        row = j if labels is None else labels[j]
+        what = "gradient" if np.isfinite(points[j]).all() else "oracle query point"
+        raise NonFiniteError(f"non-finite entries in {what} in row {row}") from None
+
+
 @dataclass
 class DistributedProblem:
     """A finite-sum objective ``f = (1/n) sum_i f_i`` over client oracles.
@@ -306,7 +368,8 @@ class DistributedProblem:
     one pass, bitwise its ``_value``/``_gradient``.  :meth:`values_at` and
     :meth:`gradients_at` check it once (else they make public calls);
     :meth:`f` and :meth:`grad_f` read it (unbilled), while billed work calls
-    :meth:`client_gradients`, one public ``gradient`` per client.
+    :meth:`client_gradients`, every client's billed gradient from
+    :func:`gradients_of`.
     """
 
     clients: list[ClientOracle]
@@ -336,8 +399,8 @@ class DistributedProblem:
         return self.mean_gradient(self.gradients_at(x))
 
     def client_gradients(self, x) -> np.ndarray:
-        """Every client's gradient at ``x``, as an (n, d) block."""
-        return np.array([c.gradient(x) for c in self.clients])
+        """Every client's billed gradient at ``x``, as an (n, d) block."""
+        return gradients_of(self.clients, self.clients[0]._check_shape(x))
 
     def values_at(self, x) -> list[float]:
         """Every client's value at ``x``, from the block if there is one."""

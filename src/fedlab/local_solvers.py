@@ -53,10 +53,14 @@ named (:class:`NonFiniteError` for the first, :class:`SolverBudgetError`
 for the others).  The decrease check of ``require_decrease`` runs once
 every row has finished and names the lowest row whose objective increased.
 
-Finiteness is checked once per billed primitive.  Each row's base oracle
-``gradient`` checks its output, which on the quadratic and logistic oracles
-(they declare ``gradient_propagates_non_finite``) also rejects a non-finite
-query point; an undeclared base checks the query point too.  The descent
+Finiteness is checked once per billed primitive, or once per block of
+them.  A step's base gradients come from :func:`fedlab.core.gradients_of`:
+quadratic bases answer in one stacked product whose (k, d) block is
+checked once, and any other base's public ``gradient`` checks its own
+output, which on the logistic oracle (it declares
+``gradient_propagates_non_finite``, as the quadratic one does) also
+rejects a non-finite query point; an undeclared base checks the query
+point too.  The descent
 loop takes the surrogate's unchecked ``_gradients`` and raises
 :class:`NonFiniteError` when a norm it computes for the stopping rule is
 not finite (a NaN or inf entry, or a norm that overflows); conjugate
@@ -79,6 +83,7 @@ from .core import (
     NonFiniteError,
     UnsupportedStructureError,
     Vector,
+    gradients_of,
     require_finite,
 )
 
@@ -185,8 +190,9 @@ class SurrogateOracle(ClientOracle):
     one-subproblem surrogate also has them as ``smoothness_hint`` and
     ``convexity_hint``, and its one base as ``base``.
 
-    ``_gradients`` calls each row's base ``gradient``, so the base rejects
-    a non-finite query point or output and bills the row's unit; what the
+    ``_gradients`` takes the bases' billed gradients from
+    :func:`~fedlab.core.gradients_of`, which bills each row's unit and
+    rejects a non-finite query point or output; what the
     shift and the proximal terms add on top is checked by the public
     :meth:`gradient`, which bills nothing of its own, or, inside the local
     solvers' loops, by the finiteness test on the gradient norms.
@@ -297,16 +303,12 @@ class SurrogateOracle(ClientOracle):
         return v
 
     def _gradients(self, y: np.ndarray) -> np.ndarray:
-        """Every row's gradient at its row of ``y``: one public base
-        ``gradient`` per row, in row order, then the shift and the proximal
-        terms.  A base's :class:`NonFiniteError` comes out naming the row."""
-        grads = []
-        try:
-            for base, point in zip(self.bases, y):
-                grads.append(base.gradient(point))
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"{exc} in row {self.row_ids[len(grads)]}") from exc
-        g = np.array(grads)
+        """Every row's gradient at its row of ``y``: the bases' billed
+        gradients from :func:`~fedlab.core.gradients_of` (one stacked
+        product on quadratic bases, else one public ``gradient`` per row),
+        then the shift and the proximal terms.  A base's
+        :class:`NonFiniteError` comes out naming the row."""
+        g = gradients_of(self.bases, y, self.row_ids)
         if self._shift is not None:
             g += self._shift
         for weight, center in self._terms:

@@ -49,6 +49,7 @@ from .core import (
     RandomStream,
     Vector,
     as_vector,
+    gradients_of,
     take_billed,
 )
 from .local_solvers import (
@@ -358,19 +359,20 @@ def fedred_gd_step(
     ref = server.reference
     total = cfg.eta + cfg.lam
     coeffs = np.array([cfg.eta / total, cfg.lam / total, -1.0 / total])
-    grads = []
-    for i, (oracle, x) in enumerate(zip(problem.clients, clients.x)):
-        if cfg.batch_size is not None:
-            batch_stream = step_stream.fork(_LBL_BATCH).fork(i)
-            grads.append(oracle.stochastic_gradient(x, batch_stream, cfg.batch_size))
-        else:
-            grads.append(oracle.gradient(x))
+    if cfg.batch_size is None:
+        grads = gradients_of(problem.clients, clients.x)
+    else:
+        batch_stream = step_stream.fork(_LBL_BATCH)
+        grads = np.array([
+            oracle.stochastic_gradient(x, batch_stream.fork(i), cfg.batch_size)
+            for i, (oracle, x) in enumerate(zip(problem.clients, clients.x))
+        ])
     # rows [x_i, ref, g_i - h_i]: numpy runs one gemv per row, the product
     # coeffs.dot(row) makes alone, so each solution is bitwise the per-row one
     terms = np.empty((problem.n, 3, problem.dim))
     terms[:, 0] = clients.x
     terms[:, 1] = ref
-    np.subtract(np.array(grads), clients.h, out=terms[:, 2])
+    np.subtract(grads, clients.h, out=terms[:, 2])
     solutions = np.matmul(coeffs, terms)
     record = _communicate(server, clients, cfg, step_stream, solutions, local_steps=1)
     return server, clients, record
@@ -437,7 +439,7 @@ def baseline_scaffnew_step(
     telescoping update that keeps their mean at zero.
     """
     gamma = cfg.eta
-    grads = np.array([o.gradient(x) for o, x in zip(problem.clients, clients.x)])
+    grads = gradients_of(problem.clients, clients.x)
     hats = clients.x - gamma * (grads - clients.h)
     record = _communicate(
         server, clients, cfg, stream.fork(server.iteration), hats, local_steps=1

@@ -22,6 +22,16 @@ families carry a random ``Q``, because the sigmoid term is separable only
 in original coordinates; their oracles form the mean Hessian ``Q diag(s)
 Q'`` once, so each evaluation is one ``d x d`` product.  Explicit dense
 symmetric matrices are also supported for hand-built fixtures.
+
+:func:`build_quadratic_problem` stacks the clients' curvature operators
+once, in original coordinates: the mean spectra, shape (n, d), for a
+family without a basis, and the mean Hessians, shape (n, d, d), for a
+family with one and for dense specs, next to every client's mean center
+``cbar_i`` and linear term ``u_i``, shape (n, d) each.  Each oracle's
+operator, center and ``u`` are row views of that stack, and the stack's
+billed :meth:`_QuadraticStack.gradients` gives k clients' gradients at k
+distinct points in one product: one ``np.matvec`` (a ``gemv`` per row,
+bitwise each row's ``.dot``) or one elementwise product.
 """
 from __future__ import annotations
 
@@ -201,6 +211,51 @@ class QuadraticFamily:
         return x_eig if self.basis is None else self.basis @ x_eig
 
 
+class _QuadraticStack:
+    """Every client's curvature operator, mean center and ``u`` (see the
+    module docstring); client ``i``'s oracle fills row ``i`` and keeps
+    views of it."""
+
+    def __init__(self, family: QuadraticFamily):
+        n, d = family.n, family.dim
+        if family.spectral and family.basis is None:
+            self.hessians = np.empty((n, d))
+        else:
+            self.hessians = np.empty((n, d, d))
+        self.centers = np.empty((n, d))
+        self.u = np.empty((n, d))
+        self.beta = family.beta
+        self.ones = np.ones(d)
+        self.two_beta = np.full(d, self.beta * 2.0)
+        self._all = list(range(n))
+
+    def gradients(self, rows: list[int], points: np.ndarray) -> np.ndarray:
+        """The gradients of the clients ``rows`` at the rows of ``points``,
+        shape (k, d), billed as k gradients and not checked.
+
+        Row ``j`` is ``C (y - cbar) - u + sigmoid'(y)`` for client
+        ``rows[j]`` at ``y = points[j]``, with the same operations as that
+        oracle's ``_gradient``, so it is bitwise the same.  Consecutive rows
+        are read as a view of the stack, other selections as a copy.
+        """
+        k = len(rows)
+        first = rows[0]
+        index = rows
+        if rows == self._all[first : first + k]:
+            index = slice(first, first + k)
+        hessians = self.hessians[index]
+        w = points - self.centers[index]
+        bill(k)
+        if hessians.ndim == 2:
+            g = hessians * w
+        else:
+            g = np.matvec(hessians, w)
+        g -= self.u[index]
+        if self.beta != 0.0:
+            g += _sigmoid_gradient(points, self.ones, self.two_beta)
+        return g
+
+
 class QuadraticOracle(ClientOracle):
     """First-order oracle for one :class:`QuadraticClientSpec`.
 
@@ -233,35 +288,43 @@ class QuadraticOracle(ClientOracle):
     non-finite: that entry of ``C w`` adds ``C_kk w_k``, which is NaN or
     infinite (``0 * inf`` is NaN), and the sigmoid derivative of ``±inf`` is
     ``inf / inf``.  So the oracle declares
-    ``gradient_propagates_non_finite``.
+    ``gradient_propagates_non_finite``.  ``C``, ``cbar`` and ``u`` are
+    views of row ``row`` of the problem's ``stack``.
     """
 
     gradient_propagates_non_finite = True
 
-    def __init__(self, spec: QuadraticClientSpec, family: QuadraticFamily):
+    def __init__(
+        self,
+        spec: QuadraticClientSpec,
+        family: QuadraticFamily,
+        stack: _QuadraticStack,
+        row: int,
+    ):
         self.spec = spec
         self.basis = basis = family.basis
         self.dim = spec.dim
         self.beta = family.beta
+        self.stack, self.row = stack, row
         if spec.spectra is not None:
             eigs = spec.spectra.mean(axis=0)
-            self._hessian = eigs if basis is None else (basis * eigs).dot(basis.T)
+            stack.hessians[row] = eigs if basis is None else (basis * eigs).dot(basis.T)
         else:
-            self._hessian = spec.matrices.mean(axis=0)
-            eigs = np.linalg.eigvalsh(self._hessian)
+            stack.hessians[row] = spec.matrices.mean(axis=0)
+            eigs = np.linalg.eigvalsh(stack.hessians[row])
+        self._hessian = stack.hessians[row]
         # component terms are formed in the spec's frame, then rotated once
         center = spec.centers.mean(axis=0)
         offsets = spec.centers - center
         pulled = spec.pulled(offsets)
-        self._center = self._to_original(center)
-        self._u = self._to_original(pulled.mean(axis=0))
+        stack.centers[row] = self._to_original(center)
+        stack.u[row] = self._to_original(pulled.mean(axis=0))
+        self._center, self._u = stack.centers[row], stack.u[row]
         self._kappa = 0.5 * float(np.mean(np.einsum("jk,jk->j", offsets, pulled)))
         self._linear = self._to_original(spec.pulled(spec.centers).mean(axis=0))
         self._linear.setflags(write=False)
         self.smoothness_hint, self.convexity_hint = _hints(eigs, self.beta)
-        if self.beta != 0.0:
-            self._ones = np.ones(self.dim)
-            self._two_beta = np.full(self.dim, self.beta * 2.0)
+        self._ones, self._two_beta = stack.ones, stack.two_beta
 
     def _to_original(self, v: Vector) -> Vector:
         return v if self.basis is None else self.basis.dot(v)
@@ -320,8 +383,12 @@ class QuadraticOracle(ClientOracle):
 
 
 def build_quadratic_problem(family: QuadraticFamily) -> DistributedProblem:
-    """Wrap a family in oracles and fill the smoothness/convexity hints."""
-    oracles = [QuadraticOracle(spec, family) for spec in family.specs]
+    """Wrap a family in oracles over one stack and fill the
+    smoothness/convexity hints."""
+    stack = _QuadraticStack(family)
+    oracles = [
+        QuadraticOracle(spec, family, stack, i) for i, spec in enumerate(family.specs)
+    ]
     if family.spectral:
         eigs = family.mean_spectra().mean(axis=0)
     else:

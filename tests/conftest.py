@@ -22,6 +22,7 @@ from fedlab import (
     harness,
 )
 from fedlab.problems.logistic import LogisticOracle
+from fedlab.problems.quadratic import _QuadraticStack
 
 
 def finite_difference_gradient(fn, x, rel_step: float = 1e-6) -> np.ndarray:
@@ -140,11 +141,12 @@ class FixedGradientOracle(ClientOracle):
 def count_raw_work(monkeypatch) -> list[float]:
     """A one-entry list that counts the work the leaf primitives do.
 
-    Patches every concrete ``_gradient`` (one unit per call),
-    ``QuadraticOracle.hessian_matvec`` (one unit) and both samplers (the
-    sample's share: ``batch_size / m`` components, ``batch_size / rows``
-    rows), without reading the bill they keep themselves.  Set the entry to
-    0.0 to start a new count.
+    Patches every concrete ``_gradient`` (one unit per call), the quadratic
+    stack's block ``gradients`` (one unit per row of the points it is
+    given, read from their shape), ``QuadraticOracle.hessian_matvec`` (one
+    unit) and both samplers (the sample's share: ``batch_size / m``
+    components, ``batch_size / rows`` rows), without reading the bill they
+    keep themselves.  Set the entry to 0.0 to start a new count.
     """
     count = [0.0]
 
@@ -160,6 +162,11 @@ def count_raw_work(monkeypatch) -> list[float]:
 
     for cls in (QuadraticOracle, LogisticOracle, CubicOracle, FixedGradientOracle):
         monkeypatch.setattr(cls, "_gradient", counted(cls._gradient, one))
+    monkeypatch.setattr(
+        _QuadraticStack,
+        "gradients",
+        counted(_QuadraticStack.gradients, lambda s, rows, points: points.shape[0]),
+    )
     monkeypatch.setattr(
         QuadraticOracle, "hessian_matvec", counted(QuadraticOracle.hessian_matvec, one)
     )

@@ -1,14 +1,15 @@
 """Static hygiene: one accounting path, from the billed primitives to the step.
 
 Gradient work is billed where it is done: ``ClientOracle.gradient`` adds its
-unit to ``core._billed`` inline, and a quadratic oracle's ``hessian_matvec``
-and each ``stochastic_gradient`` call ``core.bill``.  ``step_method`` and
-``init_method_state`` alone call ``core.take_billed`` to open and read their
-window, and ``step_method`` alone writes a step's ``grad_evals``.  So no
-other code may touch the running total, and none may assign, pass or
-accumulate a ``grad_evals`` by hand, except where the harness sums the
-step records into a trace row's running column.  Dataclass field
-declarations are not assignments.
+unit to ``core._billed`` inline, and the quadratic stack's block
+``gradients`` (its k rows, next to the product), a quadratic oracle's
+``hessian_matvec`` and each ``stochastic_gradient`` call ``core.bill``.
+``step_method`` and ``init_method_state`` alone call ``core.take_billed`` to
+open and read their window, and ``step_method`` alone writes a step's
+``grad_evals``.  So no other code may touch the running total, and none may
+assign, pass or accumulate a ``grad_evals`` by hand, except where the
+harness sums the step records into a trace row's running column.
+Dataclass field declarations are not assignments.
 """
 import ast
 from pathlib import Path
@@ -23,6 +24,7 @@ BILL_USES = {
     "core.py:bill": ["_billed"],
     "core.py:take_billed": ["_billed", "_billed"],
     "core.py:ClientOracle.gradient": ["_billed"],
+    "problems/quadratic.py:_QuadraticStack.gradients": ["bill"],
     "problems/quadratic.py:QuadraticOracle.hessian_matvec": ["bill"],
     "problems/quadratic.py:QuadraticOracle.stochastic_gradient": ["bill"],
     "problems/logistic.py:LogisticOracle.stochastic_gradient": ["bill"],

@@ -1,9 +1,9 @@
 """Block evaluation: every client at once, bitwise the per-client path.
 
 Measurement work (metric snapshots, the reference optimum, sampled
-dissimilarity) reads a problem's block; billed work keeps one public
-``ClientOracle.gradient`` per client, so a tracer that counts those calls
-sees each billed primitive.
+dissimilarity) reads a problem's block; billed work keeps one billed row
+per client: a public ``ClientOracle.gradient`` each, or one row of a
+quadratic stack's billed block.
 """
 import functools
 import math
@@ -34,6 +34,7 @@ from fedlab import (
     run_experiment,
 )
 from fedlab.problems.logistic import LogisticOracle, _LogisticBlock
+from fedlab.problems.quadratic import _QuadraticStack
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -49,15 +50,23 @@ def _bundled(name: str):
 
 @pytest.fixture
 def gradient_calls(monkeypatch):
-    """Names of the oracle types whose public ``gradient`` was called."""
+    """One name per billed gradient row: the oracle type for each public
+    ``gradient`` call, ``_QuadraticStack`` for each row of a stack's
+    billed block (counted from the shape of its points)."""
     calls = []
     public = ClientOracle.gradient
+    block = _QuadraticStack.gradients
 
     def counted(self, x):
         calls.append(type(self).__name__)
         return public(self, x)
 
+    def counted_rows(self, rows, points):
+        calls.extend(["_QuadraticStack"] * points.shape[0])
+        return block(self, rows, points)
+
     monkeypatch.setattr(ClientOracle, "gradient", counted)
+    monkeypatch.setattr(_QuadraticStack, "gradients", counted_rows)
     return calls
 
 
@@ -92,10 +101,11 @@ def test_gd_rounds_make_one_call_per_client(gradient_calls):
 
 
 def test_problems_without_a_block_make_public_calls(gradient_calls):
+    # a quadratic problem's grad_f takes the stack's billed rows
     problem = _bundled("quadratic_sc")
     assert problem.block is None
     problem.grad_f(np.ones(problem.dim))
-    assert gradient_calls == ["QuadraticOracle"] * problem.n
+    assert gradient_calls == ["_QuadraticStack"] * problem.n
 
 
 # ------------------------------------------- the block equals the per-client path

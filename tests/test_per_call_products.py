@@ -28,6 +28,7 @@ PER_CALL = [
     core.ClientOracle._check_input,
     core.ClientOracle.value,
     core.ClientOracle.gradient,
+    core.gradients_of,
     core.DistributedProblem.f,
     core.DistributedProblem.grad_f,
     core.DistributedProblem.values_at,
@@ -38,6 +39,7 @@ PER_CALL = [
     quadratic.QuadraticOracle._value,
     quadratic.QuadraticOracle._gradient,
     quadratic.QuadraticOracle.stochastic_gradient,
+    quadratic._QuadraticStack.gradients,
     quadratic._sigmoid_gradient,
     logistic._spectral_norms_sq,
     logistic.LogisticOracle._neg_margins,
@@ -72,6 +74,7 @@ QUADRATIC_FORMS = [
     quadratic.QuadraticOracle.hessian_matvec,
     quadratic.QuadraticOracle._value,
     quadratic.QuadraticOracle._gradient,
+    quadratic._QuadraticStack.gradients,
 ]
 ROTATIONS = {"basis", "_frame", "_to_original"}
 

@@ -420,18 +420,23 @@ def test_descent_bills_one_gradient_per_step_plus_one(solver, rule):
 
 
 def test_descent_step_costs_one_finite_check_on_a_declared_base(monkeypatch):
-    # checks happen at the base boundary: the gradient only, on a base whose
-    # gradient propagates a non-finite query (quadratic), and the query point
-    # too on an undeclared one (cubic); the surrogate's own gradient is
-    # checked through the loop's norm, and the base bills without checking
+    # checks happen at the base boundary: one over each step's block of
+    # quadratic rows, whose gradients propagate a non-finite query, however
+    # many rows it holds, and the query point and the gradient of each row
+    # of an undeclared base (cubic); the surrogate's own gradient is
+    # checked through the loop's norm, and the block bills its rows
     calls = []
     inner = core.require_finite
     monkeypatch.setattr(
         core, "require_finite", lambda *a: calls.append(1) or inner(*a)
     )
+    quadratics = gen_quadratic_problem(
+        2, 3, 2, 5, max_norm=4.0, min_eig=-1.0, target_delta=1.0, beta=2.0
+    ).clients
     for surrogate, per_step in (
         (_parity_surrogate(hinted=True), 1),
         (SurrogateOracle(hetero_pair().clients[0], prox_terms=((0.7, np.ones(4)),)), 1),
+        (SurrogateOracle(quadratics, prox_terms=((0.7, np.ones(5)),)), 1),
         (SurrogateOracle(CubicOracle(), prox_terms=((0.7, np.ones(1)),)), 2),
     ):
         start = RandomStream(11).generator().standard_normal(surrogate.dim)
@@ -442,7 +447,7 @@ def test_descent_step_costs_one_finite_check_on_a_declared_base(monkeypatch):
             solve_gd(surrogate, start, StoppingRule("fixed_steps", steps=k))
             counts.append(len(calls))
         assert counts[1] - counts[0] == per_step
-        assert core.take_billed() == 9.0
+        assert core.take_billed() == 9.0 * surrogate.n
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
