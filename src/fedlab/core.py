@@ -278,7 +278,8 @@ class ClientOracle(ABC):
         if getattr(v, "ndim", 0):
             # a block of subproblems (a SurrogateOracle) gives one value per row
             if not np.isfinite(v).all():
-                raise NonFiniteError("non-finite objective value")
+                row = int(np.argmin(np.isfinite(v)))
+                raise NonFiniteError(f"non-finite objective value in row {row}")
             return v
         v = float(v)
         if not math.isfinite(v):

@@ -51,7 +51,8 @@ the step's gradients are taken, in row order; otherwise the lowest row
 whose norm is not finite, that has stalled or whose budget ran out is
 named (:class:`NonFiniteError` for the first, :class:`SolverBudgetError`
 for the others).  The decrease check of ``require_decrease`` runs once
-every row has finished and names the lowest row whose objective increased.
+every row has finished and names the lowest row whose value is not finite
+(at the start, then at the solution) or else whose objective increased.
 
 Finiteness is checked once per billed primitive, or once per block of
 them.  A step's base gradients come from :func:`fedlab.core.gradients_of`:
@@ -64,9 +65,9 @@ point too.  The descent
 loop takes the surrogate's unchecked ``_gradients`` and raises
 :class:`NonFiniteError` when a norm it computes for the stopping rule is
 not finite (a NaN or inf entry, or a norm that overflows); conjugate
-gradients does the same with its residual norms.  The final values in each
-report come from two calls of the surrogate's public ``value``, each with
-one value per row.
+gradients does the same with its residual norms.  A solve evaluates no
+objective value unless ``require_decrease`` asks for its check, which takes
+two calls of the surrogate's public ``value``, each with one value per row.
 """
 from __future__ import annotations
 
@@ -115,8 +116,8 @@ class StoppingRule:
         # NaN fails each comparison, so it fails each range test below
         if self.kind in ("abs_grad", "rel_grad") and not self.tol > 0.0:
             raise ConfigurationError("gradient rules need a positive tolerance")
-        if self.kind == "fixed_steps" and not self.steps >= 0:
-            raise ConfigurationError("fixed_steps needs steps >= 0")
+        if self.kind == "fixed_steps" and not 0 <= self.steps <= self.max_steps:
+            raise ConfigurationError("fixed_steps needs 0 <= steps <= max_steps")
         if not self.max_steps >= 1:
             raise ConfigurationError("max_steps must be >= 1")
         if self.tol != 0.0 and self.kind in ("fixed_steps", "scheduled"):
@@ -131,14 +132,13 @@ class SolveReport:
 
     For a surrogate over one base oracle, ``solution`` is a vector and the
     other fields are scalars.  For a block of n rows, ``solution`` is (n, d)
-    and ``final_grad_norm``, ``decreased`` and ``row_steps`` hold one entry
-    per row.  ``steps_taken`` is always the steps summed over the rows.
+    and ``final_grad_norm`` and ``row_steps`` hold one entry per row.
+    ``steps_taken`` is always the steps summed over the rows.
     """
 
     solution: Vector
     steps_taken: int
     final_grad_norm: float | np.ndarray
-    decreased: bool | np.ndarray
     row_steps: int | np.ndarray
 
 
@@ -359,32 +359,33 @@ def _default_step(hint: float | None, step: float | None) -> float:
 
 def _finish(
     surrogate: SurrogateOracle,
-    start: np.ndarray,
     solution: np.ndarray,
     steps: np.ndarray,
     norms: np.ndarray,
-    require_decrease: bool,
+    start: np.ndarray | None = None,
 ) -> SolveReport:
     """The report of a solve from its (n, d) rows and per-row results.
 
-    The decrease flags take two calls of the surrogate's public ``value``,
-    one value per row each.
+    Given the rows a ``require_decrease`` solve started from, it first
+    checks every row's objective at the solution against its start, with
+    two calls of the surrogate's public ``value``, one value per row each.
     """
     if not surrogate.is_block:
-        start, solution = start[0], solution[0]
-    f_start = surrogate.value(start)
-    f_end = surrogate.value(solution)
-    decreased = f_end <= f_start + _DECREASE_SLACK * (1.0 + abs(f_start))
-    if require_decrease and not np.all(decreased):
-        row = int(np.argmin(decreased))
-        raise SolverBudgetError(
-            f"local solve increased the objective in row {row}: "
-            f"{np.atleast_1d(f_start)[row]} -> {np.atleast_1d(f_end)[row]}"
-        )
+        solution = solution[0]
+    if start is not None:
+        f_start = surrogate.value(start if surrogate.is_block else start[0])
+        f_end = surrogate.value(solution)
+        decreased = f_end <= f_start + _DECREASE_SLACK * (1.0 + abs(f_start))
+        if not np.all(decreased):
+            row = int(np.argmin(decreased))
+            raise SolverBudgetError(
+                f"local solve increased the objective in row {row}: "
+                f"{np.atleast_1d(f_start)[row]} -> {np.atleast_1d(f_end)[row]}"
+            )
     if surrogate.is_block:
-        return SolveReport(solution, int(steps.sum()), norms, decreased, steps)
+        return SolveReport(solution, int(steps.sum()), norms, steps)
     steps = int(steps[0])
-    return SolveReport(solution, steps, float(norms[0]), decreased, steps)
+    return SolveReport(solution, steps, float(norms[0]), steps)
 
 
 def _descend(
@@ -512,7 +513,9 @@ def _descend(
             y = x_new
         x = x_new
         steps += 1
-    return _finish(surrogate, origin, solution, taken, final, require_decrease)
+    return _finish(
+        surrogate, solution, taken, final, origin if require_decrease else None
+    )
 
 
 def solve_gd(
@@ -552,16 +555,13 @@ def solve_fgd(
     return _descend(surrogate, x_start, rule, step, require_decrease, True)
 
 
-def solve_exact_quadratic(
-    surrogate: SurrogateOracle, x_start=None
-) -> SolveReport:
+def solve_exact_quadratic(surrogate: SurrogateOracle) -> SolveReport:
     """Solve the surrogate's rows exactly when their bases are quadratic.
 
     Runs conjugate gradients on ``(H_i + w I) x = rhs_i`` for every row
     ``i`` down to a residual of ``1e-12 * ||rhs_i||``.  The iteration always
     starts from zero, so the returned solution is a deterministic function
-    of the subproblem alone (warm starts cannot perturb it); ``x_start``
-    only provides the reference point for the decrease flags.
+    of the subproblem alone and the solve takes no start point.
 
     Each iteration makes one ``hessian_matvec`` of each working row's base
     (it bills one unit; O(d) on a quadratic drawn in its eigen frame).  The
@@ -640,5 +640,4 @@ def solve_exact_quadratic(
         p += r
         rs_old = rs_new
         iters += 1
-    start = np.zeros((n, d)) if x_start is None else surrogate._rows_of(x_start)
-    return _finish(surrogate, start, solution, taken, final, require_decrease=False)
+    return _finish(surrogate, solution, taken, final)

@@ -255,7 +255,7 @@ def _solve_local(
     # looked up at call time, so that wrappers patched onto this module see every solve
     spec = cfg.local
     if spec.solver == "exact":
-        return solve_exact_quadratic(surrogate, start)
+        return solve_exact_quadratic(surrogate)
     solve = solve_gd if spec.solver == "gd" else solve_fgd
     return solve(
         surrogate, start, rule, step=spec.step, require_decrease=spec.check_decrease
@@ -275,18 +275,18 @@ def _communicate(
     clients: ClientState,
     cfg: MethodConfig,
     step_stream: RandomStream,
-    solutions: np.ndarray | list[Vector],
+    solutions: np.ndarray,
     **record,
 ) -> StepRecord:
     """Draw the coin; move the clients; aggregate on communication.
 
     A communicating step adopts the mean of the solutions, or under rand
     averaging one client's solution drawn by :func:`draw_pick`; a silent
-    step draws no pick.  ``solutions`` is a fresh (n, d) block or a list of
-    its rows; ``record`` holds the remaining :class:`StepRecord` fields.
+    step draws no pick.  ``solutions`` is a fresh (n, d) block; ``record``
+    holds the remaining :class:`StepRecord` fields.
     """
     theta = _draw_theta(cfg, step_stream)
-    clients.x = np.asarray(solutions)
+    clients.x = solutions
     pick = None
     if theta:
         if cfg.averaging == "rand":
@@ -410,17 +410,15 @@ def baseline_scaffold_round(
     """Variance-reduced local steps: K corrected gradient steps, then average.
 
     Every round communicates, so the variates are refreshed at each round's
-    reference.
+    reference.  Each of the K steps takes every client's gradient at its
+    own row of the (n, d) block.
     """
     _ensure_fresh_variates(problem, server, clients)
-    solutions = []
-    for oracle, h in zip(problem.clients, clients.h):
-        x = server.reference
-        for _ in range(cfg.local_steps):
-            x = x - cfg.eta * (oracle.gradient(x) - h)
-        solutions.append(x)
+    x = server.reference
+    for _ in range(cfg.local_steps):
+        x = x - cfg.eta * (gradients_of(problem.clients, x) - clients.h)
     record = _communicate(
-        server, clients, cfg, stream.fork(server.iteration), solutions,
+        server, clients, cfg, stream.fork(server.iteration), x,
         local_steps=cfg.local_steps * problem.n,
     )
     return server, clients, record

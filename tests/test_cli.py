@@ -209,6 +209,9 @@ def test_a_diverging_method_keeps_the_earlier_traces(tmp_path, capsys):
         # the schedule is a rule kind, no longer a flag
         ({"solver": "gd", "kind": "rel_grad", "tol": 1.0, "schedule": True},
          "'schedule' was unexpected"),
+        # every solve under this rule would exhaust its budget
+        ({"solver": "gd", "kind": "fixed_steps", "steps": 10, "max_steps": 5},
+         "fixed_steps needs 0 <= steps <= max_steps"),
     ],
 )
 def test_local_options_no_solver_honours_exit_2_before_setup(

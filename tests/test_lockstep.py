@@ -3,8 +3,11 @@
 A :class:`SurrogateOracle` over n base oracles holds one method step's n
 subproblems as rows, and each solver advances the rows in one loop.  Every
 row must come out bitwise as the same subproblem solved on its own (the
-n = 1 vector form): solution, steps, final norm and decrease flag, with the
-same billed units.  A failing row stops the solve and is named.
+n = 1 vector form): solution, steps and final norm, with the same billed
+units, and the decrease check of ``require_decrease`` must fail for the
+block exactly when it fails for some row alone.  A failing row stops the
+solve and is named.  A solve evaluates no objective value unless the
+decrease check asks for one.
 """
 import math
 
@@ -27,7 +30,7 @@ from fedlab import (
     solve_gd,
 )
 from fedlab import core
-from fedlab.problems import QuadraticClientSpec, QuadraticFamily
+from fedlab.problems import QuadraticClientSpec, QuadraticFamily, QuadraticOracle
 
 from conftest import FixedGradientOracle, random_family, rotated_family
 
@@ -55,6 +58,9 @@ def _rule(kind: str, draw) -> StoppingRule:
         return StoppingRule("rel_grad", tol=draw(st.sampled_from([0.5, 1e-2, 1e-4])))
     if kind == "fixed_steps":
         return StoppingRule("fixed_steps", steps=draw(st.integers(0, 30)))
+    if kind == "one_step":
+        # 0 * inf is NaN at the start, so every row fires after one step
+        return StoppingRule("rel_grad", tol=math.inf)
     # a scheduled rule as the method resolves it for round r
     r = draw(st.integers(0, 40))
     lam, mu = draw(st.sampled_from([0.5, 2.0])), draw(st.sampled_from([0.0, 1.0]))
@@ -85,51 +91,75 @@ def _cases(draw):
     centers.append(rng.standard_normal(d))
     # every row starts from its own point, or all from one (dane_plus's reference)
     start = rng.standard_normal((n, d) if draw(st.booleans()) else d)
-    rule = None
+    rule = step = None
     if solver != "exact":
-        rule = _rule(
-            draw(st.sampled_from(["abs_grad", "rel_grad", "fixed_steps", "scheduled"])),
-            draw,
+        kind = draw(
+            st.sampled_from(
+                ["abs_grad", "rel_grad", "fixed_steps", "scheduled", "one_step"]
+            )
         )
-    return problem, solver, shift, tuple(zip(weights, centers)), start, rule
+        rule = _rule(kind, draw)
+        if kind == "one_step":
+            # steps in units of the stiffest row's 1/L: a step below 2/L
+            # cannot increase a row's objective, a longer one can
+            stiffest = max(b.smoothness_hint for b in problem.clients) + sum(weights)
+            factor = draw(st.sampled_from([None, 1.0, 2.5, 4.0]))
+            step = None if factor is None else factor / stiffest
+    terms = tuple(zip(weights, centers))
+    return problem, solver, shift, terms, start, rule, step
 
 
 def _row(operand, i):
     return operand if operand.ndim == 1 else operand[i]
 
 
-def _solve(solver, surrogate, start, rule):
-    """The solve and the units it billed."""
+def _solve(solver, surrogate, start, rule, step=None):
+    """The solve, or the :class:`SolverBudgetError` that its decrease check
+    raised, and the units it billed."""
     core.take_billed()
-    if solver == "exact":
-        report = solve_exact_quadratic(surrogate, start)
-    else:
-        report = SOLVE[solver](surrogate, start, rule)
+    try:
+        if solver == "exact":
+            report = solve_exact_quadratic(surrogate)
+        else:
+            report = SOLVE[solver](
+                surrogate, start, rule, step=step, require_decrease=True
+            )
+    except SolverBudgetError as exc:
+        assert "increased the objective" in str(exc)
+        report = exc
     return report, core.take_billed()
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(_cases())
 def test_a_block_solve_is_its_rows_solved_alone(case):
-    problem, solver, shift, terms, start, rule = case
+    problem, solver, shift, terms, start, rule, step = case
     block = SurrogateOracle(problem.clients, linear_shift=shift, prox_terms=terms)
-    report, billed = _solve(solver, block, start, rule)
-    assert report.solution.shape == (problem.n, problem.dim)
-    row_billed = 0.0
+    report, billed = _solve(solver, block, start, rule, step)
+    rows, row_billed = [], 0.0
     for i, base in enumerate(problem.clients):
         alone = SurrogateOracle(
             base,
             linear_shift=None if shift is None else shift[i],
             prox_terms=tuple((w, _row(c, i)) for w, c in terms),
         )
-        row, units = _solve(solver, alone, _row(start, i), rule)
+        row, units = _solve(solver, alone, _row(start, i), rule, step)
+        rows.append(row)
         row_billed += units
+    assert billed == row_billed
+    failed = [i for i, row in enumerate(rows) if isinstance(row, Exception)]
+    assert isinstance(report, Exception) == bool(failed)
+    if failed:
+        # the block raises the lowest failing row's own error, naming it
+        lowest = str(rows[failed[0]]).replace("in row 0:", f"in row {failed[0]}:")
+        assert str(report) == lowest
+        return
+    assert report.solution.shape == (problem.n, problem.dim)
+    for i, row in enumerate(rows):
         assert np.array_equal(report.solution[i], row.solution)
         assert report.row_steps[i] == row.steps_taken
         assert report.final_grad_norm[i] == row.final_grad_norm
-        assert report.decreased[i] == row.decreased
     assert report.steps_taken == int(np.sum(report.row_steps))
-    assert billed == row_billed
 
 
 def test_rows_freeze_at_their_own_steps():
@@ -147,7 +177,7 @@ def test_rows_freeze_at_their_own_steps():
     )
     for solve in (solve_gd, solve_fgd, solve_exact_quadratic):
         if solve is solve_exact_quadratic:
-            report = solve(block, np.zeros(d))
+            report = solve(block)
         else:
             report = solve(block, np.zeros(d), StoppingRule("abs_grad", tol=1e-8))
         assert len(set(report.row_steps.tolist())) > 1
@@ -206,15 +236,75 @@ def test_an_exhausted_budget_names_its_row():
 def test_a_failed_decrease_names_its_lowest_row():
     # step 4: curvature 0.25 lands on the optimum, curvature 1 maps x to -3x,
     # so rows 1 and 2 increase their objectives
-    block = SurrogateOracle(_quadratics(0.25, 1.0, 1.0))
-    with pytest.raises(SolverBudgetError, match=r"increased the objective in row 1:"):
-        solve_gd(
-            block,
-            np.ones(1),
-            StoppingRule("rel_grad", tol=math.inf),
-            step=4.0,
-            require_decrease=True,
+    bases = _quadratics(0.25, 1.0, 1.0)
+
+    def solve(rows):
+        rule = StoppingRule("rel_grad", tol=math.inf)
+        return solve_gd(
+            SurrogateOracle(rows), np.ones(1), rule, step=4.0, require_decrease=True
         )
+
+    with pytest.raises(SolverBudgetError, match=r"objective in row 1:") as raised:
+        solve(bases)
+    # solved alone, row 0 passes the check and row 1 fails it with the same values
+    solve(bases[0])
+    with pytest.raises(SolverBudgetError) as alone:
+        solve(bases[1])
+    assert str(raised.value) == str(alone.value).replace("row 0:", "row 1:")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_non_finite_value_in_the_decrease_check_names_its_lowest_row():
+    # every gradient is finite, but row 1's value 1e-10/2 * 1e320 overflows
+    block = SurrogateOracle(_quadratics(1.0, 1e-10))
+    start = np.array([[1.0], [1e160]])
+    rule = StoppingRule("fixed_steps", steps=0)
+    with pytest.raises(NonFiniteError, match=r"non-finite objective value in row 1$"):
+        solve_gd(block, start, rule, require_decrease=True)
+    # the one-row form keeps its message
+    alone = SurrogateOracle(_quadratics(1e-10)[0])
+    with pytest.raises(NonFiniteError, match=r"^non-finite objective value$"):
+        solve_gd(alone, start[1], rule, require_decrease=True)
+
+
+def _count_values(monkeypatch) -> dict[str, int]:
+    """Counts of the surrogate's public ``value`` and unchecked ``_values``
+    calls and of its bases' unchecked ``_value`` calls."""
+    calls = {"value": 0, "_values": 0, "base _value": 0}
+
+    def counted(cls, attr, key):
+        fn = getattr(cls, attr)
+
+        def wrapper(self, *args):
+            calls[key] += 1
+            return fn(self, *args)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counted(SurrogateOracle, "value", "value")
+    counted(SurrogateOracle, "_values", "_values")
+    counted(QuadraticOracle, "_value", "base _value")
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["one_row", "block"])
+@pytest.mark.parametrize("solver", sorted(SOLVE))
+def test_only_the_decrease_check_evaluates_values(monkeypatch, solver, n):
+    problem = gen_quadratic_problem(
+        2, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
+    )
+    bases = problem.clients if n > 1 else problem.clients[0]
+    surrogate = SurrogateOracle(bases, prox_terms=((1.0, np.ones(6)),))
+    calls = _count_values(monkeypatch)
+    rule = StoppingRule("abs_grad", tol=1e-8)
+    if solver == "exact":
+        solve_exact_quadratic(surrogate)
+    else:
+        SOLVE[solver](surrogate, np.zeros(6), rule)
+    assert calls == {"value": 0, "_values": 0, "base _value": 0}
+    if solver != "exact":
+        SOLVE[solver](surrogate, np.zeros(6), rule, require_decrease=True)
+        assert calls == {"value": 2, "_values": 2, "base _value": 2 * n}
 
 
 def test_a_base_oracle_error_names_its_row():

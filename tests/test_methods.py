@@ -12,6 +12,7 @@ from fedlab import (
     DistributedProblem,
     LocalSpec,
     MethodConfig,
+    NonFiniteError,
     QuadraticClientSpec,
     QuadraticFamily,
     RandomStream,
@@ -32,7 +33,14 @@ from fedlab import (
 import fedlab.methods
 from fedlab.methods import _LBL_THETA
 
-from conftest import hetero_pair, quad_1d, random_family, two_client_line
+from conftest import (
+    CubicOracle,
+    FixedGradientOracle,
+    hetero_pair,
+    quad_1d,
+    random_family,
+    two_client_line,
+)
 
 
 def _exact_cfg(method, **kw):
@@ -500,6 +508,59 @@ def test_corrected_local_steps_fixed_point():
     server, clients, _ = init_method_state(problem, cfg, ref.x_star)
     server, clients, _ = step_method(problem, server, clients, cfg, RandomStream(0))
     assert np.linalg.norm(server.reference - ref.x_star) <= 1e-10
+
+
+def _scaffold_by_client(problem, reference, h, eta, k):
+    """A round's K corrected local steps as a loop of public gradients per client."""
+    rows = []
+    for oracle, h_i in zip(problem.clients, h):
+        x = reference
+        for _ in range(k):
+            x = x - eta * (oracle.gradient(x) - h_i)
+        rows.append(x)
+    return np.array(rows)
+
+
+def _unstacked_problem():
+    # hand-built clients answer one public gradient each, without a stack
+    clients = [CubicOracle(), FixedGradientOracle(np.array([0.5])), CubicOracle()]
+    return DistributedProblem(clients=clients, dim=1)
+
+
+def _bumpy_problem():
+    family = random_family(3, n=4, m=2, d=5)
+    return build_quadratic_problem(QuadraticFamily(specs=family.specs, beta=0.75))
+
+
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("build", [_unstacked_problem, _bumpy_problem])
+def test_corrected_local_steps_are_the_per_client_loop(build, k):
+    problem = build()
+    cfg = MethodConfig(method="scaffold", eta=0.05, local_steps=k)
+    server, clients, _ = init_method_state(problem, cfg, np.full(problem.dim, 0.5))
+    stream = RandomStream(1)
+    for _ in range(4):
+        # refreshed ahead, so that the round bills its local steps alone
+        fedlab.methods._ensure_fresh_variates(problem, server, clients)
+        expected = _scaffold_by_client(
+            problem, server.reference, clients.h, cfg.eta, k
+        )
+        server, clients, rec = step_method(problem, server, clients, cfg, stream)
+        assert clients.x.tobytes() == expected.tobytes()
+        assert server.reference.tobytes() == np.mean(expected, axis=0).tobytes()
+        assert rec.grad_evals == problem.n * k == rec.local_steps
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_failing_corrected_local_step_names_its_row():
+    # the variates at 1e100 send both rows to about -5e299 in one step,
+    # where row 1's cubic gradient overflows
+    clients = [FixedGradientOracle(np.array([1.0])), CubicOracle()]
+    problem = DistributedProblem(clients=clients, dim=1)
+    cfg = MethodConfig(method="scaffold", eta=1.0, local_steps=3)
+    server, state, _ = init_method_state(problem, cfg, np.array([1e100]))
+    with pytest.raises(NonFiniteError, match=r"entries in gradient in row 1$"):
+        step_method(problem, server, state, cfg, RandomStream(0))
 
 
 def test_skipping_baseline_keeps_variates_zero_mean():

@@ -65,6 +65,7 @@ ROW_BLOCKS = [
     core.DistributedProblem.client_gradients,
     methods._communicate,
     methods.fedred_gd_step,
+    methods.baseline_scaffold_round,
     methods.baseline_scaffnew_step,
 ]
 

@@ -75,6 +75,11 @@ def test_stopping_rule_validation():
             StoppingRule(kind, **kwargs)
     StoppingRule("scheduled", max_steps=50)
     StoppingRule("fixed_steps", steps=0)
+    # a fixed_steps rule that cannot finish within its budget is refused;
+    # one that finishes on its last allowed step is not
+    with pytest.raises(ConfigurationError, match="0 <= steps <= max_steps"):
+        StoppingRule("fixed_steps", steps=10, max_steps=5)
+    StoppingRule("fixed_steps", steps=5, max_steps=5)
 
 
 def test_nan_tolerances_and_steps_are_rejected():
@@ -196,10 +201,15 @@ def test_gd_single_step_lands_on_quadratic_optimum():
     # f(x) = x^2/2, step 1/L = 1: one step from 1 lands exactly at 0
     oracle = quad_1d(center=0.0).clients[0]
     surrogate = SurrogateOracle(oracle)
-    report = solve_gd(surrogate, np.array([1.0]), StoppingRule("abs_grad", tol=1e-12))
+    # the decrease check raises if the objective went up
+    report = solve_gd(
+        surrogate,
+        np.array([1.0]),
+        StoppingRule("abs_grad", tol=1e-12),
+        require_decrease=True,
+    )
     assert report.solution[0] == 0.0
     assert report.steps_taken == 1
-    assert report.decreased
 
 
 def test_gd_matches_exact_solver_on_random_surrogates():
@@ -213,7 +223,7 @@ def test_gd_matches_exact_solver_on_random_surrogates():
         )
         start = rng.standard_normal(base.dim)
         inexact = solve_gd(surrogate, start, StoppingRule("abs_grad", tol=1e-9))
-        exact = solve_exact_quadratic(surrogate, start)
+        exact = solve_exact_quadratic(surrogate)
         assert np.linalg.norm(inexact.solution - exact.solution) <= 1e-6
 
 
@@ -532,7 +542,7 @@ def test_exact_solver_bills_the_matvecs_it_uses(monkeypatch):
         assert calls == []
         surrogate = SurrogateOracle(problem.clients[0], prox_terms=((1.0, center),))
         core.take_billed()
-        report = solve_exact_quadratic(surrogate, np.zeros(problem.dim))
+        report = solve_exact_quadratic(surrogate)
         assert core.take_billed() == report.steps_taken == len(calls)
         if center.any():
             assert calls
@@ -674,7 +684,7 @@ def test_no_in_place_write_reaches_a_borrowed_array(frame, beta):
     solve_gd(surrogate, start, rule, require_decrease=True)
     solve_fgd(surrogate, start, rule)
     if beta == 0.0:
-        assert solve_exact_quadratic(surrogate, start).steps_taken > 0
+        assert solve_exact_quadratic(surrogate).steps_taken > 0
 
 
 def test_exact_solver_unregularized_mean_fixture():
@@ -715,7 +725,7 @@ def test_exact_solver_rejects_a_nan_subproblem():
     ref[2] = np.nan
     surrogate = SurrogateOracle(base, prox_terms=((1.0, ref),))
     with pytest.raises(NonFiniteError, match="conjugate-gradient .* iteration 0"):
-        solve_exact_quadratic(surrogate, np.zeros(base.dim))
+        solve_exact_quadratic(surrogate)
 
 
 def test_exact_solver_requires_quadratic_structure():
@@ -773,7 +783,7 @@ def test_decrease_check_rejects_divergent_steps():
         step=4.0,
         require_decrease=True,
     )
-    assert report.solution[0] == 1.0 and report.decreased
+    assert report.solution[0] == 1.0
 
 
 def test_fixed_steps_returns_minimum_gradient_iterate():
@@ -805,8 +815,13 @@ def test_solvers_report_decrease_on_convex_surrogates():
         )
         start = rng.standard_normal(base.dim) * 3.0
         for solver in (solve_gd, solve_fgd):
-            report = solver(surrogate, start, StoppingRule("abs_grad", tol=1e-6))
-            assert report.decreased
+            # the decrease check raises if the objective went up
+            solver(
+                surrogate,
+                start,
+                StoppingRule("abs_grad", tol=1e-6),
+                require_decrease=True,
+            )
 
 
 def test_scheduled_accelerated_solves_stay_cheap():
