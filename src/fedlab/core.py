@@ -3,33 +3,32 @@
 Everything downstream (problem construction, local solvers, federated
 methods, the experiment harness) is written against the primitives in this
 module: dense float64 vectors, counter-based random streams addressed by
-``(master_seed, path)``, and client oracles exposing value/gradient pairs
-for one client's local objective.
+``(master_seed, path)``, and client oracles, each a row of a stack that
+evaluates k clients at k points in one pass.
 
-Products on the per-call path (every oracle value and gradient, the local
-solvers' loops, method steps and the harness's metric snapshots) call the
-routine they end in directly: dense ones ``ndarray.dot``, whose BLAS call
-the ``@`` gufunc makes too after a costlier dispatch, with vector norms as
+Products on the per-call path (every stack block, the local solvers'
+loops, method steps and the harness's metric snapshots) call the routine
+they end in directly: dense ones ``ndarray.dot``, whose BLAS call the
+``@`` gufunc makes too after a costlier dispatch, with vector norms as
 ``math.sqrt(v.dot(v))``, which is what ``np.linalg.norm`` computes for a
 1-D float vector, and the row dots of a block as ``np.vecdot``, the same
-``ddot`` per row; sparse ones ``problems.logistic._csr_matvec``, scipy's
-CSR kernel without the ``@`` dispatch.  All are bitwise equal to the forms
-they replace.  :func:`require_finite` alone keeps ``np.vdot``: ``.dot`` and
-``@`` set the overflow flag, and so warn, on finite entries above about
-1e154, and ``np.vdot`` does not.
+``ddot`` per row; sparse ones scipy's CSR kernel without the ``@``
+dispatch.  All are bitwise equal to the forms they replace.
+:func:`require_finite` alone keeps ``np.vdot``: ``.dot`` and ``@`` set the
+overflow flag, and so warn, on finite entries above about 1e154, and
+``np.vdot`` does not.
 
-Finiteness is checked at the oracle boundary: a query point and what comes
-back from it.  A billed gradient of an oracle that declares
+Finiteness is checked at the oracle boundary, once per block: the query
+points and what comes back.  A billed gradient of an oracle that declares
 ``gradient_propagates_non_finite`` checks only its output, which is
-non-finite whenever its query is (see :class:`ClientOracle`), and a block
-of clients' billed gradients from :func:`gradients_of` is checked once.
+non-finite whenever its query is (see :class:`ClientOracle`).
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,37 +196,34 @@ def take_billed() -> float:
     return units
 
 
-class ClientOracle(ABC):
+class _Itself:
+    # an oracle's default stack, itself: a non-data descriptor that stores
+    # nothing, so a row of a shared stack sets its own and no cycle forms
+    def __get__(self, oracle, owner=None):
+        return self if oracle is None else oracle
+
+
+class ClientOracle:
     """First-order oracle for one client's local objective.
 
-    Subclasses implement ``_value`` and ``_gradient``; the public methods
-    validate shapes and reject non-finite inputs and outputs, so a NaN is
-    caught at the oracle boundary instead of propagating silently.  An
-    oracle whose gradient has a non-finite entry whenever its query point
-    has one declares ``gradient_propagates_non_finite``; its public
-    :meth:`gradient` then checks only the shape of the query and the
-    gradient it returns, which rejects the same points, and names the query
-    point when that is the cause (the computation may warn first, as
-    ``0 * inf`` does).  So a declared oracle's gradient costs one finiteness
-    check and an undeclared one two; :meth:`value`, samples and block
-    evaluations always check both.
+    Every oracle is row ``row`` of a ``stack`` that answers
+    ``values(rows, points)`` and ``gradients(rows, points)`` for k rows at
+    k points, unbilled and unchecked, each row bitwise that row alone (a
+    quadratic stack also answers ``hessian_matvecs(rows, vs)``).  An oracle
+    with no shared stack, such as a hand-built one, is row 0 of its own.
+    Billed work asks for rows through :func:`gradients_of`,
+    :func:`hessian_matvecs_of` or the public one-row forms; measurement
+    calls the stacks directly and bills nothing, as values never do.
 
-    Every billed primitive is checked once, at the base oracle's boundary.
-    Several clients' gradients at their own points come from
-    :func:`gradients_of`: oracles that share a ``stack`` (the quadratic
-    ones) answer in one billed product, checked once over the whole
-    block, and any other list makes one public :meth:`gradient` per row.
-    Wrappers such as :class:`~fedlab.local_solvers.SurrogateOracle` take
-    their bases' gradients that way from their own ``_gradients``, and the
-    local solvers call the wrapper's ``_gradients`` and test the gradient
-    norms they compute anyway (see :mod:`fedlab.local_solvers`); a
-    surrogate value reads the base's unchecked ``_value``.  Outside callers
-    of :meth:`gradient` and :meth:`value` keep every check, and query
-    points and gradients pass through :func:`as_vector`.  The public
-    :meth:`gradient` bills one unit and a stack's block one per row (see
-    :func:`bill`); values bill nothing.  An oracle that can sample
-    overrides :meth:`stochastic_gradient`, which bills the share of a full
-    gradient that the sample consumed.
+    The public :meth:`gradient` and :meth:`value` validate shapes and
+    reject non-finite inputs and outputs.  An oracle whose gradient has a
+    non-finite entry whenever its query point has one declares
+    ``gradient_propagates_non_finite``; its :meth:`gradient` then checks
+    only the gradient, which rejects the same points, and names the query
+    point when that is the cause (the computation may warn first, as ``0 *
+    inf`` does).  An oracle that can sample overrides
+    :meth:`stochastic_gradient`, which bills the share of a full gradient
+    that the sample consumed.
 
     Attributes
     ----------
@@ -241,26 +237,20 @@ class ClientOracle(ABC):
     gradient_propagates_non_finite : bool
         True when every non-finite query point gives a non-finite gradient
         (off by default).
-    stack, row : object or None, int
-        The stack of clients this oracle is row ``row`` of, whose
-        ``gradients(rows, points)`` gives those rows' billed, unchecked
-        gradients in one pass, bitwise their ``_gradient``; None for an
-        oracle that answers alone.  A stack's oracles declare
-        ``gradient_propagates_non_finite``.
+    gradient_cost : float
+        Full gradients one gradient row bills: 1.0, or 0.0 for one whose
+        gradient is measurement (the harness's view of ``f``).
+    stack, row : object, int
+        The stack this oracle is row ``row`` of (by default itself, row 0).
     """
 
     dim: int
     smoothness_hint: float | None = None
     convexity_hint: float | None = None
     gradient_propagates_non_finite: bool = False
-    stack: object | None = None
-    row: int
-
-    @abstractmethod
-    def _value(self, x: Vector) -> float: ...
-
-    @abstractmethod
-    def _gradient(self, x: Vector) -> Vector: ...
+    gradient_cost: float = 1.0
+    stack = _Itself()
+    row: int = 0
 
     def _check_shape(self, x) -> Vector:
         x = as_vector(x)
@@ -274,25 +264,17 @@ class ClientOracle(ABC):
         return require_finite(self._check_shape(x), "oracle query point")
 
     def value(self, x) -> float:
-        v = self._value(self._check_input(x))
-        if getattr(v, "ndim", 0):
-            # a block of subproblems (a SurrogateOracle) gives one value per row
-            if not np.isfinite(v).all():
-                row = int(np.argmin(np.isfinite(v)))
-                raise NonFiniteError(f"non-finite objective value in row {row}")
-            return v
-        v = float(v)
+        v = float(self.stack.values([self.row], self._check_input(x)[None])[0])
         if not math.isfinite(v):
             raise NonFiniteError("non-finite objective value")
         return v
 
     def gradient(self, x) -> Vector:
-        global _billed
-        _billed += 1.0
+        bill(self.gradient_cost)
         x = self._check_shape(x)
         if not self.gradient_propagates_non_finite:
             require_finite(x, "oracle query point")
-        g = as_vector(self._gradient(x))
+        g = self.stack.gradients([self.row], x[None])[0]
         try:
             return require_finite(g, "gradient")
         except NonFiniteError:
@@ -311,47 +293,73 @@ class ClientOracle(ABC):
         )
 
 
+_propagates = operator.attrgetter("gradient_propagates_non_finite")
+_stack_of = operator.attrgetter("stack")
+
+
+def _by_stack(oracles, points: np.ndarray, answer: str) -> np.ndarray:
+    """The stacks' ``answer`` for each oracle's row at its row of ``points``,
+    one call per run of consecutive oracles that share a stack."""
+    stack = oracles[0].stack
+    rows = [o.row for o in oracles if o.stack is stack]
+    if len(rows) == len(oracles):
+        return getattr(stack, answer)(rows, points)
+    parts, lo = [], 0
+    for stack, run in itertools.groupby(oracles, _stack_of):
+        rows = [o.row for o in run]
+        parts.append(getattr(stack, answer)(rows, points[lo : lo + len(rows)]))
+        lo += len(rows)
+    return np.concatenate(parts)
+
+
+def values_of(oracles, points: np.ndarray) -> np.ndarray:
+    """Each oracle's value at its row of ``points``, unchecked."""
+    return _by_stack(oracles, points, "values")
+
+
 def gradients_of(oracles, points, labels=None) -> np.ndarray:
     """Each oracle's billed gradient at its row of ``points``, as a (k, d) block.
 
-    ``points`` is (k, d), one row per oracle, or one point of dimension d
-    for all of them.  Oracles that all share one ``stack`` answer in one
-    call of its ``gradients``, which bills the k rows, and the block is
-    checked once; any other list makes one public :meth:`ClientOracle.gradient`
-    per row, in order.  Either way a :class:`NonFiniteError` names the
-    lowest failing row, by its entry of ``labels`` (default: its position),
-    after the message its own public gradient raises: the query point's
-    when that is not finite, else the gradient's.
+    ``points`` is (k, d) or one point for all rows.  The rows bill the
+    first oracle's ``gradient_cost`` each, in one :func:`bill` (the
+    harness's view of ``f`` is never listed with clients); the block is
+    checked once, after the points when an oracle is undeclared.  A
+    :class:`NonFiniteError` names the lowest row that its public gradient
+    would reject, by its entry of ``labels`` (default: its position), with
+    that one's message.
     """
     points = np.asarray(points, dtype=np.float64)
     k = len(oracles)
-    stack = oracles[0].stack
-    if stack is None or any(o.stack is not stack for o in oracles):
-        grads = []
-        rows = points if points.ndim == 2 else [points] * k
-        try:
-            for oracle, point in zip(oracles, rows):
-                grads.append(oracle.gradient(point))
-        except NonFiniteError as exc:
-            row = len(grads) if labels is None else labels[len(grads)]
-            raise NonFiniteError(f"{exc} in row {row}") from exc
-        return np.array(grads)
     if points.ndim == 1:
-        points = np.broadcast_to(points, (k, points.shape[0]))
+        points = points[None].repeat(k, axis=0)
     if points.shape != (k, oracles[0].dim):
         raise DimensionError(
             f"query of shape {points.shape} does not fit {k} rows "
             f"of dimension {oracles[0].dim}"
         )
-    grads = stack.gradients([o.row for o in oracles], points)
+    bill(k * oracles[0].gradient_cost)
     try:
-        return require_finite(grads, "gradient")
+        if not all(map(_propagates, oracles)):
+            require_finite(points, "oracle query point")
+        return require_finite(_by_stack(oracles, points, "gradients"), "gradient")
     except NonFiniteError:
-        # rows before the first failing one passed: name that row
-        j = int(np.argmin(np.isfinite(grads).all(axis=1)))
-        row = j if labels is None else labels[j]
-        what = "gradient" if np.isfinite(points[j]).all() else "oracle query point"
-        raise NonFiniteError(f"non-finite entries in {what} in row {row}") from None
+        pass
+    # one-row calls in order stop at the first row with a non-finite point
+    # (every oracle rejects it) or, before it, a non-finite gradient
+    bad = ~np.isfinite(points).all(axis=1)
+    j = stop = int(np.argmax(bad)) if bad.any() else k
+    if stop:
+        bad = ~np.isfinite(_by_stack(oracles[:stop], points[:stop], "gradients"))
+        j = int(np.argmax(bad.any(axis=1))) if bad.any() else stop
+    what = "oracle query point" if j == stop else "gradient"
+    row = j if labels is None else labels[j]
+    raise NonFiniteError(f"non-finite entries in {what} in row {row}") from None
+
+
+def hessian_matvecs_of(oracles, vs) -> np.ndarray:
+    """Each oracle's Hessian times its row of ``vs``, billed a unit per row."""
+    bill(len(oracles))
+    return _by_stack(oracles, vs, "hessian_matvecs")
 
 
 @dataclass
@@ -364,13 +372,9 @@ class DistributedProblem:
     exact quadratic structure when available.  Per-client data is an
     (n, d) block with row ``i`` for client ``i``.
 
-    A constructor may add a ``block`` whose ``values(x)`` and
-    ``gradients(x)`` give every client's raw value and gradient at ``x`` in
-    one pass, bitwise its ``_value``/``_gradient``.  :meth:`values_at` and
-    :meth:`gradients_at` check it once (else they make public calls);
-    :meth:`f` and :meth:`grad_f` read it (unbilled), while billed work calls
-    :meth:`client_gradients`, every client's billed gradient from
-    :func:`gradients_of`.
+    :meth:`f` and :meth:`grad_f` are measurement: every client at one point
+    from the stacks, unbilled, checked once.  Billed work calls
+    :meth:`client_gradients` (through :func:`gradients_of`).
     """
 
     clients: list[ClientOracle]
@@ -379,7 +383,6 @@ class DistributedProblem:
     l_smooth_global: float | None = None
     mu: float | None = None
     quadratic: object | None = None
-    block: object | None = None
 
     def __post_init__(self):
         if not self.clients:
@@ -403,20 +406,17 @@ class DistributedProblem:
         """Every client's billed gradient at ``x``, as an (n, d) block."""
         return gradients_of(self.clients, self.clients[0]._check_shape(x))
 
+    def _at(self, x) -> np.ndarray:
+        return self.clients[0]._check_input(x)[None].repeat(self.n, axis=0)
+
     def values_at(self, x) -> list[float]:
-        """Every client's value at ``x``, from the block if there is one."""
-        if self.block is None:
-            return [c.value(x) for c in self.clients]
-        values = self.block.values(self.clients[0]._check_input(x))
+        values = _by_stack(self.clients, self._at(x), "values")
         if not np.isfinite(values).all():
             raise NonFiniteError("non-finite objective value")
         return values.tolist()
 
     def gradients_at(self, x) -> np.ndarray:
-        """Every client's gradient at ``x``, from the block if there is one."""
-        if self.block is None:
-            return self.client_gradients(x)
-        grads = self.block.gradients(self.clients[0]._check_input(x))
+        grads = _by_stack(self.clients, self._at(x), "gradients")
         return require_finite(grads, "gradient")
 
     @staticmethod

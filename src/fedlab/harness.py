@@ -108,7 +108,10 @@ class ExperimentResult:
 
 
 class _GlobalOracle(ClientOracle):
-    """The full objective ``f`` viewed as a single oracle."""
+    """The full objective ``f`` as a one-row stack of its own, whose values
+    and gradients are measurement (``f`` and ``grad_f``): they bill nothing."""
+
+    gradient_cost = 0.0
 
     def __init__(self, problem: DistributedProblem):
         self.problem = problem
@@ -123,15 +126,11 @@ class _GlobalOracle(ClientOracle):
         else:
             self.convexity_hint = None
 
-    def _value(self, x: Vector) -> float:
-        return self.problem.f(x)
+    def values(self, rows, points: np.ndarray) -> np.ndarray:
+        return np.array([self.problem.f(points[0])])
 
-    def _gradient(self, x: Vector) -> Vector:
-        return self.problem.grad_f(x)
-
-    # measurement work, public as well: grad_f checks the query and the
-    # result, and bills only where a problem without a block calls its clients
-    gradient = _gradient
+    def gradients(self, rows, points: np.ndarray) -> np.ndarray:
+        return self.problem.grad_f(points[0])[None]
 
 
 def reference_optimum(
@@ -185,7 +184,6 @@ def run_experiment(
     reference: ReferenceSolution | str | None = "auto",
     output_mode: str | None = None,
     record_every: int = 100,
-    metric_problem: DistributedProblem | None = None,
 ) -> ExperimentResult:
     """Run one method until the budget trips.
 
@@ -197,9 +195,7 @@ def run_experiment(
     nonconvex analysis reads ``grad_norm_sq`` instead), so a
     ``budget.target_gap`` is then a :class:`ConfigurationError`.
 
-    ``metric_problem`` lets callers step one problem while evaluating
-    metrics on another (e.g. one whose values overflow where the stepped
-    problem's do not).  A run has no frame of its own: every method and
+    A run has no frame of its own: every method and
     metric column is unchanged by an orthogonal change of coordinates, so
     generated ``beta = 0`` quadratics are drawn in their eigen frame instead
     (see :mod:`fedlab.problems.quadratic`).
@@ -210,10 +206,9 @@ def run_experiment(
     """
     if not record_every >= 1:
         raise ConfigurationError(f"record_every must be >= 1, got {record_every!r}")
-    metrics = metric_problem if metric_problem is not None else problem
     if reference == "auto":
         try:
-            reference = reference_optimum(metrics, x0)
+            reference = reference_optimum(problem, x0)
         except UnsupportedStructureError:
             reference = None
     if budget.target_gap is not None and reference is None:
@@ -234,10 +229,10 @@ def run_experiment(
     def snapshot(k: int, rounds: int):
         nonlocal f_best, reached, f_out, g_out
         if f_out is None:
-            f_out = metrics.f(x_out)
+            f_out = problem.f(x_out)
         f_best = min(f_best, f_out)
         if g_out is None:
-            g_out = metrics.grad_f(x_out)
+            g_out = problem.grad_f(x_out)
         f_star = reference.f_star if reference is not None else f_best
         dist = float(np.sum((x_out - x_star) ** 2)) if x_star is not None else None
         trace = RoundTrace(
@@ -261,8 +256,8 @@ def run_experiment(
             # the output iterate, its value and gradient (None once it moves,
             # until a snapshot needs them), and under best_grad its squared
             # gradient norm
-            f_out = f_best = metrics.f(x0)
-            g_out = metrics.grad_f(x0)
+            f_out = f_best = problem.f(x0)
+            g_out = problem.grad_f(x0)
             x_out, best_score = x0.copy(), float(g_out.dot(g_out))
             snapshot(0, 0)
             while not reached:
@@ -289,7 +284,7 @@ def run_experiment(
                 if output_mode == "last":
                     x_out, f_out, g_out = server.reference, None, None
                 elif rec.communicated:
-                    g = metrics.grad_f(server.reference)
+                    g = problem.grad_f(server.reference)
                     score = float(g.dot(g))
                     if score < best_score:
                         x_out, best_score = server.reference.copy(), score

@@ -54,20 +54,19 @@ for the others).  The decrease check of ``require_decrease`` runs once
 every row has finished and names the lowest row whose value is not finite
 (at the start, then at the solution) or else whose objective increased.
 
-Finiteness is checked once per billed primitive, or once per block of
-them.  A step's base gradients come from :func:`fedlab.core.gradients_of`:
-quadratic bases answer in one stacked product whose (k, d) block is
-checked once, and any other base's public ``gradient`` checks its own
-output, which on the logistic oracle (it declares
-``gradient_propagates_non_finite``, as the quadratic one does) also
-rejects a non-finite query point; an undeclared base checks the query
-point too.  The descent
-loop takes the surrogate's unchecked ``_gradients`` and raises
-:class:`NonFiniteError` when a norm it computes for the stopping rule is
-not finite (a NaN or inf entry, or a norm that overflows); conjugate
-gradients does the same with its residual norms.  A solve evaluates no
-objective value unless ``require_decrease`` asks for its check, which takes
-two calls of the surrogate's public ``value``, each with one value per row.
+Finiteness is checked once per block of billed rows.  A step's base
+gradients come from :func:`fedlab.core.gradients_of`, one call of the
+bases' stack over the working rows, checked once (the query points too
+when a base does not declare ``gradient_propagates_non_finite``, as the
+quadratic and logistic ones do), and each conjugate-gradient iteration
+takes its rows' Hessian products from one
+:func:`fedlab.core.hessian_matvecs_of` call.  The descent loop takes the
+surrogate's unchecked ``_gradients`` and raises :class:`NonFiniteError`
+when a norm it computes for the stopping rule is not finite (a NaN or inf
+entry, or a norm that overflows); conjugate gradients does the same with
+its residual norms.  A solve evaluates no objective value unless
+``require_decrease`` asks for its check, which takes two calls of the
+surrogate's public ``value``, each with one value per row.
 """
 from __future__ import annotations
 
@@ -85,7 +84,9 @@ from .core import (
     UnsupportedStructureError,
     Vector,
     gradients_of,
+    hessian_matvecs_of,
     require_finite,
+    values_of,
 )
 
 
@@ -190,15 +191,13 @@ class SurrogateOracle(ClientOracle):
     one-subproblem surrogate also has them as ``smoothness_hint`` and
     ``convexity_hint``, and its one base as ``base``.
 
-    ``_gradients`` takes the bases' billed gradients from
-    :func:`~fedlab.core.gradients_of`, which bills each row's unit and
-    rejects a non-finite query point or output; what the
-    shift and the proximal terms add on top is checked by the public
-    :meth:`gradient`, which bills nothing of its own, or, inside the local
-    solvers' loops, by the finiteness test on the gradient norms.
-    ``_values`` calls the bases' unchecked ``_value``: the public ``value``
-    checks the same points, and the totals, which a non-finite base value
-    makes non-finite.
+    ``_gradients`` takes the bases' billed, checked block from
+    :func:`~fedlab.core.gradients_of`; what the shift and the proximal
+    terms add is checked by the public :meth:`gradient`, which bills
+    nothing of its own, or, inside the solvers' loops, by the finiteness
+    test on the gradient norms.  ``_values`` takes the bases' unchecked
+    block from :func:`~fedlab.core.values_of`: the public :meth:`value`
+    checks the points and the totals.
     """
 
     def __init__(
@@ -292,38 +291,43 @@ class SurrogateOracle(ClientOracle):
         return part
 
     def _values(self, y: np.ndarray) -> np.ndarray:
-        """Every row's value at its row of ``y``: the base's unchecked
-        ``_value``, then the shift and the proximal terms."""
-        v = np.array([b._value(row) for b, row in zip(self.bases, y)])
+        """Every row's value at its row of ``y``: the bases' unchecked values,
+        then the shift and the proximal terms."""
+        v = values_of(self.bases, y)
         if self._shift is not None:
-            v += np.vecdot(self._shift, y)
+            v = v + np.vecdot(self._shift, y)
         for weight, center in self._terms:
             diff = y - center
-            v += 0.5 * weight * np.vecdot(diff, diff)
+            v = v + 0.5 * weight * np.vecdot(diff, diff)
         return v
 
     def _gradients(self, y: np.ndarray) -> np.ndarray:
         """Every row's gradient at its row of ``y``: the bases' billed
-        gradients from :func:`~fedlab.core.gradients_of` (one stacked
-        product on quadratic bases, else one public ``gradient`` per row),
-        then the shift and the proximal terms.  A base's
-        :class:`NonFiniteError` comes out naming the row."""
+        gradients from :func:`~fedlab.core.gradients_of`, then the shift
+        and the proximal terms.  A base's :class:`NonFiniteError` comes out
+        naming the row."""
         g = gradients_of(self.bases, y, self.row_ids)
+        # terms added out of place: a stack may answer with an array it keeps
         if self._shift is not None:
-            g += self._shift
+            g = g + self._shift
         for weight, center in self._terms:
-            g += weight * (y - center)
+            g = g + weight * (y - center)
         return g
 
-    def _value(self, x):
-        return self._values(x) if self.is_block else float(self._values(x[None])[0])
-
-    def _gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._gradients(x) if self.is_block else self._gradients(x[None])[0]
+    def value(self, x):
+        """One value per row of a block, or the one subproblem's float."""
+        y = self._check_input(x)
+        v = self._values(y if self.is_block else y[None])
+        if not np.isfinite(v).all():
+            row = f" in row {np.argmin(np.isfinite(v))}" if self.is_block else ""
+            raise NonFiniteError(f"non-finite objective value{row}")
+        return v if self.is_block else float(v[0])
 
     def gradient(self, x) -> np.ndarray:
         # the inherited public gradient would bill a unit on top of the bases'
-        return require_finite(self._gradient(self._check_input(x)), "gradient")
+        y = self._check_input(x)
+        g = self._gradients(y) if self.is_block else self._gradients(y[None])[0]
+        return require_finite(g, "gradient")
 
 
 def schedule_e_r(round_index: int, lam: float, mu: float = 0.0) -> float:
@@ -563,11 +567,11 @@ def solve_exact_quadratic(surrogate: SurrogateOracle) -> SolveReport:
     starts from zero, so the returned solution is a deterministic function
     of the subproblem alone and the solve takes no start point.
 
-    Each iteration makes one ``hessian_matvec`` of each working row's base
-    (it bills one unit; O(d) on a quadratic drawn in its eigen frame).  The
-    loop updates its own ``x``, ``ap``, ``r`` and ``p`` blocks in place,
-    bitwise the textbook loop's fresh arrays, and a row leaves them when its
-    residual reaches its target.  When the budget of ``max(50, 25 d)``
+    Each iteration takes the working rows' Hessian products in one
+    :func:`~fedlab.core.hessian_matvecs_of` call, which bills a unit per
+    row.  The loop updates its own ``x``, ``r`` and ``p`` blocks in place,
+    bitwise the textbook loop's fresh arrays, and a row leaves them when
+    its residual reaches its target.  When the budget of ``max(50, 25 d)``
     iterations runs out, the lowest working row is the one named.
     """
     if not isinstance(surrogate, SurrogateOracle):
@@ -620,9 +624,9 @@ def solve_exact_quadratic(surrogate: SurrogateOracle) -> SolveReport:
                 f"conjugate gradients stalled at residual {res_norms[0]:.3e} "
                 f"in row {part.row_ids[0]}"
             )
-        # p * w + H p, added in the other order: the same IEEE sum
-        ap = np.array([b.hessian_matvec(row) for b, row in zip(part.bases, p)])
-        ap += weight * p
+        # p * w + H p, added in the other order (the same IEEE sum) and out
+        # of place: a stack may hand back an array of its own
+        ap = hessian_matvecs_of(part.bases, p) + weight * p
         curvature = np.vecdot(p, ap)
         # a NaN curvature passes here and fails as a residual next iteration
         for row, curv in zip(part.row_ids, curvature.tolist()):

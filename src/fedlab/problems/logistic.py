@@ -13,6 +13,9 @@ per-class client proportions from a Dirichlet(alpha) distribution: small
 """
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
@@ -24,7 +27,6 @@ from ..core import (
     DistributedProblem,
     NonFiniteError,
     RandomStream,
-    Vector,
     bill,
     require_finite,
 )
@@ -148,26 +150,20 @@ def _spectral_norms_sq(matrices: list[sp.csr_matrix]) -> list[float]:
 class LogisticOracle(ClientOracle):
     """Logistic loss over one client's rows plus the shared ridge term.
 
-    The stochastic gradient draws ``batch_size`` rows uniformly with
-    replacement and rescales, which is unbiased for the full gradient; the
-    ridge term is always included exactly.  It reads the sampled rows as
-    a sparse block and bills ``batch_size / rows`` full gradients, more
-    than one when the batch has more rows than the client.
+    The oracle is row ``row`` of the :class:`_LogisticStack` that
+    :func:`logistic_problem` builds, or, built alone, of its own.
 
-    ``transpose`` is ``A'``, the client's rows transposed, built once at
-    construction as its own CSR matrix and reused by every gradient
-    ``A'w``.  Building it per product (what
-    ``matrix.T`` does) cost most of a gradient.  Both operators' arrays are
-    read-only, so the two cannot drift apart.  Every product ``Ax`` and
-    ``A'w`` is a :func:`_csr_matvec` call straight into scipy's CSR kernel,
-    which sums each output entry over the stored entries of its row in the
-    same order, starting from zero, as ``matrix @ x`` and ``matrix.T @ w``
-    do, so the products are bitwise equal.  ``neg_labels`` holds ``-y``
-    once: the loss and gradient read only ``-y_r <a_r, x>``, and negation
-    is exact.  ``spectral_sq`` is the client's bound on ``lambda_max(A' A)``
-    from :func:`_spectral_norms_sq`; :func:`logistic_problem` passes the
-    one it computes for all clients in one pass, and an oracle built
-    without it computes its own.
+    The stochastic gradient draws ``batch_size`` rows uniformly with
+    replacement and rescales, unbiased for the full gradient, with the
+    exact ridge term; it bills ``batch_size / rows`` full gradients.
+
+    ``transpose`` is ``A'`` as its own CSR matrix, built once, which the
+    stack reads; both operators are read-only.  ``neg_labels`` holds
+    ``-y``: the loss reads only ``-y_r <a_r, x>``, and negation is exact.
+    ``spectral_sq`` is the client's bound on ``lambda_max(A' A)`` from
+    :func:`_spectral_norms_sq`; :func:`logistic_problem` passes the one it
+    computes for all clients in one pass, and an oracle built without it
+    computes its own.
 
     The ridge weight ``reg = 1/M`` is positive, so a non-finite query
     coordinate makes its entry of ``reg * x``, and of the gradient,
@@ -196,18 +192,9 @@ class LogisticOracle(ClientOracle):
         self.smoothness_hint = 0.25 * self.loss_scale * spectral_sq + self.reg
         self.convexity_hint = self.reg
 
-    def _neg_margins(self, x: Vector) -> np.ndarray:
-        return self.neg_labels * _csr_matvec(self.matrix, x)
-
-    def _value(self, x: Vector) -> float:
-        losses = np.logaddexp(0.0, self._neg_margins(x))
-        return self.loss_scale * float(losses.sum()) + 0.5 * self.reg * float(
-            x.dot(x)
-        )
-
-    def _gradient(self, x: Vector) -> Vector:
-        weights = self.neg_labels * expit(self._neg_margins(x))
-        return self.loss_scale * _csr_matvec(self.transpose, weights) + self.reg * x
+    @functools.cached_property
+    def stack(self) -> "_LogisticStack":
+        return _LogisticStack([self])
 
     def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
         x = self._check_input(x)
@@ -221,38 +208,71 @@ class LogisticOracle(ClientOracle):
         return require_finite(g, "gradient")
 
 
-class _LogisticBlock:
-    """Every client of :func:`logistic_problem` at one point in one pass:
-    one CSR product with the stacked client matrices and one with the
-    :func:`_block_diagonal` of their cached transposes, each summing a row
-    as its client's product does.  Losses are summed per client slice, so
-    each client's value and gradient are bitwise its oracle's."""
+class _LogisticStack:
+    """Clients at their own points through the :func:`_block_diagonal`
+    operators ``op`` and ``op_t`` of their matrices and cached transposes;
+    building one makes each oracle its row.  Consecutive clients are a
+    span of rows of each, which scipy's kernel takes as a slice of the row
+    pointers, so a client's margins and products sum the same stored
+    entries in the same order as its own :func:`_csr_matvec`: bitwise, at
+    two kernel calls per span.  Loss sums run over per-client slices;
+    nothing is billed or checked."""
 
-    def __init__(self, oracles: list[LogisticOracle], stacked: sp.csr_matrix):
-        self.stacked = stacked
+    def __init__(self, oracles: list[LogisticOracle]):
+        self.op = _block_diagonal([o.matrix for o in oracles])
         self.op_t = _block_diagonal([o.transpose for o in oracles])
         self.neg_labels = np.concatenate([o.neg_labels for o in oracles])
-        ends = np.cumsum([o.matrix.shape[0] for o in oracles]).tolist()
-        self.rows = [slice(a, b) for a, b in zip([0] + ends, ends)]
-        self.n = len(oracles)
+        self.starts = np.cumsum([0] + [o.matrix.shape[0] for o in oracles]).tolist()
+        self.d = oracles[0].dim
         self.loss_scale, self.reg = oracles[0].loss_scale, oracles[0].reg
+        self._all = list(range(len(oracles)))
+        for i, oracle in enumerate(oracles):
+            oracle.stack, oracle.row = self, i
 
-    def _neg_margins(self, x: Vector) -> np.ndarray:
-        return self.neg_labels * _csr_matvec(self.stacked, x)
+    def _span_margins(self, rows: list[int], points: np.ndarray):
+        """``lo, hi, j`` and ``-y * A x`` for each run of consecutive rows:
+        clients ``lo:hi`` at rows ``j:j + hi - lo`` of ``points``."""
+        first, k = rows[0], len(rows)
+        if rows == self._all[first : first + k]:
+            spans = [(first, first + k, 0)]
+        else:
+            runs = itertools.groupby(enumerate(rows), lambda jr: jr[1] - jr[0])
+            spans = [(i, i + 1 + len(rest), j) for _, ((j, i), *rest) in runs]
+        op, x = self.op, np.empty(self.op.shape[1])
+        for lo, hi, j in spans:
+            x[lo * self.d : hi * self.d] = points[j : j + hi - lo].ravel()
+            a, b = self.starts[lo], self.starts[hi]
+            neg = np.zeros(b - a)
+            csr_matvec(b - a, x.size, op.indptr[a : b + 1], op.indices, op.data, x, neg)
+            yield lo, hi, j, np.multiply(neg, self.neg_labels[a:b], neg)
 
-    def values(self, x: Vector) -> np.ndarray:
-        losses = np.logaddexp(0.0, self._neg_margins(x))
-        sums = np.array([losses[rows].sum() for rows in self.rows])
-        return self.loss_scale * sums + 0.5 * self.reg * float(x.dot(x))
+    def values(self, rows: list[int], points: np.ndarray) -> np.ndarray:
+        sums = []
+        for lo, hi, _, margins in self._span_margins(rows, points):
+            losses = np.logaddexp(0.0, margins)
+            ends = [e - self.starts[lo] for e in self.starts[lo : hi + 1]]
+            sums += [losses[a:b].sum() for a, b in zip(ends, ends[1:])]
+        ridge = 0.5 * self.reg * np.vecdot(points, points)
+        return self.loss_scale * np.array(sums) + ridge
 
-    def gradients(self, x: Vector) -> np.ndarray:
-        weights = self.neg_labels * expit(self._neg_margins(x))
-        products = _csr_matvec(self.op_t, weights).reshape(self.n, -1)
-        return self.loss_scale * products + self.reg * x
+    def gradients(self, rows: list[int], points: np.ndarray) -> np.ndarray:
+        # each span's products sum from zero into its rows of the block
+        g, op_t = np.zeros(points.shape), self.op_t
+        w = np.empty(op_t.shape[1])
+        for lo, hi, j, margins in self._span_margins(rows, points):
+            a, b = self.starts[lo], self.starts[hi]
+            np.multiply(self.neg_labels[a:b], expit(margins), w[a:b])
+            out = g[j : j + hi - lo].reshape(-1)
+            indptr = op_t.indptr[lo * self.d : hi * self.d + 1]
+            csr_matvec(out.size, w.size, indptr, op_t.indices, op_t.data, w, out)
+        g *= self.loss_scale
+        g += self.reg * points
+        return g
 
 
 def logistic_problem(parts: list[SparseDataset]) -> DistributedProblem:
-    """Assemble the distributed problem from per-client datasets.
+    """Assemble the distributed problem from per-client datasets, the
+    clients as the rows of one :class:`_LogisticStack`.
 
     An overflowing bound raises :class:`NonFiniteError` listing ``||A||_F^2``
     per client (``l_smooth``), then for the stacked rows (``l_smooth_global``).
@@ -268,6 +288,7 @@ def logistic_problem(parts: list[SparseDataset]) -> DistributedProblem:
     stacked = sp.vstack(matrices, format="csr")
     *client_sq, stacked_sq = _spectral_norms_sq(matrices + [stacked])
     oracles = [LogisticOracle(p, n, total_rows, sq) for p, sq in zip(parts, client_sq)]
+    _LogisticStack(oracles)
     l_global = 0.25 * stacked_sq / total_rows + 1.0 / total_rows
     return DistributedProblem(
         clients=oracles,
@@ -275,5 +296,4 @@ def logistic_problem(parts: list[SparseDataset]) -> DistributedProblem:
         l_smooth=max(o.smoothness_hint for o in oracles),
         l_smooth_global=l_global,
         mu=1.0 / total_rows,
-        block=_LogisticBlock(oracles, stacked),
     )

@@ -23,15 +23,12 @@ in original coordinates; their oracles form the mean Hessian ``Q diag(s)
 Q'`` once, so each evaluation is one ``d x d`` product.  Explicit dense
 symmetric matrices are also supported for hand-built fixtures.
 
-:func:`build_quadratic_problem` stacks the clients' curvature operators
-once, in original coordinates: the mean spectra, shape (n, d), for a
-family without a basis, and the mean Hessians, shape (n, d, d), for a
-family with one and for dense specs, next to every client's mean center
-``cbar_i`` and linear term ``u_i``, shape (n, d) each.  Each oracle's
-operator, center and ``u`` are row views of that stack, and the stack's
-billed :meth:`_QuadraticStack.gradients` gives k clients' gradients at k
-distinct points in one product: one ``np.matvec`` (a ``gemv`` per row,
-bitwise each row's ``.dot``) or one elementwise product.
+:func:`build_quadratic_problem` makes every client a row of one
+:class:`_QuadraticStack`, in original coordinates: the mean spectra, shape
+(n, d), for a family without a basis, else the mean Hessians, shape (n, d,
+d), with each client's mean center, linear term and constant.  The stack
+answers k clients at k points in one product: one ``np.matvec`` (a
+``gemv`` per row, bitwise each row's ``.dot``) or one elementwise product.
 """
 from __future__ import annotations
 
@@ -48,6 +45,7 @@ from ..core import (
     UnsupportedStructureError,
     Vector,
     bill,
+    hessian_matvecs_of,
     require_finite,
 )
 
@@ -57,11 +55,12 @@ GENERAL_CONVEX_FLOOR = 1e-6
 _SYMMETRY_TOL = 1e-10
 
 
-def _sigmoid_value(x: Vector, beta: float) -> float:
+def _sigmoid_values(points: np.ndarray, beta: float):
+    """Each row's ``beta * sum_k x_k^2 / (1 + x_k^2)``; 0.0 when ``beta == 0``."""
     if beta == 0.0:
         return 0.0
-    sq = x * x
-    return beta * float(np.sum(sq / (1.0 + sq)))
+    sq = points * points
+    return beta * np.sum(sq / (1.0 + sq), axis=1)
 
 
 def _hints(eigs: np.ndarray, beta: float) -> tuple[float, float | None]:
@@ -212,9 +211,14 @@ class QuadraticFamily:
 
 
 class _QuadraticStack:
-    """Every client's curvature operator, mean center and ``u`` (see the
-    module docstring); client ``i``'s oracle fills row ``i`` and keeps
-    views of it."""
+    """Every client's curvature operator ``C``, mean center ``cbar``, ``u``
+    and ``kappa`` (see :class:`QuadraticOracle`), row ``i`` for client ``i``.
+
+    The block forms apply client ``rows[j]``'s terms to row ``j`` of a
+    (k, d) block, with row dots as ``np.vecdot`` (a ``ddot`` per row).
+    Consecutive rows are read as a view, other selections as a copy.  They
+    neither bill nor check.
+    """
 
     def __init__(self, family: QuadraticFamily):
         n, d = family.n, family.dim
@@ -222,74 +226,74 @@ class _QuadraticStack:
             self.hessians = np.empty((n, d))
         else:
             self.hessians = np.empty((n, d, d))
+        # a spectrum scales each row, a matrix applies one gemv per row
+        self.apply = np.multiply if self.hessians.ndim == 2 else np.matvec
         self.centers = np.empty((n, d))
         self.u = np.empty((n, d))
+        self.kappa = np.empty(n)
         self.beta = family.beta
         self.ones = np.ones(d)
         self.two_beta = np.full(d, self.beta * 2.0)
         self._all = list(range(n))
 
-    def gradients(self, rows: list[int], points: np.ndarray) -> np.ndarray:
-        """The gradients of the clients ``rows`` at the rows of ``points``,
-        shape (k, d), billed as k gradients and not checked.
-
-        Row ``j`` is ``C (y - cbar) - u + sigmoid'(y)`` for client
-        ``rows[j]`` at ``y = points[j]``, with the same operations as that
-        oracle's ``_gradient``, so it is bitwise the same.  Consecutive rows
-        are read as a view of the stack, other selections as a copy.
-        """
-        k = len(rows)
-        first = rows[0]
-        index = rows
+    def _index(self, rows: list[int]):
+        first, k = rows[0], len(rows)
         if rows == self._all[first : first + k]:
-            index = slice(first, first + k)
-        hessians = self.hessians[index]
+            return slice(first, first + k)
+        return rows
+
+    def values(self, rows: list[int], points: np.ndarray) -> np.ndarray:
+        """``0.5 w'C w - u'w + kappa + sigmoid(y)`` per row, ``w = y - cbar``."""
+        index = self._index(rows)
         w = points - self.centers[index]
-        bill(k)
-        if hessians.ndim == 2:
-            g = hessians * w
-        else:
-            g = np.matvec(hessians, w)
+        v = 0.5 * np.vecdot(w, self.apply(self.hessians[index], w))
+        v -= np.vecdot(self.u[index], w)
+        v += self.kappa[index]
+        v += _sigmoid_values(points, self.beta)
+        return v
+
+    def gradients(self, rows: list[int], points: np.ndarray) -> np.ndarray:
+        """``C (y - cbar) - u + sigmoid'(y)`` per row."""
+        index = self._index(rows)
+        g = self.apply(self.hessians[index], points - self.centers[index])
         g -= self.u[index]
         if self.beta != 0.0:
             g += _sigmoid_gradient(points, self.ones, self.two_beta)
         return g
 
+    def hessian_matvecs(self, rows: list[int], vs: np.ndarray) -> np.ndarray:
+        """``C v`` per row: the quadratic part's Hessian, without the sigmoid's."""
+        return self.apply(self.hessians[self._index(rows)], vs)
+
 
 class QuadraticOracle(ClientOracle):
-    """First-order oracle for one :class:`QuadraticClientSpec`.
+    """First-order oracle for one :class:`QuadraticClientSpec`: row ``row``
+    of the problem's ``stack``.
 
-    Value, gradient and ``hessian_matvec`` read one curvature operator in
-    original coordinates, expanded around the mean center ``cbar``: the
-    mean Hessian ``C``, held as the mean spectrum when the family has no
-    basis (every generated ``beta = 0`` family), as the mean matrix for
-    dense specs, and as ``Q diag(s) Q'`` formed once at construction
-    otherwise.  With ``u = mean_j A_j d_j`` and ``kappa = 0.5 mean_j d_j'
-    A_j d_j`` for the center offsets ``d_j = c_j - cbar``, both cached at
-    construction, and ``w = x - cbar``,
+    Its row holds one curvature operator ``C`` in original coordinates,
+    the mean Hessian: the mean spectrum when the family has no basis
+    (every generated ``beta = 0`` family), the mean matrix for dense specs,
+    and ``Q diag(s) Q'`` formed once at construction otherwise.  With the
+    mean center ``cbar``, ``u = mean_j A_j d_j`` and ``kappa = 0.5 mean_j
+    d_j' A_j d_j`` for the offsets ``d_j = c_j - cbar``, and ``w = x -
+    cbar``,
 
         gradient = C w - u + sigmoid',
         value    = 0.5 w'C w - u'w + kappa + sigmoid,
 
-    one product with ``C`` per call instead of one per component.
-    Expanding around ``cbar`` rather than the origin keeps the rounding
-    error of order ``|x - c_j|`` even when the centers sit far from the
-    origin.  Value and gradient never call the public
-    :meth:`hessian_matvec`, so every call of it is a solver's matvec, and
-    it bills one unit.  The basis is read only at construction
-    and by :meth:`stochastic_gradient`.
-
-    The stochastic gradient averages ``batch_size`` of the m quadratic
-    components drawn uniformly with replacement (the sigmoid term, being
-    cheap and deterministic, is always included exactly), so it is unbiased
-    for the full gradient; it bills ``batch_size / m`` full gradients.
+    one product with ``C`` instead of one per component; expanding around
+    ``cbar`` keeps the rounding error of order ``|x - c_j|``.  Only solvers
+    apply ``C`` through :func:`~fedlab.core.hessian_matvecs_of`, which
+    bills a unit per row.  The basis is read only at construction and by
+    :meth:`stochastic_gradient`: the mean of ``batch_size`` components
+    drawn with replacement plus the exact sigmoid term, which bills
+    ``batch_size / m`` full gradients.
 
     A non-finite query coordinate ``x_k`` makes gradient entry ``k``
     non-finite: that entry of ``C w`` adds ``C_kk w_k``, which is NaN or
     infinite (``0 * inf`` is NaN), and the sigmoid derivative of ``±inf`` is
     ``inf / inf``.  So the oracle declares
-    ``gradient_propagates_non_finite``.  ``C``, ``cbar`` and ``u`` are
-    views of row ``row`` of the problem's ``stack``.
+    ``gradient_propagates_non_finite``.
     """
 
     gradient_propagates_non_finite = True
@@ -312,28 +316,19 @@ class QuadraticOracle(ClientOracle):
         else:
             stack.hessians[row] = spec.matrices.mean(axis=0)
             eigs = np.linalg.eigvalsh(stack.hessians[row])
-        self._hessian = stack.hessians[row]
         # component terms are formed in the spec's frame, then rotated once
         center = spec.centers.mean(axis=0)
         offsets = spec.centers - center
         pulled = spec.pulled(offsets)
         stack.centers[row] = self._to_original(center)
         stack.u[row] = self._to_original(pulled.mean(axis=0))
-        self._center, self._u = stack.centers[row], stack.u[row]
-        self._kappa = 0.5 * float(np.mean(np.einsum("jk,jk->j", offsets, pulled)))
+        stack.kappa[row] = 0.5 * float(np.mean(np.einsum("jk,jk->j", offsets, pulled)))
         self._linear = self._to_original(spec.pulled(spec.centers).mean(axis=0))
         self._linear.setflags(write=False)
         self.smoothness_hint, self.convexity_hint = _hints(eigs, self.beta)
-        self._ones, self._two_beta = stack.ones, stack.two_beta
 
     def _to_original(self, v: Vector) -> Vector:
         return v if self.basis is None else self.basis.dot(v)
-
-    def _curvature(self, y: Vector) -> Vector:
-        """Mean quadratic Hessian applied to ``y``, in original coordinates."""
-        if self._hessian.ndim == 1:
-            return self._hessian * y
-        return self._hessian.dot(y)
 
     # -- quadratic structure hooks used by the exact subproblem solver ----
 
@@ -342,8 +337,7 @@ class QuadraticOracle(ClientOracle):
         return self.beta == 0.0
 
     def hessian_matvec(self, v: Vector) -> Vector:
-        bill(1.0)
-        return self._curvature(v)
+        return hessian_matvecs_of([self], v[None])[0]
 
     def linear_term(self) -> Vector:
         """Vector u with grad of the quadratic part equal to ``H x - u``.
@@ -351,20 +345,6 @@ class QuadraticOracle(ClientOracle):
         The cached array is read-only.
         """
         return self._linear
-
-    # -- oracle implementation --------------------------------------------
-
-    def _value(self, x: Vector) -> float:
-        w = x - self._center
-        quad = 0.5 * float(w.dot(self._curvature(w))) - float(self._u.dot(w))
-        return quad + self._kappa + _sigmoid_value(x, self.beta)
-
-    def _gradient(self, x: Vector) -> Vector:
-        g = self._curvature(x - self._center)
-        g -= self._u
-        if self.beta != 0.0:
-            g += _sigmoid_gradient(x, self._ones, self._two_beta)
-        return g
 
     def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
         x = self._check_input(x)
@@ -377,7 +357,7 @@ class QuadraticOracle(ClientOracle):
             rows = np.einsum("jkl,jl->jk", spec.matrices[js], x - spec.centers[js])
         g = self._to_original(rows.mean(axis=0))
         if self.beta != 0.0:
-            g = g + _sigmoid_gradient(x, self._ones, self._two_beta)
+            g = g + _sigmoid_gradient(x, self.stack.ones, self.stack.two_beta)
         bill(batch_size / spec.m)
         return require_finite(g, "gradient")
 

@@ -21,8 +21,9 @@ from fedlab import (
     cli,
     harness,
 )
-from fedlab.problems.logistic import LogisticOracle
+from fedlab.problems.logistic import LogisticOracle, _csr_matvec, _LogisticStack
 from fedlab.problems.quadratic import _QuadraticStack
+from scipy.special import expit
 
 
 def finite_difference_gradient(fn, x, rel_step: float = 1e-6) -> np.ndarray:
@@ -108,18 +109,20 @@ def rotated_family(family: QuadraticFamily, seed: int) -> QuadraticFamily:
 
 
 class CubicOracle(ClientOracle):
-    """Nonconvex 1-d test oracle f(x) = x^4/4 - x^2/2 (minima at +-1)."""
+    """Nonconvex 1-d test oracle f(x) = x^4/4 - x^2/2 (minima at +-1), a
+    one-row stack of its own."""
 
     def __init__(self):
         self.dim = 1
         self.smoothness_hint = 20.0
         self.convexity_hint = None
 
-    def _value(self, x):
-        return float(0.25 * x[0] ** 4 - 0.5 * x[0] ** 2)
+    def values(self, rows, points):
+        x = points[:, 0]
+        return 0.25 * x**4 - 0.5 * x**2
 
-    def _gradient(self, x):
-        return np.array([x[0] ** 3 - x[0]])
+    def gradients(self, rows, points):
+        return points**3 - points
 
 
 class FixedGradientOracle(ClientOracle):
@@ -131,22 +134,73 @@ class FixedGradientOracle(ClientOracle):
         self.smoothness_hint = 1.0
         self.convexity_hint = 0.0
 
-    def _value(self, x):
-        return float(self.g @ x)
+    def values(self, rows, points):
+        return points.dot(self.g)
 
-    def _gradient(self, x):
-        return self.g.copy()
+    def gradients(self, rows, points):
+        return np.repeat(self.g[None], len(rows), axis=0)
+
+
+# ---------------------------------------------------- per-row references
+#
+# The stacks answer k clients at k points in one pass; these are the one
+# client at one point formulas they must match bitwise.
+
+
+def _curvature(oracle: QuadraticOracle, y):
+    hessian = oracle.stack.hessians[oracle.row]
+    return hessian * y if hessian.ndim == 1 else hessian.dot(y)
+
+
+def _neg_margins(oracle: LogisticOracle, x):
+    return oracle.neg_labels * _csr_matvec(oracle.matrix, x)
+
+
+def per_row_value(oracle, x) -> float:
+    """A quadratic or logistic client's value at ``x``, formed alone."""
+    if isinstance(oracle, LogisticOracle):
+        losses = np.logaddexp(0.0, _neg_margins(oracle, x))
+        return oracle.loss_scale * float(losses.sum()) + 0.5 * oracle.reg * float(
+            x.dot(x)
+        )
+    stack, row = oracle.stack, oracle.row
+    w = x - stack.centers[row]
+    quad = 0.5 * float(w.dot(_curvature(oracle, w))) - float(stack.u[row].dot(w))
+    sq = x * x
+    sigmoid = 0.0 if oracle.beta == 0.0 else oracle.beta * float(np.sum(sq / (1.0 + sq)))
+    return quad + float(stack.kappa[row]) + sigmoid
+
+
+def per_row_gradient(oracle, x) -> np.ndarray:
+    """A quadratic or logistic client's gradient at ``x``, formed alone."""
+    if isinstance(oracle, LogisticOracle):
+        weights = oracle.neg_labels * expit(_neg_margins(oracle, x))
+        return oracle.loss_scale * _csr_matvec(oracle.transpose, weights) + oracle.reg * x
+    stack, row = oracle.stack, oracle.row
+    g = _curvature(oracle, x - stack.centers[row])
+    g -= stack.u[row]
+    if oracle.beta != 0.0:
+        denom = x * x
+        denom += np.ones(x.shape[0])
+        denom *= denom
+        g += np.divide(np.full(x.shape[0], oracle.beta * 2.0) * x, denom, denom)
+    return g
+
+
+def per_row_hessian_matvec(oracle: QuadraticOracle, v) -> np.ndarray:
+    """A quadratic client's mean Hessian applied to ``v``, formed alone."""
+    return _curvature(oracle, v)
 
 
 def count_raw_work(monkeypatch) -> list[float]:
     """A one-entry list that counts the work the leaf primitives do.
 
-    Patches every concrete ``_gradient`` (one unit per call), the quadratic
-    stack's block ``gradients`` (one unit per row of the points it is
-    given, read from their shape), ``QuadraticOracle.hessian_matvec`` (one
-    unit) and both samplers (the sample's share: ``batch_size / m``
-    components, ``batch_size / rows`` rows), without reading the bill they
-    keep themselves.  Set the entry to 0.0 to start a new count.
+    Patches every stack's block ``gradients`` and the quadratic stack's
+    ``hessian_matvecs`` (one unit per row of the points they are given,
+    read from their shape), and both samplers (the sample's share:
+    ``batch_size / m`` components, ``batch_size / rows`` rows), without
+    reading the bill they are billed by.  Set the entry to 0.0 to start a
+    new count.
     """
     count = [0.0]
 
@@ -157,18 +211,15 @@ def count_raw_work(monkeypatch) -> list[float]:
 
         return wrapper
 
-    def one(self, *args):
-        return 1.0
+    def rows(self, rows, points):
+        return points.shape[0]
 
-    for cls in (QuadraticOracle, LogisticOracle, CubicOracle, FixedGradientOracle):
-        monkeypatch.setattr(cls, "_gradient", counted(cls._gradient, one))
+    for cls in (_QuadraticStack, _LogisticStack, CubicOracle, FixedGradientOracle):
+        monkeypatch.setattr(cls, "gradients", counted(cls.gradients, rows))
     monkeypatch.setattr(
         _QuadraticStack,
-        "gradients",
-        counted(_QuadraticStack.gradients, lambda s, rows, points: points.shape[0]),
-    )
-    monkeypatch.setattr(
-        QuadraticOracle, "hessian_matvec", counted(QuadraticOracle.hessian_matvec, one)
+        "hessian_matvecs",
+        counted(_QuadraticStack.hessian_matvecs, rows),
     )
     monkeypatch.setattr(
         QuadraticOracle,

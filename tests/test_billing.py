@@ -1,7 +1,8 @@
 """The oracle bills itself: each billed primitive, and nothing else, bills.
 
-``ClientOracle.gradient`` bills one unit, ``QuadraticOracle.hessian_matvec``
-one, and each ``stochastic_gradient`` its sampled share; ``step_method`` and
+A block from ``core.gradients_of`` or ``core.hessian_matvecs_of`` bills one
+unit per row, the public ``gradient`` and ``hessian_matvec`` (one-row
+blocks) one, and each ``stochastic_gradient`` its sampled share; ``step_method`` and
 ``init_method_state`` read what was billed inside their window.  Here the
 sampled steps' bills are checked against an independent count of the leaf
 primitives (:func:`conftest.count_raw_work`) and against their shares, and
@@ -68,12 +69,11 @@ def test_a_public_surrogate_gradient_bills_its_base_once():
     take_billed()
     g = surrogate.gradient(np.ones(4))
     assert take_billed() == 1.0
-    assert np.array_equal(g, surrogate._gradient(np.ones(4)))
+    assert np.array_equal(g, surrogate._gradients(np.ones((1, 4)))[0])
 
 
 def test_values_blocks_and_the_reference_bill_nothing():
     problem = logistic_small()
-    assert problem.block is not None
     x = RandomStream(3).generator().standard_normal(problem.dim)
     take_billed()
     for client in problem.clients:

@@ -1,9 +1,10 @@
 """Static hygiene: one accounting path, from the billed primitives to the step.
 
-Gradient work is billed where it is done: ``ClientOracle.gradient`` adds its
-unit to ``core._billed`` inline, and the quadratic stack's block
-``gradients`` (its k rows, next to the product), a quadratic oracle's
-``hessian_matvec`` and each ``stochastic_gradient`` call ``core.bill``.
+Gradient work is billed where it is asked for, in one ``core.bill`` call
+per block: ``core.gradients_of`` and ``core.hessian_matvecs_of`` bill their
+k rows, the one-row ``ClientOracle.gradient`` its unit, and each
+``stochastic_gradient`` its share.  The stacks that compute the rows bill
+nothing, so measurement can call them too.
 ``step_method`` and ``init_method_state`` alone call ``core.take_billed`` to
 open and read their window, and ``step_method`` alone writes a step's
 ``grad_evals``.  So no other code may touch the running total, and none may
@@ -23,9 +24,9 @@ BILL_USES = {
     "core.py:": ["_billed"],
     "core.py:bill": ["_billed"],
     "core.py:take_billed": ["_billed", "_billed"],
-    "core.py:ClientOracle.gradient": ["_billed"],
-    "problems/quadratic.py:_QuadraticStack.gradients": ["bill"],
-    "problems/quadratic.py:QuadraticOracle.hessian_matvec": ["bill"],
+    "core.py:ClientOracle.gradient": ["bill"],
+    "core.py:gradients_of": ["bill"],
+    "core.py:hessian_matvecs_of": ["bill"],
     "problems/quadratic.py:QuadraticOracle.stochastic_gradient": ["bill"],
     "problems/logistic.py:LogisticOracle.stochastic_gradient": ["bill"],
     "methods.py:init_method_state": ["take_billed", "take_billed"],

@@ -1,9 +1,11 @@
-"""Block evaluation: every client at once, bitwise the per-client path.
+"""One evaluation path: every client is a row of its problem's stack.
 
-Measurement work (metric snapshots, the reference optimum, sampled
-dissimilarity) reads a problem's block; billed work keeps one billed row
-per client: a public ``ClientOracle.gradient`` each, or one row of a
-quadratic stack's billed block.
+Billed work and measurement read the same stacks.  Billed work asks for
+its rows through ``core.gradients_of`` or a public ``ClientOracle.gradient``
+(a one-row block), which bill one unit per client row; measurement (metric
+snapshots, the reference optimum, sampled dissimilarity) calls the stacks
+directly and bills nothing.  The logistic stack answers any rows at their
+own points bitwise the per-row formula of ``conftest.per_row_*``.
 """
 import functools
 import math
@@ -28,13 +30,21 @@ from fedlab import (
     build_quadratic_problem,
     cli,
     control_variate_grad_diff,
+    core,
     delta_sampled,
+    init_method_state,
+    local_solvers,
     logistic_problem,
+    methods,
     reference_optimum,
     run_experiment,
+    step_method,
 )
-from fedlab.problems.logistic import LogisticOracle, _LogisticBlock
+from fedlab.core import gradients_of, values_of
+from fedlab.problems.logistic import LogisticOracle, _LogisticStack
 from fedlab.problems.quadratic import _QuadraticStack
+
+from conftest import count_raw_work, per_row_gradient, per_row_value
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -50,37 +60,52 @@ def _bundled(name: str):
 
 @pytest.fixture
 def gradient_calls(monkeypatch):
-    """One name per billed gradient row: the oracle type for each public
-    ``gradient`` call, ``_QuadraticStack`` for each row of a stack's
-    billed block (counted from the shape of its points)."""
+    """One oracle type name per billed gradient row: a public ``gradient``
+    call, or a row of a ``core.gradients_of`` block (patched in every
+    module that calls it).  Rows of an oracle whose gradient is measurement
+    (``gradient_cost`` 0, the harness's view of ``f``) are left out."""
     calls = []
     public = ClientOracle.gradient
-    block = _QuadraticStack.gradients
+    block = core.gradients_of
 
     def counted(self, x):
         calls.append(type(self).__name__)
         return public(self, x)
 
-    def counted_rows(self, rows, points):
-        calls.extend(["_QuadraticStack"] * points.shape[0])
-        return block(self, rows, points)
+    def counted_rows(oracles, points, labels=None):
+        calls.extend(type(o).__name__ for o in oracles if o.gradient_cost)
+        return block(oracles, points, labels)
 
     monkeypatch.setattr(ClientOracle, "gradient", counted)
-    monkeypatch.setattr(_QuadraticStack, "gradients", counted_rows)
+    for module in (core, methods, local_solvers):
+        monkeypatch.setattr(module, "gradients_of", counted_rows)
     return calls
 
 
 BUNDLED = ["logistic_small", "quadratic_sc"]
 
 
-def test_measurement_makes_no_public_gradient_calls(gradient_calls):
-    problem = _bundled("logistic_small")
-    assert problem.block is not None
+def _measure(problem) -> float:
+    """What measurement bills: snapshots, the reference, sampled constants."""
     x = RandomStream(5).generator().standard_normal(problem.dim)
+    core.take_billed()
     problem.f(x)
     problem.grad_f(x)
     reference_optimum(problem)
     delta_sampled(problem, 3, RandomStream(2))
+    return core.take_billed()
+
+
+def test_measurement_makes_no_public_gradient_calls(gradient_calls):
+    # the reference is a long accelerated run on f, whose gradients are
+    # measurement too
+    assert _measure(_bundled("logistic_small")) == 0.0
+    assert gradient_calls == []
+
+
+def test_quadratic_measurement_makes_no_billed_calls(gradient_calls):
+    # the quadratic stack answers measurement unbilled, as the logistic does
+    assert _measure(_bundled("quadratic_sc")) == 0.0
     assert gradient_calls == []
 
 
@@ -100,12 +125,76 @@ def test_gd_rounds_make_one_call_per_client(gradient_calls):
     assert len(gradient_calls) == 4 * problem.n == result.total_grad_evals
 
 
-def test_problems_without_a_block_make_public_calls(gradient_calls):
-    # a quadratic problem's grad_f takes the stack's billed rows
-    problem = _bundled("quadratic_sc")
-    assert problem.block is None
-    problem.grad_f(np.ones(problem.dim))
-    assert gradient_calls == ["_QuadraticStack"] * problem.n
+# ------------------------------------ one stack call per solver iteration
+
+
+def _auto(name: str, method: str):
+    """The bundled problem ``name`` and ``method``'s ``auto: sc`` config."""
+    problem = _bundled(name)
+    pcfg = cli.load_config(os.path.join(CONFIG_DIR, f"{name}.json"))["problem"]
+    delta = cli.dissimilarity(problem, pcfg, 32)[0]
+    return problem, cli.build_method({"name": method, "auto": "sc"}, problem, delta)[1]
+
+
+def _one_step(monkeypatch, problem, cfg, solver: str, stack_cls, answer: str):
+    """One step after a variate refresh: the step's record, its local solve's
+    report, the rows of each ``answer`` call of ``stack_cls``, the public
+    gradient calls and the work ``conftest.count_raw_work`` counted."""
+    server, clients, _ = init_method_state(problem, cfg, np.zeros(problem.dim))
+    methods._ensure_fresh_variates(problem, server, clients)
+    reports, stack_calls, public_calls = [], [], []
+    solve = getattr(methods, solver)
+
+    def solved(*args, **kwargs):
+        reports.append(solve(*args, **kwargs))
+        return reports[-1]
+
+    count = count_raw_work(monkeypatch)
+    method = getattr(stack_cls, answer)
+
+    def called(stack, rows, points):
+        stack_calls.append(points.shape[0])
+        return method(stack, rows, points)
+
+    public = ClientOracle.gradient
+    monkeypatch.setattr(methods, solver, solved)
+    monkeypatch.setattr(stack_cls, answer, called)
+    monkeypatch.setattr(
+        ClientOracle, "gradient", lambda o, x: public_calls.append(o) or public(o, x)
+    )
+    count[0] = 0.0
+    _, _, record = step_method(problem, server, clients, cfg, RandomStream(0))
+    (report,) = reports
+    return record, report, stack_calls, public_calls, count[0]
+
+
+def test_a_logistic_descent_makes_one_stack_call_per_iteration(monkeypatch):
+    # every iteration of the lockstep gd solve takes its working rows'
+    # gradients in one call of the logistic stack, none through a public
+    # one-row gradient
+    problem, cfg = _auto("logistic_small", "dane_plus")
+    assert cfg.local.solver == "gd"
+    record, report, calls, public, counted = _one_step(
+        monkeypatch, problem, cfg, "solve_gd", _LogisticStack, "gradients"
+    )
+    steps = report.row_steps.tolist()
+    assert len(calls) == max(steps) + 1 and public == []
+    # row i is evaluated at iterations 0..steps[i]
+    assert calls == [sum(s >= t for s in steps) for t in range(max(steps) + 1)]
+    assert record.grad_evals == counted == sum(calls) == report.steps_taken + problem.n
+
+
+def test_an_exact_solve_makes_one_hessian_call_per_iteration(monkeypatch):
+    problem, cfg = _auto("quadratic_sc", "fedred")
+    assert cfg.local.solver == "exact"
+    record, report, calls, public, counted = _one_step(
+        monkeypatch, problem, cfg, "solve_exact_quadratic", _QuadraticStack,
+        "hessian_matvecs",
+    )
+    steps = report.row_steps.tolist()
+    assert len(calls) == max(steps) > 0 and public == []
+    assert calls == [sum(s > t for s in steps) for t in range(max(steps))]
+    assert record.grad_evals == counted == sum(calls) == report.steps_taken
 
 
 # ------------------------------------------- the block equals the per-client path
@@ -144,16 +233,50 @@ def _bits(arr) -> bytes:
 def test_block_is_bitwise_the_per_client_path(kind, data):
     rng = RandomStream(data.draw(st.integers(0, 2**16))).generator()
     problem = BUILDERS[kind](rng, data.draw(st.integers(1, 4)))
-    assert problem.block is not None
     x = rng.standard_normal(problem.dim) * 10.0 ** data.draw(st.floats(-3.0, 2.0))
-    assert _bits(problem.values_at(x)) == _bits([c.value(x) for c in problem.clients])
-    assert _bits(problem.gradients_at(x)) == _bits(
-        [c.gradient(x) for c in problem.clients]
-    )
-    assert problem.f(x) == sum(c.value(x) for c in problem.clients) / problem.n
-    assert _bits(problem.grad_f(x)) == _bits(
-        np.mean(np.array([c.gradient(x) for c in problem.clients]), axis=0)
-    )
+    values = [per_row_value(c, x) for c in problem.clients]
+    grads = [per_row_gradient(c, x) for c in problem.clients]
+    assert _bits(problem.values_at(x)) == _bits(values)
+    assert _bits(problem.gradients_at(x)) == _bits(grads)
+    # the public one-row forms
+    assert _bits([c.value(x) for c in problem.clients]) == _bits(values)
+    assert _bits([c.gradient(x) for c in problem.clients]) == _bits(grads)
+    assert problem.f(x) == sum(values) / problem.n
+    assert _bits(problem.grad_f(x)) == _bits(np.mean(np.array(grads), axis=0))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_the_logistic_stack_answers_any_rows_at_their_own_points(data):
+    # a subset of the clients, consecutive or not, in any order, with repeats
+    rng = RandomStream(data.draw(st.integers(0, 2**16))).generator()
+    n = data.draw(st.integers(1, 5))
+    problem = logistic_problem(_random_partition(rng, n))
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    scale = 10.0 ** data.draw(st.floats(-3.0, 2.0))
+    points = rng.standard_normal((len(rows), problem.dim)) * scale
+    oracles = [problem.clients[i] for i in rows]
+    values = [per_row_value(o, p) for o, p in zip(oracles, points)]
+    grads = [per_row_gradient(o, p) for o, p in zip(oracles, points)]
+    core.take_billed()
+    assert _bits(gradients_of(oracles, points)) == _bits(grads)
+    assert core.take_billed() == float(len(rows))
+    assert _bits(values_of(oracles, points)) == _bits(values)
+    stack = problem.clients[0].stack
+    assert _bits(stack.gradients(rows, points)) == _bits(grads)
+    assert _bits(stack.values(rows, points)) == _bits(values)
+    assert core.take_billed() == 0.0
+
+
+def test_an_oracle_built_alone_is_a_stack_of_its_own():
+    (part,) = _random_partition(RandomStream(3).generator(), 1)
+    oracle = LogisticOracle(part, 1, part.n_rows)
+    # built on first use, once
+    stack = oracle.stack
+    assert oracle.row == 0 and oracle.stack is stack
+    x = RandomStream(4).generator().standard_normal(oracle.dim)
+    assert oracle.value(x) == per_row_value(oracle, x)
+    assert _bits(oracle.gradient(x)) == _bits(per_row_gradient(oracle, x))
 
 
 def _per_row_delta_sampled(problem, n_pairs: int, stream):
@@ -209,7 +332,7 @@ def test_sampled_dissimilarity_is_bitwise_the_per_row_loop(build):
 
 
 def _logistic(entry: float, labels):
-    """One client whose rows are the single feature ``entry``, with its block.
+    """One client whose rows are the single feature ``entry``.
 
     Built by hand: the smoothness bound of entries near 1e308 overflows, so
     :func:`logistic_problem` rejects them, and these tests read no bound.
@@ -219,9 +342,7 @@ def _logistic(entry: float, labels):
     oracle = LogisticOracle(
         SparseDataset(labels=labels, matrix=matrix), 1, labels.size, spectral_sq=1.0
     )
-    return DistributedProblem(
-        clients=[oracle], dim=1, block=_LogisticBlock([oracle], oracle.matrix)
-    )
+    return DistributedProblem(clients=[oracle], dim=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -270,19 +391,18 @@ def _quadratic(curvature: float, center: float):
 
 
 def test_run_experiment_names_method_and_iteration_for_block_failures():
-    # gd on (x + 3)^2 / 2 from 1 moves its reference to -1 after one round;
-    # the metric problem's value and gradient are finite at 1, not at -1
-    benign, steep = _quadratic(1.0, -3.0), _logistic(1e308, [1.0] * 4)
-    assert steep.block is not None
-    start = {"x0": np.array([1.0]), "metric_problem": steep}
-    message = _gd_fails(benign, 0.5, **start)
+    # at 1 the steep problem's gradient is 1/4 (the margins 1e308 leave only
+    # the ridge term), so a step of 8 moves the reference to -1, where each
+    # of the four rows adds 1e308 to the loss and -1e308 to the gradient
+    steep, start = _logistic(1e308, [1.0] * 4), np.array([1.0])
+    message = _gd_fails(steep, 8.0, x0=start)
     assert message == "gd failed at iteration 1: non-finite objective value"
-    message = _gd_fails(benign, 0.5, output_mode="best_grad", **start)
+    message = _gd_fails(steep, 8.0, x0=start, output_mode="best_grad")
     assert message == "gd failed at iteration 1: non-finite entries in gradient"
     # a step of 1e10 from the gradient -1e300 leaves the reference at inf
-    mild = _logistic(1.0, [1.0, -1.0])
-    message = _gd_fails(_quadratic(1e300, 1.0), 1e10, metric_problem=mild)
+    message = _gd_fails(_quadratic(1e300, 1.0), 1e10)
     assert message == "gd failed at iteration 1: non-finite entries in oracle query point"
-    # the start point's snapshot is named too
-    message = _gd_fails(benign, 0.5, x0=np.array([1e200]), metric_problem=mild)
+    # the start point's snapshot is named too: its ridge term overflows
+    mild = _logistic(1.0, [1.0, -1.0])
+    message = _gd_fails(mild, 0.5, x0=np.array([1e200]))
     assert message == "gd failed at iteration 0: non-finite objective value"

@@ -28,6 +28,7 @@ from conftest import (
     CubicOracle,
     FixedGradientOracle,
     finite_difference_gradient,
+    per_row_gradient,
     quad_1d,
     random_family,
     rotated_family,
@@ -250,7 +251,9 @@ def test_a_declared_oracle_propagates_a_non_finite_query(name, data, bad):
     k = data.draw(st.integers(0, oracle.dim - 1))
     x[k] = bad
     with np.errstate(invalid="ignore"):
-        assert not np.isfinite(oracle._gradient(x)[k])
+        # the per-row formula, and the stack's block that replaced it
+        assert not np.isfinite(per_row_gradient(oracle, x)[k])
+        assert not np.isfinite(oracle.stack.gradients([oracle.row], x[None])[0, k])
         with pytest.raises(NonFiniteError, match="oracle query point"):
             oracle.gradient(x)
 
@@ -288,11 +291,11 @@ class _BrokenOracle(ClientOracle):
         self.dim = 1
         self.bad_value = value
 
-    def _value(self, x):
-        return self.bad_value
+    def values(self, rows, points):
+        return np.full(len(rows), self.bad_value)
 
-    def _gradient(self, x):
-        return np.array([np.inf])
+    def gradients(self, rows, points):
+        return np.full(points.shape, np.inf)
 
 
 class _ConstantOracle(_BrokenOracle):

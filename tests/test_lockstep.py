@@ -30,7 +30,8 @@ from fedlab import (
     solve_gd,
 )
 from fedlab import core
-from fedlab.problems import QuadraticClientSpec, QuadraticFamily, QuadraticOracle
+from fedlab.problems import QuadraticClientSpec, QuadraticFamily
+from fedlab.problems.quadratic import _QuadraticStack
 
 from conftest import FixedGradientOracle, random_family, rotated_family
 
@@ -269,21 +270,22 @@ def test_a_non_finite_value_in_the_decrease_check_names_its_lowest_row():
 
 def _count_values(monkeypatch) -> dict[str, int]:
     """Counts of the surrogate's public ``value`` and unchecked ``_values``
-    calls and of its bases' unchecked ``_value`` calls."""
-    calls = {"value": 0, "_values": 0, "base _value": 0}
+    calls and of the base value rows its stack computes (from the shape of
+    the points)."""
+    calls = {"value": 0, "_values": 0, "base value rows": 0}
 
-    def counted(cls, attr, key):
+    def counted(cls, attr, key, units):
         fn = getattr(cls, attr)
 
         def wrapper(self, *args):
-            calls[key] += 1
+            calls[key] += units(*args)
             return fn(self, *args)
 
         monkeypatch.setattr(cls, attr, wrapper)
 
-    counted(SurrogateOracle, "value", "value")
-    counted(SurrogateOracle, "_values", "_values")
-    counted(QuadraticOracle, "_value", "base _value")
+    counted(SurrogateOracle, "value", "value", lambda *a: 1)
+    counted(SurrogateOracle, "_values", "_values", lambda *a: 1)
+    counted(_QuadraticStack, "values", "base value rows", lambda r, p: p.shape[0])
     return calls
 
 
@@ -301,10 +303,10 @@ def test_only_the_decrease_check_evaluates_values(monkeypatch, solver, n):
         solve_exact_quadratic(surrogate)
     else:
         SOLVE[solver](surrogate, np.zeros(6), rule)
-    assert calls == {"value": 0, "_values": 0, "base _value": 0}
+    assert calls == {"value": 0, "_values": 0, "base value rows": 0}
     if solver != "exact":
         SOLVE[solver](surrogate, np.zeros(6), rule, require_decrease=True)
-        assert calls == {"value": 2, "_values": 2, "base _value": 2 * n}
+        assert calls == {"value": 2, "_values": 2, "base value rows": 2 * n}
 
 
 def test_a_base_oracle_error_names_its_row():

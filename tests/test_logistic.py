@@ -20,7 +20,7 @@ from fedlab.core import take_billed
 from fedlab.problems import LogisticOracle, SparseDataset
 from fedlab.problems.logistic import _csr_matvec, _spectral_norms_sq
 
-from conftest import finite_difference_gradient
+from conftest import finite_difference_gradient, per_row_gradient
 
 
 def _toy_dataset(rows: int = 24, dim: int = 6, seed: int = 15):
@@ -288,7 +288,7 @@ def test_gradient_is_bitwise_the_transposed_view_formula(case):
     oracle, _, x = case
     a, y = oracle.matrix, -oracle.neg_labels
     expected = oracle.loss_scale * (a.T @ (-y * expit(-y * (a @ x)))) + oracle.reg * x
-    assert np.array_equal(oracle._gradient(x), expected)
+    assert np.array_equal(per_row_gradient(oracle, x), expected)
 
 
 def _power_iteration_on_the_view(a):

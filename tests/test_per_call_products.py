@@ -1,6 +1,6 @@
 """Static hygiene: per-call products skip numpy's and scipy's dispatch.
 
-The functions below run on every oracle call, block evaluation, local-solver
+The functions below run on every oracle call, stack block, local-solver
 iteration, method step or metric snapshot.  Their products call
 ``ndarray.dot``, ``np.vecdot`` (a block's row dots) or
 ``problems.logistic._csr_matvec`` (bitwise equal to ``@``, at a fraction of
@@ -12,9 +12,9 @@ a fraction of its cost, so the functions that build them contain no
 ``np.stack``.  The per-call functions update in place only arrays they
 allocated themselves, so none augmented-assigns (``+=``, ``-=``, ``*=``,
 ``/=``) to one of its parameters or to an attribute of ``self``: those may
-be a caller's array or a cached term.  A quadratic oracle's per-call forms
-read one curvature operator in original coordinates, so none of them names
-its basis or the helpers that rotate into and out of it.
+be a caller's array or a cached term.  The quadratic stack's block forms
+read one curvature operator per row in original coordinates, so none of
+them names the basis or the helpers that rotate into and out of it.
 """
 import ast
 import inspect
@@ -28,29 +28,31 @@ PER_CALL = [
     core.ClientOracle._check_input,
     core.ClientOracle.value,
     core.ClientOracle.gradient,
+    core._by_stack,
+    core.values_of,
     core.gradients_of,
+    core.hessian_matvecs_of,
     core.DistributedProblem.f,
     core.DistributedProblem.grad_f,
+    core.DistributedProblem._at,
     core.DistributedProblem.values_at,
     core.DistributedProblem.gradients_at,
     quadratic.QuadraticOracle._to_original,
-    quadratic.QuadraticOracle._curvature,
     quadratic.QuadraticOracle.hessian_matvec,
-    quadratic.QuadraticOracle._value,
-    quadratic.QuadraticOracle._gradient,
     quadratic.QuadraticOracle.stochastic_gradient,
+    quadratic._QuadraticStack._index,
+    quadratic._QuadraticStack.values,
     quadratic._QuadraticStack.gradients,
+    quadratic._QuadraticStack.hessian_matvecs,
+    quadratic._sigmoid_values,
     quadratic._sigmoid_gradient,
     logistic._spectral_norms_sq,
-    logistic.LogisticOracle._neg_margins,
-    logistic.LogisticOracle._value,
-    logistic.LogisticOracle._gradient,
     logistic.LogisticOracle.stochastic_gradient,
-    logistic._LogisticBlock._neg_margins,
-    logistic._LogisticBlock.values,
-    logistic._LogisticBlock.gradients,
-    local_solvers.SurrogateOracle._value,
-    local_solvers.SurrogateOracle._gradient,
+    logistic._LogisticStack._span_margins,
+    logistic._LogisticStack.values,
+    logistic._LogisticStack.gradients,
+    local_solvers.SurrogateOracle.value,
+    local_solvers.SurrogateOracle.gradient,
     local_solvers.SurrogateOracle._values,
     local_solvers.SurrogateOracle._gradients,
     local_solvers._descend,
@@ -62,7 +64,13 @@ PER_CALL = [
 ]
 
 ROW_BLOCKS = [
+    core._by_stack,
+    core.gradients_of,
     core.DistributedProblem.client_gradients,
+    logistic._LogisticStack.values,
+    logistic._LogisticStack.gradients,
+    local_solvers.SurrogateOracle._values,
+    local_solvers.solve_exact_quadratic,
     methods._communicate,
     methods.fedred_gd_step,
     methods.baseline_scaffold_round,
@@ -71,11 +79,11 @@ ROW_BLOCKS = [
 
 
 QUADRATIC_FORMS = [
-    quadratic.QuadraticOracle._curvature,
     quadratic.QuadraticOracle.hessian_matvec,
-    quadratic.QuadraticOracle._value,
-    quadratic.QuadraticOracle._gradient,
+    quadratic._QuadraticStack.values,
     quadratic._QuadraticStack.gradients,
+    quadratic._QuadraticStack.hessian_matvecs,
+    quadratic._sigmoid_values,
 ]
 ROTATIONS = {"basis", "_frame", "_to_original"}
 

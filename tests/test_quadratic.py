@@ -22,7 +22,12 @@ from fedlab import (
 from fedlab.core import take_billed
 from fedlab.problems.quadratic import GENERAL_CONVEX_FLOOR
 
-from conftest import finite_difference_gradient, random_family, rotated_family
+from conftest import (
+    finite_difference_gradient,
+    per_row_gradient,
+    random_family,
+    rotated_family,
+)
 
 
 def test_spec_requires_exactly_one_representation():
@@ -197,8 +202,8 @@ def test_sigmoid_vectors_are_bitwise_the_scalar_form(beta, xs, rotated):
             family = rotated_family(family, seed=9)
         oracles.append(build_quadratic_problem(family).clients[0])
     x = np.array(xs)
-    expected = oracles[1]._gradient(x) + _scalar_sigmoid_gradient(x, beta)
-    assert np.array_equal(oracles[0]._gradient(x), expected)
+    expected = per_row_gradient(oracles[1], x) + _scalar_sigmoid_gradient(x, beta)
+    assert np.array_equal(per_row_gradient(oracles[0], x), expected)
 
 
 def test_an_overflowing_sample_is_rejected():
@@ -435,12 +440,13 @@ def _mean_hessian_form(oracle, x):
     w = x - (center if basis is None else basis.dot(center))
     sq = x * x
     sigmoid = 0.0 if beta == 0.0 else beta * float(np.sum(sq / (1.0 + sq)))
-    quad = 0.5 * float(w.dot(curvature(w))) - float(oracle._u.dot(w))
-    grad = curvature(w) - oracle._u
+    u, kappa = oracle.stack.u[oracle.row], float(oracle.stack.kappa[oracle.row])
+    quad = 0.5 * float(w.dot(curvature(w))) - float(u.dot(w))
+    grad = curvature(w) - u
     if beta != 0.0:
         denom = 1.0 + sq
         grad = grad + beta * 2.0 * x / (denom * denom)
-    return quad + oracle._kappa + sigmoid, grad, curvature(x)
+    return quad + kappa + sigmoid, grad, curvature(x)
 
 
 @settings(derandomize=True, deadline=None)

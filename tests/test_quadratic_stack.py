@@ -1,12 +1,14 @@
-"""The quadratic stack's billed block: k clients' gradients in one product.
+"""The quadratic stack: k clients' values, gradients and Hessian products
+in one product each.
 
 ``build_quadratic_problem`` stacks every client's curvature operator, mean
-center and linear term once; ``core.gradients_of`` answers a list of
-quadratic clients at their own points with one call of the stack's
-``gradients``.  Each row must be bitwise the client's own ``_gradient`` at
-any BLAS thread count, the block must bill one unit per row, and a failing
-block must name the row, with the message, that a loop of public
-``gradient`` calls would.
+center, linear term and constant once; ``core.gradients_of``,
+``core.values_of`` and ``core.hessian_matvecs_of`` answer a list of
+quadratic clients at their own points with one call of the stack.  Each
+row must be bitwise the client's per-row formula (``conftest.per_row_*``)
+at any BLAS thread count, the billed blocks must bill one unit per row,
+and a failing gradient block must name the row, with the message, that a
+loop of public ``gradient`` calls would.
 """
 import json
 import os
@@ -27,9 +29,15 @@ from fedlab import (
     gen_quadratic_problem,
 )
 from fedlab import core
-from fedlab.core import gradients_of
+from fedlab.core import gradients_of, hessian_matvecs_of, values_of
 
-from conftest import random_family, rotated_family
+from conftest import (
+    per_row_gradient,
+    per_row_hessian_matvec,
+    per_row_value,
+    random_family,
+    rotated_family,
+)
 
 TESTS = Path(__file__).resolve().parent
 FRAMES = ("axes", "basis", "dense")
@@ -69,6 +77,10 @@ def _cases(draw):
     return problem, rows, points
 
 
+def _bits(arr) -> bytes:
+    return np.asarray(arr, dtype=np.float64).tobytes()
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_cases())
 def test_the_block_is_each_row_alone_and_bills_its_rows(case):
@@ -77,12 +89,22 @@ def test_the_block_is_each_row_alone_and_bills_its_rows(case):
     core.take_billed()
     block = gradients_of(oracles, points)
     assert core.take_billed() == float(len(rows))
-    alone = np.array([o._gradient(p) for o, p in zip(oracles, points)])
-    assert block.tobytes() == alone.tobytes()
+    alone = [per_row_gradient(o, p) for o, p in zip(oracles, points)]
+    assert _bits(block) == _bits(alone)
     # one shared point, as a grad-diff refresh asks for it
-    assert gradients_of(oracles, points[0]).tobytes() == np.array(
-        [o._gradient(points[0]) for o in oracles]
-    ).tobytes()
+    assert _bits(gradients_of(oracles, points[0])) == _bits(
+        [per_row_gradient(o, points[0]) for o in oracles]
+    )
+    # values bill nothing; Hessian products bill one unit per row
+    core.take_billed()
+    values = values_of(oracles, points)
+    assert core.take_billed() == 0.0
+    assert _bits(values) == _bits([per_row_value(o, p) for o, p in zip(oracles, points)])
+    curved = hessian_matvecs_of(oracles, points)
+    assert core.take_billed() == float(len(rows))
+    assert _bits(curved) == _bits(
+        [per_row_hessian_matvec(o, p) for o, p in zip(oracles, points)]
+    )
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -111,44 +133,58 @@ def test_a_failing_block_names_the_row_the_loop_names(case, data):
     assert str(raised.value) == expected
 
 
-def test_oracles_of_two_stacks_make_one_public_call_per_row(monkeypatch):
+def test_oracles_of_two_stacks_make_one_call_per_run(monkeypatch):
     first, second = (
         build_quadratic_problem(_family("basis", 2, 4, 0.5, seed)) for seed in (1, 2)
     )
-    oracles = [first.clients[1], second.clients[0], first.clients[0]]
-    points = RandomStream(3).generator().standard_normal((3, 4))
+    # runs of rows sharing a stack: [first 1, first 0], [second 0], [first 1]
+    oracles = [first.clients[1], first.clients[0], second.clients[0], first.clients[1]]
+    points = RandomStream(3).generator().standard_normal((4, 4))
     calls = []
-    public = core.ClientOracle.gradient
-    monkeypatch.setattr(
-        core.ClientOracle, "gradient", lambda o, x: calls.append(o) or public(o, x)
-    )
+    for name in ("gradients", "values", "hessian_matvecs"):
+        method = getattr(type(first.clients[0].stack), name)
+
+        def counted(stack, rows, block, method=method, name=name):
+            calls.append((name, stack, list(rows)))
+            return method(stack, rows, block)
+
+        monkeypatch.setattr(type(first.clients[0].stack), name, counted)
+    stack_1, stack_2 = first.clients[0].stack, second.clients[0].stack
+    runs = [(stack_1, [1, 0]), (stack_2, [0]), (stack_1, [1])]
     core.take_billed()
     block = gradients_of(oracles, points)
-    assert calls == oracles and core.take_billed() == 3.0
-    alone = np.array([o._gradient(p) for o, p in zip(oracles, points)])
-    assert block.tobytes() == alone.tobytes()
-    points[1, 2] = np.nan
-    with pytest.raises(NonFiniteError, match=r"query point in row 1$"):
+    assert calls == [("gradients", s, r) for s, r in runs]
+    assert core.take_billed() == 4.0
+    assert _bits(block) == _bits([per_row_gradient(o, p) for o, p in zip(oracles, points)])
+    calls.clear()
+    values = values_of(oracles, points)
+    curved = hessian_matvecs_of(oracles, points)
+    assert calls == [(n, s, r) for n in ("values", "hessian_matvecs") for s, r in runs]
+    assert core.take_billed() == 4.0
+    assert _bits(values) == _bits([per_row_value(o, p) for o, p in zip(oracles, points)])
+    assert _bits(curved) == _bits(
+        [per_row_hessian_matvec(o, p) for o, p in zip(oracles, points)]
+    )
+    points[2, 2] = np.nan
+    with pytest.raises(NonFiniteError, match=r"query point in row 2$"):
         gradients_of(oracles, points)
 
 
-def test_oracles_hold_row_views_of_one_stack():
+def test_oracles_are_rows_of_one_stack():
     problem = gen_quadratic_problem(
         0, 4, 2, 10, max_norm=10.0, min_eig=-2.0, target_delta=2.0, beta=4.0
     )
-    stack = problem.clients[0].stack
+    stack, basis = problem.clients[0].stack, problem.quadratic.basis
     assert stack.hessians.shape == (4, 10, 10)
     for i, oracle in enumerate(problem.clients):
         assert oracle.stack is stack and oracle.row == i
-        for view, rows in (
-            (oracle._hessian, stack.hessians),
-            (oracle._center, stack.centers),
-            (oracle._u, stack.u),
-        ):
-            assert view.base is rows and np.shares_memory(view, rows[i])
+        spec = oracle.spec
+        eigs = spec.spectra.mean(axis=0)
+        assert np.array_equal(stack.hessians[i], (basis * eigs).dot(basis.T))
+        assert np.array_equal(stack.centers[i], basis.dot(spec.centers.mean(axis=0)))
 
 
-# a block of distinct points against the per-row `.dot`, both as sha256
+# blocks of distinct points against the per-row formulas, all as sha256
 _THREADS_SCRIPT = """
 import hashlib, json
 import numpy as np
@@ -156,7 +192,8 @@ from fedlab import (
     QuadraticClientSpec, QuadraticFamily, RandomStream, build_quadratic_problem,
     gen_quadratic_problem,
 )
-from fedlab.core import gradients_of
+from fedlab.core import gradients_of, hessian_matvecs_of, values_of
+from conftest import per_row_gradient, per_row_hessian_matvec, per_row_value
 
 rng = RandomStream(5).generator()
 d = 200
@@ -174,12 +211,20 @@ problems = {
     ),
     "dense_spec": build_quadratic_problem(QuadraticFamily(specs=specs, beta=0.5)),
 }
+forms = {
+    "gradients": (gradients_of, per_row_gradient),
+    "values": (values_of, per_row_value),
+    "hessian_matvecs": (hessian_matvecs_of, per_row_hessian_matvec),
+}
 out = {}
 for name, problem in problems.items():
     points = RandomStream(9).generator().standard_normal((problem.n, problem.dim))
-    block = gradients_of(problem.clients, points)
-    rows = np.array([c._gradient(p) for c, p in zip(problem.clients, points)])
-    out[name] = [hashlib.sha256(a.tobytes()).hexdigest() for a in (block, rows)]
+    for form, (block_of, per_row) in forms.items():
+        block = block_of(problem.clients, points)
+        rows = np.array([per_row(c, p) for c, p in zip(problem.clients, points)])
+        out[name + " " + form] = [
+            hashlib.sha256(a.tobytes()).hexdigest() for a in (block, rows)
+        ]
 print(json.dumps(out))
 """
 
@@ -187,7 +232,7 @@ print(json.dumps(out))
 def _digests(threads: int) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(TESTS.parent / "src"), env.get("PYTHONPATH")])
+        filter(None, [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
         [sys.executable, "-c", _THREADS_SCRIPT],

@@ -33,6 +33,7 @@ from fedlab.problems import (
     build_quadratic_problem,
     gen_quadratic_problem,
 )
+from fedlab.problems.quadratic import _QuadraticStack
 
 from conftest import (
     CubicOracle,
@@ -388,7 +389,7 @@ def test_vector_prox_weights_are_bitwise_the_scalar_form(terms, shift, xs):
     x = np.array(xs)
     for _ in range(2):  # the weight vectors are formed on the first call
         assert np.array_equal(
-            surrogate._gradient(x), _scalar_surrogate_gradient(surrogate, x)
+            surrogate._gradients(x[None])[0], _scalar_surrogate_gradient(surrogate, x)
         )
 
 
@@ -511,16 +512,16 @@ def test_exact_solver_balanced_pair_fixture():
 
 
 def test_exact_solver_bills_the_matvecs_it_uses(monkeypatch):
-    # every public hessian_matvec call is solver work billed one for one;
-    # values and gradients reach the Hessian without calling the hook
+    # every row of the stack's hessian_matvecs is solver work billed one for
+    # one; values and gradients reach the Hessian without calling the hook
     calls = []
-    hook = QuadraticOracle.hessian_matvec
+    hook = _QuadraticStack.hessian_matvecs
 
-    def counted(self, v):
-        calls.append(1)
-        return hook(self, v)
+    def counted(self, rows, vs):
+        calls.extend([1] * vs.shape[0])
+        return hook(self, rows, vs)
 
-    monkeypatch.setattr(QuadraticOracle, "hessian_matvec", counted)
+    monkeypatch.setattr(_QuadraticStack, "hessian_matvecs", counted)
     generated = gen_quadratic_problem(
         0, 2, 3, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
     )
@@ -636,15 +637,18 @@ def _read_only(arr) -> np.ndarray:
 
 
 def _freeze_cached_terms(oracle: QuadraticOracle) -> QuadraticOracle:
-    spec = oracle.spec
-    for arr in (oracle.basis, spec.centers, oracle._center, oracle._u, oracle._hessian):
+    spec, stack = oracle.spec, oracle.stack
+    for arr in (
+        oracle.basis, spec.centers, stack.centers, stack.u, stack.kappa, stack.hessians
+    ):
         if arr is not None:
             arr.setflags(write=False)
     return oracle
 
 
 class _ReadOnlyOutputs(core.ClientOracle):
-    """A quadratic oracle whose gradients and matvecs come back read-only."""
+    """A quadratic oracle whose values, gradients and matvecs come back
+    read-only, as a one-row stack of its own."""
 
     def __init__(self, base):
         self.base = base
@@ -653,14 +657,14 @@ class _ReadOnlyOutputs(core.ClientOracle):
         self.convexity_hint = base.convexity_hint
         self.is_pure_quadratic = base.is_pure_quadratic
 
-    def _value(self, x):
-        return self.base.value(x)
+    def values(self, rows, points):
+        return _read_only(self.base.stack.values([self.base.row], points))
 
-    def _gradient(self, x):
-        return _read_only(self.base.gradient(x))
+    def gradients(self, rows, points):
+        return _read_only(self.base.stack.gradients([self.base.row], points))
 
-    def hessian_matvec(self, v):
-        return _read_only(self.base.hessian_matvec(v))
+    def hessian_matvecs(self, rows, vs):
+        return _read_only(self.base.stack.hessian_matvecs([self.base.row], vs))
 
     def linear_term(self):
         return self.base.linear_term()
