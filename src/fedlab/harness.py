@@ -31,7 +31,7 @@ from .core import (
     Vector,
     as_vector,
 )
-from .local_solvers import SolverBudgetError, StoppingRule, solve_fgd
+from .local_solvers import SolverBudgetError, StoppingRule, SurrogateOracle, solve_fgd
 from .methods import (
     MethodConfig,
     StepRecord,
@@ -139,8 +139,9 @@ def reference_optimum(
     """Solve for the optimum to residual 1e-10 relative to the start scale.
 
     Pure quadratics are solved directly; other convex instances by a long
-    accelerated gradient run.  Nonconvex instances are rejected; the
-    harness falls back to gradient-norm metrics for those.
+    accelerated gradient run on ``f`` as a one-row surrogate, whose row 0
+    is the optimum.  Nonconvex instances are rejected; the harness falls
+    back to gradient-norm metrics for those.
     """
     x_star = None
     how = None
@@ -159,11 +160,11 @@ def reference_optimum(
     if residual > scale:
         start = x0 if x_star is None else x_star
         report = solve_fgd(
-            _GlobalOracle(problem),
+            SurrogateOracle([_GlobalOracle(problem)]),
             start,
             StoppingRule("abs_grad", tol=scale, max_steps=2_000_000),
         )
-        x_star = report.solution
+        x_star = report.solution[0]
         how = how or "long_fgd"
         residual = float(np.linalg.norm(problem.grad_f(x_star)))
     return ReferenceSolution(
@@ -182,18 +183,17 @@ def run_experiment(
     *,
     x0=None,
     reference: ReferenceSolution | str | None = "auto",
-    output_mode: str | None = None,
     record_every: int = 100,
 ) -> ExperimentResult:
     """Run one method until the budget trips.
 
-    The output iterate per metric row is the server reference (``last``),
-    or under rand averaging the running minimum-gradient-norm reference
-    (``best_grad``); ``output_mode`` overrides the choice.  When no
-    reference optimum exists, ``f_gap`` is measured against the best value
-    seen so far (an upper bound on the true optimality gap is not implied;
-    nonconvex analysis reads ``grad_norm_sq`` instead), so a
-    ``budget.target_gap`` is then a :class:`ConfigurationError`.
+    The output iterate per metric row is the server reference, or under
+    rand averaging the start or communicated reference with the smallest
+    gradient norm so far.  When no reference optimum exists, ``f_gap`` is
+    measured against the best value seen so far (an upper bound on the
+    true optimality gap is not implied; nonconvex analysis reads
+    ``grad_norm_sq`` instead), so a ``budget.target_gap`` is then a
+    :class:`ConfigurationError`.
 
     A run has no frame of its own: every method and
     metric column is unchanged by an orthogonal change of coordinates, so
@@ -215,10 +215,6 @@ def run_experiment(
         raise ConfigurationError("target_gap needs a reference optimum")
     x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
     x_star = None if reference is None else reference.x_star
-    if output_mode is None:
-        output_mode = "best_grad" if cfg.averaging == "rand" else "last"
-    if output_mode not in ("last", "best_grad"):
-        raise ConfigurationError(f"unknown output mode {output_mode!r}")
     stream = RandomStream(seed)
     server, clients, cum_evals = init_method_state(problem, cfg, x0)
     started = time.perf_counter()
@@ -254,8 +250,8 @@ def run_experiment(
         # an overflow surfaces as the typed error below, not as a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # the output iterate, its value and gradient (None once it moves,
-            # until a snapshot needs them), and under best_grad its squared
-            # gradient norm
+            # until a snapshot needs them), and under rand averaging its
+            # squared gradient norm
             f_out = f_best = problem.f(x0)
             g_out = problem.grad_f(x0)
             x_out, best_score = x0.copy(), float(g_out.dot(g_out))
@@ -281,7 +277,7 @@ def run_experiment(
                 )
                 records.append(rec)
                 cum_evals += rec.grad_evals
-                if output_mode == "last":
+                if cfg.averaging != "rand":
                     x_out, f_out, g_out = server.reference, None, None
                 elif rec.communicated:
                     g = problem.grad_f(server.reference)

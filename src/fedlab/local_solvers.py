@@ -8,8 +8,9 @@ covering both the single-anchor form (one proximal term at the server
 reference, shift = minus a control variate) and the doubly regularized
 form (anchors at the client iterate and the server reference).  A
 surrogate over n base oracles holds the n clients' subproblems of one
-method step as the rows of (n, d) blocks, and every solver advances the
-rows in lockstep, in one loop.  Vector work runs on the whole working
+method step as the rows of (n, d) blocks; a single subproblem is a one-row
+block.  Every solver takes a surrogate, returns (n, d) rows and advances
+the rows in lockstep, in one loop.  Vector work runs on the whole working
 block, and the per-row scalars that scale rows (step sizes, momenta, the
 conjugate-gradient ``alpha``) are columns or blocks of the iterates' shape.
 Row norms and dots are ``np.vecdot``, which runs the same ``ddot`` per row
@@ -17,8 +18,7 @@ as ``v.dot(v)`` on one vector.  The norms and counters that steer the loop
 are Python floats, one per row, tested as a one-row loop tests them, and a
 row leaves the working block once its own rule fires.  So each row's
 iterates, step count and final norm are bitwise those of its subproblem
-solved alone.  A surrogate over one base oracle is the one-row case on
-vectors, and a bare oracle handed to a solver is solved as one.
+solved alone, as a one-row surrogate.
 
 Solvers: plain gradient descent, Nesterov-accelerated gradient descent,
 and a conjugate-gradient solve for pure quadratic bases.  Stopping is
@@ -82,7 +82,6 @@ from .core import (
     DimensionError,
     NonFiniteError,
     UnsupportedStructureError,
-    Vector,
     gradients_of,
     hessian_matvecs_of,
     require_finite,
@@ -129,18 +128,16 @@ class StoppingRule:
 
 @dataclass
 class SolveReport:
-    """Outcome of one local solve.
+    """Outcome of one local solve of n rows.
 
-    For a surrogate over one base oracle, ``solution`` is a vector and the
-    other fields are scalars.  For a block of n rows, ``solution`` is (n, d)
-    and ``final_grad_norm`` and ``row_steps`` hold one entry per row.
-    ``steps_taken`` is always the steps summed over the rows.
+    ``solution`` is (n, d), ``final_grad_norm`` and ``row_steps`` hold one
+    entry per row, and ``steps_taken`` is the steps summed over the rows.
     """
 
-    solution: Vector
+    solution: np.ndarray
     steps_taken: int
-    final_grad_norm: float | np.ndarray
-    row_steps: int | np.ndarray
+    final_grad_norm: np.ndarray
+    row_steps: np.ndarray
 
 
 _DEFAULT_RULE = StoppingRule("abs_grad", tol=1e-9)
@@ -178,18 +175,16 @@ class LocalSpec:
             raise ConfigurationError(f"exact would ignore rule={self.rule!r}")
 
 
-class SurrogateOracle(ClientOracle):
+class SurrogateOracle:
     """Base objectives plus linear shifts and quadratic proximal terms.
 
-    Over one base oracle a surrogate is one subproblem on vectors.  Over a
-    sequence of n base oracles it holds n subproblems as the rows of (n, d)
-    blocks: ``linear_shift`` and each proximal center are (n, d) blocks (a
-    vector given for one is repeated on every row), the proximal weights are
+    A surrogate over a sequence of n base oracles holds n subproblems as the
+    rows of (n, d) blocks; a single subproblem is a one-row block.
+    ``linear_shift`` and each proximal center are (n, d) blocks (a vector
+    given for one is repeated on every row), the proximal weights are
     shared, and queries, gradients and values take and give one row (one
     value) per base.  Each row's hints, its base's plus the total proximal
-    weight, are in ``smoothness_hints`` and ``convexity_hints``; a
-    one-subproblem surrogate also has them as ``smoothness_hint`` and
-    ``convexity_hint``, and its one base as ``base``.
+    weight, are in ``smoothness_hints`` and ``convexity_hints``.
 
     ``_gradients`` takes the bases' billed, checked block from
     :func:`~fedlab.core.gradients_of`; what the shift and the proximal
@@ -202,24 +197,22 @@ class SurrogateOracle(ClientOracle):
 
     def __init__(
         self,
-        base: ClientOracle | list[ClientOracle],
+        bases: list[ClientOracle],
         linear_shift: np.ndarray | None = None,
         prox_terms: tuple[tuple[float, np.ndarray], ...] = (),
     ):
-        self.is_block = not isinstance(base, ClientOracle)
-        self.bases = list(base) if self.is_block else [base]
+        self.bases = list(bases)
         if not self.bases:
             raise ConfigurationError("a surrogate needs at least one base oracle")
-        self.base = None if self.is_block else base
         self.n = len(self.bases)
         # the block's row numbers; a solver's working part keeps a subset
         self.row_ids = list(range(self.n))
         self.dim = self.bases[0].dim
         if any(b.dim != self.dim for b in self.bases):
             raise DimensionError("base oracle dimension mismatch")
-        self._shift = None
+        self.linear_shift = None
         if linear_shift is not None:
-            self._shift = self._rows_of(
+            self.linear_shift = self._rows_of(
                 linear_shift, "linear shift", ConfigurationError
             )
         terms = []
@@ -231,14 +224,8 @@ class SurrogateOracle(ClientOracle):
                 )
             center = self._rows_of(center, "proximal center", ConfigurationError)
             terms.append((float(weight), center))
-        self._terms = tuple(terms)
-        # a one-subproblem surrogate's operands are the vectors of its one row
-        self.linear_shift, self.prox_terms = self._shift, self._terms
-        if not self.is_block:
-            if self._shift is not None:
-                self.linear_shift = self._shift[0]
-            self.prox_terms = tuple((w, c[0]) for w, c in self._terms)
-        self.total_prox_weight = total = float(sum(w for w, _ in self.prox_terms))
+        self.prox_terms = tuple(terms)
+        self.total_prox_weight = total = float(sum(w for w, _ in terms))
         self.smoothness_hints = tuple(
             None if b.smoothness_hint is None else b.smoothness_hint + total
             for b in self.bases
@@ -247,35 +234,26 @@ class SurrogateOracle(ClientOracle):
             None if b.convexity_hint is None else b.convexity_hint + total
             for b in self.bases
         )
-        if not self.is_block:
-            self.smoothness_hint = self.smoothness_hints[0]
-            self.convexity_hint = self.convexity_hints[0]
 
-    def _rows_of(self, v, what="start", error=DimensionError) -> np.ndarray:
-        """``v`` as (n, d) rows: a one-subproblem surrogate's vector is its
-        row, and a block surrogate takes an (n, d) block or a vector that it
-        repeats on every row (a product of equal shapes costs numpy less
+    def _rows_of(
+        self, v, what="start", error=DimensionError, repeat=True
+    ) -> np.ndarray:
+        """``v`` as (n, d) rows: an (n, d) block, or with ``repeat`` a vector
+        repeated on every row (a product of equal shapes costs numpy less
         than a broadcast one)."""
         v = np.asarray(v, dtype=np.float64)
-        if v.shape == (self.dim,):
-            return np.repeat(v[None], self.n, axis=0) if self.is_block else v[None]
-        if self.is_block and v.shape == (self.n, self.dim):
-            return v
-        raise error(
-            f"{what} of shape {v.shape} does not fit {self.n} rows "
-            f"of dimension {self.dim}"
-        )
-
-    def _check_shape(self, x) -> np.ndarray:
-        if not self.is_block:
-            return super()._check_shape(x)
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n, self.dim):
-            raise DimensionError(
-                f"query of shape {x.shape} does not fit {self.n} rows "
+        if repeat and v.shape == (self.dim,):
+            return np.repeat(v[None], self.n, axis=0)
+        if v.shape != (self.n, self.dim):
+            raise error(
+                f"{what} of shape {v.shape} does not fit {self.n} rows "
                 f"of dimension {self.dim}"
             )
-        return x
+        return v
+
+    def _check_input(self, x) -> np.ndarray:
+        x = self._rows_of(x, "query", repeat=False)
+        return require_finite(x, "oracle query point")
 
     def _rows(self, keep: list[int]) -> "SurrogateOracle":
         """The rows at the positions ``keep``, for a solver's working block:
@@ -286,17 +264,18 @@ class SurrogateOracle(ClientOracle):
         part.n = len(keep)
         part.bases = [self.bases[j] for j in keep]
         index = np.array(keep)
-        part._shift = None if self._shift is None else self._shift[index]
-        part._terms = tuple((w, c[index]) for w, c in self._terms)
+        if self.linear_shift is not None:
+            part.linear_shift = self.linear_shift[index]
+        part.prox_terms = tuple((w, c[index]) for w, c in self.prox_terms)
         return part
 
     def _values(self, y: np.ndarray) -> np.ndarray:
         """Every row's value at its row of ``y``: the bases' unchecked values,
         then the shift and the proximal terms."""
         v = values_of(self.bases, y)
-        if self._shift is not None:
-            v = v + np.vecdot(self._shift, y)
-        for weight, center in self._terms:
+        if self.linear_shift is not None:
+            v = v + np.vecdot(self.linear_shift, y)
+        for weight, center in self.prox_terms:
             diff = y - center
             v = v + 0.5 * weight * np.vecdot(diff, diff)
         return v
@@ -308,26 +287,24 @@ class SurrogateOracle(ClientOracle):
         naming the row."""
         g = gradients_of(self.bases, y, self.row_ids)
         # terms added out of place: a stack may answer with an array it keeps
-        if self._shift is not None:
-            g = g + self._shift
-        for weight, center in self._terms:
+        if self.linear_shift is not None:
+            g = g + self.linear_shift
+        for weight, center in self.prox_terms:
             g = g + weight * (y - center)
         return g
 
-    def value(self, x):
-        """One value per row of a block, or the one subproblem's float."""
-        y = self._check_input(x)
-        v = self._values(y if self.is_block else y[None])
+    def value(self, x) -> np.ndarray:
+        """One value per row of the (n, d) query ``x``."""
+        v = self._values(self._check_input(x))
         if not np.isfinite(v).all():
-            row = f" in row {np.argmin(np.isfinite(v))}" if self.is_block else ""
-            raise NonFiniteError(f"non-finite objective value{row}")
-        return v if self.is_block else float(v[0])
+            raise NonFiniteError(
+                f"non-finite objective value in row {np.argmin(np.isfinite(v))}"
+            )
+        return v
 
     def gradient(self, x) -> np.ndarray:
-        # the inherited public gradient would bill a unit on top of the bases'
-        y = self._check_input(x)
-        g = self._gradients(y) if self.is_block else self._gradients(y[None])[0]
-        return require_finite(g, "gradient")
+        """One gradient per row of the (n, d) query ``x``."""
+        return require_finite(self._gradients(self._check_input(x)), "gradient")
 
 
 def schedule_e_r(round_index: int, lam: float, mu: float = 0.0) -> float:
@@ -372,28 +349,30 @@ def _finish(
 
     Given the rows a ``require_decrease`` solve started from, it first
     checks every row's objective at the solution against its start, with
-    two calls of the surrogate's public ``value``, one value per row each.
+    two calls of the surrogate's public ``value``.
     """
-    if not surrogate.is_block:
-        solution = solution[0]
     if start is not None:
-        f_start = surrogate.value(start if surrogate.is_block else start[0])
+        f_start = surrogate.value(start)
         f_end = surrogate.value(solution)
         decreased = f_end <= f_start + _DECREASE_SLACK * (1.0 + abs(f_start))
         if not np.all(decreased):
             row = int(np.argmin(decreased))
             raise SolverBudgetError(
                 f"local solve increased the objective in row {row}: "
-                f"{np.atleast_1d(f_start)[row]} -> {np.atleast_1d(f_end)[row]}"
+                f"{f_start[row]} -> {f_end[row]}"
             )
-    if surrogate.is_block:
-        return SolveReport(solution, int(steps.sum()), norms, steps)
-    steps = int(steps[0])
-    return SolveReport(solution, steps, float(norms[0]), steps)
+    return SolveReport(solution, int(steps.sum()), norms, steps)
+
+
+def _require_surrogate(surrogate) -> None:
+    if not isinstance(surrogate, SurrogateOracle):
+        raise UnsupportedStructureError(
+            f"a local solve takes a SurrogateOracle, not {type(surrogate).__name__}"
+        )
 
 
 def _descend(
-    surrogate: ClientOracle,
+    surrogate: SurrogateOracle,
     x_start,
     rule: StoppingRule,
     step: float | None,
@@ -412,10 +391,9 @@ def _descend(
     product; the norms, best norms and stall counters that steer the loop
     are Python floats, one per row, tested as a one-row loop tests them.
     """
+    _require_surrogate(surrogate)
     if rule.kind == "scheduled":
         raise ConfigurationError("the method resolves scheduled rules per round")
-    if not isinstance(surrogate, SurrogateOracle):
-        surrogate = SurrogateOracle(surrogate)
     origin = start = y = x = surrogate._rows_of(x_start)
     n, d = y.shape
     hints = surrogate.smoothness_hints
@@ -523,13 +501,15 @@ def _descend(
 
 
 def solve_gd(
-    surrogate: ClientOracle,
+    surrogate: SurrogateOracle,
     x_start,
     rule: StoppingRule,
     step: float | None = None,
     require_decrease: bool = False,
 ) -> SolveReport:
     """Gradient descent with step ``1/(L_base + total prox weight)`` per row.
+
+    ``x_start`` is an (n, d) block or one vector that every row starts from.
 
     Under ``fixed_steps`` (and after an ``abs_grad`` rule fires) the
     returned point is the visited iterate with the smallest gradient norm,
@@ -541,7 +521,7 @@ def solve_gd(
 
 
 def solve_fgd(
-    surrogate: ClientOracle,
+    surrogate: SurrogateOracle,
     x_start,
     rule: StoppingRule,
     step: float | None = None,
@@ -574,17 +554,16 @@ def solve_exact_quadratic(surrogate: SurrogateOracle) -> SolveReport:
     its residual reaches its target.  When the budget of ``max(50, 25 d)``
     iterations runs out, the lowest working row is the one named.
     """
-    if not isinstance(surrogate, SurrogateOracle):
-        raise UnsupportedStructureError("expected a SurrogateOracle")
+    _require_surrogate(surrogate)
     if not all(getattr(b, "is_pure_quadratic", False) for b in surrogate.bases):
         raise UnsupportedStructureError(
             "exact solve needs a pure quadratic base oracle"
         )
     weight = surrogate.total_prox_weight
     r = np.array([b.linear_term() for b in surrogate.bases])
-    if surrogate._shift is not None:
-        r -= surrogate._shift
-    for w, center in surrogate._terms:
+    if surrogate.linear_shift is not None:
+        r -= surrogate.linear_shift
+    for w, center in surrogate.prox_terms:
         r += w * center
 
     n, d = r.shape

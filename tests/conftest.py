@@ -16,6 +16,8 @@ from fedlab import (
     QuadraticFamily,
     QuadraticOracle,
     RandomStream,
+    SolveReport,
+    SurrogateOracle,
     as_vector,
     build_quadratic_problem,
     cli,
@@ -106,6 +108,32 @@ def rotated_family(family: QuadraticFamily, seed: int) -> QuadraticFamily:
     d = family.dim
     q = np.linalg.qr(RandomStream(seed).generator().standard_normal((d, d)))[0]
     return QuadraticFamily(specs=family.specs, basis=q, beta=family.beta)
+
+
+def one_row(base, linear_shift=None, prox_terms=()) -> SurrogateOracle:
+    """The single subproblem over ``base``: a one-row surrogate."""
+    return SurrogateOracle([base], linear_shift=linear_shift, prox_terms=prox_terms)
+
+
+def row_zero(report: SolveReport) -> SolveReport:
+    """A one-row solve's report read at row 0: the solution as a vector, the
+    final gradient norm and the steps as scalars."""
+    assert report.solution.shape[0] == 1
+    steps = int(report.row_steps[0])
+    assert report.steps_taken == steps
+    return SolveReport(
+        report.solution[0], steps, float(report.final_grad_norm[0]), steps
+    )
+
+
+def value_at(surrogate: SurrogateOracle, x) -> float:
+    """A one-row surrogate's public value at the vector ``x``."""
+    return float(surrogate.value(np.asarray(x)[None])[0])
+
+
+def gradient_at(surrogate: SurrogateOracle, x) -> np.ndarray:
+    """A one-row surrogate's public gradient at the vector ``x``."""
+    return surrogate.gradient(np.asarray(x)[None])[0]
 
 
 class CubicOracle(ClientOracle):

@@ -64,12 +64,12 @@ def test_sampled_steps_bill_their_shares_in_client_order(seed, n, m, batch_size)
 def test_a_public_surrogate_gradient_bills_its_base_once():
     base = hetero_pair().clients[0]
     surrogate = SurrogateOracle(
-        base, linear_shift=np.ones(4), prox_terms=((0.5, np.zeros(4)),)
+        [base], linear_shift=np.ones(4), prox_terms=((0.5, np.zeros(4)),)
     )
     take_billed()
-    g = surrogate.gradient(np.ones(4))
+    g = surrogate.gradient(np.ones((1, 4)))
     assert take_billed() == 1.0
-    assert np.array_equal(g, surrogate._gradients(np.ones((1, 4)))[0])
+    assert np.array_equal(g, surrogate._gradients(np.ones((1, 4))))
 
 
 def test_values_blocks_and_the_reference_bill_nothing():

@@ -375,13 +375,16 @@ def test_non_finite_value_is_named():
                 evaluate(x)
 
 
-def _gd_fails(problem, eta, **kwargs):
-    cfg = MethodConfig(method="gd", eta=eta)
+def _run_fails(problem, cfg, **kwargs):
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
         run_experiment(
             problem, cfg, Budget(max_rounds=5), seed=0, reference=None, **kwargs
         )
     return str(info.value)
+
+
+def _gd_fails(problem, eta, **kwargs):
+    return _run_fails(problem, MethodConfig(method="gd", eta=eta), **kwargs)
 
 
 def _quadratic(curvature: float, center: float):
@@ -397,8 +400,11 @@ def test_run_experiment_names_method_and_iteration_for_block_failures():
     steep, start = _logistic(1e308, [1.0] * 4), np.array([1.0])
     message = _gd_fails(steep, 8.0, x0=start)
     assert message == "gd failed at iteration 1: non-finite objective value"
-    message = _gd_fails(steep, 8.0, x0=start, output_mode="best_grad")
-    assert message == "gd failed at iteration 1: non-finite entries in gradient"
+    # rand averaging takes the new reference's gradient before its value:
+    # fedred_gd's step of 1/lam = 8 from the one client at 1 moves it to -1
+    rand = MethodConfig(method="fedred_gd", lam=0.125, averaging="rand")
+    message = _run_fails(steep, rand, x0=start)
+    assert message == "fedred_gd failed at iteration 1: non-finite entries in gradient"
     # a step of 1e10 from the gradient -1e300 leaves the reference at inf
     message = _gd_fails(_quadratic(1e300, 1.0), 1e10)
     assert message == "gd failed at iteration 1: non-finite entries in oracle query point"

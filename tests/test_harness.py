@@ -237,27 +237,27 @@ def test_randomized_output_mode_tracks_best_gradient():
 
 
 def test_output_modes_last_and_running_best():
-    # the reference moves only on communication; "last" reports it as it is
-    # and "best_grad" the running minimum of its squared gradient norm
+    # the reference moves only on communication; a rand-averaged run reports
+    # the running minimum of its squared gradient norm, not the last one's
     problem = hetero_pair(d=4, seed=11)
     cfg = MethodConfig(
         method="fedred", lam=1.0, eta=4.0, p=0.5, averaging="rand",
         local=LocalSpec(solver="exact"),
     )
-    norms = {}
-    for mode in ("last", "best_grad"):
-        result = run_experiment(
-            problem, cfg, Budget(max_rounds=30), seed=2, record_every=1,
-            output_mode=mode,
-        )
-        norms[mode] = [t.grad_norm_sq for t in result.traces]
-    assert norms["best_grad"] == list(np.minimum.accumulate(norms["last"]))
-    assert norms["best_grad"] != norms["last"]
-    for unknown in ("median", "best_f"):
-        with pytest.raises(ConfigurationError, match=unknown):
-            run_experiment(
-                problem, cfg, Budget(max_rounds=1), seed=0, output_mode=unknown
-            )
+    result = run_experiment(
+        problem, cfg, Budget(max_rounds=30), seed=2, record_every=1
+    )
+    best = [t.grad_norm_sq for t in result.traces]
+    # the references themselves, stepped directly
+    stream = RandomStream(2)
+    server, clients, _ = init_method_state(problem, cfg, np.zeros(problem.dim))
+    refs = [server.reference]
+    while server.comm_events < 30:
+        server, clients, _ = step_method(problem, server, clients, cfg, stream)
+        refs.append(server.reference)
+    last = [float(g.dot(g)) for g in map(problem.grad_f, refs)]
+    assert best == list(np.minimum.accumulate(last))
+    assert best != last
 
 
 def test_gap_without_reference_is_nonnegative_best_seen():

@@ -2,8 +2,8 @@
 
 A :class:`SurrogateOracle` over n base oracles holds one method step's n
 subproblems as rows, and each solver advances the rows in one loop.  Every
-row must come out bitwise as the same subproblem solved on its own (the
-n = 1 vector form): solution, steps and final norm, with the same billed
+row must come out bitwise as the same subproblem solved on its own (a
+one-row surrogate): solution, steps and final norm, with the same billed
 units, and the decrease check of ``require_decrease`` must fail for the
 block exactly when it fails for some row alone.  A failing row stops the
 solve and is named.  A solve evaluates no objective value unless the
@@ -33,7 +33,7 @@ from fedlab import core
 from fedlab.problems import QuadraticClientSpec, QuadraticFamily
 from fedlab.problems.quadratic import _QuadraticStack
 
-from conftest import FixedGradientOracle, random_family, rotated_family
+from conftest import FixedGradientOracle, random_family, rotated_family, row_zero
 
 SOLVE = {"exact": solve_exact_quadratic, "gd": solve_gd, "fgd": solve_fgd}
 
@@ -140,7 +140,7 @@ def test_a_block_solve_is_its_rows_solved_alone(case):
     rows, row_billed = [], 0.0
     for i, base in enumerate(problem.clients):
         alone = SurrogateOracle(
-            base,
+            [base],
             linear_shift=None if shift is None else shift[i],
             prox_terms=tuple((w, _row(c, i)) for w, c in terms),
         )
@@ -156,7 +156,7 @@ def test_a_block_solve_is_its_rows_solved_alone(case):
         assert str(report) == lowest
         return
     assert report.solution.shape == (problem.n, problem.dim)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(map(row_zero, rows)):
         assert np.array_equal(report.solution[i], row.solution)
         assert report.row_steps[i] == row.steps_taken
         assert report.final_grad_norm[i] == row.final_grad_norm
@@ -248,9 +248,9 @@ def test_a_failed_decrease_names_its_lowest_row():
     with pytest.raises(SolverBudgetError, match=r"objective in row 1:") as raised:
         solve(bases)
     # solved alone, row 0 passes the check and row 1 fails it with the same values
-    solve(bases[0])
+    solve(bases[:1])
     with pytest.raises(SolverBudgetError) as alone:
-        solve(bases[1])
+        solve(bases[1:2])
     assert str(raised.value) == str(alone.value).replace("row 0:", "row 1:")
 
 
@@ -262,9 +262,9 @@ def test_a_non_finite_value_in_the_decrease_check_names_its_lowest_row():
     rule = StoppingRule("fixed_steps", steps=0)
     with pytest.raises(NonFiniteError, match=r"non-finite objective value in row 1$"):
         solve_gd(block, start, rule, require_decrease=True)
-    # the one-row form keeps its message
-    alone = SurrogateOracle(_quadratics(1e-10)[0])
-    with pytest.raises(NonFiniteError, match=r"^non-finite objective value$"):
+    # solved alone, the row is row 0
+    alone = SurrogateOracle(_quadratics(1e-10))
+    with pytest.raises(NonFiniteError, match=r"^non-finite objective value in row 0$"):
         solve_gd(alone, start[1], rule, require_decrease=True)
 
 
@@ -295,7 +295,7 @@ def test_only_the_decrease_check_evaluates_values(monkeypatch, solver, n):
     problem = gen_quadratic_problem(
         2, 3, 2, 6, max_norm=5.0, min_eig=1.0, target_delta=1.0
     )
-    bases = problem.clients if n > 1 else problem.clients[0]
+    bases = problem.clients[:n]
     surrogate = SurrogateOracle(bases, prox_terms=((1.0, np.ones(6)),))
     calls = _count_values(monkeypatch)
     rule = StoppingRule("abs_grad", tol=1e-8)

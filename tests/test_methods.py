@@ -160,7 +160,7 @@ def test_nan_in_a_range_checked_field_is_rejected(field, valid):
         )),
         ("step", lambda v: LocalSpec(solver="gd", step=v)),
         ("proximal weights", lambda v: SurrogateOracle(
-            quad_1d().clients[0], prox_terms=((v, np.zeros(1)),)
+            quad_1d().clients, prox_terms=((v, np.zeros(1)),)
         )),
     ],
 )
@@ -193,7 +193,7 @@ _FOUR_ROWS = "+1 1:1.0\n-1 2:1.0\n+1 1:0.5 2:0.5\n-1 1:-1.0\n"
         ("lam", lambda v: schedule_e_r(0, v)),
         ("mu", lambda v: schedule_e_r(0, 1.0, v)),
         ("proximal weights", lambda v: SurrogateOracle(
-            quad_1d().clients[0], prox_terms=((v, np.zeros(1)),)
+            quad_1d().clients, prox_terms=((v, np.zeros(1)),)
         )),
         ("alpha", lambda v: fedlab.dirichlet_partition(
             parse_libsvm(_FOUR_ROWS), 2, v, RandomStream(0)
@@ -273,9 +273,9 @@ def test_single_client_round_is_a_proximal_step():
     server, clients, _ = init_method_state(problem, cfg, np.zeros(1))
     server, _, _ = step_method(problem, server, clients, cfg, RandomStream(0))
     direct = solve_exact_quadratic(
-        SurrogateOracle(problem.clients[0], prox_terms=((lam, np.zeros(1)),))
+        SurrogateOracle(problem.clients, prox_terms=((lam, np.zeros(1)),))
     )
-    assert np.allclose(server.reference, direct.solution, atol=1e-12)
+    assert np.allclose(server.reference, direct.solution[0], atol=1e-12)
 
 
 def test_anchored_rounds_decrease_with_margin():
@@ -462,9 +462,9 @@ def test_linearized_step_equals_surrogate_argmin():
             )
         ).clients[0]
         surrogate = SurrogateOracle(
-            zero_base, linear_shift=g, prox_terms=((eta, x0), (lam, ref))
+            [zero_base], linear_shift=g, prox_terms=((eta, x0), (lam, ref))
         )
-        argmin = solve_exact_quadratic(surrogate).solution
+        argmin = solve_exact_quadratic(surrogate).solution[0]
         assert np.linalg.norm(clients.x[0] - argmin) <= 1e-10
 
 

@@ -39,11 +39,18 @@ from conftest import (
     CubicOracle,
     FixedGradientOracle,
     finite_difference_gradient,
+    gradient_at,
     hetero_pair,
+    one_row,
     quad_1d,
     random_family,
     rotated_family,
+    row_zero,
+    value_at,
 )
+
+
+_ABS_RULE = StoppingRule("abs_grad", tol=1e-9)
 
 
 def _oracle(seed=0, m=2, d=5):
@@ -94,15 +101,18 @@ def test_nan_tolerances_and_steps_are_rejected():
         LocalSpec(solver="gd", step=nan)
     with pytest.raises(ConfigurationError, match="step size"):
         solve_gd(
-            CubicOracle(), np.ones(1), StoppingRule("fixed_steps", steps=1), step=nan
+            one_row(CubicOracle()),
+            np.ones(1),
+            StoppingRule("fixed_steps", steps=1),
+            step=nan,
         )
 
 
 def test_descent_over_a_base_without_a_smoothness_hint_needs_a_step():
     base = CubicOracle()
     base.smoothness_hint = None
-    surrogate = SurrogateOracle(base, prox_terms=((1.0, np.zeros(1)),))
-    assert surrogate.smoothness_hint is None
+    surrogate = one_row(base, prox_terms=((1.0, np.zeros(1)),))
+    assert surrogate.smoothness_hints == (None,)
     rule = StoppingRule("fixed_steps", steps=1)
     for solve in (solve_gd, solve_fgd):
         with pytest.raises(ConfigurationError, match="no smoothness hint"):
@@ -114,7 +124,7 @@ def test_descent_over_a_nan_smoothness_hint_needs_a_step():
     # a NaN hint would give a NaN step, reported only at the next query point
     base = CubicOracle()
     base.smoothness_hint = float("nan")
-    surrogate = SurrogateOracle(base, prox_terms=((1.0, np.zeros(1)),))
+    surrogate = one_row(base, prox_terms=((1.0, np.zeros(1)),))
     rule = StoppingRule("fixed_steps", steps=1)
     for solve in (solve_gd, solve_fgd):
         with pytest.raises(ConfigurationError, match="no smoothness hint"):
@@ -122,7 +132,7 @@ def test_descent_over_a_nan_smoothness_hint_needs_a_step():
 
 
 def test_scheduled_rule_is_resolved_before_the_solvers():
-    surrogate = SurrogateOracle(_oracle())
+    surrogate = one_row(_oracle())
     for solve in (solve_gd, solve_fgd):
         with pytest.raises(ConfigurationError, match="resolves scheduled rules per round"):
             solve(surrogate, np.zeros(surrogate.dim), StoppingRule("scheduled"))
@@ -156,9 +166,7 @@ def test_surrogate_composition():
     base = _oracle()
     shift = np.full(base.dim, 0.3)
     c1, c2 = np.ones(base.dim), -np.ones(base.dim)
-    surrogate = SurrogateOracle(
-        base, linear_shift=shift, prox_terms=((2.0, c1), (0.5, c2))
-    )
+    surrogate = one_row(base, linear_shift=shift, prox_terms=((2.0, c1), (0.5, c2)))
     x = RandomStream(1).generator().standard_normal(base.dim)
     expected = (
         base.value(x)
@@ -166,23 +174,27 @@ def test_surrogate_composition():
         + 1.0 * float((x - c1) @ (x - c1))
         + 0.25 * float((x - c2) @ (x - c2))
     )
-    assert surrogate.value(x) == pytest.approx(expected, rel=1e-12)
-    fd = finite_difference_gradient(surrogate.value, x)
-    assert np.linalg.norm(fd - surrogate.gradient(x)) <= 1e-5 * (
+    assert value_at(surrogate, x) == pytest.approx(expected, rel=1e-12)
+    fd = finite_difference_gradient(lambda v: value_at(surrogate, v), x)
+    assert np.linalg.norm(fd - gradient_at(surrogate, x)) <= 1e-5 * (
         1 + np.linalg.norm(fd)
     )
-    assert surrogate.smoothness_hint == pytest.approx(base.smoothness_hint + 2.5)
-    assert surrogate.convexity_hint == pytest.approx(base.convexity_hint + 2.5)
+    assert surrogate.smoothness_hints[0] == pytest.approx(base.smoothness_hint + 2.5)
+    assert surrogate.convexity_hints[0] == pytest.approx(base.convexity_hint + 2.5)
+    # queries are (n, d) rows: a one-row surrogate takes no bare vector
+    for evaluate in (surrogate.value, surrogate.gradient):
+        with pytest.raises(DimensionError, match="does not fit 1 rows"):
+            evaluate(x)
 
 
 def test_surrogate_rejects_bad_terms():
     base = _oracle()
     with pytest.raises(ConfigurationError):
-        SurrogateOracle(base, prox_terms=((-1.0, np.zeros(base.dim)),))
+        one_row(base, prox_terms=((-1.0, np.zeros(base.dim)),))
     with pytest.raises(ConfigurationError):
-        SurrogateOracle(base, prox_terms=((1.0, np.zeros(base.dim + 1)),))
+        one_row(base, prox_terms=((1.0, np.zeros(base.dim + 1)),))
     with pytest.raises(ConfigurationError):
-        SurrogateOracle(base, linear_shift=np.zeros(base.dim + 1))
+        one_row(base, linear_shift=np.zeros(base.dim + 1))
 
 
 def test_schedule_values_and_budget():
@@ -201,13 +213,15 @@ def test_schedule_values_and_budget():
 def test_gd_single_step_lands_on_quadratic_optimum():
     # f(x) = x^2/2, step 1/L = 1: one step from 1 lands exactly at 0
     oracle = quad_1d(center=0.0).clients[0]
-    surrogate = SurrogateOracle(oracle)
+    surrogate = one_row(oracle)
     # the decrease check raises if the objective went up
-    report = solve_gd(
-        surrogate,
-        np.array([1.0]),
-        StoppingRule("abs_grad", tol=1e-12),
-        require_decrease=True,
+    report = row_zero(
+        solve_gd(
+            surrogate,
+            np.array([1.0]),
+            StoppingRule("abs_grad", tol=1e-12),
+            require_decrease=True,
+        )
     )
     assert report.solution[0] == 0.0
     assert report.steps_taken == 1
@@ -219,19 +233,21 @@ def test_gd_matches_exact_solver_on_random_surrogates():
         base = _oracle(seed=seed + 50)
         center = rng.standard_normal(base.dim)
         shift = rng.standard_normal(base.dim) * 0.1
-        surrogate = SurrogateOracle(
-            base, linear_shift=shift, prox_terms=((1.5, center),)
-        )
+        surrogate = one_row(base, linear_shift=shift, prox_terms=((1.5, center),))
         start = rng.standard_normal(base.dim)
-        inexact = solve_gd(surrogate, start, StoppingRule("abs_grad", tol=1e-9))
-        exact = solve_exact_quadratic(surrogate)
+        inexact = row_zero(
+            solve_gd(surrogate, start, StoppingRule("abs_grad", tol=1e-9))
+        )
+        exact = row_zero(solve_exact_quadratic(surrogate))
         assert np.linalg.norm(inexact.solution - exact.solution) <= 1e-6
 
 
 def test_rel_grad_accepts_stationary_start_without_stepping():
     oracle = quad_1d(center=0.0).clients[0]
-    surrogate = SurrogateOracle(oracle)
-    report = solve_gd(surrogate, np.zeros(1), StoppingRule("rel_grad", tol=0.5))
+    surrogate = one_row(oracle)
+    report = row_zero(
+        solve_gd(surrogate, np.zeros(1), StoppingRule("rel_grad", tol=0.5))
+    )
     assert report.steps_taken == 0
     assert report.solution[0] == 0.0
 
@@ -239,7 +255,7 @@ def test_rel_grad_accepts_stationary_start_without_stepping():
 def test_rel_grad_with_infinite_tolerance_takes_one_step():
     # at the start both sides are 0 vs 0*inf, so one move is required
     oracle = quad_1d(center=0.0).clients[0]
-    surrogate = SurrogateOracle(oracle)
+    surrogate = one_row(oracle)
     report = solve_gd(
         surrogate, np.array([1.0]), StoppingRule("rel_grad", tol=np.inf)
     )
@@ -271,21 +287,23 @@ def test_accelerated_descent_passes_below_the_floor_on_a_small_solution():
         centers=1e-2 * rng.standard_normal((2, 20)),
         spectra=np.geomspace(1e-2, 1.0, 20)[None].repeat(2, axis=0),
     )
-    surrogate = SurrogateOracle(
+    surrogate = one_row(
         build_quadratic_problem(QuadraticFamily(specs=[spec])).clients[0]
     )
-    floor = 4.0 * np.finfo(np.float64).eps * surrogate.smoothness_hint
+    floor = 4.0 * np.finfo(np.float64).eps * surrogate.smoothness_hints[0]
     tol = 1e-2 * floor
-    report = solve_fgd(surrogate, np.zeros(20), StoppingRule("abs_grad", tol=tol))
+    report = row_zero(
+        solve_fgd(surrogate, np.zeros(20), StoppingRule("abs_grad", tol=tol))
+    )
     assert report.final_grad_norm <= tol
     assert np.linalg.norm(report.solution) < 0.1
 
 
 def test_fgd_reaches_tight_tolerance_quickly():
     oracle = quad_1d(center=0.0).clients[0]
-    surrogate = SurrogateOracle(oracle)
-    report = solve_fgd(
-        surrogate, np.array([1.0]), StoppingRule("abs_grad", tol=1e-10)
+    surrogate = one_row(oracle)
+    report = row_zero(
+        solve_fgd(surrogate, np.array([1.0]), StoppingRule("abs_grad", tol=1e-10))
     )
     assert report.steps_taken <= 60
     assert abs(report.final_grad_norm) <= 1e-10
@@ -296,7 +314,7 @@ def _parity_surrogate(hinted: bool) -> SurrogateOracle:
     if not hinted:
         base.convexity_hint = None  # forces the convex momentum schedule
     rng = RandomStream(8).generator()
-    return SurrogateOracle(
+    return one_row(
         base,
         linear_shift=rng.standard_normal(base.dim),
         prox_terms=((0.7, rng.standard_normal(base.dim)),),
@@ -305,15 +323,16 @@ def _parity_surrogate(hinted: bool) -> SurrogateOracle:
 
 def _reference_descent(surrogate, x_start, steps, accelerated):
     """Textbook gd / Nesterov iterations; the smallest-gradient visited point."""
-    gamma = 1.0 / surrogate.smoothness_hint
+    gamma = 1.0 / surrogate.smoothness_hints[0]
+    modulus = surrogate.convexity_hints[0]
     momentum = None
-    if accelerated and surrogate.convexity_hint is not None:
-        root_kappa = np.sqrt((1.0 / gamma) / surrogate.convexity_hint)
+    if accelerated and modulus is not None:
+        root_kappa = np.sqrt((1.0 / gamma) / modulus)
         momentum = (root_kappa - 1.0) / (root_kappa + 1.0)
     visited = [x_start]
     x_prev = y = x_start
     for t in range(steps):
-        x_new = y - gamma * surrogate.gradient(y)
+        x_new = y - gamma * gradient_at(surrogate, y)
         if accelerated:
             beta = momentum if momentum is not None else t / (t + 3.0)
             y = x_new + beta * (x_new - x_prev)
@@ -321,7 +340,7 @@ def _reference_descent(surrogate, x_start, steps, accelerated):
             y = x_new
         x_prev = x_new
         visited.append(y)
-    norms = [float(np.linalg.norm(surrogate.gradient(v))) for v in visited]
+    norms = [float(np.linalg.norm(gradient_at(surrogate, v))) for v in visited]
     best = int(np.argmin(norms))  # first minimum, as the solvers keep it
     return visited[best], norms[best]
 
@@ -332,7 +351,7 @@ def test_descent_matches_reference_loops_bitwise(solver, hinted):
     surrogate = _parity_surrogate(hinted)
     start = RandomStream(9).generator().standard_normal(surrogate.dim)
     core.take_billed()
-    report = solver(surrogate, start, StoppingRule("fixed_steps", steps=25))
+    report = row_zero(solver(surrogate, start, StoppingRule("fixed_steps", steps=25)))
     billed = core.take_billed()
     x_ref, norm_ref = _reference_descent(
         surrogate, start, 25, accelerated=solver is solve_fgd
@@ -343,19 +362,19 @@ def test_descent_matches_reference_loops_bitwise(solver, hinted):
 
 
 def _scalar_surrogate_gradient(surrogate, x):
-    """The surrogate gradient with Python-float proximal weights."""
-    g = surrogate.base.gradient(x)
+    """A one-row surrogate's gradient with Python-float proximal weights."""
+    g = surrogate.bases[0].gradient(x)
     if surrogate.linear_shift is not None:
-        g = g + surrogate.linear_shift
+        g = g + surrogate.linear_shift[0]
     for weight, center in surrogate.prox_terms:
-        g = g + weight * (x - center)
+        g = g + weight * (x - center[0])
     return g
 
 
 def _scalar_gd(surrogate, x_start, steps):
     """Fixed-step descent with a Python-float step: the visited point with
     the smallest gradient norm, and that norm."""
-    gamma = 1.0 / surrogate.smoothness_hint
+    gamma = 1.0 / surrogate.smoothness_hints[0]
     y, best = x_start, (x_start, math.inf)
     for _ in range(steps + 1):
         g = _scalar_surrogate_gradient(surrogate, y)
@@ -381,7 +400,7 @@ _PROX_TERMS = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(_PROX_TERMS, st.one_of(st.none(), _COORDINATES), _COORDINATES)
 def test_vector_prox_weights_are_bitwise_the_scalar_form(terms, shift, xs):
-    surrogate = SurrogateOracle(
+    surrogate = one_row(
         _SIGMOID_BASE,
         linear_shift=shift,
         prox_terms=tuple((w, np.array(c)) for w, c in terms),
@@ -396,13 +415,13 @@ def test_vector_prox_weights_are_bitwise_the_scalar_form(terms, shift, xs):
 @settings(max_examples=20, deadline=None)
 @given(_PROX_TERMS, _COORDINATES, _COORDINATES)
 def test_vector_step_is_bitwise_the_scalar_form(terms, shift, xs):
-    surrogate = SurrogateOracle(
+    surrogate = one_row(
         _SIGMOID_BASE,
         linear_shift=shift,
         prox_terms=tuple((w, np.array(c)) for w, c in terms),
     )
     start = np.array(xs)
-    report = solve_gd(surrogate, start, StoppingRule("fixed_steps", steps=20))
+    report = row_zero(solve_gd(surrogate, start, StoppingRule("fixed_steps", steps=20)))
     x_ref, norm_ref = _scalar_gd(surrogate, start, 20)
     assert np.array_equal(report.solution, x_ref)
     assert report.final_grad_norm == norm_ref
@@ -446,9 +465,9 @@ def test_descent_step_costs_one_finite_check_on_a_declared_base(monkeypatch):
     ).clients
     for surrogate, per_step in (
         (_parity_surrogate(hinted=True), 1),
-        (SurrogateOracle(hetero_pair().clients[0], prox_terms=((0.7, np.ones(4)),)), 1),
+        (one_row(hetero_pair().clients[0], prox_terms=((0.7, np.ones(4)),)), 1),
         (SurrogateOracle(quadratics, prox_terms=((0.7, np.ones(5)),)), 1),
-        (SurrogateOracle(CubicOracle(), prox_terms=((0.7, np.ones(1)),)), 2),
+        (one_row(CubicOracle(), prox_terms=((0.7, np.ones(1)),)), 2),
     ):
         start = RandomStream(11).generator().standard_normal(surrogate.dim)
         counts = []
@@ -465,7 +484,7 @@ def test_descent_step_costs_one_finite_check_on_a_declared_base(monkeypatch):
 @pytest.mark.parametrize("solver", [solve_gd, solve_fgd])
 def test_descent_rejects_a_shift_that_overflows_the_gradient(solver):
     base = FixedGradientOracle(np.array([1.0, 1e308]))
-    surrogate = SurrogateOracle(base, linear_shift=np.array([0.0, 1e308]))
+    surrogate = one_row(base, linear_shift=np.array([0.0, 1e308]))
     assert np.isfinite(base.gradient(np.zeros(2))).all()
     with pytest.raises(NonFiniteError, match="step 0"):
         solver(surrogate, np.zeros(2), StoppingRule("fixed_steps", steps=3))
@@ -473,12 +492,14 @@ def test_descent_rejects_a_shift_that_overflows_the_gradient(solver):
 
 def test_descent_rejects_a_start_of_the_wrong_dimension():
     with pytest.raises(DimensionError):
-        solve_gd(CubicOracle(), np.zeros(2), StoppingRule("fixed_steps", steps=1))
+        solve_gd(
+            one_row(CubicOracle()), np.zeros(2), StoppingRule("fixed_steps", steps=1)
+        )
 
 
 def test_fgd_zero_steps_at_optimum():
     oracle = quad_1d(center=2.0).clients[0]
-    surrogate = SurrogateOracle(oracle)
+    surrogate = one_row(oracle)
     report = solve_fgd(surrogate, np.array([2.0]), StoppingRule("abs_grad", tol=1e-9))
     assert report.steps_taken == 0
 
@@ -486,9 +507,9 @@ def test_fgd_zero_steps_at_optimum():
 def test_fgd_converges_without_convexity_hint():
     base = _oracle(seed=3)
     base.convexity_hint = None  # forces the convex momentum schedule
-    surrogate = SurrogateOracle(base, prox_terms=((1.0, np.zeros(base.dim)),))
-    report = solve_fgd(
-        surrogate, np.ones(base.dim), StoppingRule("abs_grad", tol=1e-8)
+    surrogate = one_row(base, prox_terms=((1.0, np.zeros(base.dim)),))
+    report = row_zero(
+        solve_fgd(surrogate, np.ones(base.dim), StoppingRule("abs_grad", tol=1e-8))
     )
     assert report.final_grad_norm <= 1e-8
 
@@ -505,8 +526,8 @@ def test_exact_solver_balanced_pair_fixture():
         )
     ).clients[0]
     c = np.array([2.0, -4.0, 6.0])
-    surrogate = SurrogateOracle(oracle, prox_terms=((1.0, c),))
-    report = solve_exact_quadratic(surrogate)
+    surrogate = one_row(oracle, prox_terms=((1.0, c),))
+    report = row_zero(solve_exact_quadratic(surrogate))
     assert np.allclose(report.solution, c / 2.0, atol=1e-10)
     assert report.final_grad_norm <= 1e-12 * np.linalg.norm(c)
 
@@ -541,9 +562,9 @@ def test_exact_solver_bills_the_matvecs_it_uses(monkeypatch):
         problem.f(x)
         problem.grad_f(x)
         assert calls == []
-        surrogate = SurrogateOracle(problem.clients[0], prox_terms=((1.0, center),))
+        surrogate = one_row(problem.clients[0], prox_terms=((1.0, center),))
         core.take_billed()
-        report = solve_exact_quadratic(surrogate)
+        report = row_zero(solve_exact_quadratic(surrogate))
         assert core.take_billed() == report.steps_taken == len(calls)
         if center.any():
             assert calls
@@ -577,9 +598,10 @@ def _quadratic_oracle(frame, m, d, rng, stiff=False, beta=0.0):
 
 
 def _quadratic_surrogate(frame, m, d, seed, weight, stiff=False):
-    """A surrogate on a one-client quadratic with an eigenbasis, axes or dense."""
+    """A one-row surrogate on a one-client quadratic with an eigenbasis, axes
+    or dense."""
     rng = RandomStream(seed).generator()
-    return SurrogateOracle(
+    return one_row(
         _quadratic_oracle(frame, m, d, rng, stiff),
         linear_shift=rng.standard_normal(d),
         prox_terms=((weight, rng.standard_normal(d)),),
@@ -590,10 +612,10 @@ def _textbook_cg(surrogate):
     """Textbook CG on ``(H + w I) x = rhs`` with the base's own matvec, in
     the solver's operation order: every iteration moves ``x = x + alpha * p``.
     """
-    base, weight = surrogate.base, surrogate.total_prox_weight
-    rhs = base.linear_term() - surrogate.linear_shift
+    base, weight = surrogate.bases[0], surrogate.total_prox_weight
+    rhs = base.linear_term() - surrogate.linear_shift[0]
     for w, center in surrogate.prox_terms:
-        rhs = rhs + w * center
+        rhs = rhs + w * center[0]
     x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
     rs = float(r.dot(r))
     target = 1e-12 * math.sqrt(rs)
@@ -623,7 +645,7 @@ def test_cg_is_the_textbook_loop_bitwise(frame, d, stiff):
     # rounding differences to have built up, were there any
     surrogate = _quadratic_surrogate(frame, 2, d, seed=5, weight=0.5, stiff=stiff)
     core.take_billed()
-    report = solve_exact_quadratic(surrogate)
+    report = row_zero(solve_exact_quadratic(surrogate))
     billed = core.take_billed()
     if stiff:
         assert report.steps_taken > 64
@@ -680,10 +702,10 @@ def test_no_in_place_write_reaches_a_borrowed_array(frame, beta):
     x, start, shift, c1, c2 = (_read_only(rng.standard_normal(6)) for _ in range(5))
     oracle.gradient(x), oracle.value(x), oracle.hessian_matvec(x)
     oracle.stochastic_gradient(x, RandomStream(1), 3)
-    surrogate = SurrogateOracle(
+    surrogate = one_row(
         _ReadOnlyOutputs(oracle), linear_shift=shift, prox_terms=((1.5, c1), (0.5, c2))
     )
-    surrogate.gradient(x), surrogate.value(x)
+    gradient_at(surrogate, x), value_at(surrogate, x)
     rule = StoppingRule("fixed_steps", steps=5)
     solve_gd(surrogate, start, rule, require_decrease=True)
     solve_fgd(surrogate, start, rule)
@@ -701,7 +723,7 @@ def test_exact_solver_unregularized_mean_fixture():
             specs=[QuadraticClientSpec(centers=centers, spectra=spectra)]
         )
     ).clients[0]
-    report = solve_exact_quadratic(SurrogateOracle(oracle))
+    report = row_zero(solve_exact_quadratic(one_row(oracle)))
     assert np.allclose(report.solution, centers.mean(axis=0), atol=1e-9)
 
 
@@ -709,7 +731,7 @@ def test_exact_solver_residual_postcondition():
     for seed in range(5):
         base = _oracle(seed=seed)
         rng = RandomStream(seed + 100).generator()
-        surrogate = SurrogateOracle(
+        surrogate = one_row(
             base,
             linear_shift=rng.standard_normal(base.dim),
             prox_terms=((2.0, rng.standard_normal(base.dim)),),
@@ -727,20 +749,20 @@ def test_exact_solver_rejects_a_nan_subproblem():
     base = problem.clients[0]
     ref = np.zeros(base.dim)
     ref[2] = np.nan
-    surrogate = SurrogateOracle(base, prox_terms=((1.0, ref),))
+    surrogate = one_row(base, prox_terms=((1.0, ref),))
     with pytest.raises(NonFiniteError, match="conjugate-gradient .* iteration 0"):
         solve_exact_quadratic(surrogate)
 
 
 def test_exact_solver_requires_quadratic_structure():
-    surrogate = SurrogateOracle(CubicOracle())
+    surrogate = one_row(CubicOracle())
     with pytest.raises(UnsupportedStructureError):
         solve_exact_quadratic(surrogate)
     spec = QuadraticClientSpec(centers=np.zeros((1, 2)), spectra=np.ones((1, 2)))
     bumpy = QuadraticFamily(specs=[spec], beta=1.0)
     oracle = build_quadratic_problem(bumpy).clients[0]
     with pytest.raises(UnsupportedStructureError):
-        solve_exact_quadratic(SurrogateOracle(oracle))
+        solve_exact_quadratic(one_row(oracle))
     with pytest.raises(UnsupportedStructureError):
         solve_exact_quadratic("not a surrogate")
 
@@ -750,14 +772,14 @@ def test_exact_solver_rejects_indefinite_subproblems():
         centers=np.zeros((1, 2)), spectra=np.array([[-1.0, -2.0]])
     )
     oracle = build_quadratic_problem(QuadraticFamily(specs=[spec])).clients[0]
-    surrogate = SurrogateOracle(oracle, linear_shift=np.array([1.0, 1.0]))
+    surrogate = one_row(oracle, linear_shift=np.array([1.0, 1.0]))
     with pytest.raises(UnsupportedStructureError):
         solve_exact_quadratic(surrogate)
 
 
 def test_budget_exhaustion_raises():
     base = _oracle()
-    surrogate = SurrogateOracle(base)
+    surrogate = one_row(base)
     with pytest.raises(SolverBudgetError):
         solve_gd(
             surrogate,
@@ -772,7 +794,7 @@ def test_decrease_check_rejects_divergent_steps():
     base = quad_1d(center=0.0).clients[0]
     with pytest.raises(SolverBudgetError, match="increased"):
         solve_gd(
-            SurrogateOracle(base),
+            one_row(base),
             np.ones(1),
             StoppingRule("rel_grad", tol=np.inf),
             step=4.0,
@@ -780,32 +802,34 @@ def test_decrease_check_rejects_divergent_steps():
         )
     # under fixed_steps the minimum-gradient iterate is the start point,
     # so the same divergent step degrades to a harmless no-op
-    report = solve_gd(
-        SurrogateOracle(base),
-        np.ones(1),
-        StoppingRule("fixed_steps", steps=40),
-        step=4.0,
-        require_decrease=True,
+    report = row_zero(
+        solve_gd(
+            one_row(base),
+            np.ones(1),
+            StoppingRule("fixed_steps", steps=40),
+            step=4.0,
+            require_decrease=True,
+        )
     )
     assert report.solution[0] == 1.0
 
 
 def test_fixed_steps_returns_minimum_gradient_iterate():
-    surrogate = SurrogateOracle(CubicOracle())
+    surrogate = one_row(CubicOracle())
     start = np.array([1.7])
     step = 0.9
-    report = solve_gd(
-        surrogate, start, StoppingRule("fixed_steps", steps=12), step=step
+    report = row_zero(
+        solve_gd(surrogate, start, StoppingRule("fixed_steps", steps=12), step=step)
     )
     # replay the same trajectory by hand and track the best gradient norm
     x = start.copy()
     best = np.inf
     for _ in range(13):
-        g = surrogate.gradient(x)
+        g = gradient_at(surrogate, x)
         best = min(best, float(np.linalg.norm(g)))
         x = x - step * g
     assert report.final_grad_norm == pytest.approx(best, rel=1e-12)
-    assert np.linalg.norm(surrogate.gradient(report.solution)) == pytest.approx(
+    assert np.linalg.norm(gradient_at(surrogate, report.solution)) == pytest.approx(
         report.final_grad_norm, rel=1e-12
     )
 
@@ -814,9 +838,7 @@ def test_solvers_report_decrease_on_convex_surrogates():
     rng = RandomStream(77).generator()
     for seed in range(10):
         base = _oracle(seed=seed + 10)
-        surrogate = SurrogateOracle(
-            base, prox_terms=((1.0, rng.standard_normal(base.dim)),)
-        )
+        surrogate = one_row(base, prox_terms=((1.0, rng.standard_normal(base.dim)),))
         start = rng.standard_normal(base.dim) * 3.0
         for solver in (solve_gd, solve_fgd):
             # the decrease check raises if the objective went up
@@ -839,10 +861,30 @@ def test_scheduled_accelerated_solves_stay_cheap():
     rng = RandomStream(55).generator()
     anchor = rng.standard_normal(base.dim)
     for r in range(12):
-        surrogate = SurrogateOracle(base, prox_terms=((lam, anchor),))
+        surrogate = one_row(base, prox_terms=((lam, anchor),))
         rule = StoppingRule("rel_grad", tol=schedule_e_r(r, lam, mu))
         report = solve_fgd(surrogate, anchor + rng.standard_normal(base.dim), rule)
         bound = 10.0 * np.sqrt(ratio) * np.log(
             (base.smoothness_hint / (lam / 2.0)) * (r + 2)
         )
         assert report.steps_taken <= bound
+
+
+@pytest.mark.parametrize("solve", [solve_gd, solve_fgd, solve_exact_quadratic])
+def test_a_solver_rejects_a_bare_oracle(solve):
+    # a single subproblem is a one-row surrogate; a base oracle is not one
+    args = () if solve is solve_exact_quadratic else (np.zeros(5), _ABS_RULE)
+    with pytest.raises(UnsupportedStructureError, match="SurrogateOracle"):
+        solve(_oracle(), *args)
+
+
+@pytest.mark.parametrize("solve", [solve_gd, solve_fgd, solve_exact_quadratic])
+def test_a_one_row_solve_returns_one_row(solve):
+    surrogate = one_row(_oracle(), prox_terms=((1.0, np.ones(5)),))
+    if solve is solve_exact_quadratic:
+        report = solve(surrogate)
+    else:
+        report = solve(surrogate, np.zeros(5), _ABS_RULE)
+    assert report.solution.shape == (1, 5)
+    assert report.final_grad_norm.shape == report.row_steps.shape == (1,)
+    assert report.steps_taken == report.row_steps[0] > 0
