@@ -18,8 +18,9 @@ dispatch.  All are bitwise equal to the forms they replace.
 overflow flag, and so warn, on finite entries above about 1e154, and
 ``np.vdot`` does not.
 
-Finiteness is checked at the oracle boundary, once per block: the query
-points and what comes back.  A billed gradient of an oracle that declares
+Finiteness is checked at the oracle boundary, once per block, in the
+block gates the one-row forms call: the query points and what comes back.
+A billed gradient of an oracle that declares
 ``gradient_propagates_non_finite`` checks only its output, which is
 non-finite whenever its query is (see :class:`ClientOracle`).
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -55,18 +57,8 @@ class UnsupportedStructureError(TypeError):
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _is_vector(x) -> bool:
-    return type(x) is np.ndarray and x.ndim == 1 and x.dtype is _FLOAT64
-
-
 def as_vector(x) -> Vector:
-    """Coerce ``x`` to a 1-D float64 array (copying only when needed).
-
-    An exact ``np.ndarray`` that is already 1-D float64 comes back as the
-    same object, as ``np.asarray`` would return it.
-    """
-    if _is_vector(x):
-        return x
+    """Coerce ``x`` to a 1-D float64 array, copying only when ``np.asarray`` does."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {v.shape}")
@@ -93,6 +85,21 @@ def require_finite(arr, what: str = "value"):
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite entries in {what}")
     return arr
+
+
+def require_finite_values(values: np.ndarray) -> np.ndarray:
+    """``values``, one per row, unless one is not finite: the lowest is named."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NonFiniteError(f"non-finite objective value in row {np.argmin(finite)}")
+    return values
+
+
+def require_integer(value, what: str):
+    """``value`` if it is an integer; a float (even 2.0) or a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 # SeedSequence's default pool size: a seed with a spawn key is padded to it
@@ -211,15 +218,15 @@ class ClientOracle:
     k points, unbilled and unchecked, each row bitwise that row alone (a
     quadratic stack also answers ``hessian_matvecs(rows, vs)``).  An oracle
     with no shared stack, such as a hand-built one, is row 0 of its own.
-    Billed work asks for rows through :func:`gradients_of`,
-    :func:`hessian_matvecs_of` or the public one-row forms; measurement
-    calls the stacks directly and bills nothing, as values never do.
+    Billed work asks for rows through :func:`gradients_of` or
+    :func:`hessian_matvecs_of`; measurement calls the stacks directly.
 
-    The public :meth:`gradient` and :meth:`value` validate shapes and
-    reject non-finite inputs and outputs.  An oracle whose gradient has a
-    non-finite entry whenever its query point has one declares
-    ``gradient_propagates_non_finite``; its :meth:`gradient` then checks
-    only the gradient, which rejects the same points, and names the query
+    The public :meth:`gradient` and :meth:`value` check shapes, and are
+    one-row calls of :func:`gradients_of` and :func:`values_of` (after a
+    check of the point), which bill, check and name the cause.  An oracle
+    whose gradient has a non-finite entry whenever its query point has one
+    declares ``gradient_propagates_non_finite``; its gradients then check
+    only the gradient, which rejects the same points, and name the query
     point when that is the cause (the computation may warn first, as ``0 *
     inf`` does).  An oracle that can sample overrides
     :meth:`stochastic_gradient`, which bills the share of a full gradient
@@ -264,23 +271,10 @@ class ClientOracle:
         return require_finite(self._check_shape(x), "oracle query point")
 
     def value(self, x) -> float:
-        v = float(self.stack.values([self.row], self._check_input(x)[None])[0])
-        if not math.isfinite(v):
-            raise NonFiniteError("non-finite objective value")
-        return v
+        return float(values_of([self], self._check_input(x)[None])[0])
 
     def gradient(self, x) -> Vector:
-        bill(self.gradient_cost)
-        x = self._check_shape(x)
-        if not self.gradient_propagates_non_finite:
-            require_finite(x, "oracle query point")
-        g = self.stack.gradients([self.row], x[None])[0]
-        try:
-            return require_finite(g, "gradient")
-        except NonFiniteError:
-            # a declared oracle's non-finite query is caught here: name it
-            require_finite(x, "oracle query point")
-            raise
+        return gradients_of([self], self._check_shape(x))[0]
 
     def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
         """An unbiased gradient estimate from ``batch_size`` samples drawn
@@ -313,8 +307,9 @@ def _by_stack(oracles, points: np.ndarray, answer: str) -> np.ndarray:
 
 
 def values_of(oracles, points: np.ndarray) -> np.ndarray:
-    """Each oracle's value at its row of ``points``, unchecked."""
-    return _by_stack(oracles, points, "values")
+    """Each oracle's value at its row of ``points``, unbilled; the lowest
+    row whose value is not finite is named (the caller checks the points)."""
+    return require_finite_values(_by_stack(oracles, points, "values"))
 
 
 def gradients_of(oracles, points, labels=None) -> np.ndarray:
@@ -324,9 +319,9 @@ def gradients_of(oracles, points, labels=None) -> np.ndarray:
     first oracle's ``gradient_cost`` each, in one :func:`bill` (the
     harness's view of ``f`` is never listed with clients); the block is
     checked once, after the points when an oracle is undeclared.  A
-    :class:`NonFiniteError` names the lowest row that its public gradient
-    would reject, by its entry of ``labels`` (default: its position), with
-    that one's message.
+    :class:`NonFiniteError` names the lowest row whose point is not finite,
+    or a lower one whose gradient is not, by its entry of ``labels``
+    (default: its position).
     """
     points = np.asarray(points, dtype=np.float64)
     k = len(oracles)
@@ -410,10 +405,7 @@ class DistributedProblem:
         return self.clients[0]._check_input(x)[None].repeat(self.n, axis=0)
 
     def values_at(self, x) -> list[float]:
-        values = _by_stack(self.clients, self._at(x), "values")
-        if not np.isfinite(values).all():
-            raise NonFiniteError("non-finite objective value")
-        return values.tolist()
+        return values_of(self.clients, self._at(x)).tolist()
 
     def gradients_at(self, x) -> np.ndarray:
         grads = _by_stack(self.clients, self._at(x), "gradients")

@@ -30,6 +30,7 @@ from .core import (
     UnsupportedStructureError,
     Vector,
     as_vector,
+    require_integer,
 )
 from .local_solvers import SolverBudgetError, StoppingRule, SurrogateOracle, solve_fgd
 from .methods import (
@@ -81,6 +82,8 @@ class Budget:
             v = getattr(self, name)
             if v is not None and not v > 0:  # NaN is not positive either
                 raise ConfigurationError(f"{name} must be positive, got {v!r}")
+            if v is not None and name in ("max_rounds", "max_iterations"):
+                require_integer(v, name)
 
 
 @dataclass
@@ -206,6 +209,7 @@ def run_experiment(
     """
     if not record_every >= 1:
         raise ConfigurationError(f"record_every must be >= 1, got {record_every!r}")
+    require_integer(record_every, "record_every")
     if reference == "auto":
         try:
             reference = reference_optimum(problem, x0)

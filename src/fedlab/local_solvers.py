@@ -51,8 +51,9 @@ the step's gradients are taken, in row order; otherwise the lowest row
 whose norm is not finite, that has stalled or whose budget ran out is
 named (:class:`NonFiniteError` for the first, :class:`SolverBudgetError`
 for the others).  The decrease check of ``require_decrease`` runs once
-every row has finished and names the lowest row whose value is not finite
-(at the start, then at the solution) or else whose objective increased.
+every row has finished and names the lowest row whose base value, else
+whose value, is not finite (at the start, then at the solution) or else
+whose objective increased.
 
 Finiteness is checked once per block of billed rows.  A step's base
 gradients come from :func:`fedlab.core.gradients_of`, one call of the
@@ -85,6 +86,8 @@ from .core import (
     gradients_of,
     hessian_matvecs_of,
     require_finite,
+    require_finite_values,
+    require_integer,
     values_of,
 )
 
@@ -120,6 +123,8 @@ class StoppingRule:
             raise ConfigurationError("fixed_steps needs 0 <= steps <= max_steps")
         if not self.max_steps >= 1:
             raise ConfigurationError("max_steps must be >= 1")
+        require_integer(self.steps, "steps")
+        require_integer(self.max_steps, "max_steps")
         if self.tol != 0.0 and self.kind in ("fixed_steps", "scheduled"):
             raise ConfigurationError(f"{self.kind} would ignore tol={self.tol!r}")
         if self.steps != 0 and self.kind != "fixed_steps":
@@ -190,9 +195,9 @@ class SurrogateOracle:
     :func:`~fedlab.core.gradients_of`; what the shift and the proximal
     terms add is checked by the public :meth:`gradient`, which bills
     nothing of its own, or, inside the solvers' loops, by the finiteness
-    test on the gradient norms.  ``_values`` takes the bases' unchecked
+    test on the gradient norms.  ``_values`` takes the bases' checked
     block from :func:`~fedlab.core.values_of`: the public :meth:`value`
-    checks the points and the totals.
+    checks the points and the totals, which the added terms can overflow.
     """
 
     def __init__(
@@ -270,7 +275,7 @@ class SurrogateOracle:
         return part
 
     def _values(self, y: np.ndarray) -> np.ndarray:
-        """Every row's value at its row of ``y``: the bases' unchecked values,
+        """Every row's value at its row of ``y``: the bases' checked values,
         then the shift and the proximal terms."""
         v = values_of(self.bases, y)
         if self.linear_shift is not None:
@@ -295,12 +300,7 @@ class SurrogateOracle:
 
     def value(self, x) -> np.ndarray:
         """One value per row of the (n, d) query ``x``."""
-        v = self._values(self._check_input(x))
-        if not np.isfinite(v).all():
-            raise NonFiniteError(
-                f"non-finite objective value in row {np.argmin(np.isfinite(v))}"
-            )
-        return v
+        return require_finite_values(self._values(self._check_input(x)))
 
     def gradient(self, x) -> np.ndarray:
         """One gradient per row of the (n, d) query ``x``."""

@@ -50,6 +50,7 @@ from .core import (
     Vector,
     as_vector,
     gradients_of,
+    require_integer,
     take_billed,
 )
 from .local_solvers import (
@@ -150,8 +151,11 @@ class MethodConfig:
             raise ConfigurationError(f"{self.method} needs a positive step eta")
         if not self.local_steps >= 1:
             raise ConfigurationError("local_steps must be >= 1")
-        if self.batch_size is not None and not self.batch_size >= 1:
-            raise ConfigurationError("batch_size must be >= 1")
+        require_integer(self.local_steps, "local_steps")
+        if self.batch_size is not None:
+            if not self.batch_size >= 1:
+                raise ConfigurationError("batch_size must be >= 1")
+            require_integer(self.batch_size, "batch_size")
         # fields these methods have no use for are rejected, not ignored
         m = self.method
         ignored = (

@@ -70,14 +70,12 @@ def _hints(eigs: np.ndarray, beta: float) -> tuple[float, float | None]:
     return top, (modulus if modulus >= 0.0 else None)
 
 
-def _sigmoid_gradient(x: Vector, ones: Vector, two_beta: Vector) -> Vector:
-    """``2 beta x / (1 + x^2)^2`` from the oracle's all-ones and all-``2 beta``
-    vectors: the same IEEE operations as with the scalars, without numpy
-    converting a Python float on every call."""
+def _sigmoid_gradient(x: Vector, beta: float) -> Vector:
+    """``2 beta x / (1 + x^2)^2``, elementwise on a vector or a block."""
     denom = x * x
-    denom += ones
+    denom += 1.0
     denom *= denom
-    return np.divide(two_beta * x, denom, denom)
+    return np.divide((beta * 2.0) * x, denom, denom)
 
 
 @dataclass
@@ -232,8 +230,6 @@ class _QuadraticStack:
         self.u = np.empty((n, d))
         self.kappa = np.empty(n)
         self.beta = family.beta
-        self.ones = np.ones(d)
-        self.two_beta = np.full(d, self.beta * 2.0)
         self._all = list(range(n))
 
     def _index(self, rows: list[int]):
@@ -258,7 +254,7 @@ class _QuadraticStack:
         g = self.apply(self.hessians[index], points - self.centers[index])
         g -= self.u[index]
         if self.beta != 0.0:
-            g += _sigmoid_gradient(points, self.ones, self.two_beta)
+            g += _sigmoid_gradient(points, self.beta)
         return g
 
     def hessian_matvecs(self, rows: list[int], vs: np.ndarray) -> np.ndarray:
@@ -337,7 +333,7 @@ class QuadraticOracle(ClientOracle):
         return self.beta == 0.0
 
     def hessian_matvec(self, v: Vector) -> Vector:
-        return hessian_matvecs_of([self], v[None])[0]
+        return hessian_matvecs_of([self], self._check_shape(v)[None])[0]
 
     def linear_term(self) -> Vector:
         """Vector u with grad of the quadratic part equal to ``H x - u``.
@@ -357,7 +353,7 @@ class QuadraticOracle(ClientOracle):
             rows = np.einsum("jkl,jl->jk", spec.matrices[js], x - spec.centers[js])
         g = self._to_original(rows.mean(axis=0))
         if self.beta != 0.0:
-            g = g + _sigmoid_gradient(x, self.stack.ones, self.stack.two_beta)
+            g = g + _sigmoid_gradient(x, self.beta)
         bill(batch_size / spec.m)
         return require_finite(g, "gradient")
 

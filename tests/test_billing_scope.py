@@ -2,9 +2,9 @@
 
 Gradient work is billed where it is asked for, in one ``core.bill`` call
 per block: ``core.gradients_of`` and ``core.hessian_matvecs_of`` bill their
-k rows, the one-row ``ClientOracle.gradient`` its unit, and each
-``stochastic_gradient`` its share.  The stacks that compute the rows bill
-nothing, so measurement can call them too.
+k rows (the one-row ``ClientOracle.gradient`` is a one-row
+``gradients_of``), and each ``stochastic_gradient`` its share.  The stacks
+that compute the rows bill nothing, so measurement can call them too.
 ``step_method`` and ``init_method_state`` alone call ``core.take_billed`` to
 open and read their window, and ``step_method`` alone writes a step's
 ``grad_evals``.  So no other code may touch the running total, and none may
@@ -24,7 +24,6 @@ BILL_USES = {
     "core.py:": ["_billed"],
     "core.py:bill": ["_billed"],
     "core.py:take_billed": ["_billed", "_billed"],
-    "core.py:ClientOracle.gradient": ["bill"],
     "core.py:gradients_of": ["bill"],
     "core.py:hessian_matvecs_of": ["bill"],
     "problems/quadratic.py:QuadraticOracle.stochastic_gradient": ["bill"],

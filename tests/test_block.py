@@ -399,7 +399,7 @@ def test_run_experiment_names_method_and_iteration_for_block_failures():
     # of the four rows adds 1e308 to the loss and -1e308 to the gradient
     steep, start = _logistic(1e308, [1.0] * 4), np.array([1.0])
     message = _gd_fails(steep, 8.0, x0=start)
-    assert message == "gd failed at iteration 1: non-finite objective value"
+    assert message == "gd failed at iteration 1: non-finite objective value in row 0"
     # rand averaging takes the new reference's gradient before its value:
     # fedred_gd's step of 1/lam = 8 from the one client at 1 moves it to -1
     rand = MethodConfig(method="fedred_gd", lam=0.125, averaging="rand")
@@ -411,4 +411,4 @@ def test_run_experiment_names_method_and_iteration_for_block_failures():
     # the start point's snapshot is named too: its ridge term overflows
     mild = _logistic(1.0, [1.0, -1.0])
     message = _gd_fails(mild, 0.5, x0=np.array([1e200]))
-    assert message == "gd failed at iteration 0: non-finite objective value"
+    assert message == "gd failed at iteration 0: non-finite objective value in row 0"

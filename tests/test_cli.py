@@ -851,3 +851,14 @@ def test_explicit_matrix_problem_runs(tmp_path, capsys):
     assert code == 0
     assert (out_dir / "dane_plus_seed0.csv").exists()
     assert "wrote 1 trace files" in stdout
+
+
+@pytest.mark.parametrize(
+    "matrices", [[[[1.0]]], [[[[1.0, 0.0]]]]], ids=["three_levels", "not_square"]
+)
+def test_explicit_matrices_must_nest_as_clients_components_d_d(matrices):
+    with pytest.raises(
+        ConfigurationError,
+        match=r"^problem\.matrices: must be nested as clients x components x d x d$",
+    ):
+        cli.build_problem({"kind": "quadratic_explicit", "matrices": matrices})

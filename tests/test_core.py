@@ -363,3 +363,20 @@ def test_finite_difference_matches_analytic_gradient():
     )
     fd = finite_difference_gradient(fn, x)
     assert np.linalg.norm(fd - analytic) <= 1e-6 * (1 + np.linalg.norm(analytic))
+
+
+def test_a_block_query_of_the_wrong_shape_is_rejected():
+    oracles = [FixedGradientOracle(np.ones(2))] * 2
+    with pytest.raises(
+        DimensionError,
+        match=r"^query of shape \(3, 2\) does not fit 2 rows of dimension 2$",
+    ):
+        core.gradients_of(oracles, np.zeros((3, 2)))
+
+
+def test_a_value_block_names_its_lowest_non_finite_row():
+    oracles = [FixedGradientOracle(np.ones(2))] * 3
+    points = np.zeros((3, 2))
+    points[1, 0], points[2, 1] = np.inf, np.nan
+    with pytest.raises(NonFiniteError, match=r"^non-finite objective value in row 1$"):
+        core.values_of(oracles, points)

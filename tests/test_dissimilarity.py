@@ -131,3 +131,12 @@ def test_identical_clients_sample_to_zero():
     sampled = delta_sampled(problem, 8, RandomStream(3))
     assert sampled.delta_a <= 1e-12
     assert sampled.delta_b <= 1e-12
+
+
+def test_a_problem_without_quadratic_structure_has_no_exact_constants():
+    problem = two_client_line()
+    problem.quadratic = None
+    with pytest.raises(
+        ConfigurationError, match=r"^problem carries no quadratic structure$"
+    ):
+        delta_exact_quadratic(problem)

@@ -76,6 +76,33 @@ def test_budget_rejects_nan(field):
         Budget(**limits)
 
 
+_INTEGER_FIELDS = {
+    "steps": lambda v: StoppingRule("fixed_steps", steps=v),
+    "max_steps": lambda v: StoppingRule("abs_grad", tol=1e-6, max_steps=v),
+    "local_steps": lambda v: MethodConfig(method="scaffold", eta=0.1, local_steps=v),
+    "batch_size": lambda v: MethodConfig(
+        method="fedred_gd", lam=1.0, eta=1.0, batch_size=v
+    ),
+    "max_rounds": lambda v: Budget(max_rounds=v),
+    "max_iterations": lambda v: Budget(max_iterations=v),
+    "record_every": lambda v: run_experiment(
+        quad_1d(), MethodConfig(method="gd", eta=0.5), Budget(max_rounds=1), 0,
+        reference=None, record_every=v,
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_an_integer_field_rejects_floats_and_bools(field, value):
+    # as the config checker does: 2.0 is not an integer, True is not a number
+    _INTEGER_FIELDS[field](2)
+    with pytest.raises(
+        ConfigurationError, match=f"^{field} must be an integer, got {value!r}$"
+    ):
+        _INTEGER_FIELDS[field](value)
+
+
 # ---------------------------------------------------------- references
 
 

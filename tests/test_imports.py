@@ -12,7 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fedlab
+import fedlab.problems
 
 PACKAGE = Path(fedlab.__file__).parent
 
@@ -179,3 +182,11 @@ def test_only_a_logistic_run_loads_the_sparse_stack(tmp_path):
     logistic = {"kind": "logistic", "path": str(data), "n_clients": 2, "alpha": 1.0}
     loaded = _loaded_by(_tiny_run(tmp_path / "logistic", logistic))
     assert {"scipy.sparse", "scipy.special"} <= set(loaded)
+
+
+def test_an_unknown_problems_attribute_is_an_attribute_error():
+    with pytest.raises(
+        AttributeError,
+        match=r"^module 'fedlab\.problems' has no attribute 'no_such_name'$",
+    ):
+        fedlab.problems.no_such_name

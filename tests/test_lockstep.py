@@ -268,6 +268,18 @@ def test_a_non_finite_value_in_the_decrease_check_names_its_lowest_row():
         solve_gd(alone, start[1], rule, require_decrease=True)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_non_finite_base_value_is_named_before_a_total_that_overflows():
+    # at 0, row 0's base value is finite and its proximal term 1e400/2 is
+    # not; at 1e160, row 1's base value 1e-10/2 * 1e320 overflows
+    centers = np.array([[1e200], [0.0]])
+    block = SurrogateOracle(_quadratics(1.0, 1e-10), prox_terms=((1.0, centers),))
+    with pytest.raises(NonFiniteError, match=r"^non-finite objective value in row 1$"):
+        block.value(np.array([[0.0], [1e160]]))
+    with pytest.raises(NonFiniteError, match=r"^non-finite objective value in row 0$"):
+        block.value(np.zeros((2, 1)))
+
+
 def _count_values(monkeypatch) -> dict[str, int]:
     """Counts of the surrogate's public ``value`` and unchecked ``_values``
     calls and of the base value rows its stack computes (from the shape of
@@ -340,3 +352,33 @@ def test_several_failing_rows_raise_the_earliest_lowest_failure():
             block, np.ones(1), StoppingRule("rel_grad", tol=math.inf), step=4.0,
             require_decrease=True,
         )
+
+
+class _Skewed(core.ClientOracle):
+    """A pure quadratic in two coordinates whose Hessian products are
+    ``(I + S) v`` for the skew ``S = [[0, s], [-s, 0]]``: every curvature
+    ``v'(I + S)v = |v|^2`` is positive, but the operator is not symmetric,
+    so conjugate gradients need not converge."""
+
+    is_pure_quadratic = True
+    smoothness_hint = convexity_hint = 1.0
+
+    def __init__(self, skew: float):
+        self.dim = 2
+        self.skew = np.array([[0.0, skew], [-skew, 0.0]])
+
+    def linear_term(self):
+        return np.array([1.0, 0.0])
+
+    def hessian_matvecs(self, rows, vs):
+        return vs + vs.dot(self.skew.T)
+
+
+def test_an_exhausted_conjugate_gradient_budget_names_the_lowest_working_row():
+    # row 0 (S = 0) converges at iteration 1; rows 1 and 2 never do
+    block = SurrogateOracle([_Skewed(0.0), _Skewed(1.0), _Skewed(1.0)])
+    with pytest.raises(
+        SolverBudgetError,
+        match=r"^conjugate gradients stalled at residual \S+ in row 1$",
+    ):
+        solve_exact_quadratic(block)

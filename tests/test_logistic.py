@@ -399,3 +399,20 @@ def test_cached_operators_are_read_only(case):
         for arr in (operator.data, operator.indices, operator.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
+
+
+def test_a_partition_that_keeps_leaving_a_client_empty_gives_up():
+    # alpha 1e-3 puts nearly all of each class's mass on one client, so
+    # both rows land on the same client in every try
+    dataset = SparseDataset(labels=np.ones(2), matrix=sp.csr_matrix(np.ones((2, 1))))
+    with pytest.raises(
+        ConfigurationError,
+        match=r"^failed to draw a partition with non-empty clients in 100 tries$",
+    ):
+        dirichlet_partition(dataset, 2, 1e-3, RandomStream(0))
+
+
+def test_a_client_without_rows_is_rejected():
+    empty = SparseDataset(labels=np.ones(0), matrix=sp.csr_matrix((0, 3)))
+    with pytest.raises(ConfigurationError, match=r"^client received no rows$"):
+        LogisticOracle(empty, 1, 1)

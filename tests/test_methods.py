@@ -145,7 +145,8 @@ _SCHEDULED_GD = LocalSpec(solver="gd", rule=StoppingRule("scheduled"))
 )
 def test_nan_in_a_range_checked_field_is_rejected(field, valid):
     # NaN fails every comparison, so each range test must be one that NaN fails
-    MethodConfig(**valid, **{field: 1.0 if field in ("p", "local_steps") else 2.0})
+    in_range = {"p": 1.0, "local_steps": 1, "batch_size": 2}.get(field, 2.0)
+    MethodConfig(**valid, **{field: in_range})
     with pytest.raises(ConfigurationError, match=field):
         MethodConfig(**valid, **{field: float("nan")})
 
@@ -851,3 +852,16 @@ def test_local_solves_dispatch_through_module_globals(monkeypatch, solver, name)
     fedlab.methods.anchored_step(problem, server, clients, cfg, RandomStream(0))
     # one block solve per step, over every client's subproblem
     assert hits == [name]
+
+
+def test_a_parameter_rule_rejects_constants_outside_its_premise():
+    flat = DissimilarityReport(delta_a=0.0, delta_b=0.0, method="exact")
+    with pytest.raises(
+        ConfigurationError, match=r"^nonconvex rule needs delta_b > 0$"
+    ):
+        suggest_parameters("dane_plus", flat, "ncvx", l_smooth=1.0)
+    report = DissimilarityReport(delta_a=1.0, delta_b=1.0, method="exact")
+    with pytest.raises(
+        ConfigurationError, match=r"^eta = l_smooth must exceed mu/2$"
+    ):
+        suggest_parameters("fedred_gd", report, "sc", l_smooth=1.0, mu=2.0)

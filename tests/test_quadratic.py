@@ -550,3 +550,34 @@ def test_problem_frames_are_freed_without_the_collector():
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def test_malformed_specs_and_families_are_rejected():
+    with pytest.raises(DimensionError, match=r"^centers must have shape \(m, d\)$"):
+        QuadraticClientSpec(centers=np.zeros(3), spectra=np.ones((1, 3)))
+    specs = [
+        QuadraticClientSpec(centers=np.zeros((1, d)), spectra=np.ones((1, d)))
+        for d in (2, 3)
+    ]
+    with pytest.raises(DimensionError, match=r"^client dimension mismatch$"):
+        QuadraticFamily(specs=specs)
+    dense = QuadraticFamily(
+        specs=[QuadraticClientSpec(centers=np.zeros((1, 2)), matrices=[np.eye(2)])]
+    )
+    with pytest.raises(
+        ConfigurationError, match=r"^family has no shared eigenbasis$"
+    ):
+        dense.mean_spectra()
+
+
+def test_a_hessian_product_checks_its_query_as_a_gradient_does():
+    oracle = gen_quadratic_problem(
+        0, 2, 2, 5, max_norm=5.0, min_eig=1.0, target_delta=1.0
+    ).clients[0]
+    for public in (oracle.gradient, oracle.hessian_matvec):
+        with pytest.raises(
+            DimensionError, match=r"^oracle dimension 5, query dimension 6$"
+        ):
+            public(np.ones(6))
+    listed = oracle.hessian_matvec([1.0] * 5)
+    assert np.array_equal(listed, oracle.hessian_matvec(np.ones(5)))

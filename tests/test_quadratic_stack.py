@@ -7,8 +7,9 @@ center, linear term and constant once; ``core.gradients_of``,
 quadratic clients at their own points with one call of the stack.  Each
 row must be bitwise the client's per-row formula (``conftest.per_row_*``)
 at any BLAS thread count, the billed blocks must bill one unit per row,
-and a failing gradient block must name the row, with the message, that a
-loop of public ``gradient`` calls would.
+and a failing gradient block must name the row, with the message, that the
+documented rule gives when it is applied row by row to the per-row
+formulas.
 """
 import json
 import os
@@ -52,14 +53,16 @@ def _family(frame: str, n: int, d: int, beta: float, seed: int) -> QuadraticFami
 
 
 def _per_row_loop(oracles, points, labels):
-    """What a loop of public ``gradient`` calls gives: the rows, or the
-    message of the first row that raises, naming it."""
+    """The documented rule, row by row from the per-row formulas: the rows,
+    or the message that names the first row that fails, by its point when
+    that is not finite, else by its gradient."""
     grads = []
     for oracle, point, label in zip(oracles, points, labels):
-        try:
-            grads.append(oracle.gradient(point))
-        except NonFiniteError as exc:
-            return f"{exc} in row {label}"
+        if not np.isfinite(point).all():
+            return f"non-finite entries in oracle query point in row {label}"
+        grads.append(per_row_gradient(oracle, point))
+        if not np.isfinite(grads[-1]).all():
+            return f"non-finite entries in gradient in row {label}"
     return np.array(grads)
 
 

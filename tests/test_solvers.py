@@ -888,3 +888,13 @@ def test_a_one_row_solve_returns_one_row(solve):
     assert report.solution.shape == (1, 5)
     assert report.final_grad_norm.shape == report.row_steps.shape == (1,)
     assert report.steps_taken == report.row_steps[0] > 0
+
+
+def test_a_surrogate_needs_bases_of_one_dimension():
+    with pytest.raises(
+        ConfigurationError, match=r"^a surrogate needs at least one base oracle$"
+    ):
+        SurrogateOracle([])
+    bases = [FixedGradientOracle(np.ones(2)), FixedGradientOracle(np.ones(3))]
+    with pytest.raises(DimensionError, match=r"^base oracle dimension mismatch$"):
+        SurrogateOracle(bases)
