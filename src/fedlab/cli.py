@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import local_solvers, methods
-from .core import ConfigurationError, RandomStream, UnsupportedStructureError
+from .core import ConfigurationError, RandomStream
 from .harness import (
     Budget,
     grad_evals_to_target,
@@ -268,6 +268,15 @@ def _reject_constant(name: str):
     raise ConfigurationError(f"config is not valid JSON: {name} is not a number")
 
 
+def _finite_float(token: str) -> float:
+    """``json.loads`` hook for numbers with a fraction or exponent: one that
+    overflows, such as ``1e400``, is refused rather than read as ±inf."""
+    value = float(token)
+    if not np.isfinite(value):
+        raise ConfigurationError(f"config number {token} overflows to {value}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -275,7 +284,9 @@ def load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text, parse_constant=_reject_constant)
+        cfg = json.loads(
+            text, parse_constant=_reject_constant, parse_float=_finite_float
+        )
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "
@@ -450,10 +461,7 @@ def cmd_run(args) -> int:
     repeats = cfg.get("repeats", 1)
     base_seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     record_every = cfg.get("record_every", 100)
-    try:
-        reference = reference_optimum(problem)
-    except UnsupportedStructureError:
-        reference = None
+    reference = reference_optimum(problem)
     metric = "f_gap" if reference is not None else "grad_norm_sq"
 
     jobs = [

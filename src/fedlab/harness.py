@@ -64,7 +64,7 @@ class RoundTrace:
 
 @dataclass(frozen=True)
 class Budget:
-    """Stop conditions; the run halts when any of them trips."""
+    """Stop conditions, each positive and finite; the run halts when any trips."""
 
     max_rounds: int | None = None
     max_grad_evals: float | None = None
@@ -80,8 +80,9 @@ class Budget:
             raise ConfigurationError("budget needs at least one hard limit")
         for name in ("max_rounds", "max_grad_evals", "target_gap", "max_iterations"):
             v = getattr(self, name)
-            if v is not None and not v > 0:  # NaN is not positive either
-                raise ConfigurationError(f"{name} must be positive, got {v!r}")
+            if v is not None and not 0 < v < np.inf:  # NaN fails it too
+                rule = "finite" if v > 0 else "positive"
+                raise ConfigurationError(f"{name} must be {rule}, got {v!r}")
             if v is not None and name in ("max_rounds", "max_iterations"):
                 require_integer(v, name)
 
@@ -136,46 +137,37 @@ class _GlobalOracle(ClientOracle):
         return self.problem.grad_f(points[0])[None]
 
 
-def reference_optimum(
-    problem: DistributedProblem, x0=None
-) -> ReferenceSolution:
+def reference_optimum(problem: DistributedProblem, x0=None) -> ReferenceSolution | None:
     """Solve for the optimum to residual 1e-10 relative to the start scale.
 
-    Pure quadratics are solved directly; other convex instances by a long
-    accelerated gradient run on ``f`` as a one-row surrogate, whose row 0
-    is the optimum.  Nonconvex instances are rejected; the harness falls
-    back to gradient-norm metrics for those.
+    A ``beta = 0`` quadratic has one exactly when its mean Hessian is
+    positive definite, solved directly; any other instance when every client
+    is convex, by a long accelerated gradient run on ``f`` as a one-row
+    surrogate, whose row 0 is the optimum.  Otherwise this returns None and
+    runs fall back to gradient-norm metrics.
     """
-    x_star = None
-    how = None
+    x_star, how = None, "long_fgd"
     if problem.quadratic is not None and problem.quadratic.beta == 0.0:
-        x_star = problem.quadratic.minimizer()
+        try:
+            x_star = problem.quadratic.minimizer()
+        except UnsupportedStructureError:
+            return None
         how = "direct_linear"
     elif any(o.convexity_hint is None for o in problem.clients):
-        raise UnsupportedStructureError(
-            "reference optimum is only defined for convex instances"
-        )
+        return None
     x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
     scale = 1e-10 * (1.0 + float(np.linalg.norm(problem.grad_f(x0))))
     residual = (
         float(np.linalg.norm(problem.grad_f(x_star))) if x_star is not None else np.inf
     )
     if residual > scale:
-        start = x0 if x_star is None else x_star
-        report = solve_fgd(
+        x_star = solve_fgd(
             SurrogateOracle([_GlobalOracle(problem)]),
-            start,
+            x0 if x_star is None else x_star,
             StoppingRule("abs_grad", tol=scale, max_steps=2_000_000),
-        )
-        x_star = report.solution[0]
-        how = how or "long_fgd"
+        ).solution[0]
         residual = float(np.linalg.norm(problem.grad_f(x_star)))
-    return ReferenceSolution(
-        x_star=x_star,
-        f_star=problem.f(x_star),
-        method=how,
-        residual=residual,
-    )
+    return ReferenceSolution(x_star, problem.f(x_star), how, residual)
 
 
 def run_experiment(
@@ -192,7 +184,8 @@ def run_experiment(
 
     The output iterate per metric row is the server reference, or under
     rand averaging the start or communicated reference with the smallest
-    gradient norm so far.  When no reference optimum exists, ``f_gap`` is
+    gradient norm so far.  ``reference="auto"`` takes
+    :func:`reference_optimum`'s answer.  Without a reference, ``f_gap`` is
     measured against the best value seen so far (an upper bound on the
     true optimality gap is not implied; nonconvex analysis reads
     ``grad_norm_sq`` instead), so a ``budget.target_gap`` is then a
@@ -211,10 +204,7 @@ def run_experiment(
         raise ConfigurationError(f"record_every must be >= 1, got {record_every!r}")
     require_integer(record_every, "record_every")
     if reference == "auto":
-        try:
-            reference = reference_optimum(problem, x0)
-        except UnsupportedStructureError:
-            reference = None
+        reference = reference_optimum(problem, x0)
     if budget.target_gap is not None and reference is None:
         raise ConfigurationError("target_gap needs a reference optimum")
     x0 = np.zeros(problem.dim) if x0 is None else as_vector(x0)
@@ -490,6 +480,7 @@ def mean_grad_norm_certificate(
         raise ConfigurationError(f"f_star must be finite, got {f_star!r}")
     if not steps >= 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps!r}")
+    require_integer(steps, "steps")
     seeds = list(seeds)
     if not seeds:
         raise ConfigurationError("seeds must name at least one seed")

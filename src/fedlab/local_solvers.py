@@ -16,7 +16,8 @@ conjugate-gradient ``alpha``) are columns or blocks of the iterates' shape.
 Row norms and dots are ``np.vecdot``, which runs the same ``ddot`` per row
 as ``v.dot(v)`` on one vector.  The norms and counters that steer the loop
 are Python floats, one per row, tested as a one-row loop tests them, and a
-row leaves the working block once its own rule fires.  So each row's
+row leaves the working block once its own rule fires; one helper that the
+three solvers share records it and shrinks the block.  So each row's
 iterates, step count and final norm are bitwise those of its subproblem
 solved alone, as a one-row surrogate.
 
@@ -338,30 +339,44 @@ def _default_step(hint: float | None, step: float | None) -> float:
     return 1.0 / hint
 
 
-def _finish(
-    surrogate: SurrogateOracle,
-    solution: np.ndarray,
-    steps: np.ndarray,
-    norms: np.ndarray,
-    start: np.ndarray | None = None,
-) -> SolveReport:
-    """The report of a solve from its (n, d) rows and per-row results.
+class _Rows:
+    """A solve's finished rows: the working ``part`` of its surrogate, the
+    (n, d) ``solution`` and each row's final norm and step count."""
 
-    Given the rows a ``require_decrease`` solve started from, it first
-    checks every row's objective at the solution against its start, with
-    two calls of the surrogate's public ``value``.
-    """
-    if start is not None:
-        f_start = surrogate.value(start)
-        f_end = surrogate.value(solution)
-        decreased = f_end <= f_start + _DECREASE_SLACK * (1.0 + abs(f_start))
-        if not np.all(decreased):
-            row = int(np.argmin(decreased))
-            raise SolverBudgetError(
-                f"local solve increased the objective in row {row}: "
-                f"{f_start[row]} -> {f_end[row]}"
-            )
-    return SolveReport(solution, int(steps.sum()), norms, steps)
+    def __init__(self, surrogate: SurrogateOracle):
+        self.surrogate = self.part = surrogate
+        self.solution = np.empty((surrogate.n, surrogate.dim))
+        self.norms = np.empty(surrogate.n)
+        self.steps = np.zeros(surrogate.n, dtype=np.int64)
+
+    def retire(self, done: list[bool], chosen: np.ndarray, norms, steps: int):
+        """Record the ``done`` rows of ``chosen`` with their ``norms`` and
+        ``steps``, shrink ``part`` to the others and return their positions."""
+        for j, row in enumerate(self.part.row_ids):
+            if done[j]:
+                self.solution[row] = chosen[j]
+                self.norms[row] = norms[j]
+                self.steps[row] = steps
+        keep = [j for j, fired in enumerate(done) if not fired]
+        if keep:
+            self.part = self.part._rows(keep)
+        return keep
+
+    def report(self, start: np.ndarray | None = None) -> SolveReport:
+        """The solve's report.  Given the rows a ``require_decrease`` solve
+        started from, it first checks every row's objective at the solution
+        against its start, with two calls of the surrogate's ``value``."""
+        if start is not None:
+            f_start = self.surrogate.value(start)
+            f_end = self.surrogate.value(self.solution)
+            decreased = f_end <= f_start + _DECREASE_SLACK * (1.0 + abs(f_start))
+            if not np.all(decreased):
+                row = int(np.argmin(decreased))
+                raise SolverBudgetError(
+                    f"local solve increased the objective in row {row}: "
+                    f"{f_start[row]} -> {f_end[row]}"
+                )
+        return SolveReport(self.solution, int(self.steps.sum()), self.norms, self.steps)
 
 
 def _require_surrogate(surrogate) -> None:
@@ -410,14 +425,13 @@ def _descend(
                 momentum[i] = (root_kappa - 1.0) / (root_kappa + 1.0)
         scheduled = np.isnan(momentum)
         all_constant = not scheduled.any()
-    part = surrogate
-    solution, taken, final = np.empty((n, d)), np.zeros(n, dtype=np.int64), np.empty(n)
+    rows = _Rows(surrogate)
     best_x, best_norms = y, [math.inf] * n
     stalled = [0] * n
     kind, tol, max_steps = rule.kind, rule.tol, rule.max_steps
     steps = 0
     while True:
-        g = part._gradients(y)
+        g = rows.part._gradients(y)
         norms = [math.sqrt(sq) for sq in np.vecdot(g, g).tolist()]
         if kind != "fixed_steps":
             sizes = np.vecdot(y, y).tolist()
@@ -425,7 +439,7 @@ def _descend(
             moved = y - start
             reaches = np.vecdot(moved, moved).tolist()
         improved, done = [], []
-        for j, (row, norm) in enumerate(zip(part.row_ids, norms)):
+        for j, (row, norm) in enumerate(zip(rows.part.row_ids, norms)):
             if not math.isfinite(norm):
                 raise NonFiniteError(
                     f"non-finite local gradient at step {steps} in row {row}"
@@ -463,19 +477,10 @@ def _descend(
             best_x = np.where(np.array(improved)[:, None], y, best_x)
         if any(done):
             # rel_grad returns the iterate that fired, the others the best one
-            if kind == "rel_grad":
-                chosen, chosen_norms = y, norms
-            else:
-                chosen, chosen_norms = best_x, best_norms
-            for j, row in enumerate(part.row_ids):
-                if done[j]:
-                    solution[row] = chosen[j]
-                    final[row] = chosen_norms[j]
-                    taken[row] = steps
-            if all(done):
+            chosen = (y, norms) if kind == "rel_grad" else (best_x, best_norms)
+            keep = rows.retire(done, *chosen, steps)
+            if not keep:
                 break
-            keep = [j for j, fired in enumerate(done) if not fired]
-            part = part._rows(keep)
             best_norms, stalled = ([a[j] for j in keep] for a in (best_norms, stalled))
             index = np.array(keep)
             start, y, x, g, best_x, gamma = (
@@ -495,9 +500,7 @@ def _descend(
             y = x_new
         x = x_new
         steps += 1
-    return _finish(
-        surrogate, solution, taken, final, origin if require_decrease else None
-    )
+    return rows.report(origin if require_decrease else None)
 
 
 def solve_gd(
@@ -572,13 +575,12 @@ def solve_exact_quadratic(surrogate: SurrogateOracle) -> SolveReport:
     rs_old = np.vecdot(r, r)
     res_norms = np.sqrt(rs_old).tolist()
     targets = [EXACT_RESIDUAL_REL * res for res in res_norms]
-    part = surrogate
-    solution, taken, final = np.empty((n, d)), np.zeros(n, dtype=np.int64), np.empty(n)
+    rows = _Rows(surrogate)
     iters = 0
     max_iters = max(50, 25 * d)
     while True:
         done = []
-        for row, res, target in zip(part.row_ids, res_norms, targets):
+        for row, res, target in zip(rows.part.row_ids, res_norms, targets):
             if not math.isfinite(res):
                 raise NonFiniteError(
                     "non-finite conjugate-gradient residual at iteration "
@@ -586,29 +588,23 @@ def solve_exact_quadratic(surrogate: SurrogateOracle) -> SolveReport:
                 )
             done.append(res <= target)
         if any(done):
-            for j, row in enumerate(part.row_ids):
-                if done[j]:
-                    solution[row] = x[j]
-                    final[row] = res_norms[j]
-                    taken[row] = iters
-            if all(done):
+            keep = rows.retire(done, x, res_norms, iters)
+            if not keep:
                 break
-            keep = [j for j, converged in enumerate(done) if not converged]
-            part = part._rows(keep)
             res_norms, targets = ([a[j] for j in keep] for a in (res_norms, targets))
             index = np.array(keep)
             x, r, p, rs_old = (a[index] for a in (x, r, p, rs_old))
         if iters >= max_iters:
             raise SolverBudgetError(
                 f"conjugate gradients stalled at residual {res_norms[0]:.3e} "
-                f"in row {part.row_ids[0]}"
+                f"in row {rows.part.row_ids[0]}"
             )
         # p * w + H p, added in the other order (the same IEEE sum) and out
         # of place: a stack may hand back an array of its own
-        ap = hessian_matvecs_of(part.bases, p) + weight * p
+        ap = hessian_matvecs_of(rows.part.bases, p) + weight * p
         curvature = np.vecdot(p, ap)
         # a NaN curvature passes here and fails as a residual next iteration
-        for row, curv in zip(part.row_ids, curvature.tolist()):
+        for row, curv in zip(rows.part.row_ids, curvature.tolist()):
             if curv <= 0.0:
                 raise UnsupportedStructureError(
                     f"subproblem matrix is not positive definite in row {row}"
@@ -623,4 +619,4 @@ def solve_exact_quadratic(surrogate: SurrogateOracle) -> SolveReport:
         p += r
         rs_old = rs_new
         iters += 1
-    return _finish(surrogate, solution, taken, final)
+    return rows.report()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ConfigurationError, DistributedProblem, RandomStream
+from ..core import ConfigurationError, DistributedProblem, RandomStream, require_integer
 from .quadratic import QuadraticFamily
 
 EXACT = "exact"
@@ -111,6 +111,7 @@ def delta_sampled(
     pairs) and maximizes the finite-difference ratios over them.  The
     estimates never exceed the exact constants.
     """
+    require_integer(n_pairs, "n_pairs")
     if n_pairs < 1:
         raise ConfigurationError("need at least one sampled pair")
     d = problem.dim

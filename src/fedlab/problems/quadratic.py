@@ -47,6 +47,7 @@ from ..core import (
     bill,
     hessian_matvecs_of,
     require_finite,
+    require_integer,
 )
 
 # Eigenvalue floor used when a merely-convex family (min_eig ~ 0) is drawn;
@@ -423,6 +424,8 @@ def gen_quadratic_problem(
     Returns the problem alone; ``delta_exact_quadratic(problem)[0]`` gives
     the achieved dissimilarity constants (exact operator-norm computation).
     """
+    for count, name in ((n, "n"), (m, "m"), (d, "d")):
+        require_integer(count, name)
     if n < 1 or m < 1:
         raise ConfigurationError("need n >= 1 clients and m >= 1 components")
     if d < 3:

@@ -586,6 +586,73 @@ def test_target_gap_without_a_reference_optimum_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _diagonal_pair_config(first, second, centers, **extra):
+    """An explicit quadratic of two one-component clients ``diag(first)`` and
+    ``diag(second)``, run by gd and by dane_plus."""
+    matrices = [[[[a, 0.0], [0.0, b]]] for a, b in (first, second)]
+    return {
+        "problem": {"kind": "quadratic_explicit", "matrices": matrices,
+                    "centers": [[c] for c in centers]},
+        "methods": [
+            {"name": "gd", "params": {"eta": 0.5}},
+            {"name": "dane_plus", "params": {"lam": 4.0}},
+        ],
+        "record_every": 5,
+        **extra,
+    }
+
+
+def test_a_singular_convex_mean_runs_without_a_reference(tmp_path):
+    # both clients diag(1, 0) are convex, but no optimum is solved for
+    cfg = _diagonal_pair_config(
+        [1.0, 0.0], [1.0, 0.0], [[2.0, 0.0], [0.0, 0.0]],
+        budget={"max_rounds": 20}, output_dir=str(tmp_path / "out"),
+    )
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 0
+    for label in ("gd", "dane_plus"):
+        traces = read_trace_csv(tmp_path / "out" / f"{label}_seed0.csv")
+        assert traces[-1].rounds == 20
+        assert all(t.dist_sq is None for t in traces)
+
+
+def test_a_positive_definite_mean_keeps_its_reference_past_a_nonconvex_client(
+    tmp_path,
+):
+    cfg = _diagonal_pair_config(
+        [3.0, 3.0], [-1.0, -1.0], [[1.0, 2.0], [-1.0, 0.5]],
+        budget={"max_rounds": 200, "target_gap": 1e-10},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["run", "--config", _write(tmp_path, cfg)]) == 0
+    for label in ("gd", "dane_plus"):
+        traces = read_trace_csv(tmp_path / "out" / f"{label}_seed0.csv")
+        assert all(t.dist_sq is not None for t in traces)
+        assert traces[-1].f_gap <= 1e-10
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in summary] == ["true", "true"]
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400"])
+def test_an_overflowing_config_number_is_named(tmp_path, token):
+    # Python's parser would read it as an infinity
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(TINY_QUADRATIC).replace("1e-08", token))
+    with pytest.raises(ConfigurationError, match=f"config number {token} overflows"):
+        load_config(str(path))
+
+
+def test_an_overflowing_beta_exits_2_and_writes_nothing(tmp_path, capsys):
+    # read as inf it would fail the run at iteration 0 with exit 1
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["problem"]["beta"] = 12345.0
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = _write(tmp_path, cfg)
+    Path(path).write_text(Path(path).read_text().replace("12345.0", "1e400"))
+    assert main(["run", "--config", path]) == 2
+    assert "1e400" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------ auto params
 
 

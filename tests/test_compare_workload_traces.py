@@ -1,7 +1,12 @@
-"""scripts/compare_workload_traces.py: one comparison per workload and seed."""
+"""scripts/compare_workload_traces.py: one comparison per workload or
+fixed config and seed."""
 import importlib.util
+import json
 from pathlib import Path
 
+import pytest
+
+from fedlab.cli import build_problem, load_config
 from fedlab.harness import RoundTrace, write_trace_csv
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_workload_traces.py"
@@ -10,10 +15,11 @@ compare_workload_traces = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_workload_traces)
 
 
-def _fake_runs(monkeypatch, grad_evals):
-    """Two workloads at one seed; ``_run`` writes a one-row trace whose
-    ``grad_evals`` is ``grad_evals[tree]``."""
+def _fake_runs(monkeypatch, grad_evals, configs=None):
+    """Two workloads (and ``configs``) at one seed; ``_run`` writes a one-row
+    trace whose ``grad_evals`` is ``grad_evals[tree]``."""
     monkeypatch.setattr(compare_workload_traces, "WORKLOADS", ("a", "b"))
+    monkeypatch.setattr(compare_workload_traces, "CONFIGS", configs or {})
     monkeypatch.setattr(compare_workload_traces, "SEEDS", (0,))
     monkeypatch.setattr(
         compare_workload_traces, "make_config", lambda w, s: {"problem": {}}
@@ -41,6 +47,25 @@ def test_a_ledger_mismatch_exits_1_and_names_every_pair(monkeypatch, capsys):
     _fake_runs(monkeypatch, {"p": 5.0, "c": 6.0})
     assert compare_workload_traces.main(["p", "c"]) == 1
     assert capsys.readouterr().out.endswith("DIFFER: a-seed0, b-seed0\n")
+
+
+def test_fixed_configs_follow_the_workloads(monkeypatch, capsys):
+    _fake_runs(monkeypatch, {"p": 5.0, "c": 6.0}, {"c1": {"problem": {}}})
+    assert compare_workload_traces.main(["p", "c"]) == 1
+    assert capsys.readouterr().out.endswith("DIFFER: a-seed0, b-seed0, c1-seed0\n")
+
+
+@pytest.mark.parametrize("name", sorted(compare_workload_traces.CONFIGS))
+def test_each_fixed_config_is_valid_at_both_seeds(tmp_path, name):
+    for seed in compare_workload_traces.SEEDS:
+        cfg = compare_workload_traces.config_of(name, seed)
+        assert cfg["seed"] == seed
+        assert cfg["problem"].get("seed", seed) == seed
+        path = tmp_path / f"{name}-{seed}.json"
+        path.write_text(json.dumps(cfg))
+        build_problem(load_config(str(path))["problem"])
+    # the stored entry is left as it was
+    assert "seed" not in compare_workload_traces.CONFIGS[name]
 
 
 def test_a_failing_run_is_reported(tmp_path, capsys):

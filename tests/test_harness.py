@@ -1,5 +1,6 @@
 """Experiment driver: references, budgets, traces, certificates, accounting."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from fedlab import (
     RandomStream,
     SolverBudgetError,
     StoppingRule,
-    UnsupportedStructureError,
     build_quadratic_problem,
     check_rate_certificates,
     delta_exact_quadratic,
+    delta_sampled,
     gen_quadratic_problem,
     grad_evals_to_target,
     init_method_state,
@@ -92,6 +93,45 @@ _INTEGER_FIELDS = {
 }
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [{"max_grad_evals": math.inf}, {"max_rounds": 3, "target_gap": math.inf}],
+    ids=["max_grad_evals", "target_gap"],
+)
+def test_budget_rejects_an_infinite_limit(limits):
+    # an infinite limit never trips: alone it would run forever, and an
+    # infinite target_gap would count as reached at the first row
+    (field,) = (name for name, v in limits.items() if v == math.inf)
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got inf$"):
+        Budget(**limits)
+
+
+_QUADRATIC_SHAPE = {"max_norm": 8.0, "min_eig": 1.0, "target_delta": 1.0}
+_CERTIFIED = MethodConfig(method="fedred_gd", lam=1.0, eta=10.0, p=0.5, averaging="rand")
+_COUNT_ARGUMENTS = {
+    "n=2.5": lambda: gen_quadratic_problem(0, 2.5, 2, 5, **_QUADRATIC_SHAPE),
+    "n=3.0": lambda: gen_quadratic_problem(0, 3.0, 2, 5, **_QUADRATIC_SHAPE),
+    "n=True": lambda: gen_quadratic_problem(0, True, 2, 5, **_QUADRATIC_SHAPE),
+    "m=1.5": lambda: gen_quadratic_problem(0, 3, 1.5, 5, **_QUADRATIC_SHAPE),
+    "d=5.5": lambda: gen_quadratic_problem(0, 3, 2, 5.5, **_QUADRATIC_SHAPE),
+    "n_pairs=2.5": lambda: delta_sampled(quad_1d(), 2.5, RandomStream(0)),
+    "steps=2.5": lambda: mean_grad_norm_certificate(
+        gen_quadratic_problem(4, 3, 2, 8, **_QUADRATIC_SHAPE),
+        _CERTIFIED, 0.0, steps=2.5, seeds=[0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COUNT_ARGUMENTS))
+def test_a_count_argument_rejects_non_integers(case):
+    # numpy or range would raise a bare TypeError
+    name, value = case.split("=")
+    with pytest.raises(
+        ConfigurationError, match=f"^{name} must be an integer, got {value}$"
+    ):
+        _COUNT_ARGUMENTS[case]()
+
+
 @pytest.mark.parametrize("value", [2.5, 2.0, True])
 @pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
 def test_an_integer_field_rejects_floats_and_bools(field, value):
@@ -150,12 +190,36 @@ def test_reference_reads_client_hints_without_problem_annotations():
     assert np.allclose(ref.x_star, direct.x_star, rtol=0, atol=1e-8)
 
 
-def test_reference_rejects_nonconvex_instances(monkeypatch):
+def test_reference_is_none_for_nonconvex_instances(monkeypatch):
     count = count_raw_work(monkeypatch)
     problem = DistributedProblem(clients=[CubicOracle()], dim=1)
-    with pytest.raises(UnsupportedStructureError):
-        reference_optimum(problem)
+    assert reference_optimum(problem) is None
     assert count[0] == 0.0
+
+
+def _diagonal_pair(first, second, centers):
+    """Two one-component clients ``diag(first)`` and ``diag(second)``."""
+    specs = [
+        QuadraticClientSpec(centers=[center], matrices=[np.diag(diagonal)])
+        for diagonal, center in zip((first, second), centers)
+    ]
+    return build_quadratic_problem(QuadraticFamily(specs=specs))
+
+
+def test_reference_is_none_for_a_singular_convex_mean():
+    # both clients are convex, but their mean Hessian diag(1, 0) is singular
+    problem = _diagonal_pair([1.0, 0.0], [1.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]])
+    assert all(o.convexity_hint is not None for o in problem.clients)
+    assert reference_optimum(problem) is None
+
+
+def test_reference_is_direct_for_a_positive_definite_mean_of_a_nonconvex_client():
+    # the mean Hessian diag(1, 1) decides before the second client's convexity
+    problem = _diagonal_pair([3.0, 3.0], [-1.0, -1.0], [[1.0, 2.0], [-1.0, 0.5]])
+    assert problem.clients[1].convexity_hint is None
+    ref = reference_optimum(problem)
+    assert ref.method == "direct_linear"
+    assert np.allclose(ref.x_star, [2.0, 2.75], rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- runs
