@@ -36,10 +36,11 @@ from workloads import WORKLOADS, make_config  # noqa: E402
 SEEDS = (0, 7)
 
 # configs for the paths that no workload reaches: fedprox, scaffold, an fgd
-# local block, fedred under a gradient rule, fedred_gd with batch_size, a
-# dense beta > 0 quadratic, and the two reference cases of a beta = 0
-# quadratic (a singular convex mean has none; a positive definite mean keeps
-# its direct one though a client is not convex)
+# local block, fedred under a gradient rule, fedred_gd with batch_size, gd,
+# scaffnew and a scheduled dane_plus through explicit params, a dense
+# beta > 0 quadratic, and the two reference cases of a beta = 0 quadratic (a
+# singular convex mean has none; a positive definite mean keeps its direct
+# one though a client is not convex)
 CONFIGS = {
     "generated_paths": {
         "problem": {
@@ -56,6 +57,20 @@ CONFIGS = {
              "local": {"solver": "gd", "kind": "rel_grad", "tol": 0.5}},
             {"name": "fedred_gd",
              "params": {"lam": 4.0, "eta": 10.0, "p": 0.5, "batch_size": 2}},
+        ],
+        "budget": {"max_rounds": 40, "max_iterations": 400},
+        "record_every": 5,
+    },
+    "explicit_params": {
+        "problem": {
+            "kind": "quadratic", "seed": 0, "n_clients": 4, "m_components": 3,
+            "dim": 20, "max_norm": 10.0, "min_eig": 1.0, "target_delta": 2.0,
+        },
+        "methods": [
+            {"name": "gd", "params": {"eta": 0.04}},
+            {"name": "scaffnew", "params": {"eta": 0.04, "p": 0.5}},
+            {"name": "dane_plus", "params": {"lam": 4.0, "mu": 1.0},
+             "local": {"solver": "gd", "kind": "scheduled"}},
         ],
         "budget": {"max_rounds": 40, "max_iterations": 400},
         "record_every": 5,

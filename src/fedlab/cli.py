@@ -277,6 +277,16 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _float_range_int(token: str) -> int:
+    """``json.loads`` hook for integers: one beyond the float range is
+    refused rather than overflowing where it is read as a float.  JSON has
+    no leading zeros, so over 310 characters is past 1.8e308 (and past what
+    ``int`` reads, at 4,300 digits)."""
+    if len(token) > 310 or abs(int(token)) > sys.float_info.max:
+        raise ConfigurationError(f"config number {token} is beyond the float range")
+    return int(token)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -285,7 +295,8 @@ def load_config(path: str) -> dict:
         raise ConfigurationError(f"cannot read config: {exc}") from exc
     try:
         cfg = json.loads(
-            text, parse_constant=_reject_constant, parse_float=_finite_float
+            text, parse_constant=_reject_constant, parse_float=_finite_float,
+            parse_int=_float_range_int,
         )
     except json.JSONDecodeError as exc:
         raise ConfigurationError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 import time
 from dataclasses import dataclass
 
@@ -80,7 +81,8 @@ class Budget:
             raise ConfigurationError("budget needs at least one hard limit")
         for name in ("max_rounds", "max_grad_evals", "target_gap", "max_iterations"):
             v = getattr(self, name)
-            if v is not None and not 0 < v < np.inf:  # NaN fails it too
+            # NaN fails it too, and so does an int beyond the float range
+            if v is not None and not 0 < v <= sys.float_info.max:
                 rule = "finite" if v > 0 else "positive"
                 raise ConfigurationError(f"{name} must be {rule}, got {v!r}")
             if v is not None and name in ("max_rounds", "max_iterations"):

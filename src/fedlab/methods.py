@@ -22,7 +22,10 @@ picked uniformly at random) into a new reference.  Per method:
 ``fedred_gd`` linearizes the local objective at the client iterate, giving
 ``x' = (eta x_i + lam ref - (g_i - h_i)) / (eta + lam)``; ``gd``,
 ``scaffold`` and ``scaffnew`` are gradient-step baselines.
-:class:`MethodConfig` rejects any field that the method would ignore.
+
+A method is declared in one place, its row of ``_METHODS``: the step, the
+optional :class:`MethodConfig` fields it reads (any other field set away
+from its default is rejected) and its ``anchored_step`` preset.
 
 Control-variate refreshes are performed lazily: a refresh is required
 whenever a communication moved the reference since the last one (the
@@ -39,6 +42,7 @@ window (see :func:`fedlab.core.take_billed`).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +68,6 @@ from .local_solvers import (
     solve_gd,
 )
 
-METHODS = (
-    "dane_plus",
-    "fedred",
-    "fedred_gd",
-    "gd",
-    "scaffold",
-    "scaffnew",
-    "fedprox",
-)
 AVERAGING = ("avg", "rand")
 
 # stream sub-labels within one step
@@ -156,20 +151,17 @@ class MethodConfig:
             if not self.batch_size >= 1:
                 raise ConfigurationError("batch_size must be >= 1")
             require_integer(self.batch_size, "batch_size")
-        # fields these methods have no use for are rejected, not ignored
-        m = self.method
-        ignored = (
-            ("p", self.p != 1.0 and m in ("dane_plus", "fedprox", "scaffold", "gd")),
-            ("averaging", self.averaging != "avg" and m in ("fedprox", "scaffold", "scaffnew", "gd")),
-            ("eta", self.eta != 0.0 and m in ("dane_plus", "fedprox")),
-            ("local", self.local != LocalSpec() and m not in _ANCHORED_PRESETS),
-            ("mu", self.mu != 0.0 and self.local.rule.kind != "scheduled"),
-            ("local_steps", self.local_steps != 1 and m != "scaffold"),
-            ("batch_size", self.batch_size is not None and m != "fedred_gd"),
-        )
-        for name, unused in ignored:
-            if unused:
-                raise ConfigurationError(f"{m} would ignore {name}={getattr(self, name)!r}")
+        # a field set away from its default (the class attribute) that the
+        # method's row does not list is rejected, not ignored; mu is read
+        # only under a scheduled local rule
+        reads = _METHODS[self.method].reads
+        scheduled = self.local.rule.kind == "scheduled"
+        for name in ("p", "averaging", "eta", "local", "mu", "local_steps",
+                     "batch_size", "lam"):
+            value = getattr(self, name)
+            read = name in reads and (name != "mu" or scheduled)
+            if value != getattr(MethodConfig, name) and not read:
+                raise ConfigurationError(f"{self.method} would ignore {name}={value!r}")
 
 
 @dataclass
@@ -266,14 +258,6 @@ def _solve_local(
     )
 
 
-# per method: (start the local solve at the client iterate, use control variates)
-_ANCHORED_PRESETS = {
-    "dane_plus": (False, True),
-    "fedred": (True, True),
-    "fedprox": (False, False),
-}
-
-
 def _communicate(
     server: ServerState,
     clients: ClientState,
@@ -324,7 +308,7 @@ def anchored_step(
     ``eta``, ``p`` and ``averaging`` come from ``cfg``.  The n subproblems
     are the rows of one :class:`SurrogateOracle`, solved in one call.
     """
-    from_iterate, corrected = _ANCHORED_PRESETS[cfg.method]
+    from_iterate, corrected = _METHODS[cfg.method].preset
     step_stream = stream.fork(server.iteration)
     if corrected:
         _ensure_fresh_variates(problem, server, clients)
@@ -452,21 +436,10 @@ def baseline_scaffnew_step(
     return server, clients, record
 
 
-_STEP_FUNCTIONS = {
-    "dane_plus": anchored_step,
-    "fedred": anchored_step,
-    "fedred_gd": fedred_gd_step,
-    "gd": baseline_gd_round,
-    "scaffold": baseline_scaffold_round,
-    "scaffnew": baseline_scaffnew_step,
-    "fedprox": anchored_step,
-}
-
-
 def step_method(problem, server, clients, cfg, stream):
     """Advance the configured method by one step/round, billing its work."""
     take_billed()
-    server, clients, record = _STEP_FUNCTIONS[cfg.method](
+    server, clients, record = _METHODS[cfg.method].step(
         problem, server, clients, cfg, stream
     )
     record.grad_evals = take_billed()
@@ -564,3 +537,24 @@ def suggest_parameters(
         raise ConfigurationError("eta = l_smooth must exceed mu/2")
     p = min(1.0, (delta_a + 0.5 * mu) / (l_smooth - 0.5 * mu))
     return MethodConfig(method="fedred_gd", lam=p * l_smooth, eta=l_smooth, p=p)
+
+
+# per method: its step, the optional fields it reads, and anchored_step's
+# preset (start the local solve at the client iterate, use control variates)
+_Method = namedtuple("_Method", "step reads preset")
+_METHODS = {
+    "dane_plus": _Method(
+        anchored_step, ("lam", "averaging", "local", "mu"), (False, True)
+    ),
+    "fedred": _Method(
+        anchored_step, ("lam", "eta", "p", "averaging", "local", "mu"), (True, True)
+    ),
+    "fedred_gd": _Method(
+        fedred_gd_step, ("lam", "eta", "p", "averaging", "batch_size"), None
+    ),
+    "gd": _Method(baseline_gd_round, ("eta",), None),
+    "scaffold": _Method(baseline_scaffold_round, ("eta", "local_steps"), None),
+    "scaffnew": _Method(baseline_scaffnew_step, ("eta", "p"), None),
+    "fedprox": _Method(anchored_step, ("lam", "local", "mu"), (False, False)),
+}
+METHODS = tuple(_METHODS)

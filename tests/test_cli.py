@@ -5,6 +5,7 @@ import functools
 import json
 import os
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -112,6 +113,43 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, edit):
     assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
     assert "is not a number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_an_integer_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # read as a float, 1 followed by 400 zeros would overflow
+    huge = "1" + "0" * 400
+    cfg = json.loads(json.dumps(TINY_QUADRATIC))
+    cfg["problem"]["beta"] = 0.0
+    cfg["output_dir"] = str(tmp_path / "out")
+    text = json.dumps(cfg).replace('"beta": 0.0', f'"beta": {huge}')
+    path = tmp_path / "exp.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 2
+    message = f"config number {huge} is beyond the float range"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "token, refused",
+    [
+        (str(int(sys.float_info.max)), False),
+        (str(int(sys.float_info.max) + 1), True),
+        (str(-int(sys.float_info.max) - 1), True),
+        # past the 4,300 digits that int() reads
+        ("9" * 5000, True),
+    ],
+    ids=["max", "max_plus_1", "minus_max_minus_1", "5000_digits"],
+)
+def test_integers_are_bounded_by_the_float_range(tmp_path, token, refused):
+    path = tmp_path / "exp.json"
+    text = json.dumps(TINY_QUADRATIC).replace('"seed": 2', f'"seed": {token}')
+    path.write_text(text)
+    if refused:
+        with pytest.raises(ConfigurationError, match="beyond the float range"):
+            load_config(str(path))
+    else:
+        assert load_config(str(path))["problem"]["seed"] == int(token)
 
 
 def test_missing_problem_field_is_named(tmp_path):
@@ -548,6 +586,12 @@ def test_batch_size_in_a_logistic_problem_block_exits_2(tmp_path, capsys):
         # the certificate derives a = lam / delta_B from the run
         ({"name": "dane_plus", "params": {"lam": 3.0, "averaging": "rand", "a": 3.0}},
          "'a' was unexpected"),
+        ({"name": "gd", "params": {"eta": 0.2, "lam": 5.0}},
+         "gd would ignore lam=5.0"),
+        ({"name": "scaffold", "params": {"eta": 0.2, "lam": 5.0}},
+         "scaffold would ignore lam=5.0"),
+        ({"name": "scaffnew", "params": {"eta": 0.2, "lam": 5.0}},
+         "scaffnew would ignore lam=5.0"),
     ],
 )
 def test_rejected_method_params_exit_2_before_setup(tmp_path, capsys, entry, message):

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from fedlab.cli import build_problem, load_config
+from fedlab import METHODS
+from fedlab.cli import build_method, build_problem, load_config
 from fedlab.harness import RoundTrace, write_trace_csv
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_workload_traces.py"
@@ -63,9 +64,30 @@ def test_each_fixed_config_is_valid_at_both_seeds(tmp_path, name):
         assert cfg["problem"].get("seed", seed) == seed
         path = tmp_path / f"{name}-{seed}.json"
         path.write_text(json.dumps(cfg))
-        build_problem(load_config(str(path))["problem"])
+        loaded = load_config(str(path))
+        problem = build_problem(loaded["problem"])
+        # explicit params pass MethodConfig's field check
+        for entry in loaded["methods"]:
+            if "auto" not in entry:
+                build_method(entry, problem, None)
     # the stored entry is left as it was
     assert "seed" not in compare_workload_traces.CONFIGS[name]
+
+
+def test_every_method_runs_through_explicit_params():
+    # not only through auto: the field check and the dispatch see each method
+    explicit = [
+        entry
+        for cfg in compare_workload_traces.CONFIGS.values()
+        for entry in cfg["methods"]
+        if "auto" not in entry
+    ]
+    assert {entry["name"] for entry in explicit} == set(METHODS)
+    assert any(
+        entry.get("local", {}).get("kind") == "scheduled"
+        and entry["params"].get("mu", 0.0) > 0.0
+        for entry in explicit
+    )
 
 
 def test_a_failing_run_is_reported(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Experiment driver: references, budgets, traces, certificates, accounting."""
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ def test_budget_rejects_nan(field):
     limits = {"max_rounds": 10, field: float("nan")}
     with pytest.raises(ConfigurationError, match=f"{field} must be positive, got nan"):
         Budget(**limits)
+
+
+@pytest.mark.parametrize("field", ["max_rounds", "max_grad_evals", "max_iterations"])
+def test_budget_rejects_an_integer_beyond_the_float_range(field):
+    # 10**400 < inf holds for a Python int, yet no float count ever reaches it
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite, got 1000"):
+        Budget(**{field: 10**400})
+    with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+        Budget(**{field: int(sys.float_info.max) + 1})
+    Budget(**{field: int(sys.float_info.max)})
 
 
 _INTEGER_FIELDS = {

@@ -1,4 +1,5 @@
 """Federated methods: variates, rounds/steps, fixed points, parameter rules."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedlab import (
+    Budget,
     ConfigurationError,
     DissimilarityReport,
     DistributedProblem,
@@ -25,6 +27,7 @@ from fedlab import (
     init_method_state,
     parse_libsvm,
     reference_optimum,
+    run_experiment,
     schedule_e_r,
     solve_exact_quadratic,
     step_method,
@@ -116,6 +119,10 @@ def test_config_validation():
         dict(method="fedred_gd", lam=1.0, eta=1.0, mu=0.5),
         dict(method="dane_plus", lam=1.0, mu=1.0),
         dict(method="dane_plus", lam=1.0, mu=1.0, local=gd_local),
+        # no gradient-step baseline has a proximal term for lam to weight
+        dict(method="gd", eta=0.1, lam=5.0),
+        dict(method="scaffold", eta=0.1, lam=5.0),
+        dict(method="scaffnew", eta=0.1, lam=5.0),
     ):
         with pytest.raises(ConfigurationError, match="would ignore"):
             MethodConfig(**kwargs)
@@ -128,6 +135,59 @@ def test_config_validation():
 
 
 _SCHEDULED_GD = LocalSpec(solver="gd", rule=StoppingRule("scheduled"))
+
+# a legal config per method, with the fields its step needs
+_TRUTH_BASES = {
+    "dane_plus": dict(lam=1.0),
+    "fedred": dict(lam=1.0, eta=4.0),
+    "fedred_gd": dict(lam=1.0, eta=1.0),
+    "gd": dict(eta=0.05),
+    "scaffold": dict(eta=0.05),
+    "scaffnew": dict(eta=0.05),
+    "fedprox": dict(lam=1.0),
+}
+# per optional field, a legal value away from its default and from every base
+_TRUTH_VALUES = {
+    "p": lambda base: 0.5,
+    "averaging": lambda base: "rand",
+    "eta": lambda base: 2.0 * base.get("eta", 0.25),
+    "local": lambda base: LocalSpec(
+        solver="gd", rule=StoppingRule("fixed_steps", steps=3)
+    ),
+    "mu": lambda base: 0.5,
+    "local_steps": lambda base: 3,
+    "batch_size": lambda base: 1,
+    "lam": lambda base: 2.0 * base.get("lam", 0.25),
+}
+
+
+def _truth_outcome(cfg):
+    problem = gen_quadratic_problem(
+        2, 3, 2, 4, max_norm=8.0, min_eig=1.0, target_delta=1.0
+    )
+    result = run_experiment(
+        problem, cfg, Budget(max_iterations=6), seed=3, record_every=1
+    )
+    traces = [dataclasses.replace(row, wall_ms=None) for row in result.traces]
+    return result.records, traces
+
+
+@pytest.mark.parametrize("field", sorted(_TRUTH_VALUES))
+@pytest.mark.parametrize("method", fedlab.methods.METHODS)
+def test_an_optional_field_is_refused_or_changes_the_run(method, field):
+    # every optional field set away from its default must either be refused
+    # by name or show in the run: none may be dropped silently
+    base = dict(_TRUTH_BASES[method])
+    if field == "mu" and method in ("dane_plus", "fedred", "fedprox"):
+        base["local"] = _SCHEDULED_GD  # only a scheduled rule reads mu
+    changed = dict(base, **{field: _TRUTH_VALUES[field](base)})
+    try:
+        cfg = MethodConfig(method, **changed)
+    except ConfigurationError as exc:
+        assert str(exc).startswith(f"{method} would ignore {field}=")
+        return
+    base_outcome = _truth_outcome(MethodConfig(method, **base))
+    assert _truth_outcome(cfg) != base_outcome, f"{method} dropped {field}"
 
 
 @pytest.mark.parametrize(
