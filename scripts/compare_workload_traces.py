@@ -36,8 +36,8 @@ from workloads import WORKLOADS, make_config  # noqa: E402
 SEEDS = (0, 7)
 
 # configs for the paths that no workload reaches: fedprox, scaffold, an fgd
-# local block, fedred under a gradient rule, fedred_gd with batch_size, gd,
-# scaffnew and a scheduled dane_plus through explicit params, a dense
+# local block, fedred under a gradient rule, fedred_gd with explicit params,
+# gd, scaffnew and a scheduled dane_plus through explicit params, a dense
 # beta > 0 quadratic, and the two reference cases of a beta = 0 quadratic (a
 # singular convex mean has none; a positive definite mean keeps its direct
 # one though a client is not convex)
@@ -56,7 +56,7 @@ CONFIGS = {
              "params": {"lam": 4.0, "eta": 8.0, "p": 0.5, "averaging": "rand"},
              "local": {"solver": "gd", "kind": "rel_grad", "tol": 0.5}},
             {"name": "fedred_gd",
-             "params": {"lam": 4.0, "eta": 10.0, "p": 0.5, "batch_size": 2}},
+             "params": {"lam": 4.0, "eta": 10.0, "p": 0.5}},
         ],
         "budget": {"max_rounds": 40, "max_iterations": 400},
         "record_every": 5,

@@ -14,6 +14,7 @@ import argparse
 import json
 import operator
 import os
+import re
 import sys
 
 import numpy as np
@@ -126,7 +127,6 @@ _METHOD_SCHEMA = {
                 "p": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "mu": {"type": "number", "minimum": 0},
                 "averaging": {"enum": list(methods.AVERAGING)},
-                "batch_size": {"type": "integer", "minimum": 1},
                 "local_steps": {"type": "integer", "minimum": 1},
             },
         },
@@ -287,6 +287,9 @@ def _float_range_int(token: str) -> int:
     return int(token)
 
 
+_PLAIN_LABEL = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -308,6 +311,12 @@ def load_config(path: str) -> dict:
         kind = cfg["problem"]["kind"]
         errors = _schema_errors(cfg["problem"], _PROBLEM_SCHEMAS[kind], "problem")
     for entry in cfg.get("methods", []) if not errors else []:
+        # a label names the run's trace file and a summary.csv field
+        if not _PLAIN_LABEL.fullmatch(entry.get("label", entry["name"])):
+            errors.append(
+                f"method {entry['name']}: label {entry['label']!r} is not letters, "
+                "digits, _, - and ., not starting with ."
+            )
         for block in ("params", "local"):
             if "auto" in entry and block in entry:
                 errors.append(

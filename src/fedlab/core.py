@@ -228,9 +228,7 @@ class ClientOracle:
     declares ``gradient_propagates_non_finite``; its gradients then check
     only the gradient, which rejects the same points, and name the query
     point when that is the cause (the computation may warn first, as ``0 *
-    inf`` does).  An oracle that can sample overrides
-    :meth:`stochastic_gradient`, which bills the share of a full gradient
-    that the sample consumed.
+    inf`` does).
 
     Attributes
     ----------
@@ -275,16 +273,6 @@ class ClientOracle:
 
     def gradient(self, x) -> Vector:
         return gradients_of([self], self._check_shape(x))[0]
-
-    def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
-        """An unbiased gradient estimate from ``batch_size`` samples drawn
-        from ``stream``; it bills its cost in full-gradient units.
-
-        Oracles with a sampling scheme override this; the base has none.
-        """
-        raise UnsupportedStructureError(
-            f"{type(self).__name__} has no stochastic gradient"
-        )
 
 
 _propagates = operator.attrgetter("gradient_propagates_non_finite")

@@ -73,7 +73,6 @@ AVERAGING = ("avg", "rand")
 # stream sub-labels within one step
 _LBL_THETA = 0
 _LBL_PICK = 1
-_LBL_BATCH = 2
 
 
 @dataclass
@@ -105,9 +104,8 @@ class MethodConfig:
     ``lam`` couples clients to the server reference, ``eta`` is the second
     proximal weight for the doubly regularized methods and doubles as the
     step size for gd/scaffold/scaffnew, ``p`` is the communication
-    probability, ``mu`` the strong-convexity modulus that a ``scheduled``
-    local rule reads, and ``batch_size``, when set, the samples behind each
-    of fedred_gd's stochastic gradients.
+    probability, and ``mu`` the strong-convexity modulus that a
+    ``scheduled`` local rule reads.
     """
 
     method: str
@@ -117,7 +115,6 @@ class MethodConfig:
     mu: float = 0.0
     averaging: str = "avg"
     local: LocalSpec = LocalSpec()
-    batch_size: int | None = None
     local_steps: int = 1
 
     def __post_init__(self):
@@ -147,17 +144,12 @@ class MethodConfig:
         if not self.local_steps >= 1:
             raise ConfigurationError("local_steps must be >= 1")
         require_integer(self.local_steps, "local_steps")
-        if self.batch_size is not None:
-            if not self.batch_size >= 1:
-                raise ConfigurationError("batch_size must be >= 1")
-            require_integer(self.batch_size, "batch_size")
         # a field set away from its default (the class attribute) that the
         # method's row does not list is rejected, not ignored; mu is read
         # only under a scheduled local rule
         reads = _METHODS[self.method].reads
         scheduled = self.local.rule.kind == "scheduled"
-        for name in ("p", "averaging", "eta", "local", "mu", "local_steps",
-                     "batch_size", "lam"):
+        for name in ("p", "averaging", "eta", "local", "mu", "local_steps", "lam"):
             value = getattr(self, name)
             read = name in reads and (name != "mu" or scheduled)
             if value != getattr(MethodConfig, name) and not read:
@@ -347,14 +339,7 @@ def fedred_gd_step(
     ref = server.reference
     total = cfg.eta + cfg.lam
     coeffs = np.array([cfg.eta / total, cfg.lam / total, -1.0 / total])
-    if cfg.batch_size is None:
-        grads = gradients_of(problem.clients, clients.x)
-    else:
-        batch_stream = step_stream.fork(_LBL_BATCH)
-        grads = np.array([
-            oracle.stochastic_gradient(x, batch_stream.fork(i), cfg.batch_size)
-            for i, (oracle, x) in enumerate(zip(problem.clients, clients.x))
-        ])
+    grads = gradients_of(problem.clients, clients.x)
     # rows [x_i, ref, g_i - h_i]: numpy runs one gemv per row, the product
     # coeffs.dot(row) makes alone, so each solution is bitwise the per-row one
     terms = np.empty((problem.n, 3, problem.dim))
@@ -549,9 +534,7 @@ _METHODS = {
     "fedred": _Method(
         anchored_step, ("lam", "eta", "p", "averaging", "local", "mu"), (True, True)
     ),
-    "fedred_gd": _Method(
-        fedred_gd_step, ("lam", "eta", "p", "averaging", "batch_size"), None
-    ),
+    "fedred_gd": _Method(fedred_gd_step, ("lam", "eta", "p", "averaging"), None),
     "gd": _Method(baseline_gd_round, ("eta",), None),
     "scaffold": _Method(baseline_scaffold_round, ("eta", "local_steps"), None),
     "scaffnew": _Method(baseline_scaffnew_step, ("eta", "p"), None),

@@ -27,8 +27,6 @@ from ..core import (
     DistributedProblem,
     NonFiniteError,
     RandomStream,
-    bill,
-    require_finite,
 )
 from .libsvm import SparseDataset
 
@@ -153,10 +151,6 @@ class LogisticOracle(ClientOracle):
     The oracle is row ``row`` of the :class:`_LogisticStack` that
     :func:`logistic_problem` builds, or, built alone, of its own.
 
-    The stochastic gradient draws ``batch_size`` rows uniformly with
-    replacement and rescales, unbiased for the full gradient, with the
-    exact ridge term; it bills ``batch_size / rows`` full gradients.
-
     ``transpose`` is ``A'`` as its own CSR matrix, built once, which the
     stack reads; both operators are read-only.  ``neg_labels`` holds
     ``-y``: the loss reads only ``-y_r <a_r, x>``, and negation is exact.
@@ -195,17 +189,6 @@ class LogisticOracle(ClientOracle):
     @functools.cached_property
     def stack(self) -> "_LogisticStack":
         return _LogisticStack([self])
-
-    def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
-        x = self._check_input(x)
-        rows = self.matrix.shape[0]
-        drawn = stream.generator().integers(rows, size=batch_size)
-        sub, neg_labels = self.matrix[drawn], self.neg_labels[drawn]
-        weights = neg_labels * expit(neg_labels * _csr_matvec(sub, x))
-        scale = self.loss_scale * rows / batch_size
-        bill(batch_size / rows)
-        g = scale * _csr_matvec(sub.T.tocsr(), weights) + self.reg * x
-        return require_finite(g, "gradient")
 
 
 class _LogisticStack:

@@ -44,9 +44,7 @@ from ..core import (
     RandomStream,
     UnsupportedStructureError,
     Vector,
-    bill,
     hessian_matvecs_of,
-    require_finite,
     require_integer,
 )
 
@@ -281,10 +279,7 @@ class QuadraticOracle(ClientOracle):
     one product with ``C`` instead of one per component; expanding around
     ``cbar`` keeps the rounding error of order ``|x - c_j|``.  Only solvers
     apply ``C`` through :func:`~fedlab.core.hessian_matvecs_of`, which
-    bills a unit per row.  The basis is read only at construction and by
-    :meth:`stochastic_gradient`: the mean of ``batch_size`` components
-    drawn with replacement plus the exact sigmoid term, which bills
-    ``batch_size / m`` full gradients.
+    bills a unit per row.  The basis is read only at construction.
 
     A non-finite query coordinate ``x_k`` makes gradient entry ``k``
     non-finite: that entry of ``C w`` adds ``C_kk w_k``, which is NaN or
@@ -342,21 +337,6 @@ class QuadraticOracle(ClientOracle):
         The cached array is read-only.
         """
         return self._linear
-
-    def stochastic_gradient(self, x, stream: RandomStream, batch_size: int):
-        x = self._check_input(x)
-        spec = self.spec
-        js = stream.generator().integers(spec.m, size=batch_size)
-        if spec.spectra is not None:
-            y = x if self.basis is None else x.dot(self.basis)
-            rows = spec.spectra[js] * (y - spec.centers[js])
-        else:
-            rows = np.einsum("jkl,jl->jk", spec.matrices[js], x - spec.centers[js])
-        g = self._to_original(rows.mean(axis=0))
-        if self.beta != 0.0:
-            g = g + _sigmoid_gradient(x, self.beta)
-        bill(batch_size / spec.m)
-        return require_finite(g, "gradient")
 
 
 def build_quadratic_problem(family: QuadraticFamily) -> DistributedProblem:

@@ -225,42 +225,22 @@ def count_raw_work(monkeypatch) -> list[float]:
 
     Patches every stack's block ``gradients`` and the quadratic stack's
     ``hessian_matvecs`` (one unit per row of the points they are given,
-    read from their shape), and both samplers (the sample's share:
-    ``batch_size / m`` components, ``batch_size / rows`` rows), without
-    reading the bill they are billed by.  Set the entry to 0.0 to start a
-    new count.
+    read from their shape), without reading the bill they are billed by.
+    Set the entry to 0.0 to start a new count.
     """
     count = [0.0]
 
-    def counted(fn, share):
-        def wrapper(self, *args):
-            count[0] += share(self, *args)
-            return fn(self, *args)
+    def counted(fn):
+        def wrapper(self, rows, points):
+            count[0] += points.shape[0]
+            return fn(self, rows, points)
 
         return wrapper
 
-    def rows(self, rows, points):
-        return points.shape[0]
-
     for cls in (_QuadraticStack, _LogisticStack, CubicOracle, FixedGradientOracle):
-        monkeypatch.setattr(cls, "gradients", counted(cls.gradients, rows))
+        monkeypatch.setattr(cls, "gradients", counted(cls.gradients))
     monkeypatch.setattr(
-        _QuadraticStack,
-        "hessian_matvecs",
-        counted(_QuadraticStack.hessian_matvecs, rows),
-    )
-    monkeypatch.setattr(
-        QuadraticOracle,
-        "stochastic_gradient",
-        counted(QuadraticOracle.stochastic_gradient, lambda o, x, s, b: b / o.spec.m),
-    )
-    monkeypatch.setattr(
-        LogisticOracle,
-        "stochastic_gradient",
-        counted(
-            LogisticOracle.stochastic_gradient,
-            lambda o, x, s, b: b / o.matrix.shape[0],
-        ),
+        _QuadraticStack, "hessian_matvecs", counted(_QuadraticStack.hessian_matvecs)
     )
     return count
 

@@ -1,13 +1,13 @@
 """The oracle bills itself: each billed primitive, and nothing else, bills.
 
 A block from ``core.gradients_of`` or ``core.hessian_matvecs_of`` bills one
-unit per row, the public ``gradient`` and ``hessian_matvec`` (one-row
-blocks) one, and each ``stochastic_gradient`` its sampled share; ``step_method`` and
-``init_method_state`` read what was billed inside their window.  Here the
-sampled steps' bills are checked against an independent count of the leaf
-primitives (:func:`conftest.count_raw_work`) and against their shares, and
-wrappers and measurement are checked to bill nothing of their own.  Every
-method's and solver's steps are checked in ``tests/test_harness.py``.
+unit per row, and the public ``gradient`` and ``hessian_matvec`` (one-row
+blocks) one; ``step_method`` and ``init_method_state`` read what was billed
+inside their window.  Here ``fedred_gd``'s steps are checked against an
+independent count of the leaf primitives (:func:`conftest.count_raw_work`)
+and against the rows they ask for, and wrappers and measurement are checked
+to bill nothing of their own.  Every method's and solver's steps are
+checked in ``tests/test_harness.py``.
 """
 import numpy as np
 import pytest
@@ -29,19 +29,12 @@ from conftest import count_raw_work, hetero_pair, logistic_small
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
-@given(
-    seed=st.integers(0, 2**16),
-    n=st.integers(1, 5),
-    m=st.integers(1, 7),
-    batch_size=st.integers(1, 12),
-)
-def test_sampled_steps_bill_their_shares_in_client_order(seed, n, m, batch_size):
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 5), m=st.integers(1, 7))
+def test_fedred_gd_steps_bill_a_row_per_client_and_refresh(seed, n, m):
     problem = gen_quadratic_problem(
         seed, n, m, 3, max_norm=4.0, min_eig=1.0, target_delta=1.0
     )
-    cfg = MethodConfig(
-        method="fedred_gd", lam=1.0, eta=2.0, p=0.5, batch_size=batch_size
-    )
+    cfg = MethodConfig(method="fedred_gd", lam=1.0, eta=2.0, p=0.5)
     with pytest.MonkeyPatch.context() as monkeypatch:
         count = count_raw_work(monkeypatch)
         server, clients, _ = init_method_state(problem, cfg, np.zeros(problem.dim))
@@ -50,10 +43,8 @@ def test_sampled_steps_bill_their_shares_in_client_order(seed, n, m, batch_size)
         for _ in range(6):
             count[0] = 0.0
             server, clients, rec = step_method(problem, server, clients, cfg, stream)
-            # n refresh gradients, then one sample per client, in client order
-            expected = float(n) if stale else 0.0
-            for _ in range(n):
-                expected += batch_size / m
+            # n refresh gradients after a communication, then n local ones
+            expected = 2.0 * n if stale else float(n)
             assert rec.grad_evals == count[0] == expected
             stale = rec.communicated
 

@@ -3,7 +3,7 @@
 Gradient work is billed where it is asked for, in one ``core.bill`` call
 per block: ``core.gradients_of`` and ``core.hessian_matvecs_of`` bill their
 k rows (the one-row ``ClientOracle.gradient`` is a one-row
-``gradients_of``), and each ``stochastic_gradient`` its share.  The stacks
+``gradients_of``).  The stacks
 that compute the rows bill nothing, so measurement can call them too.
 ``step_method`` and ``init_method_state`` alone call ``core.take_billed`` to
 open and read their window, and ``step_method`` alone writes a step's
@@ -26,8 +26,6 @@ BILL_USES = {
     "core.py:take_billed": ["_billed", "_billed"],
     "core.py:gradients_of": ["bill"],
     "core.py:hessian_matvecs_of": ["bill"],
-    "problems/quadratic.py:QuadraticOracle.stochastic_gradient": ["bill"],
-    "problems/logistic.py:LogisticOracle.stochastic_gradient": ["bill"],
     "methods.py:init_method_state": ["take_billed", "take_billed"],
     "methods.py:step_method": ["take_billed", "take_billed"],
 }

@@ -412,7 +412,7 @@ _SEED_CONFIGS = [
         "methods": [
             {"name": "fedred_gd", "label": "sampled", "params": {
                 "lam": 1.0, "eta": 2.0, "p": 0.5, "mu": 0.1, "averaging": "rand",
-                "batch_size": 1, "local_steps": 2}},
+                "local_steps": 2}},
             {"name": "dane_plus", "params": {"lam": 1.0}, "local": {
                 "solver": "gd", "kind": "fixed_steps", "tol": 0.1, "steps": 3,
                 "max_steps": 10, "check_decrease": True, "step": 0.5}},
@@ -551,7 +551,7 @@ def test_local_block_on_a_method_without_local_solves_exits_2(tmp_path, capsys):
 
 
 def test_batch_size_in_a_logistic_problem_block_exits_2(tmp_path, capsys):
-    # the sampling knob is fedred_gd's batch_size; the problem takes none
+    # no problem and no method samples its gradients
     (tmp_path / "tiny.libsvm").write_text(TINY_LIBSVM)
     cfg = {
         "problem": {
@@ -570,12 +570,13 @@ def test_batch_size_in_a_logistic_problem_block_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "entry, message",
     [
-        ({"name": "dane_plus", "params": {"lam": 1.0, "batch_size": 2}},
-         "dane_plus would ignore batch_size=2"),
+        # no method takes a sampling knob
+        ({"name": "fedred_gd", "params": {"lam": 1.0, "eta": 1.0, "batch_size": 2}},
+         "'batch_size' was unexpected"),
         ({"name": "gd", "params": {"eta": 0.1, "batch_size": 1}},
-         "gd would ignore batch_size=1"),
-        ({"name": "fedred_gd", "params": {"lam": 1.0, "eta": 1.0, "batch_size": 0}},
-         "batch_size: 0 is less than the minimum of 1"),
+         "'batch_size' was unexpected"),
+        ({"name": "dane_plus", "params": {"lam": 1.0, "batch_size": 2}},
+         "'batch_size' was unexpected"),
         ({"name": "fedred_gd", "params": {"lam": 1.0, "eta": 1.0, "stochastic": True}},
          "'stochastic' was unexpected"),
         # the recursive control variate and its gain are gone
@@ -592,6 +593,11 @@ def test_batch_size_in_a_logistic_problem_block_exits_2(tmp_path, capsys):
          "scaffold would ignore lam=5.0"),
         ({"name": "scaffnew", "params": {"eta": 0.2, "lam": 5.0}},
          "scaffnew would ignore lam=5.0"),
+        # a label names a trace file in the output directory and a summary.csv field
+        ({"name": "gd", "label": "../escaped", "params": {"eta": 0.1}},
+         "label '../escaped' is not letters, digits"),
+        ({"name": "gd", "label": "a,b", "params": {"eta": 0.1}},
+         "label 'a,b' is not letters, digits"),
     ],
 )
 def test_rejected_method_params_exit_2_before_setup(tmp_path, capsys, entry, message):
@@ -601,21 +607,6 @@ def test_rejected_method_params_exit_2_before_setup(tmp_path, capsys, entry, mes
     assert main(["run", "--config", _write(tmp_path, cfg)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_sampled_fedred_gd_runs_and_bills_fractional_work(tmp_path, capsys):
-    cfg = json.loads(json.dumps(TINY_QUADRATIC))
-    cfg["methods"] = [
-        {"name": "fedred_gd", "params": {"lam": 1.0, "eta": 8.0, "batch_size": 1}}
-    ]
-    cfg["budget"] = {"max_rounds": 4}
-    code, out_dir = _run_into(tmp_path, "sampled", cfg=cfg)
-    assert code == 0
-    capsys.readouterr()
-    traces = read_trace_csv(str(out_dir / "fedred_gd_seed0.csv"))
-    # per round: 3 variate gradients (none before the first) and 3 samples
-    # of one of the 2 components at 1/2 each
-    assert [t.grad_evals for t in traces] == [0.0, 4.5, 9.0, 13.5, 18.0]
 
 
 def test_target_gap_without_a_reference_optimum_exits_2(tmp_path, capsys):

@@ -16,12 +16,11 @@ from fedlab import (
     QuadraticClientSpec,
     QuadraticFamily,
     RandomStream,
-    UnsupportedStructureError,
     as_vector,
     build_quadratic_problem,
     core,
 )
-from fedlab.core import require_finite, take_billed
+from fedlab.core import require_finite
 from fedlab.problems import LogisticOracle, SparseDataset
 
 from conftest import (
@@ -308,14 +307,6 @@ def test_oracle_rejects_nonfinite_outputs():
             _BrokenOracle(value).value(np.zeros(1))
     with pytest.raises(NonFiniteError):
         _BrokenOracle().gradient(np.zeros(1))
-
-
-def test_an_oracle_without_a_sampler_has_no_stochastic_gradient():
-    # the base returns no exact gradient billed as a sample
-    take_billed()
-    with pytest.raises(UnsupportedStructureError, match="no stochastic gradient"):
-        CubicOracle().stochastic_gradient(np.ones(1), RandomStream(0), 1)
-    assert take_billed() == 0.0
 
 
 def test_problem_rejects_empty_or_mismatched_clients():

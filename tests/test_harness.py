@@ -92,9 +92,6 @@ _INTEGER_FIELDS = {
     "steps": lambda v: StoppingRule("fixed_steps", steps=v),
     "max_steps": lambda v: StoppingRule("abs_grad", tol=1e-6, max_steps=v),
     "local_steps": lambda v: MethodConfig(method="scaffold", eta=0.1, local_steps=v),
-    "batch_size": lambda v: MethodConfig(
-        method="fedred_gd", lam=1.0, eta=1.0, batch_size=v
-    ),
     "max_rounds": lambda v: Budget(max_rounds=v),
     "max_iterations": lambda v: Budget(max_iterations=v),
     "record_every": lambda v: run_experiment(
@@ -440,7 +437,6 @@ def test_gradient_accounting_matches_oracle_counter():
     for base in _accounting_problems():
         for cfg in (
             MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=0.5),
-            MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=0.5, batch_size=3),
             MethodConfig(method="scaffold", eta=0.05, local_steps=3),
             MethodConfig(method="scaffnew", eta=0.05, p=0.5),
             MethodConfig(method="gd", eta=0.1),
@@ -478,16 +474,6 @@ def test_exact_solves_at_the_optimum_bill_no_matvecs(method):
     assert all(r.local_steps == 0 for r in result.records)
 
 
-def test_stochastic_steps_bill_fractional_cost():
-    problem = gen_quadratic_problem(
-        29, 2, 4, 4, max_norm=4.0, min_eig=1.0, target_delta=1.0
-    )  # m = 4 components per client
-    cfg = MethodConfig(method="fedred_gd", lam=0.5, eta=1.0, p=1.0, batch_size=3)
-    result = billed_run(problem, cfg, 6)
-    # each step: two fresh variate gradients, then two samples of 3/4 each
-    assert [r.grad_evals for r in result.records] == [3.5] * 6
-
-
 # ------------------------------------------------- rotation equivariance
 
 
@@ -517,8 +503,7 @@ _FRAME_CONFIGS = {
     "dane_plus": MethodConfig(method="dane_plus", lam=2.0),
     "fedred": MethodConfig(method="fedred", lam=1.0, eta=4.0, p=0.5),
     "fedred_gd": MethodConfig(
-        method="fedred_gd", lam=1.0, eta=6.0, p=0.5, averaging="rand",
-        batch_size=1,
+        method="fedred_gd", lam=1.0, eta=6.0, p=0.5, averaging="rand"
     ),
     "gd": MethodConfig(method="gd", eta=0.15),
     "scaffold": MethodConfig(method="scaffold", eta=0.05, local_steps=3),

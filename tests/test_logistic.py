@@ -16,7 +16,6 @@ from fedlab import (
     logistic_problem,
     parse_libsvm,
 )
-from fedlab.core import take_billed
 from fedlab.problems import LogisticOracle, SparseDataset
 from fedlab.problems.logistic import _csr_matvec, _spectral_norms_sq
 
@@ -139,77 +138,6 @@ def test_low_alpha_is_more_skewed_than_high_alpha():
     flat = dirichlet_partition(ds, 4, 100.0, RandomStream(5))
     spread = lambda parts: np.std([p.n_rows for p in parts])
     assert spread(skewed) > spread(flat)
-
-
-def _minibatch_gradient_std(oracle: LogisticOracle, x, batch_size: int) -> np.ndarray:
-    """Per-coordinate std of the rescaled minibatch gradient.
-
-    A batch of ``b`` rows drawn with replacement, each row gradient
-    ``-y_r expit(-y_r <a_r, x>) a_r`` scaled by ``loss_scale * rows / b``.
-    """
-    a = oracle.matrix.toarray()
-    y = -oracle.neg_labels
-    row_grads = (-y * expit(-y * (a @ x)))[:, None] * a
-    scale = oracle.loss_scale * a.shape[0]
-    return scale * np.std(row_grads, axis=0) / np.sqrt(batch_size)
-
-
-def test_stochastic_gradient_is_unbiased():
-    ds = _toy_dataset(rows=16)
-    problem = logistic_problem([ds])
-    oracle = problem.clients[0]
-    x = RandomStream(6).generator().standard_normal(problem.dim)
-    full = oracle.gradient(x)
-    std = _minibatch_gradient_std(oracle, x, 4)
-    draws = 4000
-    acc = np.zeros(problem.dim)
-    stream = RandomStream(31)
-    for k in range(draws):
-        acc += oracle.stochastic_gradient(x, stream.fork(k), 4)
-    mean = acc / draws
-    band = 4.0 * std / np.sqrt(draws) + 1e-12
-    assert np.all(np.abs(mean - full) <= band)
-
-
-def test_stochastic_cost_scales_with_batch():
-    # 16 rows: a batch of 40 draws more rows than the client holds and is
-    # billed 2.5 full gradients, what its 40 row gradients cost
-    oracle = logistic_problem([_toy_dataset(rows=16)]).clients[0]
-    x = np.ones(oracle.dim)
-    take_billed()
-    for batch_size in (1, 4, 16, 40):
-        stream = RandomStream(batch_size)
-        g = oracle.stochastic_gradient(x, stream, batch_size)
-        assert take_billed() == batch_size / 16
-        assert np.array_equal(g, oracle.stochastic_gradient(x, stream, batch_size))
-        assert take_billed() == batch_size / 16
-
-
-def test_an_overflowing_sample_is_rejected():
-    # at x = -1 each of the four drawn rows adds -1e308 to the one entry of A'w
-    labels = np.ones(4)
-    matrix = sp.csr_matrix(np.full((4, 1), 1e308))
-    oracle = LogisticOracle(
-        SparseDataset(labels=labels, matrix=matrix), 1, 4, spectral_sq=1.0
-    )
-    take_billed()
-    with pytest.raises(NonFiniteError, match="non-finite entries in gradient"):
-        oracle.stochastic_gradient(np.array([-1.0]), RandomStream(0), 4)
-    assert take_billed() == 1.0
-
-
-@pytest.mark.parametrize("batch_size", [1, 4, 40])
-def test_stochastic_gradient_is_the_drawn_rows_mean(batch_size):
-    ds = _toy_dataset(rows=16)
-    oracle = logistic_problem([ds]).clients[0]
-    x = RandomStream(8).generator().standard_normal(ds.dim)
-    stream = RandomStream(3).fork(batch_size)
-    rows = stream.generator().integers(16, size=batch_size)
-    a, y = oracle.matrix.toarray()[rows], -oracle.neg_labels[rows]
-    row_grads = (-y * expit(-y * (a @ x)))[:, None] * a
-    expected = oracle.loss_scale * 16 * row_grads.mean(axis=0) + oracle.reg * x
-    g = oracle.stochastic_gradient(x, stream, batch_size)
-    assert np.allclose(g, expected, rtol=1e-13, atol=1e-15)
 
 
 def test_smoothness_hint_bounds_gradient_lipschitz():

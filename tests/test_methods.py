@@ -76,9 +76,8 @@ def test_config_validation():
         MethodConfig(method="fedred", lam=1.0, eta=1.0, p=1.5)
     with pytest.raises(ConfigurationError):
         MethodConfig(method="dane_plus", lam=1.0, averaging="median")
-    for size in (0, -2):
-        with pytest.raises(ConfigurationError, match="batch_size must be >= 1"):
-            MethodConfig(method="fedred_gd", lam=1.0, eta=1.0, batch_size=size)
+    with pytest.raises(TypeError, match="batch_size"):
+        MethodConfig("fedred_gd", lam=1.0, eta=1.0, batch_size=1)  # no sampling knob
     with pytest.raises(ConfigurationError):
         MethodConfig(method="gd")  # needs a positive step
     with pytest.raises(ConfigurationError):
@@ -109,9 +108,6 @@ def test_config_validation():
         dict(method="scaffnew", eta=0.1, local_steps=3),
         dict(method="fedred", lam=1.0, eta=1.0, local_steps=2),
         dict(method="dane_plus", lam=1.0, local_steps=2),
-        dict(method="dane_plus", lam=1.0, batch_size=1),
-        dict(method="scaffnew", eta=0.1, batch_size=4),
-        dict(method="gd", eta=0.1, batch_size=1),
         # only a scheduled local rule reads mu
         dict(method="gd", eta=0.1, mu=1.0),
         dict(method="scaffnew", eta=0.1, p=0.5, mu=1.0),
@@ -129,7 +125,6 @@ def test_config_validation():
     # the default local spec, spelled out, is not an ignored field
     MethodConfig(method="gd", eta=0.1, local=LocalSpec(solver="exact"))
     MethodConfig(method="scaffold", eta=0.1, local_steps=4)
-    MethodConfig(method="fedred_gd", lam=1.0, eta=1.0, batch_size=1)
     MethodConfig(method="dane_plus", lam=1.0, mu=1.0, local=scheduled)
     MethodConfig(method="fedred", lam=1.0, eta=1.0, mu=1.0, local=scheduled)
 
@@ -156,7 +151,6 @@ _TRUTH_VALUES = {
     ),
     "mu": lambda base: 0.5,
     "local_steps": lambda base: 3,
-    "batch_size": lambda base: 1,
     "lam": lambda base: 2.0 * base.get("lam", 0.25),
 }
 
@@ -200,12 +194,11 @@ def test_an_optional_field_is_refused_or_changes_the_run(method, field):
         ("p", dict(method="fedred", lam=1.0, eta=1.0)),
         ("p", dict(method="fedred_gd", lam=1.0, eta=1.0)),
         ("local_steps", dict(method="scaffold", eta=0.1)),
-        ("batch_size", dict(method="fedred_gd", lam=1.0, eta=1.0)),
     ],
 )
 def test_nan_in_a_range_checked_field_is_rejected(field, valid):
     # NaN fails every comparison, so each range test must be one that NaN fails
-    in_range = {"p": 1.0, "local_steps": 1, "batch_size": 2}.get(field, 2.0)
+    in_range = {"p": 1.0, "local_steps": 1}.get(field, 2.0)
     MethodConfig(**valid, **{field: in_range})
     with pytest.raises(ConfigurationError, match=field):
         MethodConfig(**valid, **{field: float("nan")})
@@ -854,7 +847,6 @@ def test_suggest_linearized_rules():
     assert ncvx.lam == pytest.approx(4.0)
     assert ncvx.eta == pytest.approx(180.0)
     assert ncvx.p == pytest.approx(4.0 / 30.0)
-    assert suggest_parameters("fedred_gd", _report(2.0, 4.0), "cvx", l_smooth=30.0).batch_size is None
 
 
 def test_suggest_skipping_baseline_rule():

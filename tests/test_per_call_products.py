@@ -39,7 +39,6 @@ PER_CALL = [
     core.DistributedProblem.gradients_at,
     quadratic.QuadraticOracle._to_original,
     quadratic.QuadraticOracle.hessian_matvec,
-    quadratic.QuadraticOracle.stochastic_gradient,
     quadratic._QuadraticStack._index,
     quadratic._QuadraticStack.values,
     quadratic._QuadraticStack.gradients,
@@ -47,7 +46,6 @@ PER_CALL = [
     quadratic._sigmoid_values,
     quadratic._sigmoid_gradient,
     logistic._spectral_norms_sq,
-    logistic.LogisticOracle.stochastic_gradient,
     logistic._LogisticStack._span_margins,
     logistic._LogisticStack.values,
     logistic._LogisticStack.gradients,

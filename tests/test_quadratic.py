@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fedlab import (
     ConfigurationError,
     DimensionError,
-    NonFiniteError,
     QuadraticClientSpec,
     QuadraticFamily,
     RandomStream,
@@ -19,7 +18,6 @@ from fedlab import (
     delta_exact_quadratic,
     gen_quadratic_problem,
 )
-from fedlab.core import take_billed
 from fedlab.problems.quadratic import GENERAL_CONVEX_FLOOR
 
 from conftest import (
@@ -112,72 +110,6 @@ def test_spectral_and_dense_forms_agree():
         assert np.allclose(p_s.grad_f(x), p_d.grad_f(x), atol=1e-12)
 
 
-def _component_gradient_std(spec: QuadraticClientSpec, x) -> np.ndarray:
-    """Per-coordinate std of the component gradients ``s_j * (x - c_j)``.
-
-    A one-component sample draws one component uniformly and adds the same
-    sigmoid term to each, so this is its standard deviation (no basis).
-    """
-    return np.std(spec.spectra * (x - spec.centers), axis=0)
-
-
-def test_stochastic_gradient_is_unbiased():
-    family = random_family(seed=9, m=6)
-    problem = build_quadratic_problem(family)
-    oracle = problem.clients[0]
-    x = RandomStream(12).generator().standard_normal(problem.dim)
-    full = oracle.gradient(x)
-    std = _component_gradient_std(family.specs[0], x)
-    draws = 10_000
-    stream = RandomStream(404)
-    acc = np.zeros(problem.dim)
-    for k in range(draws):
-        acc += oracle.stochastic_gradient(x, stream.fork(k), 1)
-    mean = acc / draws
-    # per-coordinate CLT band at 4 sigma
-    band = 4.0 * std / np.sqrt(draws) + 1e-12
-    assert np.all(np.abs(mean - full) <= band)
-
-
-def test_stochastic_cost_is_one_component_share():
-    # a batch of b components with replacement bills b / m, past m too
-    oracle = build_quadratic_problem(random_family(seed=2, m=8)).clients[0]
-    x = np.ones(oracle.dim)
-    take_billed()
-    for batch_size in (1, 3, 8, 20):
-        stream = RandomStream(batch_size)
-        g = oracle.stochastic_gradient(x, stream, batch_size)
-        assert take_billed() == batch_size / 8
-        assert np.array_equal(g, oracle.stochastic_gradient(x, stream, batch_size))
-        assert take_billed() == batch_size / 8
-
-
-@pytest.mark.parametrize("beta", [0.0, 0.5])
-@pytest.mark.parametrize("rotated", [False, True])
-def test_one_component_sample_is_the_drawn_component(rotated, beta):
-    # bitwise s_j * (Q'x - c_j), rotated back, for the j that integers(m)
-    # draws from the same stream, plus the exact sigmoid term
-    family = random_family(seed=4, m=6)
-    family = QuadraticFamily(specs=family.specs, beta=beta)
-    if rotated:
-        family = rotated_family(family, seed=8)
-    oracle = build_quadratic_problem(family).clients[1]
-    spec, q = family.specs[1], family.basis
-    x = RandomStream(10).generator().standard_normal(family.dim)
-    for k in range(12):
-        stream = RandomStream(77).fork(k)
-        j = int(stream.generator().integers(spec.m))
-        y = x if q is None else x.dot(q)
-        expected = spec.spectra[j] * (y - spec.centers[j])
-        expected = expected if q is None else q.dot(expected)
-        if beta:
-            expected = expected + beta * 2.0 * x / (1.0 + x * x) ** 2
-        take_billed()
-        g = oracle.stochastic_gradient(x, stream, 1)
-        assert np.array_equal(g, expected)
-        assert take_billed() == 1 / 6
-
-
 def _scalar_sigmoid_gradient(x, beta):
     """The sigmoid derivative as formed with Python-float operands."""
     denom = x * x
@@ -204,32 +136,6 @@ def test_sigmoid_vectors_are_bitwise_the_scalar_form(beta, xs, rotated):
     x = np.array(xs)
     expected = per_row_gradient(oracles[1], x) + _scalar_sigmoid_gradient(x, beta)
     assert np.array_equal(per_row_gradient(oracles[0], x), expected)
-
-
-def test_an_overflowing_sample_is_rejected():
-    spec = QuadraticClientSpec(centers=np.zeros((2, 1)), spectra=np.full((2, 1), 1e300))
-    oracle = build_quadratic_problem(QuadraticFamily(specs=[spec])).clients[0]
-    take_billed()
-    with np.errstate(over="ignore"):
-        with pytest.raises(NonFiniteError, match="non-finite entries in gradient"):
-            oracle.stochastic_gradient(np.array([1e10]), RandomStream(0), 1)
-    assert take_billed() == 0.5
-
-
-def test_dense_batch_averages_the_drawn_components():
-    family = random_family(seed=6, m=4, dense=True)
-    oracle = build_quadratic_problem(family).clients[0]
-    spec = family.specs[0]
-    x = RandomStream(2).generator().standard_normal(family.dim)
-    stream = RandomStream(9)
-    js = stream.generator().integers(4, size=5)
-    expected = np.mean(
-        [spec.matrices[j] @ (x - spec.centers[j]) for j in js], axis=0
-    )
-    take_billed()
-    g = oracle.stochastic_gradient(x, stream, 5)
-    assert np.allclose(g, expected, rtol=1e-13, atol=1e-14)
-    assert take_billed() == 5 / 4
 
 
 def test_generator_validates_arguments():

@@ -701,7 +701,6 @@ def test_no_in_place_write_reaches_a_borrowed_array(frame, beta):
     oracle = _freeze_cached_terms(_quadratic_oracle(frame, 2, 6, rng, beta=beta))
     x, start, shift, c1, c2 = (_read_only(rng.standard_normal(6)) for _ in range(5))
     oracle.gradient(x), oracle.value(x), oracle.hessian_matvec(x)
-    oracle.stochastic_gradient(x, RandomStream(1), 3)
     surrogate = one_row(
         _ReadOnlyOutputs(oracle), linear_shift=shift, prox_terms=((1.5, c1), (0.5, c2))
     )
