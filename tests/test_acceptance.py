@@ -14,7 +14,6 @@ import pytest
 
 from fedlab import (
     Budget,
-    DistributedProblem,
     LocalSpec,
     MethodConfig,
     QuadraticClientSpec,
@@ -29,7 +28,6 @@ from fedlab import (
     gen_quadratic_problem,
     grad_evals_to_target,
     init_method_state,
-    read_trace_csv,
     reference_optimum,
     rounds_to_target,
     run_experiment,

@@ -1,5 +1,9 @@
 """Regularized logistic loss over partitioned sparse data."""
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from fedlab.problems import LogisticOracle, SparseDataset
 from fedlab.problems.logistic import _csr_matvec, _spectral_norms_sq
 
 from conftest import finite_difference_gradient, per_row_gradient
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _toy_dataset(rows: int = 24, dim: int = 6, seed: int = 15):
@@ -219,20 +225,46 @@ def test_gradient_is_bitwise_the_transposed_view_formula(case):
     assert np.array_equal(per_row_gradient(oracle, x), expected)
 
 
-def _power_iteration_on_the_view(a):
-    """One matrix's bound, by the loop of :func:`_spectral_norms_sq` with
-    ``a.T`` built on every product and an early return of 0.0."""
+def _gram_is_small(a) -> bool:
+    """The size rule, recomputed in Python integers: ``A' A`` holds at most
+    ``min(d^2, sum_r nnz_r^2)`` entries, against the pair's ``2 nnz(A)``."""
+    row_nnz = [int(n) for n in np.diff(a.indptr)]
+    return min(a.shape[1] ** 2, sum(n * n for n in row_nnz)) <= 2 * a.nnz
+
+
+def _power_iteration_on_the_view(a, gram=None):
+    """One matrix's bound, by the loop of :func:`_spectral_norms_sq` on
+    ``a`` alone, with an early return of 0.0.  Each step is one product
+    with ``G = a.T.tocsr().dot(a)`` where the size rule sends ``a`` to the
+    Gram (``gram=None``) or where ``gram`` is true; otherwise it is
+    ``a.T @ (a @ v)``, ``a.T`` built on every product, as every matrix
+    stepped before the Gram path."""
     frob_sq = float(a.multiply(a).sum())
     if frob_sq == 0.0:
         return 0.0
+    if _gram_is_small(a) if gram is None else gram:
+        g = a.T.tocsr().dot(a)
+        product = lambda v: g @ v
+    else:
+        product = lambda v: a.T @ (a @ v)
     v = np.full(a.shape[1], 1.0 / np.sqrt(a.shape[1]))
     for _ in range(300):
-        w = a.T @ (a @ v)
+        w = product(v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         v = w / norm
-    return min(float(v @ (a.T @ (a @ v))) * 1.05, frob_sq)
+    return min(float(v @ product(v)) * 1.05, frob_sq)
+
+
+def _pair_loop(a):
+    """``a``'s bound as it was before the Gram path: CSR pairs throughout."""
+    return _power_iteration_on_the_view(a, gram=False)
+
+
+# stated before any run: a Gram-path bound may differ from the pair loop's
+# only by rounding, so by at most this much relative to it
+_GRAM_DRIFT = 1e-12
 
 
 @st.composite
@@ -273,8 +305,11 @@ def _client_parts(draw):
 def test_spectral_estimate_is_bitwise_the_transposed_view_loop(parts):
     problem = logistic_problem(parts)
     stacked = sp.vstack([p.matrix for p in parts], format="csr")
-    expected = [_power_iteration_on_the_view(a) for a in [p.matrix for p in parts] + [stacked]]
+    matrices = [p.matrix for p in parts] + [stacked]
+    expected = [_power_iteration_on_the_view(a) for a in matrices]
     assert _spectral_norms_sq([o.matrix for o in problem.clients] + [stacked]) == expected
+    for a, bound in zip(matrices, expected):
+        assert bound == pytest.approx(_pair_loop(a), rel=_GRAM_DRIFT, abs=0.0)
     for oracle, bound in zip(problem.clients, expected):
         assert oracle.smoothness_hint == 0.25 * oracle.loss_scale * bound + oracle.reg
     total = stacked.shape[0]
@@ -292,10 +327,106 @@ def test_vanished_iterates_bound_at_zero():
     live = sp.csr_matrix([[1.0, 2.0], [0.0, 3.0]])
     zero = sp.csr_matrix((2, 2))
     cancelling = sp.csr_matrix([[1.5, -1.5], [0.25, -0.25]])
+    assert [_gram_is_small(a) for a in (zero, live, cancelling)] == [True] * 3
     assert _power_iteration_on_the_view(cancelling) == 0.0
     expected = [0.0, _power_iteration_on_the_view(live), 0.0]
     assert _spectral_norms_sq([zero, live, cancelling]) == expected
     assert _spectral_norms_sq([zero, cancelling]) == [0.0, 0.0]
+    # eight columns: rows (c, -c, e, -e, 0, ...) and a live block keep the
+    # pair, beside an all-zero and a live Gram block
+    wide_zero = sp.csr_matrix((2, 8))
+    wide_live = sp.csr_matrix(np.arange(1.0, 17.0).reshape(2, 8))
+    wide_cancelling = sp.csr_matrix(
+        [[1.5, -1.5, 0.5, -0.5, 0, 0, 0, 0], [0.25, -0.25, 2.0, -2.0, 0, 0, 0, 0]]
+    )
+    dense_live = sp.csr_matrix(np.arange(1.0, 81.0).reshape(10, 8) % 7.0)
+    blocks = [wide_zero, wide_live, wide_cancelling, dense_live]
+    assert [_gram_is_small(a) for a in blocks] == [True, False, False, True]
+    assert _pair_loop(wide_cancelling) == 0.0
+    expected = [0.0, _pair_loop(wide_live), 0.0, _power_iteration_on_the_view(dense_live)]
+    assert _spectral_norms_sq(blocks) == expected
+
+
+def _sparse_rows(rows: int, cols: int, per_row: int, seed: int) -> sp.csr_matrix:
+    """``rows`` rows of ``per_row`` standard normal entries at random columns."""
+    rng = RandomStream(seed).generator()
+    indices = np.concatenate(
+        [np.sort(rng.choice(cols, size=per_row, replace=False)) for _ in range(rows)]
+    )
+    indptr = np.arange(rows + 1) * per_row
+    data = rng.standard_normal(rows * per_row)
+    return sp.csr_matrix((data, indices, indptr), shape=(rows, cols))
+
+
+def test_a_gram_block_and_a_pair_block_each_give_their_own_loop():
+    gram_block = _sparse_rows(60, 8, 8, seed=41)
+    pair_block = _sparse_rows(6, 40, 3, seed=42)
+    assert (_gram_is_small(gram_block), _gram_is_small(pair_block)) == (True, False)
+    (bound,) = _spectral_norms_sq([gram_block])
+    assert bound == _power_iteration_on_the_view(gram_block)
+    assert bound == pytest.approx(_pair_loop(gram_block), rel=_GRAM_DRIFT, abs=0.0)
+    assert _spectral_norms_sq([pair_block]) == [_pair_loop(pair_block)]
+
+
+def test_the_default_partition_mixes_both_paths():
+    # configs/logistic_small.json's partition: client 2 has 57 rows of 10
+    # entries (a Gram of up to 1,600 entries against a pair of 1,140), so it
+    # keeps the pair; the other clients and their stack take the Gram
+    dataset = parse_libsvm((ROOT / "data" / "synth_binary.libsvm").read_text())
+    parts = dirichlet_partition(dataset, 5, 0.5, RandomStream(3))
+    matrices = [p.matrix for p in parts]
+    matrices.append(sp.vstack(matrices, format="csr"))
+    assert [_gram_is_small(a) for a in matrices] == [True, True, False, True, True, True]
+    bounds = _spectral_norms_sq(matrices)
+    assert bounds == [_power_iteration_on_the_view(a) for a in matrices]
+    for a, bound in zip(matrices, bounds):
+        assert bound == pytest.approx(_pair_loop(a), rel=_GRAM_DRIFT, abs=0.0)
+
+
+def test_a_tall_high_dimensional_matrix_keeps_the_pair():
+    # 5,000 columns and 3 entries per row: a Gram of up to 9 entries per
+    # row against the pair's 6, so no Gram is built and the bound is the
+    # pair loop's to the bit
+    tall = _sparse_rows(2000, 5000, 3, seed=43)
+    assert not _gram_is_small(tall)
+    assert _spectral_norms_sq([tall]) == [_pair_loop(tall)]
+
+
+_THREADS_SCRIPT = """
+import numpy as np
+import scipy.sparse as sp
+from fedlab import RandomStream
+from fedlab.problems.logistic import _gram_fits, _spectral_norms_sq
+
+rng = RandomStream(44).generator()
+dense = rng.standard_normal((1000, 300))
+dense[rng.random(dense.shape) >= 0.2] = 0.0
+gram_block = sp.csr_matrix(dense)
+pair_block = sp.csr_matrix(dense[:20] * (rng.random((20, 300)) < 0.02))
+blocks = [gram_block, pair_block, sp.vstack([gram_block, pair_block], format="csr")]
+assert [_gram_fits(a) for a in blocks] == [True, False, True]
+print(repr(_spectral_norms_sq(blocks)))
+"""
+
+
+def _bounds_at(threads: int) -> str:
+    """The script's printed bounds at ``threads`` BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_SCRIPT],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_the_bounds_do_not_depend_on_the_blas_thread_count():
+    # at 300 columns a BLAS product may split across threads and sum in
+    # another order; scipy's CSR kernel runs on one thread
+    assert _bounds_at(1) == _bounds_at(2)
 
 
 def test_overflowing_smoothness_bounds_raise_a_typed_error():
