@@ -112,13 +112,18 @@ def _block_diagonal(blocks: list[sp.csr_matrix]) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(row, cols[-1]))
 
 
+# a Gram of more entries than this (12 MiB of float64 values and int32
+# column indices) is not built: it guards memory, not speed
+_GRAM_MAX_ENTRIES = 1 << 20
+
+
 def _gram_fits(a: sp.csr_matrix) -> bool:
-    """Whether ``A' A`` can hold no more than the ``2 nnz(A)`` entries of the
-    pair ``A``, ``A'``: its size is bounded by ``min(d^2, sum_r nnz_r^2)``,
-    read from the row pointers before anything is built (the sum in
-    floats, which cannot wrap)."""
+    """Whether ``A' A`` can hold at most :data:`_GRAM_MAX_ENTRIES` entries:
+    its size is bounded by ``min(d^2, sum_r nnz_r^2)``, read from the row
+    pointers before anything is built (the sum in floats, which cannot
+    wrap)."""
     row_nnz_sq = np.square(np.diff(a.indptr), dtype=np.float64).sum()
-    return min(a.shape[1] ** 2, row_nnz_sq) <= 2 * a.nnz
+    return min(a.shape[1] ** 2, row_nnz_sq) <= _GRAM_MAX_ENTRIES
 
 
 def _spectral_norms_sq(matrices: list[sp.csr_matrix]) -> list[float]:
@@ -127,19 +132,19 @@ def _spectral_norms_sq(matrices: list[sp.csr_matrix]) -> list[float]:
     One 300-step power iteration, plus a 5% margin capped by ``||A||_F^2``,
     runs over block-diagonal operators.  A matrix that :func:`_gram_fits`
     is a block of the Gram operator, each ``G = A.T.tocsr().dot(A)`` formed
-    once, so its step is one product over at most ``d^2`` entries; any other
-    (a tall, high-dimensional file) keeps two, with ``A`` and ``A'``, over
-    ``2 nnz(A)``, and so its cost and memory.  Which path a matrix takes is
-    a property of that matrix alone, each block's products sum the same
-    stored entries in the same order as :func:`_csr_matvec` with its own
-    ``G``, or ``A`` and ``A'``, and its iterate is normalised by its own
-    ``sqrt(w . w)`` (``np.vecdot``, new in NumPy 2.0, runs the ``ddot`` of
-    ``w.dot(w)`` on each row), so every estimate is bitwise the one a loop
-    over that ``A`` alone gives.  Both paths call scipy's CSR kernel, not
-    BLAS, so no estimate depends on the BLAS thread count.  An iterate that
-    vanishes (always, for an all-zero ``A``) stays zero, so its estimate is
-    0.0.  A ``||A||_F^2`` that overflows raises :class:`NonFiniteError`:
-    the iteration would divide inf by inf.
+    once, so its step is one product over at most ``d^2`` entries.  Any
+    other matrix, whose Gram would be too large to build, steps on ``A``
+    and ``A'`` instead.  Which path a matrix takes is a property of that
+    matrix alone, each block's products sum the same stored entries in the
+    same order as :func:`_csr_matvec` with its own ``G``, or ``A`` and
+    ``A'``, and its iterate is normalised by its own ``sqrt(w . w)``
+    (``np.vecdot``, new in NumPy 2.0, runs the ``ddot`` of ``w.dot(w)`` on
+    each row), so every estimate is bitwise the one a loop over that ``A``
+    alone gives.  Both paths call scipy's CSR kernel, not BLAS, so no
+    estimate depends on the BLAS thread count.  An iterate that vanishes
+    (always, for an all-zero ``A``) stays zero, so its estimate is 0.0.  A
+    ``||A||_F^2`` that overflows raises :class:`NonFiniteError`: the
+    iteration would divide inf by inf.
     """
     with np.errstate(over="ignore"):  # an overflow is the error raised below
         frob_sq = [float(a.multiply(a).sum()) for a in matrices]
@@ -147,39 +152,32 @@ def _spectral_norms_sq(matrices: list[sp.csr_matrix]) -> list[float]:
         raise NonFiniteError(f"non-finite smoothness bound: ||A||_F^2 = {frob_sq}")
     if not any(frob_sq):
         return frob_sq
-    # the Gram blocks lead the iterate, the pair blocks follow: each path
-    # is a chain of operators over its own slice
     fits = [_gram_fits(a) for a in matrices]
-    order = sorted(range(len(matrices)), key=lambda i: not fits[i])
-    grams = [matrices[i].T.tocsr().dot(matrices[i]) for i in order if fits[i]]
-    pairs = [matrices[i] for i in order if not fits[i]]
-    chains = []
-    if grams:
-        chains.append([_block_diagonal(grams)])
-    if pairs:
-        op = _block_diagonal(pairs)
-        chains.append([op, op.T.tocsr()])
+    g = [i for i, f in enumerate(fits) if f]
+    p = [i for i, f in enumerate(fits) if not f]
+    if g:
+        gram = _block_diagonal([matrices[i].T.tocsr().dot(matrices[i]) for i in g])
+    if p:
+        pair = _block_diagonal([matrices[i] for i in p])
+        pair_t = pair.T.tocsr()
     d = matrices[0].shape[1]
     v = np.full((len(matrices), d), 1.0 / np.sqrt(d))
 
     def product(v: np.ndarray) -> np.ndarray:
-        x, start, parts = v.ravel(), 0, []
-        for chain in chains:
-            stop = start + chain[0].shape[1]
-            y = x[start:stop]
-            for operator in chain:
-                y = _csr_matvec(operator, y)
-            parts.append(y)
-            start = stop
-        return np.concatenate(parts).reshape(v.shape)
+        w = np.empty_like(v)
+        if g:
+            w[g] = _csr_matvec(gram, v[g].ravel()).reshape(len(g), d)
+        if p:
+            w[p] = _csr_matvec(pair_t, _csr_matvec(pair, v[p].ravel())).reshape(len(p), d)
+        return w
 
     for _ in range(300):
         w = product(v)
         norms = np.sqrt(np.vecdot(w, w))
         norms[norms == 0.0] = 1.0
         v = w / norms[:, None]
-    estimates = dict(zip(order, np.vecdot(v, product(v)).tolist()))
-    return [min(estimates[i] * 1.05, f) for i, f in enumerate(frob_sq)]
+    estimates = np.vecdot(v, product(v)).tolist()
+    return [min(r * 1.05, f) for r, f in zip(estimates, frob_sq)]
 
 
 class LogisticOracle(ClientOracle):

@@ -1,7 +1,4 @@
 """Regularized logistic loss over partitioned sparse data."""
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -21,7 +18,7 @@ from fedlab import (
     parse_libsvm,
 )
 from fedlab.problems import LogisticOracle, SparseDataset
-from fedlab.problems.logistic import _csr_matvec, _spectral_norms_sq
+from fedlab.problems.logistic import _GRAM_MAX_ENTRIES, _csr_matvec, _spectral_norms_sq
 
 from conftest import finite_difference_gradient, per_row_gradient
 
@@ -227,9 +224,10 @@ def test_gradient_is_bitwise_the_transposed_view_formula(case):
 
 def _gram_is_small(a) -> bool:
     """The size rule, recomputed in Python integers: ``A' A`` holds at most
-    ``min(d^2, sum_r nnz_r^2)`` entries, against the pair's ``2 nnz(A)``."""
+    ``min(d^2, sum_r nnz_r^2)`` entries, and is built if that is at most
+    ``_GRAM_MAX_ENTRIES``."""
     row_nnz = [int(n) for n in np.diff(a.indptr)]
-    return min(a.shape[1] ** 2, sum(n * n for n in row_nnz)) <= 2 * a.nnz
+    return min(a.shape[1] ** 2, sum(n * n for n in row_nnz)) <= _GRAM_MAX_ENTRIES
 
 
 def _power_iteration_on_the_view(a, gram=None):
@@ -332,18 +330,22 @@ def test_vanished_iterates_bound_at_zero():
     expected = [0.0, _power_iteration_on_the_view(live), 0.0]
     assert _spectral_norms_sq([zero, live, cancelling]) == expected
     assert _spectral_norms_sq([zero, cancelling]) == [0.0, 0.0]
-    # eight columns: rows (c, -c, e, -e, 0, ...) and a live block keep the
-    # pair, beside an all-zero and a live Gram block
-    wide_zero = sp.csr_matrix((2, 8))
-    wide_live = sp.csr_matrix(np.arange(1.0, 17.0).reshape(2, 8))
-    wide_cancelling = sp.csr_matrix(
-        [[1.5, -1.5, 0.5, -0.5, 0, 0, 0, 0], [0.25, -0.25, 2.0, -2.0, 0, 0, 0, 0]]
+    # 1,100 columns, so that a full row's Gram is too large to build: a
+    # live row and rows (c, -c, c, -c, ...) keep the pair, beside an
+    # all-zero and a live Gram block
+    wide = 1100
+    assert wide**2 > _GRAM_MAX_ENTRIES
+    wide_zero = sp.csr_matrix((2, wide))
+    wide_live = sp.csr_matrix(np.arange(1.0, wide + 1.0)[None, :])
+    wide_cancelling = sp.csr_matrix(np.outer([1.5, 0.25], np.tile([1.0, -1.0], wide // 2)))
+    sparse_live = sp.csr_matrix(
+        (np.arange(1.0, 81.0) % 7.0 + 1.0, np.tile(np.arange(8), 10), np.arange(11) * 8),
+        shape=(10, wide),
     )
-    dense_live = sp.csr_matrix(np.arange(1.0, 81.0).reshape(10, 8) % 7.0)
-    blocks = [wide_zero, wide_live, wide_cancelling, dense_live]
+    blocks = [wide_zero, wide_live, wide_cancelling, sparse_live]
     assert [_gram_is_small(a) for a in blocks] == [True, False, False, True]
     assert _pair_loop(wide_cancelling) == 0.0
-    expected = [0.0, _pair_loop(wide_live), 0.0, _power_iteration_on_the_view(dense_live)]
+    expected = [0.0, _pair_loop(wide_live), 0.0, _power_iteration_on_the_view(sparse_live)]
     assert _spectral_norms_sq(blocks) == expected
 
 
@@ -359,24 +361,28 @@ def _sparse_rows(rows: int, cols: int, per_row: int, seed: int) -> sp.csr_matrix
 
 
 def test_a_gram_block_and_a_pair_block_each_give_their_own_loop():
-    gram_block = _sparse_rows(60, 8, 8, seed=41)
-    pair_block = _sparse_rows(6, 40, 3, seed=42)
-    assert (_gram_is_small(gram_block), _gram_is_small(pair_block)) == (True, False)
-    (bound,) = _spectral_norms_sq([gram_block])
-    assert bound == _power_iteration_on_the_view(gram_block)
-    assert bound == pytest.approx(_pair_loop(gram_block), rel=_GRAM_DRIFT, abs=0.0)
-    assert _spectral_norms_sq([pair_block]) == [_pair_loop(pair_block)]
+    # 2,000 columns: 300 rows of 8 entries build a Gram of at most 19,200
+    # entries; 600 rows of 50 could fill 1.5 million, so they, and the
+    # stack of both, keep the pair
+    gram_block = _sparse_rows(300, 2000, 8, seed=41)
+    pair_block = _sparse_rows(600, 2000, 50, seed=42)
+    blocks = [gram_block, pair_block, sp.vstack([gram_block, pair_block], format="csr")]
+    assert [_gram_is_small(a) for a in blocks] == [True, False, False]
+    bounds = _spectral_norms_sq(blocks)
+    assert bounds == [_power_iteration_on_the_view(a) for a in blocks]
+    assert bounds[1:] == [_pair_loop(a) for a in blocks[1:]]
+    assert bounds[0] == pytest.approx(_pair_loop(gram_block), rel=_GRAM_DRIFT, abs=0.0)
+    assert [_spectral_norms_sq([a])[0] for a in blocks] == bounds
 
 
-def test_the_default_partition_mixes_both_paths():
-    # configs/logistic_small.json's partition: client 2 has 57 rows of 10
-    # entries (a Gram of up to 1,600 entries against a pair of 1,140), so it
-    # keeps the pair; the other clients and their stack take the Gram
+def test_the_default_partition_takes_the_gram():
+    # configs/logistic_small.json's partition: 40 columns, so every client
+    # and their stack build a Gram of at most 1,600 entries
     dataset = parse_libsvm((ROOT / "data" / "synth_binary.libsvm").read_text())
     parts = dirichlet_partition(dataset, 5, 0.5, RandomStream(3))
     matrices = [p.matrix for p in parts]
     matrices.append(sp.vstack(matrices, format="csr"))
-    assert [_gram_is_small(a) for a in matrices] == [True, True, False, True, True, True]
+    assert all(_gram_is_small(a) for a in matrices)
     bounds = _spectral_norms_sq(matrices)
     assert bounds == [_power_iteration_on_the_view(a) for a in matrices]
     for a, bound in zip(matrices, bounds):
@@ -384,49 +390,12 @@ def test_the_default_partition_mixes_both_paths():
 
 
 def test_a_tall_high_dimensional_matrix_keeps_the_pair():
-    # 5,000 columns and 3 entries per row: a Gram of up to 9 entries per
-    # row against the pair's 6, so no Gram is built and the bound is the
-    # pair loop's to the bit
-    tall = _sparse_rows(2000, 5000, 3, seed=43)
+    # 6,000 rows over 5,000 columns, 14 entries per row: a Gram of up to
+    # 1.18 million entries is not built, and the bound is the pair loop's
+    # to the bit
+    tall = _sparse_rows(6000, 5000, 14, seed=43)
     assert not _gram_is_small(tall)
     assert _spectral_norms_sq([tall]) == [_pair_loop(tall)]
-
-
-_THREADS_SCRIPT = """
-import numpy as np
-import scipy.sparse as sp
-from fedlab import RandomStream
-from fedlab.problems.logistic import _gram_fits, _spectral_norms_sq
-
-rng = RandomStream(44).generator()
-dense = rng.standard_normal((1000, 300))
-dense[rng.random(dense.shape) >= 0.2] = 0.0
-gram_block = sp.csr_matrix(dense)
-pair_block = sp.csr_matrix(dense[:20] * (rng.random((20, 300)) < 0.02))
-blocks = [gram_block, pair_block, sp.vstack([gram_block, pair_block], format="csr")]
-assert [_gram_fits(a) for a in blocks] == [True, False, True]
-print(repr(_spectral_norms_sq(blocks)))
-"""
-
-
-def _bounds_at(threads: int) -> str:
-    """The script's printed bounds at ``threads`` BLAS threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", _THREADS_SCRIPT],
-        capture_output=True, text=True, env=env, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip().splitlines()[-1]
-
-
-def test_the_bounds_do_not_depend_on_the_blas_thread_count():
-    # at 300 columns a BLAS product may split across threads and sum in
-    # another order; scipy's CSR kernel runs on one thread
-    assert _bounds_at(1) == _bounds_at(2)
 
 
 def test_overflowing_smoothness_bounds_raise_a_typed_error():

@@ -187,15 +187,19 @@ def test_oracles_are_rows_of_one_stack():
         assert np.array_equal(stack.centers[i], basis.dot(spec.centers.mean(axis=0)))
 
 
-# blocks of distinct points against the per-row formulas, all as sha256
+# blocks of distinct points against the per-row formulas, and the logistic
+# smoothness bounds of Gram blocks of 300 columns in one call against one
+# call per matrix, all as sha256
 _THREADS_SCRIPT = """
 import hashlib, json
 import numpy as np
+import scipy.sparse as sp
 from fedlab import (
     QuadraticClientSpec, QuadraticFamily, RandomStream, build_quadratic_problem,
     gen_quadratic_problem,
 )
 from fedlab.core import gradients_of, hessian_matvecs_of, values_of
+from fedlab.problems.logistic import _gram_fits, _spectral_norms_sq
 from conftest import per_row_gradient, per_row_hessian_matvec, per_row_value
 
 rng = RandomStream(5).generator()
@@ -228,6 +232,13 @@ for name, problem in problems.items():
         out[name + " " + form] = [
             hashlib.sha256(a.tobytes()).hexdigest() for a in (block, rows)
         ]
+logistic_rng = RandomStream(44).generator()
+dense = logistic_rng.standard_normal((1000, 300))
+dense[logistic_rng.random(dense.shape) >= 0.2] = 0.0
+grams = [sp.csr_matrix(dense[:600]), sp.csr_matrix(dense[600:]), sp.csr_matrix(dense)]
+assert all(_gram_fits(a) for a in grams)
+bounds = (_spectral_norms_sq(grams), [_spectral_norms_sq([a])[0] for a in grams])
+out["logistic bounds"] = [hashlib.sha256(np.array(b).tobytes()).hexdigest() for b in bounds]
 print(json.dumps(out))
 """
 
